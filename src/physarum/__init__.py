@@ -22,7 +22,6 @@ from .discrete_solver import (
     default_step,
     iteration_bound,
     solve,
-    step,
 )
 from .dynamics import BoundReport, DynamicsEval, check_bounds, embed, evaluate, gradient_identity_residual
 from .entropy_path import PathPoint, follow_path, solve_point
@@ -78,7 +77,6 @@ __all__ = [
     "sample_feasible",
     "solve",
     "solve_point",
-    "step",
     "validate",
     "__version__",
 ]

@@ -292,9 +292,7 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
     x_star = result.optimal_vertices[0]
 
     config = discrete_solver.DiscreteConfig(eps=eps, h=h, trace_every=1, max_iters=max_iters)
-    sol, trace = discrete_solver.solve(
-        lp, config, params=params, oracle_result=result, verify_with=(opt, x_star),
-    )
+    sol, trace = discrete_solver.solve(lp, config, params=params, oracle_result=result)
     cert = discrete_solver.certify_trace(lp, trace, opt, eps, sol.h, x_star)
 
     rng = np.random.default_rng(seed)

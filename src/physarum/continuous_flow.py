@@ -25,9 +25,9 @@ from .errors import (
     DimensionMismatchError,
     InsufficientTraceError,
     NonPositiveStateError,
-    NotPositiveDefiniteError,
     StepSizeUnderflowError,
 )
+from .linalg import spd_factor
 from .model import Params, ValidatedLP, default_params
 
 
@@ -39,10 +39,7 @@ def rhs_log(lp: ValidatedLP, u) -> np.ndarray:
     """
     x = np.exp(np.asarray(u, dtype=float))
     w = x / lp.c
-    try:
-        p = np.linalg.solve((lp.A * w) @ lp.At, lp.b)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"laplacian collapsed along the flow: {exc}") from exc
+    p = spd_factor((lp.A * w) @ lp.At).solve(lp.b)
     return (lp.At @ p) / lp.c - 1.0
 
 

@@ -32,11 +32,11 @@ from .errors import (
     FeasibilityLostError,
     MissingVerifyDataError,
     NoFeasibleInteriorStartError,
-    NotPositiveDefiniteError,
     NumericalError,
     PositivityLostError,
 )
 from .dynamics import evaluate
+from .linalg import spd_factor
 from .model import Params, ValidatedLP, default_params
 
 logger = logging.getLogger(__name__)
@@ -74,8 +74,6 @@ class DiscreteTraceEntry:
     cost: float
     energy: float
     edge_potential_inf: float
-    barrier: float | None = None
-    potential: float | None = None
 
 
 @dataclass(frozen=True)
@@ -126,17 +124,6 @@ def iteration_bound(cost_ratio: float, spread: float, eps: float, h: float) -> i
     return int(math.ceil(min(num / (h * h * eps * eps), float(ITERATION_HARD_CAP))))
 
 
-def step(lp: ValidatedLP, x, h: float) -> np.ndarray:
-    """One damped update (1 - h) x + h q. Raises if positivity is lost."""
-    if not (0.0 <= h < 1.0):
-        raise BadStepError(f"h must lie in [0, 1), got {h}")
-    ev = evaluate(lp, x)
-    nxt = ev.x + h * ev.direction
-    if np.any(nxt <= 0.0):
-        raise PositivityLostError(f"step {h} drove a coordinate nonpositive")
-    return nxt
-
-
 def _resolve_start(lp: ValidatedLP, config: DiscreteConfig, oracle_result) -> np.ndarray:
     if config.start is not None:
         x0 = np.asarray(config.start, dtype=float)
@@ -165,14 +152,12 @@ def solve(
     config: DiscreteConfig,
     params: Params | None = None,
     oracle_result=None,
-    verify_with: tuple[float, np.ndarray] | None = None,
 ) -> tuple[Solution, Trace]:
     """Run the damped iteration to a numerical fixed point.
 
     Stops at FixedPoint when |q - x| is below fixed_point_tol * (1 + |x|),
     at IterationBound when the certified worst-case count is exhausted, or
-    at UserCap when max_iters is hit first. ``verify_with=(opt, x_star)``
-    additionally records the barrier and the combined potential per entry.
+    at UserCap when max_iters is hit first.
 
     A zero demand vector is a special case: x = 0 is optimal and the
     dynamics are never entered.
@@ -213,28 +198,20 @@ def solve(
     certified_cap = iteration_bound(cost_ratio, spread, config.eps, h)
     cap = min(config.max_iters, certified_cap)
 
-    opt_v = x_star = supp = logs_star = None
-    if verify_with is not None:
-        opt_v, x_star = float(verify_with[0]), np.asarray(verify_with[1], dtype=float)
-        supp = x_star > 0.0
-        logs_star = lp.c[supp] * x_star[supp]
-
     A, At, b, c = lp.A, lp.At, lp.b, lp.c
     inv_c = 1.0 / c
-    m = lp.m
     entries: list[DiscreteTraceEntry] = []
     dev_max = 0.0
     k = 0
     stop = None
     fp_res = math.inf
 
+    # The update is written out rather than calling evaluate: a step needs
+    # one Laplacian solve, while evaluate re-validates the state and solves
+    # a second time for its direction split.
     while True:
         w = x * inv_c
-        lap = (A * w) @ At
-        try:
-            p = np.linalg.solve(lap, b)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(f"laplacian solve failed at iteration {k}: {exc}") from exc
+        p = spd_factor((A * w) @ At).solve(b)
         edge = At @ p
         q = w * edge
         diff = q - x
@@ -244,15 +221,10 @@ def solve(
             dev_max = dev
 
         if config.trace_every and k % config.trace_every == 0:
-            barrier = potential = None
-            if verify_with is not None:
-                barrier = float(logs_star @ np.log(x[supp]))
-                potential = 4.0 * math.log(c @ x) - (config.eps * h / opt_v) * barrier
             entries.append(
                 DiscreteTraceEntry(
                     k=k, x=x.copy(), cost=float(c @ x), energy=float(b @ p),
                     edge_potential_inf=float(np.abs(edge).max()),
-                    barrier=barrier, potential=potential,
                 )
             )
 
@@ -390,7 +362,7 @@ def certified_step_search(
         for entry in trace.entries:
             ev = evaluate(lp, entry.x)
             dev = max(dev, float(np.abs(ev.flux / ev.x - 1.0).max()))
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except NumericalError as exc:
         logger.warning("pilot integration failed (%s); falling back to the worst-case step", exc)
         return h_auto, math.inf
     h = min(0.999 * pos_cap, max(h_auto, eps / (6.0 * (safety * dev) ** 2)))

@@ -87,10 +87,6 @@ class LimitError(PhysarumError):
     """The instance exceeds a documented size cap for an exact routine."""
 
 
-class ExactTooLargeError(LimitError):
-    pass
-
-
 class TooLargeError(LimitError):
     pass
 

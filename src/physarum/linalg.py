@@ -1,8 +1,11 @@
 """Dense linear-algebra kernels: SPD solves and kernel bases.
 
-Sizes here are tiny (m is the constraint count), so the Cholesky
-factorization is written out directly. That keeps the positive-pivot
-tolerance under our control instead of whatever a library default does.
+Every weighted Laplacian system (A W A^T) p = b in the package is solved
+through spd_factor, so the whole package shares one failure policy: LAPACK
+Cholesky (dpotrf/dpotrs) plus a pivot floor relative to the mean diagonal.
+LAPACK alone only refuses pivots that are not positive, which lets a
+Laplacian that has collapsed onto a boundary face through to a solve whose
+potentials are rounding noise.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NotPositiveDefiniteError, RankDeficientError
 
@@ -25,43 +29,33 @@ class SpdFactorization:
 
     lower: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.lower.shape[0]
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        y = scipy.linalg.solve_triangular(self.lower, rhs, lower=True, check_finite=False)
-        return scipy.linalg.solve_triangular(self.lower.T, y, lower=False, check_finite=False)
+        """Solve against a vector or against the columns of a matrix."""
+        sol, info = dpotrs(self.lower, rhs, lower=True)
+        if info:
+            raise ValueError(f"dpotrs rejected argument {-info}")
+        return sol
 
-    def reconstruct(self) -> np.ndarray:
-        return self.lower @ self.lower.T
 
+def spd_factor(mat: np.ndarray) -> SpdFactorization:
+    """Factor a symmetric positive definite matrix, reading its lower triangle.
 
-def spd_factor(mat: np.ndarray, pivot_rtol: float = PIVOT_RTOL) -> SpdFactorization:
-    """Factor a symmetric positive definite matrix.
-
-    Raises NotPositiveDefiniteError when a pivot falls at or below
-    ``pivot_rtol * trace / m``.
+    Raises NotPositiveDefiniteError when a pivot L_jj^2 falls at or below
+    ``PIVOT_RTOL * trace / m``.
     """
     M = np.asarray(mat, dtype=float)
     m = M.shape[0]
     if M.shape != (m, m):
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    tol = pivot_rtol * float(np.trace(M)) / m
-    low = np.zeros_like(M)
-    for j in range(m):
-        d = M[j, j] - low[j, :j] @ low[j, :j]
-        if not d > tol:
-            raise NotPositiveDefiniteError(f"pivot {d:.3e} at index {j} (tolerance {tol:.3e})")
-        low[j, j] = np.sqrt(d)
-        if j + 1 < m:
-            low[j + 1 :, j] = (M[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    low, info = dpotrf(M, lower=True)
+    if info:
+        raise NotPositiveDefiniteError(f"pivot at index {info - 1} is not positive")
+    pivot = low.diagonal().min() ** 2
+    tol = PIVOT_RTOL * M.trace() / m
+    if not pivot > tol:
+        j = int(low.diagonal().argmin())
+        raise NotPositiveDefiniteError(f"pivot {pivot:.3e} at index {j} (tolerance {tol:.3e})")
     return SpdFactorization(lower=low)
-
-
-def spd_solve(mat: np.ndarray, rhs: np.ndarray, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
-    """Solve ``mat @ x = rhs`` for symmetric positive definite ``mat``."""
-    return spd_factor(mat, pivot_rtol).solve(np.asarray(rhs, dtype=float))
 
 
 def kernel_basis(A: np.ndarray) -> np.ndarray:

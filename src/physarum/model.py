@@ -21,7 +21,6 @@ import numpy as np
 from . import _exact
 from .errors import (
     DimensionMismatchError,
-    ExactTooLargeError,
     NonPositiveCostError,
     RankDeficientError,
 )
@@ -158,27 +157,17 @@ def compute_params(lp: ValidatedLP, mode: str = "exact") -> Params:
     """Derive the worst-case parameters, with exact or bounded subdeterminants.
 
     ``mode="exact"`` enumerates all square submatrices (only permitted for
-    n <= EXACT_SUBDET_CAP); ``mode="bound"`` uses the closed form.
+    n <= EXACT_SUBDET_CAP); ``mode="bound"`` uses the closed form. Both the
+    mode check and the cap are oracle.max_subdeterminant's.
     """
-    if mode not in ("exact", "bound"):
-        raise ValueError(f"mode must be 'exact' or 'bound', got {mode!r}")
-    cost_sum = int(lp.c_int.sum())
-    if mode == "exact":
-        if lp.n > EXACT_SUBDET_CAP:
-            raise ExactTooLargeError(
-                f"exact subdeterminant enumeration capped at n <= {EXACT_SUBDET_CAP}, got n={lp.n}"
-            )
-        from .oracle import max_subdeterminant
+    from .oracle import max_subdeterminant
 
-        d = float(max_subdeterminant(lp.A_int, mode="exact"))
-        exact = True
-    else:
-        d = float(subdet_upper_bound(lp.A_int))
-        exact = False
+    d = float(max_subdeterminant(lp.A_int, mode))
+    cost_sum = int(lp.c_int.sum())
     return Params(
         cost_sum=cost_sum,
         subdet_max=d,
-        subdet_exact=exact,
+        subdet_exact=mode == "exact",
         potential_ratio_bound=cost_sum * d + 1.0,
         flux_bound=d * d * lp.n * float(np.abs(lp.b_int).sum()),
         m=lp.m,

@@ -1,6 +1,7 @@
 """Command-line interface: JSON output, trace files, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -165,25 +166,31 @@ def test_oversized_step_is_a_validation_error(capsys):
     capsys.readouterr()
 
 
-def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "physarum.cli_io", "params", SIMPLE2],
+def run_cli_child(args, env):
+    """Run the CLI in a child interpreter that imports the same physarum as this process.
+
+    This process may find the package only through pytest's ``pythonpath``
+    setting or an install, neither of which a child inherits.
+    """
+    package_root = str(Path(physarum.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "physarum.cli_io", *args],
         capture_output=True,
         text=True,
+        env={**env, "PYTHONPATH": package_root},
     )
+
+
+def test_console_entry_point():
+    proc = run_cli_child(["params", SIMPLE2], os.environ)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["name"] == "simple2"
 
 
 def test_log_env_var_routes_to_stderr():
-    # The child sees a minimal environment, so point it at the same physarum
-    # this process imported; otherwise it only works when pip-installed.
-    package_root = str(Path(physarum.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "physarum.cli_io", "solve", SIMPLE2, "--h", "0.03"],
-        capture_output=True,
-        text=True,
-        env={"PHYSARUM_LOG": "warning", "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+    proc = run_cli_child(
+        ["solve", SIMPLE2, "--h", "0.03"],
+        {"PHYSARUM_LOG": "warning", "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0
     assert "certified" in proc.stderr

@@ -15,7 +15,6 @@ from physarum import (
     default_step,
     iteration_bound,
     solve,
-    step,
     validate,
 )
 from physarum.discrete_solver import DiscreteTraceEntry
@@ -25,7 +24,6 @@ from physarum.errors import (
     DimensionMismatchError,
     MissingVerifyDataError,
     NoFeasibleInteriorStartError,
-    PositivityLostError,
 )
 
 
@@ -60,17 +58,9 @@ def test_iteration_bound_values():
 
 
 def test_step_values(simple2):
-    nxt = step(simple2, np.array([0.5, 0.5]), 0.1)
-    assert np.allclose(nxt, [31.0 / 60.0, 29.0 / 60.0], rtol=1e-14)
-    assert np.array_equal(step(simple2, np.array([0.5, 0.5]), 0.0), [0.5, 0.5])
-    with pytest.raises(BadStepError):
-        step(simple2, np.array([0.5, 0.5]), 1.0)
-
-
-def test_step_positivity_loss():
-    lp = validate(LinearProgram.from_lists([[1, -1]], [1], [1, 1]))
-    with pytest.raises(PositivityLostError):
-        step(lp, np.array([1.0, 1.0]), 0.9)
+    sol, _ = solve(simple2, DiscreteConfig(eps=0.1, h=0.1, start=[0.5, 0.5], max_iters=1))
+    assert sol.stop_reason == "UserCap"
+    assert np.allclose(sol.x, [31.0 / 60.0, 29.0 / 60.0], rtol=1e-14)
 
 
 def test_solve_simple2_certified_step(simple2):
@@ -155,21 +145,21 @@ def test_cost_recurrence_along_trace(simple2):
 
 def test_certify_clean_run(simple2):
     x_star = np.array([1.0, 0.0])
-    sol, trace = solve(
-        simple2,
-        DiscreteConfig(eps=0.1, start=np.array([0.5, 0.5])),
-        verify_with=(1.0, x_star),
-    )
+    sol, trace = solve(simple2, DiscreteConfig(eps=0.1, start=np.array([0.5, 0.5])))
     rep = certify_trace(simple2, trace, 1.0, 0.1, sol.h, x_star)
     assert rep.violations == 0
     assert rep.first_violation is None
     assert rep.steps_checked > 1000
     assert rep.big_gap_steps + rep.small_gap_steps == rep.steps_checked
     assert rep.worst_margin < 0.0
-    # trace carried the verify-mode extras
-    assert trace.entries[0].barrier is not None
-    assert trace.entries[0].potential is not None
-    pots = [e.potential for e in trace.entries if e.cost > 1.1]
+    # the combined potential phi(k) = 4 ln V(k) - (eps h / opt) B(k), with opt = 1
+    supp = x_star > 0.0
+    weights = simple2.c[supp] * x_star[supp]
+    pots = [
+        4.0 * math.log(e.cost) - 0.1 * sol.h * float(weights @ np.log(e.x[supp]))
+        for e in trace.entries
+        if e.cost > 1.1
+    ]
     assert all(b <= a for a, b in zip(pots, pots[1:]))
 
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from physarum import DiscreteConfig, LinearProgram, evaluate, rhs_log, solve, validate
 from physarum.errors import NotPositiveDefiniteError, RankDeficientError
-from physarum.linalg import kernel_basis, spd_factor, spd_solve
+from physarum.linalg import kernel_basis, spd_factor
 
 
 def _random_spd(rng, m):
@@ -19,7 +20,7 @@ def test_factor_reconstructs():
     for m in (1, 2, 3, 5, 8):
         M = _random_spd(rng, m)
         fac = spd_factor(M)
-        assert np.allclose(fac.reconstruct(), M, atol=1e-10 * np.abs(M).max())
+        assert np.allclose(fac.lower @ fac.lower.T, M, atol=1e-10 * np.abs(M).max())
 
 
 def test_solve_matches_lapack():
@@ -36,11 +37,6 @@ def test_solve_matrix_rhs():
     assert np.allclose(spd_factor(M).solve(R), np.linalg.solve(M, R))
 
 
-def test_spd_solve_shortcut():
-    M = np.array([[4.0, 1.0], [1.0, 3.0]])
-    assert np.allclose(spd_solve(M, np.array([1.0, 1.0])), np.linalg.solve(M, [1.0, 1.0]))
-
-
 def test_factor_rejects_singular():
     with pytest.raises(NotPositiveDefiniteError):
         spd_factor(np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -49,6 +45,33 @@ def test_factor_rejects_singular():
 def test_factor_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
         spd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_factor_pivot_threshold_is_relative():
+    # The floor is PIVOT_RTOL * trace / m, here about 5e-13: LAPACK alone
+    # accepts both matrices.
+    with pytest.raises(NotPositiveDefiniteError):
+        spd_factor(np.diag([1.0, 1e-13]))
+    fac = spd_factor(np.diag([1.0, 1e-11]))
+    assert np.allclose(fac.solve(np.array([1.0, 1e-11])), [1.0, 1.0])
+
+
+def test_factor_rejects_non_square():
+    with pytest.raises(ValueError):
+        spd_factor(np.ones((2, 3)))
+
+
+def test_one_pivot_policy_for_every_laplacian_solve():
+    # Two coordinates at 1e-14 collapse the Laplacian onto a face. Every
+    # engine must give the same verdict on that state.
+    lp = validate(LinearProgram.from_lists([[1, 0, 1], [0, 1, 1]], [1, 1], [1, 1, 1]))
+    x = np.array([1e-14, 1e-14, 1.0])
+    with pytest.raises(NotPositiveDefiniteError):
+        evaluate(lp, x)
+    with pytest.raises(NotPositiveDefiniteError):
+        rhs_log(lp, np.log(x))
+    with pytest.raises(NotPositiveDefiniteError):
+        solve(lp, DiscreteConfig(start=x))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

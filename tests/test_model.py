@@ -9,9 +9,9 @@ from physarum import LinearProgram, compute_params, default_params, validate
 from physarum._exact import max_abs_subdeterminant
 from physarum.errors import (
     DimensionMismatchError,
-    ExactTooLargeError,
     NonPositiveCostError,
     RankDeficientError,
+    TooLargeError,
 )
 from physarum.model import subdet_upper_bound
 
@@ -95,7 +95,7 @@ def test_subdeterminant_exact_value():
 def test_exact_mode_refuses_wide_instances():
     n = 15
     lp = validate(LinearProgram(A=np.eye(n, dtype=int), b=np.ones(n, dtype=int), c=np.ones(n, dtype=int)))
-    with pytest.raises(ExactTooLargeError):
+    with pytest.raises(TooLargeError):
         compute_params(lp, mode="exact")
     p = default_params(lp)
     assert not p.subdet_exact

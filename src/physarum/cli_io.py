@@ -140,7 +140,7 @@ def _write_trace_csv(path, header: list[str], rows) -> None:
         raise ProblemIOError(f"cannot write {path}: {exc}") from exc
 
 
-def _resolve_start(lp: ValidatedLP, pf: ProblemFile, override: str | None):
+def _resolve_start(pf: ProblemFile, override: str | None):
     if override is not None:
         return np.asarray([float(v) for v in override.split(",")], dtype=float)
     if pf.start is not None:
@@ -148,28 +148,21 @@ def _resolve_start(lp: ValidatedLP, pf: ProblemFile, override: str | None):
     return None
 
 
-def _start_or_interior(lp: ValidatedLP, start):
-    if start is not None:
-        return np.asarray(start, dtype=float)
-    result = oracle_mod.enumerate_polyhedron(lp)
-    return oracle_mod.interior_point(result)
-
-
 def cmd_solve(args) -> int:
     lp, pf = load_validated(args.problem)
-    start = _resolve_start(lp, pf, args.start)
+    start = _resolve_start(pf, args.start)
     config = discrete_solver.DiscreteConfig(
         eps=args.eps, h=args.h, start=start,
         max_iters=args.max_iters, trace_every=args.trace_every,
     )
     sol, trace = discrete_solver.solve(lp, config)
     if args.trace:
-        n = lp.n
-        header = ["k"] + [f"x_{i}" for i in range(n)] + ["cost", "energy", "feas_residual", "edge_potential_inf"]
+        e = trace.entries
+        header = ["k"] + [f"x_{i}" for i in range(lp.n)] + ["cost", "energy", "feas_residual", "edge_potential_inf"]
+        # Row by row: a batched A x rounds differently from the per-state one.
         rows = (
-            [e.k, *e.x, e.cost, e.energy,
-             float(np.abs(lp.A @ e.x - lp.b).max()), e.edge_potential_inf]
-            for e in trace.entries
+            [k, *x, cost, energy, float(np.abs(lp.A @ x - lp.b).max()), edge]
+            for k, x, cost, energy, edge in zip(e.k, e.x, e.cost, e.energy, e.edge_potential_inf)
         )
         _write_trace_csv(args.trace, header, rows)
     _emit({
@@ -187,26 +180,27 @@ def cmd_solve(args) -> int:
 
 def cmd_flow(args) -> int:
     lp, pf = load_validated(args.problem)
-    start = _start_or_interior(lp, _resolve_start(lp, pf, args.start))
+    start = oracle_mod.start_point(lp, _resolve_start(pf, args.start))
     config = continuous_flow.FlowConfig(
         x0=start, t_end=args.t_end, rel_tol=args.rel_tol, sample_dt=args.sample_dt,
     )
     trace = continuous_flow.integrate(lp, config)
+    e = trace.entries
     if args.trace:
         header = ["t"] + [f"x_{i}" for i in range(lp.n)] + ["cost", "energy", "feas_residual", "edge_potential_inf"]
         rows = (
-            [e.t, *e.x, e.cost, e.energy, e.feas_residual, e.edge_potential_inf]
-            for e in trace.entries
+            [t, *x, cost, energy, r, edge]
+            for t, x, cost, energy, r, edge in zip(e.t, e.x, e.cost, e.energy, e.feas_residual, e.edge_potential_inf)
         )
         _write_trace_csv(args.trace, header, rows)
     final = trace.final
     _emit({
         "command": "flow", "name": pf.name, "m": lp.m, "n": lp.n,
-        "t_end": args.t_end, "samples": len(trace.entries),
+        "t_end": args.t_end, "samples": len(e),
         "x_final": final.x, "cost_final": final.cost,
         "direction_inf_final": final.direction_inf,
-        "feas_residual_max": max(e.feas_residual for e in trace.entries),
-        "x_bound_ok": all(e.x_bound_ok for e in trace.entries),
+        "feas_residual_max": e.feas_residual.max(),
+        "x_bound_ok": bool(e.x_bound_ok.all()),
         "trace_file": args.trace,
     })
     return EXIT_OK
@@ -214,7 +208,7 @@ def cmd_flow(args) -> int:
 
 def cmd_path(args) -> int:
     lp, pf = load_validated(args.problem)
-    anchor = _start_or_interior(lp, _resolve_start(lp, pf, args.start))
+    anchor = oracle_mod.start_point(lp, _resolve_start(pf, args.start))
     mus = np.linspace(0.0, args.mu_max, args.points)
     points = entropy_path.follow_path(lp, anchor, mus)
     if args.trace:
@@ -306,7 +300,7 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
             skipped += 1
             continue
         checked += 1
-        ev = evaluate(lp, x, verify=True)
+        ev = evaluate(lp, x)
         scale = abs(ev.energy) + 1.0
         e_res = abs(ev.energy_flux - ev.energy) / scale
         worst_energy = max(worst_energy, e_res)

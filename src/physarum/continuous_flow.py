@@ -11,6 +11,10 @@ trace records as the feasibility residual (exactly zero in exact
 arithmetic, any start). On feasible trajectories the cost is
 non-increasing and converges to the optimum; the per-coordinate decay
 toward the limit face is what rate_report measures.
+
+The trace is one numpy record array with a row per sample time and the
+fields t, x (shape (n,)), cost, energy, feas_residual, edge_potential_inf,
+direction_inf and x_bound_ok.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .dynamics import evaluate
 from .errors import (
@@ -59,26 +62,14 @@ class FlowConfig:
 
 
 @dataclass(frozen=True)
-class FlowTraceEntry:
-    t: float
-    x: np.ndarray
-    cost: float
-    energy: float
-    feas_residual: float
-    edge_potential_inf: float
-    direction_inf: float
-    x_bound_ok: bool
-
-
-@dataclass(frozen=True)
 class FlowTrace:
-    entries: list[FlowTraceEntry]
+    entries: np.recarray  # one row per sample time, fields as in the module docstring
     x0: np.ndarray
     params: Params
     rel_tol: float  # the integrator's relative tolerance; sets the trace's noise floor
 
     @property
-    def final(self) -> FlowTraceEntry:
+    def final(self) -> np.record:
         return self.entries[-1]
 
 
@@ -108,6 +99,10 @@ def integrate(lp: ValidatedLP, config: FlowConfig, params: Params | None = None)
     else:
         ts[-1] = config.t_end
 
+    # Imported here: scipy.integrate is the slowest import of the package and
+    # only this function needs it.
+    from scipy.integrate import solve_ivp
+
     result = solve_ivp(
         rhs, (0.0, config.t_end), np.log(x0), method="RK45",
         t_eval=ts, rtol=config.rel_tol, atol=config.abs_tol,
@@ -116,20 +111,18 @@ def integrate(lp: ValidatedLP, config: FlowConfig, params: Params | None = None)
         raise StepSizeUnderflowError(f"flow integration failed: {result.message}")
 
     cap = np.maximum(x0, params.flux_bound) * (1.0 + 1e-6)
-    entries = []
-    for t, u in zip(result.t, result.y.T):
+    entries = np.recarray(len(result.t), dtype=[
+        ("t", float), ("x", float, (lp.n,)), ("cost", float), ("energy", float), ("feas_residual", float),
+        ("edge_potential_inf", float), ("direction_inf", float), ("x_bound_ok", bool),
+    ])
+    for row, (t, u) in enumerate(zip(result.t, result.y.T)):
         x = np.exp(u)
         ev = evaluate(lp, x)
         decay = np.exp(-t)
-        resid = float(np.abs(A @ (x - decay * x0) - (1.0 - decay) * b).max())
-        entries.append(
-            FlowTraceEntry(
-                t=float(t), x=x, cost=ev.cost, energy=ev.energy,
-                feas_residual=resid,
-                edge_potential_inf=ev.edge_potential_inf,
-                direction_inf=float(np.abs(ev.direction).max()),
-                x_bound_ok=bool(np.all(x <= cap)),
-            )
+        resid = np.abs(A @ (x - decay * x0) - (1.0 - decay) * b).max()
+        entries[row] = (
+            t, x, ev.cost, ev.energy, resid, ev.edge_potential_inf,
+            np.abs(ev.direction).max(), np.all(x <= cap),
         )
     return FlowTrace(entries=entries, x0=x0, params=params, rel_tol=config.rel_tol)
 
@@ -167,33 +160,32 @@ def rate_report(trace: FlowTrace, opt: float, oracle_result) -> ConvergenceRepor
     at least 10 time units of trace.
     """
     entries = trace.entries
-    if not entries or entries[-1].t - entries[0].t < 10.0:
+    if len(entries) == 0 or entries.t[-1] - entries.t[0] < 10.0:
         raise InsufficientTraceError("rate fitting needs a trace at least 10 time units long")
 
-    t_all = np.array([e.t for e in entries])
+    t_all = entries.t
     tail = t_all >= t_all[0] + 0.5 * (t_all[-1] - t_all[0])
-    tail_entries = [e for e, keep in zip(entries, tail) if keep]
+    ts, xs = t_all[tail], entries.x[tail]
 
-    gaps = np.array([e.cost - opt for e in tail_entries])
-    ts = np.array([e.t for e in tail_entries])
+    gaps = entries.cost[tail] - opt
     usable = gaps > trace.rel_tol * (abs(opt) + 1.0)
     nu_hat = None
     if usable.sum() >= 5:
         slope = np.polyfit(ts[usable], np.log(gaps[usable]), 1)[0]
         nu_hat = float(-slope)
 
-    n = entries[0].x.shape[0]
+    n = xs.shape[1]
     j_set = sorted(oracle_result.J)
     n_set = sorted(set(range(n)) - set(j_set))
 
     xn_slope = None
     if n_set:
-        xn = np.array([e.x[n_set].max() for e in tail_entries])
+        xn = xs[:, n_set].max(axis=1)
         pos = xn > 1e-300
         if pos.sum() >= 5:
             xn_slope = float(-np.polyfit(ts[pos], np.log(xn[pos]), 1)[0])
 
-    xj_min = float(min(e.x[j_set].min() for e in tail_entries)) if j_set else 0.0
+    xj_min = float(xs[:, j_set].min()) if j_set else 0.0
 
     final = entries[-1]
     return ConvergenceReport(
@@ -203,6 +195,6 @@ def rate_report(trace: FlowTrace, opt: float, oracle_result) -> ConvergenceRepor
         xn_slope=xn_slope,
         xj_min=xj_min,
         x_limit=final.x,
-        limit_residual_inf=final.direction_inf,
+        limit_residual_inf=float(final.direction_inf),
         degenerate=len(oracle_result.optimal_indices) > 1,
     )

@@ -14,6 +14,10 @@ drops by at least h^2 eps^2 / 6 per step. The guaranteed step size is
 eps / (6 P^2) where P bounds |a_i . p / c_i - 1| over the feasible region;
 larger steps up to 1/(2P) keep the iterates positive but void the a-priori
 certificate (an a-posteriori check is still available via certify_trace).
+
+The trace is one numpy record array with a row per recorded step and the
+fields k, x (shape (n,)), cost, energy and edge_potential_inf, so the
+certificate is checked column-wise rather than step by step.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .errors import (
     MissingVerifyDataError,
     NoFeasibleInteriorStartError,
     NumericalError,
+    PhysarumError,
     PositivityLostError,
 )
 from .dynamics import evaluate
@@ -67,18 +72,16 @@ class DiscreteConfig:
             raise ValueError("max_iters and trace_every must be nonnegative")
 
 
-@dataclass(frozen=True)
-class DiscreteTraceEntry:
-    k: int
-    x: np.ndarray
-    cost: float
-    energy: float
-    edge_potential_inf: float
+def trace_dtype(n: int) -> np.dtype:
+    """Row layout of a discrete trace for an instance with n variables."""
+    return np.dtype([
+        ("k", np.int64), ("x", float, (n,)), ("cost", float), ("energy", float), ("edge_potential_inf", float),
+    ])
 
 
 @dataclass(frozen=True)
 class Trace:
-    entries: list[DiscreteTraceEntry]
+    entries: np.recarray  # one row per recorded step, fields as in trace_dtype
     h: float
     eps: float
     trace_every: int
@@ -121,24 +124,19 @@ def iteration_bound(cost_ratio: float, spread: float, eps: float, h: float) -> i
     if cost_ratio < 1.0 or spread < 1.0:
         raise ValueError("cost_ratio and spread must be at least 1")
     num = 6.0 * (4.0 * math.log(cost_ratio) + 2.0 * eps * h * math.log(spread))
-    return int(math.ceil(min(num / (h * h * eps * eps), float(ITERATION_HARD_CAP))))
+    den = h * h * eps * eps
+    if den == 0.0:  # h eps below about 1e-162 underflows; the bound is past any cap
+        return ITERATION_HARD_CAP
+    return int(math.ceil(min(num / den, float(ITERATION_HARD_CAP))))
 
 
 def _resolve_start(lp: ValidatedLP, config: DiscreteConfig, oracle_result) -> np.ndarray:
-    if config.start is not None:
-        x0 = np.asarray(config.start, dtype=float)
-        if x0.shape != (lp.n,):
-            raise DimensionMismatchError(f"start has shape {x0.shape}, expected ({lp.n},)")
-    else:
-        if oracle_result is None:
-            try:
-                oracle_result = oracle_mod.enumerate_polyhedron(lp)
-            except Exception as exc:
-                raise NoFeasibleInteriorStartError(f"could not derive a start: {exc}") from exc
-        try:
-            x0 = oracle_mod.interior_point(oracle_result)
-        except Exception as exc:
-            raise NoFeasibleInteriorStartError(str(exc)) from exc
+    try:
+        x0 = oracle_mod.start_point(lp, config.start, oracle_result)
+    except PhysarumError as exc:
+        raise NoFeasibleInteriorStartError(f"could not derive a start: {exc}") from exc
+    if x0.shape != (lp.n,):
+        raise DimensionMismatchError(f"start has shape {x0.shape}, expected ({lp.n},)")
     if np.any(x0 <= 0.0) or not np.all(np.isfinite(x0)):
         raise NoFeasibleInteriorStartError("start must be strictly positive and finite")
     resid = float(np.abs(lp.A @ x0 - lp.b).max())
@@ -171,7 +169,8 @@ def solve(
             x=x, cost=0.0, iterations=0, stop_reason="FixedPoint", h=config.h or 0.0,
             eps=config.eps, residual_inf=0.0, fixed_point_residual=0.0, dev_max=0.0,
         )
-        return sol, Trace(entries=[], h=config.h or 0.0, eps=config.eps, trace_every=config.trace_every)
+        entries = np.recarray(0, dtype=trace_dtype(lp.n))
+        return sol, Trace(entries=entries, h=config.h or 0.0, eps=config.eps, trace_every=config.trace_every)
 
     x = _resolve_start(lp, config, oracle_result)
 
@@ -200,35 +199,37 @@ def solve(
 
     A, At, b, c = lp.A, lp.At, lp.b, lp.c
     inv_c = 1.0 / c
-    entries: list[DiscreteTraceEntry] = []
+    # Grown by doubling and trimmed once at the end.
+    buf = np.empty(1024 if config.trace_every else 0, dtype=trace_dtype(lp.n))
+    rows = 0
     dev_max = 0.0
     k = 0
     stop = None
     fp_res = math.inf
 
     # The update is written out rather than calling evaluate: a step needs
-    # one Laplacian solve, while evaluate re-validates the state and solves
-    # a second time for its direction split.
+    # one Laplacian solve, not evaluate's state checks and result object.
+    # x stays positive (checked after each update), so |x| is x and
+    # |q - x| / x is |(q - x) / x| without a second abs.
     while True:
         w = x * inv_c
         p = spd_factor((A * w) @ At).solve(b)
         edge = At @ p
         q = w * edge
         diff = q - x
-        fp_res = float(np.abs(diff).max())
-        dev = float(np.abs(diff / x).max())
+        abs_diff = np.abs(diff)
+        fp_res = float(abs_diff.max())
+        dev = float((abs_diff / x).max())
         if dev > dev_max:
             dev_max = dev
 
         if config.trace_every and k % config.trace_every == 0:
-            entries.append(
-                DiscreteTraceEntry(
-                    k=k, x=x.copy(), cost=float(c @ x), energy=float(b @ p),
-                    edge_potential_inf=float(np.abs(edge).max()),
-                )
-            )
+            if rows == len(buf):
+                buf = np.concatenate((buf, np.empty_like(buf)))
+            buf[rows] = (k, x, c @ x, b @ p, np.abs(edge).max())
+            rows += 1
 
-        if fp_res <= config.fixed_point_tol * (1.0 + float(np.abs(x).max())):
+        if fp_res <= config.fixed_point_tol * (1.0 + float(x.max())):
             stop = "FixedPoint"
             break
         if k >= cap:
@@ -236,7 +237,7 @@ def solve(
             break
 
         x = x + h * diff
-        if np.any(x <= 0.0):
+        if x.min() <= 0.0:
             raise PositivityLostError(f"coordinate became nonpositive at iteration {k + 1}")
         k += 1
 
@@ -248,6 +249,7 @@ def solve(
         x=x, cost=float(c @ x), iterations=k, stop_reason=stop, h=h, eps=config.eps,
         residual_inf=resid, fixed_point_residual=fp_res, dev_max=dev_max,
     )
+    entries = buf[:rows].copy().view(np.recarray)
     return sol, Trace(entries=entries, h=h, eps=config.eps, trace_every=config.trace_every)
 
 
@@ -284,42 +286,29 @@ def certify_trace(lp: ValidatedLP, trace: Trace, opt: float, eps: float, h: floa
     supp = x_star > 0.0
     w_supp = lp.c[supp] * x_star[supp]
 
+    e = trace.entries
+    if np.any(np.diff(e.k) != 1):
+        raise MissingVerifyDataError("trace entries are not consecutive")
     threshold = -(h * h * eps * eps) / 6.0
     allowance = 1e-10
-    checked = violations = big = small = 0
-    first_violation = None
-    worst = -math.inf
 
-    def phi(entry: DiscreteTraceEntry) -> float:
-        barrier = float(w_supp @ np.log(entry.x[supp]))
-        return 4.0 * math.log(entry.cost) - (eps * h / opt) * barrier
-
-    for prev, nxt in zip(trace.entries, trace.entries[1:]):
-        if nxt.k != prev.k + 1:
-            raise MissingVerifyDataError("trace entries are not consecutive")
-        if prev.cost <= (1.0 + eps) * opt:
-            continue
-        checked += 1
-        if prev.energy / prev.cost < 1.0 - eps / 3.0:
-            big += 1
-        elif prev.energy > (1.0 + eps / 3.0) * opt:
-            small += 1
-        drop = phi(nxt) - phi(prev)
-        margin = drop - threshold
-        if margin > worst:
-            worst = margin
-        if drop > threshold + allowance:
-            violations += 1
-            if first_violation is None:
-                first_violation = prev.k
+    phi = 4.0 * np.log(e.cost) - (eps * h / opt) * (np.log(e.x[:, supp]) @ w_supp)
+    # Step k -> k+1 is checked while V(k) is still above (1 + eps) opt.
+    live = e.cost[:-1] > (1.0 + eps) * opt
+    cost, energy = e.cost[:-1][live], e.energy[:-1][live]
+    big = energy / cost < 1.0 - eps / 3.0
+    small = ~big & (energy > (1.0 + eps / 3.0) * opt)
+    drop = np.diff(phi)[live]
+    bad = np.flatnonzero(drop > threshold + allowance)
+    checked = int(live.sum())
 
     return CertReport(
         steps_checked=checked,
-        violations=violations,
-        first_violation=first_violation,
-        big_gap_steps=big,
-        small_gap_steps=small,
-        worst_margin=worst if checked else 0.0,
+        violations=len(bad),
+        first_violation=int(e.k[:-1][live][bad[0]]) if len(bad) else None,
+        big_gap_steps=int(big.sum()),
+        small_gap_steps=int(small.sum()),
+        worst_margin=float((drop - threshold).max()) if checked else 0.0,
         drop_threshold=threshold,
     )
 
@@ -350,10 +339,7 @@ def certified_step_search(
         params = default_params(lp)
     pos_cap = 0.5 / params.potential_ratio_bound
     h_auto = default_step(params, eps)
-    if start is None:
-        if oracle_result is None:
-            oracle_result = oracle_mod.enumerate_polyhedron(lp)
-        start = oracle_mod.interior_point(oracle_result)
+    start = oracle_mod.start_point(lp, start, oracle_result)
     try:
         trace = continuous_flow.integrate(
             lp, continuous_flow.FlowConfig(x0=start, t_end=t_pilot), params=params,

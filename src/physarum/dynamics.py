@@ -18,13 +18,13 @@ bounds that the derived parameters promise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NonPositiveStateError, NotInKernelError
-from .linalg import spd_factor
+from .linalg import SpdFactorization, spd_factor
 from .model import Params, ValidatedLP
 
 BOUND_RTOL = 1e-8
@@ -44,7 +44,10 @@ class DynamicsEval:
     opt_direction   part that descends the cost inside the feasible set
     energy      b . p, also equal to the quadratic form q . (q / w)
     cost        c . x
-    energy_flux quadratic-form recomputation of the energy (verify mode only)
+    energy_flux quadratic-form recomputation of the energy
+
+    The split and energy_flux are computed on first read; the split costs
+    a second Laplacian solve.
     """
 
     x: np.ndarray
@@ -53,15 +56,30 @@ class DynamicsEval:
     edge_potentials: np.ndarray
     flux: np.ndarray
     direction: np.ndarray
-    feas_direction: np.ndarray
-    opt_direction: np.ndarray
     energy: float
     cost: float
-    energy_flux: float | None = None
+    lp: ValidatedLP = field(repr=False, compare=False)
+    factor: SpdFactorization = field(repr=False, compare=False)
 
     @cached_property
     def edge_potential_inf(self) -> float:
         return float(np.abs(self.edge_potentials).max())
+
+    @cached_property
+    def _split_potentials(self) -> np.ndarray:
+        return self.factor.solve(self.lp.A @ self.x)
+
+    @cached_property
+    def feas_direction(self) -> np.ndarray:
+        return self.weights * (self.lp.At @ (self.potentials - self._split_potentials))
+
+    @cached_property
+    def opt_direction(self) -> np.ndarray:
+        return self.weights * (self.lp.At @ self._split_potentials - self.lp.c)
+
+    @cached_property
+    def energy_flux(self) -> float:
+        return float(self.flux @ (self.flux / self.weights))
 
 
 def _check_state(lp: ValidatedLP, x) -> np.ndarray:
@@ -73,7 +91,7 @@ def _check_state(lp: ValidatedLP, x) -> np.ndarray:
     return x
 
 
-def evaluate(lp: ValidatedLP, x, verify: bool = False) -> DynamicsEval:
+def evaluate(lp: ValidatedLP, x) -> DynamicsEval:
     """Evaluate the dynamics at a positive state (feasibility not required)."""
     x = _check_state(lp, x)
     w = x / lp.c
@@ -82,10 +100,6 @@ def evaluate(lp: ValidatedLP, x, verify: bool = False) -> DynamicsEval:
     p = fac.solve(lp.b)
     edge = lp.At @ p
     q = w * edge
-    r = fac.solve(lp.A @ x)
-    opt_dir = w * (lp.At @ r - lp.c)
-    feas_dir = w * (lp.At @ (p - r))
-    energy_flux = float(q @ (q / w)) if verify else None
     return DynamicsEval(
         x=x,
         weights=w,
@@ -93,11 +107,10 @@ def evaluate(lp: ValidatedLP, x, verify: bool = False) -> DynamicsEval:
         edge_potentials=edge,
         flux=q,
         direction=q - x,
-        feas_direction=feas_dir,
-        opt_direction=opt_dir,
         energy=float(lp.b @ p),
         cost=float(lp.c @ x),
-        energy_flux=energy_flux,
+        lp=lp,
+        factor=fac,
     )
 
 

@@ -198,6 +198,15 @@ def interior_point(result: OracleResult, delta: float | None = None) -> np.ndarr
     raise NoInteriorPointError("no strictly positive feasible point found from vertices and rays")
 
 
+def start_point(lp: ValidatedLP, start=None, result: OracleResult | None = None) -> np.ndarray:
+    """``start`` as a float vector or, when it is None, an interior point of ``result`` (enumerated if None)."""
+    if start is not None:
+        return np.asarray(start, dtype=float)
+    if result is None:
+        result = enumerate_polyhedron(lp)
+    return interior_point(result)
+
+
 def sample_feasible(
     result: OracleResult,
     rng: np.random.Generator,

@@ -1,0 +1,46 @@
+"""What the benchmark under bench/ reads from the package.
+
+The benchmark rebinds module attributes to time them and walks traces row
+by row, so a rename or a trace-format change that breaks it would only
+show when the benchmark runs. These checks make it show in the suite.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from physarum import DiscreteConfig, FlowConfig, follow_path, integrate, solve
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_DIR / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_attribute_resolves():
+    missing = [
+        (module, attr) for module, attr in load_spans().TRACED
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []
+
+
+def test_traces_read_the_way_the_benchmark_reads_them(simple2):
+    x0 = np.array([0.5, 0.5])
+    _, trace = solve(simple2, DiscreteConfig(eps=0.1, start=x0, max_iters=20))
+    assert len(trace.entries) == 21
+    assert [e.k for e in trace.entries] == list(range(21))
+    assert all(e.x.shape == (2,) for e in trace.entries)
+
+    flow = integrate(simple2, FlowConfig(x0=x0, t_end=2.0, sample_dt=0.5))
+    assert len(flow.entries) == 5
+    assert [e.t for e in flow.entries] == [0.0, 0.5, 1.0, 1.5, 2.0]
+    assert max(e.feas_residual for e in flow.entries) < 1e-6
+    path = follow_path(simple2, x0, [e.t for e in flow.entries])
+    assert max(float(np.abs(p.x - e.x).max()) for p, e in zip(path, flow.entries)) < 1e-5

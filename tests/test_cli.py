@@ -166,19 +166,30 @@ def test_oversized_step_is_a_validation_error(capsys):
     capsys.readouterr()
 
 
-def run_cli_child(args, env):
-    """Run the CLI in a child interpreter that imports the same physarum as this process.
+def run_child(args, env):
+    """Run a child interpreter that imports the same physarum as this process.
 
     This process may find the package only through pytest's ``pythonpath``
     setting or an install, neither of which a child inherits.
     """
     package_root = str(Path(physarum.__file__).resolve().parents[1])
     return subprocess.run(
-        [sys.executable, "-m", "physarum.cli_io", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**env, "PYTHONPATH": package_root},
     )
+
+
+def run_cli_child(args, env):
+    return run_child(["-m", "physarum.cli_io", *args], env)
+
+
+def test_import_leaves_the_ode_solver_unloaded():
+    # scipy.integrate is the slowest import of the package, and only integrate needs it
+    proc = run_child(["-c", "import sys, physarum; print('scipy.integrate' in sys.modules)"], os.environ)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_entry_point():

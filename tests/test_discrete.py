@@ -17,7 +17,7 @@ from physarum import (
     solve,
     validate,
 )
-from physarum.discrete_solver import DiscreteTraceEntry
+from physarum.discrete_solver import ITERATION_HARD_CAP, trace_dtype
 from physarum.errors import (
     BadEpsError,
     BadStepError,
@@ -51,6 +51,8 @@ def test_iteration_bound_values():
     # halving the step quadruples the count when the spread term is absent
     four_to_one = iteration_bound(10.0, 1.0, 0.1, 0.001) / iteration_bound(10.0, 1.0, 0.1, 0.002)
     assert four_to_one == pytest.approx(4.0, rel=1e-6)
+    # the certified step is near 1.4e-184 on planted m = 64, n = 256 instances; h^2 eps^2 underflows to 0
+    assert iteration_bound(10.0, 1.0, 0.1, 1.4e-184) == ITERATION_HARD_CAP
     with pytest.raises(ValueError):
         iteration_bound(0.5, 1.0, 0.1, 0.01)
     with pytest.raises(BadStepError):
@@ -88,7 +90,7 @@ def test_solve_zero_demands():
     assert sol.stop_reason == "FixedPoint"
     assert sol.iterations == 0
     assert np.array_equal(sol.x, [0.0, 0.0]) and sol.cost == 0.0
-    assert trace.entries == []
+    assert len(trace.entries) == 0
 
 
 def test_solve_user_cap(simple2):
@@ -163,6 +165,58 @@ def test_certify_clean_run(simple2):
     assert all(b <= a for a, b in zip(pots, pots[1:]))
 
 
+def stalled_entries(ks):
+    """Trace rows at steps ks that all hold the same state x = (2, 2)."""
+    return np.rec.array([(k, [2.0, 2.0], 6.0, 6.0, 1.0) for k in ks], dtype=trace_dtype(2))
+
+
+def certify_by_loop(lp, trace, opt, eps, h, x_star):
+    """Step-by-step reference for certify_trace: (checked, violations, first, big, small, worst)."""
+    supp = x_star > 0.0
+    weights = lp.c[supp] * x_star[supp]
+
+    def phi(e):
+        return 4.0 * math.log(e.cost) - (eps * h / opt) * float(weights @ np.log(e.x[supp]))
+
+    checked = violations = big = small = 0
+    first, worst = None, -math.inf
+    threshold = -(h * h * eps * eps) / 6.0
+    for prev, nxt in zip(trace.entries, trace.entries[1:]):
+        if prev.cost <= (1.0 + eps) * opt:
+            continue
+        checked += 1
+        if prev.energy / prev.cost < 1.0 - eps / 3.0:
+            big += 1
+        elif prev.energy > (1.0 + eps / 3.0) * opt:
+            small += 1
+        drop = phi(nxt) - phi(prev)
+        worst = max(worst, drop - threshold)
+        if drop > threshold + 1e-10:
+            violations += 1
+            first = prev.k if first is None else first
+    return checked, violations, first, big, small, worst if checked else 0.0
+
+
+def test_certify_matches_step_by_step_reference(simple2, triangle):
+    x_star = np.array([1.0, 0.0])
+    stalled = Trace(entries=stalled_entries([0, 1, 2]), h=1.0 / 960.0, eps=0.1, trace_every=1)
+    sol, clean = solve(simple2, DiscreteConfig(eps=0.1, start=np.array([0.5, 0.5])))
+    h, _ = certified_step_search(triangle, 0.05)
+    _, searched = solve(triangle, DiscreteConfig(eps=0.05, h=h))
+    cases = [
+        (simple2, stalled, 1.0, 0.1, 1.0 / 960.0, x_star),
+        (simple2, clean, 1.0, 0.1, sol.h, x_star),
+        (triangle, searched, 2.0, 0.05, h, np.array([1.0, 1.0, 0.0])),
+    ]
+    for case in cases:
+        rep = certify_trace(*case)
+        *counts, worst = certify_by_loop(*case)
+        got = [rep.steps_checked, rep.violations, rep.first_violation, rep.big_gap_steps, rep.small_gap_steps]
+        assert got == counts
+        # log and dot products may round differently per element; phi is O(1)
+        assert rep.worst_margin == pytest.approx(worst, rel=0.0, abs=1e-12)
+
+
 def test_certify_searched_step(simple2):
     h, dev = certified_step_search(simple2, 0.1)
     params = compute_params(simple2)
@@ -199,10 +253,8 @@ def test_certify_short_trace_is_vacuous(identity2):
 
 def test_certify_flags_doctored_trace(simple2):
     # a stalled state far from optimal makes zero progress: must be flagged
-    x = np.array([2.0, 2.0])
-    entry = dict(x=x, cost=6.0, energy=6.0, edge_potential_inf=1.0)
     trace = Trace(
-        entries=[DiscreteTraceEntry(k=0, **entry), DiscreteTraceEntry(k=1, **entry)],
+        entries=stalled_entries([0, 1]),
         h=1.0 / 960.0,
         eps=0.1,
         trace_every=1,
@@ -214,9 +266,8 @@ def test_certify_flags_doctored_trace(simple2):
 
 
 def test_certify_rejects_gapped_entries(simple2):
-    entry = dict(x=np.array([2.0, 2.0]), cost=6.0, energy=6.0, edge_potential_inf=1.0)
     trace = Trace(
-        entries=[DiscreteTraceEntry(k=0, **entry), DiscreteTraceEntry(k=2, **entry)],
+        entries=stalled_entries([0, 2]),
         h=0.01,
         eps=0.1,
         trace_every=1,

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from physarum import check_bounds, compute_params, embed, evaluate, gradient_identity_residual, sample_feasible
+from physarum import dynamics
 from physarum.dynamics import column_potential_bounds
+from physarum.linalg import spd_factor
 from physarum.errors import DimensionMismatchError, NonPositiveStateError, NotInKernelError
 from tests.conftest import rand_positive
 
 
 def test_evaluate_simple2_on_feasible_point(simple2):
-    ev = evaluate(simple2, [0.5, 0.5], verify=True)
+    ev = evaluate(simple2, [0.5, 0.5])
     assert np.allclose(ev.weights, [0.5, 0.25])
     assert np.allclose(ev.potentials, [4.0 / 3.0])
     assert np.allclose(ev.edge_potentials, [4.0 / 3.0, 4.0 / 3.0])
@@ -33,8 +35,27 @@ def test_evaluate_simple2_off_feasible_point(simple2):
     assert np.allclose(ev.feas_direction + ev.opt_direction, ev.direction)
 
 
+def test_evaluate_solves_once_unless_the_split_is_read(simple2, monkeypatch):
+    solves = []
+
+    class Counting:
+        def __init__(self, fac):
+            self.fac = fac
+
+        def solve(self, rhs):
+            solves.append(rhs)
+            return self.fac.solve(rhs)
+
+    monkeypatch.setattr(dynamics, "spd_factor", lambda mat: Counting(spd_factor(mat)))
+    ev = evaluate(simple2, [1.0, 1.0])
+    assert ev.energy_flux == pytest.approx(ev.energy) and ev.edge_potential_inf > 0.0
+    assert len(solves) == 1
+    assert np.allclose(ev.feas_direction + ev.opt_direction, ev.direction)
+    assert len(solves) == 2
+
+
 def test_evaluate_identity2_fixed_point(identity2):
-    ev = evaluate(identity2, [2.0, 3.0], verify=True)
+    ev = evaluate(identity2, [2.0, 3.0])
     assert np.allclose(ev.flux, [2.0, 3.0])
     assert np.allclose(ev.direction, 0.0, atol=1e-14)
     assert ev.energy == pytest.approx(5.0)
@@ -46,7 +67,7 @@ def test_flux_meets_demands_everywhere(shipped):
     for name, (lp, _, _) in shipped.items():
         for _ in range(50):
             x = rand_positive(rng, lp.n, lo=1e-3, hi=1e3)
-            ev = evaluate(lp, x, verify=True)
+            ev = evaluate(lp, x)
             resid = np.abs(lp.A @ ev.flux - lp.b).max()
             scale = np.abs(lp.b).max() + 1.0
             assert resid <= 1e-8 * scale, (name, x)

@@ -1,14 +1,15 @@
-"""Exact integer/rational helpers for small systems.
+"""Exact integer kernels for small systems.
 
-Everything here works on plain Python ints and Fractions so that the
-brute-force oracle and the structural checks can be carried out without
-rounding. Sizes are desk scale (a handful of rows, at most a few dozen
-columns), so simple elimination is plenty.
+Everything here works on plain Python ints, which have no word-size limit,
+so the brute-force oracle and the structural checks run without rounding
+at any entry size. Elimination is fraction-free: each division
+by the previous pivot is exact (Sylvester's identity), so no Fraction is
+built inside a loop. Sizes are desk scale (a handful of rows, at most a
+few dozen columns in the oracle, a few hundred in the rank check).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 
@@ -56,53 +57,64 @@ def max_abs_subdeterminant(A: list[list[int]]) -> int:
 
 
 def rank_int(rows: list[list[int]]) -> int:
-    """Exact rank of an integer matrix via rational elimination."""
-    m = [[Fraction(v) for v in r] for r in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
+    """Exact rank of an integer matrix (Bareiss row echelon form).
+
+    Rows are kept as the tails right of the columns already handled: a
+    pivot row leaves the working set, and a column with no nonzero entry
+    left is dropped without a pivot.
+    """
+    work = [[int(v) for v in r] for r in rows]
     rank = 0
-    row = 0
-    for col in range(n_cols):
-        piv = next((r for r in range(row, n_rows) if m[r][col] != 0), None)
+    prev = 1
+    while work and work[0]:
+        piv = next((i for i, r in enumerate(work) if r[0]), None)
         if piv is None:
+            work = [r[1:] for r in work]
             continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        for r in range(n_rows):
-            if r != row and m[r][col] != 0:
-                f = m[r][col] / pv
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        row += 1
+        p, *tail = work.pop(piv)
+        next_work = []
+        for r in work:
+            f = r[0]
+            next_work.append([(p * a - f * b) // prev for a, b in zip(r[1:], tail)])
+        work = next_work
+        prev = p
         rank += 1
-        if row == n_rows:
-            break
     return rank
 
 
-def solve_unique(mat, rhs) -> list[Fraction] | None:
+def solve_unique(mat, rhs) -> tuple[list[int], int] | None:
     """Solve ``mat @ z = rhs`` exactly, requiring a unique solution.
 
-    ``mat`` is r x k (r >= k) with integer or Fraction entries. Returns the
-    solution as Fractions, or None when the columns are dependent (solution
-    not unique) or the system is inconsistent.
+    ``mat`` is r x k (r >= k) with integer entries. Returns ``(num, det)``
+    with ``det > 0`` and ``z = num / det``, or None when the columns are
+    dependent (solution not unique) or the system is inconsistent.
+
+    Montante's fraction-free Gauss-Jordan elimination on ``[mat | rhs]``:
+    after the pivot in column j every row is updated as
+    ``(p * row - row[j] * pivot_row) // prev``, an exact division. After k
+    pivots each pivot row reads ``p_k z_i = num_i``, and each leftover row
+    (r > k) keeps a (k+1)-minor of the augmented matrix in its last
+    column, which vanishes exactly when the system is consistent. Rows
+    are kept as the tails right of the columns already eliminated.
     """
     n_rows = len(mat)
     n_cols = len(mat[0]) if n_rows else 0
-    aug = [[Fraction(mat[i][j]) for j in range(n_cols)] + [Fraction(rhs[i])] for i in range(n_rows)]
-    row = 0
+    work = [[int(v) for v in row] + [int(b)] for row, b in zip(mat, rhs)]
+    prev = 1
     for col in range(n_cols):
-        piv = next((r for r in range(row, n_rows) if aug[r][col] != 0), None)
+        piv = next((i for i in range(col, n_rows) if work[i][0]), None)
         if piv is None:
             return None
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [a / pv for a in aug[row]]
-        for r in range(n_rows):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        row += 1
-    for r in range(row, n_rows):
-        if aug[r][n_cols] != 0:
-            return None
-    return [aug[i][n_cols] for i in range(n_cols)]
+        work[col], work[piv] = work[piv], work[col]
+        p, *tail = work[col]
+        for i in range(n_rows):
+            if i != col:
+                row = work[i]
+                f = row[0]
+                work[i] = [(p * a - f * b) // prev for a, b in zip(row[1:], tail)]
+        work[col] = tail
+        prev = p
+    if any(row[0] for row in work[n_cols:]):
+        return None
+    sign = -1 if prev < 0 else 1
+    return [sign * row[0] for row in work[:n_cols]], sign * prev

@@ -158,7 +158,8 @@ def solve(
     at UserCap when max_iters is hit first.
 
     A zero demand vector is a special case: x = 0 is optimal and the
-    dynamics are never entered.
+    dynamics are never entered. A step so small that the iterates never
+    leave the start is logged as a warning once the loop ends.
     """
     if params is None:
         params = default_params(lp)
@@ -172,7 +173,7 @@ def solve(
         entries = np.recarray(0, dtype=trace_dtype(lp.n))
         return sol, Trace(entries=entries, h=config.h or 0.0, eps=config.eps, trace_every=config.trace_every)
 
-    x = _resolve_start(lp, config, oracle_result)
+    x = x0 = _resolve_start(lp, config, oracle_result)
 
     certified = default_step(params, config.eps)
     if config.h is None:
@@ -240,6 +241,13 @@ def solve(
         if x.min() <= 0.0:
             raise PositivityLostError(f"coordinate became nonpositive at iteration {k + 1}")
         k += 1
+
+    if k > 0 and np.array_equal(x, x0):
+        logger.warning(
+            "step h=%.3e left x bit-identical to the start after %d iterations (h (q - x) is below "
+            "an ulp of x); certified_step_search can supply a larger step",
+            h, k,
+        )
 
     resid = float(np.abs(A @ x - b).max())
     if not config.allow_infeasible and resid > 1e-6 * (float(np.abs(b).max()) + 1.0):

@@ -50,11 +50,15 @@ def spd_factor(mat: np.ndarray) -> SpdFactorization:
     low, info = dpotrf(M, lower=True)
     if info:
         raise NotPositiveDefiniteError(f"pivot at index {info - 1} is not positive")
-    pivot = low.diagonal().min() ** 2
-    tol = PIVOT_RTOL * M.trace() / m
-    if not pivot > tol:
+    diag = low.diagonal().tolist()
+    pivot = min(diag) ** 2
+    tol = PIVOT_RTOL * sum(M.diagonal().tolist()) / m
+    # dpotrf lets a NaN pivot through and min() can step over it; the sum
+    # of the pivots cannot.
+    total = sum(diag)
+    if not (pivot > tol and total == total):
         j = int(low.diagonal().argmin())
-        raise NotPositiveDefiniteError(f"pivot {pivot:.3e} at index {j} (tolerance {tol:.3e})")
+        raise NotPositiveDefiniteError(f"pivot {low[j, j] ** 2:.3e} at index {j} (tolerance {tol:.3e})")
     return SpdFactorization(lower=low)
 
 

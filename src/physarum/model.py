@@ -29,9 +29,6 @@ from .errors import (
 # callers must settle for the closed-form bound.
 EXACT_SUBDET_CAP = 14
 
-# Rational paths elsewhere assume entries fit comfortably in machine words.
-ENTRY_MAGNITUDE_CAP = 2**15
-
 
 @dataclass(frozen=True)
 class LinearProgram:

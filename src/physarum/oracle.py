@@ -9,8 +9,10 @@ solutions of small square systems and can be enumerated outright:
 * directions: vertices of {r : A r = 0, sum r = 1, r >= 0}, enumerated the
   same way on the matrix A with a row of ones appended.
 
-With integer data and desk-scale sizes everything runs in exact rational
-arithmetic, which is what makes this usable as a test oracle: optimal value,
+Every block is solved by exact integer elimination on Python ints
+(_exact.solve_unique), and a basis is rejected by the signs of its integer
+numerators; Fractions are built only for the points kept. That is what
+makes this usable as a test oracle at any entry size: optimal value,
 optimal supports, and entry bounds come out exact, not approximate.
 """
 
@@ -24,11 +26,9 @@ import numpy as np
 
 from . import _exact
 from .errors import NoInteriorPointError, TooLargeError
-from .model import ENTRY_MAGNITUDE_CAP, EXACT_SUBDET_CAP, ValidatedLP, subdet_upper_bound
+from .model import EXACT_SUBDET_CAP, ValidatedLP, subdet_upper_bound
 
 ENUMERATION_CAP = 16
-RATIONAL_ROW_CAP = 8
-DEDUP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,8 @@ class OracleResult:
     """Complete description of a small feasible region.
 
     ``vertices`` and ``rays`` are float arrays (possibly empty) in a
-    deterministic sorted order. When the exact path was taken, the same
-    data is kept as tuples of Fractions. ``J`` is the union of optimal
+    deterministic sorted order; the same data is kept exactly as tuples of
+    Fractions. ``exact`` is always True. ``J`` is the union of optimal
     supports (plus any zero-cost ray supports), ``N`` its complement;
     indices are 0-based.
     """
@@ -50,9 +50,9 @@ class OracleResult:
     J: tuple[int, ...]
     N: tuple[int, ...]
     exact: bool
-    vertices_exact: tuple[tuple[Fraction, ...], ...] | None = None
-    rays_exact: tuple[tuple[Fraction, ...], ...] | None = None
-    opt_exact: Fraction | None = None
+    vertices_exact: tuple[tuple[Fraction, ...], ...]
+    rays_exact: tuple[tuple[Fraction, ...], ...]
+    opt_exact: Fraction | None
 
     @property
     def optimal_vertices(self) -> np.ndarray:
@@ -72,109 +72,59 @@ def max_subdeterminant(A_int: np.ndarray, mode: str = "exact") -> float:
 
 
 def _basic_solutions_exact(mat: list[list[int]], rhs: list[int]) -> list[tuple[Fraction, ...]]:
-    n_rows = len(mat)
     n_cols = len(mat[0])
     r = _exact.rank_int(mat)
     found: dict[tuple[Fraction, ...], None] = {}
     for cols in combinations(range(n_cols), r):
-        block = [[mat[i][j] for j in cols] for i in range(n_rows)]
-        sol = _exact.solve_unique(block, rhs)
-        if sol is None or any(v < 0 for v in sol):
+        sol = _exact.solve_unique([[row[j] for j in cols] for row in mat], rhs)
+        if sol is None:
+            continue
+        num, det = sol
+        if any(v < 0 for v in num):
             continue
         point = [Fraction(0)] * n_cols
-        for k, j in enumerate(cols):
-            point[j] = sol[k]
+        for j, v in zip(cols, num):
+            point[j] = Fraction(v, det)
         found.setdefault(tuple(point))
     return sorted(found)
 
 
-def _basic_solutions_float(mat: np.ndarray, rhs: np.ndarray) -> list[tuple[float, ...]]:
-    n_rows, n_cols = mat.shape
-    r = np.linalg.matrix_rank(mat)
-    found: list[np.ndarray] = []
-    for cols in combinations(range(n_cols), r):
-        block = mat[:, cols]
-        sol, _, rank, _ = np.linalg.lstsq(block, rhs, rcond=None)
-        if rank < r:
-            continue
-        if np.abs(block @ sol - rhs).max() > DEDUP_TOL * (np.abs(rhs).max() + 1.0):
-            continue
-        if np.any(sol < -DEDUP_TOL):
-            continue
-        point = np.zeros(n_cols)
-        point[list(cols)] = np.clip(sol, 0.0, None)
-        if not any(np.abs(point - other).max() <= DEDUP_TOL for other in found):
-            found.append(point)
-    return sorted(tuple(p) for p in found)
-
-
 def enumerate_polyhedron(lp: ValidatedLP, cap: int = ENUMERATION_CAP) -> OracleResult:
-    """Enumerate vertices, extreme directions, and the optimum.
+    """Enumerate vertices, extreme directions, and the optimum, exactly.
 
-    Exact rational arithmetic is used when every |entry| <= 2**15 and
-    m <= 8, binary64 otherwise. Costs are strictly positive, so a feasible
-    instance is never unbounded; an empty vertex list means infeasible.
+    Costs are strictly positive, so a feasible instance is never
+    unbounded; an empty vertex list means infeasible.
     """
     if lp.n > cap:
         raise TooLargeError(f"enumeration capped at n <= {cap}, got n={lp.n}")
-    biggest = max(int(np.abs(lp.A_int).max()), int(np.abs(lp.b_int).max()), int(np.abs(lp.c_int).max()))
-    use_exact = biggest <= ENTRY_MAGNITUDE_CAP and lp.m <= RATIONAL_ROW_CAP
-
-    ray_mat_int = np.vstack([lp.A_int, np.ones((1, lp.n), dtype=np.int64)])
-    ray_rhs_int = np.concatenate([np.zeros(lp.m, dtype=np.int64), np.ones(1, dtype=np.int64)])
-
-    if use_exact:
-        verts_exact = _basic_solutions_exact(lp.A_int.tolist(), lp.b_int.tolist())
-        rays_exact = _basic_solutions_exact(ray_mat_int.tolist(), ray_rhs_int.tolist())
-        vertices = np.array([[float(v) for v in vert] for vert in verts_exact]).reshape(len(verts_exact), lp.n)
-        rays = np.array([[float(v) for v in ray] for ray in rays_exact]).reshape(len(rays_exact), lp.n)
-        if not verts_exact:
-            return OracleResult(
-                status="infeasible", vertices=vertices, rays=rays, opt=None,
-                optimal_indices=(), J=(), N=tuple(range(lp.n)), exact=True,
-                vertices_exact=tuple(verts_exact), rays_exact=tuple(rays_exact), opt_exact=None,
-            )
-        c_frac = [Fraction(int(v)) for v in lp.c_int]
-        costs = [sum(ci * vi for ci, vi in zip(c_frac, vert)) for vert in verts_exact]
-        opt_exact = min(costs)
-        optimal = tuple(i for i, cost in enumerate(costs) if cost == opt_exact)
-        support: set[int] = set()
-        for i in optimal:
-            support.update(j for j, v in enumerate(verts_exact[i]) if v != 0)
-        for ray in rays_exact:
-            if sum(ci * ri for ci, ri in zip(c_frac, ray)) == 0:
-                support.update(j for j, v in enumerate(ray) if v != 0)
-        return OracleResult(
-            status="optimal", vertices=vertices, rays=rays, opt=float(opt_exact),
-            optimal_indices=optimal,
-            J=tuple(sorted(support)), N=tuple(sorted(set(range(lp.n)) - support)),
-            exact=True,
-            vertices_exact=tuple(verts_exact), rays_exact=tuple(rays_exact), opt_exact=opt_exact,
-        )
-
-    verts = _basic_solutions_float(lp.A, lp.b)
-    rays_f = _basic_solutions_float(ray_mat_int.astype(float), ray_rhs_int.astype(float))
-    vertices = np.array(verts).reshape(len(verts), lp.n)
-    rays = np.array(rays_f).reshape(len(rays_f), lp.n)
-    if not verts:
+    ray_mat = lp.A_int.tolist() + [[1] * lp.n]
+    ray_rhs = [0] * lp.m + [1]
+    verts_exact = _basic_solutions_exact(lp.A_int.tolist(), lp.b_int.tolist())
+    rays_exact = _basic_solutions_exact(ray_mat, ray_rhs)
+    vertices = np.array([[float(v) for v in vert] for vert in verts_exact]).reshape(len(verts_exact), lp.n)
+    rays = np.array([[float(v) for v in ray] for ray in rays_exact]).reshape(len(rays_exact), lp.n)
+    if not verts_exact:
         return OracleResult(
             status="infeasible", vertices=vertices, rays=rays, opt=None,
-            optimal_indices=(), J=(), N=tuple(range(lp.n)), exact=False,
+            optimal_indices=(), J=(), N=tuple(range(lp.n)), exact=True,
+            vertices_exact=tuple(verts_exact), rays_exact=tuple(rays_exact), opt_exact=None,
         )
-    costs_f = vertices @ lp.c
-    opt = float(costs_f.min())
-    optimal = tuple(int(i) for i in np.flatnonzero(costs_f <= opt + DEDUP_TOL * (abs(opt) + 1.0)))
-    support = set()
+    c_frac = [Fraction(int(v)) for v in lp.c_int]
+    costs = [sum(ci * vi for ci, vi in zip(c_frac, vert)) for vert in verts_exact]
+    opt_exact = min(costs)
+    optimal = tuple(i for i, cost in enumerate(costs) if cost == opt_exact)
+    support: set[int] = set()
     for i in optimal:
-        support.update(int(j) for j in np.flatnonzero(vertices[i] > DEDUP_TOL))
-    for ray in rays:
-        if abs(float(ray @ lp.c)) <= DEDUP_TOL:
-            support.update(int(j) for j in np.flatnonzero(ray > DEDUP_TOL))
+        support.update(j for j, v in enumerate(verts_exact[i]) if v != 0)
+    for ray in rays_exact:
+        if sum(ci * ri for ci, ri in zip(c_frac, ray)) == 0:
+            support.update(j for j, v in enumerate(ray) if v != 0)
     return OracleResult(
-        status="optimal", vertices=vertices, rays=rays, opt=opt,
+        status="optimal", vertices=vertices, rays=rays, opt=float(opt_exact),
         optimal_indices=optimal,
         J=tuple(sorted(support)), N=tuple(sorted(set(range(lp.n)) - support)),
-        exact=False,
+        exact=True,
+        vertices_exact=tuple(verts_exact), rays_exact=tuple(rays_exact), opt_exact=opt_exact,
     )
 
 

@@ -92,6 +92,19 @@ def random_instances(
     return out
 
 
+def planted_instance(rng, m, n):
+    """A full-rank A in [-3, 3] with b = A x0 for an integer x0 in [1, 3], costs in [1, 3].
+
+    Drawn the way the benchmark draws its planted instances.
+    """
+    while True:
+        A = rng.integers(-3, 4, size=(m, n))
+        if rank_int(A.tolist()) == m:
+            break
+    x0 = rng.integers(1, 4, size=n)
+    return validate(LinearProgram(A=A, b=A @ x0, c=rng.integers(1, 4, size=n)))
+
+
 @pytest.fixture(scope="session")
 def fuzz_corpus():
     return random_instances

@@ -7,11 +7,13 @@ show when the benchmark runs. These checks make it show in the suite.
 
 import importlib
 import importlib.util
+from math import comb
 from pathlib import Path
 
 import numpy as np
 
-from physarum import DiscreteConfig, FlowConfig, follow_path, integrate, solve
+from physarum import DiscreteConfig, FlowConfig, _exact, enumerate_polyhedron, follow_path, integrate, solve
+from tests.conftest import planted_instance
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
@@ -44,3 +46,20 @@ def test_traces_read_the_way_the_benchmark_reads_them(simple2):
     assert max(e.feas_residual for e in flow.entries) < 1e-6
     path = follow_path(simple2, x0, [e.t for e in flow.entries])
     assert max(float(np.abs(p.x - e.x).max()) for p, e in zip(path, flow.entries)) < 1e-5
+
+
+def test_oracle_solves_one_block_per_column_basis(monkeypatch):
+    """``oracle.bases_tried`` counts calls to ``_exact.solve_unique`` through the module attribute."""
+    calls = 0
+    real = _exact.solve_unique
+
+    def counting(mat, rhs):
+        nonlocal calls
+        calls += 1
+        return real(mat, rhs)
+
+    monkeypatch.setattr(_exact, "solve_unique", counting)
+    lp = planted_instance(np.random.default_rng(4), 4, 10)
+    enumerate_polyhedron(lp)
+    # m-column bases for the vertices, (m+1)-column bases for the rays.
+    assert calls == comb(10, 4) + comb(10, 5)

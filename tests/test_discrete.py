@@ -112,6 +112,23 @@ def test_solve_warns_beyond_certified_step(simple2, caplog):
     assert sol.cost <= 1.1
 
 
+def test_solve_warns_when_the_step_cannot_move_x(simple2, caplog):
+    x0 = np.array([0.5, 0.5])
+    with caplog.at_level("WARNING", logger="physarum.discrete_solver"):
+        sol, _ = solve(simple2, DiscreteConfig(eps=0.1, h=1e-30, start=x0, max_iters=50))
+    assert sol.stop_reason == "UserCap" and sol.iterations == 50
+    assert np.array_equal(sol.x, x0)
+    stalled = [rec for rec in caplog.records if "bit-identical" in rec.message]
+    assert len(stalled) == 1
+    assert "1.000e-30" in stalled[0].message and "certified_step_search" in stalled[0].message
+
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="physarum.discrete_solver"):
+        sol, _ = solve(simple2, DiscreteConfig(eps=0.1, start=x0, max_iters=50))
+    assert not np.array_equal(sol.x, x0)
+    assert not any("bit-identical" in rec.message for rec in caplog.records)
+
+
 def test_solve_start_validation(simple2):
     with pytest.raises(DimensionMismatchError):
         solve(simple2, DiscreteConfig(start=np.array([1.0, 1.0, 1.0])))

@@ -1,0 +1,247 @@
+"""The fraction-free integer kernels against rational Gauss-Jordan references.
+
+The references below are the Fraction eliminations the kernels replaced,
+kept as they were: rational row reduction for the rank, rational
+Gauss-Jordan for a unique solution, and the oracle's basis loop built on
+the two. Every kernel answer must equal the reference's exactly.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from physarum import LinearProgram, enumerate_polyhedron, oracle, validate
+from physarum._exact import det_int, rank_int, solve_unique
+from tests.conftest import planted_instance, random_instances
+
+BIG = 2**40
+
+
+def ref_rank(rows):
+    m = [[Fraction(v) for v in r] for r in rows]
+    n_rows = len(m)
+    n_cols = len(m[0]) if n_rows else 0
+    rank = 0
+    row = 0
+    for col in range(n_cols):
+        piv = next((r for r in range(row, n_rows) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        pv = m[row][col]
+        for r in range(n_rows):
+            if r != row and m[r][col] != 0:
+                f = m[r][col] / pv
+                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+        row += 1
+        rank += 1
+        if row == n_rows:
+            break
+    return rank
+
+
+def ref_solve_unique(mat, rhs):
+    n_rows = len(mat)
+    n_cols = len(mat[0]) if n_rows else 0
+    aug = [[Fraction(mat[i][j]) for j in range(n_cols)] + [Fraction(rhs[i])] for i in range(n_rows)]
+    row = 0
+    for col in range(n_cols):
+        piv = next((r for r in range(row, n_rows) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[row], aug[piv] = aug[piv], aug[row]
+        pv = aug[row][col]
+        aug[row] = [a / pv for a in aug[row]]
+        for r in range(n_rows):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
+        row += 1
+    for r in range(row, n_rows):
+        if aug[r][n_cols] != 0:
+            return None
+    return [aug[i][n_cols] for i in range(n_cols)]
+
+
+def ref_basic_solutions(mat, rhs):
+    n_rows = len(mat)
+    n_cols = len(mat[0])
+    r = ref_rank(mat)
+    found = {}
+    for cols in combinations(range(n_cols), r):
+        block = [[mat[i][j] for j in cols] for i in range(n_rows)]
+        sol = ref_solve_unique(block, rhs)
+        if sol is None or any(v < 0 for v in sol):
+            continue
+        point = [Fraction(0)] * n_cols
+        for k, j in enumerate(cols):
+            point[j] = sol[k]
+        found.setdefault(tuple(point))
+    return sorted(found)
+
+
+def ref_det(rows):
+    """Determinant by rational elimination with row swaps."""
+    m = [[Fraction(v) for v in r] for r in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col] / m[col][col]
+            m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+def as_fractions(sol):
+    if sol is None:
+        return None
+    num, det = sol
+    assert det > 0
+    return [Fraction(v, det) for v in num]
+
+
+@st.composite
+def int_matrices(draw, rows=st.integers(1, 6), cols=st.integers(1, 8)):
+    """Integer matrices that are often rank deficient.
+
+    Entries are either in [-2, 2] or up to 2**40 in size. Optionally a
+    column is zeroed or made a multiple of another (a pivot column
+    Bareiss must skip) and a row is made a combination of two others.
+    """
+    n_rows, n_cols = draw(rows), draw(cols)
+    entry = st.integers(-BIG, BIG) if draw(st.booleans()) else st.integers(-2, 2)
+    mat = draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n_cols - 1))
+        scale = draw(st.integers(-3, 3))
+        for r in mat:
+            r[j] = scale * r[0]
+    if n_rows > 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        mat[-1] = [a * x + b * y for x, y in zip(mat[0], mat[1])]
+    return mat
+
+
+@st.composite
+def systems(draw):
+    """(mat, rhs) with at least as many rows as columns.
+
+    The right-hand side is free, or mat @ z for an integer z (consistent
+    also when overdetermined), or that plus a unit vector.
+    """
+    k = draw(st.integers(1, 5))
+    mat = draw(int_matrices(rows=st.integers(k, k + 2), cols=st.just(k)))
+    z = draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k))
+    rhs = [sum(a * v for a, v in zip(row, z)) for row in mat]
+    mode = draw(st.sampled_from(["free", "consistent", "perturbed"]))
+    if mode == "free":
+        rhs = draw(st.lists(st.integers(-BIG, BIG), min_size=len(mat), max_size=len(mat)))
+    elif mode == "perturbed":
+        rhs[draw(st.integers(0, len(mat) - 1))] += 1
+    return mat, rhs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(int_matrices())
+def test_rank_matches_rational_elimination(mat):
+    assert rank_int(mat) == ref_rank(mat)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda k: int_matrices(rows=st.just(k), cols=st.just(k))))
+def test_det_matches_rational_elimination(mat):
+    assert det_int(mat) == ref_det(mat)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(systems())
+def test_solve_unique_matches_rational_gauss_jordan(system):
+    mat, rhs = system
+    sol = solve_unique(mat, rhs)
+    assert as_fractions(sol) == ref_solve_unique(mat, rhs)
+    if sol is not None and len(mat) == len(mat[0]):
+        # Square: the common denominator is |det| itself, not a multiple.
+        assert sol[1] == abs(det_int(mat))
+
+
+@pytest.mark.parametrize(
+    "mat, rank",
+    [
+        ([[0, 1, 2], [0, 2, 4], [0, 0, 1]], 2),  # first column has no pivot
+        ([[1, 2, 3], [2, 4, 6], [0, 0, 0]], 1),  # dependent and zero rows
+        ([[1, 2, 5], [2, 4, 7]], 2),  # second column has no pivot after the first step
+        ([[40000, 1], [1, 40000]], 2),
+        ([[BIG, BIG + 1], [BIG - 1, BIG]], 2),  # determinant 1 from entries near 2**40
+        ([[0, 0], [0, 0]], 0),
+    ],
+)
+def test_rank_examples(mat, rank):
+    assert rank_int(mat) == rank == ref_rank(mat)
+
+
+@pytest.mark.parametrize(
+    "mat, rhs, want",
+    [
+        ([[0, 1], [1, 0]], [3, 5], ([5, 3], 1)),  # determinant -1: signs flip onto the numerators
+        ([[2, 1], [1, -1]], [1, 2], ([3, -3], 3)),  # det -3, z = (1, -1): numerators are not reduced
+        ([[2, 0], [0, 3]], [1, 1], ([3, 2], 6)),
+        ([[2, 4], [1, 2]], [1, 1], None),  # singular block
+        ([[1], [1]], [2, 2], ([2], 1)),  # overdetermined, consistent
+        ([[1], [1]], [1, 2], None),  # overdetermined, inconsistent
+        ([[0, 1], [0, 2], [1, 0]], [1, 2, 3], ([6, 2], 2)),  # pivots off the first rows, consistent
+        ([[0, 1], [0, 2], [1, 0]], [1, 3, 3], None),  # same block, inconsistent leftover row
+        ([[40000, 1]], [40000], None),  # more unknowns than equations: not unique
+    ],
+)
+def test_solve_unique_examples(mat, rhs, want):
+    assert solve_unique(mat, rhs) == want
+    assert as_fractions(want) == ref_solve_unique(mat, rhs)
+
+
+def reference_result(monkeypatch, lp):
+    """enumerate_polyhedron with the rational basis loop swapped in."""
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_basic_solutions_exact", ref_basic_solutions)
+        return enumerate_polyhedron(lp)
+
+
+def assert_same_result(got, want):
+    for name in got.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(a, np.ndarray):
+            assert a.shape == b.shape and np.array_equal(a, b), name
+        else:
+            assert a == b, name
+
+
+def test_enumeration_matches_reference_on_fuzz_corpus(monkeypatch):
+    corpus = random_instances(seed=20240801, count=200, require_feasible=False)
+    for lp, res in corpus:
+        assert_same_result(res, reference_result(monkeypatch, lp))
+
+
+@pytest.mark.parametrize("m, n", [(4, 10), (5, 12)])
+def test_enumeration_matches_reference_on_planted(monkeypatch, m, n):
+    lp = planted_instance(np.random.default_rng(m), m, n)
+    res = enumerate_polyhedron(lp)
+    assert res.status == "optimal" and len(res.vertices) > 0
+    assert_same_result(res, reference_result(monkeypatch, lp))
+
+
+def test_enumeration_with_ones_in_the_row_space(monkeypatch):
+    """1^T = sum of A's rows, so the ray system is overdetermined and has no solution."""
+    lp = validate(LinearProgram.from_lists([[1, 1, 0, 0], [0, 0, 1, 1]], [2, 3], [1, 2, 3, 1]))
+    res = enumerate_polyhedron(lp)
+    assert res.rays.shape == (0, 4)
+    assert res.opt_exact == 5
+    assert_same_result(res, reference_result(monkeypatch, lp))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from physarum import DiscreteConfig, LinearProgram, evaluate, rhs_log, solve, validate
 from physarum.errors import NotPositiveDefiniteError, RankDeficientError
-from physarum.linalg import kernel_basis, spd_factor
+from physarum.linalg import PIVOT_RTOL, kernel_basis, spd_factor
 
 
 def _random_spd(rng, m):
@@ -54,6 +54,32 @@ def test_factor_pivot_threshold_is_relative():
         spd_factor(np.diag([1.0, 1e-13]))
     fac = spd_factor(np.diag([1.0, 1e-11]))
     assert np.allclose(fac.solve(np.array([1.0, 1e-11])), [1.0, 1.0])
+
+
+@pytest.mark.parametrize("m", [2, 4, 9])
+def test_factor_pivot_floor_is_the_mean_diagonal(m):
+    # diag(1, ..., 1, d) has its smallest pivot squared equal to d and a
+    # floor of PIVOT_RTOL * (m - 1 + d) / m, below the largest diagonal.
+    floor = PIVOT_RTOL * (m - 1) / m
+    spd_factor(np.diag([1.0] * (m - 1) + [floor * (1 + 1e-6)]))
+    with pytest.raises(NotPositiveDefiniteError, match=f"index {m - 1}"):
+        spd_factor(np.diag([1.0] * (m - 1) + [floor * (1 - 1e-6)]))
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        [[4.0, np.nan], [np.nan, 4.0]],
+        [[1.0, 0.0], [0.0, np.nan]],
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, np.nan], [0.0, np.nan, 1.0]],
+    ],
+)
+def test_factor_rejects_nan_pivots(mat):
+    # dpotrf returns these factors with info 0; the first has a finite
+    # diagonal, so only the NaN pivot can reject it.
+    with pytest.raises(NotPositiveDefiniteError, match="nan"):
+        spd_factor(np.array(mat))
 
 
 def test_factor_rejects_non_square():

@@ -23,7 +23,7 @@ from .discrete_solver import (
     iteration_bound,
     solve,
 )
-from .dynamics import BoundReport, DynamicsEval, check_bounds, embed, evaluate, gradient_identity_residual
+from .dynamics import BoundReport, DynamicsEval, check_bounds, evaluate, gradient_identity_residual
 from .entropy_path import PathPoint, follow_path, solve_point
 from .errors import (
     LimitError,
@@ -63,7 +63,6 @@ __all__ = [
     "compute_params",
     "default_params",
     "default_step",
-    "embed",
     "enumerate_polyhedron",
     "evaluate",
     "follow_path",

@@ -7,8 +7,9 @@ stdout and optionally dump a CSV trace; diagnostics go to stderr (set
 PHYSARUM_LOG=debug for solver chatter).
 
 Exit codes: 0 success, 1 usage, 2 unreadable or malformed input,
-3 validation failure, 4 numerical failure or size limit, 5 a
-verification check did not hold.
+3 ValidationError (bad problem data, a bad argument or a bad start point),
+4 any other PhysarumError (numerical failure, size limit, no interior
+point), 5 a verification check did not hold.
 """
 
 from __future__ import annotations
@@ -28,14 +29,11 @@ from . import continuous_flow, discrete_solver, entropy_path
 from . import oracle as oracle_mod
 from .dynamics import check_bounds, evaluate, gradient_identity_residual
 from .errors import (
-    LimitError,
     MalformedProblemError,
-    NumericalError,
     PhysarumError,
     ProblemFileError,
     ProblemIOError,
     ValidationError,
-    ValidationFailedError,
 )
 from .linalg import kernel_basis
 from .model import LinearProgram, ValidatedLP, compute_params, default_params, validate
@@ -95,11 +93,7 @@ def parse_problem(path) -> ProblemFile:
 
 def load_validated(path) -> tuple[ValidatedLP, ProblemFile]:
     pf = parse_problem(path)
-    try:
-        vlp = validate(pf.lp)
-    except ValidationError as exc:
-        raise ValidationFailedError(f"{path}: {exc}") from exc
-    return vlp, pf
+    return validate(pf.lp), pf
 
 
 def _json_ready(obj):
@@ -140,12 +134,8 @@ def _write_trace_csv(path, header: list[str], rows) -> None:
         raise ProblemIOError(f"cannot write {path}: {exc}") from exc
 
 
-def _resolve_start(pf: ProblemFile, override: str | None):
-    if override is not None:
-        return np.asarray([float(v) for v in override.split(",")], dtype=float)
-    if pf.start is not None:
-        return pf.start
-    return None
+def _resolve_start(pf: ProblemFile, override: np.ndarray | None) -> np.ndarray | None:
+    return override if override is not None else pf.start
 
 
 def cmd_solve(args) -> int:
@@ -371,13 +361,32 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _vector(text: str) -> np.ndarray:
+    """A comma-separated float vector; argparse turns a ValueError into a usage error."""
+    return np.asarray([float(v) for v in text.split(",")], dtype=float)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="physarum", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def common(p):
         p.add_argument("problem", help="path to a problem JSON file")
-        p.add_argument("--start", default=None,
+        p.add_argument("--start", type=_vector, default=None,
                        help="comma-separated start vector, overriding the file")
 
     p = sub.add_parser("solve", help="run the damped discrete iteration")
@@ -401,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("path", help="follow the entropy-regularized path")
     common(p)
     p.add_argument("--mu-max", type=float, default=20.0)
-    p.add_argument("--points", type=int, default=41)
+    p.add_argument("--points", type=_positive_int, default=41)
     p.add_argument("--trace", default=None, help="write a CSV trace here")
     p.set_defaults(func=cmd_path)
 
@@ -420,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--h", type=float, default=None)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=20240801)
+    p.add_argument("--samples", type=_nonnegative_int, default=200)
+    p.add_argument("--seed", type=_nonnegative_int, default=20240801)
     p.add_argument("--max-iters", type=int, default=1_000_000)
     p.set_defaults(func=cmd_verify)
 
@@ -443,18 +452,12 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValidationFailedError as exc:
-        print(f"validation failed: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ProblemFileError as exc:
         print(f"problem file error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValidationError as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericalError, LimitError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except PhysarumError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -24,14 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import evaluate
-from .errors import (
-    DimensionMismatchError,
-    InsufficientTraceError,
-    NonPositiveStateError,
-    StepSizeUnderflowError,
-)
+from .errors import InsufficientTraceError, StepSizeUnderflowError, ValidationError
 from .linalg import spd_factor
-from .model import Params, ValidatedLP, default_params
+from .model import Params, ValidatedLP, check_point, default_params
+
+# Absolute tolerance of the integrator on u = ln x.
+ABS_TOL = 1e-10
 
 
 def rhs_log(lp: ValidatedLP, u) -> np.ndarray:
@@ -51,14 +49,13 @@ class FlowConfig:
     x0: np.ndarray
     t_end: float
     rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
     sample_dt: float = 0.25
 
     def __post_init__(self):
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
-        if self.sample_dt <= 0.0:
-            raise ValueError("sample_dt must be positive")
+        if not self.t_end > 0.0:
+            raise ValidationError("t_end must be positive")
+        if not self.sample_dt > 0.0:
+            raise ValidationError("sample_dt must be positive")
 
 
 @dataclass(frozen=True)
@@ -82,11 +79,7 @@ def integrate(lp: ValidatedLP, config: FlowConfig, params: Params | None = None)
     """
     if params is None:
         params = default_params(lp)
-    x0 = np.asarray(config.x0, dtype=float)
-    if x0.shape != (lp.n,):
-        raise DimensionMismatchError(f"x0 has shape {x0.shape}, expected ({lp.n},)")
-    if np.any(x0 <= 0.0) or not np.all(np.isfinite(x0)):
-        raise NonPositiveStateError("the flow start must be strictly positive and finite")
+    x0 = check_point(lp, config.x0, "x0")
 
     A, b = lp.A, lp.b
 
@@ -105,7 +98,7 @@ def integrate(lp: ValidatedLP, config: FlowConfig, params: Params | None = None)
 
     result = solve_ivp(
         rhs, (0.0, config.t_end), np.log(x0), method="RK45",
-        t_eval=ts, rtol=config.rel_tol, atol=config.abs_tol,
+        t_eval=ts, rtol=config.rel_tol, atol=ABS_TOL,
     )
     if not result.success:
         raise StepSizeUnderflowError(f"flow integration failed: {result.message}")
@@ -132,7 +125,6 @@ class ConvergenceReport:
     """Measured asymptotics of a flow trace against an exact optimum."""
 
     nu_hat: float | None
-    nu_reference: float
     gap_samples: int
     xn_slope: float | None
     xj_min: float
@@ -148,9 +140,7 @@ def rate_report(trace: FlowTrace, opt: float, oracle_result) -> ConvergenceRepor
     basis B is unique and nondegenerate, the rate is the smallest
     reduced-cost ratio (c_i - a_i.y*)/c_i over the coordinates that vanish,
     with y* = B^-T c_B. By Cramer's rule each numerator is at least 1/D,
-    so the rate is at least 1/(D c_max). nu_reference is the coarser
-    figure 1/D^3, reported as is; it is not a lower bound on the rate,
-    since scaling c leaves D unchanged but slows the decay.
+    so the rate is at least 1/(D c_max).
 
     xn_slope is the rate at which the coordinates outside the optimal
     support vanish; xj_min the smallest value any supported coordinate
@@ -190,7 +180,6 @@ def rate_report(trace: FlowTrace, opt: float, oracle_result) -> ConvergenceRepor
     final = entries[-1]
     return ConvergenceReport(
         nu_hat=nu_hat,
-        nu_reference=1.0 / trace.params.subdet_max**3,
         gap_samples=int(usable.sum()),
         xn_slope=xn_slope,
         xj_min=xj_min,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,18 +35,25 @@ from .errors import (
     DimensionMismatchError,
     FeasibilityLostError,
     MissingVerifyDataError,
-    NoFeasibleInteriorStartError,
     NumericalError,
-    PhysarumError,
     PositivityLostError,
+    ValidationError,
 )
 from .dynamics import evaluate
 from .linalg import spd_factor
-from .model import Params, ValidatedLP, default_params
+from .model import Params, ValidatedLP, check_point, default_params
 
 logger = logging.getLogger(__name__)
 
 ITERATION_HARD_CAP = 10**18
+
+# solve stops at FixedPoint once |q - x| <= FIXED_POINT_TOL (1 + |x|).
+FIXED_POINT_TOL = 1e-9
+
+# certified_step_search integrates its pilot flow up to PILOT_T_END and
+# inflates the deviation it measures by STEP_SAFETY.
+PILOT_T_END = 40.0
+STEP_SAFETY = 1.3
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,6 @@ class DiscreteConfig:
     eps: float = 0.1
     h: float | None = None
     start: np.ndarray | None = None
-    fixed_point_tol: float = 1e-9
     max_iters: int = 1_000_000
     trace_every: int = 1
     allow_infeasible: bool = False
@@ -66,10 +72,8 @@ class DiscreteConfig:
             raise BadEpsError(f"eps must lie in (0, 1/2), got {self.eps}")
         if self.h is not None and not (0.0 < self.h < 1.0):
             raise BadStepError(f"h must lie in (0, 1), got {self.h}")
-        if self.fixed_point_tol <= 0.0:
-            raise ValueError("fixed_point_tol must be positive")
         if self.max_iters < 0 or self.trace_every < 0:
-            raise ValueError("max_iters and trace_every must be nonnegative")
+            raise ValidationError("max_iters and trace_every must be nonnegative")
 
 
 def trace_dtype(n: int) -> np.dtype:
@@ -122,27 +126,12 @@ def iteration_bound(cost_ratio: float, spread: float, eps: float, h: float) -> i
     if not (0.0 < h < 1.0):
         raise BadStepError(f"h must lie in (0, 1), got {h}")
     if cost_ratio < 1.0 or spread < 1.0:
-        raise ValueError("cost_ratio and spread must be at least 1")
+        raise ValidationError("cost_ratio and spread must be at least 1")
     num = 6.0 * (4.0 * math.log(cost_ratio) + 2.0 * eps * h * math.log(spread))
     den = h * h * eps * eps
     if den == 0.0:  # h eps below about 1e-162 underflows; the bound is past any cap
         return ITERATION_HARD_CAP
     return int(math.ceil(min(num / den, float(ITERATION_HARD_CAP))))
-
-
-def _resolve_start(lp: ValidatedLP, config: DiscreteConfig, oracle_result) -> np.ndarray:
-    try:
-        x0 = oracle_mod.start_point(lp, config.start, oracle_result)
-    except PhysarumError as exc:
-        raise NoFeasibleInteriorStartError(f"could not derive a start: {exc}") from exc
-    if x0.shape != (lp.n,):
-        raise DimensionMismatchError(f"start has shape {x0.shape}, expected ({lp.n},)")
-    if np.any(x0 <= 0.0) or not np.all(np.isfinite(x0)):
-        raise NoFeasibleInteriorStartError("start must be strictly positive and finite")
-    resid = float(np.abs(lp.A @ x0 - lp.b).max())
-    if not config.allow_infeasible and resid > 1e-8 * (float(np.abs(lp.b).max()) + 1.0):
-        raise NoFeasibleInteriorStartError(f"start violates A x = b (residual {resid:.3e})")
-    return x0
 
 
 def solve(
@@ -153,7 +142,7 @@ def solve(
 ) -> tuple[Solution, Trace]:
     """Run the damped iteration to a numerical fixed point.
 
-    Stops at FixedPoint when |q - x| is below fixed_point_tol * (1 + |x|),
+    Stops at FixedPoint when |q - x| is below FIXED_POINT_TOL * (1 + |x|),
     at IterationBound when the certified worst-case count is exhausted, or
     at UserCap when max_iters is hit first.
 
@@ -173,7 +162,10 @@ def solve(
         entries = np.recarray(0, dtype=trace_dtype(lp.n))
         return sol, Trace(entries=entries, h=config.h or 0.0, eps=config.eps, trace_every=config.trace_every)
 
-    x = x0 = _resolve_start(lp, config, oracle_result)
+    x = x0 = check_point(
+        lp, oracle_mod.start_point(lp, config.start, oracle_result), "start",
+        feasible=not config.allow_infeasible,
+    )
 
     certified = default_step(params, config.eps)
     if config.h is None:
@@ -230,7 +222,7 @@ def solve(
             buf[rows] = (k, x, c @ x, b @ p, np.abs(edge).max())
             rows += 1
 
-        if fp_res <= config.fixed_point_tol * (1.0 + float(x.max())):
+        if fp_res <= FIXED_POINT_TOL * (1.0 + float(x.max())):
             stop = "FixedPoint"
             break
         if k >= cap:
@@ -287,7 +279,7 @@ def certify_trace(lp: ValidatedLP, trace: Trace, opt: float, eps: float, h: floa
     if trace.trace_every != 1:
         raise MissingVerifyDataError("certification needs a trace recorded at every step")
     if opt <= 0.0:
-        raise ValueError("the optimal value must be positive to form the potential")
+        raise ValidationError("the optimal value must be positive to form the potential")
     x_star = np.asarray(x_star, dtype=float)
     if x_star.shape != (lp.n,):
         raise DimensionMismatchError(f"x_star has shape {x_star.shape}, expected ({lp.n},)")
@@ -327,8 +319,6 @@ def certified_step_search(
     params: Params | None = None,
     oracle_result=None,
     start: np.ndarray | None = None,
-    safety: float = 1.3,
-    t_pilot: float = 40.0,
 ) -> tuple[float, float]:
     """Pick a step the a-posteriori certificate is expected to accept.
 
@@ -336,7 +326,7 @@ def certified_step_search(
     potential bound, which is wildly pessimistic on most instances: the
     progress argument only needs the deviation |q_i/x_i - 1| actually seen
     along the trajectory. A cheap ODE integration of the same dynamics
-    measures that deviation; the returned step inflates it by ``safety``
+    measures that deviation; the returned step inflates it by STEP_SAFETY
     and never exceeds the positivity cap. certify_trace stays the arbiter.
 
     Returns the step together with the measured deviation.
@@ -350,7 +340,7 @@ def certified_step_search(
     start = oracle_mod.start_point(lp, start, oracle_result)
     try:
         trace = continuous_flow.integrate(
-            lp, continuous_flow.FlowConfig(x0=start, t_end=t_pilot), params=params,
+            lp, continuous_flow.FlowConfig(x0=start, t_end=PILOT_T_END), params=params,
         )
         dev = 1e-12
         for entry in trace.entries:
@@ -359,5 +349,5 @@ def certified_step_search(
     except NumericalError as exc:
         logger.warning("pilot integration failed (%s); falling back to the worst-case step", exc)
         return h_auto, math.inf
-    h = min(0.999 * pos_cap, max(h_auto, eps / (6.0 * (safety * dev) ** 2)))
+    h = min(0.999 * pos_cap, max(h_auto, eps / (6.0 * (STEP_SAFETY * dev) ** 2)))
     return h, dev

@@ -23,9 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonPositiveStateError, NotInKernelError
+from .errors import DimensionMismatchError, NotInKernelError
 from .linalg import SpdFactorization, spd_factor
-from .model import Params, ValidatedLP
+from .model import Params, ValidatedLP, check_point
 
 BOUND_RTOL = 1e-8
 
@@ -82,18 +82,9 @@ class DynamicsEval:
         return float(self.flux @ (self.flux / self.weights))
 
 
-def _check_state(lp: ValidatedLP, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (lp.n,):
-        raise DimensionMismatchError(f"state has shape {x.shape}, expected ({lp.n},)")
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
-        raise NonPositiveStateError("state must be strictly positive and finite")
-    return x
-
-
 def evaluate(lp: ValidatedLP, x) -> DynamicsEval:
     """Evaluate the dynamics at a positive state (feasibility not required)."""
-    x = _check_state(lp, x)
+    x = check_point(lp, x, "state")
     w = x / lp.c
     lap = (lp.A * w) @ lp.At
     fac = spd_factor(lap)
@@ -143,23 +134,10 @@ def column_potential_bounds(lp: ValidatedLP, w) -> np.ndarray:
     is the largest absolute subdeterminant of A; this is the kernel fact
     behind every potential bound in the package.
     """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (lp.n,):
-        raise DimensionMismatchError(f"weights have shape {w.shape}, expected ({lp.n},)")
-    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-        raise NonPositiveStateError("weights must be strictly positive and finite")
+    w = check_point(lp, w, "weights")
     fac = spd_factor((lp.A * w) @ lp.At)
     sols = fac.solve(lp.A)
     return np.abs(lp.At @ sols).max(axis=0)
-
-
-def embed(x, c) -> np.ndarray:
-    """Isometric embedding y_i = 2 sqrt(c_i x_i); the metric becomes Euclidean."""
-    x = np.asarray(x, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if np.any(x <= 0.0):
-        raise NonPositiveStateError("embedding requires a strictly positive state")
-    return 2.0 * np.sqrt(c * x)
 
 
 @dataclass(frozen=True)
@@ -177,13 +155,12 @@ class BoundReport:
 def check_bounds(lp: ValidatedLP, ev: DynamicsEval, params: Params, feasible: bool) -> BoundReport:
     """Check the flux bound, and the potential bound when the state is feasible.
 
-    The caller asserts feasibility via the flag; it is verified against the
-    actual residual before the potential bound is reported.
+    The caller asserts feasibility via the flag; check_point verifies it
+    against the actual residual (InfeasibleStartError) before the potential
+    bound is reported.
     """
     if feasible:
-        resid = float(np.abs(lp.A @ ev.x - lp.b).max())
-        if resid > 1e-8 * (float(np.abs(lp.b).max()) + 1.0):
-            raise ValueError(f"state declared feasible but |Ax - b| = {resid:.3e}")
+        check_point(lp, ev.x, "state declared feasible", feasible=True)
     flux_inf = float(np.abs(ev.flux).max())
     pot_bound = params.subdet_max * params.cost_sum
     return BoundReport(

@@ -23,11 +23,11 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DualOverflowError,
-    InfeasibleStartError,
     NewtonStalledError,
+    ValidationError,
 )
 from .linalg import spd_factor
-from .model import ValidatedLP
+from .model import ValidatedLP, check_point
 
 EXP_CAP = 700.0
 ARMIJO_SLOPE = 0.25
@@ -61,18 +61,6 @@ def dual_value_and_derivatives(lp: ValidatedLP, s, mu: float, y):
     return value, grad, hess, x
 
 
-def _check_anchor(lp: ValidatedLP, s) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    if s.shape != (lp.n,):
-        raise DimensionMismatchError(f"anchor has shape {s.shape}, expected ({lp.n},)")
-    if np.any(s <= 0.0) or not np.all(np.isfinite(s)):
-        raise InfeasibleStartError("the anchor must be strictly positive and finite")
-    resid = float(np.abs(lp.A @ s - lp.b).max())
-    if resid > 1e-8 * (float(np.abs(lp.b).max()) + 1.0):
-        raise InfeasibleStartError(f"the anchor violates A s = b (residual {resid:.3e})")
-    return s
-
-
 def solve_point(lp: ValidatedLP, s, mu: float, y0=None) -> PathPoint:
     """Find x(mu) by damped Newton ascent on the dual.
 
@@ -82,9 +70,9 @@ def solve_point(lp: ValidatedLP, s, mu: float, y0=None) -> PathPoint:
     halvings in one line search, or two hundred outer iterations, raise
     NewtonStalledError.
     """
-    if mu < 0.0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
-    s = _check_anchor(lp, s)
+    if not mu >= 0.0:
+        raise ValidationError(f"mu must be nonnegative, got {mu}")
+    s = check_point(lp, s, "anchor", feasible=True)
     y = np.zeros(lp.m) if y0 is None else np.asarray(y0, dtype=float).copy()
     if y.shape != (lp.m,):
         raise DimensionMismatchError(f"y0 has shape {y.shape}, expected ({lp.m},)")
@@ -127,8 +115,8 @@ def follow_path(lp: ValidatedLP, s, mus) -> list[PathPoint]:
     mus = [float(m) for m in mus]
     if not mus:
         return []
-    if any(b < a for a, b in zip(mus, mus[1:])) or mus[0] < 0.0:
-        raise ValueError("the mu grid must be nonnegative and nondecreasing")
+    if not (mus[0] >= 0.0 and all(a <= b for a, b in zip(mus, mus[1:]))):
+        raise ValidationError("the mu grid must be nonnegative and nondecreasing")
     points = []
     y = None
     for mu in mus:

@@ -1,7 +1,14 @@
 """Exception taxonomy for the physarum package.
 
-Grouped so the command line tool can map failures onto stable exit codes:
-input/validation problems, numerical failures, and capability limits.
+Each failure has one class, grouped so the command line tool can map it
+onto a stable exit code: problem files that cannot be read or parsed (2),
+bad problem data, bad arguments and bad caller-supplied points
+(ValidationError, 3), and numerical failures, size limits and the
+remaining PhysarumErrors (4). ValidationError is also a ValueError, so
+callers that catch ValueError for a bad argument keep working. Every
+caller-supplied point is checked by model.check_point, which raises
+DimensionMismatchError, NonPositiveStateError or InfeasibleStartError
+whichever engine receives it.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ class PhysarumError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ValidationError(PhysarumError):
+class ValidationError(PhysarumError, ValueError):
     """The problem data or a call argument violates a documented precondition."""
 
 
@@ -79,10 +86,6 @@ class NoInteriorPointError(NumericalError):
     pass
 
 
-class NoFeasibleInteriorStartError(NumericalError):
-    pass
-
-
 class LimitError(PhysarumError):
     """The instance exceeds a documented size cap for an exact routine."""
 
@@ -109,10 +112,3 @@ class ProblemIOError(ProblemFileError):
 
 class MalformedProblemError(ProblemFileError):
     pass
-
-
-class ValidationFailedError(ProblemFileError):
-    """A structurally sound file failed semantic validation.
-
-    The underlying model error is kept as ``__cause__``.
-    """

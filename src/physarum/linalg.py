@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import NotPositiveDefiniteError, RankDeficientError
+from .errors import NotPositiveDefiniteError, RankDeficientError, ValidationError
 
 # A pivot this small relative to the mean diagonal means the matrix has
 # effectively collapsed onto a boundary face.
@@ -46,7 +46,7 @@ def spd_factor(mat: np.ndarray) -> SpdFactorization:
     M = np.asarray(mat, dtype=float)
     m = M.shape[0]
     if M.shape != (m, m):
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+        raise ValidationError(f"expected a square matrix, got shape {M.shape}")
     low, info = dpotrf(M, lower=True)
     if info:
         raise NotPositiveDefiniteError(f"pivot at index {info - 1} is not positive")

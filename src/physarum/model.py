@@ -21,7 +21,9 @@ import numpy as np
 from . import _exact
 from .errors import (
     DimensionMismatchError,
+    InfeasibleStartError,
     NonPositiveCostError,
+    NonPositiveStateError,
     RankDeficientError,
 )
 
@@ -134,6 +136,26 @@ def validate(lp: LinearProgram) -> ValidatedLP:
     if _exact.rank_int(A_int.tolist()) != m:
         raise RankDeficientError("A does not have full row rank")
     return ValidatedLP(A_int=A_int, b_int=b_int, c_int=c_int, name=lp.name)
+
+
+def check_point(lp: ValidatedLP, x, what: str, feasible: bool = False) -> np.ndarray:
+    """Return a caller-supplied point as a float vector, or raise its one error.
+
+    DimensionMismatchError when the shape is not (n,), NonPositiveStateError
+    when an entry is not strictly positive and finite, and, only when
+    ``feasible`` is set, InfeasibleStartError when |A x - b|_inf exceeds
+    1e-8 (|b|_inf + 1). ``what`` names the point in the message.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (lp.n,):
+        raise DimensionMismatchError(f"{what} has shape {x.shape}, expected ({lp.n},)")
+    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
+        raise NonPositiveStateError(f"{what} must be strictly positive and finite")
+    if feasible:
+        resid = float(np.abs(lp.A @ x - lp.b).max())
+        if resid > 1e-8 * (float(np.abs(lp.b).max()) + 1.0):
+            raise InfeasibleStartError(f"{what} violates A x = b (residual {resid:.3e})")
+    return x
 
 
 def subdet_upper_bound(A_int: np.ndarray) -> float:

@@ -25,10 +25,15 @@ from itertools import combinations
 import numpy as np
 
 from . import _exact
-from .errors import NoInteriorPointError, TooLargeError
+from .errors import NoInteriorPointError, TooLargeError, ValidationError
 from .model import EXACT_SUBDET_CAP, ValidatedLP, subdet_upper_bound
 
 ENUMERATION_CAP = 16
+
+# sample_feasible draws vertex weights from [SAMPLE_MIN_WEIGHT, 1) and ray
+# coefficients from [0, SAMPLE_RAY_SCALE).
+SAMPLE_MIN_WEIGHT = 0.05
+SAMPLE_RAY_SCALE = 1.0
 
 
 @dataclass(frozen=True)
@@ -65,7 +70,7 @@ def max_subdeterminant(A_int: np.ndarray, mode: str = "exact") -> float:
     if mode == "bound":
         return subdet_upper_bound(A_int)
     if mode != "exact":
-        raise ValueError(f"mode must be 'exact' or 'bound', got {mode!r}")
+        raise ValidationError(f"mode must be 'exact' or 'bound', got {mode!r}")
     if A_int.shape[1] > EXACT_SUBDET_CAP:
         raise TooLargeError(f"exact enumeration capped at n <= {EXACT_SUBDET_CAP}, got n={A_int.shape[1]}")
     return float(_exact.max_abs_subdeterminant(A_int.tolist()))
@@ -157,13 +162,7 @@ def start_point(lp: ValidatedLP, start=None, result: OracleResult | None = None)
     return interior_point(result)
 
 
-def sample_feasible(
-    result: OracleResult,
-    rng: np.random.Generator,
-    count: int,
-    ray_scale: float = 1.0,
-    min_weight: float = 0.05,
-) -> np.ndarray:
+def sample_feasible(result: OracleResult, rng: np.random.Generator, count: int) -> np.ndarray:
     """Random feasible points: convex vertex combinations plus ray offsets.
 
     Weights are bounded away from zero so samples stay strictly positive
@@ -172,10 +171,10 @@ def sample_feasible(
     if result.status != "optimal":
         raise NoInteriorPointError("cannot sample from an empty region")
     n_v = len(result.vertices)
-    weights = rng.uniform(min_weight, 1.0, size=(count, n_v))
+    weights = rng.uniform(SAMPLE_MIN_WEIGHT, 1.0, size=(count, n_v))
     weights /= weights.sum(axis=1, keepdims=True)
     pts = weights @ result.vertices
     if len(result.rays):
-        coeff = rng.uniform(0.0, ray_scale, size=(count, len(result.rays)))
+        coeff = rng.uniform(0.0, SAMPLE_RAY_SCALE, size=(count, len(result.rays)))
         pts = pts + coeff @ result.rays
     return pts

@@ -166,6 +166,21 @@ def test_oversized_step_is_a_validation_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("start", ["1,-1", "1,0", "1,nan", "0.5,0.25,0.25"])
+def test_bad_start_exits_alike_in_every_engine(capsys, start):
+    # A start that is not positive, finite and of shape (n,) is a validation error everywhere.
+    codes = {cmd: main([cmd, SIMPLE2, "--start", start]) for cmd in ("solve", "flow", "path")}
+    assert codes == {"solve": 3, "flow": 3, "path": 3}
+    capsys.readouterr()
+
+
+def test_infeasible_start_is_a_validation_error(capsys):
+    # flow accepts an infeasible start; solve and path need a feasible one.
+    assert main(["solve", SIMPLE2, "--start", "1,1"]) == 3
+    assert main(["path", SIMPLE2, "--start", "1,1"]) == 3
+    capsys.readouterr()
+
+
 def run_child(args, env):
     """Run a child interpreter that imports the same physarum as this process.
 
@@ -206,3 +221,24 @@ def test_log_env_var_routes_to_stderr():
     assert proc.returncode == 0
     assert "certified" in proc.stderr
     json.loads(proc.stdout)  # stdout stays pure JSON
+
+
+@pytest.mark.parametrize("args, code", [
+    ("solve --start 1,x", 1),
+    ("path --points 0", 1),
+    ("verify --samples -1", 1),
+    ("verify --seed -1", 1),
+    ("flow --t-end -1", 3),
+    ("flow --sample-dt 0", 3),
+    ("flow --t-end nan", 3),
+    ("solve --max-iters -1", 3),
+    ("solve --trace-every -1", 3),
+    ("path --mu-max -1", 3),
+    ("path --mu-max nan", 3),
+])
+def test_bad_arguments_exit_with_a_code_not_a_traceback(args, code):
+    cmd, *options = args.split()
+    proc = run_cli_child([cmd, SIMPLE2, *options], os.environ)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

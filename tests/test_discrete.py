@@ -22,8 +22,10 @@ from physarum.errors import (
     BadEpsError,
     BadStepError,
     DimensionMismatchError,
+    InfeasibleStartError,
     MissingVerifyDataError,
-    NoFeasibleInteriorStartError,
+    NoInteriorPointError,
+    NonPositiveStateError,
 )
 
 
@@ -36,8 +38,6 @@ def test_config_validation():
         DiscreteConfig(h=1.0)
     with pytest.raises(BadStepError):
         DiscreteConfig(h=-0.1)
-    with pytest.raises(ValueError):
-        DiscreteConfig(fixed_point_tol=0.0)
 
 
 def test_default_step_simple2(simple2):
@@ -132,12 +132,12 @@ def test_solve_warns_when_the_step_cannot_move_x(simple2, caplog):
 def test_solve_start_validation(simple2):
     with pytest.raises(DimensionMismatchError):
         solve(simple2, DiscreteConfig(start=np.array([1.0, 1.0, 1.0])))
-    with pytest.raises(NoFeasibleInteriorStartError):
+    with pytest.raises(InfeasibleStartError):
         solve(simple2, DiscreteConfig(start=np.array([1.0, 1.0])))  # violates A x = b
-    with pytest.raises(NoFeasibleInteriorStartError):
+    with pytest.raises(NonPositiveStateError):
         solve(simple2, DiscreteConfig(start=np.array([1.0, -1.0])))
     lp = validate(LinearProgram.from_lists([[1, 0], [0, 1]], [0, 3], [1, 1]))
-    with pytest.raises(NoFeasibleInteriorStartError):
+    with pytest.raises(NoInteriorPointError):
         solve(lp, DiscreteConfig())  # no strictly positive feasible point exists
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from physarum import check_bounds, compute_params, embed, evaluate, gradient_identity_residual, sample_feasible
+from physarum import check_bounds, compute_params, evaluate, gradient_identity_residual, sample_feasible
 from physarum import dynamics
 from physarum.dynamics import column_potential_bounds
 from physarum.linalg import spd_factor
@@ -97,13 +97,6 @@ def test_gradient_identity_rejects_non_kernel(simple2):
     ev = evaluate(simple2, [0.5, 0.5])
     with pytest.raises(NotInKernelError):
         gradient_identity_residual(simple2, ev, [1.0, 1.0])
-
-
-def test_embed_values():
-    y = embed([0.5, 0.5], [1.0, 2.0])
-    assert np.allclose(y, [2.0 * np.sqrt(0.5), 2.0])
-    with pytest.raises(NonPositiveStateError):
-        embed([0.0, 1.0], [1.0, 1.0])
 
 
 def test_check_bounds_feasible(simple2):

@@ -5,7 +5,7 @@ import pytest
 
 from physarum import FlowConfig, LinearProgram, follow_path, integrate, solve_point, validate
 from physarum.entropy_path import dual_value_and_derivatives
-from physarum.errors import DualOverflowError, InfeasibleStartError
+from physarum.errors import DualOverflowError, InfeasibleStartError, NonPositiveStateError
 
 
 def test_anchor_is_the_zero_parameter_point(simple2):
@@ -74,7 +74,7 @@ def test_warm_start_keeps_newton_cheap(triangle):
 def test_anchor_validation(simple2):
     with pytest.raises(InfeasibleStartError):
         solve_point(simple2, np.array([1.0, 1.0]), 1.0)
-    with pytest.raises(InfeasibleStartError):
+    with pytest.raises(NonPositiveStateError):
         solve_point(simple2, np.array([1.5, -0.5]), 1.0)
     with pytest.raises(ValueError):
         solve_point(simple2, np.array([0.5, 0.5]), -1.0)
@@ -91,4 +91,6 @@ def test_grid_validation(simple2):
         follow_path(simple2, s, [1.0, 0.5])
     with pytest.raises(ValueError):
         follow_path(simple2, s, [-1.0, 0.5])
+    with pytest.raises(ValueError):
+        follow_path(simple2, s, [0.0, np.nan])
     assert follow_path(simple2, s, []) == []

@@ -22,6 +22,8 @@ def test_config_validation():
         FlowConfig(x0=np.array([1.0]), t_end=0.0)
     with pytest.raises(ValueError):
         FlowConfig(x0=np.array([1.0]), t_end=1.0, sample_dt=0.0)
+    with pytest.raises(ValueError):
+        FlowConfig(x0=np.array([1.0]), t_end=np.nan)
 
 
 def test_integrate_input_validation(simple2):
@@ -64,7 +66,6 @@ def test_rate_report_simple2(simple2):
     assert rep.xj_min > 0.9
     assert rep.gap_samples >= 30
     assert not rep.degenerate
-    assert rep.nu_reference == 1.0
 
 
 def test_rate_report_triangle(triangle):

@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="enumerate vertices and rays exactly")
     common(p)
-    p.add_argument("--cap", type=int, default=oracle_mod.ENUMERATION_CAP)
+    p.add_argument("--cap", type=_positive_int, default=oracle_mod.ENUMERATION_CAP)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("params", help="print certified instance constants")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import evaluate
 from .errors import InsufficientTraceError, StepSizeUnderflowError, ValidationError
-from .linalg import spd_factor
+from .linalg import spd_solve
 from .model import Params, ValidatedLP, check_point, default_params
 
 # Absolute tolerance of the integrator on u = ln x.
@@ -40,7 +40,7 @@ def rhs_log(lp: ValidatedLP, u) -> np.ndarray:
     """
     x = np.exp(np.asarray(u, dtype=float))
     w = x / lp.c
-    p = spd_factor((lp.A * w) @ lp.At).solve(lp.b)
+    p = spd_solve((lp.A * w) @ lp.At, lp.b)
     return (lp.At @ p) / lp.c - 1.0
 
 
@@ -56,6 +56,8 @@ class FlowConfig:
             raise ValidationError("t_end must be positive")
         if not self.sample_dt > 0.0:
             raise ValidationError("sample_dt must be positive")
+        if not self.rel_tol > 0.0:
+            raise ValidationError("rel_tol must be positive")
 
 
 @dataclass(frozen=True)

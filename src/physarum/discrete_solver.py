@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .dynamics import evaluate
-from .linalg import spd_factor
+from .linalg import spd_solve
 from .model import Params, ValidatedLP, check_point, default_params
 
 logger = logging.getLogger(__name__)
@@ -54,6 +54,10 @@ FIXED_POINT_TOL = 1e-9
 # inflates the deviation it measures by STEP_SAFETY.
 PILOT_T_END = 40.0
 STEP_SAFETY = 1.3
+
+# Relative margin by which solve's running bound on max(x) is widened per
+# step to cover the rounding of the update and of the bound itself.
+X_CAP_MARGIN = 1.0 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,6 +106,11 @@ class Solution:
     residual_inf: float
     fixed_point_residual: float
     dev_max: float
+
+
+def _columns(buf: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One view per field of a trace buffer, in trace_dtype order."""
+    return tuple(buf[name] for name in buf.dtype.names)
 
 
 def default_step(params: Params, eps: float) -> float:
@@ -192,46 +201,69 @@ def solve(
 
     A, At, b, c = lp.A, lp.At, lp.b, lp.c
     inv_c = 1.0 / c
-    # Grown by doubling and trimmed once at the end.
-    buf = np.empty(1024 if config.trace_every else 0, dtype=trace_dtype(lp.n))
+    maxr, minr = np.maximum.reduce, np.minimum.reduce
+    trace_every = config.trace_every
+    # Grown by doubling and trimmed once at the end; rows are written field
+    # by field through column views, rebound whenever the buffer grows.
+    buf = np.empty(1024 if trace_every else 0, dtype=trace_dtype(lp.n))
+    col_k, col_x, col_cost, col_energy, col_edge = _columns(buf)
     rows = 0
     dev_max = 0.0
     k = 0
     stop = None
     fp_res = math.inf
+    x_cap = float(maxr(x))
 
     # The update is written out rather than calling evaluate: a step needs
     # one Laplacian solve, not evaluate's state checks and result object.
-    # x stays positive (checked after each update), so |x| is x and
+    # x stays positive (proved or checked after each update), so |x| is x and
     # |q - x| / x is |(q - x) / x| without a second abs.
+    #
+    # Two exact checks run only when a cheaper bound cannot decide them.
+    # Positivity: each new coordinate is x_i + h diff_i with |diff_i| <= dev x_i,
+    # so h dev < 0.5 keeps it near x_i / 2 or above (rounding moves it by an
+    # ulp, and at the smallest subnormal |diff_i| / x_i is exact); otherwise,
+    # or when dev is NaN or inf, min(x) is read. Fixed point: x_cap >= max(x)
+    # holds exactly at the start and after each read of max(x), and an update
+    # multiplies no coordinate by more than 1 + h dev, widened by X_CAP_MARGIN
+    # for rounding. While fp_res > FIXED_POINT_TOL (1 + x_cap) the exact test
+    # fails too, so max(x) is read only once fp_res is within that bound.
     while True:
         w = x * inv_c
-        p = spd_factor((A * w) @ At).solve(b)
+        p = spd_solve((A * w) @ At, b)
         edge = At @ p
         q = w * edge
         diff = q - x
         abs_diff = np.abs(diff)
-        fp_res = float(abs_diff.max())
-        dev = float((abs_diff / x).max())
+        fp_res = float(maxr(abs_diff))
+        dev = float(maxr(abs_diff / x))
         if dev > dev_max:
             dev_max = dev
 
-        if config.trace_every and k % config.trace_every == 0:
+        if trace_every and k % trace_every == 0:
             if rows == len(buf):
                 buf = np.concatenate((buf, np.empty_like(buf)))
-            buf[rows] = (k, x, c @ x, b @ p, np.abs(edge).max())
+                col_k, col_x, col_cost, col_energy, col_edge = _columns(buf)
+            col_k[rows] = k
+            col_x[rows] = x
+            col_cost[rows] = c @ x
+            col_energy[rows] = b @ p
+            col_edge[rows] = maxr(np.abs(edge))
             rows += 1
 
-        if fp_res <= FIXED_POINT_TOL * (1.0 + float(x.max())):
-            stop = "FixedPoint"
-            break
+        if not fp_res > FIXED_POINT_TOL * (1.0 + x_cap):
+            x_cap = float(maxr(x))
+            if fp_res <= FIXED_POINT_TOL * (1.0 + x_cap):
+                stop = "FixedPoint"
+                break
         if k >= cap:
             stop = "UserCap" if cap == config.max_iters and config.max_iters < certified_cap else "IterationBound"
             break
 
         x = x + h * diff
-        if x.min() <= 0.0:
+        if not h * dev < 0.5 and minr(x) <= 0.0:
             raise PositivityLostError(f"coordinate became nonpositive at iteration {k + 1}")
+        x_cap *= (1.0 + h * dev) * X_CAP_MARGIN
         k += 1
 
     if k > 0 and np.array_equal(x, x0):

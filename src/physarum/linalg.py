@@ -1,11 +1,14 @@
 """Dense linear-algebra kernels: SPD solves and kernel bases.
 
 Every weighted Laplacian system (A W A^T) p = b in the package is solved
-through spd_factor, so the whole package shares one failure policy: LAPACK
-Cholesky (dpotrf/dpotrs) plus a pivot floor relative to the mean diagonal.
-LAPACK alone only refuses pivots that are not positive, which lets a
-Laplacian that has collapsed onto a boundary face through to a solve whose
-potentials are rounding noise.
+through one of two entry points that share one failure policy: LAPACK
+Cholesky plus a pivot floor relative to the mean diagonal. spd_factor
+(dpotrf) returns the factor for callers that solve against it more than
+once; spd_solve (dposv) factors and solves in one call for callers that
+solve once. Both reject the same matrices, and spd_solve(M, b) is bitwise
+spd_factor(M).solve(b). LAPACK alone only refuses pivots that are not
+positive, which lets a Laplacian that has collapsed onto a boundary face
+through to a solve whose potentials are rounding noise.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv, dpotrf, dpotrs
 
 from .errors import NotPositiveDefiniteError, RankDeficientError, ValidationError
 
@@ -37,29 +40,55 @@ class SpdFactorization:
         return sol
 
 
+def _square(mat) -> np.ndarray:
+    M = np.asarray(mat, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {M.shape}")
+    return M
+
+
+def _check_pivots(M: np.ndarray, low: np.ndarray, info: int) -> None:
+    """Apply the pivot rule to the Cholesky factor LAPACK returned for M.
+
+    Raises NotPositiveDefiniteError when LAPACK refused a pivot or when a
+    pivot L_jj^2 falls at or below ``PIVOT_RTOL * trace / m``.
+    """
+    if info:
+        raise NotPositiveDefiniteError(f"pivot at index {info - 1} is not positive")
+    diag = low.diagonal().tolist()
+    pivot = min(diag) ** 2
+    tol = PIVOT_RTOL * sum(M.diagonal().tolist()) / M.shape[0]
+    # dpotrf and dposv let a NaN pivot through and min() can step over it;
+    # the sum of the pivots cannot.
+    total = sum(diag)
+    if not (pivot > tol and total == total):
+        j = int(low.diagonal().argmin())
+        raise NotPositiveDefiniteError(f"pivot {low[j, j] ** 2:.3e} at index {j} (tolerance {tol:.3e})")
+
+
 def spd_factor(mat: np.ndarray) -> SpdFactorization:
     """Factor a symmetric positive definite matrix, reading its lower triangle.
 
     Raises NotPositiveDefiniteError when a pivot L_jj^2 falls at or below
     ``PIVOT_RTOL * trace / m``.
     """
-    M = np.asarray(mat, dtype=float)
-    m = M.shape[0]
-    if M.shape != (m, m):
-        raise ValidationError(f"expected a square matrix, got shape {M.shape}")
+    M = _square(mat)
     low, info = dpotrf(M, lower=True)
-    if info:
-        raise NotPositiveDefiniteError(f"pivot at index {info - 1} is not positive")
-    diag = low.diagonal().tolist()
-    pivot = min(diag) ** 2
-    tol = PIVOT_RTOL * sum(M.diagonal().tolist()) / m
-    # dpotrf lets a NaN pivot through and min() can step over it; the sum
-    # of the pivots cannot.
-    total = sum(diag)
-    if not (pivot > tol and total == total):
-        j = int(low.diagonal().argmin())
-        raise NotPositiveDefiniteError(f"pivot {low[j, j] ** 2:.3e} at index {j} (tolerance {tol:.3e})")
+    _check_pivots(M, low, info)
     return SpdFactorization(lower=low)
+
+
+def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve M x = rhs for a symmetric positive definite M in one LAPACK call.
+
+    Reads the lower triangle of M and applies the same pivot rule as
+    spd_factor, after the solve, so a rejected matrix raises
+    NotPositiveDefiniteError and its solution is never returned.
+    """
+    M = _square(mat)
+    low, sol, info = dposv(M, rhs, lower=True)
+    _check_pivots(M, low, info)
+    return sol
 
 
 def kernel_basis(A: np.ndarray) -> np.ndarray:

@@ -228,9 +228,12 @@ def test_log_env_var_routes_to_stderr():
     ("path --points 0", 1),
     ("verify --samples -1", 1),
     ("verify --seed -1", 1),
+    ("oracle --cap -1", 1),
+    ("oracle --cap 0", 1),
     ("flow --t-end -1", 3),
     ("flow --sample-dt 0", 3),
     ("flow --t-end nan", 3),
+    ("flow --rel-tol -1 --t-end 1", 3),
     ("solve --max-iters -1", 3),
     ("solve --trace-every -1", 3),
     ("path --mu-max -1", 3),

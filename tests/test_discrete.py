@@ -1,32 +1,43 @@
 """Damped iteration: stepping, stopping, and the progress certificate."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from physarum import (
     DiscreteConfig,
     LinearProgram,
+    Solution,
     Trace,
     certified_step_search,
     certify_trace,
     compute_params,
     default_step,
+    enumerate_polyhedron,
     iteration_bound,
     solve,
     validate,
 )
-from physarum.discrete_solver import ITERATION_HARD_CAP, trace_dtype
+from physarum import oracle as oracle_mod
+from physarum.discrete_solver import FIXED_POINT_TOL, ITERATION_HARD_CAP, X_CAP_MARGIN, trace_dtype
 from physarum.errors import (
     BadEpsError,
     BadStepError,
     DimensionMismatchError,
+    FeasibilityLostError,
     InfeasibleStartError,
     MissingVerifyDataError,
     NoInteriorPointError,
     NonPositiveStateError,
+    PositivityLostError,
 )
+from physarum.linalg import spd_factor
+from physarum.model import check_point, default_params
+from tests.conftest import random_instances
 
 
 def test_config_validation():
@@ -291,3 +302,188 @@ def test_certify_rejects_gapped_entries(simple2):
     )
     with pytest.raises(MissingVerifyDataError):
         certify_trace(simple2, trace, 1.0, 0.1, 0.01, np.array([1.0, 0.0]))
+
+
+def solve_by_loop(lp, config, params=None, oracle_result=None):
+    """Step-by-step reference for solve on a nonzero demand vector.
+
+    Every value the loop reads is computed afresh each step: an exact
+    max(x) before the stop test, an exact min(x) after every update, and a
+    trace row assigned as a tuple. The log line about a stalled step is
+    left out.
+    """
+    if params is None:
+        params = default_params(lp)
+    x = check_point(
+        lp, oracle_mod.start_point(lp, config.start, oracle_result), "start",
+        feasible=not config.allow_infeasible,
+    )
+    certified = default_step(params, config.eps)
+    if config.h is None:
+        h = certified
+    else:
+        h = config.h
+        if h > 0.5 / params.potential_ratio_bound:
+            raise BadStepError("step above the positivity-safe cap")
+
+    v0 = float(lp.c @ x)
+    opt_floor = float(lp.c_int.min()) / params.subdet_max
+    cost_ratio = max(v0 / opt_floor, 1.0)
+    spread = max(float(x.max()), float(1.0 / x.min()), 1.0)
+    certified_cap = iteration_bound(cost_ratio, spread, config.eps, h)
+    cap = min(config.max_iters, certified_cap)
+
+    A, At, b, c = lp.A, lp.At, lp.b, lp.c
+    inv_c = 1.0 / c
+    buf = np.empty(1024 if config.trace_every else 0, dtype=trace_dtype(lp.n))
+    rows = 0
+    dev_max = 0.0
+    k = 0
+    stop = None
+    fp_res = math.inf
+
+    while True:
+        w = x * inv_c
+        p = spd_factor((A * w) @ At).solve(b)
+        edge = At @ p
+        q = w * edge
+        diff = q - x
+        abs_diff = np.abs(diff)
+        fp_res = float(abs_diff.max())
+        dev = float((abs_diff / x).max())
+        if dev > dev_max:
+            dev_max = dev
+
+        if config.trace_every and k % config.trace_every == 0:
+            if rows == len(buf):
+                buf = np.concatenate((buf, np.empty_like(buf)))
+            buf[rows] = (k, x, c @ x, b @ p, np.abs(edge).max())
+            rows += 1
+
+        if fp_res <= FIXED_POINT_TOL * (1.0 + float(x.max())):
+            stop = "FixedPoint"
+            break
+        if k >= cap:
+            stop = "UserCap" if cap == config.max_iters and config.max_iters < certified_cap else "IterationBound"
+            break
+
+        x = x + h * diff
+        if x.min() <= 0.0:
+            raise PositivityLostError(f"coordinate became nonpositive at iteration {k + 1}")
+        k += 1
+
+    resid = float(np.abs(A @ x - b).max())
+    if not config.allow_infeasible and resid > 1e-6 * (float(np.abs(b).max()) + 1.0):
+        raise FeasibilityLostError(f"feasibility drifted to {resid:.3e}")
+
+    sol = Solution(
+        x=x, cost=float(c @ x), iterations=k, stop_reason=stop, h=h, eps=config.eps,
+        residual_inf=resid, fixed_point_residual=fp_res, dev_max=dev_max,
+    )
+    entries = buf[:rows].copy().view(np.recarray)
+    return sol, Trace(entries=entries, h=h, eps=config.eps, trace_every=config.trace_every)
+
+
+def test_solve_matches_step_by_step_reference(simple2, triangle, identity2):
+    cases = []
+    for lp, res in [
+        (simple2, enumerate_polyhedron(simple2)),
+        (triangle, enumerate_polyhedron(triangle)),
+        (identity2, enumerate_polyhedron(identity2)),
+        *(pair for i, pair in enumerate(random_instances(
+            seed=20240801, count=13, require_interior=True, skip_zero_b=True)) if i in (2, 3, 4, 6, 8, 10)),
+    ]:
+        params = compute_params(lp)
+        h, _ = certified_step_search(lp, 0.1, params=params, oracle_result=res)
+        cases.append((lp, DiscreteConfig(eps=0.1, h=h), params, res))
+    lp, config, params, res = cases[6]
+    cases.append((lp, dataclasses.replace(config, trace_every=7), params, res))
+
+    rng = np.random.default_rng(3)
+    A, x0 = rng.integers(-3, 4, size=(12, 48)), rng.integers(1, 4, size=48).astype(float)
+    planted = validate(LinearProgram(A=A, b=A @ x0, c=rng.integers(1, 4, size=48)))
+    params = default_params(planted)
+    h = 0.999 * 0.5 / params.potential_ratio_bound
+    cases.append((planted, DiscreteConfig(h=h, start=x0, trace_every=0, max_iters=3000), params, None))
+
+    # Far below A x = b, q / x - 1 is large: h dev reaches 80 at the cap,
+    # so every step takes the exact positivity check.
+    params = compute_params(simple2)
+    h = 0.999 * 0.5 / params.potential_ratio_bound
+    start = np.array([1e-3, 1e-3])
+    cases.append((simple2, DiscreteConfig(h=h, start=start, allow_infeasible=True, max_iters=200), params, None))
+
+    for lp, config, params, res in cases:
+        sol, trace = solve(lp, config, params=params, oracle_result=res)
+        ref, ref_trace = solve_by_loop(lp, config, params=params, oracle_result=res)
+        assert repr(sol) == repr(ref)
+        for field in dataclasses.fields(Solution):
+            got, want = getattr(sol, field.name), getattr(ref, field.name)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
+        assert (trace.h, trace.eps, trace.trace_every) == (ref_trace.h, ref_trace.eps, ref_trace.trace_every)
+        assert trace.entries.dtype == ref_trace.entries.dtype
+        assert trace.entries.tobytes() == ref_trace.entries.tobytes()
+    assert cases[-1][1].h * sol.dev_max >= 0.5
+
+
+_steps = st.floats(min_value=1e-12, max_value=1.0, exclude_max=True)
+_positive = st.floats(min_value=0.0, max_value=1e200, exclude_min=True)
+_normal = st.floats(min_value=2.0**-1022, max_value=1e200)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(_positive, st.floats(min_value=-1.0, max_value=1.0)), min_size=1, max_size=8),
+    st.floats(min_value=0.0, max_value=0.5), _steps,
+)
+@example([(5e-324, -1.0)], 0.49999999999999994, 0.49999999999999994)
+@example([(1.0, -1.0), (1.5e-323, -1.0)], 0.49999999999999994, 0.49999999999999994)
+@example([(2.0**-1022, -1.0), (1.0, 0.5)], 0.49999999999999994, 0.3)
+def test_small_step_keeps_every_coordinate_positive(pairs, scale, h):
+    # solve skips the exact min(x) check after an update when h dev < 0.5.
+    # diff_i = ratio_i x_i scale / h puts h dev near scale, up to the
+    # boundary; subnormal coordinates are drawn too.
+    x, ratios = np.array(pairs).T
+    diff = ratios * x * (scale / h)
+    dev = float(np.maximum.reduce(np.abs(diff) / x))
+    assume(h * dev < 0.5)
+    assert np.minimum.reduce(x + h * diff) > 0.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(_normal, st.floats(min_value=-1e200, max_value=1e200)), min_size=1, max_size=8),
+    _steps, st.floats(min_value=0.0, max_value=1.0),
+)
+@example([(1.6540610077468225, 2.1618090713222498)], 0.27357215153318887, 0.0)
+@example([(1.0, 1e18), (1e-300, 1e-282)], 1e-12, 0.0)
+def test_running_bound_covers_the_largest_coordinate(pairs, h, slack):
+    # solve reads max(x) exactly only when fp_res <= FIXED_POINT_TOL (1 + x_cap),
+    # so x_cap must stay at or above max(x) after every update, starting from
+    # the exact max or any bound above it. The first example needs the
+    # margin: without it the update rounds up past x_cap (1 + h dev). Below
+    # the smallest normal the rounding of x_cap can fall an ulp short, where
+    # 1 + x_cap and 1 + max(x) are both 1 and the stop test reads the same.
+    x, diff = np.array(pairs).T
+    with np.errstate(over="ignore"):  # an infinite dev gives an infinite bound
+        dev = float(np.maximum.reduce(np.abs(diff) / x))
+    x_cap = float(np.maximum.reduce(x)) * (1.0 + slack)
+    x_cap *= (1.0 + h * dev) * X_CAP_MARGIN
+    assert x_cap >= np.maximum.reduce(x + h * diff)
+
+
+def test_positivity_verdict_with_nan_diff_matches_the_exact_check():
+    # A NaN in diff makes dev NaN, which fails h dev < 0.5, so the exact
+    # check runs and gives the same verdict as always reading min(x): NaN
+    # propagates through the minimum, so neither raises here.
+    x = np.array([1.0, 2.0, 3.0])
+    diff = np.array([np.nan, -100.0, 0.0])
+    h = 0.1
+    dev = float(np.maximum.reduce(np.abs(diff) / x))
+    new = x + h * diff
+    exact = bool(new.min() <= 0.0)
+    shortcut = (not h * dev < 0.5) and bool(np.minimum.reduce(new) <= 0.0)
+    assert math.isnan(dev) and shortcut == exact
+    x_cap = 3.0 * (1.0 + h * dev) * X_CAP_MARGIN
+    # a NaN bound never skips the exact fixed-point test
+    assert not 1e-3 > FIXED_POINT_TOL * (1.0 + x_cap)

@@ -8,6 +8,7 @@ from physarum.errors import (
     DimensionMismatchError,
     InsufficientTraceError,
     NonPositiveStateError,
+    ValidationError,
 )
 
 
@@ -24,6 +25,9 @@ def test_config_validation():
         FlowConfig(x0=np.array([1.0]), t_end=1.0, sample_dt=0.0)
     with pytest.raises(ValueError):
         FlowConfig(x0=np.array([1.0]), t_end=np.nan)
+    for rel_tol in (0.0, -1.0, np.nan):
+        with pytest.raises(ValidationError):
+            FlowConfig(x0=np.array([1.0]), t_end=1.0, rel_tol=rel_tol)
 
 
 def test_integrate_input_validation(simple2):

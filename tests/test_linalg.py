@@ -7,12 +7,21 @@ from hypothesis import strategies as st
 
 from physarum import DiscreteConfig, LinearProgram, evaluate, rhs_log, solve, validate
 from physarum.errors import NotPositiveDefiniteError, RankDeficientError
-from physarum.linalg import PIVOT_RTOL, kernel_basis, spd_factor
+from physarum.linalg import PIVOT_RTOL, kernel_basis, spd_factor, spd_solve
 
 
 def _random_spd(rng, m):
     B = rng.standard_normal((m, m + 2))
     return B @ B.T + 0.1 * np.eye(m)
+
+
+def _factor_then_solve(M, rhs):
+    return spd_factor(M).solve(rhs)
+
+
+# The two entry points share one pivot rule, so every rejection test runs
+# through both.
+SPD_SOLVES = (_factor_then_solve, spd_solve)
 
 
 def test_factor_reconstructs():
@@ -38,22 +47,24 @@ def test_solve_matrix_rhs():
 
 
 def test_factor_rejects_singular():
-    with pytest.raises(NotPositiveDefiniteError):
-        spd_factor(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    for spd in SPD_SOLVES:
+        with pytest.raises(NotPositiveDefiniteError):
+            spd(np.array([[1.0, 1.0], [1.0, 1.0]]), np.ones(2))
 
 
 def test_factor_rejects_indefinite():
-    with pytest.raises(NotPositiveDefiniteError):
-        spd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    for spd in SPD_SOLVES:
+        with pytest.raises(NotPositiveDefiniteError):
+            spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
 
 
 def test_factor_pivot_threshold_is_relative():
     # The floor is PIVOT_RTOL * trace / m, here about 5e-13: LAPACK alone
     # accepts both matrices.
-    with pytest.raises(NotPositiveDefiniteError):
-        spd_factor(np.diag([1.0, 1e-13]))
-    fac = spd_factor(np.diag([1.0, 1e-11]))
-    assert np.allclose(fac.solve(np.array([1.0, 1e-11])), [1.0, 1.0])
+    for spd in SPD_SOLVES:
+        with pytest.raises(NotPositiveDefiniteError):
+            spd(np.diag([1.0, 1e-13]), np.ones(2))
+        assert np.allclose(spd(np.diag([1.0, 1e-11]), np.array([1.0, 1e-11])), [1.0, 1.0])
 
 
 @pytest.mark.parametrize("m", [2, 4, 9])
@@ -61,9 +72,10 @@ def test_factor_pivot_floor_is_the_mean_diagonal(m):
     # diag(1, ..., 1, d) has its smallest pivot squared equal to d and a
     # floor of PIVOT_RTOL * (m - 1 + d) / m, below the largest diagonal.
     floor = PIVOT_RTOL * (m - 1) / m
-    spd_factor(np.diag([1.0] * (m - 1) + [floor * (1 + 1e-6)]))
-    with pytest.raises(NotPositiveDefiniteError, match=f"index {m - 1}"):
-        spd_factor(np.diag([1.0] * (m - 1) + [floor * (1 - 1e-6)]))
+    for spd in SPD_SOLVES:
+        spd(np.diag([1.0] * (m - 1) + [floor * (1 + 1e-6)]), np.ones(m))
+        with pytest.raises(NotPositiveDefiniteError, match=f"index {m - 1}"):
+            spd(np.diag([1.0] * (m - 1) + [floor * (1 - 1e-6)]), np.ones(m))
 
 
 @pytest.mark.parametrize(
@@ -76,15 +88,26 @@ def test_factor_pivot_floor_is_the_mean_diagonal(m):
     ],
 )
 def test_factor_rejects_nan_pivots(mat):
-    # dpotrf returns these factors with info 0; the first has a finite
-    # diagonal, so only the NaN pivot can reject it.
-    with pytest.raises(NotPositiveDefiniteError, match="nan"):
-        spd_factor(np.array(mat))
+    # dpotrf and dposv return these factors with info 0; the first has a
+    # finite diagonal, so only the NaN pivot can reject it.
+    for spd in SPD_SOLVES:
+        with pytest.raises(NotPositiveDefiniteError, match="nan"):
+            spd(np.array(mat), np.ones(len(mat)))
 
 
 def test_factor_rejects_non_square():
-    with pytest.raises(ValueError):
-        spd_factor(np.ones((2, 3)))
+    for spd in SPD_SOLVES:
+        with pytest.raises(ValueError):
+            spd(np.ones((2, 3)), np.ones(2))
+
+
+@pytest.mark.parametrize("m", [1, 3, 12, 48])
+def test_spd_solve_is_bitwise_factor_then_solve(m):
+    rng = np.random.default_rng(m)
+    for _ in range(20):
+        M = _random_spd(rng, m)
+        for rhs in (rng.standard_normal(m), rng.standard_normal((m, 3))):
+            assert spd_solve(M, rhs).tobytes() == spd_factor(M).solve(rhs).tobytes()
 
 
 def test_one_pivot_policy_for_every_laplacian_solve():

@@ -4,55 +4,97 @@ Everything here works on plain Python ints, which have no word-size limit,
 so the brute-force oracle and the structural checks run without rounding
 at any entry size. Elimination is fraction-free: each division
 by the previous pivot is exact (Sylvester's identity), so no Fraction is
-built inside a loop. Sizes are desk scale (a handful of rows, at most a
-few dozen columns in the oracle, a few hundred in the rank check).
+built inside a loop. The largest subdeterminant is not an elimination per
+submatrix: every minor comes from minors one size smaller by Laplace
+expansion, along a depth-first walk over row subsets. Sizes are desk
+scale (a handful of rows, at most a few dozen columns in the oracle, a
+few hundred in the rank check).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 
+def _expansion_tables(n: int, depth: int) -> list[list[tuple[tuple[int, int, int], ...]]]:
+    """Laplace expansion terms for every column subset of size 1..depth.
 
-def det_int(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix (fraction-free elimination)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [[int(v) for v in r] for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    Level k lists the k-subsets of range(n) in lexicographic order (a
+    subset is extended by each column above its largest), and
+    ``tables[k - 1][i]`` holds, for the i-th k-subset C and each position
+    j of a column c in C, the triple (c, index of C minus c in level
+    k - 1, (-1)**(k - 1 + j)): the cofactor terms of an expansion along
+    the last of k rows. A subset with one column dropped is found by
+    arithmetic on the extension offsets of the level below, not by value.
+    """
+    tables = []
+    terms_level: list[tuple[tuple[int, int, int], ...]] = [()]
+    first_level = [0]  # smallest column that extends each subset
+    offsets_below: list[int] = []
+    for _ in range(depth):
+        # Subset i of this level extended by column c lands at offsets[i] + c
+        # of the next level.
+        offsets = []
+        size = 0
+        for first in first_level:
+            offsets.append(size - first)
+            size += n - first
+        terms_next = []
+        first_next = []
+        for i, (terms, first) in enumerate(zip(terms_level, first_level)):
+            for c in range(first, n):
+                # Appending c moves every older column one place further
+                # from the last row, which flips its cofactor sign.
+                terms_next.append(
+                    tuple([(col, offsets_below[t] + c, -sign) for col, t, sign in terms]) + ((c, i, 1),)
+                )
+                first_next.append(c + 1)
+        tables.append(terms_next)
+        terms_level, first_level, offsets_below = terms_next, first_next, offsets
+    return tables
 
 
 def max_abs_subdeterminant(A: list[list[int]]) -> int:
     """Largest absolute determinant over all square submatrices of A.
 
-    Exhaustive over every row subset and column subset of equal size.
-    Exponential in the smaller dimension; callers cap the instance size.
+    Exhaustive over every row subset and column subset of equal size, but
+    no minor is computed twice: row subsets are walked depth first, rows
+    added in increasing order, and the k-minors of a row prefix over every
+    k-subset of columns are each a k-term expansion along the newest row
+    over the (k-1)-minors its parent prefix holds. One walk path holds at
+    most one minor per column subset (2**n). A prefix whose minors are all
+    zero has dependent rows, and so has every prefix below it, which the
+    walk skips. Exponential in the smaller dimension; callers cap the
+    instance size.
     """
     m = len(A)
     n = len(A[0]) if m else 0
+    rows = [[int(v) for v in r] for r in A]
+    depth = min(m, n)
+    tables = _expansion_tables(n, depth)
     best = 0
-    for k in range(1, min(m, n) + 1):
-        for rows in combinations(range(m), k):
-            sub = [A[r] for r in rows]
-            for cols in combinations(range(n), k):
-                d = det_int([[row[c] for c in cols] for row in sub])
-                if abs(d) > best:
-                    best = abs(d)
+
+    def descend(minors: list[int], k: int, start: int) -> None:
+        nonlocal best
+        table = tables[k]
+        for r in range(start, m):
+            row = rows[r]
+            child = []
+            for terms in table:
+                d = 0
+                for c, i, sign in terms:
+                    a = row[c]
+                    if a:
+                        p = minors[i]
+                        if p:
+                            d += sign * a * p
+                child.append(d)
+            hi, lo = max(child), min(child)
+            if hi or lo:
+                best = max(best, hi, -lo)
+                if k + 1 < depth:
+                    descend(child, k + 1, r + 1)
+
+    if depth:
+        descend([1], 0, 0)
     return best
 
 

@@ -199,6 +199,8 @@ def cmd_flow(args) -> int:
 def cmd_path(args) -> int:
     lp, pf = load_validated(args.problem)
     anchor = oracle_mod.start_point(lp, _resolve_start(pf, args.start))
+    if not math.isfinite(args.mu_max):
+        raise ValidationError("--mu-max must be finite")
     mus = np.linspace(0.0, args.mu_max, args.points)
     points = entropy_path.follow_path(lp, anchor, mus)
     if args.trace:

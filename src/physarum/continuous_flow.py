@@ -19,6 +19,7 @@ direction_inf and x_bound_ok.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +53,9 @@ class FlowConfig:
     sample_dt: float = 0.25
 
     def __post_init__(self):
-        if not self.t_end > 0.0:
-            raise ValidationError("t_end must be positive")
-        if not self.sample_dt > 0.0:
-            raise ValidationError("sample_dt must be positive")
-        if not self.rel_tol > 0.0:
-            raise ValidationError("rel_tol must be positive")
+        for name in ("t_end", "sample_dt", "rel_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -94,8 +92,9 @@ def integrate(lp: ValidatedLP, config: FlowConfig, params: Params | None = None)
     else:
         ts[-1] = config.t_end
 
-    # Imported here: scipy.integrate is the slowest import of the package and
-    # only this function needs it.
+    # Imported here, not at module load: SciPy is most of a cold start and
+    # only this function needs scipy.integrate (linalg binds scipy.linalg on
+    # its first solve the same way).
     from scipy.integrate import solve_ivp
 
     result = solve_ivp(

@@ -9,6 +9,14 @@ solve once. Both reject the same matrices, and spd_solve(M, b) is bitwise
 spd_factor(M).solve(b). LAPACK alone only refuses pivots that are not
 positive, which lets a Laplacian that has collapsed onto a boundary face
 through to a solve whose potentials are rounding noise.
+
+SciPy is not imported with this module. Loading scipy.linalg takes about
+two thirds of a cold `import physarum`, and the commands that never solve
+a Laplacian (`params`, `oracle`) should not pay for it. The names dposv,
+dpotrf, dpotrs and qr start out as stubs; the first call of any of them
+imports SciPy and rebinds all four module globals to SciPy's own routine
+objects, so every later call reaches LAPACK through one global lookup,
+as an eager import would.
 """
 
 from __future__ import annotations
@@ -16,14 +24,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dposv, dpotrf, dpotrs
 
 from .errors import NotPositiveDefiniteError, RankDeficientError, ValidationError
 
 # A pivot this small relative to the mean diagonal means the matrix has
 # effectively collapsed onto a boundary face.
 PIVOT_RTOL = 1e-12
+
+
+def _bind_scipy() -> None:
+    """Replace the stubs below with SciPy's routines, once."""
+    global dposv, dpotrf, dpotrs, qr
+    from scipy.linalg import qr
+    from scipy.linalg.lapack import dposv, dpotrf, dpotrs
+
+
+def _stub(name: str):
+    def first_call(*args, **kwargs):
+        _bind_scipy()
+        return globals()[name](*args, **kwargs)
+
+    return first_call
+
+
+dposv, dpotrf, dpotrs, qr = map(_stub, ("dposv", "dpotrf", "dpotrs", "qr"))
 
 
 @dataclass(frozen=True)
@@ -100,7 +124,7 @@ def kernel_basis(A: np.ndarray) -> np.ndarray:
     """
     A = np.asarray(A, dtype=float)
     m, n = A.shape
-    q, r, _ = scipy.linalg.qr(A.T, pivoting=True)
+    q, r, _ = qr(A.T, pivoting=True)
     diag = np.abs(np.diag(r)[:m]) if m else np.array([])
     scale = max(n, m) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
     if m and (diag.size < m or np.any(diag <= max(scale, 0.0))):

@@ -201,10 +201,101 @@ def run_cli_child(args, env):
 
 
 def test_import_leaves_the_ode_solver_unloaded():
-    # scipy.integrate is the slowest import of the package, and only integrate needs it
+    # scipy.integrate is the slowest SciPy import, and only integrate needs it
     proc = run_child(["-c", "import sys, physarum; print('scipy.integrate' in sys.modules)"], os.environ)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+@pytest.mark.parametrize("module", ["physarum", "physarum.cli_io"])
+def test_import_loads_no_scipy(module):
+    proc = run_child(["-c", f"import sys, {module}; {SCIPY_LOADED}"], os.environ)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("args", [
+    ["params", SIMPLE2],
+    ["params", SIMPLE2, "--mode", "exact"],
+    ["oracle", SIMPLE2],
+])
+def test_commands_without_a_laplacian_load_no_scipy(args):
+    # The JSON goes to a discarded buffer so the last line is the module list.
+    script = (
+        "import contextlib, io, sys\n"
+        "from physarum.cli_io import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = main({args!r})\n"
+        f"print(rc); {SCIPY_LOADED}"
+    )
+    proc = run_child(["-c", script], os.environ)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]"]
+
+
+# Each script makes the package's first LAPACK call in a fresh interpreter,
+# then repeats it on SciPy directly. The bound names must be SciPy's own
+# routine objects, so later calls pay no lookup beyond the module global.
+FIRST_CALLS = {
+    "spd_solve": (
+        "got = linalg.spd_solve(M, b)\n",
+        "want = lapack.dposv(M, b, lower=True)[1]\n",
+    ),
+    "spd_factor": (
+        "fac = linalg.spd_factor(M)\n"
+        "got = fac.lower.tobytes() + fac.solve(b).tobytes()\n",
+        "low = lapack.dpotrf(M, lower=True)[0]\n"
+        "want = low.tobytes() + lapack.dpotrs(low, b, lower=True)[0].tobytes()\n",
+    ),
+    "kernel_basis": (
+        "got = linalg.kernel_basis(A)\n",
+        "want = scipy.linalg.qr(A.T, pivoting=True)[0][:, 2:]\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FIRST_CALLS))
+def test_first_lapack_call_matches_scipy(entry):
+    first_call, direct_call = FIRST_CALLS[entry]
+    script = (
+        "import numpy as np\n"
+        "from physarum import linalg\n"
+        "rng = np.random.default_rng(3)\n"
+        "A = rng.standard_normal((2, 5))\n"
+        "M = A @ A.T + np.eye(2)\n"
+        "b = rng.standard_normal(2)\n"
+        + first_call
+        + "import scipy.linalg\n"
+        "from scipy.linalg import lapack\n"
+        + direct_call
+        + "same = (linalg.dposv, linalg.dpotrf, linalg.dpotrs, linalg.qr) == "
+        "(lapack.dposv, lapack.dpotrf, lapack.dpotrs, scipy.linalg.qr)\n"
+        "print(np.asarray(got).tobytes() == np.asarray(want).tobytes(), same)\n"
+    )
+    proc = run_child(["-c", script], os.environ)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
+
+
+@pytest.mark.parametrize("entry", ["spd_solve(M, b)", "spd_factor(M)"])
+def test_first_lapack_call_applies_the_pivot_rule(entry):
+    # A pivot of 1e-13 against a mean diagonal near 0.5 is under PIVOT_RTOL.
+    script = (
+        "import numpy as np\n"
+        "from physarum import linalg\n"
+        "from physarum.errors import NotPositiveDefiniteError\n"
+        "M, b = np.diag([1.0, 1e-13]), np.ones(2)\n"
+        "try:\n"
+        f"    linalg.{entry}\n"
+        "except NotPositiveDefiniteError:\n"
+        "    print('rejected')\n"
+    )
+    proc = run_child(["-c", script], os.environ)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rejected"
 
 
 def test_console_entry_point():
@@ -234,14 +325,19 @@ def test_log_env_var_routes_to_stderr():
     ("flow --sample-dt 0", 3),
     ("flow --t-end nan", 3),
     ("flow --rel-tol -1 --t-end 1", 3),
+    ("flow --t-end inf", 3),
+    ("flow --sample-dt inf", 3),
+    ("flow --rel-tol inf --t-end 1", 3),
     ("solve --max-iters -1", 3),
     ("solve --trace-every -1", 3),
     ("path --mu-max -1", 3),
     ("path --mu-max nan", 3),
+    ("path --mu-max inf", 3),
 ])
 def test_bad_arguments_exit_with_a_code_not_a_traceback(args, code):
     cmd, *options = args.split()
     proc = run_cli_child([cmd, SIMPLE2, *options], os.environ)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
     assert proc.stdout == ""

@@ -1,9 +1,10 @@
-"""The fraction-free integer kernels against rational Gauss-Jordan references.
+"""The exact integer kernels against the eliminations they replaced.
 
-The references below are the Fraction eliminations the kernels replaced,
-kept as they were: rational row reduction for the rank, rational
-Gauss-Jordan for a unique solution, and the oracle's basis loop built on
-the two. Every kernel answer must equal the reference's exactly.
+The references below are kept as they were: rational row reduction for
+the rank, rational Gauss-Jordan for a unique solution, the oracle's basis
+loop built on the two, and one fraction-free determinant per square
+submatrix for the largest subdeterminant. Every kernel answer must equal
+the reference's exactly.
 """
 
 from fractions import Fraction
@@ -15,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from physarum import LinearProgram, enumerate_polyhedron, oracle, validate
-from physarum._exact import det_int, rank_int, solve_unique
-from tests.conftest import planted_instance, random_instances
+from physarum._exact import max_abs_subdeterminant, rank_int, solve_unique
+from tests.conftest import load_instance, planted_instance, random_instances
 
 BIG = 2**40
 
@@ -102,6 +103,45 @@ def ref_det(rows):
     return det
 
 
+def bareiss_det(rows):
+    """Determinant of a square integer matrix (fraction-free elimination)."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [[int(v) for v in r] for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def ref_max_abs_subdeterminant(A):
+    """One fresh elimination per square submatrix."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    best = 0
+    for k in range(1, min(m, n) + 1):
+        for rows in combinations(range(m), k):
+            sub = [A[r] for r in rows]
+            for cols in combinations(range(n), k):
+                d = bareiss_det([[row[c] for c in cols] for row in sub])
+                if abs(d) > best:
+                    best = abs(d)
+    return best
+
+
 def as_fractions(sol):
     if sol is None:
         return None
@@ -160,7 +200,62 @@ def test_rank_matches_rational_elimination(mat):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 6).flatmap(lambda k: int_matrices(rows=st.just(k), cols=st.just(k))))
 def test_det_matches_rational_elimination(mat):
-    assert det_int(mat) == ref_det(mat)
+    # The subdeterminant reference is only as good as its determinant.
+    assert bareiss_det(mat) == ref_det(mat)
+
+
+@st.composite
+def subdet_matrices(draw):
+    """int_matrices, taller than wide as often as wider, sometimes with a zero row
+    and sometimes with a row of ones appended (the [A; 1^T] of criterion 10)."""
+    mat = draw(int_matrices(rows=st.integers(1, 7), cols=st.integers(1, 7)))
+    if draw(st.booleans()):
+        mat[draw(st.integers(0, len(mat) - 1))] = [0] * len(mat[0])
+    if draw(st.booleans()):
+        mat.append([1] * len(mat[0]))
+    return mat
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(subdet_matrices())
+def test_max_subdeterminant_matches_one_elimination_per_submatrix(mat):
+    assert max_abs_subdeterminant(mat) == ref_max_abs_subdeterminant(mat)
+
+
+@pytest.mark.parametrize(
+    "mat, want",
+    [
+        ([[0, 0], [0, 0]], 0),
+        ([[2, 0], [0, 0], [0, 3]], 6),  # a zero row between the two that matter
+        ([[1, 1], [1, 1], [1, -1]], 2),  # the first two rows are dependent, the first and third are not
+        ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], 1),  # a permutation matrix, det = -1
+        ([[BIG, BIG + 1], [BIG - 1, BIG]], BIG + 1),  # a 1-minor beats the determinant 1
+        ([[BIG, -BIG], [BIG, BIG]], 2 * BIG * BIG),
+    ],
+)
+def test_max_subdeterminant_examples(mat, want):
+    assert max_abs_subdeterminant(mat) == want == ref_max_abs_subdeterminant(mat)
+
+
+def with_ones(A):
+    return A + [[1] * len(A[0])]
+
+
+def test_max_subdeterminant_on_fuzz_and_acceptance_corpora():
+    instances = [lp for lp, _ in random_instances(seed=20240801, count=200, require_feasible=False)]
+    instances += [lp for lp, _ in random_instances(seed=20240801, count=25, require_interior=True, skip_zero_b=True)]
+    instances += [load_instance(name)[0] for name in ("simple2", "identity2", "triangle")]
+    for lp in instances:
+        A = lp.A_int.tolist()
+        for mat in (A, with_ones(A)):
+            assert max_abs_subdeterminant(mat) == ref_max_abs_subdeterminant(mat), mat
+
+
+@pytest.mark.parametrize("m, n", [(4, 10), (5, 12), (6, 14)])
+def test_max_subdeterminant_on_planted(m, n):
+    A = planted_instance(np.random.default_rng(m), m, n).A_int.tolist()
+    for mat in (A, with_ones(A)):
+        assert max_abs_subdeterminant(mat) == ref_max_abs_subdeterminant(mat)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -171,7 +266,7 @@ def test_solve_unique_matches_rational_gauss_jordan(system):
     assert as_fractions(sol) == ref_solve_unique(mat, rhs)
     if sol is not None and len(mat) == len(mat[0]):
         # Square: the common denominator is |det| itself, not a multiple.
-        assert sol[1] == abs(det_int(mat))
+        assert sol[1] == abs(ref_det(mat))
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,13 @@ def test_config_validation():
         FlowConfig(x0=np.array([1.0]), t_end=1.0, sample_dt=0.0)
     with pytest.raises(ValueError):
         FlowConfig(x0=np.array([1.0]), t_end=np.nan)
-    for rel_tol in (0.0, -1.0, np.nan):
+    for t_end in (np.inf, float("inf")):
+        with pytest.raises(ValidationError):
+            FlowConfig(x0=np.array([1.0]), t_end=t_end)
+    for sample_dt in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            FlowConfig(x0=np.array([1.0]), t_end=1.0, sample_dt=sample_dt)
+    for rel_tol in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValidationError):
             FlowConfig(x0=np.array([1.0]), t_end=1.0, rel_tol=rel_tol)
 

@@ -14,7 +14,7 @@ toward the limit face is what rate_report measures.
 
 The trace is one numpy record array with a row per sample time and the
 fields t, x (shape (n,)), cost, energy, feas_residual, edge_potential_inf,
-direction_inf and x_bound_ok.
+direction_inf, deviation_inf (max |q_i / x_i - 1|) and x_bound_ok.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ def rhs_log(lp: ValidatedLP, u) -> np.ndarray:
     """
     x = np.exp(np.asarray(u, dtype=float))
     w = x / lp.c
-    p = spd_solve((lp.A * w) @ lp.At, lp.b)
-    return (lp.At @ p) / lp.c - 1.0
+    p = spd_solve(np.dot(lp.A * w, lp.At), lp.b)
+    return np.dot(lp.At, p) / lp.c - 1.0
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def integrate(lp: ValidatedLP, config: FlowConfig, params: Params | None = None)
     cap = np.maximum(x0, params.flux_bound) * (1.0 + 1e-6)
     entries = np.recarray(len(result.t), dtype=[
         ("t", float), ("x", float, (lp.n,)), ("cost", float), ("energy", float), ("feas_residual", float),
-        ("edge_potential_inf", float), ("direction_inf", float), ("x_bound_ok", bool),
+        ("edge_potential_inf", float), ("direction_inf", float), ("deviation_inf", float), ("x_bound_ok", bool),
     ])
     for row, (t, u) in enumerate(zip(result.t, result.y.T)):
         x = np.exp(u)
@@ -116,7 +116,7 @@ def integrate(lp: ValidatedLP, config: FlowConfig, params: Params | None = None)
         resid = np.abs(A @ (x - decay * x0) - (1.0 - decay) * b).max()
         entries[row] = (
             t, x, ev.cost, ev.energy, resid, ev.edge_potential_inf,
-            np.abs(ev.direction).max(), np.all(x <= cap),
+            np.abs(ev.direction).max(), np.abs(ev.flux / ev.x - 1.0).max(), np.all(x <= cap),
         )
     return FlowTrace(entries=entries, x0=x0, params=params, rel_tol=config.rel_tol)
 

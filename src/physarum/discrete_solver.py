@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,9 @@ from .errors import (
     PositivityLostError,
     ValidationError,
 )
-from .dynamics import evaluate
+# evaluate is not called here, but bench/spans.py records spans by
+# rebinding discrete_solver.evaluate, so the name stays bound.
+from .dynamics import evaluate  # noqa: F401
 from .linalg import spd_solve
 from .model import Params, ValidatedLP, check_point, default_params
 
@@ -76,8 +79,12 @@ class DiscreteConfig:
             raise BadEpsError(f"eps must lie in (0, 1/2), got {self.eps}")
         if self.h is not None and not (0.0 < self.h < 1.0):
             raise BadStepError(f"h must lie in (0, 1), got {self.h}")
-        if self.max_iters < 0 or self.trace_every < 0:
-            raise ValidationError("max_iters and trace_every must be nonnegative")
+        for name in ("max_iters", "trace_every"):
+            value = getattr(self, name)
+            # A NaN cap would never stop the loop and a fraction would round
+            # up (max_iters) or skip rows (trace_every).
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 def trace_dtype(n: int) -> np.dtype:
@@ -201,7 +208,8 @@ def solve(
 
     A, At, b, c = lp.A, lp.At, lp.b, lp.c
     inv_c = 1.0 / c
-    maxr, minr = np.maximum.reduce, np.minimum.reduce
+    maxr, minr, dot = np.maximum.reduce, np.minimum.reduce, np.dot
+    mul, sub, add, div, absolute = np.multiply, np.subtract, np.add, np.divide, np.absolute
     trace_every = config.trace_every
     # Grown by doubling and trimmed once at the end; rows are written field
     # by field through column views, rebound whenever the buffer grows.
@@ -219,6 +227,16 @@ def solve(
     # x stays positive (proved or checked after each update), so |x| is x and
     # |q - x| / x is |(q - x) / x| without a second abs.
     #
+    # At m <= 3 a step costs its numpy calls, not their arithmetic, so every
+    # per-step array is written with out= into a buffer allocated here, the
+    # small products use np.dot (the same BLAS call as @, without matmul's
+    # dispatch), and |q - x|, |q - x| / x and, on traced rows, |A^T p| fill
+    # the rows of R so that one max-reduction yields fp_res, dev and the
+    # trace's edge_potential_inf. The maximum is exact and propagates NaN,
+    # so each value is the one three separate reductions would give. Row 2
+    # is stale on untraced rows and its maximum unused. x alternates between
+    # two buffers; the caller's start is never written.
+    #
     # Two exact checks run only when a cheaper bound cannot decide them.
     # Positivity: each new coordinate is x_i + h diff_i with |diff_i| <= dev x_i,
     # so h dev < 0.5 keeps it near x_i / 2 or above (rounding moves it by an
@@ -228,27 +246,37 @@ def solve(
     # multiplies no coordinate by more than 1 + h dev, widened by X_CAP_MARGIN
     # for rounding. While fp_res > FIXED_POINT_TOL (1 + x_cap) the exact test
     # fails too, so max(x) is read only once fp_res is within that bound.
+    x, x_next = x.copy(), np.empty_like(x)
+    w, edge, q, diff, step = (np.empty_like(x) for _ in range(5))
+    Aw, lap = np.empty_like(A), np.empty((lp.m, lp.m))
+    R = np.zeros((3, lp.n))
+    abs_diff, rel_diff, abs_edge = R
+    h_arr = np.array(h)  # a 0-d array multiplies faster than a Python float
     while True:
-        w = x * inv_c
-        p = spd_solve((A * w) @ At, b)
-        edge = At @ p
-        q = w * edge
-        diff = q - x
-        abs_diff = np.abs(diff)
-        fp_res = float(maxr(abs_diff))
-        dev = float(maxr(abs_diff / x))
+        mul(x, inv_c, out=w)
+        mul(A, w, out=Aw)
+        p = spd_solve(dot(Aw, At, out=lap), b)
+        dot(At, p, out=edge)
+        mul(w, edge, out=q)
+        sub(q, x, out=diff)
+        absolute(diff, out=abs_diff)
+        div(abs_diff, x, out=rel_diff)
+        traced = trace_every and k % trace_every == 0
+        if traced:
+            absolute(edge, out=abs_edge)
+        fp_res, dev, edge_inf = maxr(R, 1).tolist()
         if dev > dev_max:
             dev_max = dev
 
-        if trace_every and k % trace_every == 0:
+        if traced:
             if rows == len(buf):
                 buf = np.concatenate((buf, np.empty_like(buf)))
                 col_k, col_x, col_cost, col_energy, col_edge = _columns(buf)
             col_k[rows] = k
             col_x[rows] = x
-            col_cost[rows] = c @ x
-            col_energy[rows] = b @ p
-            col_edge[rows] = maxr(np.abs(edge))
+            col_cost[rows] = dot(c, x)
+            col_energy[rows] = dot(b, p)
+            col_edge[rows] = edge_inf
             rows += 1
 
         if not fp_res > FIXED_POINT_TOL * (1.0 + x_cap):
@@ -260,7 +288,8 @@ def solve(
             stop = "UserCap" if cap == config.max_iters and config.max_iters < certified_cap else "IterationBound"
             break
 
-        x = x + h * diff
+        mul(diff, h_arr, out=step)
+        x, x_next = add(x, step, out=x_next), x
         if not h * dev < 0.5 and minr(x) <= 0.0:
             raise PositivityLostError(f"coordinate became nonpositive at iteration {k + 1}")
         x_cap *= (1.0 + h * dev) * X_CAP_MARGIN
@@ -374,10 +403,8 @@ def certified_step_search(
         trace = continuous_flow.integrate(
             lp, continuous_flow.FlowConfig(x0=start, t_end=PILOT_T_END), params=params,
         )
-        dev = 1e-12
-        for entry in trace.entries:
-            ev = evaluate(lp, entry.x)
-            dev = max(dev, float(np.abs(ev.flux / ev.x - 1.0).max()))
+        # fmax skips a NaN sample, as a running max() over the samples would.
+        dev = max(1e-12, float(np.fmax.reduce(trace.entries.deviation_inf)))
     except NumericalError as exc:
         logger.warning("pilot integration failed (%s); falling back to the worst-case step", exc)
         return h_auto, math.inf

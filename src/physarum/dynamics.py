@@ -86,10 +86,9 @@ def evaluate(lp: ValidatedLP, x) -> DynamicsEval:
     """Evaluate the dynamics at a positive state (feasibility not required)."""
     x = check_point(lp, x, "state")
     w = x / lp.c
-    lap = (lp.A * w) @ lp.At
-    fac = spd_factor(lap)
+    fac = spd_factor(np.dot(lp.A * w, lp.At))
     p = fac.solve(lp.b)
-    edge = lp.At @ p
+    edge = np.dot(lp.At, p)
     q = w * edge
     return DynamicsEval(
         x=x,
@@ -98,8 +97,8 @@ def evaluate(lp: ValidatedLP, x) -> DynamicsEval:
         edge_potentials=edge,
         flux=q,
         direction=q - x,
-        energy=float(lp.b @ p),
-        cost=float(lp.c @ x),
+        energy=float(np.dot(lp.b, p)),
+        cost=float(np.dot(lp.c, x)),
         lp=lp,
         factor=fac,
     )

@@ -17,6 +17,11 @@ dpotrf, dpotrs and qr start out as stubs; the first call of any of them
 imports SciPy and rebinds all four module globals to SciPy's own routine
 objects, so every later call reaches LAPACK through one global lookup,
 as an eager import would.
+
+At m <= 3 call overhead, not arithmetic, sets the cost of a solve, so the
+LAPACK routines take positional arguments (a keyword lower=True adds about
+40% to a 1.7 us dposv at m = 3) and callers form each Laplacian with np.dot,
+which reaches the same BLAS routine as @ without matmul's dispatch.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ class SpdFactorization:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve against a vector or against the columns of a matrix."""
-        sol, info = dpotrs(self.lower, rhs, lower=True)
+        sol, info = dpotrs(self.lower, rhs, 1)
         if info:
             raise ValueError(f"dpotrs rejected argument {-info}")
         return sol
@@ -97,7 +102,7 @@ def spd_factor(mat: np.ndarray) -> SpdFactorization:
     ``PIVOT_RTOL * trace / m``.
     """
     M = _square(mat)
-    low, info = dpotrf(M, lower=True)
+    low, info = dpotrf(M, 1)
     _check_pivots(M, low, info)
     return SpdFactorization(lower=low)
 
@@ -110,7 +115,7 @@ def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     NotPositiveDefiniteError and its solution is never returned.
     """
     M = _square(mat)
-    low, sol, info = dposv(M, rhs, lower=True)
+    low, sol, info = dposv(M, rhs, 1)
     _check_pivots(M, low, info)
     return sol
 

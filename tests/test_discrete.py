@@ -34,6 +34,7 @@ from physarum.errors import (
     NoInteriorPointError,
     NonPositiveStateError,
     PositivityLostError,
+    ValidationError,
 )
 from physarum.linalg import spd_factor
 from physarum.model import check_point, default_params
@@ -49,6 +50,14 @@ def test_config_validation():
         DiscreteConfig(h=1.0)
     with pytest.raises(BadStepError):
         DiscreteConfig(h=-0.1)
+    # Counts must be integers: a NaN cap never stopped the loop, max_iters=2.5
+    # stopped at k = 3 and trace_every=2.5 recorded every 5th step.
+    for name in ("max_iters", "trace_every"):
+        for bad in (-1, float("nan"), 2.5, 3.0, True, "5", None):
+            with pytest.raises(ValidationError, match=name):
+                DiscreteConfig(**{name: bad})
+        for good in (0, 7, np.int64(7)):
+            assert getattr(DiscreteConfig(**{name: good}), name) == good
 
 
 def test_default_step_simple2(simple2):
@@ -128,7 +137,8 @@ def test_solve_warns_when_the_step_cannot_move_x(simple2, caplog):
     with caplog.at_level("WARNING", logger="physarum.discrete_solver"):
         sol, _ = solve(simple2, DiscreteConfig(eps=0.1, h=1e-30, start=x0, max_iters=50))
     assert sol.stop_reason == "UserCap" and sol.iterations == 50
-    assert np.array_equal(sol.x, x0)
+    assert np.array_equal(sol.x, x0) and not np.shares_memory(sol.x, x0)
+    assert np.array_equal(x0, [0.5, 0.5])
     stalled = [rec for rec in caplog.records if "bit-identical" in rec.message]
     assert len(stalled) == 1
     assert "1.000e-30" in stalled[0].message and "certified_step_search" in stalled[0].message
@@ -413,8 +423,17 @@ def test_solve_matches_step_by_step_reference(simple2, triangle, identity2):
     start = np.array([1e-3, 1e-3])
     cases.append((simple2, DiscreteConfig(h=h, start=start, allow_infeasible=True, max_iters=200), params, None))
 
+    rows = []
     for lp, config, params, res in cases:
+        start = oracle_mod.start_point(lp, config.start, res)
+        config = dataclasses.replace(config, start=start)
+        before = start.copy()
         sol, trace = solve(lp, config, params=params, oracle_result=res)
+        # solve steps on buffers of its own: the start is left as it was and
+        # the result shares memory with neither the start nor the trace.
+        assert start.tobytes() == before.tobytes()
+        assert not np.shares_memory(sol.x, start) and not np.shares_memory(sol.x, trace.entries)
+        rows.append((config.trace_every, len(trace.entries)))
         ref, ref_trace = solve_by_loop(lp, config, params=params, oracle_result=res)
         assert repr(sol) == repr(ref)
         for field in dataclasses.fields(Solution):
@@ -424,6 +443,25 @@ def test_solve_matches_step_by_step_reference(simple2, triangle, identity2):
         assert trace.entries.dtype == ref_trace.entries.dtype
         assert trace.entries.tobytes() == ref_trace.entries.tobytes()
     assert cases[-1][1].h * sol.dev_max >= 0.5
+    # The trace buffer starts at 1024 rows and doubles: one traced-every-step
+    # case doubles it at least twice and the trace_every=7 case at least once.
+    assert max(n for every, n in rows if every == 1) > 2048
+    assert max(n for every, n in rows if every == 7) > 1024
+
+
+def test_solve_and_reference_lose_positivity_at_the_same_iteration():
+    # A = [1, -1] makes a_2 . p negative, so q_2 < 0; far below A x = b the
+    # potentials are large, and the largest safe h drives x_2 below zero.
+    lp = validate(LinearProgram.from_lists([[1, -1]], [1], [1, 1]))
+    params = compute_params(lp)
+    h = 0.999 * 0.5 / params.potential_ratio_bound
+    config = DiscreteConfig(h=h, start=np.array([0.1, 0.1]), allow_infeasible=True, max_iters=200)
+    with pytest.raises(PositivityLostError) as got:
+        solve(lp, config, params=params)
+    with pytest.raises(PositivityLostError) as want:
+        solve_by_loop(lp, config, params=params)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value) == "coordinate became nonpositive at iteration 2"
 
 
 _steps = st.floats(min_value=1e-12, max_value=1.0, exclude_max=True)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from physarum import FlowConfig, enumerate_polyhedron, integrate, rate_report, rhs_log
+from physarum import FlowConfig, enumerate_polyhedron, evaluate, integrate, rate_report, rhs_log
 from physarum.errors import (
     DimensionMismatchError,
     InsufficientTraceError,
@@ -56,6 +56,10 @@ def test_integrate_simple2_feasible_start(simple2):
     assert all(e.x_bound_ok for e in trace.entries)
     costs = [e.cost for e in trace.entries]
     assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
+    # deviation_inf is max |q_i / x_i - 1| of the dynamics at each sample
+    devs = [float(np.abs(ev.flux / ev.x - 1.0).max()) for ev in (evaluate(simple2, e.x) for e in trace.entries)]
+    assert trace.entries.deviation_inf.tolist() == devs
+    assert trace.entries[0].deviation_inf == pytest.approx(1.0 / 3.0)
 
 
 def test_integrate_infeasible_start_contracts(simple2):

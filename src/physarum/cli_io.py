@@ -51,7 +51,6 @@ EXIT_VERIFY = 5
 @dataclass(frozen=True)
 class ProblemFile:
     lp: LinearProgram
-    name: str
     start: np.ndarray | None
 
 
@@ -88,7 +87,7 @@ def parse_problem(path) -> ProblemFile:
             start = np.asarray(doc["start"], dtype=float)
         except (ValueError, TypeError) as exc:
             raise MalformedProblemError(f"{path}: bad 'start' vector: {exc}") from exc
-    return ProblemFile(lp=lp, name=name, start=start)
+    return ProblemFile(lp=lp, start=start)
 
 
 def load_validated(path) -> tuple[ValidatedLP, ProblemFile]:
@@ -156,7 +155,7 @@ def cmd_solve(args) -> int:
         )
         _write_trace_csv(args.trace, header, rows)
     _emit({
-        "command": "solve", "name": pf.name, "m": lp.m, "n": lp.n,
+        "command": "solve", "name": lp.name, "m": lp.m, "n": lp.n,
         "eps": sol.eps, "h": sol.h, "x": sol.x, "cost": sol.cost,
         "iterations": sol.iterations, "stop_reason": sol.stop_reason,
         "residual_inf": sol.residual_inf,
@@ -185,7 +184,7 @@ def cmd_flow(args) -> int:
         _write_trace_csv(args.trace, header, rows)
     final = trace.final
     _emit({
-        "command": "flow", "name": pf.name, "m": lp.m, "n": lp.n,
+        "command": "flow", "name": lp.name, "m": lp.m, "n": lp.n,
         "t_end": args.t_end, "samples": len(e),
         "x_final": final.x, "cost_final": final.cost,
         "direction_inf_final": final.direction_inf,
@@ -214,7 +213,7 @@ def cmd_path(args) -> int:
         _write_trace_csv(args.trace, header, rows)
     last = points[-1]
     _emit({
-        "command": "path", "name": pf.name, "m": lp.m, "n": lp.n,
+        "command": "path", "name": lp.name, "m": lp.m, "n": lp.n,
         "mu_max": args.mu_max, "points": len(points),
         "x_final": last.x, "cost_final": float(lp.c @ last.x),
         "dual_value_final": last.dual_value,
@@ -225,11 +224,11 @@ def cmd_path(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    lp, pf = load_validated(args.problem)
+    lp, _ = load_validated(args.problem)
     result = oracle_mod.enumerate_polyhedron(lp, cap=args.cap)
     doc = {
-        "command": "oracle", "name": pf.name, "m": lp.m, "n": lp.n,
-        "status": result.status, "exact": result.exact,
+        "command": "oracle", "name": lp.name, "m": lp.m, "n": lp.n,
+        "status": result.status,
         "vertices": result.vertices, "rays": result.rays,
     }
     if result.status == "optimal":
@@ -244,10 +243,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_params(args) -> int:
-    lp, pf = load_validated(args.problem)
+    lp, _ = load_validated(args.problem)
     params = compute_params(lp, mode=args.mode)
     _emit({
-        "command": "params", "name": pf.name, "m": lp.m, "n": lp.n,
+        "command": "params", "name": lp.name, "m": lp.m, "n": lp.n,
         "cost_sum": params.cost_sum,
         "subdet_max": params.subdet_max,
         "subdet_exact": params.subdet_exact,
@@ -345,11 +344,11 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
 
 
 def cmd_verify(args) -> int:
-    lp, pf = load_validated(args.problem)
+    lp, _ = load_validated(args.problem)
     report = run_verification(lp, eps=args.eps, h=args.h,
                               samples=args.samples, seed=args.seed,
                               max_iters=args.max_iters)
-    report.update({"command": "verify", "name": pf.name})
+    report.update({"command": "verify", "name": lp.name})
     _emit(report)
     return EXIT_OK if report["ok"] else EXIT_VERIFY
 

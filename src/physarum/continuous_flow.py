@@ -61,8 +61,6 @@ class FlowConfig:
 @dataclass(frozen=True)
 class FlowTrace:
     entries: np.recarray  # one row per sample time, fields as in the module docstring
-    x0: np.ndarray
-    params: Params
     rel_tol: float  # the integrator's relative tolerance; sets the trace's noise floor
 
     @property
@@ -118,7 +116,7 @@ def integrate(lp: ValidatedLP, config: FlowConfig, params: Params | None = None)
             t, x, ev.cost, ev.energy, resid, ev.edge_potential_inf,
             np.abs(ev.direction).max(), np.abs(ev.flux / ev.x - 1.0).max(), np.all(x <= cap),
         )
-    return FlowTrace(entries=entries, x0=x0, params=params, rel_tol=config.rel_tol)
+    return FlowTrace(entries=entries, rel_tol=config.rel_tol)
 
 
 @dataclass(frozen=True)
@@ -129,8 +127,6 @@ class ConvergenceReport:
     gap_samples: int
     xn_slope: float | None
     xj_min: float
-    x_limit: np.ndarray
-    limit_residual_inf: float
     degenerate: bool
 
 
@@ -177,14 +173,10 @@ def rate_report(trace: FlowTrace, opt: float, oracle_result) -> ConvergenceRepor
             xn_slope = float(-np.polyfit(ts[pos], np.log(xn[pos]), 1)[0])
 
     xj_min = float(xs[:, j_set].min()) if j_set else 0.0
-
-    final = entries[-1]
     return ConvergenceReport(
         nu_hat=nu_hat,
         gap_samples=int(usable.sum()),
         xn_slope=xn_slope,
         xj_min=xj_min,
-        x_limit=final.x,
-        limit_residual_inf=float(final.direction_inf),
         degenerate=len(oracle_result.optimal_indices) > 1,
     )

@@ -335,10 +335,14 @@ def certify_trace(lp: ValidatedLP, trace: Trace, opt: float, eps: float, h: floa
     Also labels which sufficient condition held at the earlier point: a
     large energy/cost gap (E/V < 1 - eps/3) or energy still well above
     optimal (E > (1 + eps/3) opt); one of the two always must.
-    Requires a trace recorded at every step.
+    Requires a trace recorded at every step, and eps and h equal to the
+    trace's own: the drop the certificate demands is the one those values
+    promise for the run that produced the trace.
     """
     if trace.trace_every != 1:
         raise MissingVerifyDataError("certification needs a trace recorded at every step")
+    if eps != trace.eps or h != trace.h:
+        raise ValidationError(f"eps={eps!r}, h={h!r} differ from the trace's eps={trace.eps!r}, h={trace.h!r}")
     if opt <= 0.0:
         raise ValidationError("the optimal value must be positive to form the potential")
     x_star = np.asarray(x_star, dtype=float)

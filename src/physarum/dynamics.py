@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, NotInKernelError
-from .linalg import SpdFactorization, spd_factor
+from .linalg import spd_factor, spd_solve
 from .model import Params, ValidatedLP, check_point
 
 BOUND_RTOL = 1e-8
@@ -46,8 +46,8 @@ class DynamicsEval:
     cost        c . x
     energy_flux quadratic-form recomputation of the energy
 
-    The split and energy_flux are computed on first read; the split costs
-    a second Laplacian solve.
+    The split and energy_flux are computed on first read; the split forms
+    the Laplacian again and costs a second solve.
     """
 
     x: np.ndarray
@@ -59,7 +59,6 @@ class DynamicsEval:
     energy: float
     cost: float
     lp: ValidatedLP = field(repr=False, compare=False)
-    factor: SpdFactorization = field(repr=False, compare=False)
 
     @cached_property
     def edge_potential_inf(self) -> float:
@@ -67,7 +66,8 @@ class DynamicsEval:
 
     @cached_property
     def _split_potentials(self) -> np.ndarray:
-        return self.factor.solve(self.lp.A @ self.x)
+        lp = self.lp
+        return spd_solve(np.dot(lp.A * self.weights, lp.At), lp.A @ self.x)
 
     @cached_property
     def feas_direction(self) -> np.ndarray:
@@ -83,11 +83,13 @@ class DynamicsEval:
 
 
 def evaluate(lp: ValidatedLP, x) -> DynamicsEval:
-    """Evaluate the dynamics at a positive state (feasibility not required)."""
-    x = check_point(lp, x, "state")
+    """Evaluate the dynamics at a positive state (feasibility not required).
+
+    The state is copied, so the frozen result never shares the caller's array.
+    """
+    x = check_point(lp, np.array(x, dtype=float), "state")
     w = x / lp.c
-    fac = spd_factor(np.dot(lp.A * w, lp.At))
-    p = fac.solve(lp.b)
+    p = spd_solve(np.dot(lp.A * w, lp.At), lp.b)
     edge = np.dot(lp.At, p)
     q = w * edge
     return DynamicsEval(
@@ -100,7 +102,6 @@ def evaluate(lp: ValidatedLP, x) -> DynamicsEval:
         energy=float(np.dot(lp.b, p)),
         cost=float(np.dot(lp.c, x)),
         lp=lp,
-        factor=fac,
     )
 
 

@@ -3,9 +3,8 @@
 Every weighted Laplacian system (A W A^T) p = b in the package is solved
 through one of two entry points that share one failure policy: LAPACK
 Cholesky plus a pivot floor relative to the mean diagonal. spd_factor
-(dpotrf) returns the factor for callers that solve against it more than
-once; spd_solve (dposv) factors and solves in one call for callers that
-solve once. Both reject the same matrices, and spd_solve(M, b) is bitwise
+(dpotrf) returns the factor, which solves right-hand sides given later;
+spd_solve (dposv) factors and solves in one call. Both reject the same matrices, and spd_solve(M, b) is bitwise
 spd_factor(M).solve(b). LAPACK alone only refuses pivots that are not
 positive, which lets a Laplacian that has collapsed onto a boundary face
 through to a solve whose potentials are rounding noise.

@@ -104,8 +104,6 @@ class Params:
     subdet_exact: bool
     potential_ratio_bound: float
     flux_bound: float
-    m: int
-    n: int
 
 
 def validate(lp: LinearProgram) -> ValidatedLP:
@@ -126,7 +124,9 @@ def validate(lp: LinearProgram) -> ValidatedLP:
         raise RankDeficientError(f"more rows than columns ({m} > {n}); rows cannot be independent")
     for name, arr in (("A", A), ("b", b), ("c", c)):
         if not np.issubdtype(arr.dtype, np.integer):
-            if not (np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.floor(arr)) and np.all(np.isfinite(arr))):
+            # The range test also rules out NaN and inf, and keeps the int64 cast exact.
+            if not (np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.floor(arr))
+                    and np.all((arr >= -(2.0**63)) & (arr < 2.0**63))):
                 raise DimensionMismatchError(f"{name} must contain integers")
     A_int = A.astype(np.int64)
     b_int = b.astype(np.int64)
@@ -189,8 +189,6 @@ def compute_params(lp: ValidatedLP, mode: str = "exact") -> Params:
         subdet_exact=mode == "exact",
         potential_ratio_bound=cost_sum * d + 1.0,
         flux_bound=d * d * lp.n * float(np.abs(lp.b_int).sum()),
-        m=lp.m,
-        n=lp.n,
     )
 
 

@@ -42,7 +42,7 @@ class OracleResult:
 
     ``vertices`` and ``rays`` are float arrays (possibly empty) in a
     deterministic sorted order; the same data is kept exactly as tuples of
-    Fractions. ``exact`` is always True. ``J`` is the union of optimal
+    Fractions. ``J`` is the union of optimal
     supports (plus any zero-cost ray supports), ``N`` its complement;
     indices are 0-based.
     """
@@ -54,7 +54,6 @@ class OracleResult:
     optimal_indices: tuple[int, ...]
     J: tuple[int, ...]
     N: tuple[int, ...]
-    exact: bool
     vertices_exact: tuple[tuple[Fraction, ...], ...]
     rays_exact: tuple[tuple[Fraction, ...], ...]
     opt_exact: Fraction | None
@@ -111,7 +110,7 @@ def enumerate_polyhedron(lp: ValidatedLP, cap: int = ENUMERATION_CAP) -> OracleR
     if not verts_exact:
         return OracleResult(
             status="infeasible", vertices=vertices, rays=rays, opt=None,
-            optimal_indices=(), J=(), N=tuple(range(lp.n)), exact=True,
+            optimal_indices=(), J=(), N=tuple(range(lp.n)),
             vertices_exact=tuple(verts_exact), rays_exact=tuple(rays_exact), opt_exact=None,
         )
     c_frac = [Fraction(int(v)) for v in lp.c_int]
@@ -128,26 +127,24 @@ def enumerate_polyhedron(lp: ValidatedLP, cap: int = ENUMERATION_CAP) -> OracleR
         status="optimal", vertices=vertices, rays=rays, opt=float(opt_exact),
         optimal_indices=optimal,
         J=tuple(sorted(support)), N=tuple(sorted(set(range(lp.n)) - support)),
-        exact=True,
         vertices_exact=tuple(verts_exact), rays_exact=tuple(rays_exact), opt_exact=opt_exact,
     )
 
 
-def interior_point(result: OracleResult, delta: float | None = None) -> np.ndarray:
+def interior_point(result: OracleResult) -> np.ndarray:
     """A strictly positive feasible point, or NoInteriorPointError.
 
     The mean of the vertices plus a small multiple of the summed extreme
-    directions. The default multiple is a tenth of the smallest positive
-    vertex entry, so the point stays well inside the region.
+    directions. The multiple is a tenth of the smallest positive vertex
+    entry, so the point stays well inside the region.
     """
     if result.status != "optimal" or len(result.vertices) == 0:
         raise NoInteriorPointError("the feasible region is empty")
     s = result.vertices.mean(axis=0)
     if len(result.rays):
-        if delta is None:
-            positive = result.vertices[result.vertices > 0]
-            delta = 0.1 * float(positive.min()) if positive.size else 1.0
-        s = s + delta * result.rays.sum(axis=0)
+        positive = result.vertices[result.vertices > 0]
+        shift = 0.1 * float(positive.min()) if positive.size else 1.0
+        s = s + shift * result.rays.sum(axis=0)
     if np.all(s > 0.0):
         return s
     raise NoInteriorPointError("no strictly positive feasible point found from vertices and rays")

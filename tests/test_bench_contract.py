@@ -5,6 +5,7 @@ by row, so a rename or a trace-format change that breaks it would only
 show when the benchmark runs. These checks make it show in the suite.
 """
 
+import ast
 import importlib
 import importlib.util
 from math import comb
@@ -16,6 +17,7 @@ from physarum import DiscreteConfig, FlowConfig, _exact, enumerate_polyhedron, f
 from tests.conftest import planted_instance
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "physarum"
 
 
 def load_spans():
@@ -31,6 +33,26 @@ def test_every_traced_attribute_resolves():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_every_imported_name_is_used():
+    """A module uses each name it imports, unless the benchmark rebinds it there."""
+    traced = set(load_spans().TRACED)
+    unused = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = f"physarum.{path.stem}"
+        unused += [(module, name) for name in sorted(imported - used) if (module, name) not in traced]
+    assert unused == []
 
 
 def test_traces_read_the_way_the_benchmark_reads_them(simple2):

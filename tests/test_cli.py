@@ -27,7 +27,7 @@ def run_json(capsys, args):
 
 def test_parse_problem_roundtrip():
     pf = parse_problem(SIMPLE2)
-    assert pf.name == "simple2"
+    assert pf.lp.name == "simple2"
     assert pf.lp.A.tolist() == [[1, 1]]
     assert pf.start.tolist() == [0.5, 0.5]
 
@@ -36,7 +36,7 @@ def test_parse_problem_default_name(tmp_path):
     path = tmp_path / "other.json"
     path.write_text(json.dumps({"A": [[1, 1]], "b": [1], "c": [1, 1]}))
     pf = parse_problem(str(path))
-    assert pf.name == "other"
+    assert pf.lp.name == "other"
     assert pf.start is None
 
 
@@ -339,5 +339,17 @@ def test_bad_arguments_exit_with_a_code_not_a_traceback(args, code):
     proc = run_cli_child([cmd, SIMPLE2, *options], os.environ)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("entry", ["1e20", "100000000000000000000"])
+def test_entries_beyond_int64_are_not_integers(tmp_path, entry):
+    # A float 1e20 used to pass the integrality check and wrap to -2**63 in the int64 cast.
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"A": [[{entry}, 1]], "b": [1], "c": [1, 1]}}')
+    proc = run_cli_child(["params", str(path)], os.environ)
+    assert proc.returncode == 3, proc.stderr
+    assert "must contain integers" in proc.stderr
     assert "Warning" not in proc.stderr
     assert proc.stdout == ""

@@ -277,6 +277,17 @@ def test_solve_triangle_with_searched_step(triangle):
     assert rep.violations == 0
 
 
+def test_certify_rejects_eps_or_h_other_than_the_traces(triangle):
+    h, _ = certified_step_search(triangle, 0.05)
+    _, trace = solve(triangle, DiscreteConfig(eps=0.05, h=h))
+    x_star = np.array([1.0, 1.0, 0.0])
+    # h = 8.3 lies outside (0, 1); eps = 0.3 would check no step at all and pass vacuously.
+    for eps, step in ((0.05, 8.3), (0.3, h), (0.05, h / 2)):
+        with pytest.raises(ValidationError):
+            certify_trace(triangle, trace, 2.0, eps, step, x_star)
+    assert certify_trace(triangle, trace, 2.0, 0.05, h, x_star).violations == 0
+
+
 def test_certify_requires_full_trace(simple2):
     sol, trace = solve(simple2, DiscreteConfig(eps=0.1, start=np.array([0.5, 0.5]), trace_every=10))
     with pytest.raises(MissingVerifyDataError):

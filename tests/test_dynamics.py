@@ -6,7 +6,7 @@ import pytest
 from physarum import check_bounds, compute_params, evaluate, gradient_identity_residual, sample_feasible
 from physarum import dynamics
 from physarum.dynamics import column_potential_bounds
-from physarum.linalg import spd_factor
+from physarum.linalg import spd_solve
 from physarum.errors import DimensionMismatchError, NonPositiveStateError, NotInKernelError
 from tests.conftest import rand_positive
 
@@ -38,20 +38,24 @@ def test_evaluate_simple2_off_feasible_point(simple2):
 def test_evaluate_solves_once_unless_the_split_is_read(simple2, monkeypatch):
     solves = []
 
-    class Counting:
-        def __init__(self, fac):
-            self.fac = fac
+    def counting(mat, rhs):
+        solves.append(rhs)
+        return spd_solve(mat, rhs)
 
-        def solve(self, rhs):
-            solves.append(rhs)
-            return self.fac.solve(rhs)
-
-    monkeypatch.setattr(dynamics, "spd_factor", lambda mat: Counting(spd_factor(mat)))
+    monkeypatch.setattr(dynamics, "spd_solve", counting)
     ev = evaluate(simple2, [1.0, 1.0])
     assert ev.energy_flux == pytest.approx(ev.energy) and ev.edge_potential_inf > 0.0
     assert len(solves) == 1
     assert np.allclose(ev.feas_direction + ev.opt_direction, ev.direction)
     assert len(solves) == 2
+
+
+def test_evaluate_keeps_its_own_copy_of_the_state(simple2):
+    a = np.array([0.5, 0.5])
+    ev = evaluate(simple2, a)
+    a[0] = 4.0
+    assert ev.x.tolist() == [0.5, 0.5]
+    assert ev.cost == pytest.approx(float(simple2.c @ ev.x))
 
 
 def test_evaluate_identity2_fixed_point(identity2):

@@ -1,17 +1,30 @@
 """Exact integer kernels for small systems.
 
-Everything here works on plain Python ints, which have no word-size limit,
-so the brute-force oracle and the structural checks run without rounding
-at any entry size. Elimination is fraction-free: each division
-by the previous pivot is exact (Sylvester's identity), so no Fraction is
-built inside a loop. The largest subdeterminant is not an elimination per
-submatrix: every minor comes from minors one size smaller by Laplace
-expansion, along a depth-first walk over row subsets. Sizes are desk
-scale (a handful of rows, at most a few dozen columns in the oracle, a
-few hundred in the rank check).
+Everything here answers exactly, at any entry size. The kernels work on
+plain Python ints, which have no word-size limit, so the brute-force
+oracle and the structural checks run without rounding. Elimination is
+fraction-free: each division by the previous pivot is exact (Sylvester's
+identity), so no Fraction is built inside a loop. The largest
+subdeterminant is not an elimination per submatrix: every minor comes
+from minors one size smaller by Laplace expansion, along a depth-first
+walk over row subsets. The one kernel that meets larger matrices is the
+rank check, at a few hundred rows: it first eliminates modulo a prime in
+numpy int64 arithmetic, which proves full rank when it finds it, and
+runs the Python-int elimination only when that cannot decide.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+# A prime below 2**31. Residues stay below it, so a product of two fits
+# in 62 bits and an int64 elimination step cannot overflow.
+PRIME = 2147483629
+
+# Smallest min(rows, columns) at which the modular rank check runs before
+# Bareiss: below it the numpy calls per pivot cost more than Bareiss's
+# Python arithmetic (measured; see CHANGES.md).
+MODULAR_MIN_DIM = 12
 
 
 def _expansion_tables(n: int, depth: int) -> list[list[tuple[tuple[int, int, int], ...]]]:
@@ -99,6 +112,52 @@ def max_abs_subdeterminant(A: list[list[int]]) -> int:
 
 
 def rank_int(rows: list[list[int]]) -> int:
+    """Exact rank of an integer matrix.
+
+    From MODULAR_MIN_DIM rows and columns on, the rank modulo PRIME comes
+    first. A rank mod p of min(rows, columns) is the exact rank: a minor
+    that is nonzero mod p is a nonzero integer. Anything less may be
+    p dividing every maximal minor, so Bareiss decides; no verdict is
+    ever probabilistic.
+    """
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if n_rows else 0
+    full = min(n_rows, n_cols)
+    if full >= MODULAR_MIN_DIM and rank_mod_prime(rows) == full:
+        return full
+    return rank_bareiss(rows)
+
+
+def rank_mod_prime(rows: list[list[int]]) -> int:
+    """Rank over the integers modulo PRIME (Gaussian elimination in int64).
+
+    ``rows`` has at least one row. Entries are reduced in Python before
+    the cast, so any integer size is accepted. A step updates only the
+    columns right of its pivot: the pivot column is not read after it.
+    """
+    p = PRIME
+    a = np.array([[int(v) % p for v in r] for r in rows], dtype=np.int64)
+    n_rows, n_cols = a.shape
+    rank = 0
+    for col in range(n_cols):
+        nonzero = np.flatnonzero(a[rank:, col])
+        if not nonzero.size:
+            continue
+        piv = rank + int(nonzero[0])
+        if piv != rank:
+            a[[rank, piv]] = a[[piv, rank]]
+        pivot_row = a[rank, col + 1:] * pow(int(a[rank, col]), -1, p) % p
+        below = a[rank + 1:, col + 1:]
+        # Both factors are below p, so the difference lies in (-p**2, p).
+        below -= np.multiply.outer(a[rank + 1:, col], pivot_row)
+        below %= p
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def rank_bareiss(rows: list[list[int]]) -> int:
     """Exact rank of an integer matrix (Bareiss row echelon form).
 
     Rows are kept as the tails right of the columns already handled: a

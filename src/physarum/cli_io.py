@@ -29,6 +29,7 @@ from . import continuous_flow, discrete_solver, entropy_path
 from . import oracle as oracle_mod
 from .dynamics import check_bounds, evaluate, gradient_identity_residual
 from .errors import (
+    DimensionMismatchError,
     MalformedProblemError,
     PhysarumError,
     ProblemFileError,
@@ -54,8 +55,16 @@ class ProblemFile:
     start: np.ndarray | None
 
 
+def _holds_bool(value) -> bool:
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_holds_bool, value)))
+
+
 def parse_problem(path) -> ProblemFile:
-    """Read a problem JSON file without validating the mathematics."""
+    """Read a problem JSON file without validating the mathematics.
+
+    JSON booleans in A, b or c raise DimensionMismatchError: numpy would
+    read ``true`` as 1 inside a list of integers.
+    """
     path = Path(path)
     try:
         text = path.read_text()
@@ -72,6 +81,8 @@ def parse_problem(path) -> ProblemFile:
             raise MalformedProblemError(f"{path}: missing required key {key!r}")
         if not isinstance(doc[key], list):
             raise MalformedProblemError(f"{path}: {key!r} must be a list")
+        if _holds_bool(doc[key]):
+            raise DimensionMismatchError(f"{key} must contain integers")
     name = doc.get("name", path.stem)
     if not isinstance(name, str):
         raise MalformedProblemError(f"{path}: 'name' must be a string")

@@ -107,7 +107,14 @@ class Params:
 
 
 def validate(lp: LinearProgram) -> ValidatedLP:
-    """Check shapes, integrality, positivity of costs, and full row rank."""
+    """Check shapes, integrality, positivity of costs, and full row rank.
+
+    Entries must be integers or integral floats in the int64 range. The
+    rank is proved exactly by ``_exact.rank_int``: an elimination modulo a
+    prime in numpy int64 arithmetic accepts a full-rank A from
+    ``_exact.MODULAR_MIN_DIM`` rows on, and Bareiss on Python ints decides
+    small or rank-deficient matrices.
+    """
     A = np.asarray(lp.A)
     b = np.asarray(lp.b)
     c = np.asarray(lp.c)
@@ -123,11 +130,15 @@ def validate(lp: LinearProgram) -> ValidatedLP:
     if m > n:
         raise RankDeficientError(f"more rows than columns ({m} > {n}); rows cannot be independent")
     for name, arr in (("A", A), ("b", b), ("c", c)):
-        if not np.issubdtype(arr.dtype, np.integer):
+        if np.issubdtype(arr.dtype, np.integer):
+            # Unsigned values from 2**63 up would wrap in the int64 cast.
+            ok = arr.dtype.kind == "i" or int(arr.max()) < 2**63
+        else:
             # The range test also rules out NaN and inf, and keeps the int64 cast exact.
-            if not (np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.floor(arr))
-                    and np.all((arr >= -(2.0**63)) & (arr < 2.0**63))):
-                raise DimensionMismatchError(f"{name} must contain integers")
+            ok = (np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.floor(arr))
+                  and np.all((arr >= -(2.0**63)) & (arr < 2.0**63)))
+        if not ok:
+            raise DimensionMismatchError(f"{name} must contain integers")
     A_int = A.astype(np.int64)
     b_int = b.astype(np.int64)
     c_int = c.astype(np.int64)

@@ -12,7 +12,7 @@ import pytest
 import physarum
 from physarum.cli_io import main, parse_problem
 from physarum.errors import MalformedProblemError, ProblemIOError
-from tests.conftest import INSTANCE_DIR
+from tests.conftest import INSTANCE_DIR, planted_instance
 
 SIMPLE2 = str(INSTANCE_DIR / "simple2.json")
 IDENTITY2 = str(INSTANCE_DIR / "identity2.json")
@@ -68,6 +68,33 @@ def test_params_command(capsys):
     assert data["flux_bound"] == 2.0
     assert data["certified_step"] == pytest.approx(1.0 / 960.0)
     assert data["positivity_step_cap"] == 0.125
+
+
+def test_params_at_scale(capsys, tmp_path):
+    lp = planted_instance(np.random.default_rng(64), 64, 256)
+    doc = {"A": lp.A_int.tolist(), "b": lp.b_int.tolist(), "c": lp.c_int.tolist()}
+    path = tmp_path / "planted.json"
+    path.write_text(json.dumps(doc))
+    # Exact subdeterminants stop at n = 14, so the bound is the only mode here.
+    rc, data = run_json(capsys, ["params", str(path), "--mode", "bound"])
+    assert rc == 0
+    assert data["m"] == 64 and data["subdet_exact"] is False
+    doc["A"][-1] = doc["A"][0]
+    path.write_text(json.dumps(doc))
+    assert main(["params", str(path), "--mode", "bound"]) == 3
+    assert "does not have full row rank" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which, value", [("A", [[True, 1]]), ("b", [True]), ("c", [True, 1])])
+def test_json_booleans_are_not_integers(capsys, tmp_path, which, value):
+    # np.asarray used to read [[true, 1]] as [[1, 1]], so a boolean in A passed.
+    doc = {"A": [[1, 1]], "b": [1], "c": [1, 1], which: value}
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps(doc))
+    assert main(["params", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert f"{which} must contain integers" in captured.err
+    assert captured.out == ""
 
 
 def test_params_deterministic(capsys):

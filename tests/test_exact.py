@@ -16,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from physarum import LinearProgram, enumerate_polyhedron, oracle, validate
-from physarum._exact import max_abs_subdeterminant, rank_int, solve_unique
+from physarum._exact import (
+    MODULAR_MIN_DIM,
+    PRIME,
+    max_abs_subdeterminant,
+    rank_int,
+    rank_mod_prime,
+    solve_unique,
+)
 from tests.conftest import load_instance, planted_instance, random_instances
 
 BIG = 2**40
@@ -282,6 +289,52 @@ def test_solve_unique_matches_rational_gauss_jordan(system):
 )
 def test_rank_examples(mat, rank):
     assert rank_int(mat) == rank == ref_rank(mat)
+
+
+EXTREMES = [2**63 - 1, -(2**63 - 1), -(2**63), 2**63, 2**64 + 3, -(2**70), PRIME, 3 * PRIME]
+
+
+@st.composite
+def modular_matrices(draw):
+    """Matrices with at least MODULAR_MIN_DIM rows and columns, so rank_int tries
+    the rank modulo PRIME first.
+
+    Entries are in [-3, 3], with a few replaced by values at and beyond the
+    int64 range or by multiples of PRIME. Then a row is left alone, zeroed,
+    duplicated, or made a combination of two others.
+    """
+    n_rows = draw(st.integers(MODULAR_MIN_DIM, MODULAR_MIN_DIM + 3))
+    n_cols = draw(st.integers(MODULAR_MIN_DIM, MODULAR_MIN_DIM + 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = rng.integers(-3, 4, size=(n_rows, n_cols)).tolist()
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1))
+        mat[i][j] = draw(st.sampled_from(EXTREMES))
+    target = draw(st.integers(2, n_rows - 1))
+    kind = draw(st.sampled_from(["free", "zero", "duplicate", "combination"]))
+    if kind == "zero":
+        mat[target] = [0] * n_cols
+    elif kind == "duplicate":
+        mat[target] = list(mat[0])
+    elif kind == "combination":
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        mat[target] = [a * x + b * y for x, y in zip(mat[0], mat[1])]
+    return mat
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(modular_matrices())
+def test_rank_on_the_modular_route_matches_rational_elimination(mat):
+    assert rank_int(mat) == ref_rank(mat)
+
+
+def test_rank_falls_back_when_prime_divides_every_maximal_minor():
+    # A row of multiples of PRIME vanishes mod PRIME, so only Bareiss can return m.
+    m, n = MODULAR_MIN_DIM, 4 * MODULAR_MIN_DIM
+    mat = planted_instance(np.random.default_rng(7), m, n).A_int.tolist()
+    mat[0] = [PRIME * v for v in mat[0]]
+    assert rank_mod_prime(mat) == m - 1
+    assert rank_int(mat) == m == ref_rank(mat)
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 """Validation and certified-constant computation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physarum import LinearProgram, compute_params, default_params, validate
+from physarum import LinearProgram, _exact, compute_params, default_params, validate
 from physarum._exact import max_abs_subdeterminant
 from physarum.errors import (
     DimensionMismatchError,
@@ -14,6 +16,7 @@ from physarum.errors import (
     TooLargeError,
 )
 from physarum.model import subdet_upper_bound
+from tests.conftest import planted_instance
 
 
 def test_validate_simple2(simple2):
@@ -34,6 +37,50 @@ def test_validate_accepts_integral_floats():
 def test_validate_rejects_fractional_entries():
     with pytest.raises(DimensionMismatchError):
         validate(LinearProgram.from_lists([[0.5, 1]], [1], [1, 1]))
+
+
+@pytest.mark.parametrize("which", ["A", "b", "c"])
+def test_validate_rejects_uint64_beyond_int64(which):
+    # 2**63 used to wrap to -2**63 in the int64 cast, silently.
+    data = {"A": [[1, 1]], "b": [1], "c": [1, 1]}
+    data[which] = np.array(data[which], dtype=np.uint64)
+    data[which].flat[0] = 2**63
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatchError, match=f"{which} must contain integers"):
+            validate(LinearProgram(**data))
+
+
+def test_validate_accepts_uint64_below_2_63():
+    A = np.array([[2**63 - 1, 1]], dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lp = validate(LinearProgram(A=A, b=np.array([1], dtype=np.uint64), c=np.array([1, 2], dtype=np.uint64)))
+    assert lp.A_int.dtype == np.int64
+    assert lp.A_int.tolist() == [[2**63 - 1, 1]]
+    assert lp.b_int.tolist() == [1] and lp.c_int.tolist() == [1, 2]
+
+
+def test_validate_proves_full_rank_without_bareiss(monkeypatch):
+    lp = planted_instance(np.random.default_rng(64), 64, 256)
+
+    def refuse(rows):
+        raise AssertionError("the rank modulo a prime should have decided")
+
+    monkeypatch.setattr(_exact, "rank_bareiss", refuse)
+    assert validate(LinearProgram(A=lp.A_int, b=lp.b_int, c=lp.c_int)).m == 64
+
+
+def test_validate_finds_a_duplicated_row_through_bareiss(monkeypatch):
+    lp = planted_instance(np.random.default_rng(48), 48, 192)
+    A = lp.A_int.copy()
+    A[-1] = A[0]
+    calls = []
+    bareiss = _exact.rank_bareiss
+    monkeypatch.setattr(_exact, "rank_bareiss", lambda rows: calls.append(len(rows)) or bareiss(rows))
+    with pytest.raises(RankDeficientError):
+        validate(LinearProgram(A=A, b=lp.b_int, c=lp.c_int))
+    assert calls == [48]
 
 
 def test_validate_rejects_small_costs():

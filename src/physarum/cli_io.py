@@ -37,7 +37,15 @@ from .errors import (
     ValidationError,
 )
 from .linalg import kernel_basis
-from .model import LinearProgram, ValidatedLP, compute_params, default_params, validate
+from .model import (
+    EXACT_SUBDET_CAP,
+    LinearProgram,
+    ValidatedLP,
+    _holds_bool,
+    compute_params,
+    default_params,
+    validate,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -55,15 +63,11 @@ class ProblemFile:
     start: np.ndarray | None
 
 
-def _holds_bool(value) -> bool:
-    return isinstance(value, bool) or (isinstance(value, list) and any(map(_holds_bool, value)))
-
-
 def parse_problem(path) -> ProblemFile:
     """Read a problem JSON file without validating the mathematics.
 
-    JSON booleans in A, b or c raise DimensionMismatchError: numpy would
-    read ``true`` as 1 inside a list of integers.
+    JSON booleans in A, b, c or start raise DimensionMismatchError: numpy
+    would read ``true`` as 1 inside a list of numbers.
     """
     path = Path(path)
     try:
@@ -81,19 +85,21 @@ def parse_problem(path) -> ProblemFile:
             raise MalformedProblemError(f"{path}: missing required key {key!r}")
         if not isinstance(doc[key], list):
             raise MalformedProblemError(f"{path}: {key!r} must be a list")
-        if _holds_bool(doc[key]):
-            raise DimensionMismatchError(f"{key} must contain integers")
     name = doc.get("name", path.stem)
     if not isinstance(name, str):
         raise MalformedProblemError(f"{path}: 'name' must be a string")
     try:
         lp = LinearProgram.from_lists(doc["A"], doc["b"], doc["c"], name=name)
+    except DimensionMismatchError:
+        raise
     except (ValueError, TypeError) as exc:
         raise MalformedProblemError(f"{path}: ragged or non-numeric arrays: {exc}") from exc
     start = None
     if "start" in doc:
         if not isinstance(doc["start"], list):
             raise MalformedProblemError(f"{path}: 'start' must be a list")
+        if _holds_bool(doc["start"]):
+            raise DimensionMismatchError("start must contain numbers")
         try:
             start = np.asarray(doc["start"], dtype=float)
         except (ValueError, TypeError) as exc:
@@ -255,7 +261,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_params(args) -> int:
     lp, _ = load_validated(args.problem)
-    params = compute_params(lp, mode=args.mode)
+    params = compute_params(lp, mode=args.mode) if args.mode else default_params(lp)
     _emit({
         "command": "params", "name": lp.name, "m": lp.m, "n": lp.n,
         "cost_sum": params.cost_sum,
@@ -433,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="print certified instance constants")
     common(p)
-    p.add_argument("--mode", choices=("exact", "bound"), default="exact")
+    p.add_argument("--mode", choices=("exact", "bound"), default=None,
+                   help=f"subdeterminants (default: exact up to n = {EXACT_SUBDET_CAP}, else the bound)")
     p.add_argument("--eps", type=float, default=0.1)
     p.set_defaults(func=cmd_params)
 

@@ -41,8 +41,8 @@ def rhs_log(lp: ValidatedLP, u) -> np.ndarray:
     """
     x = np.exp(np.asarray(u, dtype=float))
     w = x / lp.c
-    p = spd_solve(np.dot(lp.A * w, lp.At), lp.b)
-    return np.dot(lp.At, p) / lp.c - 1.0
+    p = spd_solve((lp.A * w).dot(lp.At), lp.b)
+    return lp.At.dot(p) / lp.c - 1.0
 
 
 @dataclass(frozen=True)

@@ -208,7 +208,7 @@ def solve(
 
     A, At, b, c = lp.A, lp.At, lp.b, lp.c
     inv_c = 1.0 / c
-    maxr, minr, dot = np.maximum.reduce, np.minimum.reduce, np.dot
+    maxr, minr = np.maximum.reduce, np.minimum.reduce
     mul, sub, add, div, absolute = np.multiply, np.subtract, np.add, np.divide, np.absolute
     trace_every = config.trace_every
     # Grown by doubling and trimmed once at the end; rows are written field
@@ -225,17 +225,18 @@ def solve(
     # The update is written out rather than calling evaluate: a step needs
     # one Laplacian solve, not evaluate's state checks and result object.
     # x stays positive (proved or checked after each update), so |x| is x and
-    # |q - x| / x is |(q - x) / x| without a second abs.
+    # |(q - x) / x| is |q - x| / x bit for bit: dividing by a positive number
+    # commutes with the sign.
     #
     # At m <= 3 a step costs its numpy calls, not their arithmetic, so every
-    # per-step array is written with out= into a buffer allocated here, the
-    # small products use np.dot (the same BLAS call as @, without matmul's
-    # dispatch), and |q - x|, |q - x| / x and, on traced rows, |A^T p| fill
-    # the rows of R so that one max-reduction yields fp_res, dev and the
-    # trace's edge_potential_inf. The maximum is exact and propagates NaN,
-    # so each value is the one three separate reductions would give. Row 2
-    # is stale on untraced rows and its maximum unused. x alternates between
-    # two buffers; the caller's start is never written.
+    # per-step array is written with out= into a buffer allocated here, and
+    # the small products use the ndarray.dot method (the same BLAS call as @
+    # and np.dot, without matmul's or the numpy function's dispatch). The
+    # rows of R hold q - x, (q - x) / x and A^T p; one absolute over R and
+    # one max-reduction of the result yield fp_res, dev and the trace's
+    # edge_potential_inf. The maximum is exact and propagates NaN, so each
+    # value is the one three separate reductions would give. x alternates
+    # between two buffers; the caller's start is never written.
     #
     # Two exact checks run only when a cheaper bound cannot decide them.
     # Positivity: each new coordinate is x_i + h diff_i with |diff_i| <= dev x_i,
@@ -247,35 +248,32 @@ def solve(
     # for rounding. While fp_res > FIXED_POINT_TOL (1 + x_cap) the exact test
     # fails too, so max(x) is read only once fp_res is within that bound.
     x, x_next = x.copy(), np.empty_like(x)
-    w, edge, q, diff, step = (np.empty_like(x) for _ in range(5))
+    w, q, step = (np.empty_like(x) for _ in range(3))
     Aw, lap = np.empty_like(A), np.empty((lp.m, lp.m))
-    R = np.zeros((3, lp.n))
-    abs_diff, rel_diff, abs_edge = R
+    R, R_abs = np.empty((3, lp.n)), np.empty((3, lp.n))
+    diff, rel_diff, edge = R
     h_arr = np.array(h)  # a 0-d array multiplies faster than a Python float
     while True:
         mul(x, inv_c, out=w)
         mul(A, w, out=Aw)
-        p = spd_solve(dot(Aw, At, out=lap), b)
-        dot(At, p, out=edge)
+        p = spd_solve(Aw.dot(At, out=lap), b)
+        At.dot(p, out=edge)
         mul(w, edge, out=q)
         sub(q, x, out=diff)
-        absolute(diff, out=abs_diff)
-        div(abs_diff, x, out=rel_diff)
-        traced = trace_every and k % trace_every == 0
-        if traced:
-            absolute(edge, out=abs_edge)
-        fp_res, dev, edge_inf = maxr(R, 1).tolist()
+        div(diff, x, out=rel_diff)
+        absolute(R, out=R_abs)
+        fp_res, dev, edge_inf = maxr(R_abs, 1).tolist()
         if dev > dev_max:
             dev_max = dev
 
-        if traced:
+        if trace_every and k % trace_every == 0:
             if rows == len(buf):
                 buf = np.concatenate((buf, np.empty_like(buf)))
                 col_k, col_x, col_cost, col_energy, col_edge = _columns(buf)
             col_k[rows] = k
             col_x[rows] = x
-            col_cost[rows] = dot(c, x)
-            col_energy[rows] = dot(b, p)
+            col_cost[rows] = c.dot(x)
+            col_energy[rows] = b.dot(p)
             col_edge[rows] = edge_inf
             rows += 1
 

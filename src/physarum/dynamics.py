@@ -67,7 +67,7 @@ class DynamicsEval:
     @cached_property
     def _split_potentials(self) -> np.ndarray:
         lp = self.lp
-        return spd_solve(np.dot(lp.A * self.weights, lp.At), lp.A @ self.x)
+        return spd_solve((lp.A * self.weights).dot(lp.At), lp.A @ self.x)
 
     @cached_property
     def feas_direction(self) -> np.ndarray:
@@ -89,8 +89,8 @@ def evaluate(lp: ValidatedLP, x) -> DynamicsEval:
     """
     x = check_point(lp, np.array(x, dtype=float), "state")
     w = x / lp.c
-    p = spd_solve(np.dot(lp.A * w, lp.At), lp.b)
-    edge = np.dot(lp.At, p)
+    p = spd_solve((lp.A * w).dot(lp.At), lp.b)
+    edge = lp.At.dot(p)
     q = w * edge
     return DynamicsEval(
         x=x,
@@ -99,8 +99,8 @@ def evaluate(lp: ValidatedLP, x) -> DynamicsEval:
         edge_potentials=edge,
         flux=q,
         direction=q - x,
-        energy=float(np.dot(lp.b, p)),
-        cost=float(np.dot(lp.c, x)),
+        energy=float(lp.b.dot(p)),
+        cost=float(lp.c.dot(x)),
         lp=lp,
     )
 

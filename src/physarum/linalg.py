@@ -17,10 +17,13 @@ imports SciPy and rebinds all four module globals to SciPy's own routine
 objects, so every later call reaches LAPACK through one global lookup,
 as an eager import would.
 
-At m <= 3 call overhead, not arithmetic, sets the cost of a solve, so the
+At m <= 3 call overhead, not arithmetic, sets the cost of a solve. The
 LAPACK routines take positional arguments (a keyword lower=True adds about
-40% to a 1.7 us dposv at m = 3) and callers form each Laplacian with np.dot,
-which reaches the same BLAS routine as @ without matmul's dispatch.
+40% to a 1.7 us dposv at m = 3). A matrix that already is a square float64
+ndarray reaches LAPACK without a conversion, and the pivot rule reads each
+diagonal once as a Python list. Callers form each Laplacian with the
+ndarray.dot method, which reaches the same BLAS routine as @ and np.dot
+without matmul's or the numpy function's dispatch.
 """
 
 from __future__ import annotations
@@ -68,11 +71,17 @@ class SpdFactorization:
         return sol
 
 
+_FLOAT = np.dtype(float)
+
+
 def _square(mat) -> np.ndarray:
-    M = np.asarray(mat, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {M.shape}")
-    return M
+    """Return mat as a square float64 array, as is when it already is one."""
+    if type(mat) is not np.ndarray or mat.dtype is not _FLOAT:
+        mat = np.asarray(mat, dtype=float)
+    shape = mat.shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {shape}")
+    return mat
 
 
 def _check_pivots(M: np.ndarray, low: np.ndarray, info: int) -> None:
@@ -84,12 +93,11 @@ def _check_pivots(M: np.ndarray, low: np.ndarray, info: int) -> None:
     if info:
         raise NotPositiveDefiniteError(f"pivot at index {info - 1} is not positive")
     diag = low.diagonal().tolist()
-    pivot = min(diag) ** 2
-    tol = PIVOT_RTOL * sum(M.diagonal().tolist()) / M.shape[0]
+    tol = PIVOT_RTOL * sum(M.diagonal().tolist()) / len(diag)
     # dpotrf and dposv let a NaN pivot through and min() can step over it;
     # the sum of the pivots cannot.
     total = sum(diag)
-    if not (pivot > tol and total == total):
+    if not (min(diag) ** 2 > tol and total == total):
         j = int(low.diagonal().argmin())
         raise NotPositiveDefiniteError(f"pivot {low[j, j] ** 2:.3e} at index {j} (tolerance {tol:.3e})")
 

@@ -43,7 +43,25 @@ class LinearProgram:
 
     @classmethod
     def from_lists(cls, A, b, c, name: str = "") -> "LinearProgram":
+        """Build an instance from nested lists; a boolean entry raises DimensionMismatchError."""
+        _reject_bools(A, b, c)
         return cls(np.asarray(A), np.asarray(b), np.asarray(c), name)
+
+
+def _holds_bool(value) -> bool:
+    """Whether value is a boolean or a (nested) list or tuple that holds one."""
+    return isinstance(value, (bool, np.bool_)) or (
+        isinstance(value, (list, tuple)) and any(map(_holds_bool, value))
+    )
+
+
+def _reject_bools(A, b, c) -> None:
+    # np.asarray reads True as 1 inside a list of integers, so booleans are
+    # caught before the conversion; an all-boolean array keeps dtype bool
+    # and fails validate's integer check.
+    for name, value in (("A", A), ("b", b), ("c", c)):
+        if _holds_bool(value):
+            raise DimensionMismatchError(f"{name} must contain integers")
 
 
 @dataclass(frozen=True)
@@ -113,8 +131,9 @@ def validate(lp: LinearProgram) -> ValidatedLP:
     rank is proved exactly by ``_exact.rank_int``: an elimination modulo a
     prime in numpy int64 arithmetic accepts a full-rank A from
     ``_exact.MODULAR_MIN_DIM`` rows on, and Bareiss on Python ints decides
-    small or rank-deficient matrices.
+    small or rank-deficient matrices. Booleans are not integers here.
     """
+    _reject_bools(lp.A, lp.b, lp.c)
     A = np.asarray(lp.A)
     b = np.asarray(lp.b)
     c = np.asarray(lp.c)

@@ -55,6 +55,19 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def test_no_module_uses_the_function_form_of_dot():
+    """The package calls ndarray.dot: the function np.dot pays numpy's dispatch on every call."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "dot"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                found.append((path.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                found += [(path.name, node.lineno) for a in node.names if a.name == "dot"]
+    assert found == []
+
+
 def test_traces_read_the_way_the_benchmark_reads_them(simple2):
     x0 = np.array([0.5, 0.5])
     _, trace = solve(simple2, DiscreteConfig(eps=0.1, start=x0, max_iters=20))

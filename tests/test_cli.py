@@ -97,6 +97,27 @@ def test_json_booleans_are_not_integers(capsys, tmp_path, which, value):
     assert captured.out == ""
 
 
+def test_json_booleans_in_start_are_not_numbers(capsys, tmp_path):
+    path = tmp_path / "bool_start.json"
+    path.write_text(json.dumps({"A": [[1, 1]], "b": [1], "c": [1, 2], "start": [True, 0.5]}))
+    assert main(["flow", str(path), "--t-end", "1"]) == 3
+    captured = capsys.readouterr()
+    assert "start must contain numbers" in captured.err
+    assert captured.out == ""
+
+
+def test_params_default_mode_bounds_wide_instances(capsys, tmp_path):
+    # Exact subdeterminants stop at n = 14; without --mode, n = 16 gets the bound.
+    lp = planted_instance(np.random.default_rng(16), 4, 16)
+    path = tmp_path / "planted.json"
+    path.write_text(json.dumps({"A": lp.A_int.tolist(), "b": lp.b_int.tolist(), "c": lp.c_int.tolist()}))
+    rc, data = run_json(capsys, ["params", str(path)])
+    assert rc == 0
+    assert data["n"] == 16 and data["subdet_exact"] is False
+    assert main(["params", str(path), "--mode", "exact"]) == 4
+    capsys.readouterr()
+
+
 def test_params_deterministic(capsys):
     main(["params", TRIANGLE])
     first = capsys.readouterr().out

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from physarum import check_bounds, compute_params, evaluate, gradient_identity_residual, sample_feasible
+from physarum import check_bounds, compute_params, evaluate, gradient_identity_residual, rhs_log, sample_feasible
 from physarum import dynamics
 from physarum.dynamics import column_potential_bounds
 from physarum.linalg import spd_solve
 from physarum.errors import DimensionMismatchError, NonPositiveStateError, NotInKernelError
-from tests.conftest import rand_positive
+from tests.conftest import planted_instance, rand_positive
 
 
 def test_evaluate_simple2_on_feasible_point(simple2):
@@ -174,3 +174,23 @@ def test_evaluate_input_validation(simple2):
         evaluate(simple2, [1.0, 1.0, 1.0])
     with pytest.raises(DimensionMismatchError):
         column_potential_bounds(simple2, [1.0])
+
+
+@pytest.mark.parametrize("m", [1, 3, 12, 48])
+def test_method_dot_gives_the_bytes_of_the_function_form(m):
+    # The package calls ndarray.dot, which skips np.dot's dispatch; both
+    # reach the same BLAS routine, so every derived value keeps its bytes.
+    rng = np.random.default_rng(100 + m)
+    lp = planted_instance(rng, m, 2 * m + 2)
+    for _ in range(10):
+        x = rand_positive(rng, lp.n)
+        w = x / lp.c
+        p = spd_solve(np.dot(lp.A * w, lp.At), lp.b)
+        edge = np.dot(lp.At, p)
+        ev = evaluate(lp, x)
+        assert ev.potentials.tobytes() == p.tobytes()
+        assert ev.edge_potentials.tobytes() == edge.tobytes()
+        assert ev.flux.tobytes() == (w * edge).tobytes()
+        assert ev.energy == float(np.dot(lp.b, p))
+        assert ev.cost == float(np.dot(lp.c, x))
+        assert rhs_log(lp, np.log(x)).tobytes() == (np.dot(lp.At, p) / lp.c - 1.0).tobytes()

@@ -110,6 +110,31 @@ def test_spd_solve_is_bitwise_factor_then_solve(m):
             assert spd_solve(M, rhs).tobytes() == spd_factor(M).solve(rhs).tobytes()
 
 
+def test_spd_solve_converts_like_spd_factor():
+    # Only a square float64 ndarray skips the conversion; every other input
+    # is converted and checked, and the answer is factor-then-solve's.
+    rng = np.random.default_rng(5)
+    M = _random_spd(rng, 4)
+    rhs = rng.standard_normal(4)
+    ints = np.array([[4, 1, 0], [1, 3, 1], [0, 1, 2]])
+    cases = [
+        (M.tolist(), rhs),
+        (ints, rhs[:3]),
+        (np.asfortranarray(M), rhs),
+        (M.T, rhs),
+        (M.astype(">f8"), rhs),
+        (np.array([[2.5]]), np.array([1.5])),
+    ]
+    for mat, b in cases:
+        assert spd_solve(mat, b).tobytes() == spd_factor(mat).solve(b).tobytes()
+    for spd in SPD_SOLVES:
+        with pytest.raises(NotPositiveDefiniteError):
+            spd([[1, 1], [1, 1]], np.ones(2))
+        for bad in (np.ones(3), np.ones((1, 2, 2)), [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match="square"):
+                spd(bad, np.ones(2))
+
+
 def test_one_pivot_policy_for_every_laplacian_solve():
     # Two coordinates at 1e-14 collapse the Laplacian onto a face. Every
     # engine must give the same verdict on that state.

@@ -83,6 +83,17 @@ def test_validate_finds_a_duplicated_row_through_bareiss(monkeypatch):
     assert calls == [48]
 
 
+@pytest.mark.parametrize("which, value", [
+    ("A", [[True, 1]]), ("A", ([1, np.True_],)), ("b", [False]), ("c", [1, True]),
+])
+def test_booleans_from_library_callers_are_not_integers(which, value):
+    data = {"A": [[1, 1]], "b": [1], "c": [1, 1], which: value}
+    with pytest.raises(DimensionMismatchError, match=f"{which} must contain integers"):
+        LinearProgram.from_lists(data["A"], data["b"], data["c"])
+    with pytest.raises(DimensionMismatchError, match=f"{which} must contain integers"):
+        validate(LinearProgram(A=data["A"], b=data["b"], c=data["c"]))
+
+
 def test_validate_rejects_small_costs():
     with pytest.raises(NonPositiveCostError):
         validate(LinearProgram.from_lists([[1, 1]], [1], [0, 1]))

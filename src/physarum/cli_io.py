@@ -20,7 +20,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -269,7 +269,7 @@ def cmd_params(args) -> int:
         "subdet_exact": params.subdet_exact,
         "potential_ratio_bound": params.potential_ratio_bound,
         "flux_bound": params.flux_bound,
-        "positivity_step_cap": 0.5 / params.potential_ratio_bound,
+        "positivity_step_cap": params.positivity_step_cap,
         "certified_step": discrete_solver.default_step(params, args.eps),
         "eps": args.eps,
     })
@@ -338,15 +338,7 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
         "cost": sol.cost,
         "opt": opt,
         "gap_ok": gap_ok,
-        "certificate": {
-            "steps_checked": cert.steps_checked,
-            "violations": cert.violations,
-            "first_violation": cert.first_violation,
-            "big_gap_steps": cert.big_gap_steps,
-            "small_gap_steps": cert.small_gap_steps,
-            "worst_margin": cert.worst_margin,
-            "drop_threshold": cert.drop_threshold,
-        },
+        "certificate": asdict(cert),
         "samples": {
             "requested": samples,
             "checked": checked,

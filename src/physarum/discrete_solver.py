@@ -58,10 +58,6 @@ FIXED_POINT_TOL = 1e-9
 PILOT_T_END = 40.0
 STEP_SAFETY = 1.3
 
-# Relative margin by which solve's running bound on max(x) is widened per
-# step to cover the rounding of the update and of the bound itself.
-X_CAP_MARGIN = 1.0 + 1e-12
-
 
 @dataclass(frozen=True)
 class DiscreteConfig:
@@ -178,7 +174,7 @@ def solve(
         entries = np.recarray(0, dtype=trace_dtype(lp.n))
         return sol, Trace(entries=entries, h=config.h or 0.0, eps=config.eps, trace_every=config.trace_every)
 
-    x = x0 = check_point(
+    x0 = check_point(
         lp, oracle_mod.start_point(lp, config.start, oracle_result), "start",
         feasible=not config.allow_infeasible,
     )
@@ -188,7 +184,7 @@ def solve(
         h = certified
     else:
         h = config.h
-        pos_cap = 0.5 / params.potential_ratio_bound
+        pos_cap = params.positivity_step_cap
         if h > pos_cap:
             raise BadStepError(
                 f"h={h:.3e} exceeds the positivity-safe cap 1/(2 P) = {pos_cap:.3e}"
@@ -199,12 +195,13 @@ def solve(
                 h, certified,
             )
 
-    v0 = float(lp.c @ x)
+    v0 = float(lp.c @ x0)
     opt_floor = float(lp.c_int.min()) / params.subdet_max
     cost_ratio = max(v0 / opt_floor, 1.0)
-    spread = max(float(x.max()), float(1.0 / x.min()), 1.0)
+    spread = max(float(x0.max()), float(1.0 / x0.min()), 1.0)
     certified_cap = iteration_bound(cost_ratio, spread, config.eps, h)
     cap = min(config.max_iters, certified_cap)
+    cap_stop = "UserCap" if config.max_iters < certified_cap else "IterationBound"
 
     A, At, b, c = lp.A, lp.At, lp.b, lp.c
     inv_c = 1.0 / c
@@ -218,51 +215,44 @@ def solve(
     rows = 0
     dev_max = 0.0
     k = 0
-    stop = None
-    fp_res = math.inf
-    x_cap = float(maxr(x))
 
     # The update is written out rather than calling evaluate: a step needs
     # one Laplacian solve, not evaluate's state checks and result object.
-    # x stays positive (proved or checked after each update), so |x| is x and
-    # |(q - x) / x| is |q - x| / x bit for bit: dividing by a positive number
-    # commutes with the sign.
     #
     # At m <= 3 a step costs its numpy calls, not their arithmetic, so every
     # per-step array is written with out= into a buffer allocated here, and
     # the small products use the ndarray.dot method (the same BLAS call as @
     # and np.dot, without matmul's or the numpy function's dispatch). The
-    # rows of R hold q - x, (q - x) / x and A^T p; one absolute over R and
-    # one max-reduction of the result yield fp_res, dev and the trace's
-    # edge_potential_inf. The maximum is exact and propagates NaN, so each
-    # value is the one three separate reductions would give. x alternates
-    # between two buffers; the caller's start is never written.
+    # four rows of R hold q - x, (q - x) / x, A^T p and x itself, which is
+    # updated in place there; the caller's start is never written. One
+    # absolute over R and one max-reduction of the result yield fp_res, dev,
+    # the trace's edge_potential_inf and max(x). The maximum is exact and
+    # propagates NaN, so each value is the one four separate reductions
+    # would give. x stays positive (proved or checked after each update), so
+    # |x| is x and |(q - x) / x| is |q - x| / x bit for bit: dividing by a
+    # positive number commutes with the sign.
     #
-    # Two exact checks run only when a cheaper bound cannot decide them.
-    # Positivity: each new coordinate is x_i + h diff_i with |diff_i| <= dev x_i,
-    # so h dev < 0.5 keeps it near x_i / 2 or above (rounding moves it by an
-    # ulp, and at the smallest subnormal |diff_i| / x_i is exact); otherwise,
-    # or when dev is NaN or inf, min(x) is read. Fixed point: x_cap >= max(x)
-    # holds exactly at the start and after each read of max(x), and an update
-    # multiplies no coordinate by more than 1 + h dev, widened by X_CAP_MARGIN
-    # for rounding. While fp_res > FIXED_POINT_TOL (1 + x_cap) the exact test
-    # fails too, so max(x) is read only once fp_res is within that bound.
-    x, x_next = x.copy(), np.empty_like(x)
-    w, q, step = (np.empty_like(x) for _ in range(3))
+    # Positivity is the one check a cheaper bound decides: each new
+    # coordinate is x_i + h diff_i with |diff_i| <= dev x_i, so h dev < 0.5
+    # keeps it near x_i / 2 or above (rounding moves it by an ulp, and at the
+    # smallest subnormal |diff_i| / x_i is exact); otherwise, or when dev is
+    # NaN or inf, min(x) is read.
+    w = np.empty_like(x0)
     Aw, lap = np.empty_like(A), np.empty((lp.m, lp.m))
-    R, R_abs = np.empty((3, lp.n)), np.empty((3, lp.n))
-    diff, rel_diff, edge = R
+    R, R_abs = np.empty((4, lp.n)), np.empty((4, lp.n))
+    diff, rel_diff, edge, x = R
+    x[:] = x0
     h_arr = np.array(h)  # a 0-d array multiplies faster than a Python float
     while True:
         mul(x, inv_c, out=w)
         mul(A, w, out=Aw)
         p = spd_solve(Aw.dot(At, out=lap), b)
         At.dot(p, out=edge)
-        mul(w, edge, out=q)
-        sub(q, x, out=diff)
+        mul(w, edge, out=diff)
+        sub(diff, x, out=diff)
         div(diff, x, out=rel_diff)
         absolute(R, out=R_abs)
-        fp_res, dev, edge_inf = maxr(R_abs, 1).tolist()
+        fp_res, dev, edge_inf, x_max = maxr(R_abs, 1).tolist()
         if dev > dev_max:
             dev_max = dev
 
@@ -277,20 +267,17 @@ def solve(
             col_edge[rows] = edge_inf
             rows += 1
 
-        if not fp_res > FIXED_POINT_TOL * (1.0 + x_cap):
-            x_cap = float(maxr(x))
-            if fp_res <= FIXED_POINT_TOL * (1.0 + x_cap):
-                stop = "FixedPoint"
-                break
+        if fp_res <= FIXED_POINT_TOL * (1.0 + x_max):
+            stop = "FixedPoint"
+            break
         if k >= cap:
-            stop = "UserCap" if cap == config.max_iters and config.max_iters < certified_cap else "IterationBound"
+            stop = cap_stop
             break
 
-        mul(diff, h_arr, out=step)
-        x, x_next = add(x, step, out=x_next), x
+        mul(diff, h_arr, out=diff)
+        add(x, diff, out=x)
         if not h * dev < 0.5 and minr(x) <= 0.0:
             raise PositivityLostError(f"coordinate became nonpositive at iteration {k + 1}")
-        x_cap *= (1.0 + h * dev) * X_CAP_MARGIN
         k += 1
 
     if k > 0 and np.array_equal(x, x0):
@@ -305,7 +292,7 @@ def solve(
         raise FeasibilityLostError(f"feasibility drifted to {resid:.3e}")
 
     sol = Solution(
-        x=x, cost=float(c @ x), iterations=k, stop_reason=stop, h=h, eps=config.eps,
+        x=x.copy(), cost=float(c @ x), iterations=k, stop_reason=stop, h=h, eps=config.eps,
         residual_inf=resid, fixed_point_residual=fp_res, dev_max=dev_max,
     )
     entries = buf[:rows].copy().view(np.recarray)
@@ -398,7 +385,7 @@ def certified_step_search(
 
     if params is None:
         params = default_params(lp)
-    pos_cap = 0.5 / params.potential_ratio_bound
+    pos_cap = params.positivity_step_cap
     h_auto = default_step(params, eps)
     start = oracle_mod.start_point(lp, start, oracle_result)
     try:

@@ -87,7 +87,7 @@ def evaluate(lp: ValidatedLP, x) -> DynamicsEval:
 
     The state is copied, so the frozen result never shares the caller's array.
     """
-    x = check_point(lp, np.array(x, dtype=float), "state")
+    x = check_point(lp, x, "state").copy()
     w = x / lp.c
     p = spd_solve((lp.A * w).dot(lp.At), lp.b)
     edge = lp.At.dot(p)

@@ -123,6 +123,11 @@ class Params:
     potential_ratio_bound: float
     flux_bound: float
 
+    @property
+    def positivity_step_cap(self) -> float:
+        """The largest step 1/(2P) that keeps every iterate positive."""
+        return 0.5 / self.potential_ratio_bound
+
 
 def validate(lp: LinearProgram) -> ValidatedLP:
     """Check shapes, integrality, positivity of costs, and full row rank.
@@ -171,12 +176,20 @@ def validate(lp: LinearProgram) -> ValidatedLP:
 def check_point(lp: ValidatedLP, x, what: str, feasible: bool = False) -> np.ndarray:
     """Return a caller-supplied point as a float vector, or raise its one error.
 
-    DimensionMismatchError when the shape is not (n,), NonPositiveStateError
-    when an entry is not strictly positive and finite, and, only when
-    ``feasible`` is set, InfeasibleStartError when |A x - b|_inf exceeds
-    1e-8 (|b|_inf + 1). ``what`` names the point in the message.
+    DimensionMismatchError when an entry is a boolean or not a number or
+    the shape is not (n,), NonPositiveStateError when an entry is not
+    strictly positive and finite, and, only when ``feasible`` is set,
+    InfeasibleStartError when |A x - b|_inf exceeds 1e-8 (|b|_inf + 1).
+    ``what`` names the point in the message.
     """
-    x = np.asarray(x, dtype=float)
+    # As in _reject_bools, booleans inside a list are caught before the
+    # conversion would read them as 1.0 and 0.0.
+    if _holds_bool(x) or (isinstance(x, np.ndarray) and x.dtype == bool):
+        raise DimensionMismatchError(f"{what} must contain numbers")
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatchError(f"{what} must contain numbers") from exc
     if x.shape != (lp.n,):
         raise DimensionMismatchError(f"{what} has shape {x.shape}, expected ({lp.n},)")
     if not np.all(np.isfinite(x)) or np.any(x <= 0.0):

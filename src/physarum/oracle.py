@@ -151,9 +151,12 @@ def interior_point(result: OracleResult) -> np.ndarray:
 
 
 def start_point(lp: ValidatedLP, start=None, result: OracleResult | None = None) -> np.ndarray:
-    """``start`` as a float vector or, when it is None, an interior point of ``result`` (enumerated if None)."""
+    """``start`` as given or, when it is None, an interior point of ``result`` (enumerated if None).
+
+    A given start is returned unconverted, so that check_point sees the caller's value.
+    """
     if start is not None:
-        return np.asarray(start, dtype=float)
+        return start
     if result is None:
         result = enumerate_polyhedron(lp)
     return interior_point(result)

@@ -8,12 +8,27 @@ show when the benchmark runs. These checks make it show in the suite.
 import ast
 import importlib
 import importlib.util
+import inspect
 from math import comb
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from physarum import DiscreteConfig, FlowConfig, _exact, enumerate_polyhedron, follow_path, integrate, solve
+from physarum import (
+    DiscreteConfig,
+    FlowConfig,
+    _exact,
+    certified_step_search,
+    certify_trace,
+    compute_params,
+    default_step,
+    enumerate_polyhedron,
+    follow_path,
+    integrate,
+    solve,
+)
+from physarum.cli_io import run_verification
 from tests.conftest import planted_instance
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
@@ -25,6 +40,34 @@ def load_spans():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# The calls bench/workloads.py and bench/probes.py make, with placeholder
+# arguments in the same positions and under the same keywords.
+BENCH_CALLS = [
+    (certify_trace, ("lp", "trace", "opt", "eps", "h", "x_star"), {}),
+    (certified_step_search, ("lp", "eps"), {"params": "params", "oracle_result": "res"}),
+    (default_step, ("params", "eps"), {}),
+    (compute_params, ("lp",), {}),
+    (compute_params, ("lp",), {"mode": "exact"}),
+    (solve, ("lp", "config"), {"params": "params"}),
+    (solve, ("lp", "config"), {"params": "params", "oracle_result": "res"}),
+    (integrate, ("lp", "config"), {}),
+    (integrate, ("lp", "config"), {"params": "params"}),
+    (follow_path, ("lp", "x0", "mus"), {}),
+    (run_verification, ("lp",), {"eps": "eps", "h": None, "samples": 200, "seed": 1}),
+    (DiscreteConfig, (), {"eps": "eps", "h": "h"}),
+    (DiscreteConfig, (), {"start": "x0", "trace_every": 0, "max_iters": 1}),
+    (DiscreteConfig, (), {"eps": "eps", "h": "h", "start": "x0", "trace_every": 1, "max_iters": 1}),
+    (FlowConfig, (), {"x0": "x0", "t_end": 40.0}),
+    (FlowConfig, (), {"x0": "x0", "t_end": 40.0, "sample_dt": 0.25}),
+]
+
+
+@pytest.mark.parametrize("fn, args, kwargs", BENCH_CALLS,
+                         ids=[f"{fn.__name__}-{i}" for i, (fn, _, _) in enumerate(BENCH_CALLS)])
+def test_benchmark_call_shapes_bind(fn, args, kwargs):
+    inspect.signature(fn).bind(*args, **kwargs)
 
 
 def test_every_traced_attribute_resolves():

@@ -7,7 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physarum import LinearProgram, _exact, compute_params, default_params, validate
+from physarum import (
+    DiscreteConfig,
+    FlowConfig,
+    LinearProgram,
+    _exact,
+    certified_step_search,
+    compute_params,
+    default_params,
+    evaluate,
+    integrate,
+    solve,
+    validate,
+)
 from physarum._exact import max_abs_subdeterminant
 from physarum.errors import (
     DimensionMismatchError,
@@ -15,7 +27,7 @@ from physarum.errors import (
     RankDeficientError,
     TooLargeError,
 )
-from physarum.model import subdet_upper_bound
+from physarum.model import check_point, subdet_upper_bound
 from tests.conftest import planted_instance
 
 
@@ -94,6 +106,23 @@ def test_booleans_from_library_callers_are_not_integers(which, value):
         validate(LinearProgram(A=data["A"], b=data["b"], c=data["c"]))
 
 
+@pytest.mark.parametrize("point", [
+    [True, 0.5], (0.5, np.True_), np.array([True, True]), np.True_, ["a", 1], [1 + 1j, 1.0], [[1.0], [1.0, 2.0]],
+])
+def test_points_from_library_callers_must_hold_numbers(simple2, point):
+    # A boolean would read as 1.0 or 0.0 and a string as a bare ValueError.
+    with pytest.raises(DimensionMismatchError, match="state must contain numbers"):
+        evaluate(simple2, point)
+    with pytest.raises(DimensionMismatchError, match="x0 must contain numbers"):
+        integrate(simple2, FlowConfig(x0=point, t_end=1.0))
+    with pytest.raises(DimensionMismatchError, match="start must contain numbers"):
+        solve(simple2, DiscreteConfig(start=point, allow_infeasible=True))
+    with pytest.raises(DimensionMismatchError, match="x0 must contain numbers"):
+        certified_step_search(simple2, 0.1, start=point)
+    with pytest.raises(DimensionMismatchError, match="anchor must contain numbers"):
+        check_point(simple2, point, "anchor")
+
+
 def test_validate_rejects_small_costs():
     with pytest.raises(NonPositiveCostError):
         validate(LinearProgram.from_lists([[1, 1]], [1], [0, 1]))
@@ -122,6 +151,7 @@ def test_params_simple2(simple2):
     assert p.subdet_max == 1.0 and p.subdet_exact
     assert p.potential_ratio_bound == 4.0
     assert p.flux_bound == 2.0
+    assert p.positivity_step_cap == 0.125
 
 
 def test_params_identity2(identity2):

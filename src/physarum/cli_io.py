@@ -41,7 +41,7 @@ from .model import (
     EXACT_SUBDET_CAP,
     LinearProgram,
     ValidatedLP,
-    _holds_bool,
+    _holds_non_number,
     compute_params,
     default_params,
     validate,
@@ -66,8 +66,9 @@ class ProblemFile:
 def parse_problem(path) -> ProblemFile:
     """Read a problem JSON file without validating the mathematics.
 
-    JSON booleans in A, b, c or start raise DimensionMismatchError: numpy
-    would read ``true`` as 1 inside a list of numbers.
+    JSON booleans and strings in A, b, c or start raise
+    DimensionMismatchError: numpy would read ``true`` as 1 inside a list of
+    numbers, and ``"0.5"`` as 0.5 in a float conversion.
     """
     path = Path(path)
     try:
@@ -98,7 +99,7 @@ def parse_problem(path) -> ProblemFile:
     if "start" in doc:
         if not isinstance(doc["start"], list):
             raise MalformedProblemError(f"{path}: 'start' must be a list")
-        if _holds_bool(doc["start"]):
+        if _holds_non_number(doc["start"]):
             raise DimensionMismatchError("start must contain numbers")
         try:
             start = np.asarray(doc["start"], dtype=float)
@@ -396,11 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("problem", help="path to a problem JSON file")
+
+    def with_start(p):
+        common(p)
         p.add_argument("--start", type=_vector, default=None,
                        help="comma-separated start vector, overriding the file")
 
     p = sub.add_parser("solve", help="run the damped discrete iteration")
-    common(p)
+    with_start(p)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--h", type=float, default=None,
                    help="step size (default: the certified step)")
@@ -410,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("flow", help="integrate the continuous dynamics")
-    common(p)
+    with_start(p)
     p.add_argument("--t-end", type=float, default=40.0)
     p.add_argument("--sample-dt", type=float, default=0.25)
     p.add_argument("--rel-tol", type=float, default=1e-8)
@@ -418,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("path", help="follow the entropy-regularized path")
-    common(p)
+    with_start(p)
     p.add_argument("--mu-max", type=float, default=20.0)
     p.add_argument("--points", type=_positive_int, default=41)
     p.add_argument("--trace", default=None, help="write a CSV trace here")

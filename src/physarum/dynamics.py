@@ -135,7 +135,7 @@ def column_potential_bounds(lp: ValidatedLP, w) -> np.ndarray:
     behind every potential bound in the package.
     """
     w = check_point(lp, w, "weights")
-    fac = spd_factor((lp.A * w) @ lp.At)
+    fac = spd_factor((lp.A * w).dot(lp.At))
     sols = fac.solve(lp.A)
     return np.abs(lp.At @ sols).max(axis=0)
 

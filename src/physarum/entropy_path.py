@@ -11,7 +11,9 @@ whose maximizer y recovers the primal as x_i = s_i exp(a_i . y / c_i - mu):
 the gradient b - A x(y) vanishing is exactly feasibility. The Hessian is
 -A W A^T with W = diag(x/c), the same weighted Laplacian the flow solves
 against, and the path coincides with the flow trajectory through s when
-mu is read as time.
+mu is read as time. ``solve_point`` forms that Laplacian once per Newton
+step, at the iterate it steps from; line-search trial points need only
+the value and the gradient.
 """
 
 from __future__ import annotations
@@ -47,7 +49,11 @@ class PathPoint:
 
 
 def dual_value_and_derivatives(lp: ValidatedLP, s, mu: float, y):
-    """Evaluate g, its gradient, and its Hessian at a dual point y."""
+    """Evaluate g, its gradient and the primal point x(y) at a dual point y.
+
+    The Hessian -A W A^T is not formed here: ``solve_point`` builds A W A^T
+    from x at each iterate it steps from.
+    """
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
     expo = np.log(s) + (lp.At @ y) / lp.c - mu
@@ -59,8 +65,7 @@ def dual_value_and_derivatives(lp: ValidatedLP, s, mu: float, y):
     x = np.exp(expo)
     value = float(y @ lp.b - lp.c @ x)
     grad = lp.b - lp.A @ x
-    hess = -(lp.A * (x / lp.c)) @ lp.At
-    return value, grad, hess, x
+    return value, grad, x
 
 
 def solve_point(lp: ValidatedLP, s, mu: float, y0=None) -> PathPoint:
@@ -80,11 +85,11 @@ def solve_point(lp: ValidatedLP, s, mu: float, y0=None) -> PathPoint:
         raise DimensionMismatchError(f"y0 has shape {y.shape}, expected ({lp.m},)")
 
     tol = 1e-10 * (float(np.abs(lp.b).max()) + 1.0)
-    value, grad, hess, x = dual_value_and_derivatives(lp, s, mu, y)
+    value, grad, x = dual_value_and_derivatives(lp, s, mu, y)
     for it in range(MAX_NEWTON_ITERS):
         if float(np.abs(grad).max()) <= tol:
             return PathPoint(mu=float(mu), y=y, x=x, dual_value=value, newton_iters=it)
-        d = spd_solve(-hess, grad)
+        d = spd_solve((lp.A * (x / lp.c)).dot(lp.At), grad)
         slope = float(grad @ d)
         # g is computed as y.b - c.x, so its increments are only trustworthy
         # above the cancellation noise of those two dot products; without
@@ -107,7 +112,7 @@ def solve_point(lp: ValidatedLP, s, mu: float, y0=None) -> PathPoint:
                 f"line search exhausted {MAX_BACKTRACKS} halvings at mu={mu}"
             )
         y = y + t * d
-        value, grad, hess, x = accepted
+        value, grad, x = accepted
     raise NewtonStalledError(f"no convergence in {MAX_NEWTON_ITERS} Newton steps at mu={mu}")
 
 

@@ -43,24 +43,29 @@ class LinearProgram:
 
     @classmethod
     def from_lists(cls, A, b, c, name: str = "") -> "LinearProgram":
-        """Build an instance from nested lists; a boolean entry raises DimensionMismatchError."""
-        _reject_bools(A, b, c)
+        """Build an instance from nested lists; a boolean or string entry raises DimensionMismatchError."""
+        _reject_non_numbers(A, b, c)
         return cls(np.asarray(A), np.asarray(b), np.asarray(c), name)
 
 
-def _holds_bool(value) -> bool:
-    """Whether value is a boolean or a (nested) list or tuple that holds one."""
-    return isinstance(value, (bool, np.bool_)) or (
-        isinstance(value, (list, tuple)) and any(map(_holds_bool, value))
+def _holds_non_number(value) -> bool:
+    """Whether value is, or is a (nested) list, tuple or array that holds, a boolean or a string.
+
+    np.asarray reads True as 1 and, with dtype=float, parses "0.5" as 0.5,
+    so these entries are caught before any conversion.
+    """
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "bSU" or (
+            value.dtype == object and any(map(_holds_non_number, value.flat))
+        )
+    return isinstance(value, (bool, np.bool_, str, bytes)) or (
+        isinstance(value, (list, tuple)) and any(map(_holds_non_number, value))
     )
 
 
-def _reject_bools(A, b, c) -> None:
-    # np.asarray reads True as 1 inside a list of integers, so booleans are
-    # caught before the conversion; an all-boolean array keeps dtype bool
-    # and fails validate's integer check.
+def _reject_non_numbers(A, b, c) -> None:
     for name, value in (("A", A), ("b", b), ("c", c)):
-        if _holds_bool(value):
+        if _holds_non_number(value):
             raise DimensionMismatchError(f"{name} must contain integers")
 
 
@@ -136,9 +141,9 @@ def validate(lp: LinearProgram) -> ValidatedLP:
     rank is proved exactly by ``_exact.rank_int``: an elimination modulo a
     prime in numpy int64 arithmetic accepts a full-rank A from
     ``_exact.MODULAR_MIN_DIM`` rows on, and Bareiss on Python ints decides
-    small or rank-deficient matrices. Booleans are not integers here.
+    small or rank-deficient matrices. Booleans and strings are not integers here.
     """
-    _reject_bools(lp.A, lp.b, lp.c)
+    _reject_non_numbers(lp.A, lp.b, lp.c)
     A = np.asarray(lp.A)
     b = np.asarray(lp.b)
     c = np.asarray(lp.c)
@@ -176,15 +181,15 @@ def validate(lp: LinearProgram) -> ValidatedLP:
 def check_point(lp: ValidatedLP, x, what: str, feasible: bool = False) -> np.ndarray:
     """Return a caller-supplied point as a float vector, or raise its one error.
 
-    DimensionMismatchError when an entry is a boolean or not a number or
-    the shape is not (n,), NonPositiveStateError when an entry is not
+    DimensionMismatchError when an entry is a boolean, a string or not a
+    number or the shape is not (n,), NonPositiveStateError when an entry is not
     strictly positive and finite, and, only when ``feasible`` is set,
     InfeasibleStartError when |A x - b|_inf exceeds 1e-8 (|b|_inf + 1).
     ``what`` names the point in the message.
     """
-    # As in _reject_bools, booleans inside a list are caught before the
-    # conversion would read them as 1.0 and 0.0.
-    if _holds_bool(x) or (isinstance(x, np.ndarray) and x.dtype == bool):
+    # Booleans and numeric strings are caught before the conversion would
+    # read them as 1.0, 0.0 or the number they spell.
+    if _holds_non_number(x):
         raise DimensionMismatchError(f"{what} must contain numbers")
     try:
         x = np.asarray(x, dtype=float)

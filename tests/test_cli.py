@@ -1,5 +1,7 @@
 """Command-line interface: JSON output, trace files, and exit codes."""
 
+import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import physarum
-from physarum.cli_io import main, parse_problem
+from physarum.cli_io import build_parser, main, parse_problem
 from physarum.errors import MalformedProblemError, ProblemIOError
 from tests.conftest import INSTANCE_DIR, planted_instance
 
@@ -100,6 +102,16 @@ def test_json_booleans_are_not_integers(capsys, tmp_path, which, value):
 def test_json_booleans_in_start_are_not_numbers(capsys, tmp_path):
     path = tmp_path / "bool_start.json"
     path.write_text(json.dumps({"A": [[1, 1]], "b": [1], "c": [1, 2], "start": [True, 0.5]}))
+    assert main(["flow", str(path), "--t-end", "1"]) == 3
+    captured = capsys.readouterr()
+    assert "start must contain numbers" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("start", [["0.5", 0.5], [0.5, "0.5"]])
+def test_json_strings_in_start_are_not_numbers(capsys, tmp_path, start):
+    path = tmp_path / "string_start.json"
+    path.write_text(json.dumps({"A": [[1, 1]], "b": [1], "c": [1, 2], "start": start}))
     assert main(["flow", str(path), "--t-end", "1"]) == 3
     captured = capsys.readouterr()
     assert "start must contain numbers" in captured.err
@@ -364,6 +376,9 @@ def test_log_env_var_routes_to_stderr():
 
 @pytest.mark.parametrize("args, code", [
     ("solve --start 1,x", 1),
+    ("verify --start 9,9", 1),
+    ("oracle --start 9,9", 1),
+    ("params --start 9,9", 1),
     ("path --points 0", 1),
     ("verify --samples -1", 1),
     ("verify --seed -1", 1),
@@ -389,6 +404,17 @@ def test_bad_arguments_exit_with_a_code_not_a_traceback(args, code):
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_every_option_has_a_reader():
+    # A flag that its command never reads is accepted and silently ignored.
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for cmd, sub in subparsers.choices.items():
+        source = inspect.getsource(sub.get_default("func"))
+        unread += [f"{cmd} {a.dest}" for a in sub._actions
+                   if a.dest != "help" and f"args.{a.dest}" not in source]
+    assert unread == []
 
 
 @pytest.mark.parametrize("entry", ["1e20", "100000000000000000000"])

@@ -32,12 +32,9 @@ def test_path_approaches_the_optimal_vertex(simple2):
 def test_derivative_structure(simple2):
     s = np.array([0.5, 0.5])
     y = np.array([0.3])
-    value, grad, hess, x = dual_value_and_derivatives(simple2, s, 1.5, y)
+    value, grad, x = dual_value_and_derivatives(simple2, s, 1.5, y)
     assert value == pytest.approx(float(y @ simple2.b - simple2.c @ x))
     assert np.allclose(grad, simple2.b - simple2.A @ x, atol=1e-14)
-    # negated Hessian is the weighted laplacian of the dynamics at x(y)
-    lap = (simple2.A * (x / simple2.c)) @ simple2.At
-    assert np.abs(hess + lap).max() <= 1e-12 * max(1.0, np.abs(lap).max())
 
 
 def test_path_matches_flow_in_time(simple2):

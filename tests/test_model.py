@@ -123,6 +123,32 @@ def test_points_from_library_callers_must_hold_numbers(simple2, point):
         check_point(simple2, point, "anchor")
 
 
+def test_numeric_strings_are_not_numbers(simple2):
+    # np.asarray(..., dtype=float) parses "0.5" as 0.5, so these used to pass.
+    for point in (
+        ["0.5", "0.5"], ("0.5", 0.5), [0.5, b"0.5"], np.array(["0.5", "0.5"]), np.array([b"0.5", b"0.5"]),
+        np.array(["0.5", 0.5], dtype=object), [np.str_("0.5"), 0.5], "0.5",
+    ):
+        with pytest.raises(DimensionMismatchError, match="state must contain numbers"):
+            evaluate(simple2, point)
+        with pytest.raises(DimensionMismatchError, match="anchor must contain numbers"):
+            check_point(simple2, point, "anchor")
+    for point in (
+        [1, 0.5], (np.float32(0.5), np.int64(1)), np.array([1, 2], dtype=np.int8),
+        np.array([0.5, 0.5], dtype=object),
+    ):
+        x = check_point(simple2, point, "anchor")
+        assert x.dtype == np.float64
+        assert np.array_equal(x, np.asarray(point, dtype=float))
+
+
+@pytest.mark.parametrize("which, value", [("A", [["1", 1]]), ("b", [b"1"]), ("c", (1, np.str_("1")))])
+def test_strings_from_library_callers_are_not_integers(which, value):
+    data = {"A": [[1, 1]], "b": [1], "c": [1, 1], which: value}
+    with pytest.raises(DimensionMismatchError, match=f"{which} must contain integers"):
+        LinearProgram.from_lists(data["A"], data["b"], data["c"])
+
+
 def test_validate_rejects_small_costs():
     with pytest.raises(NonPositiveCostError):
         validate(LinearProgram.from_lists([[1, 1]], [1], [0, 1]))

@@ -8,8 +8,9 @@ PHYSARUM_LOG=debug for solver chatter).
 
 Exit codes: 0 success, 1 usage, 2 unreadable or malformed input,
 3 ValidationError (bad problem data, a bad argument or a bad start point),
-4 any other PhysarumError (numerical failure, size limit, no interior
-point), 5 a verification check did not hold.
+4 any other PhysarumError (numerical failure, including a certified step
+that underflows to 0, size limit, no interior point), 5 a verification
+check did not hold.
 """
 
 from __future__ import annotations
@@ -108,18 +109,16 @@ def parse_problem(path) -> ProblemFile:
     return ProblemFile(lp=lp, start=start)
 
 
-def load_validated(path) -> tuple[ValidatedLP, ProblemFile]:
+def load_problem(path, start: np.ndarray | None = None) -> tuple[ValidatedLP, np.ndarray | None]:
+    """The validated problem in ``path`` and its start: ``start`` if given, else the file's."""
     pf = parse_problem(path)
-    return validate(pf.lp), pf
+    return validate(pf.lp), pf.start if start is None else start
 
 
 def _json_ready(obj):
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    """Plain Python values for json: numpy values via tolist, non-finite floats as strings."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     if isinstance(obj, dict):
@@ -130,7 +129,7 @@ def _json_ready(obj):
 
 
 def _emit(doc: dict) -> None:
-    json.dump(_json_ready(doc), sys.stdout, sort_keys=True, indent=2)
+    json.dump(_json_ready(doc), sys.stdout, sort_keys=True, indent=2, allow_nan=False)
     sys.stdout.write("\n")
 
 
@@ -140,7 +139,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_trace_csv(path, header: list[str], rows) -> None:
+def _write_trace_csv(path, index: str, n: int, rows) -> None:
+    """One CSV row per state: ``index``, x_0..x_{n-1}, cost, energy, feas_residual, edge_potential_inf."""
+    header = [index, *(f"x_{i}" for i in range(n)), "cost", "energy", "feas_residual", "edge_potential_inf"]
     path = Path(path)
     try:
         with path.open("w") as fh:
@@ -151,13 +152,8 @@ def _write_trace_csv(path, header: list[str], rows) -> None:
         raise ProblemIOError(f"cannot write {path}: {exc}") from exc
 
 
-def _resolve_start(pf: ProblemFile, override: np.ndarray | None) -> np.ndarray | None:
-    return override if override is not None else pf.start
-
-
 def cmd_solve(args) -> int:
-    lp, pf = load_validated(args.problem)
-    start = _resolve_start(pf, args.start)
+    lp, start = load_problem(args.problem, args.start)
     config = discrete_solver.DiscreteConfig(
         eps=args.eps, h=args.h, start=start,
         max_iters=args.max_iters, trace_every=args.trace_every,
@@ -165,13 +161,12 @@ def cmd_solve(args) -> int:
     sol, trace = discrete_solver.solve(lp, config)
     if args.trace:
         e = trace.entries
-        header = ["k"] + [f"x_{i}" for i in range(lp.n)] + ["cost", "energy", "feas_residual", "edge_potential_inf"]
         # Row by row: a batched A x rounds differently from the per-state one.
         rows = (
             [k, *x, cost, energy, float(np.abs(lp.A @ x - lp.b).max()), edge]
             for k, x, cost, energy, edge in zip(e.k, e.x, e.cost, e.energy, e.edge_potential_inf)
         )
-        _write_trace_csv(args.trace, header, rows)
+        _write_trace_csv(args.trace, "k", lp.n, rows)
     _emit({
         "command": "solve", "name": lp.name, "m": lp.m, "n": lp.n,
         "eps": sol.eps, "h": sol.h, "x": sol.x, "cost": sol.cost,
@@ -186,20 +181,16 @@ def cmd_solve(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    lp, pf = load_validated(args.problem)
-    start = oracle_mod.start_point(lp, _resolve_start(pf, args.start))
+    lp, start = load_problem(args.problem, args.start)
     config = continuous_flow.FlowConfig(
-        x0=start, t_end=args.t_end, rel_tol=args.rel_tol, sample_dt=args.sample_dt,
+        x0=oracle_mod.start_point(lp, start), t_end=args.t_end,
+        rel_tol=args.rel_tol, sample_dt=args.sample_dt,
     )
     trace = continuous_flow.integrate(lp, config)
     e = trace.entries
     if args.trace:
-        header = ["t"] + [f"x_{i}" for i in range(lp.n)] + ["cost", "energy", "feas_residual", "edge_potential_inf"]
-        rows = (
-            [t, *x, cost, energy, r, edge]
-            for t, x, cost, energy, r, edge in zip(e.t, e.x, e.cost, e.energy, e.feas_residual, e.edge_potential_inf)
-        )
-        _write_trace_csv(args.trace, header, rows)
+        rows = zip(e.t, *e.x.T, e.cost, e.energy, e.feas_residual, e.edge_potential_inf)
+        _write_trace_csv(args.trace, "t", lp.n, rows)
     final = trace.final
     _emit({
         "command": "flow", "name": lp.name, "m": lp.m, "n": lp.n,
@@ -214,21 +205,20 @@ def cmd_flow(args) -> int:
 
 
 def cmd_path(args) -> int:
-    lp, pf = load_validated(args.problem)
-    anchor = oracle_mod.start_point(lp, _resolve_start(pf, args.start))
+    lp, start = load_problem(args.problem, args.start)
+    anchor = oracle_mod.start_point(lp, start)
     if not math.isfinite(args.mu_max):
         raise ValidationError("--mu-max must be finite")
     mus = np.linspace(0.0, args.mu_max, args.points)
     points = entropy_path.follow_path(lp, anchor, mus)
     if args.trace:
-        header = ["mu"] + [f"x_{i}" for i in range(lp.n)] + ["cost", "energy", "feas_residual", "edge_potential_inf"]
         rows = (
             [p.mu, *p.x, float(lp.c @ p.x), "",
              float(np.abs(lp.A @ p.x - lp.b).max()),
              float(np.abs(lp.At @ p.y).max())]
             for p in points
         )
-        _write_trace_csv(args.trace, header, rows)
+        _write_trace_csv(args.trace, "mu", lp.n, rows)
     last = points[-1]
     _emit({
         "command": "path", "name": lp.name, "m": lp.m, "n": lp.n,
@@ -242,7 +232,7 @@ def cmd_path(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    lp, _ = load_validated(args.problem)
+    lp, _ = load_problem(args.problem)
     result = oracle_mod.enumerate_polyhedron(lp, cap=args.cap)
     doc = {
         "command": "oracle", "name": lp.name, "m": lp.m, "n": lp.n,
@@ -261,7 +251,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_params(args) -> int:
-    lp, _ = load_validated(args.problem)
+    lp, _ = load_problem(args.problem)
     params = compute_params(lp, mode=args.mode) if args.mode else default_params(lp)
     _emit({
         "command": "params", "name": lp.name, "m": lp.m, "n": lp.n,
@@ -354,7 +344,7 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
 
 
 def cmd_verify(args) -> int:
-    lp, _ = load_validated(args.problem)
+    lp, _ = load_problem(args.problem)
     report = run_verification(lp, eps=args.eps, h=args.h,
                               samples=args.samples, seed=args.seed,
                               max_iters=args.max_iters)
@@ -377,77 +367,63 @@ def _vector(text: str) -> np.ndarray:
     return np.asarray([float(v) for v in text.split(",")], dtype=float)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers of at least ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="physarum", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("problem", help="path to a problem JSON file")
+        p.set_defaults(func=func)
+        return p
 
-    def with_start(p):
-        common(p)
+    def engine(name, func, help):
+        p = command(name, func, help)
         p.add_argument("--start", type=_vector, default=None,
                        help="comma-separated start vector, overriding the file")
+        p.add_argument("--trace", default=None, help="write a CSV trace here")
+        return p
 
-    p = sub.add_parser("solve", help="run the damped discrete iteration")
-    with_start(p)
+    p = engine("solve", cmd_solve, "run the damped discrete iteration")
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--h", type=float, default=None,
                    help="step size (default: the certified step)")
     p.add_argument("--max-iters", type=int, default=1_000_000)
-    p.add_argument("--trace", default=None, help="write a CSV trace here")
     p.add_argument("--trace-every", type=int, default=1)
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("flow", help="integrate the continuous dynamics")
-    with_start(p)
+    p = engine("flow", cmd_flow, "integrate the continuous dynamics")
     p.add_argument("--t-end", type=float, default=40.0)
     p.add_argument("--sample-dt", type=float, default=0.25)
     p.add_argument("--rel-tol", type=float, default=1e-8)
-    p.add_argument("--trace", default=None, help="write a CSV trace here")
-    p.set_defaults(func=cmd_flow)
 
-    p = sub.add_parser("path", help="follow the entropy-regularized path")
-    with_start(p)
+    p = engine("path", cmd_path, "follow the entropy-regularized path")
     p.add_argument("--mu-max", type=float, default=20.0)
-    p.add_argument("--points", type=_positive_int, default=41)
-    p.add_argument("--trace", default=None, help="write a CSV trace here")
-    p.set_defaults(func=cmd_path)
+    p.add_argument("--points", type=_int_at_least(1), default=41)
 
-    p = sub.add_parser("oracle", help="enumerate vertices and rays exactly")
-    common(p)
-    p.add_argument("--cap", type=_positive_int, default=oracle_mod.ENUMERATION_CAP)
-    p.set_defaults(func=cmd_oracle)
+    p = command("oracle", cmd_oracle, "enumerate vertices and rays exactly")
+    p.add_argument("--cap", type=_int_at_least(1), default=oracle_mod.ENUMERATION_CAP)
 
-    p = sub.add_parser("params", help="print certified instance constants")
-    common(p)
+    p = command("params", cmd_params, "print certified instance constants")
     p.add_argument("--mode", choices=("exact", "bound"), default=None,
                    help=f"subdeterminants (default: exact up to n = {EXACT_SUBDET_CAP}, else the bound)")
     p.add_argument("--eps", type=float, default=0.1)
-    p.set_defaults(func=cmd_params)
 
-    p = sub.add_parser("verify", help="solve and check every invariant")
-    common(p)
+    p = command("verify", cmd_verify, "solve and check every invariant")
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--h", type=float, default=None)
-    p.add_argument("--samples", type=_nonnegative_int, default=200)
-    p.add_argument("--seed", type=_nonnegative_int, default=20240801)
+    p.add_argument("--samples", type=_int_at_least(0), default=200)
+    p.add_argument("--seed", type=_int_at_least(0), default=20240801)
     p.add_argument("--max-iters", type=int, default=1_000_000)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 

@@ -38,6 +38,7 @@ from .errors import (
     MissingVerifyDataError,
     NumericalError,
     PositivityLostError,
+    StepSizeUnderflowError,
     ValidationError,
 )
 # evaluate is not called here, but bench/spans.py records spans by
@@ -117,10 +118,13 @@ def _columns(buf: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def default_step(params: Params, eps: float) -> float:
-    """The certified step size eps / (6 P^2)."""
+    """The certified step size eps / (6 P^2); 0.0 when P^2 exceeds the float range."""
     if not (0.0 < eps < 0.5):
         raise BadEpsError(f"eps must lie in (0, 1/2), got {eps}")
-    return eps / (6.0 * params.potential_ratio_bound**2)
+    try:
+        return eps / (6.0 * params.potential_ratio_bound**2)
+    except OverflowError:
+        return 0.0
 
 
 def iteration_bound(cost_ratio: float, spread: float, eps: float, h: float) -> int:
@@ -181,6 +185,12 @@ def solve(
 
     certified = default_step(params, config.eps)
     if config.h is None:
+        if certified == 0.0:
+            raise StepSizeUnderflowError(
+                f"the certified step eps / (6 P^2) underflows to 0 at eps = {config.eps}, "
+                f"P = {params.potential_ratio_bound:.3e}; "
+                "pass a step h (--h), or search for one with certified_step_search"
+            )
         h = certified
     else:
         h = config.h

@@ -13,6 +13,7 @@ from it come the safe step size and the a-priori bound on any flux vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -210,14 +211,19 @@ def subdet_upper_bound(A_int: np.ndarray) -> float:
     """Closed-form bound on the subdeterminant maximum.
 
     For a k x k submatrix every row has 2-norm at most sqrt(k) * max|A_ij|,
-    so the determinant is at most (sqrt(k) * max|A_ij|)**k; take the max
-    over k. Always at least the exact value and cheap at any size.
+    so the determinant is at most (sqrt(k) * max|A_ij|)**k. An integer
+    max|A_ij| is at least 1, so the bound grows with k and k = min(m, n)
+    bounds every size. Always at least the exact value and cheap at any
+    size; math.inf when it exceeds the float range.
     """
-    m, n = A_int.shape
     a = int(np.abs(A_int).max())
     if a == 0:
         return 0.0
-    return max((np.sqrt(k) * a) ** k for k in range(1, min(m, n) + 1))
+    k = min(A_int.shape)
+    try:
+        return (math.sqrt(k) * a) ** k
+    except OverflowError:
+        return math.inf
 
 
 def compute_params(lp: ValidatedLP, mode: str = "exact") -> Params:

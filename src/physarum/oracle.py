@@ -42,9 +42,8 @@ class OracleResult:
 
     ``vertices`` and ``rays`` are float arrays (possibly empty) in a
     deterministic sorted order; the same data is kept exactly as tuples of
-    Fractions. ``J`` is the union of optimal
-    supports (plus any zero-cost ray supports), ``N`` its complement;
-    indices are 0-based.
+    Fractions. ``J`` is the union of optimal supports, ``N`` its
+    complement; indices are 0-based.
     """
 
     status: str
@@ -107,25 +106,14 @@ def enumerate_polyhedron(lp: ValidatedLP, cap: int = ENUMERATION_CAP) -> OracleR
     rays_exact = _basic_solutions_exact(ray_mat, ray_rhs)
     vertices = np.array([[float(v) for v in vert] for vert in verts_exact]).reshape(len(verts_exact), lp.n)
     rays = np.array([[float(v) for v in ray] for ray in rays_exact]).reshape(len(rays_exact), lp.n)
-    if not verts_exact:
-        return OracleResult(
-            status="infeasible", vertices=vertices, rays=rays, opt=None,
-            optimal_indices=(), J=(), N=tuple(range(lp.n)),
-            vertices_exact=tuple(verts_exact), rays_exact=tuple(rays_exact), opt_exact=None,
-        )
     c_frac = [Fraction(int(v)) for v in lp.c_int]
     costs = [sum(ci * vi for ci, vi in zip(c_frac, vert)) for vert in verts_exact]
-    opt_exact = min(costs)
+    opt_exact = min(costs, default=None)
     optimal = tuple(i for i, cost in enumerate(costs) if cost == opt_exact)
-    support: set[int] = set()
-    for i in optimal:
-        support.update(j for j, v in enumerate(verts_exact[i]) if v != 0)
-    for ray in rays_exact:
-        if sum(ci * ri for ci, ri in zip(c_frac, ray)) == 0:
-            support.update(j for j, v in enumerate(ray) if v != 0)
+    support = {j for i in optimal for j, v in enumerate(verts_exact[i]) if v != 0}
     return OracleResult(
-        status="optimal", vertices=vertices, rays=rays, opt=float(opt_exact),
-        optimal_indices=optimal,
+        status="optimal" if verts_exact else "infeasible", vertices=vertices, rays=rays,
+        opt=None if opt_exact is None else float(opt_exact), optimal_indices=optimal,
         J=tuple(sorted(support)), N=tuple(sorted(set(range(lp.n)) - support)),
         vertices_exact=tuple(verts_exact), rays_exact=tuple(rays_exact), opt_exact=opt_exact,
     )

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import physarum
-from physarum.cli_io import build_parser, main, parse_problem
+from physarum import FlowConfig, follow_path, integrate, validate
+from physarum.cli_io import _json_ready, build_parser, main, parse_problem
 from physarum.errors import MalformedProblemError, ProblemIOError
 from tests.conftest import INSTANCE_DIR, planted_instance
 
@@ -168,6 +169,42 @@ def test_flow_command(capsys):
     assert data["x_bound_ok"] is True
     assert data["feas_residual_max"] < 1e-6
     assert data["cost_final"] == pytest.approx(2.0, abs=0.1)
+
+
+def read_trace(path):
+    header, *rows = Path(path).read_text().splitlines()
+    return header, [row.split(",") for row in rows]
+
+
+def test_flow_trace_rows_are_the_integrated_samples(capsys, tmp_path):
+    trace = tmp_path / "flow.csv"
+    rc, data = run_json(capsys, ["flow", SIMPLE2, "--t-end", "3", "--trace", str(trace)])
+    assert rc == 0 and data["trace_file"] == str(trace)
+    pf = parse_problem(SIMPLE2)
+    e = integrate(validate(pf.lp), FlowConfig(x0=pf.start, t_end=3.0)).entries
+    header, rows = read_trace(trace)
+    assert header == "t,x_0,x_1,cost,energy,feas_residual,edge_potential_inf"
+    assert len(rows) == data["samples"] == len(e)
+    for row, i in ((rows[0], 0), (rows[-1], -1)):
+        want = [e.t[i], *e.x[i], e.cost[i], e.energy[i], e.feas_residual[i], e.edge_potential_inf[i]]
+        assert [float(v) for v in row] == want
+
+
+def test_path_trace_rows_are_the_path_points(capsys, tmp_path):
+    trace = tmp_path / "path.csv"
+    args = ["path", TRIANGLE, "--start", "0.5,0.5,0.5", "--mu-max", "4", "--points", "5"]
+    rc, data = run_json(capsys, [*args, "--trace", str(trace)])
+    assert rc == 0 and data["trace_file"] == str(trace)
+    lp = validate(parse_problem(TRIANGLE).lp)
+    points = follow_path(lp, np.full(3, 0.5), np.linspace(0.0, 4.0, 5))
+    header, rows = read_trace(trace)
+    assert header == "mu,x_0,x_1,x_2,cost,energy,feas_residual,edge_potential_inf"
+    assert len(rows) == data["points"] == 5
+    for row, p in ((rows[0], points[0]), (rows[-1], points[-1])):
+        assert [float(v) for v in row[:5]] == [p.mu, *p.x, float(lp.c @ p.x)]
+        assert row[5] == ""  # the path has no energy column
+        assert float(row[6]) == float(np.abs(lp.A @ p.x - lp.b).max())
+        assert float(row[7]) == float(np.abs(lp.At @ p.y).max())
 
 
 def test_path_command(capsys):
@@ -404,6 +441,38 @@ def test_bad_arguments_exit_with_a_code_not_a_traceback(args, code):
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_json_ready_sends_numpy_values_through_one_rule():
+    doc = [np.float64("inf"), np.float64("nan"), np.float32(1.5), np.int64(3), np.bool_(True)]
+    ready = _json_ready(doc)
+    assert ready == ["inf", "nan", 1.5, 3, True]
+    assert [type(v) for v in ready] == [str, str, float, int, bool]
+    json.dumps(ready, allow_nan=False)
+
+
+def overflowing_instance(m):
+    # Entries up to 1e17: P^2 overflows at m = 10 (exact D) and m = 16 (bounded
+    # D), and the bound on D itself exceeds the float range at m = 18.
+    rng = np.random.default_rng(0)
+    A = rng.integers(-10**17, 10**17, size=(m, m + 1))
+    b = A @ np.ones(m + 1, dtype=np.int64)
+    return {"A": A.tolist(), "b": b.tolist(), "c": [1] * (m + 1), "start": [1.0] * (m + 1)}
+
+
+@pytest.mark.parametrize("m", [10, 16, 18])
+def test_overflowed_parameters_give_a_zero_step_not_a_traceback(tmp_path, m):
+    path = tmp_path / f"overflow{m}.json"
+    path.write_text(json.dumps(overflowing_instance(m)))
+    params = run_cli_child(["params", str(path)], os.environ)
+    assert params.returncode == 0, params.stderr
+    assert json.loads(params.stdout)["certified_step"] == 0.0
+    solve = run_cli_child(["solve", str(path)], os.environ)
+    assert solve.returncode == 4, solve.stderr
+    assert "StepSizeUnderflowError" in solve.stderr and "--h" in solve.stderr
+    for proc in (params, solve):
+        assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr
 
 
 def test_every_option_has_a_reader():

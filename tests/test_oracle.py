@@ -108,6 +108,17 @@ def test_sample_feasible_points(shipped):
             assert np.abs(lp.A @ x - lp.b).max() <= 1e-9 * (np.abs(lp.b).max() + 1.0), name
 
 
+def test_sample_feasible_points_along_rays():
+    # x_0 - x_1 = 1 has the vertex (1, 0) and the ray (1/2, 1/2).
+    lp = validate(LinearProgram.from_lists([[1, -1]], [1], [1, 2]))
+    res = enumerate_polyhedron(lp)
+    assert res.rays.tolist() == [[0.5, 0.5]]
+    pts = sample_feasible(res, np.random.default_rng(7), 40)
+    assert pts.shape == (40, 2)
+    assert np.all(pts > 0.0)
+    assert np.abs(pts @ lp.A.T - lp.b).max() <= 1e-12
+
+
 def test_ray_lower_bound_has_counterexamples():
     """Normalized extreme-ray entries can drop below 1/D.
 

@@ -305,7 +305,7 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
         worst_energy = max(worst_energy, e_res)
         if e_res > 1e-8:
             energy_bad += 1
-        rep = check_bounds(lp, ev, params, feasible=True)
+        rep = check_bounds(lp, ev, params)
         if not (rep.flux_ok and rep.edge_potential_ok):
             bound_bad += 1
         if kernel.shape[1]:
@@ -398,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--h", type=float, default=None,
                    help="step size (default: the certified step)")
-    p.add_argument("--max-iters", type=int, default=1_000_000)
-    p.add_argument("--trace-every", type=int, default=1)
+    p.add_argument("--max-iters", type=_int_at_least(0), default=1_000_000)
+    p.add_argument("--trace-every", type=_int_at_least(0), default=1)
 
     p = engine("flow", cmd_flow, "integrate the continuous dynamics")
     p.add_argument("--t-end", type=float, default=40.0)
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--samples", type=_int_at_least(0), default=200)
     p.add_argument("--seed", type=_int_at_least(0), default=20240801)
-    p.add_argument("--max-iters", type=int, default=1_000_000)
+    p.add_argument("--max-iters", type=_int_at_least(0), default=1_000_000)
 
     return parser
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import continuous_flow
 from . import oracle as oracle_mod
 from .errors import (
     BadEpsError,
@@ -166,10 +167,9 @@ def solve(
     dynamics are never entered. A step so small that the iterates never
     leave the start is logged as a warning once the loop ends.
     """
-    if params is None:
-        params = default_params(lp)
-
     if not np.any(lp.b_int):
+        if config.start is not None:
+            check_point(lp, config.start, "start", feasible=not config.allow_infeasible)
         x = np.zeros(lp.n)
         sol = Solution(
             x=x, cost=0.0, iterations=0, stop_reason="FixedPoint", h=config.h or 0.0,
@@ -178,6 +178,8 @@ def solve(
         entries = np.recarray(0, dtype=trace_dtype(lp.n))
         return sol, Trace(entries=entries, h=config.h or 0.0, eps=config.eps, trace_every=config.trace_every)
 
+    if params is None:
+        params = default_params(lp)
     x0 = check_point(
         lp, oracle_mod.start_point(lp, config.start, oracle_result), "start",
         feasible=not config.allow_infeasible,
@@ -378,7 +380,6 @@ def certified_step_search(
     eps: float,
     params: Params | None = None,
     oracle_result=None,
-    start: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Pick a step the a-posteriori certificate is expected to accept.
 
@@ -388,24 +389,29 @@ def certified_step_search(
     along the trajectory. A cheap ODE integration of the same dynamics
     measures that deviation; the returned step inflates it by STEP_SAFETY
     and never exceeds the positivity cap. certify_trace stays the arbiter.
+    The pilot starts at the oracle's interior point.
 
-    Returns the step together with the measured deviation.
+    Returns the step together with the measured deviation. A step of 0
+    (P beyond the float range) raises StepSizeUnderflowError.
     """
-    from . import continuous_flow
-
     if params is None:
         params = default_params(lp)
     pos_cap = params.positivity_step_cap
     h_auto = default_step(params, eps)
-    start = oracle_mod.start_point(lp, start, oracle_result)
+    start = oracle_mod.start_point(lp, None, oracle_result)
     try:
         trace = continuous_flow.integrate(
             lp, continuous_flow.FlowConfig(x0=start, t_end=PILOT_T_END), params=params,
         )
-        # fmax skips a NaN sample, as a running max() over the samples would.
-        dev = max(1e-12, float(np.fmax.reduce(trace.entries.deviation_inf)))
     except NumericalError as exc:
         logger.warning("pilot integration failed (%s); falling back to the worst-case step", exc)
-        return h_auto, math.inf
-    h = min(0.999 * pos_cap, max(h_auto, eps / (6.0 * (STEP_SAFETY * dev) ** 2)))
+        h, dev = h_auto, math.inf
+    else:
+        # fmax skips a NaN sample, as a running max() over the samples would.
+        dev = max(1e-12, float(np.fmax.reduce(trace.entries.deviation_inf)))
+        h = min(0.999 * pos_cap, max(h_auto, eps / (6.0 * (STEP_SAFETY * dev) ** 2)))
+    if h == 0.0:
+        raise StepSizeUnderflowError(
+            f"the searched step is 0 at eps = {eps}, P = {params.potential_ratio_bound:.3e}"
+        )
     return h, dev

@@ -11,14 +11,13 @@ the state toward its own flux:
 
     dx/dt = q - x.
 
-This module evaluates all derived quantities at a point, splits the motion
-into a feasibility part and an optimizing part, and checks the worst-case
-bounds that the derived parameters promise.
+This module evaluates all derived quantities at a point with one Laplacian
+solve and checks the worst-case bounds that the derived parameters promise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,14 +39,11 @@ class DynamicsEval:
     edge_potentials  A^T p, one entry per coordinate
     flux        q = W A^T p; satisfies A q = b identically
     direction   q - x, the instantaneous motion
-    feas_direction  part of the motion that restores A x = b
-    opt_direction   part that descends the cost inside the feasible set
     energy      b . p, also equal to the quadratic form q . (q / w)
     cost        c . x
     energy_flux quadratic-form recomputation of the energy
 
-    The split and energy_flux are computed on first read; the split forms
-    the Laplacian again and costs a second solve.
+    edge_potential_inf and energy_flux are computed on first read.
     """
 
     x: np.ndarray
@@ -58,24 +54,10 @@ class DynamicsEval:
     direction: np.ndarray
     energy: float
     cost: float
-    lp: ValidatedLP = field(repr=False, compare=False)
 
     @cached_property
     def edge_potential_inf(self) -> float:
         return float(np.abs(self.edge_potentials).max())
-
-    @cached_property
-    def _split_potentials(self) -> np.ndarray:
-        lp = self.lp
-        return spd_solve((lp.A * self.weights).dot(lp.At), lp.A @ self.x)
-
-    @cached_property
-    def feas_direction(self) -> np.ndarray:
-        return self.weights * (self.lp.At @ (self.potentials - self._split_potentials))
-
-    @cached_property
-    def opt_direction(self) -> np.ndarray:
-        return self.weights * (self.lp.At @ self._split_potentials - self.lp.c)
 
     @cached_property
     def energy_flux(self) -> float:
@@ -101,7 +83,6 @@ def evaluate(lp: ValidatedLP, x) -> DynamicsEval:
         direction=q - x,
         energy=float(lp.b.dot(p)),
         cost=float(lp.c.dot(x)),
-        lp=lp,
     )
 
 
@@ -149,18 +130,16 @@ class BoundReport:
     flux_ok: bool
     edge_potential_inf: float
     edge_potential_bound: float
-    edge_potential_ok: bool | None
+    edge_potential_ok: bool
 
 
-def check_bounds(lp: ValidatedLP, ev: DynamicsEval, params: Params, feasible: bool) -> BoundReport:
-    """Check the flux bound, and the potential bound when the state is feasible.
+def check_bounds(lp: ValidatedLP, ev: DynamicsEval, params: Params) -> BoundReport:
+    """Check the flux bound and the potential bound at a feasible state.
 
-    The caller asserts feasibility via the flag; check_point verifies it
-    against the actual residual (InfeasibleStartError) before the potential
-    bound is reported.
+    The potential bound holds only where A x = b, so check_point rejects an
+    infeasible state (InfeasibleStartError) before either bound is reported.
     """
-    if feasible:
-        check_point(lp, ev.x, "state declared feasible", feasible=True)
+    check_point(lp, ev.x, "state", feasible=True)
     flux_inf = float(np.abs(ev.flux).max())
     pot_bound = params.subdet_max * params.cost_sum
     return BoundReport(
@@ -169,5 +148,5 @@ def check_bounds(lp: ValidatedLP, ev: DynamicsEval, params: Params, feasible: bo
         flux_ok=flux_inf <= params.flux_bound * (1.0 + BOUND_RTOL),
         edge_potential_inf=ev.edge_potential_inf,
         edge_potential_bound=pot_bound,
-        edge_potential_ok=(ev.edge_potential_inf <= pot_bound * (1.0 + BOUND_RTOL)) if feasible else None,
+        edge_potential_ok=ev.edge_potential_inf <= pot_bound * (1.0 + BOUND_RTOL),
     )

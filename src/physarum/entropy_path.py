@@ -18,6 +18,7 @@ the value and the gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +78,8 @@ def solve_point(lp: ValidatedLP, s, mu: float, y0=None) -> PathPoint:
     halvings in one line search, or two hundred outer iterations, raise
     NewtonStalledError.
     """
-    if not mu >= 0.0:
-        raise ValidationError(f"mu must be nonnegative, got {mu}")
+    if not 0.0 <= mu < math.inf:
+        raise ValidationError(f"mu must be nonnegative and finite, got {mu}")
     s = check_point(lp, s, "anchor", feasible=True)
     y = np.zeros(lp.m) if y0 is None else np.asarray(y0, dtype=float).copy()
     if y.shape != (lp.m,):

@@ -105,6 +105,18 @@ def planted_instance(rng, m, n):
     return validate(LinearProgram(A=A, b=A @ x0, c=rng.integers(1, 4, size=n)))
 
 
+def overflowing_instance(m):
+    """Problem-file data with entries up to 1e17 and the start x = 1.
+
+    P^2 overflows at m = 10 (exact D) and m = 16 (bounded D), and the bound
+    on D itself exceeds the float range at m = 18.
+    """
+    rng = np.random.default_rng(0)
+    A = rng.integers(-10**17, 10**17, size=(m, m + 1))
+    b = A @ np.ones(m + 1, dtype=np.int64)
+    return {"A": A.tolist(), "b": b.tolist(), "c": [1] * (m + 1), "start": [1.0] * (m + 1)}
+
+
 @pytest.fixture(scope="session")
 def fuzz_corpus():
     return random_instances

@@ -33,12 +33,14 @@ from physarum.errors import (
     MissingVerifyDataError,
     NoInteriorPointError,
     NonPositiveStateError,
+    NumericalError,
     PositivityLostError,
+    StepSizeUnderflowError,
     ValidationError,
 )
 from physarum.linalg import spd_factor
 from physarum.model import check_point, default_params
-from tests.conftest import random_instances
+from tests.conftest import overflowing_instance, random_instances
 
 
 def test_config_validation():
@@ -111,6 +113,18 @@ def test_solve_zero_demands():
     assert sol.iterations == 0
     assert np.array_equal(sol.x, [0.0, 0.0]) and sol.cost == 0.0
     assert len(trace.entries) == 0
+
+
+def test_solve_zero_demands_checks_a_given_start():
+    lp = validate(LinearProgram.from_lists([[1, -1]], [0], [1, 1]))
+    with pytest.raises(NonPositiveStateError):
+        solve(lp, DiscreteConfig(start=np.array([-1.0, 5.0])))
+    with pytest.raises(DimensionMismatchError):
+        solve(lp, DiscreteConfig(start=np.array([1.0, 2.0, 3.0])))
+    with pytest.raises(InfeasibleStartError):
+        solve(lp, DiscreteConfig(start=np.array([1.0, 2.0])))
+    sol, _ = solve(lp, DiscreteConfig(start=np.array([1.0, 2.0]), allow_infeasible=True))
+    assert np.array_equal(sol.x, [0.0, 0.0]) and sol.stop_reason == "FixedPoint"
 
 
 def test_solve_user_cap(simple2):
@@ -275,6 +289,23 @@ def test_solve_triangle_with_searched_step(triangle):
     assert 2.0 <= sol.cost <= 2.1
     rep = certify_trace(triangle, trace, 2.0, 0.05, h, np.array([1.0, 1.0, 0.0]))
     assert rep.violations == 0
+
+
+def test_step_search_never_returns_a_zero_step(monkeypatch):
+    # P is inf at m = 18, so the positivity cap 1/(2 P) and the worst-case
+    # step are both 0, whatever deviation the pilot measures.
+    data = overflowing_instance(18)
+    lp = validate(LinearProgram.from_lists(data["A"], data["b"], data["c"]))
+    res = enumerate_polyhedron(lp, cap=lp.n)
+    with pytest.raises(StepSizeUnderflowError, match="eps = 0.1, P = inf"):
+        certified_step_search(lp, 0.1, oracle_result=res)
+
+    def failing(*args, **kwargs):
+        raise NumericalError("pilot failed")
+
+    monkeypatch.setattr("physarum.continuous_flow.integrate", failing)
+    with pytest.raises(StepSizeUnderflowError, match="eps = 0.1, P = inf"):
+        certified_step_search(lp, 0.1, oracle_result=res)
 
 
 def test_certify_rejects_eps_or_h_other_than_the_traces(triangle):

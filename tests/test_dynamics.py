@@ -1,4 +1,4 @@
-"""Point evaluation of the dynamics, the direction split, and the bounds."""
+"""Point evaluation of the dynamics and the bounds."""
 
 import numpy as np
 import pytest
@@ -21,18 +21,12 @@ def test_evaluate_simple2_on_feasible_point(simple2):
     assert ev.energy == pytest.approx(4.0 / 3.0)
     assert ev.cost == pytest.approx(1.5)
     assert ev.energy_flux == pytest.approx(ev.energy, rel=1e-12)
-    # the state is feasible, so the whole motion is the optimizing part
-    assert np.allclose(ev.feas_direction, 0.0, atol=1e-14)
-    assert np.allclose(ev.opt_direction, ev.direction, atol=1e-14)
 
 
 def test_evaluate_simple2_off_feasible_point(simple2):
     ev = evaluate(simple2, [1.0, 1.0])
     assert np.allclose(ev.flux, [2.0 / 3.0, 1.0 / 3.0])
     assert np.allclose(ev.direction, [-1.0 / 3.0, -2.0 / 3.0])
-    assert np.allclose(ev.feas_direction, [-2.0 / 3.0, -1.0 / 3.0])
-    assert np.allclose(ev.opt_direction, [1.0 / 3.0, -1.0 / 3.0])
-    assert np.allclose(ev.feas_direction + ev.opt_direction, ev.direction)
 
 
 def test_evaluate_solves_once_unless_the_split_is_read(simple2, monkeypatch):
@@ -46,8 +40,6 @@ def test_evaluate_solves_once_unless_the_split_is_read(simple2, monkeypatch):
     ev = evaluate(simple2, [1.0, 1.0])
     assert ev.energy_flux == pytest.approx(ev.energy) and ev.edge_potential_inf > 0.0
     assert len(solves) == 1
-    assert np.allclose(ev.feas_direction + ev.opt_direction, ev.direction)
-    assert len(solves) == 2
 
 
 def test_evaluate_keeps_its_own_copy_of_the_state(simple2):
@@ -76,16 +68,6 @@ def test_flux_meets_demands_everywhere(shipped):
             scale = np.abs(lp.b).max() + 1.0
             assert resid <= 1e-8 * scale, (name, x)
             assert abs(ev.energy_flux - ev.energy) <= 1e-8 * (abs(ev.energy) + 1.0)
-            split = ev.feas_direction + ev.opt_direction
-            assert np.allclose(split, ev.direction, atol=1e-9 * (np.abs(ev.direction).max() + 1.0))
-
-
-def test_feasibility_direction_vanishes_on_feasible_states(shipped):
-    rng = np.random.default_rng(101)
-    for name, (lp, _, result) in shipped.items():
-        for x in sample_feasible(result, rng, 25):
-            ev = evaluate(lp, x)
-            assert np.abs(ev.feas_direction).max() <= 1e-8 * (np.abs(x).max() + 1.0), name
 
 
 def test_gradient_identity_exact_on_kernel(simple2):
@@ -106,26 +88,18 @@ def test_gradient_identity_rejects_non_kernel(simple2):
 def test_check_bounds_feasible(simple2):
     params = compute_params(simple2)
     ev = evaluate(simple2, [0.5, 0.5])
-    rep = check_bounds(simple2, ev, params, feasible=True)
+    rep = check_bounds(simple2, ev, params)
     assert rep.flux_inf == pytest.approx(2.0 / 3.0)
     assert rep.flux_bound == 2.0 and rep.flux_ok
     assert rep.edge_potential_inf == pytest.approx(4.0 / 3.0)
     assert rep.edge_potential_bound == 3.0 and rep.edge_potential_ok
 
 
-def test_check_bounds_infeasible_skips_potential(simple2):
-    params = compute_params(simple2)
-    ev = evaluate(simple2, [1.0, 1.0])
-    rep = check_bounds(simple2, ev, params, feasible=False)
-    assert rep.edge_potential_ok is None
-    assert rep.flux_ok
-
-
 def test_check_bounds_rejects_false_feasibility_claim(simple2):
     params = compute_params(simple2)
     ev = evaluate(simple2, [1.0, 1.0])
     with pytest.raises(ValueError):
-        check_bounds(simple2, ev, params, feasible=True)
+        check_bounds(simple2, ev, params)
 
 
 def test_flux_bound_holds_on_stress_corpus(shipped):

@@ -5,7 +5,7 @@ import pytest
 
 from physarum import FlowConfig, LinearProgram, follow_path, integrate, solve_point, validate
 from physarum.entropy_path import dual_value_and_derivatives
-from physarum.errors import DualOverflowError, InfeasibleStartError, NonPositiveStateError
+from physarum.errors import DualOverflowError, InfeasibleStartError, NonPositiveStateError, ValidationError
 
 
 def test_anchor_is_the_zero_parameter_point(simple2):
@@ -75,6 +75,16 @@ def test_anchor_validation(simple2):
         solve_point(simple2, np.array([1.5, -0.5]), 1.0)
     with pytest.raises(ValueError):
         solve_point(simple2, np.array([0.5, 0.5]), -1.0)
+
+
+def test_mu_must_be_finite(simple2):
+    # A mu that is not finite is a bad argument, not a numerical failure.
+    s = np.array([0.5, 0.5])
+    for mu in (np.inf, np.nan):
+        with pytest.raises(ValidationError):
+            solve_point(simple2, s, mu)
+    with pytest.raises(ValidationError):
+        follow_path(simple2, s, [0.0, np.inf])
 
 
 def test_dual_overflow_guard(simple2):

@@ -20,7 +20,7 @@ ENTRY_POINTS = {
     "integrate_x0": lambda lp, x: integrate(lp, FlowConfig(x0=x, t_end=1.0)),
     "solve_point_anchor": lambda lp, x: solve_point(lp, x, 1.0),
     "column_potential_bounds": lambda lp, w: column_potential_bounds(lp, w),
-    "check_bounds_feasible": lambda lp, x: check_bounds(lp, evaluate(lp, x), compute_params(lp), feasible=True),
+    "check_bounds_feasible": lambda lp, x: check_bounds(lp, evaluate(lp, x), compute_params(lp)),
 }
 NEEDS_FEASIBLE = ("solve_start", "solve_point_anchor", "check_bounds_feasible")
 

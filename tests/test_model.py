@@ -12,7 +12,6 @@ from physarum import (
     FlowConfig,
     LinearProgram,
     _exact,
-    certified_step_search,
     compute_params,
     default_params,
     evaluate,
@@ -117,8 +116,6 @@ def test_points_from_library_callers_must_hold_numbers(simple2, point):
         integrate(simple2, FlowConfig(x0=point, t_end=1.0))
     with pytest.raises(DimensionMismatchError, match="start must contain numbers"):
         solve(simple2, DiscreteConfig(start=point, allow_infeasible=True))
-    with pytest.raises(DimensionMismatchError, match="x0 must contain numbers"):
-        certified_step_search(simple2, 0.1, start=point)
     with pytest.raises(DimensionMismatchError, match="anchor must contain numbers"):
         check_point(simple2, point, "anchor")
 

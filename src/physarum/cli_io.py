@@ -212,11 +212,11 @@ def cmd_path(args) -> int:
     mus = np.linspace(0.0, args.mu_max, args.points)
     points = entropy_path.follow_path(lp, anchor, mus)
     if args.trace:
+        # The Laplacian potentials at each path point, as solve and flow write them.
+        evs = (evaluate(lp, p.x) for p in points)
         rows = (
-            [p.mu, *p.x, float(lp.c @ p.x), "",
-             float(np.abs(lp.A @ p.x - lp.b).max()),
-             float(np.abs(lp.At @ p.y).max())]
-            for p in points
+            [p.mu, *p.x, ev.cost, ev.energy, float(np.abs(lp.A @ p.x - lp.b).max()), ev.edge_potential_inf]
+            for p, ev in zip(points, evs)
         )
         _write_trace_csv(args.trace, "mu", lp.n, rows)
     last = points[-1]

@@ -70,7 +70,6 @@ class DiscreteConfig:
     start: np.ndarray | None = None
     max_iters: int = 1_000_000
     trace_every: int = 1
-    allow_infeasible: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.eps < 0.5):
@@ -163,13 +162,18 @@ def solve(
     at IterationBound when the certified worst-case count is exhausted, or
     at UserCap when max_iters is hit first.
 
+    The start must be strictly positive and satisfy A x = b, else
+    check_point raises: the progress certificate and the positivity cap
+    1/(2P) both rest on it. Params that understate P can still drive a
+    coordinate to zero, which raises PositivityLostError.
+
     A zero demand vector is a special case: x = 0 is optimal and the
     dynamics are never entered. A step so small that the iterates never
     leave the start is logged as a warning once the loop ends.
     """
     if not np.any(lp.b_int):
         if config.start is not None:
-            check_point(lp, config.start, "start", feasible=not config.allow_infeasible)
+            check_point(lp, config.start, "start", feasible=True)
         x = np.zeros(lp.n)
         sol = Solution(
             x=x, cost=0.0, iterations=0, stop_reason="FixedPoint", h=config.h or 0.0,
@@ -180,23 +184,24 @@ def solve(
 
     if params is None:
         params = default_params(lp)
-    x0 = check_point(
-        lp, oracle_mod.start_point(lp, config.start, oracle_result), "start",
-        feasible=not config.allow_infeasible,
-    )
+    x0 = check_point(lp, oracle_mod.start_point(lp, config.start, oracle_result), "start", feasible=True)
 
     certified = default_step(params, config.eps)
+    pos_cap = params.positivity_step_cap
     if config.h is None:
         if certified == 0.0:
+            remedy = (
+                "pass a step h (--h) up to it, or search for one with certified_step_search" if pos_cap > 0.0
+                else "no step h > 0 (--h) stays under it: the instance's worst-case bounds exceed the float range"
+            )
             raise StepSizeUnderflowError(
                 f"the certified step eps / (6 P^2) underflows to 0 at eps = {config.eps}, "
-                f"P = {params.potential_ratio_bound:.3e}; "
-                "pass a step h (--h), or search for one with certified_step_search"
+                f"P = {params.potential_ratio_bound:.3e}, and the positivity cap 1/(2 P) is {pos_cap:.3e}; "
+                + remedy
             )
         h = certified
     else:
         h = config.h
-        pos_cap = params.positivity_step_cap
         if h > pos_cap:
             raise BadStepError(
                 f"h={h:.3e} exceeds the positivity-safe cap 1/(2 P) = {pos_cap:.3e}"
@@ -300,7 +305,7 @@ def solve(
         )
 
     resid = float(np.abs(A @ x - b).max())
-    if not config.allow_infeasible and resid > 1e-6 * (float(np.abs(b).max()) + 1.0):
+    if resid > 1e-6 * (float(np.abs(b).max()) + 1.0):
         raise FeasibilityLostError(f"feasibility drifted to {resid:.3e}")
 
     sol = Solution(
@@ -392,7 +397,8 @@ def certified_step_search(
     The pilot starts at the oracle's interior point.
 
     Returns the step together with the measured deviation. A step of 0
-    (P beyond the float range) raises StepSizeUnderflowError.
+    (P beyond the float range), or one too small to move the start, raises
+    StepSizeUnderflowError.
     """
     if params is None:
         params = default_params(lp)
@@ -405,13 +411,20 @@ def certified_step_search(
         )
     except NumericalError as exc:
         logger.warning("pilot integration failed (%s); falling back to the worst-case step", exc)
-        h, dev = h_auto, math.inf
+        h, dev, at_rest = h_auto, math.inf, False
     else:
+        e = trace.entries
         # fmax skips a NaN sample, as a running max() over the samples would.
-        dev = max(1e-12, float(np.fmax.reduce(trace.entries.deviation_inf)))
+        dev = max(1e-12, float(np.fmax.reduce(e.deviation_inf)))
         h = min(0.999 * pos_cap, max(h_auto, eps / (6.0 * (STEP_SAFETY * dev) ** 2)))
-    if h == 0.0:
+        # solve stops at k = 0, whatever h is, at a start that passes its FixedPoint test.
+        at_rest = e.direction_inf[0] <= FIXED_POINT_TOL * (1.0 + e.x[0].max())
+    # From the start each |h (q_i - x_i)| <= h dev x_i, so h dev at or below
+    # 2**-55 keeps every step under half an ulp of x_i, with a factor 2 for
+    # rounding: solve from there would return the start bit for bit.
+    if h == 0.0 or (h * dev <= 2.0**-55 and not at_rest):
         raise StepSizeUnderflowError(
-            f"the searched step is 0 at eps = {eps}, P = {params.potential_ratio_bound:.3e}"
+            f"the searched step h = {h:.3e} cannot move the start at eps = {eps}, "
+            f"P = {params.potential_ratio_bound:.3e}, dev = {dev:.3e} (h dev is 0 or at most 2**-55)"
         )
     return h, dev

@@ -2,9 +2,11 @@
 
 Each failure has one class, grouped so the command line tool can map it
 onto a stable exit code: problem files that cannot be read or parsed (2),
-bad problem data, bad arguments and bad caller-supplied points
-(ValidationError, 3), and numerical failures, size limits and the
-remaining PhysarumErrors (4). ValidationError is also a ValueError, so
+ValidationError (3) and the remaining PhysarumErrors (4), which are
+numerical failures and size limits. A ValidationError is bad problem
+data, a bad argument, a bad caller-supplied point, or a trace that
+certify_trace or rate_report cannot check (MissingVerifyDataError,
+InsufficientTraceError). ValidationError is also a ValueError, so
 callers that catch ValueError for a bad argument keep working. Every
 caller-supplied point is checked by model.check_point, which raises
 DimensionMismatchError, NonPositiveStateError or InfeasibleStartError
@@ -54,6 +56,14 @@ class InfeasibleStartError(ValidationError):
     pass
 
 
+class MissingVerifyDataError(ValidationError):
+    """certify_trace got a trace not recorded at every step, or with gaps."""
+
+
+class InsufficientTraceError(ValidationError):
+    """rate_report got a flow trace shorter than 10 time units."""
+
+
 class NumericalError(PhysarumError):
     """A computation failed for numerical reasons at runtime."""
 
@@ -91,14 +101,6 @@ class LimitError(PhysarumError):
 
 
 class TooLargeError(LimitError):
-    pass
-
-
-class InsufficientTraceError(PhysarumError):
-    pass
-
-
-class MissingVerifyDataError(PhysarumError):
     pass
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import dataclasses
 import inspect
 import json
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import physarum
-from physarum import FlowConfig, follow_path, integrate, validate
+from physarum import FlowConfig, evaluate, follow_path, integrate, validate
 from physarum.cli_io import _json_ready, build_parser, main, parse_problem
 from physarum.errors import MalformedProblemError, ProblemIOError
 from tests.conftest import INSTANCE_DIR, overflowing_instance, planted_instance
@@ -202,10 +203,26 @@ def test_path_trace_rows_are_the_path_points(capsys, tmp_path):
     assert header == "mu,x_0,x_1,x_2,cost,energy,feas_residual,edge_potential_inf"
     assert len(rows) == data["points"] == 5
     for row, p in ((rows[0], points[0]), (rows[-1], points[-1])):
+        ev = evaluate(lp, p.x)
         assert [float(v) for v in row[:5]] == [p.mu, *p.x, float(lp.c @ p.x)]
-        assert row[5] == ""  # the path has no energy column
+        # energy b.p and |A^T p| of the Laplacian potentials p at x, as in the solve and flow CSVs
+        assert float(row[5]) == ev.energy
         assert float(row[6]) == float(np.abs(lp.A @ p.x - lp.b).max())
-        assert float(row[7]) == float(np.abs(lp.At @ p.y).max())
+        assert float(row[7]) == ev.edge_potential_inf
+
+
+def test_path_csv_matches_flow_csv_at_t_equal_mu(capsys, tmp_path):
+    # The entropy path at mu is the flow at t = mu from the same start, so
+    # every column of the two CSVs describes the same state.
+    path_csv, flow_csv = tmp_path / "path.csv", tmp_path / "flow.csv"
+    assert main(["path", TRIANGLE, "--mu-max", "10", "--points", "11", "--trace", str(path_csv)]) == 0
+    assert main(["flow", TRIANGLE, "--t-end", "10", "--sample-dt", "1", "--trace", str(flow_csv)]) == 0
+    capsys.readouterr()
+    (path_header, path_rows), (flow_header, flow_rows) = read_trace(path_csv), read_trace(flow_csv)
+    assert path_header.split(",")[1:] == flow_header.split(",")[1:]
+    got, want = np.array(path_rows, dtype=float), np.array(flow_rows, dtype=float)
+    assert got.shape == want.shape == (11, 8)
+    assert np.abs(got - want).max() <= 1e-6
 
 
 def test_path_command(capsys):
@@ -462,6 +479,18 @@ def test_overflowed_parameters_give_a_zero_step_not_a_traceback(tmp_path, m):
     solve = run_cli_child(["solve", str(path)], os.environ)
     assert solve.returncode == 4, solve.stderr
     assert "StepSizeUnderflowError" in solve.stderr and "--h" in solve.stderr
+    # The message gives the cap 1/(2P) and offers a step or the search only
+    # while that cap is positive. At m = 18 P is inf, so every h > 0 exceeds
+    # the cap and the search raises as well.
+    if m < 18:
+        assert "positivity cap 1/(2 P) is " in solve.stderr
+        assert "pass a step h (--h) up to it, or search for one with certified_step_search" in solve.stderr
+    else:
+        assert ("positivity cap 1/(2 P) is 0.000e+00; no step h > 0 (--h) stays under it: "
+                "the instance's worst-case bounds exceed the float range") in solve.stderr
+        assert "certified_step_search" not in solve.stderr
+        step = run_cli_child(["solve", str(path), "--h", "1e-300"], os.environ)
+        assert step.returncode == 3 and "exceeds the positivity-safe cap" in step.stderr
     for proc in (params, solve):
         assert "Traceback" not in proc.stderr
         assert "Warning" not in proc.stderr
@@ -479,7 +508,9 @@ def test_every_option_has_a_reader():
 
 
 def test_every_library_option_has_a_caller():
-    # An option that only tests set is code kept alive by its own unit test.
+    # An option that only tests set is code kept alive by its own unit test:
+    # a defaulted parameter of an exported function, or of an exported
+    # dataclass's __init__, that no call in the package or bench/ passes.
     roots = [Path(physarum.__file__).resolve().parent, Path(__file__).resolve().parent.parent / "bench"]
     passed = {}  # callee name -> argument positions and keywords seen at some call
     for path in sorted(f for root in roots for f in root.glob("*.py")):
@@ -493,7 +524,7 @@ def test_every_library_option_has_a_caller():
     uncalled = []
     for name in physarum.__all__:
         fn = getattr(physarum, name)
-        if not inspect.isfunction(fn):
+        if not (inspect.isfunction(fn) or dataclasses.is_dataclass(fn)):
             continue
         params = list(inspect.signature(fn).parameters.values())
         uncalled += [f"{name}({p.name})" for i, p in enumerate(params)

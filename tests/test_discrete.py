@@ -123,8 +123,6 @@ def test_solve_zero_demands_checks_a_given_start():
         solve(lp, DiscreteConfig(start=np.array([1.0, 2.0, 3.0])))
     with pytest.raises(InfeasibleStartError):
         solve(lp, DiscreteConfig(start=np.array([1.0, 2.0])))
-    sol, _ = solve(lp, DiscreteConfig(start=np.array([1.0, 2.0]), allow_infeasible=True))
-    assert np.array_equal(sol.x, [0.0, 0.0]) and sol.stop_reason == "FixedPoint"
 
 
 def test_solve_user_cap(simple2):
@@ -174,13 +172,6 @@ def test_solve_start_validation(simple2):
     lp = validate(LinearProgram.from_lists([[1, 0], [0, 1]], [0, 3], [1, 1]))
     with pytest.raises(NoInteriorPointError):
         solve(lp, DiscreteConfig())  # no strictly positive feasible point exists
-
-
-def test_solve_allow_infeasible_start(simple2):
-    cfg = DiscreteConfig(eps=0.1, start=np.array([1.0, 1.0]), allow_infeasible=True, max_iters=2000)
-    sol, _ = solve(simple2, cfg)
-    # the iteration pulls the state onto the constraint set as it runs
-    assert sol.residual_inf < 0.5
 
 
 def test_feasibility_drift_stays_at_float_noise(simple2):
@@ -308,6 +299,25 @@ def test_step_search_never_returns_a_zero_step(monkeypatch):
         certified_step_search(lp, 0.1, oracle_result=res)
 
 
+def test_step_search_never_returns_a_step_that_cannot_move_the_start():
+    # At m = 10, P is about 1e150: the search used to return h = 2.8e-173
+    # with dev = 1.01, and solve from the start then never left it.
+    data = overflowing_instance(10)
+    lp = validate(LinearProgram.from_lists(data["A"], data["b"], data["c"]))
+    res = enumerate_polyhedron(lp, cap=lp.n)
+    with pytest.raises(StepSizeUnderflowError, match=r"h = 2\.\d+e-173 .* eps = 0\.1, P = .*, dev = 1\.01"):
+        certified_step_search(lp, 0.1, oracle_result=res)
+
+    # At a start that is already a fixed point solve stops at k = 0 whatever
+    # the step, so a step below the ulp bound is still returned there. The
+    # pilot's integrator noise alone puts dev above FIXED_POINT_TOL.
+    lp = validate(LinearProgram.from_lists([[10**5, 0], [0, 10**5]], [2 * 10**5, 3 * 10**5], [1, 1]))
+    h, dev = certified_step_search(lp, 0.1)
+    assert h * dev <= 2.0**-55 and dev > FIXED_POINT_TOL
+    sol, _ = solve(lp, DiscreteConfig(h=h))
+    assert sol.stop_reason == "FixedPoint" and sol.iterations == 0
+
+
 def test_certify_rejects_eps_or_h_other_than_the_traces(triangle):
     h, _ = certified_step_search(triangle, 0.05)
     _, trace = solve(triangle, DiscreteConfig(eps=0.05, h=h))
@@ -366,10 +376,7 @@ def solve_by_loop(lp, config, params=None, oracle_result=None):
     """
     if params is None:
         params = default_params(lp)
-    x = check_point(
-        lp, oracle_mod.start_point(lp, config.start, oracle_result), "start",
-        feasible=not config.allow_infeasible,
-    )
+    x = check_point(lp, oracle_mod.start_point(lp, config.start, oracle_result), "start", feasible=True)
     certified = default_step(params, config.eps)
     if config.h is None:
         h = certified
@@ -425,7 +432,7 @@ def solve_by_loop(lp, config, params=None, oracle_result=None):
         k += 1
 
     resid = float(np.abs(A @ x - b).max())
-    if not config.allow_infeasible and resid > 1e-6 * (float(np.abs(b).max()) + 1.0):
+    if resid > 1e-6 * (float(np.abs(b).max()) + 1.0):
         raise FeasibilityLostError(f"feasibility drifted to {resid:.3e}")
 
     sol = Solution(
@@ -458,12 +465,14 @@ def test_solve_matches_step_by_step_reference(simple2, triangle, identity2):
     h = 0.999 * 0.5 / params.potential_ratio_bound
     cases.append((planted, DiscreteConfig(h=h, start=x0, trace_every=0, max_iters=3000), params, None))
 
-    # Far below A x = b, q / x - 1 is large: h dev reaches 80 at the cap,
-    # so every step takes the exact positivity check.
-    params = compute_params(simple2)
+    # Params that understate P admit a step past the true positivity cap.
+    # Near the vertex (0, 1), q / x - 1 is large at the small coordinate: h dev
+    # starts at 0.554, so the first ten steps take the exact positivity check
+    # and the rest the h dev < 0.5 shortcut.
+    params = dataclasses.replace(compute_params(simple2), potential_ratio_bound=0.9)
     h = 0.999 * 0.5 / params.potential_ratio_bound
-    start = np.array([1e-3, 1e-3])
-    cases.append((simple2, DiscreteConfig(h=h, start=start, allow_infeasible=True, max_iters=200), params, None))
+    start = np.array([1e-3, 1 - 1e-3])
+    cases.append((simple2, DiscreteConfig(h=h, start=start, max_iters=200), params, None))
 
     rows = []
     for lp, config, params, res in cases:
@@ -493,12 +502,12 @@ def test_solve_matches_step_by_step_reference(simple2, triangle, identity2):
 
 
 def test_solve_and_reference_lose_positivity_at_the_same_iteration():
-    # A = [1, -1] makes a_2 . p negative, so q_2 < 0; far below A x = b the
-    # potentials are large, and the largest safe h drives x_2 below zero.
+    # A = [1, -1] makes a_2 . p negative, so q_2 < 0. With P understated,
+    # the largest step under the claimed cap 1/(2P) drives x_2 below zero.
     lp = validate(LinearProgram.from_lists([[1, -1]], [1], [1, 1]))
-    params = compute_params(lp)
+    params = dataclasses.replace(compute_params(lp), potential_ratio_bound=0.9)
     h = 0.999 * 0.5 / params.potential_ratio_bound
-    config = DiscreteConfig(h=h, start=np.array([0.1, 0.1]), allow_infeasible=True, max_iters=200)
+    config = DiscreteConfig(h=h, start=np.array([1.2, 0.2]), max_iters=200)
     with pytest.raises(PositivityLostError) as got:
         solve(lp, config, params=params)
     with pytest.raises(PositivityLostError) as want:

@@ -9,7 +9,14 @@ import pytest
 import physarum
 from physarum import DiscreteConfig, FlowConfig, check_bounds, compute_params, evaluate, integrate, solve, solve_point
 from physarum.dynamics import column_potential_bounds
-from physarum.errors import DimensionMismatchError, InfeasibleStartError, NonPositiveStateError, ValidationError
+from physarum.errors import (
+    DimensionMismatchError,
+    InfeasibleStartError,
+    InsufficientTraceError,
+    MissingVerifyDataError,
+    NonPositiveStateError,
+    ValidationError,
+)
 
 PACKAGE_DIR = Path(physarum.__file__).resolve().parent
 
@@ -51,6 +58,9 @@ def test_one_error_per_bad_point(simple2, entry, point, error):
 def test_validation_errors_are_value_errors():
     assert issubclass(ValidationError, ValueError)
     assert issubclass(InfeasibleStartError, ValueError)
+    # A trace unfit for the check it is passed to is a bad argument.
+    for error in (MissingVerifyDataError, InsufficientTraceError):
+        assert issubclass(error, ValidationError)
 
 
 def _raised_names(path: Path) -> list[str]:

@@ -115,7 +115,7 @@ def test_points_from_library_callers_must_hold_numbers(simple2, point):
     with pytest.raises(DimensionMismatchError, match="x0 must contain numbers"):
         integrate(simple2, FlowConfig(x0=point, t_end=1.0))
     with pytest.raises(DimensionMismatchError, match="start must contain numbers"):
-        solve(simple2, DiscreteConfig(start=point, allow_infeasible=True))
+        solve(simple2, DiscreteConfig(start=point))
     with pytest.raises(DimensionMismatchError, match="anchor must contain numbers"):
         check_point(simple2, point, "anchor")
 

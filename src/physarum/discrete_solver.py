@@ -17,7 +17,10 @@ certificate (an a-posteriori check is still available via certify_trace).
 
 The trace is one numpy record array with a row per recorded step and the
 fields k, x (shape (n,)), cost, energy and edge_potential_inf, so the
-certificate is checked column-wise rather than step by step.
+certificate is checked column-wise rather than step by step. A recorded
+step keeps only what it already holds: x, the potentials p and the
+largest |a_i . p|. The record array is built once after the loop: k from
+the row index, and cost = c . x and energy = b . p with one ddot per row.
 """
 
 from __future__ import annotations
@@ -42,10 +45,8 @@ from .errors import (
     StepSizeUnderflowError,
     ValidationError,
 )
-# evaluate is not called here, but bench/spans.py records spans by
-# rebinding discrete_solver.evaluate, so the name stays bound.
-from .dynamics import evaluate  # noqa: F401
-from .linalg import spd_solve
+from . import linalg
+from .dynamics import evaluate
 from .model import Params, ValidatedLP, check_point, default_params
 
 logger = logging.getLogger(__name__)
@@ -112,9 +113,14 @@ class Solution:
     dev_max: float
 
 
-def _columns(buf: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One view per field of a trace buffer, in trace_dtype order."""
-    return tuple(buf[name] for name in buf.dtype.names)
+def _cannot_move(h: float, dev: float) -> bool:
+    """Whether a step h leaves a start of deviation dev = max |q_i / x_i - 1| as it is.
+
+    From the start each |h (q_i - x_i)| <= h dev x_i, so h dev at or below
+    2**-55 keeps every step under half an ulp of x_i, with a factor 2 for
+    rounding: solve from there would return the start bit for bit.
+    """
+    return h * dev <= 2.0**-55
 
 
 def default_step(params: Params, eps: float) -> float:
@@ -190,10 +196,18 @@ def solve(
     pos_cap = params.positivity_step_cap
     if config.h is None:
         if certified == 0.0:
-            remedy = (
-                "pass a step h (--h) up to it, or search for one with certified_step_search" if pos_cap > 0.0
-                else "no step h > 0 (--h) stays under it: the instance's worst-case bounds exceed the float range"
-            )
+            if pos_cap == 0.0:
+                remedy = "no step h > 0 (--h) stays under it: the instance's worst-case bounds exceed the float range"
+            else:
+                ev = evaluate(lp, x0)
+                dev = float(np.abs(ev.direction / ev.x).max())
+                if _cannot_move(pos_cap, dev):
+                    remedy = (
+                        f"no step h (--h) up to it moves the start: there dev = max |q_i / x_i - 1| is {dev:.3e}, "
+                        "so h dev <= 2**-55 keeps every update below half an ulp of x"
+                    )
+                else:
+                    remedy = "pass a step h (--h) up to it, or search for one with certified_step_search"
             raise StepSizeUnderflowError(
                 f"the certified step eps / (6 P^2) underflows to 0 at eps = {config.eps}, "
                 f"P = {params.potential_ratio_bound:.3e}, and the positivity cap 1/(2 P) is {pos_cap:.3e}; "
@@ -224,17 +238,27 @@ def solve(
     inv_c = 1.0 / c
     maxr, minr = np.maximum.reduce, np.minimum.reduce
     mul, sub, add, div, absolute = np.multiply, np.subtract, np.add, np.divide, np.absolute
+    check_pivots = linalg._check_pivots
     trace_every = config.trace_every
-    # Grown by doubling and trimmed once at the end; rows are written field
-    # by field through column views, rebound whenever the buffer grows.
-    buf = np.empty(1024 if trace_every else 0, dtype=trace_dtype(lp.n))
-    col_k, col_x, col_cost, col_energy, col_edge = _columns(buf)
+    # A recorded step stores x, p and edge_inf side by side in one row of
+    # rec, grown by doubling from 1024 rows; the trace's record array is
+    # built from rec after the loop. One buffer rather than one per value:
+    # three buffers doubled apart raised the peak RSS of the benchmark's
+    # corpus by about 4 MB through allocator fragmentation, although they
+    # allocated less at their peak.
+    n = lp.n
+    rec = np.empty((0, n + lp.m + 1))
     rows = 0
     dev_max = 0.0
     k = 0
 
     # The update is written out rather than calling evaluate: a step needs
     # one Laplacian solve, not evaluate's state checks and result object.
+    # That solve is one dposv call on lap and linalg's pivot rule, without
+    # spd_solve's frame and its re-check that lap is a square float64 array.
+    # dposv is looked up in linalg on each step: until the first LAPACK call
+    # of the process it is a stub that binds SciPy, and a local name would
+    # keep the stub.
     #
     # At m <= 3 a step costs its numpy calls, not their arithmetic, so every
     # per-step array is written with out= into a buffer allocated here, and
@@ -263,7 +287,9 @@ def solve(
     while True:
         mul(x, inv_c, out=w)
         mul(A, w, out=Aw)
-        p = spd_solve(Aw.dot(At, out=lap), b)
+        Aw.dot(At, out=lap)
+        low, p, info = linalg.dposv(lap, b, 1)
+        check_pivots(lap, low, info)
         At.dot(p, out=edge)
         mul(w, edge, out=diff)
         sub(diff, x, out=diff)
@@ -274,14 +300,12 @@ def solve(
             dev_max = dev
 
         if trace_every and k % trace_every == 0:
-            if rows == len(buf):
-                buf = np.concatenate((buf, np.empty_like(buf)))
-                col_k, col_x, col_cost, col_energy, col_edge = _columns(buf)
-            col_k[rows] = k
-            col_x[rows] = x
-            col_cost[rows] = c.dot(x)
-            col_energy[rows] = b.dot(p)
-            col_edge[rows] = edge_inf
+            if rows == len(rec):
+                rec = np.concatenate((rec, np.empty((max(rows, 1024), rec.shape[1]))))
+                xs, ps, edges = rec[:, :n], rec[:, n:-1], rec[:, -1]
+            xs[rows] = x
+            ps[rows] = p
+            edges[rows] = edge_inf
             rows += 1
 
         if fp_res <= FIXED_POINT_TOL * (1.0 + x_max):
@@ -312,7 +336,16 @@ def solve(
         x=x.copy(), cost=float(c @ x), iterations=k, stop_reason=stop, h=h, eps=config.eps,
         residual_inf=resid, fixed_point_residual=fp_res, dev_max=dev_max,
     )
-    entries = buf[:rows].copy().view(np.recarray)
+    # np.vecdot makes one ddot call per row, the call c.dot(x) and b.dot(p)
+    # make, so each entry is that row's dot product bit for bit; a
+    # matrix-vector product (xs @ c) need not be.
+    entries = np.recarray(rows, dtype=trace_dtype(n))
+    entries.k = np.arange(rows) * trace_every
+    xs, ps = rec[:rows, :n], rec[:rows, n:-1]
+    entries.x = xs
+    entries.cost = np.vecdot(xs, c)
+    entries.energy = np.vecdot(ps, b)
+    entries.edge_potential_inf = rec[:rows, -1]
     return sol, Trace(entries=entries, h=h, eps=config.eps, trace_every=config.trace_every)
 
 
@@ -419,10 +452,7 @@ def certified_step_search(
         h = min(0.999 * pos_cap, max(h_auto, eps / (6.0 * (STEP_SAFETY * dev) ** 2)))
         # solve stops at k = 0, whatever h is, at a start that passes its FixedPoint test.
         at_rest = e.direction_inf[0] <= FIXED_POINT_TOL * (1.0 + e.x[0].max())
-    # From the start each |h (q_i - x_i)| <= h dev x_i, so h dev at or below
-    # 2**-55 keeps every step under half an ulp of x_i, with a factor 2 for
-    # rounding: solve from there would return the start bit for bit.
-    if h == 0.0 or (h * dev <= 2.0**-55 and not at_rest):
+    if h == 0.0 or (_cannot_move(h, dev) and not at_rest):
         raise StepSizeUnderflowError(
             f"the searched step h = {h:.3e} cannot move the start at eps = {eps}, "
             f"P = {params.potential_ratio_bound:.3e}, dev = {dev:.3e} (h dev is 0 or at most 2**-55)"

@@ -1,13 +1,16 @@
 """Dense linear-algebra kernels: SPD solves and kernel bases.
 
 Every weighted Laplacian system (A W A^T) p = b in the package is solved
-through one of two entry points that share one failure policy: LAPACK
-Cholesky plus a pivot floor relative to the mean diagonal. spd_factor
-(dpotrf) returns the factor, which solves right-hand sides given later;
-spd_solve (dposv) factors and solves in one call. Both reject the same matrices, and spd_solve(M, b) is bitwise
-spd_factor(M).solve(b). LAPACK alone only refuses pivots that are not
-positive, which lets a Laplacian that has collapsed onto a boundary face
-through to a solve whose potentials are rounding noise.
+under one failure policy: LAPACK Cholesky plus a pivot floor relative to
+the mean diagonal, applied by _check_pivots. spd_factor (dpotrf) returns
+the factor, which solves right-hand sides given later; spd_solve (dposv)
+factors and solves in one call. Both reject the same matrices, and
+spd_solve(M, b) is bitwise spd_factor(M).solve(b). The one other call
+site is the step loop of discrete_solver.solve, which calls dposv on its
+own Laplacian buffer and then _check_pivots, as spd_solve does. LAPACK
+alone only refuses pivots that are not positive, which lets a Laplacian
+that has collapsed onto a boundary face through to a solve whose
+potentials are rounding noise.
 
 SciPy is not imported with this module. Loading scipy.linalg takes about
 two thirds of a cold `import physarum`, and the commands that never solve

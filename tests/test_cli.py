@@ -395,16 +395,27 @@ def test_first_lapack_call_matches_scipy(entry):
     assert proc.stdout.split() == ["True", "True"]
 
 
-@pytest.mark.parametrize("entry", ["spd_solve(M, b)", "spd_factor(M)"])
+@pytest.mark.parametrize("entry", [
+    pytest.param("linalg.spd_solve(M, b)", id="spd_solve(M, b)"),
+    pytest.param("linalg.spd_factor(M)", id="spd_factor(M)"),
+    # solve's step loop calls dposv itself. On the collapsed face of
+    # test_one_pivot_policy_for_every_laplacian_solve its first step is the
+    # process's first LAPACK call.
+    pytest.param("solve(lp, DiscreteConfig(start=x), params=params)", id="solve(lp, config)"),
+])
 def test_first_lapack_call_applies_the_pivot_rule(entry):
     # A pivot of 1e-13 against a mean diagonal near 0.5 is under PIVOT_RTOL.
     script = (
+        "import sys\n"
         "import numpy as np\n"
-        "from physarum import linalg\n"
+        "from physarum import DiscreteConfig, LinearProgram, default_params, linalg, solve, validate\n"
         "from physarum.errors import NotPositiveDefiniteError\n"
         "M, b = np.diag([1.0, 1e-13]), np.ones(2)\n"
+        "lp = validate(LinearProgram.from_lists([[1, 0, 1], [0, 1, 1]], [1, 1], [1, 1, 1]))\n"
+        "x, params = np.array([1e-14, 1e-14, 1.0]), default_params(lp)\n"
+        "assert 'scipy' not in sys.modules\n"
         "try:\n"
-        f"    linalg.{entry}\n"
+        f"    {entry}\n"
         "except NotPositiveDefiniteError:\n"
         "    print('rejected')\n"
     )
@@ -480,11 +491,16 @@ def test_overflowed_parameters_give_a_zero_step_not_a_traceback(tmp_path, m):
     assert solve.returncode == 4, solve.stderr
     assert "StepSizeUnderflowError" in solve.stderr and "--h" in solve.stderr
     # The message gives the cap 1/(2P) and offers a step or the search only
-    # while that cap is positive. At m = 18 P is inf, so every h > 0 exceeds
-    # the cap and the search raises as well.
+    # while some step under that cap moves the start. At m = 10 and 16 the
+    # cap is positive, but cap * dev at the start is at most 2**-55, so every
+    # allowed step leaves x as it is. At m = 18 P is inf, so every h > 0
+    # exceeds the cap and the search raises as well.
     if m < 18:
         assert "positivity cap 1/(2 P) is " in solve.stderr
-        assert "pass a step h (--h) up to it, or search for one with certified_step_search" in solve.stderr
+        assert ("no step h (--h) up to it moves the start: there dev = max |q_i / x_i - 1| is "
+                in solve.stderr)
+        assert "so h dev <= 2**-55 keeps every update below half an ulp of x" in solve.stderr
+        assert "certified_step_search" not in solve.stderr
     else:
         assert ("positivity cap 1/(2 P) is 0.000e+00; no step h > 0 (--h) stays under it: "
                 "the instance's worst-case bounds exceed the float range") in solve.stderr

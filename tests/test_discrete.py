@@ -464,6 +464,9 @@ def test_solve_matches_step_by_step_reference(simple2, triangle, identity2):
     params = default_params(planted)
     h = 0.999 * 0.5 / params.potential_ratio_bound
     cases.append((planted, DiscreteConfig(h=h, start=x0, trace_every=0, max_iters=3000), params, None))
+    # Traced, its cost and energy columns are compared with c @ x at n = 48,
+    # where ddot takes its blocked path, and with b @ p over m = 12 terms.
+    cases.append((planted, DiscreteConfig(h=h, start=x0, max_iters=3000), params, None))
 
     # Params that understate P admit a step past the true positivity cap.
     # Near the vertex (0, 1), q / x - 1 is large at the small coordinate: h dev

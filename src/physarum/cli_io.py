@@ -207,8 +207,8 @@ def cmd_flow(args) -> int:
 def cmd_path(args) -> int:
     lp, start = load_problem(args.problem, args.start)
     anchor = oracle_mod.start_point(lp, start)
-    if not math.isfinite(args.mu_max):
-        raise ValidationError("--mu-max must be finite")
+    if not (math.isfinite(args.mu_max) and args.mu_max >= 0.0):
+        raise ValidationError(f"--mu-max must be finite and nonnegative, got {args.mu_max}")
     mus = np.linspace(0.0, args.mu_max, args.points)
     points = entropy_path.follow_path(lp, anchor, mus)
     if args.trace:

@@ -14,6 +14,14 @@ against, and the path coincides with the flow trajectory through s when
 mu is read as time. ``solve_point`` forms that Laplacian once per Newton
 step, at the iterate it steps from; line-search trial points need only
 the value and the gradient.
+
+Differentiating A x(mu) = b along the path gives (A W A^T) y'(mu) = b:
+the dual point moves with the Physarum potentials, y'(mu) = p(x(mu)).
+``follow_path`` uses this as a predictor. After one solved point it
+starts Newton from the tangent y + dmu p(x); afterwards from the
+Lagrange extrapolation through the last three solved points. Newton with
+its line search stays the corrector, so each point meets the same
+tolerance as a cold solve.
 """
 
 from __future__ import annotations
@@ -118,16 +126,40 @@ def solve_point(lp: ValidatedLP, s, mu: float, y0=None) -> PathPoint:
 
 
 def follow_path(lp: ValidatedLP, s, mus) -> list[PathPoint]:
-    """Solve x(mu) along an increasing grid, warm-starting each point."""
+    """Solve x(mu) along a nondecreasing grid, each Newton solve from a predicted y.
+
+    The prediction is the tangent after one solved point and the Lagrange
+    extrapolation through the last three (or two) of distinct mu after
+    that. A repeated mu starts from, and so reproduces, the point before
+    it. A prediction whose dual overflows is retried from the previous y.
+    """
     mus = [float(m) for m in mus]
     if not mus:
         return []
-    if not (mus[0] >= 0.0 and all(a <= b for a, b in zip(mus, mus[1:]))):
-        raise ValidationError("the mu grid must be nonnegative and nondecreasing")
-    points = []
-    y = None
-    for mu in mus:
-        point = solve_point(lp, s, mu, y0=y)
+    if not (mus[0] >= 0.0 and mus[-1] < math.inf and all(a <= b for a, b in zip(mus, mus[1:]))):
+        raise ValidationError("the mu grid must be finite, nonnegative and nondecreasing")
+    points = [solve_point(lp, s, mus[0])]
+    nodes = points[:]  # the solved points of distinct mu, in order
+    for mu in mus[1:]:
+        last = nodes[-1]
+        if mu == last.mu:
+            y0 = last.y
+        elif len(nodes) == 1:
+            # y'(mu) = p(x(mu)), the Physarum potentials at the path point.
+            y0 = last.y + (mu - last.mu) * spd_solve((lp.A * (last.x / lp.c)).dot(lp.At), lp.b)
+        else:
+            y0 = 0.0
+            for j in nodes[-3:]:
+                weight = 1.0
+                for k in nodes[-3:]:
+                    if k is not j:
+                        weight *= (mu - k.mu) / (j.mu - k.mu)
+                y0 = y0 + weight * j.y
+        try:
+            point = solve_point(lp, s, mu, y0=y0)
+        except DualOverflowError:
+            point = solve_point(lp, s, mu, y0=last.y)
         points.append(point)
-        y = point.y
+        if mu > last.mu:
+            nodes.append(point)
     return points

@@ -23,6 +23,7 @@ from physarum import (
     certify_trace,
     compute_params,
     default_step,
+    entropy_path,
     enumerate_polyhedron,
     follow_path,
     integrate,
@@ -141,3 +142,20 @@ def test_oracle_solves_one_block_per_column_basis(monkeypatch):
     enumerate_polyhedron(lp)
     # m-column bases for the vertices, (m+1)-column bases for the rays.
     assert calls == comb(10, 4) + comb(10, 5)
+
+
+def test_path_points_and_dual_evaluations_go_through_module_attributes(monkeypatch, simple2):
+    """``entropy_path.dual_evals`` counts calls to ``dual_value_and_derivatives`` through the module attribute."""
+    calls = {"solve_point": 0, "dual_value_and_derivatives": 0}
+    for name in calls:
+        real = getattr(entropy_path, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(entropy_path, name, counting)
+    points = follow_path(simple2, np.array([0.5, 0.5]), np.arange(0.0, 4.25, 0.25))
+    assert calls["solve_point"] == len(points) == 17
+    # One evaluation at each start plus at least one per Newton step.
+    assert calls["dual_value_and_derivatives"] >= len(points) + sum(p.newton_iters for p in points)

@@ -232,6 +232,25 @@ def test_path_command(capsys):
     assert data["x_final"][0] > 0.9
 
 
+def test_path_takes_long_steps_in_mu(capsys):
+    rc, data = run_json(capsys, ["path", SIMPLE2, "--mu-max", "256", "--points", "6"])
+    assert rc == 0 and data["points"] == 6
+    assert data["cost_final"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_path_at_mu_zero_repeats_the_anchor(capsys):
+    rc, data = run_json(capsys, ["path", SIMPLE2, "--mu-max", "0", "--points", "3"])
+    assert rc == 0 and data["points"] == 3
+    assert data["newton_iters_total"] == 0
+    assert data["x_final"] == [0.5, 0.5]
+
+
+def test_negative_mu_max_names_the_flag(capsys):
+    assert main(["path", SIMPLE2, "--mu-max", "-2"]) == 3
+    err = capsys.readouterr().err
+    assert "--mu-max must be finite and nonnegative, got -2.0" in err
+
+
 def test_oracle_command(capsys):
     rc, data = run_json(capsys, ["oracle", IDENTITY2])
     assert rc == 0

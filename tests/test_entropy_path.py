@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from physarum import FlowConfig, LinearProgram, follow_path, integrate, solve_point, validate
+from physarum import (
+    FlowConfig,
+    LinearProgram,
+    entropy_path,
+    follow_path,
+    integrate,
+    interior_point,
+    solve_point,
+    validate,
+)
 from physarum.entropy_path import dual_value_and_derivatives
 from physarum.errors import DualOverflowError, InfeasibleStartError, NonPositiveStateError, ValidationError
 
@@ -83,8 +92,9 @@ def test_mu_must_be_finite(simple2):
     for mu in (np.inf, np.nan):
         with pytest.raises(ValidationError):
             solve_point(simple2, s, mu)
-    with pytest.raises(ValidationError):
-        follow_path(simple2, s, [0.0, np.inf])
+    for mus in ([0.0, np.inf], [0.0, 1.0, np.inf]):
+        with pytest.raises(ValidationError):
+            follow_path(simple2, s, mus)
 
 
 def test_dual_overflow_guard(simple2):
@@ -101,3 +111,77 @@ def test_grid_validation(simple2):
     with pytest.raises(ValueError):
         follow_path(simple2, s, [0.0, np.nan])
     assert follow_path(simple2, s, []) == []
+
+
+@pytest.mark.parametrize("mus", [np.linspace(0.0, 256.0, 6), [0.0, 1.0, 4.0, 16.0, 64.0, 256.0]],
+                         ids=["linspace", "geometric"])
+@pytest.mark.parametrize("name", ["simple2", "triangle", "identity2"])
+def test_coarse_grids_reach_the_vertex(shipped, name, mus):
+    # Steps of 51.2 or more in mu stalled Newton from the previous y; the
+    # predicted start brings each point within a few dozen steps.
+    lp, _, res = shipped[name]
+    pts = follow_path(lp, interior_point(res), mus)
+    assert [p.mu for p in pts] == [float(m) for m in mus]
+    assert sum(p.newton_iters for p in pts) <= 40
+    costs = [float(lp.c @ p.x) for p in pts]
+    assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
+    assert costs[-1] == pytest.approx(float(res.opt), abs=1e-9)
+    for p in pts:
+        assert np.abs(lp.A @ p.x - lp.b).max() <= 1e-9
+    if name == "identity2":
+        assert all(p.newton_iters == 0 for p in pts)
+
+
+def test_prediction_halves_the_newton_steps_on_a_planted_instance():
+    # Stepping from the previous y took 640 Newton steps on this grid.
+    rng = np.random.default_rng(3)
+    A, x0 = rng.integers(-3, 4, size=(12, 48)), rng.integers(1, 4, size=48).astype(float)
+    planted = validate(LinearProgram(A=A, b=A @ x0, c=rng.integers(1, 4, size=48)))
+    mus = np.arange(0.0, 40.25, 0.25)
+    pts = follow_path(planted, x0, mus)
+    assert sum(p.newton_iters for p in pts) <= 320
+    trace = integrate(planted, FlowConfig(x0=x0, t_end=40.0, sample_dt=0.25))
+    assert len(pts) == len(trace.entries)
+    assert max(np.abs(p.x - e.x).max() for p, e in zip(pts, trace.entries)) <= 1e-6
+
+
+def test_linear_dual_path_needs_no_newton_step(identity2):
+    # With A = I the path is pinned at b and y(mu) = mu p, so both the
+    # tangent and the extrapolation land on it.
+    pts = follow_path(identity2, np.array([2.0, 3.0]), np.arange(0.0, 10.25, 0.25))
+    assert [p.newton_iters for p in pts] == [0] * len(pts)
+    for p in pts:
+        assert np.allclose(p.x, [2.0, 3.0], rtol=0, atol=1e-9)
+
+
+def test_repeated_mu_reproduces_the_point_before_it(triangle):
+    pts = follow_path(triangle, np.array([0.5, 0.5, 0.5]), [0.0, 0.5, 0.5, 1.0])
+    repeat, before = pts[2], pts[1]
+    assert repeat.newton_iters == 0
+    assert repeat.mu == before.mu
+    assert np.array_equal(repeat.y, before.y) and np.array_equal(repeat.x, before.x)
+    assert repeat.dual_value == before.dual_value
+    # The repeat adds no node: mu = 1.0 extrapolates through mu = 0 and 0.5.
+    alone = follow_path(triangle, np.array([0.5, 0.5, 0.5]), [0.0, 0.5, 1.0])
+    assert np.array_equal(pts[3].y, alone[2].y)
+
+
+def test_overflowing_prediction_falls_back_to_the_previous_y(simple2, monkeypatch):
+    s = np.array([0.5, 0.5])
+    real = entropy_path.dual_value_and_derivatives
+    raised = []
+
+    def overflow_once_at_mu_2(lp, anchor, mu, y):
+        if mu == 2.0 and not raised:
+            raised.append(np.array(y, dtype=float))
+            raise DualOverflowError("injected")
+        return real(lp, anchor, mu, y)
+
+    monkeypatch.setattr(entropy_path, "dual_value_and_derivatives", overflow_once_at_mu_2)
+    pts = follow_path(simple2, s, [0.0, 1.0, 2.0])
+    monkeypatch.undo()
+    assert len(raised) == 1
+    assert not np.array_equal(raised[0], pts[1].y)  # the overflow hit the predicted start
+    want = solve_point(simple2, s, 2.0, y0=pts[1].y)
+    assert np.array_equal(pts[2].y, want.y) and np.array_equal(pts[2].x, want.x)
+    assert pts[2].newton_iters == want.newton_iters

@@ -56,6 +56,9 @@ ITERATION_HARD_CAP = 10**18
 # solve stops at FixedPoint once |q - x| <= FIXED_POINT_TOL (1 + |x|).
 FIXED_POINT_TOL = 1e-9
 
+# A step with h dev at or below NO_MOVE_HDEV leaves x as it is (_cannot_move).
+NO_MOVE_HDEV = 2.0**-55
+
 # certified_step_search integrates its pilot flow up to PILOT_T_END and
 # inflates the deviation it measures by STEP_SAFETY.
 PILOT_T_END = 40.0
@@ -114,13 +117,13 @@ class Solution:
 
 
 def _cannot_move(h: float, dev: float) -> bool:
-    """Whether a step h leaves a start of deviation dev = max |q_i / x_i - 1| as it is.
+    """Whether a step h leaves a point of deviation dev = max |q_i / x_i - 1| as it is.
 
-    From the start each |h (q_i - x_i)| <= h dev x_i, so h dev at or below
+    At that point each |h (q_i - x_i)| <= h dev x_i, so h dev at or below
     2**-55 keeps every step under half an ulp of x_i, with a factor 2 for
-    rounding: solve from there would return the start bit for bit.
+    rounding: solve from there would return the point bit for bit.
     """
-    return h * dev <= 2.0**-55
+    return h * dev <= NO_MOVE_HDEV
 
 
 def default_step(params: Params, eps: float) -> float:
@@ -172,6 +175,12 @@ def solve(
     check_point raises: the progress certificate and the positivity cap
     1/(2P) both rest on it. Params that understate P can still drive a
     coordinate to zero, which raises PositivityLostError.
+
+    A step that cannot move x (h dev <= 2**-55, see _cannot_move) ends the
+    loop at once: every later step would recompute it bit for bit, so solve
+    fills the trace rows up to the cap with it and stops there, with the
+    result and trace that running to the cap gives. The skipped steps are
+    logged at INFO.
 
     A zero demand vector is a special case: x = 0 is optimal and the
     dynamics are never entered. A step so small that the iterates never
@@ -278,6 +287,14 @@ def solve(
     # keeps it near x_i / 2 or above (rounding moves it by an ulp, and at the
     # smallest subnormal |diff_i| / x_i is exact); otherwise, or when dev is
     # NaN or inf, min(x) is read.
+    #
+    # The same product h dev decides whether the update moves x at all. At
+    # or below NO_MOVE_HDEV it is the identity in floating point
+    # (_cannot_move), so every step up to the cap would recompute this one
+    # bit for bit. The loop then writes this step's trace row for each
+    # recorded k' in (k, cap], growing rec once to the exact size, and stops
+    # at the cap as running there would. The test comes after the stop
+    # tests, so a start at rest still stops at FixedPoint.
     w = np.empty_like(x0)
     Aw, lap = np.empty_like(A), np.empty((lp.m, lp.m))
     R, R_abs = np.empty((4, lp.n)), np.empty((4, lp.n))
@@ -315,9 +332,27 @@ def solve(
             stop = cap_stop
             break
 
+        h_dev = h * dev
+        if h_dev <= NO_MOVE_HDEV:
+            if trace_every:
+                end = rows + cap // trace_every - k // trace_every
+                if end > len(rec):
+                    rec = np.concatenate((rec, np.empty((end - len(rec), rec.shape[1]))))
+                    xs, ps, edges = rec[:, :n], rec[:, n:-1], rec[:, -1]
+                xs[rows:end] = x
+                ps[rows:end] = p
+                edges[rows:end] = edge_inf
+                rows = end
+            logger.info(
+                "step %d cannot move x (h dev = %.3e <= 2**-55); stopping at the cap %d "
+                "without recomputing the %d identical steps up to it",
+                k, h_dev, cap, cap - k,
+            )
+            k, stop = cap, cap_stop
+            break
         mul(diff, h_arr, out=diff)
         add(x, diff, out=x)
-        if not h * dev < 0.5 and minr(x) <= 0.0:
+        if not h_dev < 0.5 and minr(x) <= 0.0:
             raise PositivityLostError(f"coordinate became nonpositive at iteration {k + 1}")
         k += 1
 

@@ -162,6 +162,90 @@ def test_solve_warns_when_the_step_cannot_move_x(simple2, caplog):
     assert not any("bit-identical" in rec.message for rec in caplog.records)
 
 
+def planted_12x48():
+    """A planted (12, 48) instance and its integer interior point; its certified step is about 1e-30."""
+    rng = np.random.default_rng(3)
+    A, x0 = rng.integers(-3, 4, size=(12, 48)), rng.integers(1, 4, size=48).astype(float)
+    return validate(LinearProgram(A=A, b=A @ x0, c=rng.integers(1, 4, size=48))), x0
+
+
+def test_a_step_that_cannot_move_x_still_stops_in_order(simple2, identity2, caplog):
+    # A start at rest stops at FixedPoint before the step is looked at.
+    sol, trace = solve(identity2, DiscreteConfig(h=1e-30))
+    assert (sol.stop_reason, sol.iterations, len(trace.entries)) == ("FixedPoint", 0, 1)
+
+    # A cap of 0 stops before the step too.
+    x0 = np.array([0.5, 0.5])
+    with caplog.at_level("INFO", logger="physarum.discrete_solver"):
+        sol, trace = solve(simple2, DiscreteConfig(h=1e-30, start=x0, max_iters=0))
+    assert (sol.stop_reason, sol.iterations, len(trace.entries)) == ("UserCap", 0, 1)
+    assert not caplog.records
+
+    # Otherwise solve says once, at INFO, where it stopped recomputing.
+    with caplog.at_level("INFO", logger="physarum.discrete_solver"):
+        sol, trace = solve(simple2, DiscreteConfig(h=1e-30, start=x0, max_iters=50, trace_every=7))
+    assert (sol.stop_reason, sol.iterations, len(trace.entries)) == ("UserCap", 50, 8)
+    assert list(trace.entries.k) == list(range(0, 50, 7))
+    skipped = [rec for rec in caplog.records if rec.levelname == "INFO"]
+    assert len(skipped) == 1
+    assert "step 0 " in skipped[0].message and "the 50 identical steps" in skipped[0].message
+    assert f"h dev = {1e-30 * sol.dev_max:.3e}" in skipped[0].message
+
+    # Past the certified count the cap is the iteration bound, reached at once.
+    sol, trace = solve(simple2, DiscreteConfig(h=1e-30, start=x0, max_iters=ITERATION_HARD_CAP + 1, trace_every=0))
+    assert (sol.stop_reason, sol.iterations, len(trace.entries)) == ("IterationBound", ITERATION_HARD_CAP, 0)
+    assert sol.x.tobytes() == x0.tobytes()
+
+
+def test_a_step_that_cannot_move_x_is_solved_once(simple2, monkeypatch):
+    from physarum import linalg
+
+    linalg._bind_scipy()
+    calls = []
+
+    def counting_dposv(*args):
+        calls.append(1)
+        return dposv(*args)
+
+    # SciPy is bound first: the stub rebinds linalg.dposv on its first call,
+    # which would drop the patch.
+    dposv = linalg.dposv
+    monkeypatch.setattr(linalg, "dposv", counting_dposv)
+
+    planted, x0 = planted_12x48()
+    sol, _ = solve(planted, DiscreteConfig(start=x0, trace_every=0, max_iters=3000))
+    assert sol.iterations == 3000 and np.array_equal(sol.x, x0)
+    assert len(calls) == 1
+
+    calls.clear()
+    sol, _ = solve(simple2, DiscreteConfig(start=np.array([0.5, 0.5])))
+    assert sol.stop_reason == "FixedPoint" and sol.iterations > 0
+    assert len(calls) == sol.iterations + 1
+
+
+def test_rows_after_a_late_exit_sit_where_a_run_to_the_cap_puts_them(simple2, monkeypatch, caplog):
+    # No step of a moving run passes the real threshold, so this one is
+    # raised: dev falls from 0.98 along this run, and h dev first drops to
+    # 0.009 or below at step 176, one past a recorded step. 203 // 7 - 176 // 7 rows
+    # follow, one more than (203 - 176) // 7.
+    from physarum import discrete_solver
+
+    config = DiscreteConfig(h=0.01, start=np.array([0.01, 0.99]), max_iters=203)
+    _, every_step = solve(simple2, config)
+    monkeypatch.setattr(discrete_solver, "NO_MOVE_HDEV", 0.009)
+    with caplog.at_level("INFO", logger="physarum.discrete_solver"):
+        sol, trace = solve(simple2, dataclasses.replace(config, trace_every=7))
+    assert any("step 176 " in rec.message for rec in caplog.records)
+    assert (sol.stop_reason, sol.iterations) == ("UserCap", 203)
+    e = trace.entries
+    assert list(e.k) == list(range(0, 204, 7))
+    assert e[:26].tobytes() == every_step.entries[0:176:7].tobytes()
+    frozen = every_step.entries[176]
+    for name in ("x", "cost", "energy", "edge_potential_inf"):
+        assert e[name][26:].tobytes() == np.repeat(frozen[name][None], len(e) - 26, axis=0).tobytes()
+    assert sol.x.tobytes() == frozen.x.tobytes()
+
+
 def test_solve_start_validation(simple2):
     with pytest.raises(DimensionMismatchError):
         solve(simple2, DiscreteConfig(start=np.array([1.0, 1.0, 1.0])))
@@ -458,15 +542,18 @@ def test_solve_matches_step_by_step_reference(simple2, triangle, identity2):
     lp, config, params, res = cases[6]
     cases.append((lp, dataclasses.replace(config, trace_every=7), params, res))
 
-    rng = np.random.default_rng(3)
-    A, x0 = rng.integers(-3, 4, size=(12, 48)), rng.integers(1, 4, size=48).astype(float)
-    planted = validate(LinearProgram(A=A, b=A @ x0, c=rng.integers(1, 4, size=48)))
+    planted, x0 = planted_12x48()
     params = default_params(planted)
     h = 0.999 * 0.5 / params.potential_ratio_bound
     cases.append((planted, DiscreteConfig(h=h, start=x0, trace_every=0, max_iters=3000), params, None))
     # Traced, its cost and energy columns are compared with c @ x at n = 48,
     # where ddot takes its blocked path, and with b @ p over m = 12 terms.
     cases.append((planted, DiscreteConfig(h=h, start=x0, max_iters=3000), params, None))
+    # The certified step, about 1e-30 here, cannot move x: solve stops at the
+    # first step and fills in the rows up to the cap, which the reference
+    # computes one step at a time. 3001 is not a multiple of 7.
+    for every, cap in ((0, 3000), (1, 3000), (7, 3001), (1, 0)):
+        cases.append((planted, DiscreteConfig(start=x0, trace_every=every, max_iters=cap), params, None))
 
     # Params that understate P admit a step past the true positivity cap.
     # Near the vertex (0, 1), q / x - 1 is large at the small coordinate: h dev

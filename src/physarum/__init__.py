@@ -5,10 +5,11 @@ costs at least one, full row rank) by simulating the network flow
 dynamics x' = q - x, where q is the weighted least-squares flow meeting
 the demands b through conductances x/c. Three interchangeable engines
 expose the same trajectory: a damped discrete iteration with a provable
-per-step progress certificate, a high-accuracy ODE integration, and an
-entropy-regularized path solved point-wise by Newton's method. An exact
-rational vertex enumerator serves as the ground-truth oracle for all of
-them.
+per-step progress certificate, the continuous flow sampled on a time
+grid, and an entropy-regularized path solved point-wise by Newton's
+method; by the paper's theorem the flow is such a path, so its samples
+are Newton solves too. An exact rational vertex enumerator serves as the
+ground-truth oracle for all of them.
 """
 
 from .continuous_flow import ConvergenceReport, FlowConfig, FlowTrace, integrate, rate_report, rhs_log

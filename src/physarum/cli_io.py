@@ -183,8 +183,7 @@ def cmd_solve(args) -> int:
 def cmd_flow(args) -> int:
     lp, start = load_problem(args.problem, args.start)
     config = continuous_flow.FlowConfig(
-        x0=oracle_mod.start_point(lp, start), t_end=args.t_end,
-        rel_tol=args.rel_tol, sample_dt=args.sample_dt,
+        x0=oracle_mod.start_point(lp, start), t_end=args.t_end, sample_dt=args.sample_dt,
     )
     trace = continuous_flow.integrate(lp, config)
     e = trace.entries
@@ -404,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = engine("flow", cmd_flow, "integrate the continuous dynamics")
     p.add_argument("--t-end", type=float, default=40.0)
     p.add_argument("--sample-dt", type=float, default=0.25)
-    p.add_argument("--rel-tol", type=float, default=1e-8)
 
     p = engine("path", cmd_path, "follow the entropy-regularized path")
     p.add_argument("--mu-max", type=float, default=20.0)

@@ -1,36 +1,45 @@
-"""High-accuracy integration of the continuous flow x' = q - x.
+"""The continuous flow x' = q - x, sampled by the paper's theorem.
 
-Integrated in log coordinates u = ln x, where the right-hand side is
-(A^T p)/c - 1 and positivity is automatic. Along any trajectory the
+In log coordinates u = ln x the flow is u' = (A^T p)/c - 1 (``rhs_log``),
+so u(t) = ln x0 + A^T Y(t)/c - t with Y' = p. Along any trajectory the
 constraint error contracts like e^{-t}:
 
     A x(t) - b = e^{-t} (A x(0) - b),
 
 equivalently A(x(t) - e^{-t} x(0)) = (1 - e^{-t}) b, which is what the
 trace records as the feasibility residual (exactly zero in exact
-arithmetic, any start). On feasible trajectories the cost is
-non-increasing and converges to the optimum; the per-coordinate decay
-toward the limit face is what rate_report measures.
+arithmetic, any start). So x(t) = e^{-t} x0 exp(A^T Y/c) is the
+cost-weighted entropy projection of e^{-t} x0 onto A x = b_t with
+b_t = b + e^{-t}(A x0 - b): each sample is one dual Newton solve on the
+entropy path (``entropy_path.flow_points``), started from the path's
+tangent or extrapolation, and no error builds up between samples. On
+feasible trajectories the cost is non-increasing and converges to the
+optimum; the per-coordinate decay toward the limit face is what
+rate_report measures.
 
 The trace is one numpy record array with a row per sample time and the
 fields t, x (shape (n,)), cost, energy, feas_residual, edge_potential_inf,
-direction_inf, deviation_inf (max |q_i / x_i - 1|) and x_bound_ok.
+direction_inf, deviation_inf (max |q_i / x_i - 1|) and x_bound_ok. Each
+row reads the vector field once: r = rhs_log(u) at the Newton's own
+exponent u, and every column but cost and the residual follows from it
+(q = x (r + 1), A^T p = c (r + 1), energy b . p = sum (x/c) (A^T p)^2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .dynamics import evaluate
-from .errors import InsufficientTraceError, StepSizeUnderflowError, ValidationError
+from . import entropy_path
+# evaluate is not called here, but bench/spans.py records spans by
+# rebinding continuous_flow.evaluate, so the name stays bound.
+from .dynamics import evaluate  # noqa: F401
+from .errors import InsufficientTraceError, ValidationError
 from .linalg import spd_solve
 from .model import Params, ValidatedLP, check_point, default_params
-
-# Absolute tolerance of the integrator on u = ln x.
-ABS_TOL = 1e-10
 
 
 def rhs_log(lp: ValidatedLP, u) -> np.ndarray:
@@ -49,11 +58,10 @@ def rhs_log(lp: ValidatedLP, u) -> np.ndarray:
 class FlowConfig:
     x0: np.ndarray
     t_end: float
-    rel_tol: float = 1e-8
     sample_dt: float = 0.25
 
     def __post_init__(self):
-        for name in ("t_end", "sample_dt", "rel_tol"):
+        for name in ("t_end", "sample_dt"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValidationError(f"{name} must be positive and finite")
 
@@ -61,7 +69,8 @@ class FlowConfig:
 @dataclass(frozen=True)
 class FlowTrace:
     entries: np.recarray  # one row per sample time, fields as in the module docstring
-    rel_tol: float  # the integrator's relative tolerance; sets the trace's noise floor
+    # The trace's noise floor: rate_report fits no cost gap below rel_tol (|opt| + 1).
+    rel_tol: ClassVar[float] = 1e-8
 
     @property
     def final(self) -> np.record:
@@ -72,51 +81,39 @@ def integrate(lp: ValidatedLP, config: FlowConfig, params: Params | None = None)
     """Run the flow from a strictly positive start and sample it on a grid.
 
     The start does not need to satisfy A x = b; infeasibility decays like
-    e^{-t} on its own. Integration failures (stiffness driving the adaptive
-    step to zero) surface as StepSizeUnderflowError.
+    e^{-t} on its own. A sample whose Newton solve fails raises that
+    solve's NumericalError (NewtonStalledError, or NotPositiveDefiniteError
+    from the Laplacian's pivot floor).
     """
     if params is None:
         params = default_params(lp)
     x0 = check_point(lp, config.x0, "x0")
 
-    A, b = lp.A, lp.b
-
-    def rhs(_t, u):
-        return rhs_log(lp, u)
+    A, b, c = lp.A, lp.b, lp.c
 
     ts = np.arange(0.0, config.t_end + 0.5 * config.sample_dt, config.sample_dt)
     if ts[-1] < config.t_end:
         ts = np.append(ts, config.t_end)
     else:
         ts[-1] = config.t_end
-
-    # Imported here, not at module load: SciPy is most of a cold start and
-    # only this function needs scipy.integrate (linalg binds scipy.linalg on
-    # its first solve the same way).
-    from scipy.integrate import solve_ivp
-
-    result = solve_ivp(
-        rhs, (0.0, config.t_end), np.log(x0), method="RK45",
-        t_eval=ts, rtol=config.rel_tol, atol=ABS_TOL,
-    )
-    if not result.success:
-        raise StepSizeUnderflowError(f"flow integration failed: {result.message}")
+    points = entropy_path.flow_points(lp, x0, ts)
 
     cap = np.maximum(x0, params.flux_bound) * (1.0 + 1e-6)
-    entries = np.recarray(len(result.t), dtype=[
+    entries = np.recarray(len(ts), dtype=[
         ("t", float), ("x", float, (lp.n,)), ("cost", float), ("energy", float), ("feas_residual", float),
         ("edge_potential_inf", float), ("direction_inf", float), ("deviation_inf", float), ("x_bound_ok", bool),
     ])
-    for row, (t, u) in enumerate(zip(result.t, result.y.T)):
-        x = np.exp(u)
-        ev = evaluate(lp, x)
+    for row, (t, point) in enumerate(zip(ts, points)):
+        x = point.x
+        r = rhs_log(lp, entropy_path.exponent(lp, x0, point.mu, point.y))
+        edge = c * (r + 1.0)
         decay = np.exp(-t)
         resid = np.abs(A @ (x - decay * x0) - (1.0 - decay) * b).max()
         entries[row] = (
-            t, x, ev.cost, ev.energy, resid, ev.edge_potential_inf,
-            np.abs(ev.direction).max(), np.abs(ev.flux / ev.x - 1.0).max(), np.all(x <= cap),
+            t, x, c.dot(x), (x / c).dot(edge * edge), resid, np.abs(edge).max(),
+            np.abs(x * r).max(), np.abs(r).max(), np.all(x <= cap),
         )
-    return FlowTrace(entries=entries, rel_tol=config.rel_tol)
+    return FlowTrace(entries=entries)
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ def rate_report(trace: FlowTrace, opt: float, oracle_result) -> ConvergenceRepor
     xn_slope is the rate at which the coordinates outside the optimal
     support vanish; xj_min the smallest value any supported coordinate
     takes in the tail (it must stay bounded away from zero). Samples whose
-    gap is below the integrator's noise floor, rel_tol * (|opt| + 1), are
+    gap is below the trace's noise floor, rel_tol * (|opt| + 1), are
     excluded from the fit; nu_hat is None when fewer than 5 remain. Needs
     at least 10 time units of trace.
     """

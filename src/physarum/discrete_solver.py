@@ -59,7 +59,7 @@ FIXED_POINT_TOL = 1e-9
 # A step with h dev at or below NO_MOVE_HDEV leaves x as it is (_cannot_move).
 NO_MOVE_HDEV = 2.0**-55
 
-# certified_step_search integrates its pilot flow up to PILOT_T_END and
+# certified_step_search samples its pilot flow up to PILOT_T_END and
 # inflates the deviation it measures by STEP_SAFETY.
 PILOT_T_END = 40.0
 STEP_SAFETY = 1.3
@@ -459,10 +459,12 @@ def certified_step_search(
     The guaranteed step divides eps by six times the square of a worst-case
     potential bound, which is wildly pessimistic on most instances: the
     progress argument only needs the deviation |q_i/x_i - 1| actually seen
-    along the trajectory. A cheap ODE integration of the same dynamics
-    measures that deviation; the returned step inflates it by STEP_SAFETY
-    and never exceeds the positivity cap. certify_trace stays the arbiter.
-    The pilot starts at the oracle's interior point.
+    along the trajectory. A pilot run of the continuous flow, sampled by
+    ``continuous_flow.integrate`` (one entropy-path Newton solve per
+    sample), measures that deviation; the returned step inflates it by
+    STEP_SAFETY and never exceeds the positivity cap. certify_trace stays
+    the arbiter. The pilot starts at the oracle's interior point; a pilot
+    that fails with a NumericalError falls back to the worst-case step.
 
     Returns the step together with the measured deviation. A step of 0
     (P beyond the float range), or one too small to move the start, raises

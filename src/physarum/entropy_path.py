@@ -11,7 +11,9 @@ whose maximizer y recovers the primal as x_i = s_i exp(a_i . y / c_i - mu):
 the gradient b - A x(y) vanishing is exactly feasibility. The Hessian is
 -A W A^T with W = diag(x/c), the same weighted Laplacian the flow solves
 against, and the path coincides with the flow trajectory through s when
-mu is read as time. ``solve_point`` forms that Laplacian once per Newton
+mu is read as time. From any positive start, feasible or not, the flow is
+such a path for the moving right-hand side b + e^{-mu}(A s - b), which
+``flow_points`` solves for. ``solve_point`` forms that Laplacian once per Newton
 step, at the iterate it steps from; line-search trial points need only
 the value and the gradient.
 
@@ -63,9 +65,8 @@ def dual_value_and_derivatives(lp: ValidatedLP, s, mu: float, y):
     The Hessian -A W A^T is not formed here: ``solve_point`` builds A W A^T
     from x at each iterate it steps from.
     """
-    s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    expo = np.log(s) + (lp.At @ y) / lp.c - mu
+    expo = exponent(lp, s, mu, y)
     if expo.max() > EXP_CAP:
         raise DualOverflowError(
             f"dual exponent reached {expo.max():.1f}; the path point does not exist "
@@ -75,6 +76,11 @@ def dual_value_and_derivatives(lp: ValidatedLP, s, mu: float, y):
     value = float(y @ lp.b - lp.c @ x)
     grad = lp.b - lp.A @ x
     return value, grad, x
+
+
+def exponent(lp: ValidatedLP, s, mu: float, y) -> np.ndarray:
+    """ln x(y) = ln s + (A^T y)/c - mu, the exponent of the primal point at y."""
+    return np.log(np.asarray(s, dtype=float)) + (lp.At @ np.asarray(y, dtype=float)) / lp.c - mu
 
 
 def solve_point(lp: ValidatedLP, s, mu: float, y0=None) -> PathPoint:
@@ -89,12 +95,28 @@ def solve_point(lp: ValidatedLP, s, mu: float, y0=None) -> PathPoint:
     if not 0.0 <= mu < math.inf:
         raise ValidationError(f"mu must be nonnegative and finite, got {mu}")
     s = check_point(lp, s, "anchor", feasible=True)
+    return _newton(lp, s, mu, y0, None)
+
+
+def _newton(lp: ValidatedLP, s, mu: float, y0, shift) -> PathPoint:
+    """``solve_point``'s Newton loop for the right-hand side b + shift.
+
+    A nonzero shift moves the constraint to A x = b + shift, which adds
+    y . shift to g and shift to its gradient; the Laplacian, the line
+    search and the tolerance (set by b) are those of ``shift=None``.
+    """
     y = np.zeros(lp.m) if y0 is None else np.asarray(y0, dtype=float).copy()
     if y.shape != (lp.m,):
         raise DimensionMismatchError(f"y0 has shape {y.shape}, expected ({lp.m},)")
 
+    def evaluate_dual(y):
+        value, grad, x = dual_value_and_derivatives(lp, s, mu, y)
+        if shift is None:
+            return value, grad, x
+        return value + float(y @ shift), grad + shift, x
+
     tol = 1e-10 * (float(np.abs(lp.b).max()) + 1.0)
-    value, grad, x = dual_value_and_derivatives(lp, s, mu, y)
+    value, grad, x = evaluate_dual(y)
     for it in range(MAX_NEWTON_ITERS):
         if float(np.abs(grad).max()) <= tol:
             return PathPoint(mu=float(mu), y=y, x=x, dual_value=value, newton_iters=it)
@@ -108,7 +130,7 @@ def solve_point(lp: ValidatedLP, s, mu: float, y0=None) -> PathPoint:
         accepted = None
         for _ in range(MAX_BACKTRACKS):
             try:
-                cand = dual_value_and_derivatives(lp, s, mu, y + t * d)
+                cand = evaluate_dual(y + t * d)
             except DualOverflowError:
                 t *= 0.5
                 continue
@@ -133,12 +155,31 @@ def follow_path(lp: ValidatedLP, s, mus) -> list[PathPoint]:
     that. A repeated mu starts from, and so reproduces, the point before
     it. A prediction whose dual overflows is retried from the previous y.
     """
+    return _sweep(lp, mus, lambda mu, y0: solve_point(lp, s, mu, y0=y0))
+
+
+def flow_points(lp: ValidatedLP, x0, ts) -> list[PathPoint]:
+    """The flow from a positive x0, feasible or not, at the times ts, by ``follow_path``'s sweep.
+
+    x(t) = e^{-t} x0 exp(A^T Y(t)/c) with Y' = p, and A x(t) = b_t with
+    b_t = b + e^{-t} (A x0 - b). So x(t) is the path point with anchor x0
+    and mu = t for the right-hand side b_t, and Y(t) its dual point.
+    Differentiating A x(t) = b_t gives (A W A^T) Y' = b again, so the
+    tangent predictor is unchanged. x0 must have passed check_point; where
+    A x0 == b exactly the points are follow_path's, bit for bit.
+    """
+    offset = lp.A @ x0 - lp.b
+    return _sweep(lp, ts, lambda t, y0: _newton(lp, x0, t, y0, math.exp(-t) * offset))
+
+
+def _sweep(lp: ValidatedLP, mus, solve) -> list[PathPoint]:
+    """Call solve(mu, y0) along the grid with follow_path's predicted starts."""
     mus = [float(m) for m in mus]
     if not mus:
         return []
     if not (mus[0] >= 0.0 and mus[-1] < math.inf and all(a <= b for a, b in zip(mus, mus[1:]))):
         raise ValidationError("the mu grid must be finite, nonnegative and nondecreasing")
-    points = [solve_point(lp, s, mus[0])]
+    points = [solve(mus[0], None)]
     nodes = points[:]  # the solved points of distinct mu, in order
     for mu in mus[1:]:
         last = nodes[-1]
@@ -156,9 +197,9 @@ def follow_path(lp: ValidatedLP, s, mus) -> list[PathPoint]:
                         weight *= (mu - k.mu) / (j.mu - k.mu)
                 y0 = y0 + weight * j.y
         try:
-            point = solve_point(lp, s, mu, y0=y0)
+            point = solve(mu, y0)
         except DualOverflowError:
-            point = solve_point(lp, s, mu, y0=last.y)
+            point = solve(mu, last.y)
         points.append(point)
         if mu > last.mu:
             nodes.append(point)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from physarum import LinearProgram, compute_params, enumerate_polyhedron, interior_point, validate
+from physarum import LinearProgram, compute_params, enumerate_polyhedron, interior_point, rhs_log, validate
 from physarum._exact import rank_int
 from physarum.errors import NoInteriorPointError
 
@@ -103,6 +103,31 @@ def planted_instance(rng, m, n):
             break
     x0 = rng.integers(1, 4, size=n)
     return validate(LinearProgram(A=A, b=A @ x0, c=rng.integers(1, 4, size=n)))
+
+
+def planted_12x48():
+    """A planted (12, 48) instance and its integer interior point; its certified step is about 1e-30."""
+    rng = np.random.default_rng(3)
+    A, x0 = rng.integers(-3, 4, size=(12, 48)), rng.integers(1, 4, size=48).astype(float)
+    return validate(LinearProgram(A=A, b=A @ x0, c=rng.integers(1, 4, size=48))), x0
+
+
+def rk45_flow(lp, x0, ts):
+    """Reference samples of the flow at the times ts, one row each.
+
+    Integrates u = ln x through the vector field ``rhs_log`` with SciPy's
+    RK45 (rtol 1e-8, atol 1e-10), independently of the entropy-path Newton
+    solves that ``integrate`` samples the flow with.
+    """
+    from scipy.integrate import solve_ivp
+
+    ts = np.asarray(ts, dtype=float)
+    result = solve_ivp(
+        lambda _t, u: rhs_log(lp, u), (ts[0], ts[-1]), np.log(x0), method="RK45",
+        t_eval=ts, rtol=1e-8, atol=1e-10,
+    )
+    assert result.success, result.message
+    return np.exp(result.y.T)
 
 
 def overflowing_instance(m):

@@ -40,7 +40,7 @@ from physarum.errors import (
 )
 from physarum.linalg import spd_factor
 from physarum.model import check_point, default_params
-from tests.conftest import overflowing_instance, random_instances
+from tests.conftest import overflowing_instance, planted_12x48, random_instances
 
 
 def test_config_validation():
@@ -160,13 +160,6 @@ def test_solve_warns_when_the_step_cannot_move_x(simple2, caplog):
         sol, _ = solve(simple2, DiscreteConfig(eps=0.1, start=x0, max_iters=50))
     assert not np.array_equal(sol.x, x0)
     assert not any("bit-identical" in rec.message for rec in caplog.records)
-
-
-def planted_12x48():
-    """A planted (12, 48) instance and its integer interior point; its certified step is about 1e-30."""
-    rng = np.random.default_rng(3)
-    A, x0 = rng.integers(-3, 4, size=(12, 48)), rng.integers(1, 4, size=48).astype(float)
-    return validate(LinearProgram(A=A, b=A @ x0, c=rng.integers(1, 4, size=48))), x0
 
 
 def test_a_step_that_cannot_move_x_still_stops_in_order(simple2, identity2, caplog):
@@ -393,11 +386,12 @@ def test_step_search_never_returns_a_step_that_cannot_move_the_start():
         certified_step_search(lp, 0.1, oracle_result=res)
 
     # At a start that is already a fixed point solve stops at k = 0 whatever
-    # the step, so a step below the ulp bound is still returned there. The
-    # pilot's integrator noise alone puts dev above FIXED_POINT_TOL.
+    # the step, so a step below the ulp bound is still returned there
+    # instead of raising. The pilot's samples are exact, so dev sits at its
+    # 1e-12 floor.
     lp = validate(LinearProgram.from_lists([[10**5, 0], [0, 10**5]], [2 * 10**5, 3 * 10**5], [1, 1]))
     h, dev = certified_step_search(lp, 0.1)
-    assert h * dev <= 2.0**-55 and dev > FIXED_POINT_TOL
+    assert h * dev <= 2.0**-55
     sol, _ = solve(lp, DiscreteConfig(h=h))
     assert sol.stop_reason == "FixedPoint" and sol.iterations == 0
 

@@ -15,6 +15,7 @@ from physarum import (
 )
 from physarum.entropy_path import dual_value_and_derivatives
 from physarum.errors import DualOverflowError, InfeasibleStartError, NonPositiveStateError, ValidationError
+from tests.conftest import planted_12x48
 
 
 def test_anchor_is_the_zero_parameter_point(simple2):
@@ -134,15 +135,25 @@ def test_coarse_grids_reach_the_vertex(shipped, name, mus):
 
 def test_prediction_halves_the_newton_steps_on_a_planted_instance():
     # Stepping from the previous y took 640 Newton steps on this grid.
-    rng = np.random.default_rng(3)
-    A, x0 = rng.integers(-3, 4, size=(12, 48)), rng.integers(1, 4, size=48).astype(float)
-    planted = validate(LinearProgram(A=A, b=A @ x0, c=rng.integers(1, 4, size=48)))
-    mus = np.arange(0.0, 40.25, 0.25)
-    pts = follow_path(planted, x0, mus)
+    planted, x0 = planted_12x48()
+    pts = follow_path(planted, x0, np.arange(0.0, 40.25, 0.25))
     assert sum(p.newton_iters for p in pts) <= 320
-    trace = integrate(planted, FlowConfig(x0=x0, t_end=40.0, sample_dt=0.25))
-    assert len(pts) == len(trace.entries)
-    assert max(np.abs(p.x - e.x).max() for p, e in zip(pts, trace.entries)) <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["planted12x48", "simple2", "triangle"])
+def test_flow_samples_are_the_path_points_bit_for_bit(name, shipped):
+    # Where A x0 == b holds exactly the flow's right-hand side b_t is b, so
+    # each sample is the path point at mu = t, computed the same way.
+    if name == "planted12x48":
+        lp, x0 = planted_12x48()
+    else:
+        lp, _, res = shipped[name]
+        x0 = interior_point(res)
+    assert np.array_equal(lp.A @ x0, lp.b)
+    ts = np.arange(0.0, 40.25, 0.25)
+    flow = integrate(lp, FlowConfig(x0=x0, t_end=40.0, sample_dt=0.25)).entries.x
+    path = np.array([p.x for p in follow_path(lp, x0, ts)])
+    assert flow.tobytes() == path.tobytes()
 
 
 def test_linear_dual_path_needs_no_newton_step(identity2):

@@ -37,7 +37,7 @@ from .errors import (
     ProblemIOError,
     ValidationError,
 )
-from .linalg import kernel_basis
+from .linalg import kernel_basis, laplacian_solve
 from .model import (
     EXACT_SUBDET_CAP,
     LinearProgram,
@@ -211,11 +211,13 @@ def cmd_path(args) -> int:
     mus = np.linspace(0.0, args.mu_max, args.points)
     points = entropy_path.follow_path(lp, anchor, mus)
     if args.trace:
-        # The Laplacian potentials at each path point, as solve and flow write them.
-        evs = (evaluate(lp, p.x) for p in points)
+        # The Laplacian potentials at each path point, as solve and flow write them;
+        # not evaluate, which rejects a coordinate that underflowed to zero.
+        pots = (laplacian_solve(lp, p.x / lp.c, lp.b) for p in points)
         rows = (
-            [p.mu, *p.x, ev.cost, ev.energy, float(np.abs(lp.A @ p.x - lp.b).max()), ev.edge_potential_inf]
-            for p, ev in zip(points, evs)
+            [p.mu, *p.x, float(lp.c.dot(p.x)), float(lp.b.dot(pot)),
+             float(np.abs(lp.A @ p.x - lp.b).max()), float(np.abs(lp.At.dot(pot)).max())]
+            for p, pot in zip(points, pots)
         )
         _write_trace_csv(args.trace, "mu", lp.n, rows)
     last = points[-1]

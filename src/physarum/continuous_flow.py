@@ -38,7 +38,7 @@ from . import entropy_path
 # rebinding continuous_flow.evaluate, so the name stays bound.
 from .dynamics import evaluate  # noqa: F401
 from .errors import InsufficientTraceError, ValidationError
-from .linalg import spd_solve
+from .linalg import laplacian_solve
 from .model import Params, ValidatedLP, check_point, default_params
 
 
@@ -48,9 +48,7 @@ def rhs_log(lp: ValidatedLP, u) -> np.ndarray:
     Equals (A^T p)/c - 1 with p the potentials at x; zero exactly at the
     fixed points of the dynamics.
     """
-    x = np.exp(np.asarray(u, dtype=float))
-    w = x / lp.c
-    p = spd_solve((lp.A * w).dot(lp.At), lp.b)
+    p = laplacian_solve(lp, np.exp(np.asarray(u, dtype=float)) / lp.c, lp.b)
     return lp.At.dot(p) / lp.c - 1.0
 
 

@@ -263,8 +263,8 @@ def solve(
 
     # The update is written out rather than calling evaluate: a step needs
     # one Laplacian solve, not evaluate's state checks and result object.
-    # That solve is one dposv call on lap and linalg's pivot rule, without
-    # spd_solve's frame and its re-check that lap is a square float64 array.
+    # That solve is one dposv call on lap and linalg's pivot rule, the body of
+    # linalg.laplacian_solve without its frame, which costs a few % per step.
     # dposv is looked up in linalg on each step: until the first LAPACK call
     # of the process it is a stub that binds SciPy, and a local name would
     # keep the stub.

@@ -13,9 +13,9 @@ the gradient b - A x(y) vanishing is exactly feasibility. The Hessian is
 against, and the path coincides with the flow trajectory through s when
 mu is read as time. From any positive start, feasible or not, the flow is
 such a path for the moving right-hand side b + e^{-mu}(A s - b), which
-``flow_points`` solves for. ``solve_point`` forms that Laplacian once per Newton
-step, at the iterate it steps from; line-search trial points need only
-the value and the gradient.
+``flow_points`` solves for. ``solve_point`` solves against that Laplacian
+once per Newton step, at the iterate it steps from; line-search trial
+points need only the value and the gradient.
 
 Differentiating A x(mu) = b along the path gives (A W A^T) y'(mu) = b:
 the dual point moves with the Physarum potentials, y'(mu) = p(x(mu)).
@@ -41,7 +41,7 @@ from .errors import (
 )
 # spd_factor is not called here, but bench/spans.py records spans by
 # rebinding entropy_path.spd_factor, so the name stays bound.
-from .linalg import spd_factor, spd_solve  # noqa: F401
+from .linalg import laplacian_solve, spd_factor  # noqa: F401
 from .model import ValidatedLP, check_point
 
 EXP_CAP = 700.0
@@ -62,8 +62,8 @@ class PathPoint:
 def dual_value_and_derivatives(lp: ValidatedLP, s, mu: float, y):
     """Evaluate g, its gradient and the primal point x(y) at a dual point y.
 
-    The Hessian -A W A^T is not formed here: ``solve_point`` builds A W A^T
-    from x at each iterate it steps from.
+    The Hessian -A W A^T is not formed here: ``solve_point`` solves against
+    A W A^T at each iterate it steps from.
     """
     y = np.asarray(y, dtype=float)
     expo = exponent(lp, s, mu, y)
@@ -95,15 +95,15 @@ def solve_point(lp: ValidatedLP, s, mu: float, y0=None) -> PathPoint:
     if not 0.0 <= mu < math.inf:
         raise ValidationError(f"mu must be nonnegative and finite, got {mu}")
     s = check_point(lp, s, "anchor", feasible=True)
-    return _newton(lp, s, mu, y0, None)
+    return _newton(lp, s, mu, y0, np.zeros(lp.m))
 
 
 def _newton(lp: ValidatedLP, s, mu: float, y0, shift) -> PathPoint:
     """``solve_point``'s Newton loop for the right-hand side b + shift.
 
-    A nonzero shift moves the constraint to A x = b + shift, which adds
+    The shift moves the constraint to A x = b + shift, which adds
     y . shift to g and shift to its gradient; the Laplacian, the line
-    search and the tolerance (set by b) are those of ``shift=None``.
+    search and the tolerance (set by b) do not depend on it.
     """
     y = np.zeros(lp.m) if y0 is None else np.asarray(y0, dtype=float).copy()
     if y.shape != (lp.m,):
@@ -111,8 +111,6 @@ def _newton(lp: ValidatedLP, s, mu: float, y0, shift) -> PathPoint:
 
     def evaluate_dual(y):
         value, grad, x = dual_value_and_derivatives(lp, s, mu, y)
-        if shift is None:
-            return value, grad, x
         return value + float(y @ shift), grad + shift, x
 
     tol = 1e-10 * (float(np.abs(lp.b).max()) + 1.0)
@@ -120,7 +118,7 @@ def _newton(lp: ValidatedLP, s, mu: float, y0, shift) -> PathPoint:
     for it in range(MAX_NEWTON_ITERS):
         if float(np.abs(grad).max()) <= tol:
             return PathPoint(mu=float(mu), y=y, x=x, dual_value=value, newton_iters=it)
-        d = spd_solve((lp.A * (x / lp.c)).dot(lp.At), grad)
+        d = laplacian_solve(lp, x / lp.c, grad)
         slope = float(grad @ d)
         # g is computed as y.b - c.x, so its increments are only trustworthy
         # above the cancellation noise of those two dot products; without
@@ -187,7 +185,7 @@ def _sweep(lp: ValidatedLP, mus, solve) -> list[PathPoint]:
             y0 = last.y
         elif len(nodes) == 1:
             # y'(mu) = p(x(mu)), the Physarum potentials at the path point.
-            y0 = last.y + (mu - last.mu) * spd_solve((lp.A * (last.x / lp.c)).dot(lp.At), lp.b)
+            y0 = last.y + (mu - last.mu) * laplacian_solve(lp, last.x / lp.c, lp.b)
         else:
             y0 = 0.0
             for j in nodes[-3:]:

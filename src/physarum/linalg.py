@@ -1,16 +1,23 @@
-"""Dense linear-algebra kernels: SPD solves and kernel bases.
+"""Dense linear-algebra kernels: the weighted Laplacian solve and kernel bases.
 
-Every weighted Laplacian system (A W A^T) p = b in the package is solved
-under one failure policy: LAPACK Cholesky plus a pivot floor relative to
-the mean diagonal, applied by _check_pivots. spd_factor (dpotrf) returns
-the factor, which solves right-hand sides given later; spd_solve (dposv)
-factors and solves in one call. Both reject the same matrices, and
-spd_solve(M, b) is bitwise spd_factor(M).solve(b). The one other call
-site is the step loop of discrete_solver.solve, which calls dposv on its
-own Laplacian buffer and then _check_pivots, as spd_solve does. LAPACK
-alone only refuses pivots that are not positive, which lets a Laplacian
-that has collapsed onto a boundary face through to a solve whose
-potentials are rounding noise.
+laplacian_solve is the package's one entry point for the weighted
+Laplacian system (A diag(w) A^T) p = rhs. It forms the matrix itself, so
+no caller builds the Laplacian or knows its format, solves in one LAPACK
+Cholesky call (dposv) and applies one failure policy, _check_pivots: a
+pivot floor relative to the mean diagonal. LAPACK alone only refuses
+pivots that are not positive, which lets a Laplacian that has collapsed
+onto a boundary face through to a solve whose potentials are rounding
+noise.
+
+The one other call site is the step loop of discrete_solver.solve, which
+forms its Laplacian in preallocated buffers with out= and calls dposv and
+_check_pivots on them itself: routing each step through laplacian_solve
+gave identical iterates but cost 1 to 4% per step over the 28 traced
+corpus solves at m <= 3 (about 17 us a step, 2-vCPU Xeon).
+
+spd_factor (dpotrf, then dpotrs through SpdFactorization.solve) applies
+the same pivot rule and gives the bytes of laplacian_solve. Nothing in
+the package calls it; it stays only because the benchmark times it.
 
 SciPy is not imported with this module. Loading scipy.linalg takes about
 two thirds of a cold `import physarum`, and the commands that never solve
@@ -22,11 +29,11 @@ as an eager import would.
 
 At m <= 3 call overhead, not arithmetic, sets the cost of a solve. The
 LAPACK routines take positional arguments (a keyword lower=True adds about
-40% to a 1.7 us dposv at m = 3). A matrix that already is a square float64
-ndarray reaches LAPACK without a conversion, and the pivot rule reads each
-diagonal once as a Python list. Callers form each Laplacian with the
-ndarray.dot method, which reaches the same BLAS routine as @ and np.dot
-without matmul's or the numpy function's dispatch.
+40% to a 1.7 us dposv at m = 3), and the pivot rule reads each diagonal
+once as a Python list. The Laplacian is formed with the ndarray.dot
+method, which reaches the same BLAS routine as @ and np.dot without
+matmul's or the numpy function's dispatch, and is a square float64
+ndarray that reaches LAPACK without a conversion.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefiniteError, RankDeficientError, ValidationError
+from .model import ValidatedLP
 
 # A pivot this small relative to the mean diagonal means the matrix has
 # effectively collapsed onto a boundary face.
@@ -77,16 +85,6 @@ class SpdFactorization:
 _FLOAT = np.dtype(float)
 
 
-def _square(mat) -> np.ndarray:
-    """Return mat as a square float64 array, as is when it already is one."""
-    if type(mat) is not np.ndarray or mat.dtype is not _FLOAT:
-        mat = np.asarray(mat, dtype=float)
-    shape = mat.shape
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {shape}")
-    return mat
-
-
 def _check_pivots(M: np.ndarray, low: np.ndarray, info: int) -> None:
     """Apply the pivot rule to the Cholesky factor LAPACK returned for M.
 
@@ -109,24 +107,26 @@ def spd_factor(mat: np.ndarray) -> SpdFactorization:
     """Factor a symmetric positive definite matrix, reading its lower triangle.
 
     Raises NotPositiveDefiniteError when a pivot L_jj^2 falls at or below
-    ``PIVOT_RTOL * trace / m``.
+    ``PIVOT_RTOL * trace / m``. A square float64 ndarray is used as is.
     """
-    M = _square(mat)
+    M = mat if type(mat) is np.ndarray and mat.dtype is _FLOAT else np.asarray(mat, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {M.shape}")
     low, info = dpotrf(M, 1)
     _check_pivots(M, low, info)
     return SpdFactorization(lower=low)
 
 
-def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs for a symmetric positive definite M in one LAPACK call.
+def laplacian_solve(lp: ValidatedLP, w, rhs: np.ndarray) -> np.ndarray:
+    """Solve (A diag(w) A^T) p = rhs for a vector or the columns of a matrix.
 
-    Reads the lower triangle of M and applies the same pivot rule as
-    spd_factor, after the solve, so a rejected matrix raises
-    NotPositiveDefiniteError and its solution is never returned.
+    One dposv call, then spd_factor's pivot rule, so a rejected Laplacian
+    raises NotPositiveDefiniteError and its solution is never returned.
+    The weights are the caller's to check.
     """
-    M = _square(mat)
-    low, sol, info = dposv(M, rhs, 1)
-    _check_pivots(M, low, info)
+    L = (lp.A * w).dot(lp.At)
+    low, sol, info = dposv(L, rhs, 1)
+    _check_pivots(L, low, info)
     return sol
 
 

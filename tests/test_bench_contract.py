@@ -112,6 +112,32 @@ def test_no_module_uses_the_function_form_of_dot():
     assert found == []
 
 
+def test_only_linalg_and_the_step_loop_touch_the_laplacian():
+    """Forming A diag(w) A^T and calling LAPACK's Cholesky routines is linalg's.
+
+    The one other site is discrete_solver.solve, whose step loop forms its
+    Laplacian in buffers of its own; every other module calls
+    linalg.laplacian_solve, and none imports the retired spd_solve.
+    """
+    def name_of(node):
+        return getattr(node, "attr", getattr(node, "id", None))
+
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            allowed = path.name == "linalg.py" or (path.name, getattr(top, "name", None)) == ("discrete_solver.py", "solve")
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom):
+                    found += [(path.name, node.lineno) for a in node.names if a.name == "spd_solve"]
+                elif isinstance(node, ast.Call) and not allowed:
+                    name = name_of(node.func)
+                    # A Laplacian build is a .dot whose argument is A transpose.
+                    if name in ("dposv", "dpotrf", "dpotrs") or (name == "dot" and node.args
+                                                                 and name_of(node.args[0]) == "At"):
+                        found.append((path.name, node.lineno))
+    assert found == []
+
+
 def test_traces_read_the_way_the_benchmark_reads_them(simple2):
     x0 = np.array([0.5, 0.5])
     _, trace = solve(simple2, DiscreteConfig(eps=0.1, start=x0, max_iters=20))

@@ -211,6 +211,19 @@ def test_path_trace_rows_are_the_path_points(capsys, tmp_path):
         assert float(row[7]) == ev.edge_potential_inf
 
 
+def test_path_trace_writes_rows_where_a_coordinate_underflowed(capsys, tmp_path):
+    # Far out on simple2's path x_1 underflows to zero. evaluate refuses that
+    # state, but the Laplacian x_0 / c_0 still solves: p = 1 / x_0.
+    trace = tmp_path / "path.csv"
+    args = ["path", SIMPLE2, "--mu-max", "2000", "--points", "5", "--trace", str(trace)]
+    rc, data = run_json(capsys, args)
+    assert rc == 0 and data["x_final"][1] == 0.0
+    _, rows = read_trace(trace)
+    mu, x0, x1, cost, energy, _, edge = (float(v) for v in rows[-1])
+    assert (mu, [x0, x1], cost) == (2000.0, data["x_final"], data["cost_final"])
+    assert energy == edge == pytest.approx(1.0 / x0, rel=1e-15)
+
+
 def test_path_csv_matches_flow_csv_at_t_equal_mu(capsys, tmp_path):
     # The entropy path at mu is the flow at t = mu from the same start, so
     # every column of the two CSVs describes the same state.
@@ -397,9 +410,9 @@ def test_commands_without_a_laplacian_load_no_scipy(args):
 # then repeats it on SciPy directly. The bound names must be SciPy's own
 # routine objects, so later calls pay no lookup beyond the module global.
 FIRST_CALLS = {
-    "spd_solve": (
-        "got = linalg.spd_solve(M, b)\n",
-        "want = lapack.dposv(M, b, lower=True)[1]\n",
+    "laplacian_solve": (
+        "got = linalg.laplacian_solve(SimpleNamespace(A=A, At=A.T), w, b)\n",
+        "want = lapack.dposv((A * w).dot(A.T), b, lower=True)[1]\n",
     ),
     "spd_factor": (
         "fac = linalg.spd_factor(M)\n"
@@ -418,11 +431,12 @@ FIRST_CALLS = {
 def test_first_lapack_call_matches_scipy(entry):
     first_call, direct_call = FIRST_CALLS[entry]
     script = (
+        "from types import SimpleNamespace\n"
         "import numpy as np\n"
         "from physarum import linalg\n"
         "rng = np.random.default_rng(3)\n"
         "A = rng.standard_normal((2, 5))\n"
-        "M = A @ A.T + np.eye(2)\n"
+        "M, w = A @ A.T + np.eye(2), rng.uniform(0.5, 2.0, 5)\n"
         "b = rng.standard_normal(2)\n"
         + first_call
         + "import scipy.linalg\n"
@@ -438,7 +452,7 @@ def test_first_lapack_call_matches_scipy(entry):
 
 
 @pytest.mark.parametrize("entry", [
-    pytest.param("linalg.spd_solve(M, b)", id="spd_solve(M, b)"),
+    pytest.param("linalg.laplacian_solve(lp, x / lp.c, lp.b)", id="laplacian_solve(lp, w, b)"),
     pytest.param("linalg.spd_factor(M)", id="spd_factor(M)"),
     # solve's step loop calls dposv itself. On the collapsed face of
     # test_one_pivot_policy_for_every_laplacian_solve its first step is the
@@ -446,7 +460,8 @@ def test_first_lapack_call_matches_scipy(entry):
     pytest.param("solve(lp, DiscreteConfig(start=x), params=params)", id="solve(lp, config)"),
 ])
 def test_first_lapack_call_applies_the_pivot_rule(entry):
-    # A pivot of 1e-13 against a mean diagonal near 0.5 is under PIVOT_RTOL.
+    # M's pivot of 1e-13 against a mean diagonal near 0.5 is under PIVOT_RTOL;
+    # lp's Laplacian at x has collapsed onto a face.
     script = (
         "import sys\n"
         "import numpy as np\n"

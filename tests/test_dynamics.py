@@ -6,9 +6,9 @@ import pytest
 from physarum import check_bounds, compute_params, evaluate, gradient_identity_residual, rhs_log, sample_feasible
 from physarum import dynamics
 from physarum.dynamics import column_potential_bounds
-from physarum.linalg import spd_solve
+from physarum.linalg import laplacian_solve, spd_factor
 from physarum.errors import DimensionMismatchError, NonPositiveStateError, NotInKernelError
-from tests.conftest import planted_instance, rand_positive
+from tests.conftest import planted_instance, rand_positive, random_instances
 
 
 def test_evaluate_simple2_on_feasible_point(simple2):
@@ -32,11 +32,11 @@ def test_evaluate_simple2_off_feasible_point(simple2):
 def test_evaluate_solves_once_unless_the_split_is_read(simple2, monkeypatch):
     solves = []
 
-    def counting(mat, rhs):
+    def counting(lp, w, rhs):
         solves.append(rhs)
-        return spd_solve(mat, rhs)
+        return laplacian_solve(lp, w, rhs)
 
-    monkeypatch.setattr(dynamics, "spd_solve", counting)
+    monkeypatch.setattr(dynamics, "laplacian_solve", counting)
     ev = evaluate(simple2, [1.0, 1.0])
     assert ev.energy_flux == pytest.approx(ev.energy) and ev.edge_potential_inf > 0.0
     assert len(solves) == 1
@@ -137,6 +137,19 @@ def test_column_potential_bounds_random_weights(shipped):
             assert np.all(got <= caps * (1.0 + 1e-8)), (name, w)
 
 
+def test_column_potential_bounds_keep_the_bytes_of_the_factor_route(shipped):
+    # One dposv call against the m x n right-hand side A gives the bytes of
+    # factoring the Laplacian and solving against A afterwards.
+    corpus = [lp for lp, _, _ in shipped.values()]
+    corpus += [lp for lp, _ in random_instances(seed=20240801, count=25, require_interior=True, skip_zero_b=True)]
+    rng = np.random.default_rng(105)
+    for lp in corpus:
+        for _ in range(20):
+            w = rand_positive(rng, lp.n)
+            want = np.abs(lp.At @ spd_factor((lp.A * w).dot(lp.At)).solve(lp.A)).max(axis=0)
+            assert column_potential_bounds(lp, w).tobytes() == want.tobytes()
+
+
 def test_evaluate_input_validation(simple2):
     with pytest.raises(NonPositiveStateError):
         evaluate(simple2, [1.0, 0.0])
@@ -159,7 +172,7 @@ def test_method_dot_gives_the_bytes_of_the_function_form(m):
     for _ in range(10):
         x = rand_positive(rng, lp.n)
         w = x / lp.c
-        p = spd_solve(np.dot(lp.A * w, lp.At), lp.b)
+        p = spd_factor(np.dot(lp.A * w, lp.At)).solve(lp.b)
         edge = np.dot(lp.At, p)
         ev = evaluate(lp, x)
         assert ev.potentials.tobytes() == p.tobytes()

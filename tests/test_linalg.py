@@ -1,4 +1,6 @@
-"""Cholesky factorization and kernel bases."""
+"""Cholesky factorization, the Laplacian solve and kernel bases."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from physarum import DiscreteConfig, LinearProgram, evaluate, rhs_log, solve, validate
 from physarum.errors import NotPositiveDefiniteError, RankDeficientError
-from physarum.linalg import PIVOT_RTOL, kernel_basis, spd_factor, spd_solve
+from physarum.linalg import PIVOT_RTOL, kernel_basis, laplacian_solve, spd_factor
+from tests.conftest import planted_instance, rand_positive
 
 
 def _random_spd(rng, m):
@@ -19,9 +22,30 @@ def _factor_then_solve(M, rhs):
     return spd_factor(M).solve(rhs)
 
 
+class _GivenLaplacian:
+    """Stands in for an LP's A: A * w is itself and its dot with At is M.
+
+    The pivot-rule tests feed laplacian_solve matrices that no real A and
+    positive w form (indefinite, NaN), so the matrix is handed over whole.
+    """
+
+    def __init__(self, M):
+        self.M = np.asarray(M, dtype=float)
+
+    def __mul__(self, w):
+        return self
+
+    def dot(self, At):
+        return self.M
+
+
+def _laplacian_solve(M, rhs):
+    return laplacian_solve(SimpleNamespace(A=_GivenLaplacian(M), At=None), None, rhs)
+
+
 # The two entry points share one pivot rule, so every rejection test runs
 # through both.
-SPD_SOLVES = (_factor_then_solve, spd_solve)
+SPD_SOLVES = (_factor_then_solve, _laplacian_solve)
 
 
 def test_factor_reconstructs():
@@ -96,23 +120,25 @@ def test_factor_rejects_nan_pivots(mat):
 
 
 def test_factor_rejects_non_square():
-    for spd in SPD_SOLVES:
-        with pytest.raises(ValueError):
-            spd(np.ones((2, 3)), np.ones(2))
+    # laplacian_solve forms its own matrix, which is always square.
+    with pytest.raises(ValueError):
+        spd_factor(np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("m", [1, 3, 12, 48])
-def test_spd_solve_is_bitwise_factor_then_solve(m):
+def test_laplacian_solve_is_bitwise_factor_then_solve(m):
     rng = np.random.default_rng(m)
+    lp = planted_instance(rng, m, 2 * m + 2)
     for _ in range(20):
-        M = _random_spd(rng, m)
-        for rhs in (rng.standard_normal(m), rng.standard_normal((m, 3))):
-            assert spd_solve(M, rhs).tobytes() == spd_factor(M).solve(rhs).tobytes()
+        w = rand_positive(rng, lp.n)
+        L = (lp.A * w).dot(lp.At)
+        for rhs in (rng.standard_normal(m), rng.standard_normal((m, 3)), lp.A):
+            assert laplacian_solve(lp, w, rhs).tobytes() == spd_factor(L).solve(rhs).tobytes()
 
 
-def test_spd_solve_converts_like_spd_factor():
+def test_spd_factor_converts_its_input():
     # Only a square float64 ndarray skips the conversion; every other input
-    # is converted and checked, and the answer is factor-then-solve's.
+    # is converted and checked, and the answer is that of its float64 copy.
     rng = np.random.default_rng(5)
     M = _random_spd(rng, 4)
     rhs = rng.standard_normal(4)
@@ -126,13 +152,13 @@ def test_spd_solve_converts_like_spd_factor():
         (np.array([[2.5]]), np.array([1.5])),
     ]
     for mat, b in cases:
-        assert spd_solve(mat, b).tobytes() == spd_factor(mat).solve(b).tobytes()
-    for spd in SPD_SOLVES:
-        with pytest.raises(NotPositiveDefiniteError):
-            spd([[1, 1], [1, 1]], np.ones(2))
-        for bad in (np.ones(3), np.ones((1, 2, 2)), [[1.0, 2.0]]):
-            with pytest.raises(ValueError, match="square"):
-                spd(bad, np.ones(2))
+        want = spd_factor(np.array(mat, dtype=float)).solve(b)
+        assert spd_factor(mat).solve(b).tobytes() == want.tobytes()
+    with pytest.raises(NotPositiveDefiniteError):
+        spd_factor([[1, 1], [1, 1]])
+    for bad in (np.ones(3), np.ones((1, 2, 2)), [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="square"):
+            spd_factor(bad)
 
 
 def test_one_pivot_policy_for_every_laplacian_solve():
@@ -140,6 +166,8 @@ def test_one_pivot_policy_for_every_laplacian_solve():
     # engine must give the same verdict on that state.
     lp = validate(LinearProgram.from_lists([[1, 0, 1], [0, 1, 1]], [1, 1], [1, 1, 1]))
     x = np.array([1e-14, 1e-14, 1.0])
+    with pytest.raises(NotPositiveDefiniteError):
+        laplacian_solve(lp, x / lp.c, lp.b)
     with pytest.raises(NotPositiveDefiniteError):
         evaluate(lp, x)
     with pytest.raises(NotPositiveDefiniteError):

@@ -37,7 +37,7 @@ from .errors import (
     ProblemIOError,
     ValidationError,
 )
-from .linalg import kernel_basis, laplacian_solve
+from .linalg import kernel_basis, laplacian_solver
 from .model import (
     EXACT_SUBDET_CAP,
     LinearProgram,
@@ -213,7 +213,8 @@ def cmd_path(args) -> int:
     if args.trace:
         # The Laplacian potentials at each path point, as solve and flow write them;
         # not evaluate, which rejects a coordinate that underflowed to zero.
-        pots = (laplacian_solve(lp, p.x / lp.c, lp.b) for p in points)
+        laplacian = laplacian_solver(lp)
+        pots = (laplacian(p.x / lp.c, lp.b) for p in points)
         rows = (
             [p.mu, *p.x, float(lp.c.dot(p.x)), float(lp.b.dot(pot)),
              float(np.abs(lp.A @ p.x - lp.b).max()), float(np.abs(lp.At.dot(pot)).max())]
@@ -282,12 +283,11 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
 
     params = default_params(lp)
     result = oracle_mod.enumerate_polyhedron(lp)
-    opt = result.opt
-    x_star = result.optimal_vertices[0]
 
     config = discrete_solver.DiscreteConfig(eps=eps, h=h, trace_every=1, max_iters=max_iters)
     sol, trace = discrete_solver.solve(lp, config, params=params, oracle_result=result)
-    cert = discrete_solver.certify_trace(lp, trace, opt, eps, sol.h, x_star)
+    opt = result.opt
+    cert = discrete_solver.certify_trace(lp, trace, opt, eps, sol.h, result.optimal_vertices[0])
 
     rng = np.random.default_rng(seed)
     kernel = kernel_basis(lp.A)
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = engine("path", cmd_path, "follow the entropy-regularized path")
     p.add_argument("--mu-max", type=float, default=20.0)
-    p.add_argument("--points", type=_int_at_least(1), default=41)
+    p.add_argument("--points", type=_int_at_least(2), default=41)
 
     p = command("oracle", cmd_oracle, "enumerate vertices and rays exactly")
     p.add_argument("--cap", type=_int_at_least(1), default=oracle_mod.ENUMERATION_CAP)

@@ -247,7 +247,7 @@ def solve(
     inv_c = 1.0 / c
     maxr, minr = np.maximum.reduce, np.minimum.reduce
     mul, sub, add, div, absolute = np.multiply, np.subtract, np.add, np.divide, np.absolute
-    check_pivots = linalg._check_pivots
+    laplacian = linalg.laplacian_solver(lp)
     trace_every = config.trace_every
     # A recorded step stores x, p and edge_inf side by side in one row of
     # rec, grown by doubling from 1024 rows; the trace's record array is
@@ -263,11 +263,6 @@ def solve(
 
     # The update is written out rather than calling evaluate: a step needs
     # one Laplacian solve, not evaluate's state checks and result object.
-    # That solve is one dposv call on lap and linalg's pivot rule, the body of
-    # linalg.laplacian_solve without its frame, which costs a few % per step.
-    # dposv is looked up in linalg on each step: until the first LAPACK call
-    # of the process it is a stub that binds SciPy, and a local name would
-    # keep the stub.
     #
     # At m <= 3 a step costs its numpy calls, not their arithmetic, so every
     # per-step array is written with out= into a buffer allocated here, and
@@ -296,17 +291,13 @@ def solve(
     # at the cap as running there would. The test comes after the stop
     # tests, so a start at rest still stops at FixedPoint.
     w = np.empty_like(x0)
-    Aw, lap = np.empty_like(A), np.empty((lp.m, lp.m))
     R, R_abs = np.empty((4, lp.n)), np.empty((4, lp.n))
     diff, rel_diff, edge, x = R
     x[:] = x0
     h_arr = np.array(h)  # a 0-d array multiplies faster than a Python float
     while True:
         mul(x, inv_c, out=w)
-        mul(A, w, out=Aw)
-        Aw.dot(At, out=lap)
-        low, p, info = linalg.dposv(lap, b, 1)
-        check_pivots(lap, low, info)
+        p = laplacian(w, b)
         At.dot(p, out=edge)
         mul(w, edge, out=diff)
         sub(diff, x, out=diff)

@@ -41,7 +41,7 @@ from .errors import (
 )
 # spd_factor is not called here, but bench/spans.py records spans by
 # rebinding entropy_path.spd_factor, so the name stays bound.
-from .linalg import laplacian_solve, spd_factor  # noqa: F401
+from .linalg import laplacian_solve, laplacian_solver, spd_factor  # noqa: F401
 from .model import ValidatedLP, check_point
 
 EXP_CAP = 700.0
@@ -114,11 +114,12 @@ def _newton(lp: ValidatedLP, s, mu: float, y0, shift) -> PathPoint:
         return value + float(y @ shift), grad + shift, x
 
     tol = 1e-10 * (float(np.abs(lp.b).max()) + 1.0)
+    laplacian = laplacian_solver(lp)
     value, grad, x = evaluate_dual(y)
     for it in range(MAX_NEWTON_ITERS):
         if float(np.abs(grad).max()) <= tol:
             return PathPoint(mu=float(mu), y=y, x=x, dual_value=value, newton_iters=it)
-        d = laplacian_solve(lp, x / lp.c, grad)
+        d = laplacian(x / lp.c, grad)
         slope = float(grad @ d)
         # g is computed as y.b - c.x, so its increments are only trustworthy
         # above the cancellation noise of those two dot products; without

@@ -1,19 +1,13 @@
 """Dense linear-algebra kernels: the weighted Laplacian solve and kernel bases.
 
-laplacian_solve is the package's one entry point for the weighted
-Laplacian system (A diag(w) A^T) p = rhs. It forms the matrix itself, so
-no caller builds the Laplacian or knows its format, solves in one LAPACK
-Cholesky call (dposv) and applies one failure policy, _check_pivots: a
-pivot floor relative to the mean diagonal. LAPACK alone only refuses
-pivots that are not positive, which lets a Laplacian that has collapsed
-onto a boundary face through to a solve whose potentials are rounding
-noise.
-
-The one other call site is the step loop of discrete_solver.solve, which
-forms its Laplacian in preallocated buffers with out= and calls dposv and
-_check_pivots on them itself: routing each step through laplacian_solve
-gave identical iterates but cost 1 to 4% per step over the 28 traced
-corpus solves at m <= 3 (about 17 us a step, 2-vCPU Xeon).
+laplacian_solver(lp) holds the package's one body for the weighted
+Laplacian system (A diag(w) A^T) p = rhs. Its solve(w, rhs), bound once
+per LP by a loop and per call by laplacian_solve, forms the matrix in
+buffers it owns, so no caller builds the Laplacian or knows its format,
+solves in one LAPACK Cholesky call (dposv) and applies one failure
+policy, _check_pivots: a pivot floor relative to the mean diagonal. LAPACK
+alone refuses only pivots that are not positive, which lets a Laplacian
+collapsed onto a boundary face through to a solve of rounding noise.
 
 spd_factor (dpotrf, then dpotrs through SpdFactorization.solve) applies
 the same pivot rule and gives the bytes of laplacian_solve. Nothing in
@@ -24,16 +18,17 @@ two thirds of a cold `import physarum`, and the commands that never solve
 a Laplacian (`params`, `oracle`) should not pay for it. The names dposv,
 dpotrf, dpotrs and qr start out as stubs; the first call of any of them
 imports SciPy and rebinds all four module globals to SciPy's own routine
-objects, so every later call reaches LAPACK through one global lookup,
-as an eager import would.
+objects, so every later call, a bound solver's included, reaches LAPACK
+through one global lookup, as an eager import would.
 
 At m <= 3 call overhead, not arithmetic, sets the cost of a solve. The
 LAPACK routines take positional arguments (a keyword lower=True adds about
-40% to a 1.7 us dposv at m = 3), and the pivot rule reads each diagonal
-once as a Python list. The Laplacian is formed with the ndarray.dot
-method, which reaches the same BLAS routine as @ and np.dot without
-matmul's or the numpy function's dispatch, and is a square float64
-ndarray that reaches LAPACK without a conversion.
+40% to a 1.7 us dposv at m = 3), as do the product and the dot that fill
+the buffers (keyword out= cost the solver loop about 1% a step), and the
+pivot rule reads each diagonal once as a Python list. ndarray.dot reaches
+the same BLAS routine as @ and np.dot without matmul's or the numpy
+function's dispatch, and the square float64 Laplacian it forms reaches
+LAPACK without a conversion.
 """
 
 from __future__ import annotations
@@ -117,17 +112,29 @@ def spd_factor(mat: np.ndarray) -> SpdFactorization:
     return SpdFactorization(lower=low)
 
 
-def laplacian_solve(lp: ValidatedLP, w, rhs: np.ndarray) -> np.ndarray:
-    """Solve (A diag(w) A^T) p = rhs for a vector or the columns of a matrix.
+def laplacian_solver(lp: ValidatedLP):
+    """Bind to lp a solve(w, rhs) of (A diag(w) A^T) p = rhs, rhs a vector or a matrix.
 
-    One dposv call, then spd_factor's pivot rule, so a rejected Laplacian
-    raises NotPositiveDefiniteError and its solution is never returned.
-    The weights are the caller's to check.
+    Each solution is a fresh array (dposv copies its inputs). A rejected
+    Laplacian raises NotPositiveDefiniteError. Weights are not checked.
     """
-    L = (lp.A * w).dot(lp.At)
-    low, sol, info = dposv(L, rhs, 1)
-    _check_pivots(L, low, info)
-    return sol
+    A, At = lp.A, lp.At
+    Aw, L = np.empty_like(A), np.empty((len(A), len(A)))
+    mul = np.multiply
+
+    def solve(w, rhs: np.ndarray) -> np.ndarray:
+        mul(A, w, Aw)
+        Aw.dot(At, L)
+        low, sol, info = dposv(L, rhs, 1)
+        _check_pivots(L, low, info)
+        return sol
+
+    return solve
+
+
+def laplacian_solve(lp: ValidatedLP, w, rhs: np.ndarray) -> np.ndarray:
+    """Solve (A diag(w) A^T) p = rhs once: laplacian_solver(lp)(w, rhs)."""
+    return laplacian_solver(lp)(w, rhs)
 
 
 def kernel_basis(A: np.ndarray) -> np.ndarray:

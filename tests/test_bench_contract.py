@@ -112,29 +112,31 @@ def test_no_module_uses_the_function_form_of_dot():
     assert found == []
 
 
-def test_only_linalg_and_the_step_loop_touch_the_laplacian():
-    """Forming A diag(w) A^T and calling LAPACK's Cholesky routines is linalg's.
+def test_only_linalg_touches_the_laplacian():
+    """Forming A diag(w) A^T, calling LAPACK's Cholesky routines and the pivot rule are linalg's.
 
-    The one other site is discrete_solver.solve, whose step loop forms its
-    Laplacian in buffers of its own; every other module calls
-    linalg.laplacian_solve, and none imports the retired spd_solve.
+    Every other module solves through linalg.laplacian_solve or a bound
+    linalg.laplacian_solver, names no _check_pivots, and none imports the
+    retired spd_solve.
     """
     def name_of(node):
         return getattr(node, "attr", getattr(node, "id", None))
 
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            allowed = path.name == "linalg.py" or (path.name, getattr(top, "name", None)) == ("discrete_solver.py", "solve")
-            for node in ast.walk(top):
-                if isinstance(node, ast.ImportFrom):
-                    found += [(path.name, node.lineno) for a in node.names if a.name == "spd_solve"]
-                elif isinstance(node, ast.Call) and not allowed:
-                    name = name_of(node.func)
-                    # A Laplacian build is a .dot whose argument is A transpose.
-                    if name in ("dposv", "dpotrf", "dpotrs") or (name == "dot" and node.args
-                                                                 and name_of(node.args[0]) == "At"):
-                        found.append((path.name, node.lineno))
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                found += [(path.name, node.lineno) for a in node.names if a.name in ("spd_solve", "_check_pivots")]
+            elif name_of(node) == "_check_pivots":
+                found.append((path.name, node.lineno))
+            elif isinstance(node, ast.Call):
+                name = name_of(node.func)
+                # A Laplacian build is a .dot whose argument is A transpose.
+                if name in ("dposv", "dpotrf", "dpotrs") or (name == "dot" and node.args
+                                                             and name_of(node.args[0]) == "At"):
+                    found.append((path.name, node.lineno))
     assert found == []
 
 

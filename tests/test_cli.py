@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import physarum
-from physarum import FlowConfig, evaluate, follow_path, integrate, validate
-from physarum.cli_io import _json_ready, build_parser, main, parse_problem
-from physarum.errors import MalformedProblemError, ProblemIOError
+from physarum import FlowConfig, LinearProgram, evaluate, follow_path, integrate, validate
+from physarum.cli_io import _json_ready, build_parser, main, parse_problem, run_verification
+from physarum.errors import MalformedProblemError, NoInteriorPointError, ProblemIOError
 from tests.conftest import INSTANCE_DIR, overflowing_instance, planted_instance
 
 SIMPLE2 = str(INSTANCE_DIR / "simple2.json")
@@ -291,6 +291,25 @@ def test_verify_starved_run_fails(capsys):
     assert data["ok"] is False
 
 
+EMPTY_REGION = {"A": [[1, 1]], "b": [-1], "c": [1, 1]}
+
+
+@pytest.mark.parametrize("cmd", ["solve", "flow", "path", "verify"])
+def test_an_empty_feasible_region_exits_4_in_every_engine(capsys, tmp_path, cmd):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(EMPTY_REGION))
+    assert main([cmd, str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "NoInteriorPointError: the feasible region is empty\n"
+    assert captured.out == ""
+
+
+def test_run_verification_of_an_empty_region_raises_no_interior_point():
+    lp = validate(LinearProgram.from_lists(EMPTY_REGION["A"], EMPTY_REGION["b"], EMPTY_REGION["c"]))
+    with pytest.raises(NoInteriorPointError, match="the feasible region is empty"):
+        run_verification(lp, eps=0.1, h=None, samples=10, seed=1)
+
+
 def test_exit_codes(capsys, tmp_path):
     assert main(["solve", str(tmp_path / "absent.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -454,9 +473,9 @@ def test_first_lapack_call_matches_scipy(entry):
 @pytest.mark.parametrize("entry", [
     pytest.param("linalg.laplacian_solve(lp, x / lp.c, lp.b)", id="laplacian_solve(lp, w, b)"),
     pytest.param("linalg.spd_factor(M)", id="spd_factor(M)"),
-    # solve's step loop calls dposv itself. On the collapsed face of
-    # test_one_pivot_policy_for_every_laplacian_solve its first step is the
-    # process's first LAPACK call.
+    # solve's step loop solves through a bound linalg.laplacian_solver. On
+    # the collapsed face of test_one_pivot_policy_for_every_laplacian_solve
+    # its first step is the process's first LAPACK call.
     pytest.param("solve(lp, DiscreteConfig(start=x), params=params)", id="solve(lp, config)"),
 ])
 def test_first_lapack_call_applies_the_pivot_rule(entry):
@@ -503,6 +522,7 @@ def test_log_env_var_routes_to_stderr():
     ("oracle --start 9,9", 1),
     ("params --start 9,9", 1),
     ("path --points 0", 1),
+    ("path --points 1", 1),
     ("verify --samples -1", 1),
     ("verify --seed -1", 1),
     ("oracle --cap -1", 1),

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physarum import DiscreteConfig, LinearProgram, evaluate, rhs_log, solve, validate
+from physarum import DiscreteConfig, LinearProgram, evaluate, linalg, rhs_log, solve, validate
 from physarum.errors import NotPositiveDefiniteError, RankDeficientError
-from physarum.linalg import PIVOT_RTOL, kernel_basis, laplacian_solve, spd_factor
+from physarum.linalg import PIVOT_RTOL, kernel_basis, laplacian_solve, laplacian_solver, spd_factor
 from tests.conftest import planted_instance, rand_positive
 
 
@@ -22,29 +22,33 @@ def _factor_then_solve(M, rhs):
     return spd_factor(M).solve(rhs)
 
 
-class _GivenLaplacian:
-    """Stands in for an LP's A: A * w is itself and its dot with At is M.
+def _forming(M):
+    """An A and w with A diag(w) A^T == M exactly, for a symmetric M of small integers or a diagonal.
 
-    The pivot-rule tests feed laplacian_solve matrices that no real A and
-    positive w form (indefinite, NaN), so the matrix is handed over whole.
+    M is the sum of M_ij (e_i + e_j)(e_i + e_j)^T over i < j and of
+    (M_ii - sum_{j != i} M_ij) e_i e_i^T: A is [I | e_i + e_j] and w holds
+    those coefficients, negative ones included.
     """
-
-    def __init__(self, M):
-        self.M = np.asarray(M, dtype=float)
-
-    def __mul__(self, w):
-        return self
-
-    def dot(self, At):
-        return self.M
+    M = np.asarray(M, dtype=float)
+    m = len(M)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    A = np.zeros((m, m + len(pairs)))
+    A[:, :m] = np.eye(m)
+    for col, (i, j) in enumerate(pairs, start=m):
+        A[i, col] = A[j, col] = 1.0
+    off = M - np.diag(M.diagonal())
+    w = np.concatenate((M.diagonal() - off.sum(axis=1), [M[i, j] for i, j in pairs]))
+    assert (A * w).dot(A.T).tobytes() == M.tobytes()
+    return A, w
 
 
 def _laplacian_solve(M, rhs):
-    return laplacian_solve(SimpleNamespace(A=_GivenLaplacian(M), At=None), None, rhs)
+    A, w = _forming(M)
+    return laplacian_solve(SimpleNamespace(A=A, At=A.T), w, rhs)
 
 
 # The two entry points share one pivot rule, so every rejection test runs
-# through both.
+# through both. laplacian_solve forms each matrix from an A and w.
 SPD_SOLVES = (_factor_then_solve, _laplacian_solve)
 
 
@@ -111,12 +115,19 @@ def test_factor_pivot_floor_is_the_mean_diagonal(m):
         [[1.0, 0.0, 0.0], [0.0, 1.0, np.nan], [0.0, np.nan, 1.0]],
     ],
 )
-def test_factor_rejects_nan_pivots(mat):
+def test_factor_rejects_nan_pivots(mat, monkeypatch):
     # dpotrf and dposv return these factors with info 0; the first has a
-    # finite diagonal, so only the NaN pivot can reject it.
-    for spd in SPD_SOLVES:
-        with pytest.raises(NotPositiveDefiniteError, match="nan"):
-            spd(np.array(mat), np.ones(len(mat)))
+    # finite diagonal, so only the NaN pivot can reject it. No real A and w
+    # form these matrices, so laplacian_solve, on the identity, gets LAPACK's
+    # own factor of each through a patched dposv.
+    M, rhs = np.array(mat), np.ones(len(mat))
+    with pytest.raises(NotPositiveDefiniteError, match="nan"):
+        _factor_then_solve(M, rhs)
+    linalg._bind_scipy()
+    dposv = linalg.dposv
+    monkeypatch.setattr(linalg, "dposv", lambda L, b, lower: dposv(M, b, lower))
+    with pytest.raises(NotPositiveDefiniteError, match="nan"):
+        _laplacian_solve(np.eye(len(M)), rhs)
 
 
 def test_factor_rejects_non_square():
@@ -134,6 +145,36 @@ def test_laplacian_solve_is_bitwise_factor_then_solve(m):
         L = (lp.A * w).dot(lp.At)
         for rhs in (rng.standard_normal(m), rng.standard_normal((m, 3)), lp.A):
             assert laplacian_solve(lp, w, rhs).tobytes() == spd_factor(L).solve(rhs).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 3, 12, 48])
+def test_a_bound_solver_gives_the_bytes_of_fresh_solves(m):
+    # One binding reuses its Laplacian buffers across calls; every result is
+    # a fresh solve's and keeps its bytes after later calls.
+    rng = np.random.default_rng(100 + m)
+    lp = planted_instance(rng, m, 2 * m + 2)
+    bound = laplacian_solver(lp)
+    kept = []
+    for _ in range(10):
+        w = rand_positive(rng, lp.n)
+        for rhs in (rng.standard_normal(m), rng.standard_normal((m, lp.n))):
+            got = bound(w, rhs)
+            assert got.tobytes() == laplacian_solve(lp, w, rhs).tobytes()
+            kept.append((got, got.tobytes()))
+    assert all(got.tobytes() == raw for got, raw in kept)
+
+
+def test_a_bound_solver_rejects_a_collapsed_laplacian_and_solves_on():
+    # The collapsed face of test_one_pivot_policy_for_every_laplacian_solve,
+    # between two good solves on one binding.
+    lp = validate(LinearProgram.from_lists([[1, 0, 1], [0, 1, 1]], [1, 1], [1, 1, 1]))
+    bound = laplacian_solver(lp)
+    good = np.array([0.5, 0.5, 0.5])
+    want = laplacian_solve(lp, good, lp.b).tobytes()
+    assert bound(good, lp.b).tobytes() == want
+    with pytest.raises(NotPositiveDefiniteError):
+        bound(np.array([1e-14, 1e-14, 1.0]), lp.b)
+    assert bound(good, lp.b).tobytes() == want
 
 
 def test_spd_factor_converts_its_input():

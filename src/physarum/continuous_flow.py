@@ -97,20 +97,27 @@ def integrate(lp: ValidatedLP, config: FlowConfig, params: Params | None = None)
     points = entropy_path.flow_points(lp, x0, ts)
 
     cap = np.maximum(x0, params.flux_bound) * (1.0 + 1e-6)
-    entries = np.recarray(len(ts), dtype=[
-        ("t", float), ("x", float, (lp.n,)), ("cost", float), ("energy", float), ("feas_residual", float),
-        ("edge_potential_inf", float), ("direction_inf", float), ("deviation_inf", float), ("x_bound_ok", bool),
-    ])
-    for row, (t, point) in enumerate(zip(ts, points)):
+    # As in entropy_path._newton, the reductions are ufunc methods and the
+    # products ndarray.dot: ndarray.max(), np.all and @ reach the same
+    # calls, bit for bit, with more Python-level overhead. The record array
+    # is built once from the rows, which costs about half of assigning them
+    # one at a time and holds no stacked copy of the columns.
+    maxr, absolute = np.maximum.reduce, np.absolute
+    rows = []
+    for t, point in zip(ts, points):
         x = point.x
         r = rhs_log(lp, entropy_path.exponent(lp, x0, point.mu, point.y))
         edge = c * (r + 1.0)
         decay = np.exp(-t)
-        resid = np.abs(A @ (x - decay * x0) - (1.0 - decay) * b).max()
-        entries[row] = (
-            t, x, c.dot(x), (x / c).dot(edge * edge), resid, np.abs(edge).max(),
-            np.abs(x * r).max(), np.abs(r).max(), np.all(x <= cap),
-        )
+        resid = maxr(absolute(A.dot(x - decay * x0) - (1.0 - decay) * b))
+        rows.append((
+            t, x, c.dot(x), (x / c).dot(edge * edge), resid, maxr(absolute(edge)),
+            maxr(absolute(x * r)), maxr(absolute(r)), np.logical_and.reduce(x <= cap),
+        ))
+    entries = np.array(rows, dtype=[
+        ("t", float), ("x", float, (lp.n,)), ("cost", float), ("energy", float), ("feas_residual", float),
+        ("edge_potential_inf", float), ("direction_inf", float), ("deviation_inf", float), ("x_bound_ok", bool),
+    ]).view(np.recarray)
     return FlowTrace(entries=entries)
 
 

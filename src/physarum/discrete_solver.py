@@ -245,7 +245,7 @@ def solve(
 
     A, At, b, c = lp.A, lp.At, lp.b, lp.c
     inv_c = 1.0 / c
-    maxr, minr = np.maximum.reduce, np.minimum.reduce
+    maxr_at, minr = np.maximum.reduceat, np.minimum.reduce
     mul, sub, add, div, absolute = np.multiply, np.subtract, np.add, np.divide, np.absolute
     laplacian = linalg.laplacian_solver(lp)
     trace_every = config.trace_every
@@ -265,17 +265,21 @@ def solve(
     # one Laplacian solve, not evaluate's state checks and result object.
     #
     # At m <= 3 a step costs its numpy calls, not their arithmetic, so every
-    # per-step array is written with out= into a buffer allocated here, and
-    # the small products use the ndarray.dot method (the same BLAS call as @
-    # and np.dot, without matmul's or the numpy function's dispatch). The
-    # four rows of R hold q - x, (q - x) / x, A^T p and x itself, which is
-    # updated in place there; the caller's start is never written. One
-    # absolute over R and one max-reduction of the result yield fp_res, dev,
-    # the trace's edge_potential_inf and max(x). The maximum is exact and
-    # propagates NaN, so each value is the one four separate reductions
-    # would give. x stays positive (proved or checked after each update), so
-    # |x| is x and |(q - x) / x| is |q - x| / x bit for bit: dividing by a
-    # positive number commutes with the sign.
+    # per-step array is written into a buffer allocated here, passed as the
+    # positional out argument (a keyword out= costs up to about 0.1 us more
+    # per call), and the small products use the ndarray.dot method (the same
+    # BLAS call as @ and np.dot, without matmul's or the numpy function's
+    # dispatch). The four rows of R hold q - x, (q - x) / x, A^T p and x
+    # itself, which is updated in place there; the caller's start is never
+    # written. One absolute over R and one maximum.reduceat over its flat
+    # rows (starts 0, n, 2n, 3n; about 60% of the cost of a reduce along
+    # axis 1 at this size) yield fp_res, dev, the trace's
+    # edge_potential_inf and max(x). The maximum is exact and propagates
+    # NaN in reduceat as in reduce, so each value is the one four separate
+    # reductions would give.
+    # x stays positive (proved or checked after each update), so |x| is x
+    # and |(q - x) / x| is |q - x| / x bit for bit: dividing by a positive
+    # number commutes with the sign.
     #
     # Positivity is the one check a cheaper bound decides: each new
     # coordinate is x_i + h diff_i with |diff_i| <= dev x_i, so h dev < 0.5
@@ -291,19 +295,20 @@ def solve(
     # at the cap as running there would. The test comes after the stop
     # tests, so a start at rest still stops at FixedPoint.
     w = np.empty_like(x0)
-    R, R_abs = np.empty((4, lp.n)), np.empty((4, lp.n))
+    R, R_abs = np.empty((4, n)), np.empty((4, n))
     diff, rel_diff, edge, x = R
+    R_flat, row_starts = R_abs.reshape(-1), np.arange(0, 4 * n, n)
     x[:] = x0
     h_arr = np.array(h)  # a 0-d array multiplies faster than a Python float
     while True:
-        mul(x, inv_c, out=w)
+        mul(x, inv_c, w)
         p = laplacian(w, b)
-        At.dot(p, out=edge)
-        mul(w, edge, out=diff)
-        sub(diff, x, out=diff)
-        div(diff, x, out=rel_diff)
-        absolute(R, out=R_abs)
-        fp_res, dev, edge_inf, x_max = maxr(R_abs, 1).tolist()
+        At.dot(p, edge)
+        mul(w, edge, diff)
+        sub(diff, x, diff)
+        div(diff, x, rel_diff)
+        absolute(R, R_abs)
+        fp_res, dev, edge_inf, x_max = maxr_at(R_flat, row_starts).tolist()
         if dev > dev_max:
             dev_max = dev
 
@@ -341,8 +346,8 @@ def solve(
             )
             k, stop = cap, cap_stop
             break
-        mul(diff, h_arr, out=diff)
-        add(x, diff, out=x)
+        mul(diff, h_arr, diff)
+        add(x, diff, x)
         if not h_dev < 0.5 and minr(x) <= 0.0:
             raise PositivityLostError(f"coordinate became nonpositive at iteration {k + 1}")
         k += 1

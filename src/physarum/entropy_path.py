@@ -67,20 +67,21 @@ def dual_value_and_derivatives(lp: ValidatedLP, s, mu: float, y):
     """
     y = np.asarray(y, dtype=float)
     expo = exponent(lp, s, mu, y)
-    if expo.max() > EXP_CAP:
+    top = np.maximum.reduce(expo)
+    if top > EXP_CAP:
         raise DualOverflowError(
-            f"dual exponent reached {expo.max():.1f}; the path point does not exist "
+            f"dual exponent reached {top:.1f}; the path point does not exist "
             "or the Newton iterate wandered off"
         )
     x = np.exp(expo)
-    value = float(y @ lp.b - lp.c @ x)
-    grad = lp.b - lp.A @ x
+    value = float(y.dot(lp.b) - lp.c.dot(x))
+    grad = lp.b - lp.A.dot(x)
     return value, grad, x
 
 
 def exponent(lp: ValidatedLP, s, mu: float, y) -> np.ndarray:
     """ln x(y) = ln s + (A^T y)/c - mu, the exponent of the primal point at y."""
-    return np.log(np.asarray(s, dtype=float)) + (lp.At @ np.asarray(y, dtype=float)) / lp.c - mu
+    return np.log(np.asarray(s, dtype=float)) + lp.At.dot(np.asarray(y, dtype=float)) / lp.c - mu
 
 
 def solve_point(lp: ValidatedLP, s, mu: float, y0=None) -> PathPoint:
@@ -95,36 +96,45 @@ def solve_point(lp: ValidatedLP, s, mu: float, y0=None) -> PathPoint:
     if not 0.0 <= mu < math.inf:
         raise ValidationError(f"mu must be nonnegative and finite, got {mu}")
     s = check_point(lp, s, "anchor", feasible=True)
-    return _newton(lp, s, mu, y0, np.zeros(lp.m))
+    return _newton(lp, s, mu, y0, np.zeros(lp.m), laplacian_solver(lp))
 
 
-def _newton(lp: ValidatedLP, s, mu: float, y0, shift) -> PathPoint:
+def _newton(lp: ValidatedLP, s, mu: float, y0, shift, laplacian) -> PathPoint:
     """``solve_point``'s Newton loop for the right-hand side b + shift.
 
     The shift moves the constraint to A x = b + shift, which adds
     y . shift to g and shift to its gradient; the Laplacian, the line
-    search and the tolerance (set by b) do not depend on it.
+    search and the tolerance (set by b) do not depend on it. laplacian is
+    a bound ``laplacian_solver(lp)``; ``flow_points`` shares one across
+    its samples.
+
+    At m <= 3 numpy's call overhead sets the cost of each iteration, so
+    here and in the dual evaluation the maxima are np.maximum.reduce calls
+    (ndarray.max() reaches the same reduction through numpy's Python-level
+    wrapper, about 0.3 us more a call at n = 3) and the products use
+    ndarray.dot (the BLAS call @ makes, without matmul's dispatch). Both
+    give the same bits.
     """
+    maxr, absolute = np.maximum.reduce, np.absolute
     y = np.zeros(lp.m) if y0 is None else np.asarray(y0, dtype=float).copy()
     if y.shape != (lp.m,):
         raise DimensionMismatchError(f"y0 has shape {y.shape}, expected ({lp.m},)")
 
     def evaluate_dual(y):
         value, grad, x = dual_value_and_derivatives(lp, s, mu, y)
-        return value + float(y @ shift), grad + shift, x
+        return value + float(y.dot(shift)), grad + shift, x
 
-    tol = 1e-10 * (float(np.abs(lp.b).max()) + 1.0)
-    laplacian = laplacian_solver(lp)
+    tol = 1e-10 * (float(maxr(absolute(lp.b))) + 1.0)
     value, grad, x = evaluate_dual(y)
     for it in range(MAX_NEWTON_ITERS):
-        if float(np.abs(grad).max()) <= tol:
+        if float(maxr(absolute(grad))) <= tol:
             return PathPoint(mu=float(mu), y=y, x=x, dual_value=value, newton_iters=it)
         d = laplacian(x / lp.c, grad)
-        slope = float(grad @ d)
+        slope = float(grad.dot(d))
         # g is computed as y.b - c.x, so its increments are only trustworthy
         # above the cancellation noise of those two dot products; without
         # this allowance the endgame rejects exact Newton steps forever.
-        noise = 1e-13 * (abs(float(y @ lp.b)) + abs(float(lp.c @ x)) + 1.0)
+        noise = 1e-13 * (abs(float(y.dot(lp.b))) + abs(float(lp.c.dot(x))) + 1.0)
         t = 1.0
         accepted = None
         for _ in range(MAX_BACKTRACKS):
@@ -168,7 +178,8 @@ def flow_points(lp: ValidatedLP, x0, ts) -> list[PathPoint]:
     A x0 == b exactly the points are follow_path's, bit for bit.
     """
     offset = lp.A @ x0 - lp.b
-    return _sweep(lp, ts, lambda t, y0: _newton(lp, x0, t, y0, math.exp(-t) * offset))
+    laplacian = laplacian_solver(lp)
+    return _sweep(lp, ts, lambda t, y0: _newton(lp, x0, t, y0, math.exp(-t) * offset, laplacian))
 
 
 def _sweep(lp: ValidatedLP, mus, solve) -> list[PathPoint]:

@@ -24,11 +24,12 @@ through one global lookup, as an eager import would.
 At m <= 3 call overhead, not arithmetic, sets the cost of a solve. The
 LAPACK routines take positional arguments (a keyword lower=True adds about
 40% to a 1.7 us dposv at m = 3), as do the product and the dot that fill
-the buffers (keyword out= cost the solver loop about 1% a step), and the
-pivot rule reads each diagonal once as a Python list. ndarray.dot reaches
-the same BLAS routine as @ and np.dot without matmul's or the numpy
-function's dispatch, and the square float64 Laplacian it forms reaches
-LAPACK without a conversion.
+the buffers (a keyword out= costs up to about 0.1 us a call), and the pivot
+rule reads each diagonal once as a Python list: the factor's, and the
+Laplacian's through a view of the L buffer that the solver binds once.
+ndarray.dot reaches the same BLAS routine as @ and np.dot without
+matmul's or the numpy function's dispatch, and the square float64
+Laplacian it forms reaches LAPACK without a conversion.
 """
 
 from __future__ import annotations
@@ -80,16 +81,20 @@ class SpdFactorization:
 _FLOAT = np.dtype(float)
 
 
-def _check_pivots(M: np.ndarray, low: np.ndarray, info: int) -> None:
-    """Apply the pivot rule to the Cholesky factor LAPACK returned for M.
+def _check_pivots(m_diag: np.ndarray, low: np.ndarray, info: int) -> None:
+    """Apply the pivot rule to the Cholesky factor LAPACK returned for a matrix M.
 
-    Raises NotPositiveDefiniteError when LAPACK refused a pivot or when a
-    pivot L_jj^2 falls at or below ``PIVOT_RTOL * trace / m``.
+    m_diag is M's diagonal (a view of it will do). Raises
+    NotPositiveDefiniteError when LAPACK refused a pivot or when a pivot
+    L_jj^2 falls at or below ``PIVOT_RTOL * trace / m``.
     """
     if info:
         raise NotPositiveDefiniteError(f"pivot at index {info - 1} is not positive")
     diag = low.diagonal().tolist()
-    tol = PIVOT_RTOL * sum(M.diagonal().tolist()) / len(diag)
+    # The trace is summed left to right over a Python list; ndarray.trace()
+    # sums in numpy's unrolled order, which from m = 8 on often differs in
+    # the last bits.
+    tol = PIVOT_RTOL * sum(m_diag.tolist()) / len(diag)
     # dpotrf and dposv let a NaN pivot through and min() can step over it;
     # the sum of the pivots cannot.
     total = sum(diag)
@@ -108,7 +113,7 @@ def spd_factor(mat: np.ndarray) -> SpdFactorization:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {M.shape}")
     low, info = dpotrf(M, 1)
-    _check_pivots(M, low, info)
+    _check_pivots(M.diagonal(), low, info)
     return SpdFactorization(lower=low)
 
 
@@ -120,13 +125,14 @@ def laplacian_solver(lp: ValidatedLP):
     """
     A, At = lp.A, lp.At
     Aw, L = np.empty_like(A), np.empty((len(A), len(A)))
+    L_diag = L.diagonal()  # a view: it reads each new Laplacian in L
     mul = np.multiply
 
     def solve(w, rhs: np.ndarray) -> np.ndarray:
         mul(A, w, Aw)
         Aw.dot(At, L)
         low, sol, info = dposv(L, rhs, 1)
-        _check_pivots(L, low, info)
+        _check_pivots(L_diag, low, info)
         return sol
 
     return solve

@@ -3,13 +3,24 @@
 import numpy as np
 import pytest
 
-from physarum import FlowConfig, enumerate_polyhedron, evaluate, integrate, rate_report, rhs_log
+from physarum import (
+    FlowConfig,
+    entropy_path,
+    enumerate_polyhedron,
+    evaluate,
+    follow_path,
+    integrate,
+    rate_report,
+    rhs_log,
+)
 from physarum.errors import (
     DimensionMismatchError,
     InsufficientTraceError,
     NonPositiveStateError,
     ValidationError,
 )
+from physarum.model import default_params
+from tests.conftest import planted_12x48
 
 
 def test_rhs_log_values(simple2, identity2):
@@ -64,6 +75,53 @@ def test_integrate_infeasible_start_contracts(simple2):
     # A(x(t) - e^{-t} x0) = (1 - e^{-t}) b along the whole trajectory
     assert max(e.feas_residual for e in trace.entries) < 1e-6
     assert trace.final.x[0] == pytest.approx(1.0, abs=1e-4)
+
+
+def _entries_row_by_row(lp, x0, ts, dtype):
+    """integrate's record array built one tuple per row, from the same path points."""
+    cap = np.maximum(x0, default_params(lp).flux_bound) * (1.0 + 1e-6)
+    entries = np.recarray(len(ts), dtype=dtype)
+    for row, (t, point) in enumerate(zip(ts, entropy_path.flow_points(lp, x0, ts))):
+        x, r = point.x, rhs_log(lp, entropy_path.exponent(lp, x0, point.mu, point.y))
+        edge = lp.c * (r + 1.0)
+        decay = np.exp(-t)
+        resid = np.abs(lp.A @ (x - decay * x0) - (1.0 - decay) * lp.b).max()
+        entries[row] = (
+            t, x, lp.c.dot(x), (x / lp.c).dot(edge * edge), resid, np.abs(edge).max(),
+            np.abs(x * r).max(), np.abs(r).max(), np.all(x <= cap),
+        )
+    return entries
+
+
+@pytest.mark.parametrize("case", ["infeasible", "planted12x48"])
+def test_integrate_fills_each_column_with_the_per_row_values(case, simple2):
+    # Columns filled from the stacked rows hold the bytes that assigning
+    # one tuple per row gives.
+    if case == "infeasible":
+        lp, x0 = simple2, np.array([2.0, 0.3])
+        assert not np.array_equal(lp.A @ x0, lp.b)
+    else:
+        lp, x0 = planted_12x48()
+    got = integrate(lp, FlowConfig(x0=x0, t_end=30.0)).entries
+    assert got.tobytes() == _entries_row_by_row(lp, x0, got.t, got.dtype).tobytes()
+
+
+def test_a_flow_sweep_binds_one_laplacian_solver(simple2, monkeypatch):
+    # flow_points shares one bound solver across its samples; solve_point,
+    # and so follow_path, binds one per point.
+    real, binds = entropy_path.laplacian_solver, []
+
+    def counting(lp):
+        binds.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(entropy_path, "laplacian_solver", counting)
+    x0 = np.array([2.0, 0.3])
+    trace = integrate(simple2, FlowConfig(x0=x0, t_end=10.0))
+    assert len(binds) == 1 and len(trace.entries) == 41
+    binds.clear()
+    points = follow_path(simple2, np.array([0.5, 0.5]), np.arange(0.0, 10.25, 0.25))
+    assert len(binds) == len(points) == 41
 
 
 def test_rate_report_simple2(simple2):

@@ -130,6 +130,63 @@ def test_factor_rejects_nan_pivots(mat, monkeypatch):
         _laplacian_solve(np.eye(len(M)), rhs)
 
 
+def _reference_pivot_rule(M, low, info):
+    """The pivot rule read off the whole matrix M: None to accept, else the rejection message."""
+    if info:
+        return f"pivot at index {info - 1} is not positive"
+    diag = low.diagonal().tolist()
+    tol = PIVOT_RTOL * sum(M.diagonal().tolist()) / len(diag)
+    total = sum(diag)
+    if not (min(diag) ** 2 > tol and total == total):
+        j = int(low.diagonal().argmin())
+        return f"pivot {low[j, j] ** 2:.3e} at index {j} (tolerance {tol:.3e})"
+    return None
+
+
+def _verdict(solve, *args):
+    try:
+        solve(*args)
+    except NotPositiveDefiniteError as exc:
+        return str(exc)
+    return None
+
+
+def test_both_entry_points_give_the_reference_verdict_and_message(monkeypatch):
+    # The floor reads a view of the bound solver's own L buffer, so one
+    # binding meets four Laplacians in turn: just above the floor, just
+    # below it, a NaN pivot (LAPACK's factor of a NaN matrix, through a
+    # patched dposv, as no real A and w form one) and a pivot LAPACK
+    # refuses (info > 0).
+    linalg._bind_scipy()
+    floor = PIVOT_RTOL * 2 / 3
+    cases = [
+        (np.diag([1.0, 1.0, floor * (1 + 1e-9)]), None),
+        (np.diag([1.0, 1.0, floor * (1 - 1e-9)]), None),
+        (np.eye(3), np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, np.nan]])),
+        (np.array([[2.0, 0.0, 3.0], [0.0, 1.0, 0.0], [3.0, 0.0, 2.0]]), None),
+    ]
+    A, _ = _forming(np.eye(3))
+    bound = laplacian_solver(SimpleNamespace(A=A, At=A.T))
+    dposv, rhs = linalg.dposv, np.ones(3)
+    verdicts = []
+    for M, nan_matrix in cases:
+        formed, w = _forming(M)
+        assert np.array_equal(formed, A)  # one A forms all four
+        if nan_matrix is None:
+            low, info = linalg.dpotrf(M, 1)
+            assert _verdict(spd_factor, M) == _reference_pivot_rule(M, low, info)
+        else:
+            low, info = linalg.dpotrf(nan_matrix, 1)
+            assert _verdict(spd_factor, nan_matrix) == _reference_pivot_rule(nan_matrix, low, info)
+            monkeypatch.setattr(linalg, "dposv", lambda L, b, lower: dposv(nan_matrix, b, lower))
+        verdicts.append(_reference_pivot_rule(M, low, info))
+        assert _verdict(bound, w, rhs) == verdicts[-1]
+        monkeypatch.setattr(linalg, "dposv", dposv)
+    assert verdicts[0] is None
+    assert verdicts[1].startswith("pivot ") and verdicts[1].endswith("at index 2 (tolerance 6.667e-13)")
+    assert "nan" in verdicts[2] and verdicts[3] == "pivot at index 2 is not positive"
+
+
 def test_factor_rejects_non_square():
     # laplacian_solve forms its own matrix, which is always square.
     with pytest.raises(ValueError):

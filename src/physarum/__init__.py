@@ -12,7 +12,7 @@ are Newton solves too. An exact rational vertex enumerator serves as the
 ground-truth oracle for all of them.
 """
 
-from .continuous_flow import ConvergenceReport, FlowConfig, FlowTrace, integrate, rate_report, rhs_log
+from .continuous_flow import FlowConfig, FlowTrace, integrate, rhs_log
 from .discrete_solver import (
     CertReport,
     DiscreteConfig,
@@ -33,15 +33,14 @@ from .errors import (
     ProblemFileError,
     ValidationError,
 )
-from .model import LinearProgram, Params, ValidatedLP, compute_params, default_params, validate
-from .oracle import OracleResult, enumerate_polyhedron, interior_point, max_subdeterminant, sample_feasible
+from .model import LinearProgram, Params, ValidatedLP, compute_params, default_params, max_subdeterminant, validate
+from .oracle import OracleResult, enumerate_polyhedron, interior_point, sample_feasible
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
     "CertReport",
-    "ConvergenceReport",
     "DiscreteConfig",
     "DynamicsEval",
     "FlowConfig",
@@ -72,7 +71,6 @@ __all__ = [
     "interior_point",
     "iteration_bound",
     "max_subdeterminant",
-    "rate_report",
     "rhs_log",
     "sample_feasible",
     "solve",

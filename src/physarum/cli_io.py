@@ -154,9 +154,10 @@ def _write_trace_csv(path, index: str, n: int, rows) -> None:
 
 def cmd_solve(args) -> int:
     lp, start = load_problem(args.problem, args.start)
+    # Without --trace no row is written, so none is recorded.
     config = discrete_solver.DiscreteConfig(
         eps=args.eps, h=args.h, start=start,
-        max_iters=args.max_iters, trace_every=args.trace_every,
+        max_iters=args.max_iters, trace_every=args.trace_every if args.trace else 0,
     )
     sol, trace = discrete_solver.solve(lp, config)
     if args.trace:
@@ -378,6 +379,18 @@ def _int_at_least(low: int):
     return integer
 
 
+def _length_at_least(low: int):
+    """An argparse type for array lengths: integers of at least ``low`` within numpy's size limit."""
+    integer = _int_at_least(low)
+    def length(text: str) -> int:
+        value = integer(text)
+        if value > np.iinfo(np.intp).max:
+            raise argparse.ArgumentTypeError(
+                f"expected at most {np.iinfo(np.intp).max} (numpy's array size limit), got {text}")
+        return value
+    return length
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="physarum", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -408,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = engine("path", cmd_path, "follow the entropy-regularized path")
     p.add_argument("--mu-max", type=float, default=20.0)
-    p.add_argument("--points", type=_int_at_least(2), default=41)
+    p.add_argument("--points", type=_length_at_least(2), default=41)
 
     p = command("oracle", cmd_oracle, "enumerate vertices and rays exactly")
     p.add_argument("--cap", type=_int_at_least(1), default=oracle_mod.ENUMERATION_CAP)
@@ -421,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify", cmd_verify, "solve and check every invariant")
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--h", type=float, default=None)
-    p.add_argument("--samples", type=_int_at_least(0), default=200)
+    p.add_argument("--samples", type=_length_at_least(0), default=200)
     p.add_argument("--seed", type=_int_at_least(0), default=20240801)
     p.add_argument("--max-iters", type=_int_at_least(0), default=1_000_000)
 

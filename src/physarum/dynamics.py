@@ -110,17 +110,6 @@ def gradient_identity_residual(lp: ValidatedLP, ev: DynamicsEval, h) -> float:
     return float(abs(lp.c @ h - h @ metric_grad))
 
 
-def column_potential_bounds(lp: ValidatedLP, w) -> np.ndarray:
-    """Return ||A^T L^{-1} a_i||_inf for every column i, with L = A diag(w) A^T.
-
-    Each of these norms is at most D / w_i for any positive weights, where D
-    is the largest absolute subdeterminant of A; this is the kernel fact
-    behind every potential bound in the package.
-    """
-    w = check_point(lp, w, "weights")
-    return np.abs(lp.At @ laplacian_solve(lp, w, lp.A)).max(axis=0)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Measured values versus the worst-case bounds from the parameters."""

@@ -5,12 +5,11 @@ onto a stable exit code: problem files that cannot be read or parsed (2),
 ValidationError (3) and the remaining PhysarumErrors (4), which are
 numerical failures and size limits. A ValidationError is bad problem
 data, a bad argument, a bad caller-supplied point, or a trace that
-certify_trace or rate_report cannot check (MissingVerifyDataError,
-InsufficientTraceError). ValidationError is also a ValueError, so
-callers that catch ValueError for a bad argument keep working. Every
-caller-supplied point is checked by model.check_point, which raises
-DimensionMismatchError, NonPositiveStateError or InfeasibleStartError
-whichever engine receives it.
+certify_trace cannot check (MissingVerifyDataError). ValidationError is
+also a ValueError, so callers that catch ValueError for a bad argument
+keep working. Every caller-supplied point is checked by model.check_point,
+which raises DimensionMismatchError, NonPositiveStateError or
+InfeasibleStartError whichever engine receives it.
 """
 
 from __future__ import annotations
@@ -58,10 +57,6 @@ class InfeasibleStartError(ValidationError):
 
 class MissingVerifyDataError(ValidationError):
     """certify_trace got a trace not recorded at every step, or with gaps."""
-
-
-class InsufficientTraceError(ValidationError):
-    """rate_report got a flow trace shorter than 10 time units."""
 
 
 class NumericalError(PhysarumError):

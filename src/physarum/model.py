@@ -26,6 +26,8 @@ from .errors import (
     NonPositiveCostError,
     NonPositiveStateError,
     RankDeficientError,
+    TooLargeError,
+    ValidationError,
 )
 
 # Exact subdeterminant enumeration is exponential; beyond this column count
@@ -226,15 +228,24 @@ def subdet_upper_bound(A_int: np.ndarray) -> float:
         return math.inf
 
 
-def compute_params(lp: ValidatedLP, mode: str = "exact") -> Params:
-    """Derive the worst-case parameters, with exact or bounded subdeterminants.
+def max_subdeterminant(A_int: np.ndarray, mode: str = "exact") -> float:
+    """Maximum absolute subdeterminant of an integer matrix, exact or bounded.
 
     ``mode="exact"`` enumerates all square submatrices (only permitted for
-    n <= EXACT_SUBDET_CAP); ``mode="bound"`` uses the closed form. Both the
-    mode check and the cap are oracle.max_subdeterminant's.
+    n <= EXACT_SUBDET_CAP); ``mode="bound"`` uses the closed form.
     """
-    from .oracle import max_subdeterminant
+    A_int = np.asarray(A_int)
+    if mode == "bound":
+        return subdet_upper_bound(A_int)
+    if mode != "exact":
+        raise ValidationError(f"mode must be 'exact' or 'bound', got {mode!r}")
+    if A_int.shape[1] > EXACT_SUBDET_CAP:
+        raise TooLargeError(f"exact enumeration capped at n <= {EXACT_SUBDET_CAP}, got n={A_int.shape[1]}")
+    return float(_exact.max_abs_subdeterminant(A_int.tolist()))
 
+
+def compute_params(lp: ValidatedLP, mode: str = "exact") -> Params:
+    """Derive the worst-case parameters, with exact or bounded subdeterminants (see max_subdeterminant)."""
     d = float(max_subdeterminant(lp.A_int, mode))
     cost_sum = int(lp.c_int.sum())
     return Params(

@@ -25,8 +25,10 @@ from itertools import combinations
 import numpy as np
 
 from . import _exact
-from .errors import NoInteriorPointError, TooLargeError, ValidationError
-from .model import EXACT_SUBDET_CAP, ValidatedLP, subdet_upper_bound
+from .errors import NoInteriorPointError, TooLargeError
+# max_subdeterminant is not called here, but bench/spans.py records spans by
+# rebinding oracle.max_subdeterminant, so the name stays bound.
+from .model import ValidatedLP, max_subdeterminant  # noqa: F401
 
 ENUMERATION_CAP = 16
 
@@ -60,18 +62,6 @@ class OracleResult:
     @property
     def optimal_vertices(self) -> np.ndarray:
         return self.vertices[list(self.optimal_indices)] if len(self.optimal_indices) else self.vertices[:0]
-
-
-def max_subdeterminant(A_int: np.ndarray, mode: str = "exact") -> float:
-    """Maximum absolute subdeterminant of an integer matrix, exact or bounded."""
-    A_int = np.asarray(A_int)
-    if mode == "bound":
-        return subdet_upper_bound(A_int)
-    if mode != "exact":
-        raise ValidationError(f"mode must be 'exact' or 'bound', got {mode!r}")
-    if A_int.shape[1] > EXACT_SUBDET_CAP:
-        raise TooLargeError(f"exact enumeration capped at n <= {EXACT_SUBDET_CAP}, got n={A_int.shape[1]}")
-    return float(_exact.max_abs_subdeterminant(A_int.tolist()))
 
 
 def _basic_solutions_exact(mat: list[list[int]], rhs: list[int]) -> list[tuple[Fraction, ...]]:

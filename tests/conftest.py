@@ -130,6 +130,21 @@ def rk45_flow(lp, x0, ts):
     return np.exp(result.y.T)
 
 
+def gap_decay_rate(trace, opt):
+    """Fitted decay rate of the cost gap c.x(t) - opt over the second half of a flow trace.
+
+    Gaps at or below the trace's noise floor 1e-8 (|opt| + 1) are left out
+    of the fit of log(gap) against t; None when fewer than 5 samples remain.
+    """
+    e = trace.entries
+    tail = e.t >= e.t[0] + 0.5 * (e.t[-1] - e.t[0])
+    ts, gaps = e.t[tail], e.cost[tail] - opt
+    usable = gaps > 1e-8 * (abs(opt) + 1.0)
+    if usable.sum() < 5:
+        return None
+    return float(-np.polyfit(ts[usable], np.log(gaps[usable]), 1)[0])
+
+
 def overflowing_instance(m):
     """Problem-file data with entries up to 1e17 and the start x = 1.
 

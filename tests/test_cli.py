@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import physarum
-from physarum import FlowConfig, LinearProgram, evaluate, follow_path, integrate, validate
+from physarum import FlowConfig, LinearProgram, discrete_solver, evaluate, follow_path, integrate, validate
 from physarum.cli_io import _json_ready, build_parser, main, parse_problem, run_verification
 from physarum.errors import MalformedProblemError, NoInteriorPointError, ProblemIOError
 from tests.conftest import INSTANCE_DIR, overflowing_instance, planted_instance
@@ -155,6 +155,29 @@ def test_solve_command_with_trace(capsys, tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == 0.5 and float(first[3]) == 1.5
     assert len(lines) - 1 == data["trace_entries"]
+
+
+@pytest.mark.parametrize("options, recorded", [
+    ([], 0),
+    (["--trace-every", "5"], 0),
+    (["--trace", "TRACE"], 1),
+    (["--trace", "TRACE", "--trace-every", "5"], 5),
+])
+def test_solve_records_steps_only_for_a_trace_file(capsys, tmp_path, monkeypatch, options, recorded):
+    # Without --trace no row is written, so the solver records none.
+    seen = []
+    real = discrete_solver.solve
+
+    def spy(lp, config, *args, **kwargs):
+        seen.append(config.trace_every)
+        return real(lp, config, *args, **kwargs)
+
+    monkeypatch.setattr(discrete_solver, "solve", spy)
+    trace = tmp_path / "trace.csv"
+    options = [str(trace) if o == "TRACE" else o for o in options]
+    rc, data = run_json(capsys, ["solve", SIMPLE2, "--h", "0.03", *options])
+    assert rc == 0 and seen == [recorded]
+    assert data["trace_entries"] == (len(trace.read_text().splitlines()) - 1 if recorded else 0)
 
 
 def test_solve_explicit_start_flag(capsys):
@@ -537,6 +560,11 @@ def test_log_env_var_routes_to_stderr():
     ("path --mu-max -1", 3),
     ("path --mu-max nan", 3),
     ("path --mu-max inf", 3),
+    # Grids and sample counts past numpy's array size limit.
+    ("flow --t-end 1e308", 3),
+    ("flow --t-end 1 --sample-dt 1e-300", 3),
+    ("path --points 1000000000000000000000000000000", 1),
+    ("verify --samples 1000000000000000000000000000000", 1),
 ])
 def test_bad_arguments_exit_with_a_code_not_a_traceback(args, code):
     cmd, *options = args.split()
@@ -621,6 +649,26 @@ def test_every_library_option_has_a_caller():
         uncalled += [f"{name}({p.name})" for i, p in enumerate(params)
                      if p.default is not p.empty and not {i, p.name} & passed.get(name, set())]
     assert uncalled == []
+
+
+def test_every_package_definition_has_a_reader():
+    # A module-level function or class that nothing in the package outside
+    # its own body, and nothing in bench/, names is read only by tests.
+    package = Path(physarum.__file__).resolve().parent
+    bench = Path(__file__).resolve().parent.parent / "bench"
+
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+    read = set().union(*(names(ast.parse(f.read_text())) for f in bench.glob("*.py")))
+    tops = [(f, node, names(node)) for f in sorted(package.glob("*.py")) for node in ast.parse(f.read_text()).body]
+    unread = [
+        f"{f.stem}.{node.name}" for f, node, _ in tops
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read
+        and not any(node.name in used for _, other, used in tops if other is not node)
+    ]
+    assert unread == []
 
 
 @pytest.mark.parametrize("entry", ["1e20", "100000000000000000000"])

@@ -5,10 +5,9 @@ import pytest
 
 from physarum import check_bounds, compute_params, evaluate, gradient_identity_residual, rhs_log, sample_feasible
 from physarum import dynamics
-from physarum.dynamics import column_potential_bounds
 from physarum.linalg import laplacian_solve, spd_factor
 from physarum.errors import DimensionMismatchError, NonPositiveStateError, NotInKernelError
-from tests.conftest import planted_instance, rand_positive, random_instances
+from tests.conftest import planted_instance, rand_positive
 
 
 def test_evaluate_simple2_on_feasible_point(simple2):
@@ -120,36 +119,6 @@ def test_potential_bound_holds_on_feasible_corpus(shipped):
             assert ev.edge_potential_inf <= cap, (name, x)
 
 
-def test_column_potential_bounds_simple2(simple2):
-    got = column_potential_bounds(simple2, [0.5, 0.25])
-    assert np.allclose(got, [4.0 / 3.0, 4.0 / 3.0])
-    # caps D / w_i = (2, 4)
-    assert np.all(got <= np.array([2.0, 4.0]) * (1.0 + 1e-8))
-
-
-def test_column_potential_bounds_random_weights(shipped):
-    rng = np.random.default_rng(104)
-    for name, (lp, params, _) in shipped.items():
-        for _ in range(200):
-            w = rand_positive(rng, lp.n)
-            got = column_potential_bounds(lp, w)
-            caps = params.subdet_max / w
-            assert np.all(got <= caps * (1.0 + 1e-8)), (name, w)
-
-
-def test_column_potential_bounds_keep_the_bytes_of_the_factor_route(shipped):
-    # One dposv call against the m x n right-hand side A gives the bytes of
-    # factoring the Laplacian and solving against A afterwards.
-    corpus = [lp for lp, _, _ in shipped.values()]
-    corpus += [lp for lp, _ in random_instances(seed=20240801, count=25, require_interior=True, skip_zero_b=True)]
-    rng = np.random.default_rng(105)
-    for lp in corpus:
-        for _ in range(20):
-            w = rand_positive(rng, lp.n)
-            want = np.abs(lp.At @ spd_factor((lp.A * w).dot(lp.At)).solve(lp.A)).max(axis=0)
-            assert column_potential_bounds(lp, w).tobytes() == want.tobytes()
-
-
 def test_evaluate_input_validation(simple2):
     with pytest.raises(NonPositiveStateError):
         evaluate(simple2, [1.0, 0.0])
@@ -159,8 +128,6 @@ def test_evaluate_input_validation(simple2):
         evaluate(simple2, [1.0, np.nan])
     with pytest.raises(DimensionMismatchError):
         evaluate(simple2, [1.0, 1.0, 1.0])
-    with pytest.raises(DimensionMismatchError):
-        column_potential_bounds(simple2, [1.0])
 
 
 @pytest.mark.parametrize("m", [1, 3, 12, 48])

@@ -8,11 +8,9 @@ import pytest
 
 import physarum
 from physarum import DiscreteConfig, FlowConfig, check_bounds, compute_params, evaluate, integrate, solve, solve_point
-from physarum.dynamics import column_potential_bounds
 from physarum.errors import (
     DimensionMismatchError,
     InfeasibleStartError,
-    InsufficientTraceError,
     MissingVerifyDataError,
     NonPositiveStateError,
     ValidationError,
@@ -26,7 +24,6 @@ ENTRY_POINTS = {
     "solve_start": lambda lp, x: solve(lp, DiscreteConfig(start=x)),
     "integrate_x0": lambda lp, x: integrate(lp, FlowConfig(x0=x, t_end=1.0)),
     "solve_point_anchor": lambda lp, x: solve_point(lp, x, 1.0),
-    "column_potential_bounds": lambda lp, w: column_potential_bounds(lp, w),
     "check_bounds_feasible": lambda lp, x: check_bounds(lp, evaluate(lp, x), compute_params(lp)),
 }
 NEEDS_FEASIBLE = ("solve_start", "solve_point_anchor", "check_bounds_feasible")
@@ -59,8 +56,7 @@ def test_validation_errors_are_value_errors():
     assert issubclass(ValidationError, ValueError)
     assert issubclass(InfeasibleStartError, ValueError)
     # A trace unfit for the check it is passed to is a bad argument.
-    for error in (MissingVerifyDataError, InsufficientTraceError):
-        assert issubclass(error, ValidationError)
+    assert issubclass(MissingVerifyDataError, ValidationError)
 
 
 def _raised_names(path: Path) -> list[str]:

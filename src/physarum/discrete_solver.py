@@ -43,6 +43,7 @@ from .errors import (
     NumericalError,
     PositivityLostError,
     StepSizeUnderflowError,
+    TooLargeError,
     ValidationError,
 )
 from . import linalg
@@ -159,6 +160,26 @@ def iteration_bound(cost_ratio: float, spread: float, eps: float, h: float) -> i
     return int(math.ceil(min(num / den, float(ITERATION_HARD_CAP))))
 
 
+def _grown(rec: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """rec extended to hold rows trace rows, for the no-move fill.
+
+    The fill's row count comes from the iteration cap, so it can pass what
+    numpy can allocate; that raises TooLargeError rather than numpy's
+    ValueError or MemoryError. The size test counts rec's rows and the
+    trace's record array, which both live when solve returns.
+    """
+    message = (
+        f"the trace would hold {rows} rows of {n} variables, more than can be allocated; "
+        "lower max_iters or raise trace_every"
+    )
+    if rows * (rec.itemsize * rec.shape[1] + trace_dtype(n).itemsize) > np.iinfo(np.intp).max:
+        raise TooLargeError(message)
+    try:
+        return np.concatenate((rec, np.empty((rows - len(rec), rec.shape[1]))))
+    except MemoryError:
+        raise TooLargeError(message) from None
+
+
 def solve(
     lp: ValidatedLP,
     config: DiscreteConfig,
@@ -180,7 +201,7 @@ def solve(
     loop at once: every later step would recompute it bit for bit, so solve
     fills the trace rows up to the cap with it and stops there, with the
     result and trace that running to the cap gives. The skipped steps are
-    logged at INFO.
+    logged at INFO. Rows that cannot be allocated raise TooLargeError.
 
     A zero demand vector is a special case: x = 0 is optimal and the
     dynamics are never entered. A step so small that the iterates never
@@ -333,7 +354,7 @@ def solve(
             if trace_every:
                 end = rows + cap // trace_every - k // trace_every
                 if end > len(rec):
-                    rec = np.concatenate((rec, np.empty((end - len(rec), rec.shape[1]))))
+                    rec = _grown(rec, end, n)
                     xs, ps, edges = rec[:, :n], rec[:, n:-1], rec[:, -1]
                 xs[rows:end] = x
                 ps[rows:end] = p

@@ -13,13 +13,21 @@ spd_factor (dpotrf, then dpotrs through SpdFactorization.solve) applies
 the same pivot rule and gives the bytes of laplacian_solve. Nothing in
 the package calls it; it stays only because the benchmark times it.
 
-SciPy is not imported with this module. Loading scipy.linalg takes about
-two thirds of a cold `import physarum`, and the commands that never solve
-a Laplacian (`params`, `oracle`) should not pay for it. The names dposv,
-dpotrf, dpotrs and qr start out as stubs; the first call of any of them
-imports SciPy and rebinds all four module globals to SciPy's own routine
-objects, so every later call, a bound solver's included, reaches LAPACK
-through one global lookup, as an eager import would.
+SciPy is not imported with this module, and the scipy.linalg package is
+not imported at all. The names dposv, dpotrf, dpotrs, dgeqp3 and dorgqr
+start out as stubs; the first call of any of them runs `import scipy`
+(about 0.01 s; it sets up the wheel's bundled OpenBLAS), loads SciPy's
+LAPACK extension scipy.linalg._flapack, from which scipy.linalg.lapack
+takes the same routines, and rebinds all five module globals to that
+module's routine objects. So every later call, a bound solver's included,
+reaches LAPACK through one global lookup, as an eager import would. The
+extension is registered in sys.modules under its own name: a later
+`import scipy.linalg` reuses it, and one loaded earlier is used as it is.
+Importing scipy.linalg would cost about 0.2 s of CPU more per process
+(2-vCPU Xeon), mostly in SciPy's array-API shim, which probes every name
+in numpy and so imports numpy's lazy f2py and testing modules; a
+`physarum verify` process loads 278 modules instead of 557. The commands
+that never solve a Laplacian (`params`, `oracle`) import no SciPy at all.
 
 At m <= 3 call overhead, not arithmetic, sets the cost of a solve. The
 LAPACK routines take positional arguments (a keyword lower=True adds about
@@ -34,7 +42,10 @@ Laplacian it forms reaches LAPACK without a conversion.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -46,11 +57,22 @@ from .model import ValidatedLP
 PIVOT_RTOL = 1e-12
 
 
+_ROUTINES = ("dposv", "dpotrf", "dpotrs", "dgeqp3", "dorgqr")
+
+
 def _bind_scipy() -> None:
-    """Replace the stubs below with SciPy's routines, once."""
-    global dposv, dpotrf, dpotrs, qr
-    from scipy.linalg import qr
-    from scipy.linalg.lapack import dposv, dpotrf, dpotrs
+    """Replace the stubs below with the routines of SciPy's LAPACK extension, once."""
+    global dposv, dpotrf, dpotrs, dgeqp3, dorgqr
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    flapack = sys.modules.get(name)
+    if flapack is None:
+        finder = FileFinder(scipy.__path__[0] + "/linalg", (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        flapack = sys.modules[name] = module_from_spec(spec)
+        spec.loader.exec_module(flapack)
+    dposv, dpotrf, dpotrs, dgeqp3, dorgqr = (getattr(flapack, r) for r in _ROUTINES)
 
 
 def _stub(name: str):
@@ -58,10 +80,19 @@ def _stub(name: str):
         _bind_scipy()
         return globals()[name](*args, **kwargs)
 
+    first_call.__name__ = name
     return first_call
 
 
-dposv, dpotrf, dpotrs, qr = map(_stub, ("dposv", "dpotrf", "dpotrs", "qr"))
+dposv, dpotrf, dpotrs, dgeqp3, dorgqr = map(_stub, _ROUTINES)
+
+
+def _lapack(routine, *args) -> list:
+    """routine's outputs without its info. A nonzero info is a rejected argument: a bug here."""
+    *out, info = routine(*args)
+    if info:
+        raise ValueError(f"{routine.__name__} rejected argument {-info}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -72,10 +103,7 @@ class SpdFactorization:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve against a vector or against the columns of a matrix."""
-        sol, info = dpotrs(self.lower, rhs, 1)
-        if info:
-            raise ValueError(f"dpotrs rejected argument {-info}")
-        return sol
+        return _lapack(dpotrs, self.lower, rhs, 1)[0]
 
 
 _FLOAT = np.dtype(float)
@@ -149,12 +177,24 @@ def kernel_basis(A: np.ndarray) -> np.ndarray:
     Uses a column-pivoted orthogonal triangularization of A transpose; the
     trailing n - m columns of the orthogonal factor span the kernel. Raises
     RankDeficientError when A does not have full row rank.
+
+    The LAPACK calls are those of scipy.linalg.qr(A.T, pivoting=True) on a
+    tall A.T, so the basis is its bytes: dgeqp3 and then dorgqr, each after
+    a workspace query (lwork = -1), dorgqr on an (n, n) buffer whose first
+    m columns hold the factor.
     """
-    A = np.asarray(A, dtype=float)
+    A = np.asarray_chkfinite(A, dtype=float)
     m, n = A.shape
-    q, r, _ = qr(A.T, pivoting=True)
-    diag = np.abs(np.diag(r)[:m]) if m else np.array([])
-    scale = max(n, m) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-    if m and (diag.size < m or np.any(diag <= max(scale, 0.0))):
+    if m > n:
         raise RankDeficientError("A does not have full row rank")
-    return q[:, m:]
+    if m == 0:
+        return np.identity(n)
+    work = _lapack(dgeqp3, A.T, -1, 0)[-1]
+    qr, _, tau, _ = _lapack(dgeqp3, A.T, int(work[0]), 0)
+    diag = np.abs(qr.diagonal())
+    if np.any(diag <= n * np.finfo(float).eps * diag.max()):
+        raise RankDeficientError("A does not have full row rank")
+    Q = np.empty((n, n))
+    Q[:, :m] = qr
+    work = _lapack(dorgqr, Q, tau, -1, 1)[-1]
+    return _lapack(dorgqr, Q, tau, int(work[0]), 1)[0][:, m:]

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import physarum
 from physarum import LinearProgram, compute_params, enumerate_polyhedron, interior_point, rhs_log, validate
 from physarum._exact import rank_int
 from physarum.errors import NoInteriorPointError
@@ -165,3 +168,18 @@ def fuzz_corpus():
 def rand_positive(rng, n, lo=1e-4, hi=1e4):
     """Log-uniform strictly positive vector, the stress corpus for the bounds."""
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
+
+
+def run_child(args, env):
+    """Run a child interpreter that imports the same physarum as this process.
+
+    This process may find the package only through pytest's ``pythonpath``
+    setting or an install, neither of which a child inherits.
+    """
+    package_root = str(Path(physarum.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**env, "PYTHONPATH": package_root},
+    )

@@ -112,6 +112,19 @@ def test_no_module_uses_the_function_form_of_dot():
     assert found == []
 
 
+def test_no_module_imports_scipy_linalg():
+    """linalg loads SciPy's LAPACK extension by itself: the scipy.linalg package costs about 0.2 s a process."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in names):
+                found.append((path.name, node.lineno))
+    assert found == []
+
+
 def test_only_linalg_touches_the_laplacian():
     """Forming A diag(w) A^T, calling LAPACK's Cholesky routines and the pivot rule are linalg's.
 

@@ -6,8 +6,6 @@ import dataclasses
 import inspect
 import json
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +15,7 @@ import physarum
 from physarum import FlowConfig, LinearProgram, discrete_solver, evaluate, follow_path, integrate, validate
 from physarum.cli_io import _json_ready, build_parser, main, parse_problem, run_verification
 from physarum.errors import MalformedProblemError, NoInteriorPointError, ProblemIOError
-from tests.conftest import INSTANCE_DIR, overflowing_instance, planted_instance
+from tests.conftest import INSTANCE_DIR, overflowing_instance, planted_instance, run_child
 
 SIMPLE2 = str(INSTANCE_DIR / "simple2.json")
 IDENTITY2 = str(INSTANCE_DIR / "identity2.json")
@@ -370,21 +368,6 @@ def test_infeasible_start_is_a_validation_error(capsys):
     capsys.readouterr()
 
 
-def run_child(args, env):
-    """Run a child interpreter that imports the same physarum as this process.
-
-    This process may find the package only through pytest's ``pythonpath``
-    setting or an install, neither of which a child inherits.
-    """
-    package_root = str(Path(physarum.__file__).resolve().parents[1])
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**env, "PYTHONPATH": package_root},
-    )
-
-
 def run_cli_child(args, env):
     return run_child(["-m", "physarum.cli_io", *args], env)
 
@@ -448,9 +431,28 @@ def test_commands_without_a_laplacian_load_no_scipy(args):
     assert proc.stdout.split() == ["0", "[]"]
 
 
+@pytest.mark.parametrize("cmd", ["verify", "solve", "flow", "path"])
+def test_commands_that_solve_load_scipys_lapack_extension_alone(cmd):
+    # The scipy.linalg package, and with it SciPy's array-API shim, costs
+    # about 0.2 s of CPU per process; linalg loads the one extension
+    # module its LAPACK routines live in.
+    script = (
+        "import contextlib, io, sys\n"
+        "from physarum.cli_io import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = main([{cmd!r}, {SIMPLE2!r}])\n"
+        "print(rc, *(m in sys.modules for m in ('scipy.linalg', 'scipy._lib._array_api', 'scipy.linalg._flapack')))\n"
+    )
+    proc = run_child(["-c", script], os.environ)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "False", "True"]
+
+
 # Each script makes the package's first LAPACK call in a fresh interpreter,
-# then repeats it on SciPy directly. The bound names must be SciPy's own
-# routine objects, so later calls pay no lookup beyond the module global.
+# then imports scipy.linalg and repeats the call on SciPy directly. The
+# bound names must be the routine objects of scipy.linalg.lapack, so later
+# calls pay no lookup beyond the module global and the package's first call
+# loaded the one extension module that scipy.linalg then reuses.
 FIRST_CALLS = {
     "laplacian_solve": (
         "got = linalg.laplacian_solve(SimpleNamespace(A=A, At=A.T), w, b)\n",
@@ -484,8 +486,8 @@ def test_first_lapack_call_matches_scipy(entry):
         + "import scipy.linalg\n"
         "from scipy.linalg import lapack\n"
         + direct_call
-        + "same = (linalg.dposv, linalg.dpotrf, linalg.dpotrs, linalg.qr) == "
-        "(lapack.dposv, lapack.dpotrf, lapack.dpotrs, scipy.linalg.qr)\n"
+        + "same = all(getattr(linalg, r) is getattr(lapack, r) for r in "
+        "('dposv', 'dpotrf', 'dpotrs', 'dgeqp3', 'dorgqr'))\n"
         "print(np.asarray(got).tobytes() == np.asarray(want).tobytes(), same)\n"
     )
     proc = run_child(["-c", script], os.environ)
@@ -565,6 +567,9 @@ def test_log_env_var_routes_to_stderr():
     ("flow --t-end 1 --sample-dt 1e-300", 3),
     ("path --points 1000000000000000000000000000000", 1),
     ("verify --samples 1000000000000000000000000000000", 1),
+    # A step that cannot move x fills the trace up to the cap, 10**18 rows;
+    # solve refuses before the trace file is opened.
+    ("solve --h 1e-30 --max-iters 1000000000000000000000000000000 --trace no-such-dir/trace.csv", 4),
 ])
 def test_bad_arguments_exit_with_a_code_not_a_traceback(args, code):
     cmd, *options = args.split()

@@ -40,6 +40,7 @@ from physarum.errors import (
     NumericalError,
     PositivityLostError,
     StepSizeUnderflowError,
+    TooLargeError,
     ValidationError,
 )
 from physarum.linalg import spd_factor
@@ -241,6 +242,15 @@ def test_rows_after_a_late_exit_sit_where_a_run_to_the_cap_puts_them(simple2, mo
     for name in ("x", "cost", "energy", "edge_potential_inf"):
         assert e[name][26:].tobytes() == np.repeat(frozen[name][None], len(e) - 26, axis=0).tobytes()
     assert sol.x.tobytes() == frozen.x.tobytes()
+
+
+def test_a_fill_past_numpys_size_limit_raises_too_large(simple2):
+    # h = 1e-30 cannot move the start, so the trace is filled to the cap of
+    # ITERATION_HARD_CAP steps: past numpy's size limit, so nothing is
+    # allocated.
+    config = DiscreteConfig(h=1e-30, start=np.array([0.5, 0.5]), max_iters=10**30)
+    with pytest.raises(TooLargeError, match=f"hold {ITERATION_HARD_CAP + 1} rows"):
+        solve(simple2, config)
 
 
 def test_solve_start_validation(simple2):

@@ -1,5 +1,6 @@
 """Cholesky factorization, the Laplacian solve and kernel bases."""
 
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from physarum import DiscreteConfig, LinearProgram, evaluate, linalg, rhs_log, solve, validate
+from physarum._exact import rank_int
 from physarum.errors import NotPositiveDefiniteError, RankDeficientError
 from physarum.linalg import PIVOT_RTOL, kernel_basis, laplacian_solve, laplacian_solver, spd_factor
-from tests.conftest import planted_instance, rand_positive
+from tests.conftest import planted_instance, rand_positive, run_child
 
 
 def _random_spd(rng, m):
@@ -310,3 +312,64 @@ def test_kernel_basis_spans_kernel():
 def test_kernel_basis_rejects_rank_deficiency():
     with pytest.raises(RankDeficientError):
         kernel_basis(np.array([[1.0, 1.0], [2.0, 2.0]]))
+
+
+@pytest.mark.parametrize("A", [
+    pytest.param(np.ones((3, 2)), id="m > n"),
+    pytest.param(np.random.default_rng(4).standard_normal((4, 3)), id="m > n random"),
+    pytest.param(np.random.default_rng(4).integers(-3, 4, (12, 30))[[*range(11), 0]], id="repeated row"),
+])
+def test_kernel_basis_rejects_more_rows_than_columns_and_dependent_rows(A):
+    with pytest.raises(RankDeficientError):
+        kernel_basis(A)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 12, 48])
+@pytest.mark.parametrize("integer", [False, True], ids=["float", "integer"])
+def test_kernel_basis_gives_the_bytes_of_scipys_pivoted_qr(m, integer):
+    # kernel_basis calls dgeqp3 and dorgqr as scipy.linalg.qr(A.T,
+    # pivoting=True) does on a tall A.T, n from m (square A) to 4m.
+    import scipy.linalg
+
+    rng = np.random.default_rng(m)
+    for n in range(m, 4 * m + 1):
+        A = rng.integers(-3, 4, (m, n)) if integer else rng.standard_normal((m, n))
+        if integer and rank_int(A.tolist()) < m:
+            with pytest.raises(RankDeficientError):
+                kernel_basis(A)
+            continue
+        got = kernel_basis(A)
+        want = scipy.linalg.qr(A.T.astype(float), pivoting=True)[0][:, m:]
+        assert got.shape == want.shape == (n, n - m)
+        assert got.tobytes() == want.tobytes(), (m, n)
+
+
+def test_kernel_basis_queries_the_workspace_as_scipy_does():
+    # From about 128 columns LAPACK blocks dgeqp3 and dorgqr when the
+    # workspace allows it, which changes the bytes: at (130, 300) the
+    # minimal workspace does not give SciPy's basis, the queried one does.
+    import scipy.linalg
+
+    A = np.random.default_rng(1).standard_normal((130, 300))
+    want = scipy.linalg.qr(A.T, pivoting=True)[0][:, 130:]
+    assert kernel_basis(A).tobytes() == want.tobytes()
+
+
+def test_scipy_linalg_imported_first_serves_the_same_routines():
+    # A process that imports scipy.linalg before the package's first LAPACK
+    # call: linalg binds the extension module scipy.linalg already loaded.
+    script = (
+        "import numpy as np\n"
+        "import scipy.linalg\n"
+        "from scipy.linalg import lapack\n"
+        "from physarum import linalg\n"
+        "A = np.random.default_rng(5).standard_normal((3, 8))\n"
+        "got = linalg.kernel_basis(A)\n"
+        "want = scipy.linalg.qr(A.T, pivoting=True)[0][:, 3:]\n"
+        "same = all(getattr(linalg, r) is getattr(lapack, r) for r in "
+        "('dposv', 'dpotrf', 'dpotrs', 'dgeqp3', 'dorgqr'))\n"
+        "print(got.tobytes() == want.tobytes(), same)\n"
+    )
+    proc = run_child(["-c", script], os.environ)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]

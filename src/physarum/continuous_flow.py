@@ -105,10 +105,11 @@ def integrate(lp: ValidatedLP, config: FlowConfig, params: Params | None = None)
     # is built once from the rows, which costs about half of assigning them
     # one at a time and holds no stacked copy of the columns.
     maxr, absolute = np.maximum.reduce, np.absolute
+    log_x0 = np.log(x0)
     rows = []
     for t, point in zip(ts, points):
         x = point.x
-        r = rhs_log(lp, entropy_path.exponent(lp, x0, point.mu, point.y))
+        r = rhs_log(lp, entropy_path.exponent(lp, log_x0, point.mu, point.y))
         edge = c * (r + 1.0)
         decay = np.exp(-t)
         resid = maxr(absolute(A.dot(x - decay * x0) - (1.0 - decay) * b))

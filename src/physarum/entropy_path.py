@@ -59,14 +59,15 @@ class PathPoint:
     newton_iters: int
 
 
-def dual_value_and_derivatives(lp: ValidatedLP, s, mu: float, y):
+def dual_value_and_derivatives(lp: ValidatedLP, log_s, mu: float, y):
     """Evaluate g, its gradient and the primal point x(y) at a dual point y.
 
-    The Hessian -A W A^T is not formed here: ``solve_point`` solves against
-    A W A^T at each iterate it steps from.
+    ``log_s`` is ln s of the anchor, taken once by the caller for all its
+    evaluations. The Hessian -A W A^T is not formed here: ``solve_point``
+    solves against A W A^T at each iterate it steps from.
     """
     y = np.asarray(y, dtype=float)
-    expo = exponent(lp, s, mu, y)
+    expo = exponent(lp, log_s, mu, y)
     top = np.maximum.reduce(expo)
     if top > EXP_CAP:
         raise DualOverflowError(
@@ -79,9 +80,13 @@ def dual_value_and_derivatives(lp: ValidatedLP, s, mu: float, y):
     return value, grad, x
 
 
-def exponent(lp: ValidatedLP, s, mu: float, y) -> np.ndarray:
-    """ln x(y) = ln s + (A^T y)/c - mu, the exponent of the primal point at y."""
-    return np.log(np.asarray(s, dtype=float)) + lp.At.dot(np.asarray(y, dtype=float)) / lp.c - mu
+def exponent(lp: ValidatedLP, log_s, mu: float, y) -> np.ndarray:
+    """ln x(y) = ln s + (A^T y)/c - mu, the exponent of the primal point at the float array y.
+
+    ``log_s`` is ln s, which stays fixed while y and mu move, so callers
+    take it once.
+    """
+    return log_s + lp.At.dot(y) / lp.c - mu
 
 
 def solve_point(lp: ValidatedLP, s, mu: float, y0=None) -> PathPoint:
@@ -96,11 +101,11 @@ def solve_point(lp: ValidatedLP, s, mu: float, y0=None) -> PathPoint:
     if not 0.0 <= mu < math.inf:
         raise ValidationError(f"mu must be nonnegative and finite, got {mu}")
     s = check_point(lp, s, "anchor", feasible=True)
-    return _newton(lp, s, mu, y0, np.zeros(lp.m), laplacian_solver(lp))
+    return _newton(lp, np.log(s), mu, y0, np.zeros(lp.m), laplacian_solver(lp))
 
 
-def _newton(lp: ValidatedLP, s, mu: float, y0, shift, laplacian) -> PathPoint:
-    """``solve_point``'s Newton loop for the right-hand side b + shift.
+def _newton(lp: ValidatedLP, log_s, mu: float, y0, shift, laplacian) -> PathPoint:
+    """``solve_point``'s Newton loop for the right-hand side b + shift, from the anchor's log.
 
     The shift moves the constraint to A x = b + shift, which adds
     y . shift to g and shift to its gradient; the Laplacian, the line
@@ -121,7 +126,7 @@ def _newton(lp: ValidatedLP, s, mu: float, y0, shift, laplacian) -> PathPoint:
         raise DimensionMismatchError(f"y0 has shape {y.shape}, expected ({lp.m},)")
 
     def evaluate_dual(y):
-        value, grad, x = dual_value_and_derivatives(lp, s, mu, y)
+        value, grad, x = dual_value_and_derivatives(lp, log_s, mu, y)
         return value + float(y.dot(shift)), grad + shift, x
 
     tol = 1e-10 * (float(maxr(absolute(lp.b))) + 1.0)
@@ -178,8 +183,9 @@ def flow_points(lp: ValidatedLP, x0, ts) -> list[PathPoint]:
     A x0 == b exactly the points are follow_path's, bit for bit.
     """
     offset = lp.A @ x0 - lp.b
+    log_x0 = np.log(x0)
     laplacian = laplacian_solver(lp)
-    return _sweep(lp, ts, lambda t, y0: _newton(lp, x0, t, y0, math.exp(-t) * offset, laplacian))
+    return _sweep(lp, ts, lambda t, y0: _newton(lp, log_x0, t, y0, math.exp(-t) * offset, laplacian))
 
 
 def _sweep(lp: ValidatedLP, mus, solve) -> list[PathPoint]:

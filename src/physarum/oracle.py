@@ -9,18 +9,21 @@ solutions of small square systems and can be enumerated outright:
 * directions: vertices of {r : A r = 0, sum r = 1, r >= 0}, enumerated the
   same way on the matrix A with a row of ones appended.
 
-Every block is solved by exact integer elimination on Python ints
-(_exact.solve_unique), and a basis is rejected by the signs of its integer
-numerators; Fractions are built only for the points kept. That is what
-makes this usable as a test oracle at any entry size: optimal value,
-optimal supports, and entry bounds come out exact, not approximate.
+No block is eliminated just to be rejected. One exact screen
+(_exact.feasible_bases) computes every minor of the augmented system once,
+shared between the bases that contain it, and keeps a basis only when its
+determinant is nonzero and every Cramer numerator is zero or has the
+determinant's sign. Only the kept blocks are solved by exact integer
+elimination on Python ints (_exact.solve_unique), and Fractions are built
+only for their points. That is what makes this usable as a test oracle at
+any entry size: optimal value, optimal supports, and entry bounds come out
+exact, not approximate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -66,15 +69,9 @@ class OracleResult:
 
 def _basic_solutions_exact(mat: list[list[int]], rhs: list[int]) -> list[tuple[Fraction, ...]]:
     n_cols = len(mat[0])
-    r = _exact.rank_int(mat)
     found: dict[tuple[Fraction, ...], None] = {}
-    for cols in combinations(range(n_cols), r):
-        sol = _exact.solve_unique([[row[j] for j in cols] for row in mat], rhs)
-        if sol is None:
-            continue
-        num, det = sol
-        if any(v < 0 for v in num):
-            continue
+    for cols in _exact.feasible_bases(mat, rhs):
+        num, det = _exact.solve_unique([[row[j] for j in cols] for row in mat], rhs)
         point = [Fraction(0)] * n_cols
         for j, v in zip(cols, num):
             point[j] = Fraction(v, det)

@@ -9,7 +9,6 @@ import ast
 import importlib
 import importlib.util
 import inspect
-from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +30,7 @@ from physarum import (
 )
 from physarum.cli_io import run_verification
 from tests.conftest import planted_instance
+from tests.test_exact import ref_feasible_bases
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "physarum"
@@ -168,8 +168,12 @@ def test_traces_read_the_way_the_benchmark_reads_them(simple2):
     assert max(float(np.abs(p.x - e.x).max()) for p, e in zip(path, flow.entries)) < 1e-5
 
 
-def test_oracle_solves_one_block_per_column_basis(monkeypatch):
-    """``oracle.bases_tried`` counts calls to ``_exact.solve_unique`` through the module attribute."""
+def test_oracle_solves_one_block_per_feasible_basis(monkeypatch):
+    """``oracle.bases_tried`` counts calls to ``_exact.solve_unique`` through the module attribute.
+
+    The basis screen leaves one call per basis with a nonnegative solution,
+    a vertex shared by several bases once for each.
+    """
     calls = 0
     real = _exact.solve_unique
 
@@ -181,8 +185,10 @@ def test_oracle_solves_one_block_per_column_basis(monkeypatch):
     monkeypatch.setattr(_exact, "solve_unique", counting)
     lp = planted_instance(np.random.default_rng(4), 4, 10)
     enumerate_polyhedron(lp)
+    A = lp.A_int.tolist()
     # m-column bases for the vertices, (m+1)-column bases for the rays.
-    assert calls == comb(10, 4) + comb(10, 5)
+    want = len(ref_feasible_bases(A, lp.b_int.tolist())) + len(ref_feasible_bases(A + [[1] * lp.n], [0] * lp.m + [1]))
+    assert 0 < calls == want
 
 
 def test_path_points_and_dual_evaluations_go_through_module_attributes(monkeypatch, simple2):

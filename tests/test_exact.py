@@ -2,7 +2,8 @@
 
 The references below are kept as they were: rational row reduction for
 the rank, rational Gauss-Jordan for a unique solution, the oracle's basis
-loop built on the two, and one fraction-free determinant per square
+loop built on the two (one solve per column basis, which the basis
+screen replaced), and one fraction-free determinant per square
 submatrix for the largest subdeterminant. Every kernel answer must equal
 the reference's exactly.
 """
@@ -19,6 +20,7 @@ from physarum import LinearProgram, enumerate_polyhedron, oracle, validate
 from physarum._exact import (
     MODULAR_MIN_DIM,
     PRIME,
+    feasible_bases,
     max_abs_subdeterminant,
     rank_int,
     rank_mod_prime,
@@ -90,6 +92,16 @@ def ref_basic_solutions(mat, rhs):
             point[j] = sol[k]
         found.setdefault(tuple(point))
     return sorted(found)
+
+
+def ref_feasible_bases(mat, rhs):
+    """Every basis of ref_basic_solutions' loop with a nonnegative solution, duplicates included."""
+    bases = []
+    for cols in combinations(range(len(mat[0])), ref_rank(mat)):
+        sol = ref_solve_unique([[row[j] for j in cols] for row in mat], rhs)
+        if sol is not None and all(v >= 0 for v in sol):
+            bases.append(cols)
+    return bases
 
 
 def ref_det(rows):
@@ -354,6 +366,48 @@ def test_rank_falls_back_when_prime_divides_every_maximal_minor():
 def test_solve_unique_examples(mat, rhs, want):
     assert solve_unique(mat, rhs) == want
     assert as_fractions(want) == ref_solve_unique(mat, rhs)
+
+
+@st.composite
+def screened_systems(draw):
+    """(mat, rhs) for the basis screen, beyond what a validated LP reaches.
+
+    Entries are in [-2, 2], with a few replaced by values at and beyond
+    the int64 range. Optionally a column is zeroed and the last row is
+    made a combination of earlier rows, so mat is rank deficient. The
+    right-hand side is free, or mat @ z for a nonnegative z with zeros (a
+    vertex, degenerate and shared by several bases when z has fewer
+    nonzeros than the rank), or that plus one on the last row (then
+    inconsistent whenever the last row is dependent).
+    """
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    mat = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n_cols, max_size=n_cols),
+                        min_size=n_rows, max_size=n_rows))
+    for _ in range(draw(st.integers(0, 3))):
+        mat[draw(st.integers(0, n_rows - 1))][draw(st.integers(0, n_cols - 1))] = draw(st.sampled_from(EXTREMES))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n_cols - 1))
+        for row in mat:
+            row[j] = 0
+    if n_rows > 1 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        mat[-1] = [a * x + b * y for x, y in zip(mat[0], mat[min(1, n_rows - 2)])]
+    z = draw(st.lists(st.sampled_from([0, 0, 1, 2]), min_size=n_cols, max_size=n_cols))
+    rhs = [sum(a * v for a, v in zip(row, z)) for row in mat]
+    mode = draw(st.sampled_from(["free", "vertex", "perturbed"]))
+    if mode == "free":
+        rhs = draw(st.lists(st.integers(-3, 3), min_size=n_rows, max_size=n_rows))
+    elif mode == "perturbed":
+        rhs[-1] += 1
+    return mat, rhs
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(screened_systems())
+def test_basis_screen_matches_one_rational_solve_per_basis(system):
+    mat, rhs = system
+    assert sorted(feasible_bases(mat, rhs)) == ref_feasible_bases(mat, rhs)
+    assert oracle._basic_solutions_exact(mat, rhs) == ref_basic_solutions(mat, rhs)
 
 
 def reference_result(monkeypatch, lp):

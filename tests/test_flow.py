@@ -85,7 +85,7 @@ def _entries_row_by_row(lp, x0, ts, dtype):
     cap = np.maximum(x0, default_params(lp).flux_bound) * (1.0 + 1e-6)
     entries = np.recarray(len(ts), dtype=dtype)
     for row, (t, point) in enumerate(zip(ts, entropy_path.flow_points(lp, x0, ts))):
-        x, r = point.x, rhs_log(lp, entropy_path.exponent(lp, x0, point.mu, point.y))
+        x, r = point.x, rhs_log(lp, entropy_path.exponent(lp, np.log(x0), point.mu, point.y))
         edge = lp.c * (r + 1.0)
         decay = np.exp(-t)
         resid = np.abs(lp.A @ (x - decay * x0) - (1.0 - decay) * lp.b).max()

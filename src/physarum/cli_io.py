@@ -21,7 +21,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -183,10 +183,9 @@ def cmd_solve(args) -> int:
 
 def cmd_flow(args) -> int:
     lp, start = load_problem(args.problem, args.start)
-    config = continuous_flow.FlowConfig(
-        x0=oracle_mod.start_point(lp, start), t_end=args.t_end, sample_dt=args.sample_dt,
-    )
-    trace = continuous_flow.integrate(lp, config)
+    # The grid is checked before start_point runs the exponential enumeration.
+    config = continuous_flow.FlowConfig(x0=start, t_end=args.t_end, sample_dt=args.sample_dt)
+    trace = continuous_flow.integrate(lp, replace(config, x0=oracle_mod.start_point(lp, start)))
     e = trace.entries
     if args.trace:
         rows = zip(e.t, *e.x.T, e.cost, e.energy, e.feas_residual, e.edge_potential_inf)
@@ -206,9 +205,9 @@ def cmd_flow(args) -> int:
 
 def cmd_path(args) -> int:
     lp, start = load_problem(args.problem, args.start)
-    anchor = oracle_mod.start_point(lp, start)
     if not (math.isfinite(args.mu_max) and args.mu_max >= 0.0):
         raise ValidationError(f"--mu-max must be finite and nonnegative, got {args.mu_max}")
+    anchor = oracle_mod.start_point(lp, start)
     mus = np.linspace(0.0, args.mu_max, args.points)
     points = entropy_path.follow_path(lp, anchor, mus)
     if args.trace:
@@ -279,13 +278,13 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
     identity, the flux and potential bounds, and the first-variation
     identity against random constraint-kernel directions.
     """
+    # eps and h are checked before the exact parameters and the enumeration.
+    config = discrete_solver.DiscreteConfig(eps=eps, h=h, trace_every=1, max_iters=max_iters)
     if not np.any(lp.b_int):
         return {"ok": True, "note": "zero demand vector; x = 0 is optimal", "certificate": None}
 
     params = default_params(lp)
     result = oracle_mod.enumerate_polyhedron(lp)
-
-    config = discrete_solver.DiscreteConfig(eps=eps, h=h, trace_every=1, max_iters=max_iters)
     sol, trace = discrete_solver.solve(lp, config, params=params, oracle_result=result)
     opt = result.opt
     cert = discrete_solver.certify_trace(lp, trace, opt, eps, sol.h, result.optimal_vertices[0])

@@ -14,12 +14,12 @@ the same pivot rule and gives the bytes of laplacian_solve. Nothing in
 the package calls it; it stays only because the benchmark times it.
 
 SciPy is not imported with this module, and the scipy.linalg package is
-not imported at all. The names dposv, dpotrf, dpotrs, dgeqp3 and dorgqr
-start out as stubs; the first call of any of them runs `import scipy`
-(about 0.01 s; it sets up the wheel's bundled OpenBLAS), loads SciPy's
-LAPACK extension scipy.linalg._flapack, from which scipy.linalg.lapack
-takes the same routines, and rebinds all five module globals to that
-module's routine objects. So every later call, a bound solver's included,
+not imported at all. The three names dposv, dpotrf and dpotrs start out
+as stubs; the first call of any of them runs `import scipy` (about
+0.01 s; it sets up the wheel's bundled OpenBLAS), loads SciPy's LAPACK
+extension scipy.linalg._flapack, from which scipy.linalg.lapack takes the
+same routines, and rebinds all three module globals to that module's
+routine objects. So every later call, a bound solver's included,
 reaches LAPACK through one global lookup, as an eager import would. The
 extension is registered in sys.modules under its own name: a later
 `import scipy.linalg` reuses it, and one loaded earlier is used as it is.
@@ -28,6 +28,7 @@ Importing scipy.linalg would cost about 0.2 s of CPU more per process
 in numpy and so imports numpy's lazy f2py and testing modules; a
 `physarum verify` process loads 278 modules instead of 557. The commands
 that never solve a Laplacian (`params`, `oracle`) import no SciPy at all.
+kernel_basis uses numpy's QR and loads no SciPy either.
 
 At m <= 3 call overhead, not arithmetic, sets the cost of a solve. The
 LAPACK routines take positional arguments (a keyword lower=True adds about
@@ -57,12 +58,12 @@ from .model import ValidatedLP
 PIVOT_RTOL = 1e-12
 
 
-_ROUTINES = ("dposv", "dpotrf", "dpotrs", "dgeqp3", "dorgqr")
+_ROUTINES = ("dposv", "dpotrf", "dpotrs")
 
 
 def _bind_scipy() -> None:
     """Replace the stubs below with the routines of SciPy's LAPACK extension, once."""
-    global dposv, dpotrf, dpotrs, dgeqp3, dorgqr
+    global dposv, dpotrf, dpotrs
     import scipy
 
     name = "scipy.linalg._flapack"
@@ -72,7 +73,7 @@ def _bind_scipy() -> None:
         spec = finder.find_spec(name)
         flapack = sys.modules[name] = module_from_spec(spec)
         spec.loader.exec_module(flapack)
-    dposv, dpotrf, dpotrs, dgeqp3, dorgqr = (getattr(flapack, r) for r in _ROUTINES)
+    dposv, dpotrf, dpotrs = (getattr(flapack, r) for r in _ROUTINES)
 
 
 def _stub(name: str):
@@ -84,15 +85,7 @@ def _stub(name: str):
     return first_call
 
 
-dposv, dpotrf, dpotrs, dgeqp3, dorgqr = map(_stub, _ROUTINES)
-
-
-def _lapack(routine, *args) -> list:
-    """routine's outputs without its info. A nonzero info is a rejected argument: a bug here."""
-    *out, info = routine(*args)
-    if info:
-        raise ValueError(f"{routine.__name__} rejected argument {-info}")
-    return out
+dposv, dpotrf, dpotrs = map(_stub, _ROUTINES)
 
 
 @dataclass(frozen=True)
@@ -103,7 +96,10 @@ class SpdFactorization:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve against a vector or against the columns of a matrix."""
-        return _lapack(dpotrs, self.lower, rhs, 1)[0]
+        sol, info = dpotrs(self.lower, rhs, 1)
+        if info:  # a rejected argument: a bug here
+            raise ValueError(f"dpotrs rejected argument {-info}")
+        return sol
 
 
 _FLOAT = np.dtype(float)
@@ -174,27 +170,16 @@ def laplacian_solve(lp: ValidatedLP, w, rhs: np.ndarray) -> np.ndarray:
 def kernel_basis(A: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space of A, as columns.
 
-    Uses a column-pivoted orthogonal triangularization of A transpose; the
-    trailing n - m columns of the orthogonal factor span the kernel. Raises
+    The trailing n - m columns of the orthogonal factor of a complete QR
+    factorization of A transpose span the kernel. Raises
     RankDeficientError when A does not have full row rank.
-
-    The LAPACK calls are those of scipy.linalg.qr(A.T, pivoting=True) on a
-    tall A.T, so the basis is its bytes: dgeqp3 and then dorgqr, each after
-    a workspace query (lwork = -1), dorgqr on an (n, n) buffer whose first
-    m columns hold the factor.
     """
     A = np.asarray_chkfinite(A, dtype=float)
     m, n = A.shape
     if m > n:
         raise RankDeficientError("A does not have full row rank")
-    if m == 0:
-        return np.identity(n)
-    work = _lapack(dgeqp3, A.T, -1, 0)[-1]
-    qr, _, tau, _ = _lapack(dgeqp3, A.T, int(work[0]), 0)
-    diag = np.abs(qr.diagonal())
-    if np.any(diag <= n * np.finfo(float).eps * diag.max()):
+    Q, R = np.linalg.qr(A.T, mode="complete")
+    diag = np.abs(R.diagonal())
+    if m and np.any(diag <= n * np.finfo(float).eps * diag.max()):
         raise RankDeficientError("A does not have full row rank")
-    Q = np.empty((n, n))
-    Q[:, :m] = qr
-    work = _lapack(dorgqr, Q, tau, -1, 1)[-1]
-    return _lapack(dorgqr, Q, tau, int(work[0]), 1)[0][:, m:]
+    return Q[:, m:]

@@ -464,10 +464,6 @@ FIRST_CALLS = {
         "low = lapack.dpotrf(M, lower=True)[0]\n"
         "want = low.tobytes() + lapack.dpotrs(low, b, lower=True)[0].tobytes()\n",
     ),
-    "kernel_basis": (
-        "got = linalg.kernel_basis(A)\n",
-        "want = scipy.linalg.qr(A.T, pivoting=True)[0][:, 2:]\n",
-    ),
 }
 
 
@@ -487,7 +483,7 @@ def test_first_lapack_call_matches_scipy(entry):
         "from scipy.linalg import lapack\n"
         + direct_call
         + "same = all(getattr(linalg, r) is getattr(lapack, r) for r in "
-        "('dposv', 'dpotrf', 'dpotrs', 'dgeqp3', 'dorgqr'))\n"
+        "('dposv', 'dpotrf', 'dpotrs'))\n"
         "print(np.asarray(got).tobytes() == np.asarray(want).tobytes(), same)\n"
     )
     proc = run_child(["-c", script], os.environ)
@@ -562,6 +558,8 @@ def test_log_env_var_routes_to_stderr():
     ("path --mu-max -1", 3),
     ("path --mu-max nan", 3),
     ("path --mu-max inf", 3),
+    ("verify --eps 0.7", 3),
+    ("verify --h 2", 3),
     # Grids and sample counts past numpy's array size limit.
     ("flow --t-end 1e308", 3),
     ("flow --t-end 1 --sample-dt 1e-300", 3),
@@ -578,6 +576,21 @@ def test_bad_arguments_exit_with_a_code_not_a_traceback(args, code):
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    "flow --t-end -1", "flow --sample-dt 0", "path --mu-max -1", "verify --eps 0.7", "verify --h 2",
+])
+def test_bad_numbers_are_rejected_before_the_enumeration(tmp_path, args):
+    # At n = 18, past ENUMERATION_CAP, the default start point and verify's
+    # oracle raise TooLargeError (exit 4); the bad number is reported first.
+    lp = planted_instance(np.random.default_rng(1), 5, 18)
+    path = tmp_path / "planted5x18.json"
+    path.write_text(json.dumps({"A": lp.A_int.tolist(), "b": lp.b_int.tolist(), "c": lp.c_int.tolist()}))
+    cmd, *options = args.split()
+    proc = run_cli_child([cmd, str(path), *options], os.environ)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("validation failed: ")
 
 
 def test_json_ready_sends_numpy_values_through_one_rule():

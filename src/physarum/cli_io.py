@@ -351,6 +351,12 @@ def cmd_verify(args) -> int:
                               max_iters=args.max_iters)
     report.update({"command": "verify", "name": lp.name})
     _emit(report)
+    # A run cut short by the user's cap fails the gap check like a broken
+    # invariant would; this line says which one it was.
+    if not report.get("gap_ok", True) and report["stop_reason"] == "UserCap":
+        print(f"gap not reached: the solver stopped at --max-iters {args.max_iters} with cost "
+              f"{report['cost']:.6g} against opt {report['opt']:.6g}; a larger --max-iters may reach it",
+              file=sys.stderr)
     return EXIT_OK if report["ok"] else EXIT_VERIFY
 
 

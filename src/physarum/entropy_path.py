@@ -101,7 +101,7 @@ def solve_point(lp: ValidatedLP, s, mu: float, y0=None) -> PathPoint:
     if not 0.0 <= mu < math.inf:
         raise ValidationError(f"mu must be nonnegative and finite, got {mu}")
     s = check_point(lp, s, "anchor", feasible=True)
-    return _newton(lp, np.log(s), mu, y0, np.zeros(lp.m), laplacian_solver(lp))
+    return _newton(lp, np.log(s), mu, y0, None, laplacian_solver(lp))
 
 
 def _newton(lp: ValidatedLP, log_s, mu: float, y0, shift, laplacian) -> PathPoint:
@@ -109,9 +109,12 @@ def _newton(lp: ValidatedLP, log_s, mu: float, y0, shift, laplacian) -> PathPoin
 
     The shift moves the constraint to A x = b + shift, which adds
     y . shift to g and shift to its gradient; the Laplacian, the line
-    search and the tolerance (set by b) do not depend on it. laplacian is
-    a bound ``laplacian_solver(lp)``; ``flow_points`` shares one across
-    its samples.
+    search and the tolerance (set by b) do not depend on it. A shift of
+    None is the unshifted problem A x = b: the dual evaluations are used
+    as they come, with no y . 0 or + 0 arithmetic, which is what
+    ``solve_point`` and a feasible start of ``flow_points`` solve.
+    laplacian is a bound ``laplacian_solver(lp)``; ``flow_points`` shares
+    one across its samples.
 
     At m <= 3 numpy's call overhead sets the cost of each iteration, so
     here and in the dual evaluation the maxima are np.maximum.reduce calls
@@ -125,39 +128,44 @@ def _newton(lp: ValidatedLP, log_s, mu: float, y0, shift, laplacian) -> PathPoin
     if y.shape != (lp.m,):
         raise DimensionMismatchError(f"y0 has shape {y.shape}, expected ({lp.m},)")
 
+    b, c = lp.b, lp.c
+
     def evaluate_dual(y):
         value, grad, x = dual_value_and_derivatives(lp, log_s, mu, y)
+        if shift is None:
+            return value, grad, x
         return value + float(y.dot(shift)), grad + shift, x
 
-    tol = 1e-10 * (float(maxr(absolute(lp.b))) + 1.0)
+    tol = 1e-10 * (float(maxr(absolute(b))) + 1.0)
     value, grad, x = evaluate_dual(y)
     for it in range(MAX_NEWTON_ITERS):
         if float(maxr(absolute(grad))) <= tol:
             return PathPoint(mu=float(mu), y=y, x=x, dual_value=value, newton_iters=it)
-        d = laplacian(x / lp.c, grad)
+        d = laplacian(x / c, grad)
         slope = float(grad.dot(d))
         # g is computed as y.b - c.x, so its increments are only trustworthy
         # above the cancellation noise of those two dot products; without
         # this allowance the endgame rejects exact Newton steps forever.
-        noise = 1e-13 * (abs(float(y.dot(lp.b))) + abs(float(lp.c.dot(x))) + 1.0)
+        noise = 1e-13 * (abs(float(y.dot(b))) + abs(float(c.dot(x))) + 1.0)
+        # The accepted trial point becomes the iterate as it is; y + d is
+        # y + 1.0 * d bit for bit, so the full step needs no product.
         t = 1.0
-        accepted = None
         for _ in range(MAX_BACKTRACKS):
+            trial = y + d if t == 1.0 else y + t * d
             try:
-                cand = evaluate_dual(y + t * d)
+                cand = evaluate_dual(trial)
             except DualOverflowError:
                 t *= 0.5
                 continue
             if cand[0] >= value + ARMIJO_SLOPE * t * slope - noise:
-                accepted = cand
                 break
             t *= 0.5
-        if accepted is None:
+        else:
             raise NewtonStalledError(
                 f"line search exhausted {MAX_BACKTRACKS} halvings at mu={mu}"
             )
-        y = y + t * d
-        value, grad, x = accepted
+        y = trial
+        value, grad, x = cand
     raise NewtonStalledError(f"no convergence in {MAX_NEWTON_ITERS} Newton steps at mu={mu}")
 
 
@@ -182,9 +190,11 @@ def flow_points(lp: ValidatedLP, x0, ts) -> list[PathPoint]:
     tangent predictor is unchanged. x0 must have passed check_point; where
     A x0 == b exactly the points are follow_path's, bit for bit.
     """
-    offset = lp.A @ x0 - lp.b
+    offset = lp.A.dot(x0) - lp.b
     log_x0 = np.log(x0)
     laplacian = laplacian_solver(lp)
+    if not offset.any():
+        return _sweep(lp, ts, lambda t, y0: _newton(lp, log_x0, t, y0, None, laplacian))
     return _sweep(lp, ts, lambda t, y0: _newton(lp, log_x0, t, y0, math.exp(-t) * offset, laplacian))
 
 

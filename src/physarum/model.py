@@ -200,11 +200,17 @@ def check_point(lp: ValidatedLP, x, what: str, feasible: bool = False) -> np.nda
         raise DimensionMismatchError(f"{what} must contain numbers") from exc
     if x.shape != (lp.n,):
         raise DimensionMismatchError(f"{what} has shape {x.shape}, expected ({lp.n},)")
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
+    # Every path point re-checks its anchor, so positivity and finiteness
+    # take one reduction each way: np.minimum and np.maximum propagate a
+    # NaN, which then fails both comparisons (fmin and fmax would skip it).
+    # ndarray.dot and the ufunc reductions give the bits of @ and
+    # ndarray.max() with less call overhead.
+    if not (np.minimum.reduce(x) > 0.0 and np.maximum.reduce(x) < math.inf):
         raise NonPositiveStateError(f"{what} must be strictly positive and finite")
     if feasible:
-        resid = float(np.abs(lp.A @ x - lp.b).max())
-        if resid > 1e-8 * (float(np.abs(lp.b).max()) + 1.0):
+        maxr, absolute = np.maximum.reduce, np.absolute
+        resid = float(maxr(absolute(lp.A.dot(x) - lp.b)))
+        if resid > 1e-8 * (float(maxr(absolute(lp.b))) + 1.0):
             raise InfeasibleStartError(f"{what} violates A x = b (residual {resid:.3e})")
     return x
 

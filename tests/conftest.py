@@ -1,8 +1,9 @@
-"""Shared fixtures: the three shipped instances and a random-instance factory."""
+"""Shared fixtures: the three shipped instances, instance factories and plain reference engines."""
 
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +12,21 @@ import numpy as np
 import pytest
 
 import physarum
-from physarum import LinearProgram, compute_params, enumerate_polyhedron, interior_point, rhs_log, validate
+from physarum import (
+    FlowTrace,
+    LinearProgram,
+    PathPoint,
+    compute_params,
+    default_params,
+    enumerate_polyhedron,
+    interior_point,
+    rhs_log,
+    validate,
+)
 from physarum._exact import rank_int
-from physarum.errors import NoInteriorPointError
+from physarum.entropy_path import ARMIJO_SLOPE, EXP_CAP, MAX_BACKTRACKS, MAX_NEWTON_ITERS
+from physarum.errors import DualOverflowError, NewtonStalledError, NoInteriorPointError, ValidationError
+from physarum.linalg import laplacian_solve, laplacian_solver
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
@@ -100,12 +113,17 @@ def planted_instance(rng, m, n):
 
     Drawn the way the benchmark draws its planted instances.
     """
+    return planted_with_start(rng, m, n)[0]
+
+
+def planted_with_start(rng, m, n):
+    """``planted_instance``'s draw together with its planted point x0, as floats (A x0 = b exactly)."""
     while True:
         A = rng.integers(-3, 4, size=(m, n))
         if rank_int(A.tolist()) == m:
             break
     x0 = rng.integers(1, 4, size=n)
-    return validate(LinearProgram(A=A, b=A @ x0, c=rng.integers(1, 4, size=n)))
+    return validate(LinearProgram(A=A, b=A @ x0, c=rng.integers(1, 4, size=n))), x0.astype(float)
 
 
 def planted_12x48():
@@ -183,3 +201,130 @@ def run_child(args, env):
         text=True,
         env={**env, "PYTHONPATH": package_root},
     )
+
+
+# The entropy-path engine written the plain way, as a reference that
+# integrate, flow_points and follow_path must match bit for bit: every dual
+# evaluation adds its shift (zeros for A x = b itself), the line search
+# recomputes y + t d after accepting t, and each flow row takes its
+# statistics one numpy call each. The exponent ln s + A^T y / c - mu and
+# the vector field are spelled out here rather than imported, so a change
+# to either in the package shows.
+
+
+def ref_newton(lp, log_s, mu, y0, shift, laplacian):
+    """Damped Newton ascent on the dual for A x = b + shift, from y0 (zeros when None)."""
+    y = np.zeros(lp.m) if y0 is None else np.asarray(y0, dtype=float).copy()
+
+    def evaluate_dual(y):
+        expo = log_s + lp.At.dot(y) / lp.c - mu
+        if expo.max() > EXP_CAP:
+            raise DualOverflowError("reference dual exponent past the cap")
+        x = np.exp(expo)
+        value = float(y.dot(lp.b) - lp.c.dot(x))
+        return value + float(y.dot(shift)), lp.b - lp.A.dot(x) + shift, x
+
+    tol = 1e-10 * (float(np.abs(lp.b).max()) + 1.0)
+    value, grad, x = evaluate_dual(y)
+    for it in range(MAX_NEWTON_ITERS):
+        if float(np.abs(grad).max()) <= tol:
+            return PathPoint(mu=float(mu), y=y, x=x, dual_value=value, newton_iters=it)
+        d = laplacian(x / lp.c, grad)
+        slope = float(grad.dot(d))
+        noise = 1e-13 * (abs(float(y.dot(lp.b))) + abs(float(lp.c.dot(x))) + 1.0)
+        t = 1.0
+        accepted = None
+        for _ in range(MAX_BACKTRACKS):
+            try:
+                cand = evaluate_dual(y + t * d)
+            except DualOverflowError:
+                t *= 0.5
+                continue
+            if cand[0] >= value + ARMIJO_SLOPE * t * slope - noise:
+                accepted = cand
+                break
+            t *= 0.5
+        if accepted is None:
+            raise NewtonStalledError(f"line search exhausted {MAX_BACKTRACKS} halvings at mu={mu}")
+        y = y + t * d
+        value, grad, x = accepted
+    raise NewtonStalledError(f"no convergence in {MAX_NEWTON_ITERS} Newton steps at mu={mu}")
+
+
+def ref_sweep(lp, mus, solve):
+    """solve(mu, y0) along the grid from the tangent, then the three-point extrapolation."""
+    mus = [float(m) for m in mus]
+    if not mus:
+        return []
+    if not (mus[0] >= 0.0 and mus[-1] < math.inf and all(a <= b for a, b in zip(mus, mus[1:]))):
+        raise ValidationError("the mu grid must be finite, nonnegative and nondecreasing")
+    points = [solve(mus[0], None)]
+    nodes = points[:]
+    for mu in mus[1:]:
+        last = nodes[-1]
+        if mu == last.mu:
+            y0 = last.y
+        elif len(nodes) == 1:
+            y0 = last.y + (mu - last.mu) * laplacian_solve(lp, last.x / lp.c, lp.b)
+        else:
+            y0 = 0.0
+            for j in nodes[-3:]:
+                weight = 1.0
+                for k in nodes[-3:]:
+                    if k is not j:
+                        weight *= (mu - k.mu) / (j.mu - k.mu)
+                y0 = y0 + weight * j.y
+        try:
+            point = solve(mu, y0)
+        except DualOverflowError:
+            point = solve(mu, last.y)
+        points.append(point)
+        if mu > last.mu:
+            nodes.append(point)
+    return points
+
+
+def ref_follow_path(lp, s, mus):
+    """follow_path for a feasible positive anchor s, with a fresh Laplacian solver per point."""
+    log_s = np.log(np.asarray(s, dtype=float))
+    return ref_sweep(lp, mus, lambda mu, y0: ref_newton(lp, log_s, mu, y0, np.zeros(lp.m), laplacian_solver(lp)))
+
+
+def ref_flow_points(lp, x0, ts):
+    """flow_points: each sample solves for b + e^{-t} (A x0 - b), the shift zero when x0 is feasible."""
+    offset = lp.A @ x0 - lp.b
+    log_x0 = np.log(x0)
+    laplacian = laplacian_solver(lp)
+    return ref_sweep(lp, ts, lambda t, y0: ref_newton(lp, log_x0, t, y0, math.exp(-t) * offset, laplacian))
+
+
+def ref_integrate(lp, config, params=None):
+    """integrate for a positive x0, one row per sample with its statistics one at a time."""
+    params = default_params(lp) if params is None else params
+    A, b, c = lp.A, lp.b, lp.c
+    x0 = np.asarray(config.x0, dtype=float)
+    ts = np.arange(0.0, config.t_end + 0.5 * config.sample_dt, config.sample_dt)
+    if ts[-1] < config.t_end:
+        ts = np.append(ts, config.t_end)
+    else:
+        ts[-1] = config.t_end
+    points = ref_flow_points(lp, x0, ts)
+    cap = np.maximum(x0, params.flux_bound) * (1.0 + 1e-6)
+    log_x0 = np.log(x0)
+    rows = []
+    for t, point in zip(ts, points):
+        x = point.x
+        u = log_x0 + lp.At.dot(point.y) / c - point.mu
+        r = lp.At.dot(laplacian_solve(lp, np.exp(u) / c, b)) / c - 1.0
+        edge = c * (r + 1.0)
+        decay = np.exp(-t)
+        resid = np.abs(A.dot(x - decay * x0) - (1.0 - decay) * b).max()
+        rows.append((
+            t, x, c.dot(x), (x / c).dot(edge * edge), resid, np.abs(edge).max(),
+            np.abs(x * r).max(), np.abs(r).max(), np.all(x <= cap),
+        ))
+    entries = np.array(rows, dtype=[
+        ("t", float), ("x", float, (lp.n,)), ("cost", float), ("energy", float), ("feas_residual", float),
+        ("edge_potential_inf", float), ("direction_inf", float), ("deviation_inf", float), ("x_bound_ok", bool),
+    ]).view(np.recarray)
+    return FlowTrace(entries=entries)

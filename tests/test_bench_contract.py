@@ -21,6 +21,7 @@ from physarum import (
     certified_step_search,
     certify_trace,
     compute_params,
+    continuous_flow,
     default_step,
     entropy_path,
     enumerate_polyhedron,
@@ -206,3 +207,19 @@ def test_path_points_and_dual_evaluations_go_through_module_attributes(monkeypat
     assert calls["solve_point"] == len(points) == 17
     # One evaluation at each start plus at least one per Newton step.
     assert calls["dual_value_and_derivatives"] >= len(points) + sum(p.newton_iters for p in points)
+
+
+@pytest.mark.parametrize("x0", [[0.5, 0.5], [1.0, 1.0]], ids=["feasible", "infeasible"])
+def test_integrate_reads_the_vector_field_through_the_module_attribute_once_per_sample(monkeypatch, simple2, x0):
+    """``continuous_flow.rhs_calls`` counts calls to ``rhs_log`` through the module attribute: one per sample."""
+    calls = 0
+    real = continuous_flow.rhs_log
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(continuous_flow, "rhs_log", counting)
+    trace = integrate(simple2, FlowConfig(x0=np.array(x0), t_end=4.1, sample_dt=0.25))
+    assert calls == len(trace.entries) == 18

@@ -296,8 +296,10 @@ def test_oracle_command(capsys):
 
 
 def test_verify_command(capsys):
-    rc, data = run_json(capsys, ["verify", SIMPLE2, "--samples", "40"])
-    assert rc == 0
+    rc = main(["verify", SIMPLE2, "--samples", "40"])
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert rc == 0 and captured.err == ""
     assert data["ok"] is True
     assert data["gap_ok"] is True
     assert data["certificate"]["violations"] == 0
@@ -307,9 +309,18 @@ def test_verify_command(capsys):
 
 
 def test_verify_starved_run_fails(capsys):
-    rc, data = run_json(capsys, ["verify", SIMPLE2, "--max-iters", "100"])
+    # Every check holds but the gap: the run only stopped at the user's cap,
+    # and one stderr line says so.
+    rc = main(["verify", SIMPLE2, "--max-iters", "100"])
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
     assert rc == 5
-    assert data["ok"] is False
+    assert data["ok"] is False and data["gap_ok"] is False
+    assert data["stop_reason"] == "UserCap" and data["certificate"]["violations"] == 0
+    assert captured.err == (
+        "gap not reached: the solver stopped at --max-iters 100 with cost 1.48274 against opt 1;"
+        " a larger --max-iters may reach it\n"
+    )
 
 
 EMPTY_REGION = {"A": [[1, 1]], "b": [-1], "c": [1, 1]}

@@ -6,6 +6,9 @@ import pytest
 from physarum import (
     FlowConfig,
     LinearProgram,
+    certified_step_search,
+    compute_params,
+    continuous_flow,
     entropy_path,
     follow_path,
     integrate,
@@ -13,9 +16,22 @@ from physarum import (
     solve_point,
     validate,
 )
-from physarum.entropy_path import dual_value_and_derivatives
-from physarum.errors import DualOverflowError, InfeasibleStartError, NonPositiveStateError, ValidationError
-from tests.conftest import planted_12x48
+from physarum.entropy_path import dual_value_and_derivatives, flow_points
+from physarum.errors import (
+    DualOverflowError,
+    InfeasibleStartError,
+    NonPositiveStateError,
+    NumericalError,
+    ValidationError,
+)
+from tests.conftest import (
+    planted_12x48,
+    planted_with_start,
+    random_instances,
+    ref_flow_points,
+    ref_follow_path,
+    ref_integrate,
+)
 
 
 def test_anchor_is_the_zero_parameter_point(simple2):
@@ -196,3 +212,80 @@ def test_overflowing_prediction_falls_back_to_the_previous_y(simple2, monkeypatc
     want = solve_point(simple2, s, 2.0, y0=pts[1].y)
     assert np.array_equal(pts[2].y, want.y) and np.array_equal(pts[2].x, want.x)
     assert pts[2].newton_iters == want.newton_iters
+
+
+ENGINE_CASES = ["simple2", "identity2", "triangle", *(f"random{i}" for i in range(25)),
+                "planted12x48", "planted48x192"]
+
+
+@pytest.fixture(scope="module")
+def corpus(shipped):
+    """Criterion 1's 28 instances, name -> (lp, oracle result)."""
+    out = {name: (lp, res) for name, (lp, _, res) in shipped.items()}
+    pairs = random_instances(seed=20240801, count=25, require_interior=True, skip_zero_b=True)
+    out.update((f"random{i}", pair) for i, pair in enumerate(pairs))
+    return out
+
+
+@pytest.fixture(scope="module")
+def engine_instances(corpus):
+    """The corpus with interior starts, and two planted instances with their planted points."""
+    out = {name: (lp, interior_point(res)) for name, (lp, res) in corpus.items()}
+    out["planted12x48"] = planted_12x48()
+    out["planted48x192"] = planted_with_start(np.random.default_rng(5), 48, 192)
+    return out
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the NumericalError it raised."""
+    try:
+        return fn(*args)
+    except NumericalError as exc:
+        return type(exc), str(exc)
+
+
+def same_points(got, want):
+    if not isinstance(want, list):
+        return got == want
+    return len(got) == len(want) and all(
+        np.array([g.mu, g.dual_value, g.newton_iters]).tobytes()
+        == np.array([w.mu, w.dual_value, w.newton_iters]).tobytes()
+        and g.y.tobytes() == w.y.tobytes() and g.x.tobytes() == w.x.tobytes()
+        for g, w in zip(got, want)
+    )
+
+
+def same_trace(got, want):
+    if not isinstance(want, continuous_flow.FlowTrace):
+        return got == want
+    return got.entries.dtype == want.entries.dtype and got.entries.tobytes() == want.entries.tobytes()
+
+
+@pytest.mark.parametrize("name", ENGINE_CASES)
+def test_engine_matches_the_plain_reference_bit_for_bit(engine_instances, name):
+    # The fine grid is the benchmark's. The coarse one repeats a point and
+    # extrapolates over long steps, so line searches accept t < 1; the jump
+    # to 64 overflows trial points and predictions, and on some instances
+    # ends in the same NumericalError both ways.
+    lp, x0 = engine_instances[name]
+    fine = np.arange(0.0, 40.25, 0.25)
+    for mus in (fine, [0.0, 0.5, 0.5, 1.0, 3.0, 8.0, 16.0], [0.0, 1.0, 64.0]):
+        assert same_points(outcome(follow_path, lp, x0, mus), outcome(ref_follow_path, lp, x0, mus))
+    # 1.5 x0 starts off A x = b by b / 2, so every sample carries a shift.
+    for start in (x0, 1.5 * x0):
+        assert same_points(outcome(flow_points, lp, start, fine), outcome(ref_flow_points, lp, start, fine))
+        for config in (FlowConfig(x0=start, t_end=40.0), FlowConfig(x0=start, t_end=10.1, sample_dt=0.5)):
+            assert same_trace(outcome(integrate, lp, config), outcome(ref_integrate, lp, config))
+
+
+def test_step_search_pilot_matches_the_plain_reference(corpus, monkeypatch):
+    # Criterion 1's 28 calls: the pilot's deviation and the step it gives.
+    def search_all():
+        return [certified_step_search(lp, 0.1, params=compute_params(lp), oracle_result=res)
+                for lp, res in corpus.values()]
+
+    got = search_all()
+    monkeypatch.setattr(continuous_flow, "integrate", ref_integrate)
+    want = search_all()
+    assert len(got) == 28
+    assert np.array(got).tobytes() == np.array(want).tobytes()

@@ -22,7 +22,9 @@ from physarum import (
 from physarum._exact import max_abs_subdeterminant
 from physarum.errors import (
     DimensionMismatchError,
+    InfeasibleStartError,
     NonPositiveCostError,
+    NonPositiveStateError,
     RankDeficientError,
     TooLargeError,
 )
@@ -137,6 +139,33 @@ def test_numeric_strings_are_not_numbers(simple2):
         x = check_point(simple2, point, "anchor")
         assert x.dtype == np.float64
         assert np.array_equal(x, np.asarray(point, dtype=float))
+
+
+POSITIVE = "anchor must be strictly positive and finite"
+
+
+@pytest.mark.parametrize("point, feasible, error, message", [
+    ([np.nan, 0.5], False, NonPositiveStateError, POSITIVE),
+    ([0.5, np.nan], True, NonPositiveStateError, POSITIVE),
+    ([np.inf, 0.5], False, NonPositiveStateError, POSITIVE),
+    ([0.5, -np.inf], False, NonPositiveStateError, POSITIVE),
+    ([0.0, 1.0], True, NonPositiveStateError, POSITIVE),
+    ([1.0, -0.0], False, NonPositiveStateError, POSITIVE),
+    ([1.5, -0.5], True, NonPositiveStateError, POSITIVE),
+    ([5e-324, 1.0], True, None, None),
+    ([0.5, 0.5 + 1e-6], False, None, None),
+    ([0.5, 0.5 + 1e-6], True, InfeasibleStartError, "anchor violates A x = b (residual 1.000e-06)"),
+], ids=["nan", "nan-feasible", "inf", "-inf", "zero", "-zero", "negative", "subnormal", "off-b-unchecked",
+        "off-b"])
+def test_check_point_decides_positivity_and_feasibility(simple2, point, feasible, error, message):
+    # A NaN must fail even among positive entries: fmin and fmax would skip it.
+    if error is None:
+        x = check_point(simple2, point, "anchor", feasible=feasible)
+        assert x.dtype == np.float64 and x.tobytes() == np.array(point).tobytes()
+        return
+    with pytest.raises(error) as info:
+        check_point(simple2, point, "anchor", feasible=feasible)
+    assert type(info.value) is error and str(info.value) == message
 
 
 @pytest.mark.parametrize("which, value", [("A", [["1", 1]]), ("b", [b"1"]), ("c", (1, np.str_("1")))])

@@ -9,8 +9,8 @@ PHYSARUM_LOG=debug for solver chatter).
 Exit codes: 0 success, 1 usage, 2 unreadable or malformed input,
 3 ValidationError (bad problem data, a bad argument or a bad start point),
 4 any other PhysarumError (numerical failure, including a certified step
-that underflows to 0, size limit, no interior point), 5 a verification
-check did not hold.
+that underflows to 0, size limit, no interior point) or memory exhaustion,
+5 a verification check did not hold.
 """
 
 from __future__ import annotations
@@ -169,12 +169,7 @@ def cmd_solve(args) -> int:
         )
         _write_trace_csv(args.trace, "k", lp.n, rows)
     _emit({
-        "command": "solve", "name": lp.name, "m": lp.m, "n": lp.n,
-        "eps": sol.eps, "h": sol.h, "x": sol.x, "cost": sol.cost,
-        "iterations": sol.iterations, "stop_reason": sol.stop_reason,
-        "residual_inf": sol.residual_inf,
-        "fixed_point_residual": sol.fixed_point_residual,
-        "dev_max": sol.dev_max,
+        "command": "solve", "name": lp.name, "m": lp.m, "n": lp.n, **asdict(sol),
         "trace_entries": len(trace.entries),
         "trace_file": args.trace,
     })
@@ -256,12 +251,7 @@ def cmd_params(args) -> int:
     lp, _ = load_problem(args.problem)
     params = compute_params(lp, mode=args.mode) if args.mode else default_params(lp)
     _emit({
-        "command": "params", "name": lp.name, "m": lp.m, "n": lp.n,
-        "cost_sum": params.cost_sum,
-        "subdet_max": params.subdet_max,
-        "subdet_exact": params.subdet_exact,
-        "potential_ratio_bound": params.potential_ratio_bound,
-        "flux_bound": params.flux_bound,
+        "command": "params", "name": lp.name, "m": lp.m, "n": lp.n, **asdict(params),
         "positivity_step_cap": params.positivity_step_cap,
         "certified_step": discrete_solver.default_step(params, args.eps),
         "eps": args.eps,
@@ -469,6 +459,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except PhysarumError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -19,8 +19,9 @@ The trace is one numpy record array with a row per recorded step and the
 fields k, x (shape (n,)), cost, energy and edge_potential_inf, so the
 certificate is checked column-wise rather than step by step. A recorded
 step keeps only what it already holds: x, the potentials p and the
-largest |a_i . p|. The record array is built once after the loop: k from
-the row index, and cost = c . x and energy = b . p with one ddot per row.
+largest |a_i . p|. The record array is built once after the loop, fill
+rows included: k from the row index, and cost = c . x and energy = b . p
+with one ddot per row.
 """
 
 from __future__ import annotations
@@ -160,26 +161,6 @@ def iteration_bound(cost_ratio: float, spread: float, eps: float, h: float) -> i
     return int(math.ceil(min(num / den, float(ITERATION_HARD_CAP))))
 
 
-def _grown(rec: np.ndarray, rows: int, n: int) -> np.ndarray:
-    """rec extended to hold rows trace rows, for the no-move fill.
-
-    The fill's row count comes from the iteration cap, so it can pass what
-    numpy can allocate; that raises TooLargeError rather than numpy's
-    ValueError or MemoryError. The size test counts rec's rows and the
-    trace's record array, which both live when solve returns.
-    """
-    message = (
-        f"the trace would hold {rows} rows of {n} variables, more than can be allocated; "
-        "lower max_iters or raise trace_every"
-    )
-    if rows * (rec.itemsize * rec.shape[1] + trace_dtype(n).itemsize) > np.iinfo(np.intp).max:
-        raise TooLargeError(message)
-    try:
-        return np.concatenate((rec, np.empty((rows - len(rec), rec.shape[1]))))
-    except MemoryError:
-        raise TooLargeError(message) from None
-
-
 def solve(
     lp: ValidatedLP,
     config: DiscreteConfig,
@@ -199,9 +180,10 @@ def solve(
 
     A step that cannot move x (h dev <= 2**-55, see _cannot_move) ends the
     loop at once: every later step would recompute it bit for bit, so solve
-    fills the trace rows up to the cap with it and stops there, with the
-    result and trace that running to the cap gives. The skipped steps are
-    logged at INFO. Rows that cannot be allocated raise TooLargeError.
+    stops at the cap with the result and trace that running there gives.
+    The skipped steps are logged at INFO. The trace's record array is built
+    once after the loop, the rows owed up to the cap included; rows that
+    cannot be allocated raise TooLargeError.
 
     A zero demand vector is a special case: x = 0 is optimal and the
     dynamics are never entered. A step so small that the iterates never
@@ -278,7 +260,7 @@ def solve(
     # allocated less at their peak.
     n = lp.n
     rec = np.empty((0, n + lp.m + 1))
-    rows = 0
+    rows = fill = 0
     dev_max = 0.0
     k = 0
 
@@ -311,10 +293,10 @@ def solve(
     # The same product h dev decides whether the update moves x at all. At
     # or below NO_MOVE_HDEV it is the identity in floating point
     # (_cannot_move), so every step up to the cap would recompute this one
-    # bit for bit. The loop then writes this step's trace row for each
-    # recorded k' in (k, cap], growing rec once to the exact size, and stops
-    # at the cap as running there would. The test comes after the stop
-    # tests, so a start at rest still stops at FixedPoint.
+    # bit for bit. The loop then counts the fill rows, one per recorded k'
+    # in (k, cap], which repeat this step's values, and stops at the cap as
+    # running there would. The test comes after the stop tests, so a start
+    # at rest still stops at FixedPoint.
     w = np.empty_like(x0)
     R, R_abs = np.empty((4, n)), np.empty((4, n))
     diff, rel_diff, edge, x = R
@@ -352,14 +334,7 @@ def solve(
         h_dev = h * dev
         if h_dev <= NO_MOVE_HDEV:
             if trace_every:
-                end = rows + cap // trace_every - k // trace_every
-                if end > len(rec):
-                    rec = _grown(rec, end, n)
-                    xs, ps, edges = rec[:, :n], rec[:, n:-1], rec[:, -1]
-                xs[rows:end] = x
-                ps[rows:end] = p
-                edges[rows:end] = edge_inf
-                rows = end
+                fill = cap // trace_every - k // trace_every
             logger.info(
                 "step %d cannot move x (h dev = %.3e <= 2**-55); stopping at the cap %d "
                 "without recomputing the %d identical steps up to it",
@@ -372,6 +347,19 @@ def solve(
         if not h_dev < 0.5 and minr(x) <= 0.0:
             raise PositivityLostError(f"coordinate became nonpositive at iteration {k + 1}")
         k += 1
+
+    # The fill's row count comes from the cap and can pass what numpy can
+    # allocate: that raises TooLargeError, not ValueError or MemoryError, and
+    # before the stall warning, so that the error is all a caller sees.
+    try:
+        if (rows + fill) * trace_dtype(n).itemsize > np.iinfo(np.intp).max:
+            raise MemoryError
+        entries = np.recarray(rows + fill, dtype=trace_dtype(n))
+    except MemoryError:
+        raise TooLargeError(
+            f"the trace would hold {rows + fill} rows of {n} variables, more than can be allocated; "
+            "lower max_iters or raise trace_every"
+        ) from None
 
     if k > 0 and np.array_equal(x, x0):
         logger.warning(
@@ -390,14 +378,19 @@ def solve(
     )
     # np.vecdot makes one ddot call per row, the call c.dot(x) and b.dot(p)
     # make, so each entry is that row's dot product bit for bit; a
-    # matrix-vector product (xs @ c) need not be.
-    entries = np.recarray(rows, dtype=trace_dtype(n))
-    entries.k = np.arange(rows) * trace_every
+    # matrix-vector product (xs @ c) need not be. The fill rows repeat the
+    # last step's values, as a run to the cap would record them.
+    np.multiply(np.arange(rows + fill), trace_every, entries.k)
+    head, tail = entries[:rows], entries[rows:]
     xs, ps = rec[:rows, :n], rec[:rows, n:-1]
-    entries.x = xs
-    entries.cost = np.vecdot(xs, c)
-    entries.energy = np.vecdot(ps, b)
-    entries.edge_potential_inf = rec[:rows, -1]
+    head.x = xs
+    head.cost = np.vecdot(xs, c)
+    head.energy = np.vecdot(ps, b)
+    head.edge_potential_inf = rec[:rows, -1]
+    tail.x = x
+    tail.cost = c.dot(x)
+    tail.energy = b.dot(p)
+    tail.edge_potential_inf = edge_inf
     return sol, Trace(entries=entries, h=h, eps=config.eps, trace_every=config.trace_every)
 
 
@@ -424,17 +417,20 @@ def certify_trace(lp: ValidatedLP, trace: Trace, opt: float, eps: float, h: floa
     optimal (E > (1 + eps/3) opt); one of the two always must.
     Requires a trace recorded at every step, and eps and h equal to the
     trace's own: the drop the certificate demands is the one those values
-    promise for the run that produced the trace.
+    promise for the run that produced the trace. opt must be finite and
+    positive and x_star finite and nonnegative, else ValidationError.
     """
     if trace.trace_every != 1:
         raise MissingVerifyDataError("certification needs a trace recorded at every step")
     if eps != trace.eps or h != trace.h:
         raise ValidationError(f"eps={eps!r}, h={h!r} differ from the trace's eps={trace.eps!r}, h={trace.h!r}")
-    if opt <= 0.0:
-        raise ValidationError("the optimal value must be positive to form the potential")
+    if not (0.0 < opt < math.inf):
+        raise ValidationError(f"the optimal value must be finite and positive to form the potential, got {opt!r}")
     x_star = np.asarray(x_star, dtype=float)
     if x_star.shape != (lp.n,):
         raise DimensionMismatchError(f"x_star has shape {x_star.shape}, expected ({lp.n},)")
+    if not np.all((0.0 <= x_star) & (x_star < math.inf)):
+        raise ValidationError(f"x_star must be finite and nonnegative, got {x_star.tolist()!r}")
     supp = x_star > 0.0
     w_supp = lp.c[supp] * x_star[supp]
 

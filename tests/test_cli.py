@@ -576,6 +576,11 @@ def test_log_env_var_routes_to_stderr():
     ("flow --t-end 1 --sample-dt 1e-300", 3),
     ("path --points 1000000000000000000000000000000", 1),
     ("verify --samples 1000000000000000000000000000000", 1),
+    # Within that limit but past any memory: arrays over 2**57 bytes, which
+    # the allocator refuses without touching memory.
+    ("flow --t-end 1e17", 4),
+    ("path --points 100000000000000000", 4),
+    ("verify --samples 100000000000000000", 4),
     # A step that cannot move x fills the trace up to the cap, 10**18 rows;
     # solve refuses before the trace file is opened.
     ("solve --h 1e-30 --max-iters 1000000000000000000000000000000 --trace no-such-dir/trace.csv", 4),
@@ -586,6 +591,19 @@ def test_bad_arguments_exit_with_a_code_not_a_traceback(args, code):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_an_oversized_fill_reports_one_line():
+    # The trace's rows are counted before the warning that x never left the
+    # start, so the size error is all that stderr holds.
+    proc = run_cli_child(
+        ["solve", SIMPLE2, "--h", "1e-30", "--max-iters", str(10**30), "--trace", "no-such-dir/trace.csv"],
+        os.environ,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("TooLargeError: the trace would hold ")
+    assert proc.stderr.count("\n") == 1
     assert proc.stdout == ""
 
 

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,21 @@ def test_a_fill_past_numpys_size_limit_raises_too_large(simple2):
         solve(simple2, config)
 
 
+def test_a_filled_trace_peaks_near_its_own_size():
+    # The fill is written straight into the record array: no second buffer
+    # of the same rows lives beside it.
+    planted, x0 = planted_12x48()
+    solve(planted, DiscreteConfig(start=x0, trace_every=0, max_iters=0))  # binds SciPy first
+    tracemalloc.start()
+    try:
+        _, trace = solve(planted, DiscreteConfig(start=x0, trace_every=1, max_iters=20_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.entries) == 20_001
+    assert peak <= 1.25 * trace.entries.nbytes
+
+
 def test_solve_start_validation(simple2):
     with pytest.raises(DimensionMismatchError):
         solve(simple2, DiscreteConfig(start=np.array([1.0, 1.0, 1.0])))
@@ -419,6 +435,29 @@ def test_certify_rejects_eps_or_h_other_than_the_traces(triangle):
         with pytest.raises(ValidationError):
             certify_trace(triangle, trace, 2.0, eps, step, x_star)
     assert certify_trace(triangle, trace, 2.0, 0.05, h, x_star).violations == 0
+
+
+@pytest.mark.parametrize("opt, x_star, message", [
+    (math.nan, [1.0, 0.0], "optimal value must be finite and positive"),
+    (math.inf, [1.0, 0.0], "optimal value must be finite and positive"),
+    (-math.inf, [1.0, 0.0], "optimal value must be finite and positive"),
+    (0.0, [1.0, 0.0], "optimal value must be finite and positive"),
+    (-1.0, [1.0, 0.0], "optimal value must be finite and positive"),
+    (1.0, [math.nan, 0.0], "x_star must be finite and nonnegative"),
+    (1.0, [-1.0, 0.0], "x_star must be finite and nonnegative"),
+    (1.0, [1.0, math.inf], "x_star must be finite and nonnegative"),
+    (1.0, [1.0, -0.0], None),
+])
+def test_certify_rejects_an_unsound_optimum(simple2, opt, x_star, message):
+    # A NaN or infinite opt would check no step and pass; x_star = [1, inf]
+    # would give a NaN worst margin.
+    sol, trace = solve(simple2, DiscreteConfig(eps=0.1, start=np.array([0.5, 0.5])))
+    if message is None:
+        assert certify_trace(simple2, trace, opt, 0.1, sol.h, np.array(x_star)).violations == 0
+        return
+    with pytest.raises(ValidationError, match=message) as info:
+        certify_trace(simple2, trace, opt, 0.1, sol.h, np.array(x_star))
+    assert type(info.value) is ValidationError
 
 
 def test_certify_requires_full_trace(simple2):

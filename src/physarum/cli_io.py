@@ -157,7 +157,7 @@ def cmd_solve(args) -> int:
     # Without --trace no row is written, so none is recorded.
     config = discrete_solver.DiscreteConfig(
         eps=args.eps, h=args.h, start=start,
-        max_iters=args.max_iters, trace_every=args.trace_every if args.trace else 0,
+        max_iters=args.max_iters, trace_every=args.trace_every if args.trace else 0, stop=args.stop,
     )
     sol, trace = discrete_solver.solve(lp, config)
     if args.trace:
@@ -168,12 +168,21 @@ def cmd_solve(args) -> int:
             for k, x, cost, energy, edge in zip(e.k, e.x, e.cost, e.energy, e.edge_potential_inf)
         )
         _write_trace_csv(args.trace, "k", lp.n, rows)
+    doc = asdict(sol)
+    del doc["lower_bound"]
     _emit({
-        "command": "solve", "name": lp.name, "m": lp.m, "n": lp.n, **asdict(sol),
+        "command": "solve", "name": lp.name, "m": lp.m, "n": lp.n, **doc, **_bound_keys(sol.lower_bound),
         "trace_entries": len(trace.entries),
         "trace_file": args.trace,
     })
     return EXIT_OK
+
+
+def _bound_keys(lower_bound) -> dict:
+    """A Certified stop's exact dual bound as JSON keys: its float and "p/q"; none without a bound."""
+    if lower_bound is None:
+        return {}
+    return {"lower_bound": float(lower_bound), "lower_bound_exact": str(lower_bound)}
 
 
 def cmd_flow(args) -> int:
@@ -264,12 +273,17 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
     """Solve, certify the trace, and spot-check the dynamics algebra.
 
     Returns a report dict whose "ok" field is the overall verdict. The
-    spot checks draw random feasible points and verify the energy
-    identity, the flux and potential bounds, and the first-variation
-    identity against random constraint-kernel directions.
+    solve uses the gap stop: it ends at the first step whose cost an exact
+    dual bound proves within (1 + eps) of optimal, which keeps every step
+    certify_trace checks. The bound is reported with "bound_ok", which
+    holds when it is at most the oracle's exact optimum (or when the run
+    stopped otherwise and formed none). The spot checks draw random
+    feasible points and verify the energy identity, the flux and potential
+    bounds, and the first-variation identity against random
+    constraint-kernel directions.
     """
     # eps and h are checked before the exact parameters and the enumeration.
-    config = discrete_solver.DiscreteConfig(eps=eps, h=h, trace_every=1, max_iters=max_iters)
+    config = discrete_solver.DiscreteConfig(eps=eps, h=h, trace_every=1, max_iters=max_iters, stop="gap")
     if not np.any(lp.b_int):
         return {"ok": True, "note": "zero demand vector; x = 0 is optimal", "certificate": None}
 
@@ -309,8 +323,9 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
                 identity_bad += 1
 
     gap_ok = sol.cost <= (1.0 + eps) * opt + 1e-9 * opt
+    bound_ok = sol.lower_bound is None or sol.lower_bound <= result.opt_exact
     ok = (cert.violations == 0 and energy_bad == 0 and bound_bad == 0
-          and identity_bad == 0 and gap_ok)
+          and identity_bad == 0 and gap_ok and bound_ok)
     return {
         "ok": ok,
         "eps": eps,
@@ -320,6 +335,8 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
         "cost": sol.cost,
         "opt": opt,
         "gap_ok": gap_ok,
+        "lower_bound": None, "lower_bound_exact": None, **_bound_keys(sol.lower_bound),
+        "bound_ok": bound_ok,
         "certificate": asdict(cert),
         "samples": {
             "requested": samples,
@@ -409,6 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="step size (default: the certified step)")
     p.add_argument("--max-iters", type=_int_at_least(0), default=1_000_000)
     p.add_argument("--trace-every", type=_int_at_least(0), default=1)
+    p.add_argument("--stop", choices=discrete_solver.STOP_RULES, default="fixed-point",
+                   help="run to a fixed point, or stop once an exact dual bound proves the (1 + eps) gap")
 
     p = engine("flow", cmd_flow, "integrate the continuous dynamics")
     p.add_argument("--t-end", type=float, default=40.0)

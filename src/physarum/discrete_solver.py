@@ -15,6 +15,20 @@ eps / (6 P^2) where P bounds |a_i . p / c_i - 1| over the feasible region;
 larger steps up to 1/(2P) keep the iterates positive but void the a-priori
 certificate (an a-posteriori check is still available via certify_trace).
 
+By default solve runs on to a numerical fixed point. The paper's result
+only counts steps until V(k) <= (1 + eps) opt, and certify_trace checks
+only those, so the opt-in gap stop (DiscreteConfig(stop="gap")) ends the
+run at the first step that provably gets there. Every step holds the
+Laplacian potentials p, and by weak duality
+
+    lb = b . p / max_i (a_i . p / c_i) <= opt,
+
+so c . x <= (1 + eps) lb proves the gap without knowing opt. The test is
+made in floats first and, once it holds, again exactly: the bound by
+model.dual_lower_bound over the integer data and c . x over the dyadic
+rationals of the float x. The stop changes no step, so the trajectory
+and trace are the fixed-point run's, cut short.
+
 The trace is one numpy record array with a row per recorded step and the
 fields k, x (shape (n,)), cost, energy and edge_potential_inf, so the
 certificate is checked column-wise rather than step by step. A recorded
@@ -29,7 +43,9 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -49,7 +65,7 @@ from .errors import (
 )
 from . import linalg
 from .dynamics import evaluate
-from .model import Params, ValidatedLP, check_point, default_params
+from .model import Params, ValidatedLP, check_point, default_params, dual_lower_bound
 
 logger = logging.getLogger(__name__)
 
@@ -57,6 +73,10 @@ ITERATION_HARD_CAP = 10**18
 
 # solve stops at FixedPoint once |q - x| <= FIXED_POINT_TOL (1 + |x|).
 FIXED_POINT_TOL = 1e-9
+
+# DiscreteConfig.stop: run to a fixed point, or stop once an exact dual
+# bound proves the cost within (1 + eps) of optimal (see solve).
+STOP_RULES = ("fixed-point", "gap")
 
 # A step with h dev at or below NO_MOVE_HDEV leaves x as it is (_cannot_move).
 NO_MOVE_HDEV = 2.0**-55
@@ -76,6 +96,7 @@ class DiscreteConfig:
     start: np.ndarray | None = None
     max_iters: int = 1_000_000
     trace_every: int = 1
+    stop: str = "fixed-point"
 
     def __post_init__(self):
         if not (0.0 < self.eps < 0.5):
@@ -88,6 +109,12 @@ class DiscreteConfig:
             # up (max_iters) or skip rows (trace_every).
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
                 raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
+        # The trace's k column is int64; max_iters has no such limit, as the
+        # loop stops at ITERATION_HARD_CAP.
+        if self.trace_every > np.iinfo(np.int64).max:
+            raise ValidationError(f"trace_every must be at most {np.iinfo(np.int64).max}, got {self.trace_every}")
+        if self.stop not in STOP_RULES:
+            raise ValidationError(f"stop must be one of {', '.join(STOP_RULES)}, got {self.stop!r}")
 
 
 def trace_dtype(n: int) -> np.dtype:
@@ -116,6 +143,7 @@ class Solution:
     residual_inf: float
     fixed_point_residual: float
     dev_max: float
+    lower_bound: Fraction | None = None  # the exact dual bound that proved the stop Certified
 
 
 def _cannot_move(h: float, dev: float) -> bool:
@@ -167,11 +195,23 @@ def solve(
     params: Params | None = None,
     oracle_result=None,
 ) -> tuple[Solution, Trace]:
-    """Run the damped iteration to a numerical fixed point.
+    """Run the damped iteration to a numerical fixed point, or to a proved gap.
 
     Stops at FixedPoint when |q - x| is below FIXED_POINT_TOL * (1 + |x|),
     at IterationBound when the certified worst-case count is exhausted, or
-    at UserCap when max_iters is hit first.
+    at UserCap when max_iters is hit first. With config.stop == "gap" it
+    also stops at Certified, tested after FixedPoint and before the cap,
+    once c . x <= (1 + eps) lb for the weak-duality bound
+    lb = b . p / max_i (a_i . p / c_i) of the step's potentials p; the
+    Solution then carries lb as an exact Fraction in lower_bound (None
+    for every other stop). The test is made in floats first, from the p
+    and A^T p the step already holds, and only when it holds is it made
+    exactly (model.dual_lower_bound and c . x in rationals): the exact
+    check builds Python ints and Fractions over all of A and costs more
+    than a whole step, while the float test costs a few numpy calls and
+    decides nothing on its own. A float test that the exact one refutes
+    just lets the run go on. The stop moves no step, so a gap run's
+    trace is the first rows of the fixed-point run's, bit for bit.
 
     The start must be strictly positive and satisfy A x = b, else
     check_point raises: the progress certificate and the positivity cap
@@ -290,6 +330,10 @@ def solve(
     # smallest subnormal |diff_i| / x_i is exact); otherwise, or when dev is
     # NaN or inf, min(x) is read.
     #
+    # The gap stop reads edge (A^T p), p and x and writes only its own
+    # buffer ratio, so a gap run's steps are the fixed-point run's bits;
+    # the default loop pays one test of the flag gap per step.
+    #
     # The same product h dev decides whether the update moves x at all. At
     # or below NO_MOVE_HDEV it is the identity in floating point
     # (_cannot_move), so every step up to the cap would recompute this one
@@ -303,6 +347,11 @@ def solve(
     R_flat, row_starts = R_abs.reshape(-1), np.arange(0, 4 * n, n)
     x[:] = x0
     h_arr = np.array(h)  # a 0-d array multiplies faster than a Python float
+    # The gap stop's state; ratio holds a_i . p / c_i.
+    gap = config.stop == "gap"
+    ratio, maxr, c_int = np.empty(n), np.maximum.reduce, lp.c_int.tolist()
+    one_eps, exact_one_eps = 1.0 + config.eps, 1 + Fraction(config.eps)
+    lower_bound = None
     while True:
         mul(x, inv_c, w)
         p = laplacian(w, b)
@@ -327,6 +376,13 @@ def solve(
         if fp_res <= FIXED_POINT_TOL * (1.0 + x_max):
             stop = "FixedPoint"
             break
+        if gap:
+            r = float(maxr(mul(edge, inv_c, ratio)))
+            if r > 0.0 and float(c.dot(x)) <= one_eps * (float(b.dot(p)) / r):
+                lb = dual_lower_bound(lp, p)
+                if lb is not None and sum(map(operator.mul, c_int, map(Fraction, x.tolist()))) <= exact_one_eps * lb:
+                    lower_bound, stop = lb, "Certified"
+                    break
         if k >= cap:
             stop = cap_stop
             break
@@ -374,7 +430,7 @@ def solve(
 
     sol = Solution(
         x=x.copy(), cost=float(c @ x), iterations=k, stop_reason=stop, h=h, eps=config.eps,
-        residual_inf=resid, fixed_point_residual=fp_res, dev_max=dev_max,
+        residual_inf=resid, fixed_point_residual=fp_res, dev_max=dev_max, lower_bound=lower_bound,
     )
     # np.vecdot makes one ddot call per row, the call c.dot(x) and b.dot(p)
     # make, so each entry is that row's dot product bit for bit; a

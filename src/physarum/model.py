@@ -14,7 +14,9 @@ from it come the safe step size and the a-priori bound on any flux vector.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -213,6 +215,34 @@ def check_point(lp: ValidatedLP, x, what: str, feasible: bool = False) -> np.nda
         if resid > 1e-8 * (float(maxr(absolute(lp.b))) + 1.0):
             raise InfeasibleStartError(f"{what} violates A x = b (residual {resid:.3e})")
     return x
+
+
+def dual_lower_bound(lp: ValidatedLP, y) -> Fraction | None:
+    """The exact weak-duality bound b . y / r <= opt, r = max_i a_i . y / c_i; None when r <= 0.
+
+    y / r satisfies a_i . (y / r) <= c_i for every column a_i of A, so for
+    any feasible x >= 0, b . (y / r) = sum_i x_i a_i . (y / r) <= c . x.
+    Each float of y is read as the dyadic rational it is, scaled to
+    integers over one power of two that cancels between b . y and r, and
+    every sum and comparison is made in Python ints over A_int, b_int and
+    c_int: no rounding enters the bound or the test r <= 0, and no int64
+    product can overflow. y must hold m finite numbers, else
+    DimensionMismatchError or ValidationError.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.shape != (lp.m,):
+        raise DimensionMismatchError(f"y has shape {y.shape}, expected ({lp.m},)")
+    if not np.all(np.isfinite(y)):
+        raise ValidationError(f"y must be finite, got {y.tolist()!r}")
+    ratios = [v.as_integer_ratio() for v in y.tolist()]
+    den = max(d for _, d in ratios)  # every denominator is a power of two
+    Y = [num * (den // d) for num, d in ratios]
+    # a_i . Y / c_i for every column i, compared as exact rationals.
+    r = max(Fraction(sum(map(operator.mul, col, Y)), ci)
+            for col, ci in zip(lp.A_int.T.tolist(), lp.c_int.tolist()))
+    if r <= 0:
+        return None
+    return sum(map(operator.mul, lp.b_int.tolist(), Y)) / r
 
 
 def subdet_upper_bound(A_int: np.ndarray) -> float:

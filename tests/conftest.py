@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +14,17 @@ import pytest
 
 import physarum
 from physarum import (
+    DiscreteConfig,
     FlowTrace,
     LinearProgram,
     PathPoint,
+    certified_step_search,
     compute_params,
     default_params,
     enumerate_polyhedron,
     interior_point,
     rhs_log,
+    solve,
     validate,
 )
 from physarum._exact import rank_int
@@ -61,6 +65,36 @@ def shipped(simple2, identity2, triangle):
     for name, lp in [("simple2", simple2), ("identity2", identity2), ("triangle", triangle)]:
         out[name] = (lp, compute_params(lp), enumerate_polyhedron(lp))
     return out
+
+
+# The acceptance corpus: the shipped instances and 25 random ones, all
+# solved at eps = CORPUS_EPS with a searched step.
+CORPUS_SEED = 20240801
+CORPUS_EPS = 0.1
+
+
+@pytest.fixture(scope="session")
+def corpus(shipped):
+    insts = [(name, lp, res) for name, (lp, _, res) in shipped.items()]
+    random_part = random_instances(
+        seed=CORPUS_SEED, count=25, require_interior=True, skip_zero_b=True
+    )
+    insts += [(f"random{i}", lp, res) for i, (lp, res) in enumerate(random_part)]
+    return insts
+
+
+@pytest.fixture(scope="session")
+def solve_runs(corpus):
+    """Criterion 1's 28 discrete solves; later criteria and the gap-stop tests reuse the traces."""
+    runs = []
+    t0 = time.time()
+    for name, lp, res in corpus:
+        params = compute_params(lp)
+        h, _ = certified_step_search(lp, CORPUS_EPS, params=params, oracle_result=res)
+        sol, trace = solve(lp, DiscreteConfig(eps=CORPUS_EPS, h=h), params=params, oracle_result=res)
+        runs.append({"name": name, "lp": lp, "res": res, "sol": sol, "trace": trace, "h": h, "params": params})
+    elapsed = time.time() - t0
+    return {"runs": runs, "elapsed": elapsed}
 
 
 def random_instances(

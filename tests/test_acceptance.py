@@ -13,17 +13,12 @@ under "Derived bounds in criteria 8-10":
       normalization row appended (1/D alone is false).
 """
 
-import time
-
 import numpy as np
-import pytest
 
 from physarum import (
     DiscreteConfig,
     FlowConfig,
-    certified_step_search,
     certify_trace,
-    compute_params,
     enumerate_polyhedron,
     evaluate,
     follow_path,
@@ -37,10 +32,15 @@ from physarum import (
 )
 from physarum._exact import max_abs_subdeterminant
 from physarum.linalg import kernel_basis, laplacian_solve
-from tests.conftest import gap_decay_rate, planted_12x48, rand_positive, random_instances, rk45_flow
-
-SEED = 20240801
-EPS = 0.1
+from tests.conftest import (
+    CORPUS_EPS as EPS,
+    CORPUS_SEED as SEED,
+    gap_decay_rate,
+    planted_12x48,
+    rand_positive,
+    random_instances,
+    rk45_flow,
+)
 
 
 def record(capsys, number, ok, detail=""):
@@ -48,30 +48,6 @@ def record(capsys, number, ok, detail=""):
         suffix = f"  ({detail})" if detail else ""
         print(f"CRITERION {number}: {'PASS' if ok else 'FAIL'}{suffix}")
     return ok
-
-
-@pytest.fixture(scope="module")
-def corpus(shipped):
-    insts = [(name, lp, res) for name, (lp, _, res) in shipped.items()]
-    random_part = random_instances(
-        seed=SEED, count=25, require_interior=True, skip_zero_b=True
-    )
-    insts += [(f"random{i}", lp, res) for i, (lp, res) in enumerate(random_part)]
-    return insts
-
-
-@pytest.fixture(scope="module")
-def solve_runs(corpus):
-    """Criterion 1's 28 discrete solves; later criteria reuse the traces."""
-    runs = []
-    t0 = time.time()
-    for name, lp, res in corpus:
-        params = compute_params(lp)
-        h, _ = certified_step_search(lp, EPS, params=params, oracle_result=res)
-        sol, trace = solve(lp, DiscreteConfig(eps=EPS, h=h), params=params, oracle_result=res)
-        runs.append({"name": name, "lp": lp, "res": res, "sol": sol, "trace": trace, "h": h})
-    elapsed = time.time() - t0
-    return {"runs": runs, "elapsed": elapsed}
 
 
 def test_criterion_01_oracle_agreement(solve_runs, capsys):

@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import json
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,19 @@ def test_solve_records_steps_only_for_a_trace_file(capsys, tmp_path, monkeypatch
     assert data["trace_entries"] == (len(trace.read_text().splitlines()) - 1 if recorded else 0)
 
 
+def test_solve_gap_stop_prints_its_exact_bound(capsys):
+    rc, data = run_json(capsys, ["solve", SIMPLE2, "--stop", "gap"])
+    assert rc == 0
+    assert data["stop_reason"] == "Certified" and data["iterations"] == 3654
+    assert Fraction(data["lower_bound_exact"]) <= Fraction("1")
+    assert data["lower_bound"] == float(Fraction(data["lower_bound_exact"]))
+    assert data["cost"] <= 1.1 * data["lower_bound"]
+    # Without a bound the keys are left out, so the default output is unchanged.
+    rc, data = run_json(capsys, ["solve", SIMPLE2])
+    assert rc == 0 and data["stop_reason"] == "FixedPoint"
+    assert "lower_bound" not in data and "lower_bound_exact" not in data
+
+
 def test_solve_explicit_start_flag(capsys):
     rc, data = run_json(capsys, ["solve", IDENTITY2, "--start", "2,3"])
     assert rc == 0
@@ -306,6 +320,20 @@ def test_verify_command(capsys):
     assert data["samples"]["checked"] == 40
     assert data["samples"]["bound_failures"] == 0
     assert data["samples"]["energy_identity_failures"] == 0
+    assert data["stop_reason"] == "Certified"
+    assert data["bound_ok"] is True and Fraction(data["lower_bound_exact"]) <= 1
+
+
+def test_verify_fails_when_the_dual_bound_passes_the_optimum(capsys, monkeypatch, shipped):
+    # A bound above the exact optimum is an unsound certificate, whatever the gap says.
+    too_high = shipped["simple2"][2].opt_exact + 1
+    monkeypatch.setattr(discrete_solver, "dual_lower_bound", lambda lp, y: too_high)
+    rc = main(["verify", SIMPLE2, "--samples", "10"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 5
+    assert data["ok"] is False and data["bound_ok"] is False
+    assert data["stop_reason"] == "Certified" and data["lower_bound_exact"] == "2"
+    assert data["gap_ok"] is True and data["certificate"]["violations"] == 0
 
 
 def test_verify_starved_run_fails(capsys):
@@ -566,6 +594,9 @@ def test_log_env_var_routes_to_stderr():
     ("flow --sample-dt inf", 3),
     ("solve --max-iters -1", 1),
     ("solve --trace-every -1", 1),
+    # Past the int64 range of the trace's k column.
+    ("solve --trace no-such-dir/trace.csv --trace-every 1000000000000000000000000000000", 3),
+    ("solve --stop bogus", 1),
     ("path --mu-max -1", 3),
     ("path --mu-max nan", 3),
     ("path --mu-max inf", 3),

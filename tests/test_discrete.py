@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,8 +45,8 @@ from physarum.errors import (
     TooLargeError,
     ValidationError,
 )
-from physarum.linalg import spd_factor
-from physarum.model import check_point, default_params
+from physarum.linalg import laplacian_solve, spd_factor
+from physarum.model import check_point, default_params, dual_lower_bound
 from tests.conftest import overflowing_instance, planted_12x48, random_instances
 
 
@@ -66,6 +67,18 @@ def test_config_validation():
                 DiscreteConfig(**{name: bad})
         for good in (0, 7, np.int64(7)):
             assert getattr(DiscreteConfig(**{name: good}), name) == good
+
+
+def test_config_rejects_an_unknown_stop_and_a_trace_every_past_int64():
+    # The trace's k column is int64: a larger trace_every raised OverflowError
+    # when the record array was built.
+    with pytest.raises(ValidationError, match="trace_every"):
+        DiscreteConfig(trace_every=2**63)
+    assert DiscreteConfig(trace_every=2**63 - 1).trace_every == 2**63 - 1
+    for bad in ("bogus", "Gap", None):
+        with pytest.raises(ValidationError, match="stop"):
+            DiscreteConfig(stop=bad)
+    assert DiscreteConfig().stop == "fixed-point"
 
 
 def test_default_step_simple2(simple2):
@@ -728,3 +741,69 @@ def test_the_step_and_newton_loops_pass_out_positionally_and_call_no_max_method(
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "max":
                 found.append((where, node.lineno, ".max()"))
     assert found == []
+
+
+def assert_gap_run_is_a_prefix(lp, config, params, res, sol, trace):
+    """Solve again with the gap stop and check it against the fixed-point run (sol, trace).
+
+    The gap run must be that run cut short: its trace the first rows of
+    trace byte for byte, its x the row it stopped at, and its certificate
+    the same. A Certified stop carries an exact bound at most opt whose
+    (1 + eps) multiple covers the exact cost of x. Returns the gap run's Solution.
+    """
+    gap_sol, gap_trace = solve(lp, dataclasses.replace(config, stop="gap"), params=params, oracle_result=res)
+    k = gap_sol.iterations
+    assert k <= sol.iterations
+    assert gap_trace.entries.tobytes() == trace.entries[:k + 1].tobytes()
+    assert gap_sol.x.tobytes() == trace.entries.x[k].tobytes()
+    x_star = res.optimal_vertices[0]
+    assert (certify_trace(lp, gap_trace, res.opt, config.eps, gap_sol.h, x_star)
+            == certify_trace(lp, trace, res.opt, config.eps, sol.h, x_star))
+    if gap_sol.stop_reason == "Certified":
+        exact_cost = sum(Fraction(int(ci)) * Fraction(v) for ci, v in zip(lp.c_int, gap_sol.x.tolist()))
+        assert gap_sol.lower_bound <= res.opt_exact
+        assert exact_cost <= (1 + Fraction(config.eps)) * gap_sol.lower_bound
+    else:
+        assert (gap_sol.stop_reason, gap_sol.lower_bound, k) == (sol.stop_reason, None, sol.iterations)
+    return gap_sol
+
+
+def test_the_gap_stop_cuts_the_corpus_runs_short_and_moves_no_step(solve_runs):
+    # Criterion 1's runs, reused: only the gap runs, at most a tenth as long, are paid for here.
+    stops = []
+    for run in solve_runs["runs"]:
+        config = DiscreteConfig(eps=run["sol"].eps, h=run["h"])
+        gap_sol = assert_gap_run_is_a_prefix(
+            run["lp"], config, run["params"], run["res"], run["sol"], run["trace"])
+        stops.append(gap_sol.stop_reason)
+    # identity2 starts at rest; every other run proves its gap.
+    assert stops.count("FixedPoint") == 1 and stops.count("Certified") == 27
+
+
+def test_the_gap_stop_cuts_the_verify_runs_short_and_moves_no_step(shipped):
+    # verify's runs: the certified step from the oracle's interior point.
+    iterations = {}
+    for name, (lp, params, res) in shipped.items():
+        config = DiscreteConfig(eps=0.1)
+        sol, trace = solve(lp, config, params=params, oracle_result=res)
+        gap_sol = assert_gap_run_is_a_prefix(lp, config, params, res, sol, trace)
+        iterations[name] = (gap_sol.stop_reason, gap_sol.iterations, sol.iterations)
+    assert iterations == {
+        "simple2": ("Certified", 3654, 36453),
+        "identity2": ("FixedPoint", 0, 0),
+        "triangle": ("Certified", 7968, 121171),
+    }
+
+
+def test_dual_bounds_along_the_corpus_traces_stay_below_the_optimum(solve_runs):
+    # The potentials at every 500th recorded x of criterion 1's traces.
+    # b . p = p^T A W A^T p > 0 and b . p = sum_i x_i a_i . p, so some
+    # a_i . p is positive and every point forms a bound.
+    checked = 0
+    for run in solve_runs["runs"]:
+        lp, opt = run["lp"], run["res"].opt_exact
+        for x in run["trace"].entries.x[::500]:
+            lb = dual_lower_bound(lp, laplacian_solve(lp, x / lp.c, lp.b))
+            assert lb is not None and lb <= opt, (run["name"], lb, opt)
+            checked += 1
+    assert checked > 2000

@@ -1,6 +1,7 @@
 """Validation and certified-constant computation."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,8 +28,9 @@ from physarum.errors import (
     NonPositiveStateError,
     RankDeficientError,
     TooLargeError,
+    ValidationError,
 )
-from physarum.model import check_point, subdet_upper_bound
+from physarum.model import check_point, dual_lower_bound, subdet_upper_bound
 from tests.conftest import planted_instance
 
 
@@ -256,3 +258,66 @@ def test_subdet_bound_dominates_exact(rows):
     mat = np.array(rows)
     exact = float(max_abs_subdeterminant(mat.tolist()))
     assert subdet_upper_bound(mat) >= exact - 1e-9
+
+
+def reference_dual_bound(lp, y):
+    """b . y / max_i (a_i . y / c_i) in Fractions made straight from the floats; None when the max is <= 0."""
+    ys = [Fraction(v) for v in y]
+    r = max(sum(Fraction(int(a)) * v for a, v in zip(col, ys)) / int(ci) for col, ci in zip(lp.A_int.T, lp.c_int))
+    return None if r <= 0 else sum(Fraction(int(bi)) * v for bi, v in zip(lp.b_int, ys)) / r
+
+
+def two_rows(b, c):
+    # Columns e_1, e_2 and e_1 + e_2.
+    return validate(LinearProgram.from_lists([[1, 0, 1], [0, 1, 1]], b, c))
+
+
+def test_dual_bound_scales_a_y_that_breaks_a_constraint():
+    # opt = 5 at x = (2, 3, 0). y = (1, 4) has a_2 . y = 4 > c_2 = 1 and
+    # b . y = 14 > opt; dividing by r = 4 gives a feasible dual.
+    lp = two_rows([2, 3], [1, 1, 3])
+    lb = dual_lower_bound(lp, [1.0, 4.0])
+    assert lb == Fraction(7, 2) == reference_dual_bound(lp, [1.0, 4.0])
+    assert lb <= 5
+    # A feasible dual is taken as it is: y = (1, 1) is optimal.
+    assert dual_lower_bound(lp, [1.0, 1.0]) == 5
+
+
+@pytest.mark.parametrize("y", [[-1.0, -2.0], [0.0, 0.0], [-0.0, -5e-324]])
+def test_dual_bound_is_none_when_no_column_is_positive(y):
+    assert dual_lower_bound(two_rows([2, 3], [1, 1, 3]), y) is None
+
+
+def test_dual_bound_may_be_negative():
+    # Columns give 1, -1 and 0, so r = 1 and the bound is b . y = -1.
+    assert dual_lower_bound(two_rows([2, 3], [1, 1, 3]), [1.0, -1.0]) == -1
+
+
+@pytest.mark.parametrize("y", [[2.0**-1074, 1e300], [1e300, 2.0**-1074], [5e-324, 5e-324], [1e300, -1e300]])
+def test_dual_bound_reads_extreme_floats_exactly(y):
+    lp = two_rows([3, 1], [1, 1, 1])
+    lb = dual_lower_bound(lp, y)
+    assert lb == reference_dual_bound(lp, y)
+    if y == [2.0**-1074, 1e300]:
+        # (1e300 + 3 t) / (1e300 + t) for t = 2**-1074: above 1 by about
+        # 2 t / 1e300, which every float evaluation rounds away.
+        assert lb > 1 and float(lb) == 1.0
+        assert lb - 1 == Fraction(2 * 2**-1074) / (Fraction(1e300) + Fraction(2**-1074))
+
+
+@pytest.mark.parametrize("y", [[1.0], [3.0], [1e300], [2.0**-1074]])
+def test_dual_bound_of_int64_limit_entries_does_not_overflow(y):
+    # a . y and b . y pass the int64 range; the sums are made in Python ints.
+    top = 2**63 - 1
+    lp = validate(LinearProgram.from_lists([[top, 2**62]], [top], [top, 1]))
+    lb = dual_lower_bound(lp, y)
+    # opt = top / 2**62 at x = (0, top / 2**62), and y > 0 proves it.
+    assert lb == reference_dual_bound(lp, y) == Fraction(top, 2**62)
+
+
+def test_dual_bound_rejects_a_bad_y(simple2):
+    with pytest.raises(DimensionMismatchError):
+        dual_lower_bound(simple2, [1.0, 1.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            dual_lower_bound(simple2, [bad])

@@ -157,7 +157,7 @@ def cmd_solve(args) -> int:
     # Without --trace no row is written, so none is recorded.
     config = discrete_solver.DiscreteConfig(
         eps=args.eps, h=args.h, start=start,
-        max_iters=args.max_iters, trace_every=args.trace_every if args.trace else 0, stop=args.stop,
+        max_iters=args.max_iters, trace_every=args.trace_every if args.trace else 0,
     )
     sol, trace = discrete_solver.solve(lp, config)
     if args.trace:
@@ -168,21 +168,15 @@ def cmd_solve(args) -> int:
             for k, x, cost, energy, edge in zip(e.k, e.x, e.cost, e.energy, e.edge_potential_inf)
         )
         _write_trace_csv(args.trace, "k", lp.n, rows)
+    # solve never takes the gap stop, so no dual bound is ever formed.
     doc = asdict(sol)
     del doc["lower_bound"]
     _emit({
-        "command": "solve", "name": lp.name, "m": lp.m, "n": lp.n, **doc, **_bound_keys(sol.lower_bound),
+        "command": "solve", "name": lp.name, "m": lp.m, "n": lp.n, **doc,
         "trace_entries": len(trace.entries),
         "trace_file": args.trace,
     })
     return EXIT_OK
-
-
-def _bound_keys(lower_bound) -> dict:
-    """A Certified stop's exact dual bound as JSON keys: its float and "p/q"; none without a bound."""
-    if lower_bound is None:
-        return {}
-    return {"lower_bound": float(lower_bound), "lower_bound_exact": str(lower_bound)}
 
 
 def cmd_flow(args) -> int:
@@ -272,23 +266,28 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
                      samples: int, seed: int, max_iters: int = 1_000_000) -> dict:
     """Solve, certify the trace, and spot-check the dynamics algebra.
 
-    Returns a report dict whose "ok" field is the overall verdict. The
-    solve uses the gap stop: it ends at the first step whose cost an exact
-    dual bound proves within (1 + eps) of optimal, which keeps every step
-    certify_trace checks. The bound is reported with "bound_ok", which
-    holds when it is at most the oracle's exact optimum (or when the run
-    stopped otherwise and formed none). The spot checks draw random
-    feasible points and verify the energy identity, the flux and potential
-    bounds, and the first-variation identity against random
+    Returns a report dict whose "ok" field is the overall verdict. At or
+    below the certified step the solve uses the gap stop: it ends at the
+    first step whose cost an exact dual bound proves within (1 + eps) of
+    optimal, so the certificate covers the steps up to that stop. Nothing
+    proves that the cost stays there after it, and above the certified
+    step the potential argument is gone too, so with such an h the solve
+    runs to the fixed point and the certificate reads every step. The
+    bound is reported with "bound_ok", which holds when it is at most the
+    oracle's exact optimum (or when the run formed none). The spot checks
+    draw random feasible points and verify the energy identity, the flux
+    and potential bounds, and the first-variation identity against random
     constraint-kernel directions.
     """
     # eps and h are checked before the exact parameters and the enumeration.
-    config = discrete_solver.DiscreteConfig(eps=eps, h=h, trace_every=1, max_iters=max_iters, stop="gap")
+    config = discrete_solver.DiscreteConfig(eps=eps, h=h, trace_every=1, max_iters=max_iters, gap_stop=True)
     if not np.any(lp.b_int):
         return {"ok": True, "note": "zero demand vector; x = 0 is optimal", "certificate": None}
 
     params = default_params(lp)
     result = oracle_mod.enumerate_polyhedron(lp)
+    if h is not None and h > discrete_solver.default_step(params, eps):
+        config = replace(config, gap_stop=False)
     sol, trace = discrete_solver.solve(lp, config, params=params, oracle_result=result)
     opt = result.opt
     cert = discrete_solver.certify_trace(lp, trace, opt, eps, sol.h, result.optimal_vertices[0])
@@ -335,7 +334,8 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
         "cost": sol.cost,
         "opt": opt,
         "gap_ok": gap_ok,
-        "lower_bound": None, "lower_bound_exact": None, **_bound_keys(sol.lower_bound),
+        "lower_bound": None if sol.lower_bound is None else float(sol.lower_bound),
+        "lower_bound_exact": None if sol.lower_bound is None else str(sol.lower_bound),
         "bound_ok": bound_ok,
         "certificate": asdict(cert),
         "samples": {
@@ -426,8 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="step size (default: the certified step)")
     p.add_argument("--max-iters", type=_int_at_least(0), default=1_000_000)
     p.add_argument("--trace-every", type=_int_at_least(0), default=1)
-    p.add_argument("--stop", choices=discrete_solver.STOP_RULES, default="fixed-point",
-                   help="run to a fixed point, or stop once an exact dual bound proves the (1 + eps) gap")
 
     p = engine("flow", cmd_flow, "integrate the continuous dynamics")
     p.add_argument("--t-end", type=float, default=40.0)

@@ -16,10 +16,10 @@ larger steps up to 1/(2P) keep the iterates positive but void the a-priori
 certificate (an a-posteriori check is still available via certify_trace).
 
 By default solve runs on to a numerical fixed point. The paper's result
-only counts steps until V(k) <= (1 + eps) opt, and certify_trace checks
-only those, so the opt-in gap stop (DiscreteConfig(stop="gap")) ends the
-run at the first step that provably gets there. Every step holds the
-Laplacian potentials p, and by weak duality
+counts steps until V(k) <= (1 + eps) opt, so the opt-in gap stop
+(DiscreteConfig(gap_stop=True)) ends the run at the first step that
+provably gets there. Every step holds the Laplacian potentials p, and by
+weak duality
 
     lb = b . p / max_i (a_i . p / c_i) <= opt,
 
@@ -27,7 +27,10 @@ so c . x <= (1 + eps) lb proves the gap without knowing opt. The test is
 made in floats first and, once it holds, again exactly: the bound by
 model.dual_lower_bound over the integer data and c . x over the dyadic
 rationals of the float x. The stop changes no step, so the trajectory
-and trace are the fixed-point run's, cut short.
+and trace are the fixed-point run's, cut short. certify_trace then reads
+the steps up to the stop; nothing here proves that the cost, once within
+(1 + eps) opt, stays there, so a later step the full run would check is
+not checked.
 
 The trace is one numpy record array with a row per recorded step and the
 fields k, x (shape (n,)), cost, energy and edge_potential_inf, so the
@@ -74,10 +77,6 @@ ITERATION_HARD_CAP = 10**18
 # solve stops at FixedPoint once |q - x| <= FIXED_POINT_TOL (1 + |x|).
 FIXED_POINT_TOL = 1e-9
 
-# DiscreteConfig.stop: run to a fixed point, or stop once an exact dual
-# bound proves the cost within (1 + eps) of optimal (see solve).
-STOP_RULES = ("fixed-point", "gap")
-
 # A step with h dev at or below NO_MOVE_HDEV leaves x as it is (_cannot_move).
 NO_MOVE_HDEV = 2.0**-55
 
@@ -96,7 +95,7 @@ class DiscreteConfig:
     start: np.ndarray | None = None
     max_iters: int = 1_000_000
     trace_every: int = 1
-    stop: str = "fixed-point"
+    gap_stop: bool = False  # stop once an exact dual bound proves the (1 + eps) gap (see solve)
 
     def __post_init__(self):
         if not (0.0 < self.eps < 0.5):
@@ -113,8 +112,8 @@ class DiscreteConfig:
         # loop stops at ITERATION_HARD_CAP.
         if self.trace_every > np.iinfo(np.int64).max:
             raise ValidationError(f"trace_every must be at most {np.iinfo(np.int64).max}, got {self.trace_every}")
-        if self.stop not in STOP_RULES:
-            raise ValidationError(f"stop must be one of {', '.join(STOP_RULES)}, got {self.stop!r}")
+        if not isinstance(self.gap_stop, bool):
+            raise ValidationError(f"gap_stop must be a bool, got {self.gap_stop!r}")
 
 
 def trace_dtype(n: int) -> np.dtype:
@@ -199,7 +198,7 @@ def solve(
 
     Stops at FixedPoint when |q - x| is below FIXED_POINT_TOL * (1 + |x|),
     at IterationBound when the certified worst-case count is exhausted, or
-    at UserCap when max_iters is hit first. With config.stop == "gap" it
+    at UserCap when max_iters is hit first. With config.gap_stop it
     also stops at Certified, tested after FixedPoint and before the cap,
     once c . x <= (1 + eps) lb for the weak-duality bound
     lb = b . p / max_i (a_i . p / c_i) of the step's potentials p; the
@@ -348,7 +347,7 @@ def solve(
     x[:] = x0
     h_arr = np.array(h)  # a 0-d array multiplies faster than a Python float
     # The gap stop's state; ratio holds a_i . p / c_i.
-    gap = config.stop == "gap"
+    gap = config.gap_stop
     ratio, maxr, c_int = np.empty(n), np.maximum.reduce, lp.c_int.tolist()
     one_eps, exact_one_eps = 1.0 + config.eps, 1 + Fraction(config.eps)
     lower_bound = None

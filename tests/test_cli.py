@@ -179,19 +179,6 @@ def test_solve_records_steps_only_for_a_trace_file(capsys, tmp_path, monkeypatch
     assert data["trace_entries"] == (len(trace.read_text().splitlines()) - 1 if recorded else 0)
 
 
-def test_solve_gap_stop_prints_its_exact_bound(capsys):
-    rc, data = run_json(capsys, ["solve", SIMPLE2, "--stop", "gap"])
-    assert rc == 0
-    assert data["stop_reason"] == "Certified" and data["iterations"] == 3654
-    assert Fraction(data["lower_bound_exact"]) <= Fraction("1")
-    assert data["lower_bound"] == float(Fraction(data["lower_bound_exact"]))
-    assert data["cost"] <= 1.1 * data["lower_bound"]
-    # Without a bound the keys are left out, so the default output is unchanged.
-    rc, data = run_json(capsys, ["solve", SIMPLE2])
-    assert rc == 0 and data["stop_reason"] == "FixedPoint"
-    assert "lower_bound" not in data and "lower_bound_exact" not in data
-
-
 def test_solve_explicit_start_flag(capsys):
     rc, data = run_json(capsys, ["solve", IDENTITY2, "--start", "2,3"])
     assert rc == 0
@@ -320,8 +307,24 @@ def test_verify_command(capsys):
     assert data["samples"]["checked"] == 40
     assert data["samples"]["bound_failures"] == 0
     assert data["samples"]["energy_identity_failures"] == 0
-    assert data["stop_reason"] == "Certified"
+    assert data["stop_reason"] == "Certified" and data["iterations"] == 3654
     assert data["bound_ok"] is True and Fraction(data["lower_bound_exact"]) <= 1
+    assert data["lower_bound"] == float(Fraction(data["lower_bound_exact"]))
+    assert data["cost"] <= 1.1 * data["lower_bound"]
+
+
+def test_verify_above_the_certified_step_runs_to_the_fixed_point(capsys):
+    # simple2's certified step is 1/960: above it nothing bounds the cost
+    # after the gap stop, so the run and the certificate go on to the end.
+    rc, solved = run_json(capsys, ["solve", SIMPLE2, "--h", "0.01"])
+    assert rc == 0 and solved["stop_reason"] == "FixedPoint"
+    assert "lower_bound" not in solved
+    rc = main(["verify", SIMPLE2, "--h", "0.01", "--samples", "10"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 0 and data["ok"] is True
+    assert (data["stop_reason"], data["iterations"]) == ("FixedPoint", solved["iterations"])
+    assert data["certificate"]["steps_checked"] > 0
+    assert data["lower_bound"] is None and data["lower_bound_exact"] is None and data["bound_ok"] is True
 
 
 def test_verify_fails_when_the_dual_bound_passes_the_optimum(capsys, monkeypatch, shipped):
@@ -596,7 +599,6 @@ def test_log_env_var_routes_to_stderr():
     ("solve --trace-every -1", 1),
     # Past the int64 range of the trace's k column.
     ("solve --trace no-such-dir/trace.csv --trace-every 1000000000000000000000000000000", 3),
-    ("solve --stop bogus", 1),
     ("path --mu-max -1", 3),
     ("path --mu-max nan", 3),
     ("path --mu-max inf", 3),

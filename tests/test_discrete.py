@@ -69,16 +69,16 @@ def test_config_validation():
             assert getattr(DiscreteConfig(**{name: good}), name) == good
 
 
-def test_config_rejects_an_unknown_stop_and_a_trace_every_past_int64():
+def test_config_rejects_a_non_bool_gap_stop_and_a_trace_every_past_int64():
     # The trace's k column is int64: a larger trace_every raised OverflowError
     # when the record array was built.
     with pytest.raises(ValidationError, match="trace_every"):
         DiscreteConfig(trace_every=2**63)
     assert DiscreteConfig(trace_every=2**63 - 1).trace_every == 2**63 - 1
-    for bad in ("bogus", "Gap", None):
-        with pytest.raises(ValidationError, match="stop"):
-            DiscreteConfig(stop=bad)
-    assert DiscreteConfig().stop == "fixed-point"
+    for bad in ("gap", 1, None):
+        with pytest.raises(ValidationError, match="gap_stop"):
+            DiscreteConfig(gap_stop=bad)
+    assert DiscreteConfig().gap_stop is False
 
 
 def test_default_step_simple2(simple2):
@@ -751,7 +751,7 @@ def assert_gap_run_is_a_prefix(lp, config, params, res, sol, trace):
     the same. A Certified stop carries an exact bound at most opt whose
     (1 + eps) multiple covers the exact cost of x. Returns the gap run's Solution.
     """
-    gap_sol, gap_trace = solve(lp, dataclasses.replace(config, stop="gap"), params=params, oracle_result=res)
+    gap_sol, gap_trace = solve(lp, dataclasses.replace(config, gap_stop=True), params=params, oracle_result=res)
     k = gap_sol.iterations
     assert k <= sol.iterations
     assert gap_trace.entries.tobytes() == trace.entries[:k + 1].tobytes()

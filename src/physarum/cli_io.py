@@ -274,7 +274,8 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
     step the potential argument is gone too, so with such an h the solve
     runs to the fixed point and the certificate reads every step. The
     bound is reported with "bound_ok", which holds when it is at most the
-    oracle's exact optimum (or when the run formed none). The spot checks
+    oracle's exact optimum (or when the run formed none), next to x's
+    residual max |A x - b| as "residual_inf". The spot checks
     draw random feasible points and verify the energy identity, the flux
     and potential bounds, and the first-variation identity against random
     constraint-kernel directions.
@@ -336,6 +337,7 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
         "gap_ok": gap_ok,
         "lower_bound": None if sol.lower_bound is None else float(sol.lower_bound),
         "lower_bound_exact": None if sol.lower_bound is None else str(sol.lower_bound),
+        "residual_inf": sol.residual_inf,
         "bound_ok": bound_ok,
         "certificate": asdict(cert),
         "samples": {

@@ -80,8 +80,8 @@ FIXED_POINT_TOL = 1e-9
 # A step with h dev at or below NO_MOVE_HDEV leaves x as it is (_cannot_move).
 NO_MOVE_HDEV = 2.0**-55
 
-# certified_step_search samples its pilot flow up to PILOT_T_END and
-# inflates the deviation it measures by STEP_SAFETY.
+# certified_step_search samples its pilot flow over windows up to
+# PILOT_T_END and inflates the deviation it measures by STEP_SAFETY.
 PILOT_T_END = 40.0
 STEP_SAFETY = 1.3
 
@@ -526,32 +526,56 @@ def certified_step_search(
 
     The guaranteed step divides eps by six times the square of a worst-case
     potential bound, which is wildly pessimistic on most instances: the
-    progress argument only needs the deviation |q_i/x_i - 1| actually seen
-    along the trajectory. A pilot run of the continuous flow, sampled by
-    ``continuous_flow.integrate`` (one entropy-path Newton solve per
-    sample), measures that deviation; the returned step inflates it by
-    STEP_SAFETY and never exceeds the positivity cap. certify_trace stays
-    the arbiter. The pilot starts at the oracle's interior point; a pilot
-    that fails with a NumericalError falls back to the worst-case step.
+    progress argument only needs the deviation dev = max |q_i/x_i - 1|
+    where certify_trace reads it, at the steps whose cost is still above
+    (1 + eps) opt. A pilot run of the continuous flow from the oracle's
+    interior point, sampled by ``continuous_flow.integrate`` (one
+    entropy-path Newton solve per sample), measures dev there; the
+    returned step eps / (6 (STEP_SAFETY dev)^2) never falls below the
+    worst-case step or exceeds the positivity cap. certify_trace stays the
+    arbiter.
 
-    Returns the step together with the measured deviation. A step of 0
-    (P beyond the float range), or one too small to move the start, raises
-    StepSizeUnderflowError.
+    The pilot runs over windows t_end = 1, 2, 4, ... up to PILOT_T_END.
+    Each window starts again at t = 0, so its samples are the first
+    samples of the next window's, bit for bit. The pilot stops at the
+    first window that holds a sample of cost at most (1 + eps) opt and one
+    sample after it. From the feasible start the flow's cost does not
+    increase, so the live samples, those above the gap, are a prefix: dev
+    is the largest deviation up to and including the sample after the
+    first within the gap. A gap still open at PILOT_T_END takes dev over
+    every sample. opt comes from oracle_result, which is enumerated once
+    when None.
+
+    A window that fails with a NumericalError falls back to the
+    worst-case step and reports dev = inf. Returns the step together with
+    dev. A step of 0 (P beyond the float range), or one too small to move
+    the start, raises StepSizeUnderflowError.
     """
     if params is None:
         params = default_params(lp)
+    if oracle_result is None:
+        oracle_result = oracle_mod.enumerate_polyhedron(lp)
     pos_cap = params.positivity_step_cap
     h_auto = default_step(params, eps)
-    start = oracle_mod.start_point(lp, None, oracle_result)
+    start = oracle_mod.interior_point(oracle_result)
+    gap_cost = (1.0 + eps) * oracle_result.opt
+    t_end = 1.0
     try:
-        trace = continuous_flow.integrate(
-            lp, continuous_flow.FlowConfig(x0=start, t_end=PILOT_T_END), params=params,
-        )
+        while True:
+            e = continuous_flow.integrate(
+                lp, continuous_flow.FlowConfig(x0=start, t_end=t_end), params=params,
+            ).entries
+            within = np.flatnonzero(e.cost <= gap_cost)
+            if len(within) and within[0] + 1 < len(e):
+                e = e[:within[0] + 2]
+                break
+            if t_end == PILOT_T_END:
+                break
+            t_end = min(2.0 * t_end, PILOT_T_END)
     except NumericalError as exc:
         logger.warning("pilot integration failed (%s); falling back to the worst-case step", exc)
         h, dev, at_rest = h_auto, math.inf, False
     else:
-        e = trace.entries
         # fmax skips a NaN sample, as a running max() over the samples would.
         dev = max(1e-12, float(np.fmax.reduce(e.deviation_inf)))
         h = min(0.999 * pos_cap, max(h_auto, eps / (6.0 * (STEP_SAFETY * dev) ** 2)))

@@ -15,21 +15,25 @@ import pytest
 import physarum
 from physarum import (
     DiscreteConfig,
+    FlowConfig,
     FlowTrace,
     LinearProgram,
     PathPoint,
     certified_step_search,
     compute_params,
     default_params,
+    default_step,
     enumerate_polyhedron,
+    integrate,
     interior_point,
     rhs_log,
     solve,
     validate,
 )
 from physarum._exact import rank_int
+from physarum.discrete_solver import PILOT_T_END, STEP_SAFETY
 from physarum.entropy_path import ARMIJO_SLOPE, EXP_CAP, MAX_BACKTRACKS, MAX_NEWTON_ITERS
-from physarum.errors import DualOverflowError, NewtonStalledError, NoInteriorPointError, ValidationError
+from physarum.errors import DualOverflowError, NewtonStalledError, NoInteriorPointError, NumericalError, ValidationError
 from physarum.linalg import laplacian_solve, laplacian_solver
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
@@ -362,3 +366,22 @@ def ref_integrate(lp, config, params=None):
         ("edge_potential_inf", float), ("direction_inf", float), ("deviation_inf", float), ("x_bound_ok", bool),
     ]).view(np.recarray)
     return FlowTrace(entries=entries)
+
+
+def ref_step_search(lp, eps, params=None, oracle_result=None):
+    """certified_step_search with dev over the whole pilot to PILOT_T_END: (h, dev).
+
+    Every window of the search is a prefix of this pilot, so the search's
+    dev is at most this dev and its h at least this h. A pilot that fails
+    anywhere gives the worst-case step and dev = inf. The underflow check
+    is left out.
+    """
+    params = default_params(lp) if params is None else params
+    start = interior_point(enumerate_polyhedron(lp) if oracle_result is None else oracle_result)
+    h_auto = default_step(params, eps)
+    try:
+        e = integrate(lp, FlowConfig(x0=start, t_end=PILOT_T_END), params=params).entries
+    except NumericalError:
+        return h_auto, math.inf
+    dev = max(1e-12, float(np.fmax.reduce(e.deviation_inf)))
+    return min(0.999 * params.positivity_step_cap, max(h_auto, eps / (6.0 * (STEP_SAFETY * dev) ** 2))), dev

@@ -60,7 +60,8 @@ def test_criterion_01_oracle_agreement(solve_runs, capsys):
     within_budget = solve_runs["elapsed"] <= 60.0
     ok = record(
         capsys, 1, not bad and within_budget,
-        f"28 instances, {solve_runs['elapsed']:.1f}s",
+        f"28 instances, {solve_runs['elapsed']:.1f}s, "
+        f"{sum(run['sol'].iterations for run in solve_runs['runs'])} iterations",
     )
     assert ok, f"gap failures: {bad}; elapsed {solve_runs['elapsed']:.1f}s"
 

@@ -311,6 +311,8 @@ def test_verify_command(capsys):
     assert data["bound_ok"] is True and Fraction(data["lower_bound_exact"]) <= 1
     assert data["lower_bound"] == float(Fraction(data["lower_bound_exact"]))
     assert data["cost"] <= 1.1 * data["lower_bound"]
+    # The bound speaks of an x that meets A x = b only to rounding.
+    assert 0.0 <= data["residual_inf"] <= 1e-12
 
 
 def test_verify_above_the_certified_step_runs_to_the_fixed_point(capsys):

@@ -11,9 +11,10 @@ trace records as the feasibility residual (exactly zero in exact
 arithmetic, any start). So x(t) = e^{-t} x0 exp(A^T Y/c) is the
 cost-weighted entropy projection of e^{-t} x0 onto A x = b_t with
 b_t = b + e^{-t}(A x0 - b): each sample is one dual Newton solve on the
-entropy path (``entropy_path.flow_points``), started from the path's
-tangent or extrapolation, and no error builds up between samples. Where
-A x0 = b holds exactly, b_t is b and the solves are follow_path's. On
+entropy path, yielded one at a time by ``entropy_path.flow_points`` and
+started from the path's tangent or extrapolation, and no error builds up
+between samples; ``integrate`` solves them all before it builds a row.
+Where A x0 = b holds exactly, b_t is b and the solves are follow_path's. On
 feasible trajectories the cost is non-increasing and converges to the
 optimum, the gap decaying exponentially (README, criterion 8).
 
@@ -102,7 +103,7 @@ def integrate(lp: ValidatedLP, config: FlowConfig, params: Params | None = None)
         ts = np.append(ts, config.t_end)
     else:
         ts[-1] = config.t_end
-    points = entropy_path.flow_points(lp, x0, ts)
+    points = list(entropy_path.flow_points(lp, x0, ts))
 
     cap = np.maximum(x0, params.flux_bound) * (1.0 + 1e-6)
     # As in entropy_path._newton, the reductions are ufunc methods and the

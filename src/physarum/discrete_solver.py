@@ -52,7 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import continuous_flow
+from . import continuous_flow, entropy_path
 from . import oracle as oracle_mod
 from .errors import (
     BadEpsError,
@@ -80,7 +80,7 @@ FIXED_POINT_TOL = 1e-9
 # A step with h dev at or below NO_MOVE_HDEV leaves x as it is (_cannot_move).
 NO_MOVE_HDEV = 2.0**-55
 
-# certified_step_search samples its pilot flow over windows up to
+# certified_step_search samples its pilot flow in one pass up to at most
 # PILOT_T_END and inflates the deviation it measures by STEP_SAFETY.
 PILOT_T_END = 40.0
 STEP_SAFETY = 1.3
@@ -529,24 +529,22 @@ def certified_step_search(
     progress argument only needs the deviation dev = max |q_i/x_i - 1|
     where certify_trace reads it, at the steps whose cost is still above
     (1 + eps) opt. A pilot run of the continuous flow from the oracle's
-    interior point, sampled by ``continuous_flow.integrate`` (one
+    interior point, sampled every 0.25 by ``entropy_path.flow_points`` (one
     entropy-path Newton solve per sample), measures dev there; the
     returned step eps / (6 (STEP_SAFETY dev)^2) never falls below the
     worst-case step or exceeds the positivity cap. certify_trace stays the
     arbiter.
 
-    The pilot runs over windows t_end = 1, 2, 4, ... up to PILOT_T_END.
-    Each window starts again at t = 0, so its samples are the first
-    samples of the next window's, bit for bit. The pilot stops at the
-    first window that holds a sample of cost at most (1 + eps) opt and one
-    sample after it. From the feasible start the flow's cost does not
+    The pilot is one pass over t = 0, 0.25, ..., PILOT_T_END that stops
+    right after the sample following the first one of cost at most
+    (1 + eps) opt. From the feasible start the flow's cost does not
     increase, so the live samples, those above the gap, are a prefix: dev
-    is the largest deviation up to and including the sample after the
-    first within the gap. A gap still open at PILOT_T_END takes dev over
-    every sample. opt comes from oracle_result, which is enumerated once
-    when None.
+    is the largest deviation |rhs_log| up to and including that sample,
+    measured as ``continuous_flow.integrate`` measures its deviation_inf.
+    A gap still open at PILOT_T_END takes dev over every sample. opt comes
+    from oracle_result, which is enumerated once when None.
 
-    A window that fails with a NumericalError falls back to the
+    A sample that fails with a NumericalError falls back to the
     worst-case step and reports dev = inf. Returns the step together with
     dev. A step of 0 (P beyond the float range), or one too small to move
     the start, raises StepSizeUnderflowError.
@@ -559,28 +557,26 @@ def certified_step_search(
     h_auto = default_step(params, eps)
     start = oracle_mod.interior_point(oracle_result)
     gap_cost = (1.0 + eps) * oracle_result.opt
-    t_end = 1.0
+    log_start = np.log(start)
+    devs, within = [], False  # each read sample's deviation; whether the last read lies within the gap
     try:
-        while True:
-            e = continuous_flow.integrate(
-                lp, continuous_flow.FlowConfig(x0=start, t_end=t_end), params=params,
-            ).entries
-            within = np.flatnonzero(e.cost <= gap_cost)
-            if len(within) and within[0] + 1 < len(e):
-                e = e[:within[0] + 2]
+        for point in entropy_path.flow_points(lp, start, np.arange(0.0, PILOT_T_END + 0.125, 0.25)):
+            r = continuous_flow.rhs_log(lp, entropy_path.exponent(lp, log_start, point.mu, point.y))
+            if not devs:
+                # solve stops at k = 0, whatever h is, at a start that passes its FixedPoint test.
+                at_rest = np.abs(point.x * r).max() <= FIXED_POINT_TOL * (1.0 + point.x.max())
+            devs.append(np.abs(r).max())
+            # The sample after the first within the gap is the last one dev reads.
+            if within:
                 break
-            if t_end == PILOT_T_END:
-                break
-            t_end = min(2.0 * t_end, PILOT_T_END)
+            within = lp.c.dot(point.x) <= gap_cost
     except NumericalError as exc:
         logger.warning("pilot integration failed (%s); falling back to the worst-case step", exc)
         h, dev, at_rest = h_auto, math.inf, False
     else:
         # fmax skips a NaN sample, as a running max() over the samples would.
-        dev = max(1e-12, float(np.fmax.reduce(e.deviation_inf)))
+        dev = max(1e-12, float(np.fmax.reduce(devs)))
         h = min(0.999 * pos_cap, max(h_auto, eps / (6.0 * (STEP_SAFETY * dev) ** 2)))
-        # solve stops at k = 0, whatever h is, at a start that passes its FixedPoint test.
-        at_rest = e.direction_inf[0] <= FIXED_POINT_TOL * (1.0 + e.x[0].max())
     if h == 0.0 or (_cannot_move(h, dev) and not at_rest):
         raise StepSizeUnderflowError(
             f"the searched step h = {h:.3e} cannot move the start at eps = {eps}, "

@@ -29,6 +29,7 @@ tolerance as a cold solve.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,18 +178,19 @@ def follow_path(lp: ValidatedLP, s, mus) -> list[PathPoint]:
     that. A repeated mu starts from, and so reproduces, the point before
     it. A prediction whose dual overflows is retried from the previous y.
     """
-    return _sweep(lp, mus, lambda mu, y0: solve_point(lp, s, mu, y0=y0))
+    return list(_sweep(lp, mus, lambda mu, y0: solve_point(lp, s, mu, y0=y0)))
 
 
-def flow_points(lp: ValidatedLP, x0, ts) -> list[PathPoint]:
-    """The flow from a positive x0, feasible or not, at the times ts, by ``follow_path``'s sweep.
+def flow_points(lp: ValidatedLP, x0, ts) -> Iterator[PathPoint]:
+    """Yield the flow from a positive x0, feasible or not, at the times ts, by ``follow_path``'s sweep.
 
     x(t) = e^{-t} x0 exp(A^T Y(t)/c) with Y' = p, and A x(t) = b_t with
     b_t = b + e^{-t} (A x0 - b). So x(t) is the path point with anchor x0
     and mu = t for the right-hand side b_t, and Y(t) its dual point.
     Differentiating A x(t) = b_t gives (A W A^T) Y' = b again, so the
     tangent predictor is unchanged. x0 must have passed check_point; where
-    A x0 == b exactly the points are follow_path's, bit for bit.
+    A x0 == b exactly the points are follow_path's, bit for bit. Each point
+    is solved, and the grid checked, only when the iterator reaches it.
     """
     offset = lp.A.dot(x0) - lp.b
     log_x0 = np.log(x0)
@@ -198,15 +200,15 @@ def flow_points(lp: ValidatedLP, x0, ts) -> list[PathPoint]:
     return _sweep(lp, ts, lambda t, y0: _newton(lp, log_x0, t, y0, math.exp(-t) * offset, laplacian))
 
 
-def _sweep(lp: ValidatedLP, mus, solve) -> list[PathPoint]:
-    """Call solve(mu, y0) along the grid with follow_path's predicted starts."""
+def _sweep(lp: ValidatedLP, mus, solve) -> Iterator[PathPoint]:
+    """Yield solve(mu, y0) along the grid, one point at a time, from follow_path's predicted starts."""
     mus = [float(m) for m in mus]
     if not mus:
-        return []
+        return
     if not (mus[0] >= 0.0 and mus[-1] < math.inf and all(a <= b for a, b in zip(mus, mus[1:]))):
         raise ValidationError("the mu grid must be finite, nonnegative and nondecreasing")
-    points = [solve(mus[0], None)]
-    nodes = points[:]  # the solved points of distinct mu, in order
+    nodes = [solve(mus[0], None)]  # the solved points of distinct mu, in order
+    yield nodes[0]
     for mu in mus[1:]:
         last = nodes[-1]
         if mu == last.mu:
@@ -226,7 +228,6 @@ def _sweep(lp: ValidatedLP, mus, solve) -> list[PathPoint]:
             point = solve(mu, y0)
         except DualOverflowError:
             point = solve(mu, last.y)
-        points.append(point)
+        yield point
         if mu > last.mu:
             nodes.append(point)
-    return points

@@ -31,9 +31,16 @@ from physarum import (
     validate,
 )
 from physarum._exact import rank_int
-from physarum.discrete_solver import PILOT_T_END, STEP_SAFETY
+from physarum.discrete_solver import FIXED_POINT_TOL, PILOT_T_END, STEP_SAFETY, _cannot_move
 from physarum.entropy_path import ARMIJO_SLOPE, EXP_CAP, MAX_BACKTRACKS, MAX_NEWTON_ITERS
-from physarum.errors import DualOverflowError, NewtonStalledError, NoInteriorPointError, NumericalError, ValidationError
+from physarum.errors import (
+    DualOverflowError,
+    NewtonStalledError,
+    NoInteriorPointError,
+    NumericalError,
+    StepSizeUnderflowError,
+    ValidationError,
+)
 from physarum.linalg import laplacian_solve, laplacian_solver
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
@@ -371,8 +378,8 @@ def ref_integrate(lp, config, params=None):
 def ref_step_search(lp, eps, params=None, oracle_result=None):
     """certified_step_search with dev over the whole pilot to PILOT_T_END: (h, dev).
 
-    Every window of the search is a prefix of this pilot, so the search's
-    dev is at most this dev and its h at least this h. A pilot that fails
+    The search's samples are a prefix of this pilot's, so its dev is at
+    most this dev and its h at least this h. A pilot that fails
     anywhere gives the worst-case step and dev = inf. The underflow check
     is left out.
     """
@@ -385,3 +392,47 @@ def ref_step_search(lp, eps, params=None, oracle_result=None):
         return h_auto, math.inf
     dev = max(1e-12, float(np.fmax.reduce(e.deviation_inf)))
     return min(0.999 * params.positivity_step_cap, max(h_auto, eps / (6.0 * (STEP_SAFETY * dev) ** 2))), dev
+
+
+def ref_windowed_step_search(lp, eps, params=None, oracle_result=None):
+    """certified_step_search as it ran its pilot through integrate, over restarted windows: (h, dev).
+
+    Each window t_end = 1, 2, 4, ... up to PILOT_T_END starts again at
+    t = 0, so its samples are the first samples of the next window's, bit
+    for bit. The search stops at the first window holding a sample of cost
+    at most (1 + eps) opt and one sample after it, and takes dev up to and
+    including that sample. A window that fails with a NumericalError gives
+    the worst-case step and dev = inf, also where the failing sample lies
+    after every sample dev reads.
+    """
+    if params is None:
+        params = default_params(lp)
+    if oracle_result is None:
+        oracle_result = enumerate_polyhedron(lp)
+    pos_cap = params.positivity_step_cap
+    h_auto = default_step(params, eps)
+    start = interior_point(oracle_result)
+    gap_cost = (1.0 + eps) * oracle_result.opt
+    t_end = 1.0
+    try:
+        while True:
+            e = integrate(lp, FlowConfig(x0=start, t_end=t_end), params=params).entries
+            within = np.flatnonzero(e.cost <= gap_cost)
+            if len(within) and within[0] + 1 < len(e):
+                e = e[:within[0] + 2]
+                break
+            if t_end == PILOT_T_END:
+                break
+            t_end = min(2.0 * t_end, PILOT_T_END)
+    except NumericalError:
+        h, dev, at_rest = h_auto, math.inf, False
+    else:
+        dev = max(1e-12, float(np.fmax.reduce(e.deviation_inf)))
+        h = min(0.999 * pos_cap, max(h_auto, eps / (6.0 * (STEP_SAFETY * dev) ** 2)))
+        at_rest = e.direction_inf[0] <= FIXED_POINT_TOL * (1.0 + e.x[0].max())
+    if h == 0.0 or (_cannot_move(h, dev) and not at_rest):
+        raise StepSizeUnderflowError(
+            f"the searched step h = {h:.3e} cannot move the start at eps = {eps}, "
+            f"P = {params.potential_ratio_bound:.3e}, dev = {dev:.3e} (h dev is 0 or at most 2**-55)"
+        )
+    return h, dev

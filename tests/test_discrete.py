@@ -14,22 +14,26 @@ from hypothesis import strategies as st
 
 from physarum import (
     DiscreteConfig,
+    FlowConfig,
     LinearProgram,
     Solution,
     Trace,
     certified_step_search,
     certify_trace,
     compute_params,
+    continuous_flow,
     default_step,
     discrete_solver,
     entropy_path,
     enumerate_polyhedron,
+    integrate,
+    interior_point,
     iteration_bound,
     solve,
     validate,
 )
 from physarum import oracle as oracle_mod
-from physarum.discrete_solver import FIXED_POINT_TOL, ITERATION_HARD_CAP, trace_dtype
+from physarum.discrete_solver import FIXED_POINT_TOL, ITERATION_HARD_CAP, PILOT_T_END, trace_dtype
 from physarum.errors import (
     BadEpsError,
     BadStepError,
@@ -39,7 +43,9 @@ from physarum.errors import (
     MissingVerifyDataError,
     NoInteriorPointError,
     NonPositiveStateError,
+    NotPositiveDefiniteError,
     NumericalError,
+    PhysarumError,
     PositivityLostError,
     StepSizeUnderflowError,
     TooLargeError,
@@ -47,7 +53,14 @@ from physarum.errors import (
 )
 from physarum.linalg import laplacian_solve, spd_factor
 from physarum.model import check_point, default_params, dual_lower_bound
-from tests.conftest import CORPUS_EPS, overflowing_instance, planted_12x48, random_instances, ref_step_search
+from tests.conftest import (
+    CORPUS_EPS,
+    overflowing_instance,
+    planted_12x48,
+    random_instances,
+    ref_step_search,
+    ref_windowed_step_search,
+)
 
 
 def test_config_validation():
@@ -416,8 +429,8 @@ def test_step_search_never_returns_a_zero_step(monkeypatch):
     def failing(*args, **kwargs):
         raise NumericalError("pilot failed")
 
-    monkeypatch.setattr("physarum.continuous_flow.integrate", failing)
-    with pytest.raises(StepSizeUnderflowError, match="eps = 0.1, P = inf"):
+    monkeypatch.setattr("physarum.entropy_path.flow_points", failing)
+    with pytest.raises(StepSizeUnderflowError, match="eps = 0.1, P = inf, dev = inf"):
         certified_step_search(lp, 0.1, oracle_result=res)
 
 
@@ -466,6 +479,67 @@ def test_step_search_is_no_smaller_than_the_whole_pilots(corpus):
         h, dev = certified_step_search(lp, CORPUS_EPS, params=params, oracle_result=res)
         ref_h, ref_dev = ref_step_search(lp, CORPUS_EPS, params=params, oracle_result=res)
         assert h >= ref_h and dev <= ref_dev, (name, h, ref_h, dev, ref_dev)
+
+
+def outcome(search, lp, eps, res):
+    """The bytes of search's (h, dev) at eps, or the type and message of the error it raised."""
+    try:
+        return np.array(search(lp, eps, oracle_result=res)).tobytes()
+    except PhysarumError as exc:
+        return type(exc), str(exc)
+
+
+def test_step_search_matches_the_windowed_reference_bit_for_bit(corpus):
+    cases = [(lp, CORPUS_EPS, res) for _, lp, res in corpus]
+    for seed in (101, 202, 303):
+        pairs = random_instances(seed=seed, count=30, require_interior=True, skip_zero_b=True)
+        cases += [(lp, eps, res) for lp, res in pairs for eps in (0.05, 0.1, 0.2)]
+    got = [outcome(certified_step_search, *case) for case in cases]
+    want = [outcome(ref_windowed_step_search, *case) for case in cases]
+    assert got == want
+    assert sum(isinstance(g, bytes) for g in got) == 28 + 270
+
+
+def test_step_search_solves_no_sample_after_the_last_it_reads(simple2, monkeypatch):
+    # simple2's flow first comes within (1 + eps) opt at t = 4.0, so the
+    # step reads the samples up to t = 4.25. The windowed search's last
+    # window, [0, 8], also solved t = 4.5, and a failure there gave the
+    # worst-case step.
+    newton = entropy_path._newton
+
+    def failing_at_4_5(lp, log_s, mu, *args):
+        if mu == 4.5:
+            raise NotPositiveDefiniteError("pivot below the floor")
+        return newton(lp, log_s, mu, *args)
+
+    want = (0.04299934038353429, 0.4789058319442059)
+    assert certified_step_search(simple2, 0.1) == want
+    monkeypatch.setattr(entropy_path, "_newton", failing_at_4_5)
+    assert ref_windowed_step_search(simple2, 0.1) == (default_step(compute_params(simple2), 0.1), math.inf)
+    assert certified_step_search(simple2, 0.1) == want
+
+
+def test_step_search_solves_each_sample_it_reads_and_no_other(corpus, monkeypatch):
+    # min(first index within the gap + 2, 161) samples, each one rhs_log call.
+    want = []
+    for _, lp, res in corpus:
+        cost = integrate(lp, FlowConfig(x0=interior_point(res), t_end=PILOT_T_END)).entries.cost
+        within = np.flatnonzero(cost <= (1.0 + CORPUS_EPS) * res.opt)
+        want.append(min(int(within[0]) + 2, len(cost)) if len(within) else len(cost))
+    rhs_log, calls = continuous_flow.rhs_log, []
+
+    def counted(*args):
+        calls.append(None)
+        return rhs_log(*args)
+
+    monkeypatch.setattr(continuous_flow, "rhs_log", counted)
+    got = []
+    for _, lp, res in corpus:
+        calls.clear()
+        certified_step_search(lp, CORPUS_EPS, oracle_result=res)
+        got.append(len(calls))
+    assert got == want
+    assert sum(got) == 292
 
 
 def test_certify_rejects_eps_or_h_other_than_the_traces(triangle):

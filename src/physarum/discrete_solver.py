@@ -280,7 +280,7 @@ def solve(
     v0 = float(lp.c @ x0)
     opt_floor = float(lp.c_int.min()) / params.subdet_max
     cost_ratio = max(v0 / opt_floor, 1.0)
-    spread = max(float(x0.max()), float(1.0 / x0.min()), 1.0)
+    spread = max(float(x0.max()), 1.0 / float(x0.min()), 1.0)
     certified_cap = iteration_bound(cost_ratio, spread, config.eps, h)
     cap = min(config.max_iters, certified_cap)
     cap_stop = "UserCap" if config.max_iters < certified_cap else "IterationBound"

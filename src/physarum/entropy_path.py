@@ -109,8 +109,9 @@ def _newton(lp: ValidatedLP, log_s, mu: float, y0, shift, laplacian) -> PathPoin
     """``solve_point``'s Newton loop for the right-hand side b + shift, from the anchor's log.
 
     The shift moves the constraint to A x = b + shift, which adds
-    y . shift to g and shift to its gradient; the Laplacian, the line
-    search and the tolerance (set by b) do not depend on it. A shift of
+    y . shift to g and shift to its gradient; the Laplacian and the line
+    search do not depend on it, and the tolerance is b's while |shift|
+    stays within 1000 (|b| + 1). A shift of
     None is the unshifted problem A x = b: the dual evaluations are used
     as they come, with no y . 0 or + 0 arithmetic, which is what
     ``solve_point`` and a feasible start of ``flow_points`` solve.
@@ -137,7 +138,12 @@ def _newton(lp: ValidatedLP, log_s, mu: float, y0, shift, laplacian) -> PathPoin
             return value, grad, x
         return value + float(y.dot(shift)), grad + shift, x
 
+    # Rounding in the shifted gradient grows like 1e-16 |shift|, so a shift
+    # far past b raises the floor; from a start far off A x = b, b's own
+    # tolerance is out of reach and Newton stalls at t = 0.
     tol = 1e-10 * (float(maxr(absolute(b))) + 1.0)
+    if shift is not None:
+        tol = max(tol, 1e-13 * float(maxr(absolute(shift))))
     value, grad, x = evaluate_dual(y)
     for it in range(MAX_NEWTON_ITERS):
         if float(maxr(absolute(grad))) <= tol:

@@ -9,19 +9,19 @@ policy, _check_pivots: a pivot floor relative to the mean diagonal. LAPACK
 alone refuses only pivots that are not positive, which lets a Laplacian
 collapsed onto a boundary face through to a solve of rounding noise.
 
-spd_factor (dpotrf, then dpotrs through SpdFactorization.solve) applies
-the same pivot rule and gives the bytes of laplacian_solve. Nothing in
-the package calls it; it stays only because the benchmark times it.
+spd_factor(M) returns the lower Cholesky factor of M, by the same dposv
+with no right-hand side and the same pivot rule. Nothing in the package
+calls it; it stays only as the benchmark's timing hook for the factor.
 
 SciPy is not imported with this module, and the scipy.linalg package is
-not imported at all. The three names dposv, dpotrf and dpotrs start out
-as stubs; the first call of any of them runs `import scipy` (about
-0.01 s; it sets up the wheel's bundled OpenBLAS), loads SciPy's LAPACK
-extension scipy.linalg._flapack, from which scipy.linalg.lapack takes the
-same routines, and rebinds all three module globals to that module's
-routine objects. So every later call, a bound solver's included,
-reaches LAPACK through one global lookup, as an eager import would. The
-extension is registered in sys.modules under its own name: a later
+not imported at all. dposv, the one LAPACK routine the package calls,
+starts out as a stub; its first call runs `import scipy` (about 0.01 s;
+it sets up the wheel's bundled OpenBLAS), loads SciPy's LAPACK extension
+scipy.linalg._flapack, from which scipy.linalg.lapack takes the same
+routine, and rebinds the module global dposv to that module's routine
+object. So every later call, a bound solver's included, reaches LAPACK
+through one global lookup, as an eager import would. The extension is
+registered in sys.modules under its own name: a later
 `import scipy.linalg` reuses it, and one loaded earlier is used as it is.
 Importing scipy.linalg would cost about 0.2 s of CPU more per process
 (2-vCPU Xeon), mostly in SciPy's array-API shim, which probes every name
@@ -44,7 +44,6 @@ Laplacian it forms reaches LAPACK without a conversion.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
 
@@ -58,12 +57,9 @@ from .model import ValidatedLP
 PIVOT_RTOL = 1e-12
 
 
-_ROUTINES = ("dposv", "dpotrf", "dpotrs")
-
-
 def _bind_scipy() -> None:
-    """Replace the stubs below with the routines of SciPy's LAPACK extension, once."""
-    global dposv, dpotrf, dpotrs
+    """Replace the dposv stub below with the routine of SciPy's LAPACK extension, once."""
+    global dposv
     import scipy
 
     name = "scipy.linalg._flapack"
@@ -73,33 +69,13 @@ def _bind_scipy() -> None:
         spec = finder.find_spec(name)
         flapack = sys.modules[name] = module_from_spec(spec)
         spec.loader.exec_module(flapack)
-    dposv, dpotrf, dpotrs = (getattr(flapack, r) for r in _ROUTINES)
+    dposv = flapack.dposv
 
 
-def _stub(name: str):
-    def first_call(*args, **kwargs):
-        _bind_scipy()
-        return globals()[name](*args, **kwargs)
-
-    first_call.__name__ = name
-    return first_call
-
-
-dposv, dpotrf, dpotrs = map(_stub, _ROUTINES)
-
-
-@dataclass(frozen=True)
-class SpdFactorization:
-    """Lower-triangular Cholesky factor of a symmetric positive definite matrix."""
-
-    lower: np.ndarray
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve against a vector or against the columns of a matrix."""
-        sol, info = dpotrs(self.lower, rhs, 1)
-        if info:  # a rejected argument: a bug here
-            raise ValueError(f"dpotrs rejected argument {-info}")
-        return sol
+def dposv(*args):
+    """A stub: its first call binds SciPy's dposv to this name, then makes the call."""
+    _bind_scipy()
+    return dposv(*args)
 
 
 _FLOAT = np.dtype(float)
@@ -119,7 +95,7 @@ def _check_pivots(m_diag: np.ndarray, low: np.ndarray, info: int) -> None:
     # sums in numpy's unrolled order, which from m = 8 on often differs in
     # the last bits.
     tol = PIVOT_RTOL * sum(m_diag.tolist()) / len(diag)
-    # dpotrf and dposv let a NaN pivot through and min() can step over it;
+    # dposv lets a NaN pivot through and min() can step over it;
     # the sum of the pivots cannot.
     total = sum(diag)
     if not (min(diag) ** 2 > tol and total == total):
@@ -127,18 +103,21 @@ def _check_pivots(m_diag: np.ndarray, low: np.ndarray, info: int) -> None:
         raise NotPositiveDefiniteError(f"pivot {low[j, j] ** 2:.3e} at index {j} (tolerance {tol:.3e})")
 
 
-def spd_factor(mat: np.ndarray) -> SpdFactorization:
-    """Factor a symmetric positive definite matrix, reading its lower triangle.
+def spd_factor(mat: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor L of a symmetric positive definite matrix M, reading its lower triangle.
 
-    Raises NotPositiveDefiniteError when a pivot L_jj^2 falls at or below
+    L's strict upper triangle is zero, so L @ L.T rebuilds M. Raises
+    NotPositiveDefiniteError when a pivot L_jj^2 falls at or below
     ``PIVOT_RTOL * trace / m``. A square float64 ndarray is used as is.
     """
     M = mat if type(mat) is np.ndarray and mat.dtype is _FLOAT else np.asarray(mat, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {M.shape}")
-    low, info = dpotrf(M, 1)
+    # With no right-hand side dposv only factors; it leaves M's strict upper
+    # triangle above the factor.
+    low, _, info = dposv(M, np.empty((len(M), 0)), 1)
     _check_pivots(M.diagonal(), low, info)
-    return SpdFactorization(lower=low)
+    return np.tril(low)
 
 
 def laplacian_solver(lp: ValidatedLP):

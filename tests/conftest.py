@@ -237,15 +237,31 @@ def run_child(args, env):
     """Run a child interpreter that imports the same physarum as this process.
 
     This process may find the package only through pytest's ``pythonpath``
-    setting or an install, neither of which a child inherits.
+    setting or an install, neither of which a child inherits. The child
+    turns RuntimeWarnings into errors, as pyproject.toml's filter does here.
     """
     package_root = str(Path(physarum.__file__).resolve().parents[1])
     return subprocess.run(
-        [sys.executable, *args],
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
         capture_output=True,
         text=True,
         env={**env, "PYTHONPATH": package_root},
     )
+
+
+def ref_cholesky_solve(M, rhs):
+    """Solve M p = rhs by LAPACK's Cholesky factor and solve (dpotrf, dpotrs), reading M's lower triangle.
+
+    These are the Fortran routines dposv calls in turn, so a package solve
+    must give these bytes.
+    """
+    from scipy.linalg import lapack
+
+    low, info = lapack.dpotrf(M, lower=1)
+    assert info == 0, info
+    sol, info = lapack.dpotrs(low, rhs, lower=1)
+    assert info == 0, info
+    return sol
 
 
 # The entropy-path engine written the plain way, as a reference that
@@ -269,7 +285,8 @@ def ref_newton(lp, log_s, mu, y0, shift, laplacian):
         value = float(y.dot(lp.b) - lp.c.dot(x))
         return value + float(y.dot(shift)), lp.b - lp.A.dot(x) + shift, x
 
-    tol = 1e-10 * (float(np.abs(lp.b).max()) + 1.0)
+    # A shift far past b raises the floor to 1e-13 |shift|, its gradient's rounding.
+    tol = max(1e-10 * (float(np.abs(lp.b).max()) + 1.0), 1e-13 * float(np.abs(shift).max()))
     value, grad, x = evaluate_dual(y)
     for it in range(MAX_NEWTON_ITERS):
         if float(np.abs(grad).max()) <= tol:

@@ -51,13 +51,14 @@ from physarum.errors import (
     TooLargeError,
     ValidationError,
 )
-from physarum.linalg import laplacian_solve, spd_factor
+from physarum.linalg import laplacian_solve
 from physarum.model import check_point, default_params, dual_lower_bound
 from tests.conftest import (
     CORPUS_EPS,
     overflowing_instance,
     planted_12x48,
     random_instances,
+    ref_cholesky_solve,
     ref_step_search,
     ref_windowed_step_search,
 )
@@ -136,6 +137,17 @@ def test_solve_identity2_immediate_fixed_point(identity2):
     assert sol.iterations == 0
     assert sol.cost == pytest.approx(5.0)
     assert len(trace.entries) == 1
+
+
+def test_a_subnormal_start_coordinate_stops_without_a_warning(simple2):
+    # 1 / 1e-320 overflows to inf: the spread of the iteration bound is
+    # taken in Python floats, which give no RuntimeWarning (the suite turns
+    # one into an error). The start lies within 1e-9 of the fixed point
+    # (0, 1), which is not optimal.
+    x0 = np.array([1e-320, 1.0])
+    sol, trace = solve(simple2, DiscreteConfig(start=x0))
+    assert (sol.stop_reason, sol.iterations, len(trace.entries)) == ("FixedPoint", 0, 1)
+    assert sol.x.tobytes() == x0.tobytes() and sol.cost == 2.0
 
 
 def test_solve_zero_demands():
@@ -635,7 +647,7 @@ def solve_by_loop(lp, config, params=None, oracle_result=None):
     v0 = float(lp.c @ x)
     opt_floor = float(lp.c_int.min()) / params.subdet_max
     cost_ratio = max(v0 / opt_floor, 1.0)
-    spread = max(float(x.max()), float(1.0 / x.min()), 1.0)
+    spread = max(float(x.max()), 1.0 / float(x.min()), 1.0)
     certified_cap = iteration_bound(cost_ratio, spread, config.eps, h)
     cap = min(config.max_iters, certified_cap)
 
@@ -650,7 +662,7 @@ def solve_by_loop(lp, config, params=None, oracle_result=None):
 
     while True:
         w = x * inv_c
-        p = spd_factor((A * w) @ At).solve(b)
+        p = ref_cholesky_solve((A * w) @ At, b)
         edge = At @ p
         q = w * edge
         diff = q - x

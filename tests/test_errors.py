@@ -94,8 +94,6 @@ def test_every_error_class_is_raised_or_a_base_of_one():
 
 
 def test_bare_value_error_is_kept_for_bugs_only():
-    # Bad arguments raise ValidationError; the one ValueError left is dpotrs
-    # rejecting an argument (linalg.SpdFactorization.solve), which only a bug
-    # in the package can cause.
+    # Bad arguments raise ValidationError, and no bare ValueError is left.
     sites = [path.name for path in SOURCES for name in _raised_names(path) if name == "ValueError"]
-    assert sites == ["linalg.py"]
+    assert sites == []

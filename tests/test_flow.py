@@ -18,7 +18,7 @@ from physarum.errors import (
     ValidationError,
 )
 from physarum.model import default_params
-from tests.conftest import gap_decay_rate, planted_12x48
+from tests.conftest import gap_decay_rate, planted_12x48, ref_integrate, rk45_flow
 
 
 def test_rhs_log_values(simple2, identity2):
@@ -78,6 +78,21 @@ def test_integrate_infeasible_start_contracts(simple2):
     # A(x(t) - e^{-t} x0) = (1 - e^{-t}) b along the whole trajectory
     assert max(e.feas_residual for e in trace.entries) < 1e-6
     assert trace.final.x[0] == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e9, 1e12])
+@pytest.mark.parametrize("name", ["simple2", "triangle"])
+def test_a_start_far_off_the_constraints_flows(name, scale, request):
+    # Rounding in the shifted Newton gradient grows like 1e-16 |A x0 - b|,
+    # and the tolerance with it, so Newton converges at t = 0 and every
+    # sample meets A x = b_t to 1e-13 of the offset.
+    lp = request.getfixturevalue(name)
+    x0 = np.full(lp.n, scale)
+    config = FlowConfig(x0=x0, t_end=40.0)
+    trace = integrate(lp, config)
+    assert trace.entries.tobytes() == ref_integrate(lp, config).entries.tobytes()
+    assert trace.entries.feas_residual.max() <= 1e-13 * np.abs(lp.A @ x0 - lp.b).max()
+    assert np.allclose(trace.entries.x, rk45_flow(lp, x0, trace.entries.t), rtol=1e-5, atol=0.0)
 
 
 def _entries_row_by_row(lp, x0, ts, dtype):

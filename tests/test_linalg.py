@@ -12,7 +12,7 @@ from physarum import DiscreteConfig, LinearProgram, evaluate, linalg, rhs_log, s
 from physarum._exact import rank_int
 from physarum.errors import NotPositiveDefiniteError, RankDeficientError
 from physarum.linalg import PIVOT_RTOL, kernel_basis, laplacian_solve, laplacian_solver, spd_factor
-from tests.conftest import planted_instance, rand_positive, run_child
+from tests.conftest import planted_instance, rand_positive, ref_cholesky_solve, run_child
 
 
 def _random_spd(rng, m):
@@ -21,7 +21,9 @@ def _random_spd(rng, m):
 
 
 def _factor_then_solve(M, rhs):
-    return spd_factor(M).solve(rhs)
+    """spd_factor's verdict on M, then the reference solve."""
+    spd_factor(M)
+    return ref_cholesky_solve(M, rhs)
 
 
 def _forming(M):
@@ -58,22 +60,22 @@ def test_factor_reconstructs():
     rng = np.random.default_rng(7)
     for m in (1, 2, 3, 5, 8):
         M = _random_spd(rng, m)
-        fac = spd_factor(M)
-        assert np.allclose(fac.lower @ fac.lower.T, M, atol=1e-10 * np.abs(M).max())
+        L = spd_factor(M)
+        assert not np.triu(L, 1).any()
+        assert np.allclose(L @ L.T, M, atol=1e-10 * np.abs(M).max())
 
 
-def test_solve_matches_lapack():
-    rng = np.random.default_rng(8)
-    M = _random_spd(rng, 4)
-    rhs = rng.standard_normal(4)
-    assert np.allclose(spd_factor(M).solve(rhs), np.linalg.solve(M, rhs))
+@pytest.mark.parametrize("m", [1, 3, 12, 48, 64])
+def test_factor_is_lapacks_cholesky_factor(m):
+    # dposv with no right-hand side factors as dpotrf does, bit for bit;
+    # the strict upper triangle, which dposv leaves as M's, reads zero.
+    from scipy.linalg import lapack
 
-
-def test_solve_matrix_rhs():
-    rng = np.random.default_rng(9)
-    M = _random_spd(rng, 3)
-    R = rng.standard_normal((3, 5))
-    assert np.allclose(spd_factor(M).solve(R), np.linalg.solve(M, R))
+    rng = np.random.default_rng(m)
+    for _ in range(5):
+        M = _random_spd(rng, m)
+        M[np.triu_indices(m, 1)] = np.nan  # never read
+        assert spd_factor(M).tobytes() == lapack.dpotrf(M, lower=1)[0].tobytes()
 
 
 def test_factor_rejects_singular():
@@ -118,7 +120,7 @@ def test_factor_pivot_floor_is_the_mean_diagonal(m):
     ],
 )
 def test_factor_rejects_nan_pivots(mat, monkeypatch):
-    # dpotrf and dposv return these factors with info 0; the first has a
+    # dposv returns these factors with info 0; the first has a
     # finite diagonal, so only the NaN pivot can reject it. No real A and w
     # form these matrices, so laplacian_solve, on the identity, gets LAPACK's
     # own factor of each through a patched dposv.
@@ -159,6 +161,8 @@ def test_both_entry_points_give_the_reference_verdict_and_message(monkeypatch):
     # below it, a NaN pivot (LAPACK's factor of a NaN matrix, through a
     # patched dposv, as no real A and w form one) and a pivot LAPACK
     # refuses (info > 0).
+    from scipy.linalg import lapack
+
     linalg._bind_scipy()
     floor = PIVOT_RTOL * 2 / 3
     cases = [
@@ -175,10 +179,10 @@ def test_both_entry_points_give_the_reference_verdict_and_message(monkeypatch):
         formed, w = _forming(M)
         assert np.array_equal(formed, A)  # one A forms all four
         if nan_matrix is None:
-            low, info = linalg.dpotrf(M, 1)
+            low, info = lapack.dpotrf(M, 1)
             assert _verdict(spd_factor, M) == _reference_pivot_rule(M, low, info)
         else:
-            low, info = linalg.dpotrf(nan_matrix, 1)
+            low, info = lapack.dpotrf(nan_matrix, 1)
             assert _verdict(spd_factor, nan_matrix) == _reference_pivot_rule(nan_matrix, low, info)
             monkeypatch.setattr(linalg, "dposv", lambda L, b, lower: dposv(nan_matrix, b, lower))
         verdicts.append(_reference_pivot_rule(M, low, info))
@@ -203,7 +207,7 @@ def test_laplacian_solve_is_bitwise_factor_then_solve(m):
         w = rand_positive(rng, lp.n)
         L = (lp.A * w).dot(lp.At)
         for rhs in (rng.standard_normal(m), rng.standard_normal((m, 3)), lp.A):
-            assert laplacian_solve(lp, w, rhs).tobytes() == spd_factor(L).solve(rhs).tobytes()
+            assert laplacian_solve(lp, w, rhs).tobytes() == ref_cholesky_solve(L, rhs).tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 3, 12, 48])
@@ -241,19 +245,10 @@ def test_spd_factor_converts_its_input():
     # is converted and checked, and the answer is that of its float64 copy.
     rng = np.random.default_rng(5)
     M = _random_spd(rng, 4)
-    rhs = rng.standard_normal(4)
     ints = np.array([[4, 1, 0], [1, 3, 1], [0, 1, 2]])
-    cases = [
-        (M.tolist(), rhs),
-        (ints, rhs[:3]),
-        (np.asfortranarray(M), rhs),
-        (M.T, rhs),
-        (M.astype(">f8"), rhs),
-        (np.array([[2.5]]), np.array([1.5])),
-    ]
-    for mat, b in cases:
-        want = spd_factor(np.array(mat, dtype=float)).solve(b)
-        assert spd_factor(mat).solve(b).tobytes() == want.tobytes()
+    for mat in (M.tolist(), ints, np.asfortranarray(M), M.T, M.astype(">f8"), np.array([[2.5]])):
+        want = spd_factor(np.array(mat, dtype=float))
+        assert spd_factor(mat).tobytes() == want.tobytes()
     with pytest.raises(NotPositiveDefiniteError):
         spd_factor([[1, 1], [1, 1]])
     for bad in (np.ones(3), np.ones((1, 2, 2)), [[1.0, 2.0]]):
@@ -282,7 +277,9 @@ def test_factor_solve_roundtrip(seed, m):
     rng = np.random.default_rng(seed)
     M = _random_spd(rng, m)
     x = rng.standard_normal(m)
-    got = spd_factor(M).solve(M @ x)
+    # A forward and a back substitution with the factor L solve L L^T p = M x.
+    L = spd_factor(M)
+    got = np.linalg.solve(L.T, np.linalg.solve(L, M @ x))
     assert np.allclose(got, x, atol=1e-7)
 
 
@@ -363,8 +360,8 @@ def test_scipy_linalg_imported_first_serves_the_same_routines():
         "from scipy.linalg import lapack\n"
         "from physarum import linalg\n"
         "linalg.spd_factor(np.diag([1.0, 2.0]))\n"
-        "print(all(getattr(linalg, r) is getattr(lapack, r) for r in ('dposv', 'dpotrf', 'dpotrs')))\n"
+        "print(linalg.dposv is lapack.dposv, *(hasattr(linalg, r) for r in ('dpotrf', 'dpotrs')))\n"
     )
     proc = run_child(["-c", script], os.environ)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"]
+    assert proc.stdout.split() == ["True", "False", "False"]

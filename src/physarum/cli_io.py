@@ -152,6 +152,13 @@ def _write_trace_csv(path, index: str, n: int, rows) -> None:
         raise ProblemIOError(f"cannot write {path}: {exc}") from exc
 
 
+def _bound_fields(lower_bound) -> dict:
+    """The exact dual bound of a Certified stop as a float and as "p/q"; both None when none was formed."""
+    if lower_bound is None:
+        return {"lower_bound": None, "lower_bound_exact": None}
+    return {"lower_bound": float(lower_bound), "lower_bound_exact": str(lower_bound)}
+
+
 def cmd_solve(args) -> int:
     lp, start = load_problem(args.problem, args.start)
     # Without --trace no row is written, so none is recorded.
@@ -168,11 +175,9 @@ def cmd_solve(args) -> int:
             for k, x, cost, energy, edge in zip(e.k, e.x, e.cost, e.energy, e.edge_potential_inf)
         )
         _write_trace_csv(args.trace, "k", lp.n, rows)
-    # solve never takes the gap stop, so no dual bound is ever formed.
-    doc = asdict(sol)
-    del doc["lower_bound"]
     _emit({
-        "command": "solve", "name": lp.name, "m": lp.m, "n": lp.n, **doc,
+        "command": "solve", "name": lp.name, "m": lp.m, "n": lp.n,
+        **asdict(sol), **_bound_fields(sol.lower_bound),
         "trace_entries": len(trace.entries),
         "trace_file": args.trace,
     })
@@ -266,13 +271,14 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
                      samples: int, seed: int, max_iters: int = 1_000_000) -> dict:
     """Solve, certify the trace, and spot-check the dynamics algebra.
 
-    Returns a report dict whose "ok" field is the overall verdict. At or
-    below the certified step the solve uses the gap stop: it ends at the
-    first step whose cost an exact dual bound proves within (1 + eps) of
-    optimal, so the certificate covers the steps up to that stop. Nothing
-    proves that the cost stays there after it, and above the certified
-    step the potential argument is gone too, so with such an h the solve
-    runs to the fixed point and the certificate reads every step. The
+    Returns a report dict whose "ok" field is the overall verdict. The
+    solve ends at the first step whose cost an exact dual bound proves
+    within (1 + eps) of optimal, and the certificate covers the steps up
+    to that stop. The cost never rises (the lemma in discrete_solver), so
+    every later step would stay within the gap, at any h up to the
+    positivity cap; the certificate checks that on the trace too, and
+    "ok" requires no relative rise past COST_RISE_TOL. Above the
+    certified step the potential drop is an a-posteriori check. The
     bound is reported with "bound_ok", which holds when it is at most the
     oracle's exact optimum (or when the run formed none), next to x's
     residual max |A x - b| as "residual_inf". The spot checks
@@ -281,14 +287,12 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
     constraint-kernel directions.
     """
     # eps and h are checked before the exact parameters and the enumeration.
-    config = discrete_solver.DiscreteConfig(eps=eps, h=h, trace_every=1, max_iters=max_iters, gap_stop=True)
+    config = discrete_solver.DiscreteConfig(eps=eps, h=h, trace_every=1, max_iters=max_iters)
     if not np.any(lp.b_int):
         return {"ok": True, "note": "zero demand vector; x = 0 is optimal", "certificate": None}
 
     params = default_params(lp)
     result = oracle_mod.enumerate_polyhedron(lp)
-    if h is not None and h > discrete_solver.default_step(params, eps):
-        config = replace(config, gap_stop=False)
     sol, trace = discrete_solver.solve(lp, config, params=params, oracle_result=result)
     opt = result.opt
     cert = discrete_solver.certify_trace(lp, trace, opt, eps, sol.h, result.optimal_vertices[0])
@@ -324,8 +328,8 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
 
     gap_ok = sol.cost <= (1.0 + eps) * opt + 1e-9 * opt
     bound_ok = sol.lower_bound is None or sol.lower_bound <= result.opt_exact
-    ok = (cert.violations == 0 and energy_bad == 0 and bound_bad == 0
-          and identity_bad == 0 and gap_ok and bound_ok)
+    ok = (cert.violations == 0 and cert.max_cost_rise <= discrete_solver.COST_RISE_TOL
+          and energy_bad == 0 and bound_bad == 0 and identity_bad == 0 and gap_ok and bound_ok)
     return {
         "ok": ok,
         "eps": eps,
@@ -335,8 +339,7 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
         "cost": sol.cost,
         "opt": opt,
         "gap_ok": gap_ok,
-        "lower_bound": None if sol.lower_bound is None else float(sol.lower_bound),
-        "lower_bound_exact": None if sol.lower_bound is None else str(sol.lower_bound),
+        **_bound_fields(sol.lower_bound),
         "residual_inf": sol.residual_inf,
         "bound_ok": bound_ok,
         "certificate": asdict(cert),

@@ -15,11 +15,20 @@ eps / (6 P^2) where P bounds |a_i . p / c_i - 1| over the feasible region;
 larger steps up to 1/(2P) keep the iterates positive but void the a-priori
 certificate (an a-posteriori check is still available via certify_trace).
 
-By default solve runs on to a numerical fixed point. The paper's result
-counts steps until V(k) <= (1 + eps) opt, so the opt-in gap stop
-(DiscreteConfig(gap_stop=True)) ends the run at the first step that
-provably gets there. Every step holds the Laplacian potentials p, and by
-weak duality
+The cost never rises, at any step h that keeps x positive. The flow
+q = W A^T p, with W = diag(x / c) and (A W A^T) p = b, minimises the
+energy E(f) = sum_i c_i f_i^2 / x_i over A f = b; x is such a flow, so
+E(q) <= E(x) = c . x, and by Cauchy-Schwarz
+
+    c . q = sum_i (sqrt(c_i / x_i) q_i) (sqrt(c_i x_i)) <= sqrt(E(q) c . x) <= c . x,
+
+so c . x(k+1) = c . x(k) - h (c . x(k) - c . q(k)) <= c . x(k). This is
+the discrete form of the paper's reading of Physarum as steepest descent.
+certify_trace checks it on the float costs of a trace.
+
+The paper's result counts steps until V(k) <= (1 + eps) opt, and solve
+stops at the first step that provably gets there. Every step holds the
+Laplacian potentials p, and by weak duality
 
     lb = b . p / max_i (a_i . p / c_i) <= opt,
 
@@ -27,10 +36,8 @@ so c . x <= (1 + eps) lb proves the gap without knowing opt. The test is
 made in floats first and, once it holds, again exactly: the bound by
 model.dual_lower_bound over the integer data and c . x over the dyadic
 rationals of the float x. The stop changes no step, so the trajectory
-and trace are the fixed-point run's, cut short. certify_trace then reads
-the steps up to the stop; nothing here proves that the cost, once within
-(1 + eps) opt, stays there, so a later step the full run would check is
-not checked.
+and trace are those of the same loop without the test, cut short; as
+the cost never rises, every later step would stay within (1 + eps) opt.
 
 The trace is one numpy record array with a row per recorded step and the
 fields k, x (shape (n,)), cost, energy and edge_potential_inf, so the
@@ -85,6 +92,10 @@ NO_MOVE_HDEV = 2.0**-55
 PILOT_T_END = 40.0
 STEP_SAFETY = 1.3
 
+# The cost never rises in exact arithmetic (module docstring); a relative rise up to
+# COST_RISE_TOL between consecutive steps is taken for rounding.
+COST_RISE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class DiscreteConfig:
@@ -95,7 +106,6 @@ class DiscreteConfig:
     start: np.ndarray | None = None
     max_iters: int = 1_000_000
     trace_every: int = 1
-    gap_stop: bool = False  # stop once an exact dual bound proves the (1 + eps) gap (see solve)
 
     def __post_init__(self):
         if not (0.0 < self.eps < 0.5):
@@ -112,8 +122,6 @@ class DiscreteConfig:
         # loop stops at ITERATION_HARD_CAP.
         if self.trace_every > np.iinfo(np.int64).max:
             raise ValidationError(f"trace_every must be at most {np.iinfo(np.int64).max}, got {self.trace_every}")
-        if not isinstance(self.gap_stop, bool):
-            raise ValidationError(f"gap_stop must be a bool, got {self.gap_stop!r}")
 
 
 def trace_dtype(n: int) -> np.dtype:
@@ -194,12 +202,10 @@ def solve(
     params: Params | None = None,
     oracle_result=None,
 ) -> tuple[Solution, Trace]:
-    """Run the damped iteration to a numerical fixed point, or to a proved gap.
+    """Run the damped iteration to a proved gap or a numerical fixed point.
 
     Stops at FixedPoint when |q - x| is below FIXED_POINT_TOL * (1 + |x|),
-    at IterationBound when the certified worst-case count is exhausted, or
-    at UserCap when max_iters is hit first. With config.gap_stop it
-    also stops at Certified, tested after FixedPoint and before the cap,
+    else at Certified, tested next and before the cap,
     once c . x <= (1 + eps) lb for the weak-duality bound
     lb = b . p / max_i (a_i . p / c_i) of the step's potentials p; the
     Solution then carries lb as an exact Fraction in lower_bound (None
@@ -209,8 +215,10 @@ def solve(
     check builds Python ints and Fractions over all of A and costs more
     than a whole step, while the float test costs a few numpy calls and
     decides nothing on its own. A float test that the exact one refutes
-    just lets the run go on. The stop moves no step, so a gap run's
-    trace is the first rows of the fixed-point run's, bit for bit.
+    just lets the run go on. The stop moves no step, so the trace is the
+    first rows of the same loop's without the test, bit for bit. Failing
+    both, it stops at IterationBound when the certified worst-case count
+    is exhausted, or at UserCap when max_iters is hit first.
 
     The start must be strictly positive and satisfy A x = b, else
     check_point raises: the progress certificate and the positivity cap
@@ -330,8 +338,7 @@ def solve(
     # NaN or inf, min(x) is read.
     #
     # The gap stop reads edge (A^T p), p and x and writes only its own
-    # buffer ratio, so a gap run's steps are the fixed-point run's bits;
-    # the default loop pays one test of the flag gap per step.
+    # buffer ratio, so it moves no step's bits.
     #
     # The same product h dev decides whether the update moves x at all. At
     # or below NO_MOVE_HDEV it is the identity in floating point
@@ -347,7 +354,6 @@ def solve(
     x[:] = x0
     h_arr = np.array(h)  # a 0-d array multiplies faster than a Python float
     # The gap stop's state; ratio holds a_i . p / c_i.
-    gap = config.gap_stop
     ratio, maxr, c_int = np.empty(n), np.maximum.reduce, lp.c_int.tolist()
     one_eps, exact_one_eps = 1.0 + config.eps, 1 + Fraction(config.eps)
     lower_bound = None
@@ -375,13 +381,12 @@ def solve(
         if fp_res <= FIXED_POINT_TOL * (1.0 + x_max):
             stop = "FixedPoint"
             break
-        if gap:
-            r = float(maxr(mul(edge, inv_c, ratio)))
-            if r > 0.0 and float(c.dot(x)) <= one_eps * (float(b.dot(p)) / r):
-                lb = dual_lower_bound(lp, p)
-                if lb is not None and sum(map(operator.mul, c_int, map(Fraction, x.tolist()))) <= exact_one_eps * lb:
-                    lower_bound, stop = lb, "Certified"
-                    break
+        r = float(maxr(mul(edge, inv_c, ratio)))
+        if r > 0.0 and float(c.dot(x)) <= one_eps * (float(b.dot(p)) / r):
+            lb = dual_lower_bound(lp, p)
+            if lb is not None and sum(map(operator.mul, c_int, map(Fraction, x.tolist()))) <= exact_one_eps * lb:
+                lower_bound, stop = lb, "Certified"
+                break
         if k >= cap:
             stop = cap_stop
             break
@@ -460,6 +465,7 @@ class CertReport:
     small_gap_steps: int
     worst_margin: float
     drop_threshold: float
+    max_cost_rise: float  # largest (V(k+1) - V(k)) / V(k) over the trace, 0.0 when the cost never rises
 
 
 def certify_trace(lp: ValidatedLP, trace: Trace, opt: float, eps: float, h: float, x_star) -> CertReport:
@@ -469,7 +475,9 @@ def certify_trace(lp: ValidatedLP, trace: Trace, opt: float, eps: float, h: floa
     phi must be at least h^2 eps^2 / 6 (minus a 1e-10 float allowance).
     Also labels which sufficient condition held at the earlier point: a
     large energy/cost gap (E/V < 1 - eps/3) or energy still well above
-    optimal (E > (1 + eps/3) opt); one of the two always must.
+    optimal (E > (1 + eps/3) opt); one of the two always must. Over every
+    consecutive pair it reports the largest relative rise of the cost,
+    which the monotone-cost lemma puts at 0 up to rounding (COST_RISE_TOL).
     Requires a trace recorded at every step, and eps and h equal to the
     trace's own: the drop the certificate demands is the one those values
     promise for the run that produced the trace. opt must be finite and
@@ -513,6 +521,7 @@ def certify_trace(lp: ValidatedLP, trace: Trace, opt: float, eps: float, h: floa
         small_gap_steps=int(small.sum()),
         worst_margin=float((drop - threshold).max()) if checked else 0.0,
         drop_threshold=threshold,
+        max_cost_rise=float(np.max(np.diff(e.cost) / e.cost[:-1], initial=0.0)),
     )
 
 

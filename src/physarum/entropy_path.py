@@ -49,6 +49,9 @@ EXP_CAP = 700.0
 ARMIJO_SLOPE = 0.25
 MAX_BACKTRACKS = 60
 MAX_NEWTON_ITERS = 200
+# Once a full Newton step is rejected, the next trial moves no exponent
+# a_i . y / c_i by more than EXPONENT_STEP_CAP.
+EXPONENT_STEP_CAP = 30.0
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,14 @@ def _newton(lp: ValidatedLP, log_s, mu: float, y0, shift, laplacian) -> PathPoin
     wrapper, about 0.3 us more a call at n = 3) and the products use
     ndarray.dot (the BLAS call @ makes, without matmul's dispatch). Both
     give the same bits.
+
+    The dual's terms are exponentials, so a step is trustworthy only while
+    it moves each exponent a_i . y / c_i by O(1). From a tiny start the
+    weights x / c are tiny and the direction huge (|d| near 1e49 at
+    x = 1e-50), and halving from t = 1 would not reach a useful step in
+    MAX_BACKTRACKS tries. So after a rejected full step the line search
+    goes on from min(1/2, EXPONENT_STEP_CAP / max_i |a_i . d / c_i|),
+    halving from there; an accepted full step costs nothing extra.
     """
     maxr, absolute = np.maximum.reduce, np.absolute
     y = np.zeros(lp.m) if y0 is None else np.asarray(y0, dtype=float).copy()
@@ -162,11 +173,11 @@ def _newton(lp: ValidatedLP, log_s, mu: float, y0, shift, laplacian) -> PathPoin
             try:
                 cand = evaluate_dual(trial)
             except DualOverflowError:
-                t *= 0.5
+                t = _next_trial(lp, d, t)
                 continue
             if cand[0] >= value + ARMIJO_SLOPE * t * slope - noise:
                 break
-            t *= 0.5
+            t = _next_trial(lp, d, t)
         else:
             raise NewtonStalledError(
                 f"line search exhausted {MAX_BACKTRACKS} halvings at mu={mu}"
@@ -174,6 +185,14 @@ def _newton(lp: ValidatedLP, log_s, mu: float, y0, shift, laplacian) -> PathPoin
         y = trial
         value, grad, x = cand
     raise NewtonStalledError(f"no convergence in {MAX_NEWTON_ITERS} Newton steps at mu={mu}")
+
+
+def _next_trial(lp: ValidatedLP, d, t: float) -> float:
+    """The line search's next step after rejecting t: half of it, capped after the full step."""
+    if t != 1.0:
+        return 0.5 * t
+    reach = float(np.maximum.reduce(np.absolute(lp.At.dot(d) / lp.c)))
+    return 0.5 if reach <= 2.0 * EXPONENT_STEP_CAP else EXPONENT_STEP_CAP / reach
 
 
 def follow_path(lp: ValidatedLP, s, mus) -> list[PathPoint]:

@@ -32,7 +32,7 @@ from physarum import (
 )
 from physarum._exact import rank_int
 from physarum.discrete_solver import FIXED_POINT_TOL, PILOT_T_END, STEP_SAFETY, _cannot_move
-from physarum.entropy_path import ARMIJO_SLOPE, EXP_CAP, MAX_BACKTRACKS, MAX_NEWTON_ITERS
+from physarum.entropy_path import ARMIJO_SLOPE, EXP_CAP, EXPONENT_STEP_CAP, MAX_BACKTRACKS, MAX_NEWTON_ITERS
 from physarum.errors import (
     DualOverflowError,
     NewtonStalledError,
@@ -294,18 +294,20 @@ def ref_newton(lp, log_s, mu, y0, shift, laplacian):
         d = laplacian(x / lp.c, grad)
         slope = float(grad.dot(d))
         noise = 1e-13 * (abs(float(y.dot(lp.b))) + abs(float(lp.c.dot(x))) + 1.0)
+        # After the full step, the next trial moves no exponent a_i . y / c_i by more than EXPONENT_STEP_CAP.
+        capped = min(0.5, EXPONENT_STEP_CAP / float(np.abs(lp.At.dot(d) / lp.c).max()))
         t = 1.0
         accepted = None
         for _ in range(MAX_BACKTRACKS):
             try:
                 cand = evaluate_dual(y + t * d)
             except DualOverflowError:
-                t *= 0.5
+                t = capped if t == 1.0 else 0.5 * t
                 continue
             if cand[0] >= value + ARMIJO_SLOPE * t * slope - noise:
                 accepted = cand
                 break
-            t *= 0.5
+            t = capped if t == 1.0 else 0.5 * t
         if accepted is None:
             raise NewtonStalledError(f"line search exhausted {MAX_BACKTRACKS} halvings at mu={mu}")
         y = y + t * d

@@ -263,8 +263,10 @@ def test_criterion_11_iteration_bound_sanity(simple2, capsys):
     cost_ratio = float(simple2.c @ x0) / res.opt
     spread = max(float(x0.max()), float(1.0 / x0.min()))
     bound = iteration_bound(cost_ratio, spread, EPS, sol.h)
+    # The bound counts the steps until the cost is within (1 + eps) opt,
+    # the event the Certified stop proves.
     ok = (
-        sol.stop_reason == "FixedPoint"
+        sol.stop_reason == "Certified"
         and sol.iterations <= min(bound, 1_000_000)
         and sol.cost <= (1.0 + EPS) * res.opt
     )

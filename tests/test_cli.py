@@ -148,8 +148,8 @@ def test_solve_command_with_trace(capsys, tmp_path):
         ["solve", SIMPLE2, "--h", "0.03", "--trace", str(trace), "--trace-every", "50"],
     )
     assert rc == 0
-    assert data["stop_reason"] == "FixedPoint"
-    assert data["cost"] == pytest.approx(1.0, abs=1e-6)
+    assert data["stop_reason"] == "Certified" and data["lower_bound_exact"] == "1"
+    assert data["cost"] <= 1.1
     assert data["trace_file"] == str(trace)
     lines = trace.read_text().splitlines()
     assert lines[0] == "k,x_0,x_1,cost,energy,feas_residual,edge_potential_inf"
@@ -317,18 +317,25 @@ def test_verify_command(capsys):
     assert 0.0 <= data["residual_inf"] <= 1e-12
 
 
-def test_verify_above_the_certified_step_runs_to_the_fixed_point(capsys):
-    # simple2's certified step is 1/960: above it nothing bounds the cost
-    # after the gap stop, so the run and the certificate go on to the end.
+def test_solve_prints_the_dual_bound_of_its_certified_stop(capsys):
+    rc, data = run_json(capsys, ["solve", SIMPLE2])
+    assert rc == 0
+    assert (data["stop_reason"], data["iterations"]) == ("Certified", 3654)
+    assert data["lower_bound_exact"] == "1" and data["lower_bound"] == 1.0
+
+
+def test_verify_above_the_certified_step_stops_where_solve_does(capsys):
+    # simple2's certified step is 1/960. Above it the cost still never
+    # rises, so verify takes the same gap stop as solve and certifies the
+    # steps up to it.
     rc, solved = run_json(capsys, ["solve", SIMPLE2, "--h", "0.01"])
-    assert rc == 0 and solved["stop_reason"] == "FixedPoint"
-    assert "lower_bound" not in solved
+    assert rc == 0 and (solved["stop_reason"], solved["iterations"]) == ("Certified", 381)
     rc = main(["verify", SIMPLE2, "--h", "0.01", "--samples", "10"])
     data = json.loads(capsys.readouterr().out)
     assert rc == 0 and data["ok"] is True
-    assert (data["stop_reason"], data["iterations"]) == ("FixedPoint", solved["iterations"])
-    assert data["certificate"]["steps_checked"] > 0
-    assert data["lower_bound"] is None and data["lower_bound_exact"] is None and data["bound_ok"] is True
+    assert (data["stop_reason"], data["iterations"]) == ("Certified", solved["iterations"])
+    assert data["certificate"]["steps_checked"] == 381 and data["certificate"]["max_cost_rise"] == 0.0
+    assert data["lower_bound_exact"] == solved["lower_bound_exact"] == "1" and data["bound_ok"] is True
 
 
 def test_verify_fails_when_the_dual_bound_passes_the_optimum(capsys, monkeypatch, shipped):
@@ -341,6 +348,17 @@ def test_verify_fails_when_the_dual_bound_passes_the_optimum(capsys, monkeypatch
     assert data["ok"] is False and data["bound_ok"] is False
     assert data["stop_reason"] == "Certified" and data["lower_bound_exact"] == "2"
     assert data["gap_ok"] is True and data["certificate"]["violations"] == 0
+
+
+def test_verify_fails_when_the_cost_rises(capsys, monkeypatch):
+    # The cost never rises in exact arithmetic; a rise past rounding fails the run.
+    real = discrete_solver.certify_trace
+    monkeypatch.setattr(discrete_solver, "certify_trace",
+                        lambda *args: dataclasses.replace(real(*args), max_cost_rise=1e-9))
+    rc = main(["verify", SIMPLE2, "--samples", "10"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 5 and data["ok"] is False
+    assert data["gap_ok"] is True and data["bound_ok"] is True and data["certificate"]["violations"] == 0
 
 
 def test_verify_starved_run_fails(capsys):
@@ -573,6 +591,7 @@ def test_console_entry_point():
 @pytest.mark.parametrize("args", [
     pytest.param(["solve", SIMPLE2, "--start", "1e-320,1"], id="solve subnormal start"),
     pytest.param(["flow", TRIANGLE, "--start", "1e6,1e6,1e6"], id="flow start far off Ax=b"),
+    pytest.param(["flow", TRIANGLE, "--start", "1e-50,1e-50,1e-50"], id="flow tiny start"),
 ])
 def test_extreme_starts_run_cleanly_in_a_child(args):
     # The child turns RuntimeWarnings into errors, so a stray numpy warning fails here.

@@ -83,16 +83,12 @@ def test_config_validation():
             assert getattr(DiscreteConfig(**{name: good}), name) == good
 
 
-def test_config_rejects_a_non_bool_gap_stop_and_a_trace_every_past_int64():
+def test_config_rejects_a_trace_every_past_int64():
     # The trace's k column is int64: a larger trace_every raised OverflowError
     # when the record array was built.
     with pytest.raises(ValidationError, match="trace_every"):
         DiscreteConfig(trace_every=2**63)
     assert DiscreteConfig(trace_every=2**63 - 1).trace_every == 2**63 - 1
-    for bad in ("gap", 1, None):
-        with pytest.raises(ValidationError, match="gap_stop"):
-            DiscreteConfig(gap_stop=bad)
-    assert DiscreteConfig().gap_stop is False
 
 
 def test_default_step_simple2(simple2):
@@ -122,10 +118,9 @@ def test_step_values(simple2):
 
 def test_solve_simple2_certified_step(simple2):
     sol, trace = solve(simple2, DiscreteConfig(eps=0.1, start=np.array([0.5, 0.5])))
-    assert sol.stop_reason == "FixedPoint"
-    assert sol.iterations == 36_453
-    assert sol.cost == pytest.approx(1.0, abs=1e-7)
-    assert sol.cost <= 1.1 + 1e-12
+    assert sol.stop_reason == "Certified" and sol.lower_bound == 1
+    assert sol.iterations == 3654
+    assert sol.cost <= 1.1
     assert sol.h == pytest.approx(1.0 / 960.0)
     assert len(trace.entries) == sol.iterations + 1
     assert sol.residual_inf <= 1e-12
@@ -256,7 +251,7 @@ def test_a_step_that_cannot_move_x_is_solved_once(simple2, monkeypatch):
 
     calls.clear()
     sol, _ = solve(simple2, DiscreteConfig(start=np.array([0.5, 0.5])))
-    assert sol.stop_reason == "FixedPoint" and sol.iterations > 0
+    assert sol.stop_reason == "Certified" and sol.iterations > 0
     assert len(calls) == sol.iterations + 1
 
 
@@ -423,7 +418,7 @@ def test_certify_searched_step(simple2):
 def test_solve_triangle_with_searched_step(triangle):
     h, _ = certified_step_search(triangle, 0.05)
     sol, trace = solve(triangle, DiscreteConfig(eps=0.05, h=h))
-    assert sol.stop_reason == "FixedPoint"
+    assert sol.stop_reason == "Certified" and sol.lower_bound == 2
     assert 2.0 <= sol.cost <= 2.1
     rep = certify_trace(triangle, trace, 2.0, 0.05, h, np.array([1.0, 1.0, 0.0]))
     assert rep.violations == 0
@@ -479,7 +474,7 @@ def test_step_search_outlives_a_pilot_that_fails_after_the_gap_closes():
     h, dev = certified_step_search(lp, 0.1, oracle_result=res)
     assert dev == pytest.approx(1.48, abs=1e-6)
     sol, trace = solve(lp, DiscreteConfig(eps=0.1, h=h), oracle_result=res)
-    assert sol.stop_reason == "FixedPoint" and sol.cost <= 1.1 * res.opt
+    assert sol.stop_reason == "Certified" and sol.cost <= 1.1 * res.opt
     assert certify_trace(lp, trace, res.opt, 0.1, h, res.optimal_vertices[0]).violations == 0
 
 
@@ -614,6 +609,34 @@ def test_certify_flags_doctored_trace(simple2):
     assert rep.first_violation == 0
 
 
+def test_certify_reports_the_largest_cost_rise(simple2):
+    sol, trace = solve(simple2, DiscreteConfig(eps=0.1, start=np.array([0.5, 0.5])))
+    assert certify_trace(simple2, trace, 1.0, 0.1, sol.h, np.array([1.0, 0.0])).max_cost_rise == 0.0
+    entries = trace.entries.copy()
+    entries.cost[10] = entries.cost[9] * (1.0 + 1e-9)
+    doctored = dataclasses.replace(trace, entries=entries)
+    rep = certify_trace(simple2, doctored, 1.0, 0.1, sol.h, np.array([1.0, 0.0]))
+    assert rep.max_cost_rise == pytest.approx(1e-9, rel=1e-6)
+    # A one-row trace has no pair to compare.
+    one = dataclasses.replace(trace, entries=trace.entries[:1])
+    assert certify_trace(simple2, one, 1.0, 0.1, sol.h, np.array([1.0, 0.0])).max_cost_rise == 0.0
+
+
+def test_the_one_stop_rule_certifies_held_out_draws():
+    # 30 draws outside the corpus (seed 101), at eps = 0.1 with the searched step.
+    stops = []
+    for lp, res in random_instances(seed=101, count=30, require_interior=True, skip_zero_b=True):
+        params = compute_params(lp)
+        h, _ = certified_step_search(lp, 0.1, params=params, oracle_result=res)
+        sol, trace = solve(lp, DiscreteConfig(eps=0.1, h=h), params=params, oracle_result=res)
+        stops.append(sol.stop_reason)
+        assert sol.cost <= 1.1 * res.opt
+        assert sol.lower_bound is None or sol.lower_bound <= res.opt_exact
+        rep = certify_trace(lp, trace, res.opt, 0.1, h, res.optimal_vertices[0])
+        assert rep.violations == 0 and rep.max_cost_rise == 0.0
+    assert set(stops) <= {"Certified", "FixedPoint"} and len(stops) == 30
+
+
 def test_certify_rejects_gapped_entries(simple2):
     trace = Trace(
         entries=stalled_entries([0, 2]),
@@ -625,13 +648,16 @@ def test_certify_rejects_gapped_entries(simple2):
         certify_trace(simple2, trace, 1.0, 0.1, 0.01, np.array([1.0, 0.0]))
 
 
-def solve_by_loop(lp, config, params=None, oracle_result=None):
+def solve_by_loop(lp, config, params=None, oracle_result=None, gap=True):
     """Step-by-step reference for solve on a nonzero demand vector.
 
     Every value the loop reads is computed afresh each step by a reduction
     of its own on fresh arrays: fp_res, dev and max(x) before the stop test,
-    an exact min(x) after every update, and a trace row assigned as a
-    tuple. The log line about a stalled step is left out.
+    the weak-duality bound b . p / max_i (a_i . p / c_i) and, once c . x is
+    within (1 + eps) of it in floats, the exact test, an exact min(x) after
+    every update, and a trace row assigned as a tuple. With gap=False the
+    loop runs without the gap test, on to a fixed point or the cap. The log
+    line about a stalled step is left out.
     """
     if params is None:
         params = default_params(lp)
@@ -657,7 +683,7 @@ def solve_by_loop(lp, config, params=None, oracle_result=None):
     rows = 0
     dev_max = 0.0
     k = 0
-    stop = None
+    stop = lower_bound = None
     fp_res = math.inf
 
     while True:
@@ -681,6 +707,14 @@ def solve_by_loop(lp, config, params=None, oracle_result=None):
         if fp_res <= FIXED_POINT_TOL * (1.0 + float(x.max())):
             stop = "FixedPoint"
             break
+        if gap:
+            r = float((edge / c).max())
+            if r > 0.0 and float(c @ x) <= (1.0 + config.eps) * (float(b @ p) / r):
+                lb = dual_lower_bound(lp, p)
+                exact_cost = sum(Fraction(int(ci)) * Fraction(v) for ci, v in zip(lp.c_int, x.tolist()))
+                if lb is not None and exact_cost <= (1 + Fraction(config.eps)) * lb:
+                    stop, lower_bound = "Certified", lb
+                    break
         if k >= cap:
             stop = "UserCap" if cap == config.max_iters and config.max_iters < certified_cap else "IterationBound"
             break
@@ -696,7 +730,7 @@ def solve_by_loop(lp, config, params=None, oracle_result=None):
 
     sol = Solution(
         x=x, cost=float(c @ x), iterations=k, stop_reason=stop, h=h, eps=config.eps,
-        residual_inf=resid, fixed_point_residual=fp_res, dev_max=dev_max,
+        residual_inf=resid, fixed_point_residual=fp_res, dev_max=dev_max, lower_bound=lower_bound,
     )
     entries = buf[:rows].copy().view(np.recarray)
     return sol, Trace(entries=entries, h=h, eps=config.eps, trace_every=config.trace_every)
@@ -716,6 +750,9 @@ def test_solve_matches_step_by_step_reference(simple2, triangle, identity2):
         cases.append((lp, DiscreteConfig(eps=0.1, h=h), params, res))
     lp, config, params, res = cases[6]
     cases.append((lp, dataclasses.replace(config, trace_every=7), params, res))
+    # triangle at its certified step proves the gap after 7,968 steps, 1,139 rows at trace_every=7.
+    lp, _, params, res = cases[1]
+    cases.append((lp, DiscreteConfig(eps=0.1, trace_every=7), params, res))
 
     planted, x0 = planted_12x48()
     params = default_params(planted)
@@ -755,7 +792,10 @@ def test_solve_matches_step_by_step_reference(simple2, triangle, identity2):
         assert repr(sol) == repr(ref)
         for field in dataclasses.fields(Solution):
             got, want = getattr(sol, field.name), getattr(ref, field.name)
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
+            if field.name == "lower_bound":  # an exact Fraction or None
+                assert got == want
+            else:
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
         assert (trace.h, trace.eps, trace.trace_every) == (ref_trace.h, ref_trace.eps, ref_trace.trace_every)
         assert trace.entries.dtype == ref_trace.entries.dtype
         assert trace.entries.tobytes() == ref_trace.entries.tobytes()
@@ -772,7 +812,8 @@ def test_solve_and_reference_lose_positivity_at_the_same_iteration():
     lp = validate(LinearProgram.from_lists([[1, -1]], [1], [1, 1]))
     params = dataclasses.replace(compute_params(lp), potential_ratio_bound=0.9)
     h = 0.999 * 0.5 / params.potential_ratio_bound
-    config = DiscreteConfig(h=h, start=np.array([1.2, 0.2]), max_iters=200)
+    # At eps = 0.1 the gap closes at the first step, before x_2 goes negative.
+    config = DiscreteConfig(eps=0.01, h=h, start=np.array([1.2, 0.2]), max_iters=200)
     with pytest.raises(PositivityLostError) as got:
         solve(lp, config, params=params)
     with pytest.raises(PositivityLostError) as want:
@@ -858,68 +899,67 @@ def test_the_step_and_newton_loops_pass_out_positionally_and_call_no_max_method(
     assert found == []
 
 
-def assert_gap_run_is_a_prefix(lp, config, params, res, sol, trace):
-    """Solve again with the gap stop and check it against the fixed-point run (sol, trace).
+def assert_run_is_the_loop_cut_short(lp, config, params, res, sol, trace):
+    """Check a run (sol, trace) of solve against the reference loop without the gap test, run to the same k.
 
-    The gap run must be that run cut short: its trace the first rows of
-    trace byte for byte, its x the row it stopped at, and its certificate
-    the same. A Certified stop carries an exact bound at most opt whose
-    (1 + eps) multiple covers the exact cost of x. Returns the gap run's Solution.
+    The gap stop moves no step: the trace must be that loop's rows byte
+    for byte and x its last x. A Certified stop carries an exact bound at
+    most opt whose (1 + eps) multiple covers the exact cost of x; any other
+    stop is the loop's own. The certificate finds no violation and no
+    rise of the cost.
     """
-    gap_sol, gap_trace = solve(lp, dataclasses.replace(config, gap_stop=True), params=params, oracle_result=res)
-    k = gap_sol.iterations
-    assert k <= sol.iterations
-    assert gap_trace.entries.tobytes() == trace.entries[:k + 1].tobytes()
-    assert gap_sol.x.tobytes() == trace.entries.x[k].tobytes()
-    x_star = res.optimal_vertices[0]
-    assert (certify_trace(lp, gap_trace, res.opt, config.eps, gap_sol.h, x_star)
-            == certify_trace(lp, trace, res.opt, config.eps, sol.h, x_star))
-    if gap_sol.stop_reason == "Certified":
-        exact_cost = sum(Fraction(int(ci)) * Fraction(v) for ci, v in zip(lp.c_int, gap_sol.x.tolist()))
-        assert gap_sol.lower_bound <= res.opt_exact
-        assert exact_cost <= (1 + Fraction(config.eps)) * gap_sol.lower_bound
+    k = sol.iterations
+    ref, ref_trace = solve_by_loop(
+        lp, dataclasses.replace(config, max_iters=k), params=params, oracle_result=res, gap=False)
+    assert ref.iterations == k
+    assert trace.entries.tobytes() == ref_trace.entries.tobytes()
+    assert sol.x.tobytes() == ref.x.tobytes()
+    rep = certify_trace(lp, trace, res.opt, config.eps, sol.h, res.optimal_vertices[0])
+    assert rep.violations == 0 and rep.max_cost_rise == 0.0
+    if sol.stop_reason == "Certified":
+        exact_cost = sum(Fraction(int(ci)) * Fraction(v) for ci, v in zip(lp.c_int, sol.x.tolist()))
+        assert sol.lower_bound <= res.opt_exact
+        assert exact_cost <= (1 + Fraction(config.eps)) * sol.lower_bound
     else:
-        assert (gap_sol.stop_reason, gap_sol.lower_bound, k) == (sol.stop_reason, None, sol.iterations)
-    return gap_sol
+        assert (sol.stop_reason, sol.lower_bound) == (ref.stop_reason, None)
 
 
-def test_the_gap_stop_cuts_the_corpus_runs_short_and_moves_no_step(solve_runs):
-    # Criterion 1's runs, reused: only the gap runs, at most a tenth as long, are paid for here.
+def test_the_certified_stop_cuts_the_corpus_runs_short_and_moves_no_step(solve_runs):
+    # Criterion 1's runs, reused: only the reference loops are paid for here.
     stops = []
     for run in solve_runs["runs"]:
         config = DiscreteConfig(eps=run["sol"].eps, h=run["h"])
-        gap_sol = assert_gap_run_is_a_prefix(
-            run["lp"], config, run["params"], run["res"], run["sol"], run["trace"])
-        stops.append(gap_sol.stop_reason)
+        assert_run_is_the_loop_cut_short(run["lp"], config, run["params"], run["res"], run["sol"], run["trace"])
+        stops.append(run["sol"].stop_reason)
     # identity2 starts at rest; every other run proves its gap.
     assert stops.count("FixedPoint") == 1 and stops.count("Certified") == 27
 
 
-def test_the_gap_stop_cuts_the_verify_runs_short_and_moves_no_step(shipped):
+def test_the_certified_stop_cuts_the_verify_runs_short_and_moves_no_step(shipped):
     # verify's runs: the certified step from the oracle's interior point.
     iterations = {}
     for name, (lp, params, res) in shipped.items():
         config = DiscreteConfig(eps=0.1)
         sol, trace = solve(lp, config, params=params, oracle_result=res)
-        gap_sol = assert_gap_run_is_a_prefix(lp, config, params, res, sol, trace)
-        iterations[name] = (gap_sol.stop_reason, gap_sol.iterations, sol.iterations)
+        assert_run_is_the_loop_cut_short(lp, config, params, res, sol, trace)
+        iterations[name] = (sol.stop_reason, sol.iterations)
     assert iterations == {
-        "simple2": ("Certified", 3654, 36453),
-        "identity2": ("FixedPoint", 0, 0),
-        "triangle": ("Certified", 7968, 121171),
+        "simple2": ("Certified", 3654),
+        "identity2": ("FixedPoint", 0),
+        "triangle": ("Certified", 7968),
     }
 
 
 def test_dual_bounds_along_the_corpus_traces_stay_below_the_optimum(solve_runs):
-    # The potentials at every 500th recorded x of criterion 1's traces.
+    # The potentials at every 32nd recorded x of criterion 1's traces.
     # b . p = p^T A W A^T p > 0 and b . p = sum_i x_i a_i . p, so some
     # a_i . p is positive and every point forms a bound.
-    # About 2,148 points are checked; if that falls under the guard,
+    # About 2,571 points are checked; if that falls under the guard,
     # shorten the stride rather than lower the guard.
     checked = 0
     for run in solve_runs["runs"]:
         lp, opt = run["lp"], run["res"].opt_exact
-        for x in run["trace"].entries.x[::500]:
+        for x in run["trace"].entries.x[::32]:
             lb = dual_lower_bound(lp, laplacian_solve(lp, x / lp.c, lp.b))
             assert lb is not None and lb <= opt, (run["name"], lb, opt)
             checked += 1

@@ -95,6 +95,19 @@ def test_a_start_far_off_the_constraints_flows(name, scale, request):
     assert np.allclose(trace.entries.x, rk45_flow(lp, x0, trace.entries.t), rtol=1e-5, atol=0.0)
 
 
+@pytest.mark.parametrize("scale", [1e-25, 1e-50])
+@pytest.mark.parametrize("name, opt", [("simple2", 1.0), ("triangle", 2.0)])
+def test_a_tiny_start_flows_to_the_optimum(name, opt, scale, request):
+    # Newton's first direction at mu = 0.25 is near 1e49 from 1e-50: 60
+    # halvings of the full step cannot shrink it enough, the capped trial
+    # after it moves each exponent by at most 30.
+    lp = request.getfixturevalue(name)
+    config = FlowConfig(x0=np.full(lp.n, scale), t_end=40.0)
+    trace = integrate(lp, config)
+    assert trace.entries.tobytes() == ref_integrate(lp, config).entries.tobytes()
+    assert trace.final.cost == pytest.approx(opt, rel=1e-9)
+
+
 def _entries_row_by_row(lp, x0, ts, dtype):
     """integrate's record array built one tuple per row, from the same path points."""
     cap = np.maximum(x0, default_params(lp).flux_bound) * (1.0 + 1e-6)

@@ -188,11 +188,16 @@ def _newton(lp: ValidatedLP, log_s, mu: float, y0, shift, laplacian) -> PathPoin
 
 
 def _next_trial(lp: ValidatedLP, d, t: float) -> float:
-    """The line search's next step after rejecting t: half of it, capped after the full step."""
+    """The line search's next step after rejecting t: half of it, capped after the full step.
+
+    A reach of 0, inf or nan gives no cap to take, so the search halves
+    from 1/2 as it did before the cap; a step of EXPONENT_STEP_CAP / inf
+    = 0 would be accepted without moving y.
+    """
     if t != 1.0:
         return 0.5 * t
     reach = float(np.maximum.reduce(np.absolute(lp.At.dot(d) / lp.c)))
-    return 0.5 if reach <= 2.0 * EXPONENT_STEP_CAP else EXPONENT_STEP_CAP / reach
+    return min(0.5, EXPONENT_STEP_CAP / reach) if 0.0 < reach < math.inf else 0.5
 
 
 def follow_path(lp: ValidatedLP, s, mus) -> list[PathPoint]:

@@ -295,7 +295,8 @@ def ref_newton(lp, log_s, mu, y0, shift, laplacian):
         slope = float(grad.dot(d))
         noise = 1e-13 * (abs(float(y.dot(lp.b))) + abs(float(lp.c.dot(x))) + 1.0)
         # After the full step, the next trial moves no exponent a_i . y / c_i by more than EXPONENT_STEP_CAP.
-        capped = min(0.5, EXPONENT_STEP_CAP / float(np.abs(lp.At.dot(d) / lp.c).max()))
+        reach = float(np.abs(lp.At.dot(d) / lp.c).max())
+        capped = min(0.5, EXPONENT_STEP_CAP / reach) if 0.0 < reach < np.inf else 0.5
         t = 1.0
         accepted = None
         for _ in range(MAX_BACKTRACKS):

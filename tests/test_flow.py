@@ -108,6 +108,13 @@ def test_a_tiny_start_flows_to_the_optimum(name, opt, scale, request):
     assert trace.final.cost == pytest.approx(opt, rel=1e-9)
 
 
+@pytest.mark.parametrize("d, t, after", [(10.0, 1.0, 0.5), (120.0, 1.0, 0.25), (0.0, 1.0, 0.5), (np.inf, 1.0, 0.5), (np.inf, 0.5, 0.25)])
+def test_the_trial_after_a_rejected_full_step_is_capped_only_by_a_finite_reach(simple2, d, t, after):
+    # The exponents' reach max_i |a_i . d / c_i| is d here; a reach of 0 or inf gives no cap, since
+    # EXPONENT_STEP_CAP / inf = 0 would be accepted without moving y.
+    assert entropy_path._next_trial(simple2, np.array([d]), t) == after
+
+
 def _entries_row_by_row(lp, x0, ts, dtype):
     """integrate's record array built one tuple per row, from the same path points."""
     cap = np.maximum(x0, default_params(lp).flux_bound) * (1.0 + 1e-6)

@@ -152,11 +152,16 @@ def _write_trace_csv(path, index: str, n: int, rows) -> None:
         raise ProblemIOError(f"cannot write {path}: {exc}") from exc
 
 
-def _bound_fields(lower_bound) -> dict:
-    """The exact dual bound of a Certified stop as a float and as "p/q"; both None when none was formed."""
-    if lower_bound is None:
-        return {"lower_bound": None, "lower_bound_exact": None}
-    return {"lower_bound": float(lower_bound), "lower_bound_exact": str(lower_bound)}
+def _bound_fields(sol) -> dict:
+    """The exact dual bound of a Certified stop as a float and as "p/q", and the dual that formed it.
+
+    All three are None when the run formed no bound; bound_source is
+    "potentials" or "basis" otherwise.
+    """
+    if sol.lower_bound is None:
+        return {"lower_bound": None, "lower_bound_exact": None, "bound_source": None}
+    return {"lower_bound": float(sol.lower_bound), "lower_bound_exact": str(sol.lower_bound),
+            "bound_source": sol.bound_source}
 
 
 def cmd_solve(args) -> int:
@@ -177,7 +182,7 @@ def cmd_solve(args) -> int:
         _write_trace_csv(args.trace, "k", lp.n, rows)
     _emit({
         "command": "solve", "name": lp.name, "m": lp.m, "n": lp.n,
-        **asdict(sol), **_bound_fields(sol.lower_bound),
+        **asdict(sol), **_bound_fields(sol),
         "trace_entries": len(trace.entries),
         "trace_file": args.trace,
     })
@@ -281,7 +286,8 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
     certified step the potential drop is an a-posteriori check. The
     bound is reported with "bound_ok", which holds when it is at most the
     oracle's exact optimum (or when the run formed none), next to x's
-    residual max |A x - b| as "residual_inf". The spot checks
+    residual max |A x - b| as "residual_inf" and the dual that proved the
+    stop as "bound_source" ("potentials", "basis" or None). The spot checks
     draw random feasible points and verify the energy identity, the flux
     and potential bounds, and the first-variation identity against random
     constraint-kernel directions.
@@ -339,7 +345,7 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
         "cost": sol.cost,
         "opt": opt,
         "gap_ok": gap_ok,
-        **_bound_fields(sol.lower_bound),
+        **_bound_fields(sol),
         "residual_inf": sol.residual_inf,
         "bound_ok": bound_ok,
         "certificate": asdict(cert),

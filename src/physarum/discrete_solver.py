@@ -27,17 +27,25 @@ the discrete form of the paper's reading of Physarum as steepest descent.
 certify_trace checks it on the float costs of a trace.
 
 The paper's result counts steps until V(k) <= (1 + eps) opt, and solve
-stops at the first step that provably gets there. Every step holds the
-Laplacian potentials p, and by weak duality
+stops at the first step that provably gets there. Any y with
+r = max_i (a_i . y / c_i) > 0 gives a dual feasible y / r, so by weak
+duality
 
-    lb = b . p / max_i (a_i . p / c_i) <= opt,
+    lb(y) = b . y / r <= opt,
 
-so c . x <= (1 + eps) lb proves the gap without knowing opt. The test is
-made in floats first and, once it holds, again exactly: the bound by
-model.dual_lower_bound over the integer data and c . x over the dyadic
-rationals of the float x. The stop changes no step, so the trajectory
-and trace are those of the same loop without the test, cut short; as
-the cost never rises, every later step would stay within (1 + eps) opt.
+and c . x <= (1 + eps) lb(y) proves the gap without knowing opt. Two
+candidate duals feed it. Every step holds the Laplacian potentials p.
+And at k = 0 and every BASIS_EVERY steps after, linalg.basis_dual reads
+a basis off x: B is x's m largest coordinates and y solves
+A_B^T y = c_B. Near the limit B is an optimal basis and lb(y) = opt,
+where the potentials' bound can still sit a few percent below it.
+Dividing by r makes the bound sound for any B, optimal or not; the best
+basis candidate so far is kept. The test is made in floats first and,
+once it holds, again exactly: the bound by model.dual_lower_bound over
+the integer data and c . x over the dyadic rationals of the float x.
+The stop changes no step, so the trajectory and trace are those of the
+same loop without the test, cut short; as the cost never rises, every
+later step would stay within (1 + eps) opt.
 
 The trace is one numpy record array with a row per recorded step and the
 fields k, x (shape (n,)), cost, energy and edge_potential_inf, so the
@@ -83,6 +91,10 @@ ITERATION_HARD_CAP = 10**18
 
 # solve stops at FixedPoint once |q - x| <= FIXED_POINT_TOL (1 + |x|).
 FIXED_POINT_TOL = 1e-9
+
+# solve reads a basis dual off x (linalg.basis_dual) at k = 0 and every
+# BASIS_EVERY steps after.
+BASIS_EVERY = 64
 
 # A step with h dev at or below NO_MOVE_HDEV leaves x as it is (_cannot_move).
 NO_MOVE_HDEV = 2.0**-55
@@ -151,6 +163,7 @@ class Solution:
     fixed_point_residual: float
     dev_max: float
     lower_bound: Fraction | None = None  # the exact dual bound that proved the stop Certified
+    bound_source: str | None = None  # the dual that formed it: "potentials" or "basis"
 
 
 def _cannot_move(h: float, dev: float) -> bool:
@@ -161,6 +174,11 @@ def _cannot_move(h: float, dev: float) -> bool:
     rounding: solve from there would return the point bit for bit.
     """
     return h * dev <= NO_MOVE_HDEV
+
+
+def _exact_cost(c_int: list, x: np.ndarray) -> Fraction:
+    """c . x exactly, each float of x read as the dyadic rational it is."""
+    return sum(map(operator.mul, c_int, map(Fraction, x.tolist())))
 
 
 def default_step(params: Params, eps: float) -> float:
@@ -205,20 +223,29 @@ def solve(
     """Run the damped iteration to a proved gap or a numerical fixed point.
 
     Stops at FixedPoint when |q - x| is below FIXED_POINT_TOL * (1 + |x|),
-    else at Certified, tested next and before the cap,
-    once c . x <= (1 + eps) lb for the weak-duality bound
-    lb = b . p / max_i (a_i . p / c_i) of the step's potentials p; the
-    Solution then carries lb as an exact Fraction in lower_bound (None
-    for every other stop). The test is made in floats first, from the p
-    and A^T p the step already holds, and only when it holds is it made
-    exactly (model.dual_lower_bound and c . x in rationals): the exact
-    check builds Python ints and Fractions over all of A and costs more
-    than a whole step, while the float test costs a few numpy calls and
-    decides nothing on its own. A float test that the exact one refutes
-    just lets the run go on. The stop moves no step, so the trace is the
-    first rows of the same loop's without the test, bit for bit. Failing
-    both, it stops at IterationBound when the certified worst-case count
-    is exhausted, or at UserCap when max_iters is hit first.
+    else at Certified, tested next and before the cap, once
+    c . x <= (1 + eps) lb for a weak-duality bound
+    lb = b . y / max_i (a_i . y / c_i) of one of two candidate duals y:
+    the kept basis candidate, read off x by linalg.basis_dual at k = 0
+    and every BASIS_EVERY steps and replaced when a later one bounds
+    higher, and the step's potentials p. Testing both is testing against
+    the larger bound. The Solution then carries lb as an exact Fraction in
+    lower_bound and names its dual in bound_source, "basis" or
+    "potentials" (both None for every other stop). Each test is made in
+    floats first, and only when it holds is it made exactly
+    (model.dual_lower_bound and c . x in rationals): the exact check
+    builds Python ints and Fractions over all of A and costs more than a
+    whole step, while the float test costs a few numpy calls and decides
+    nothing on its own. A float test that the exact one refutes just lets
+    the run go on. The basis candidate is tested first: its exact bound is
+    formed at most once, and then also replaces its float one, so a
+    candidate whose float bound overstates it cannot hold the test open.
+    The potentials are tested whenever the basis does not prove the gap,
+    so no run stops later than with the potentials' bound alone. The stop
+    moves no step, so the trace is the first rows of the same loop's
+    without the test, bit for bit. Failing both, it stops at
+    IterationBound when the certified worst-case count is exhausted, or at
+    UserCap when max_iters is hit first.
 
     The start must be strictly positive and satisfy A x = b, else
     check_point raises: the progress certificate and the positivity cap
@@ -338,7 +365,8 @@ def solve(
     # NaN or inf, min(x) is read.
     #
     # The gap stop reads edge (A^T p), p and x and writes only its own
-    # buffer ratio, so it moves no step's bits.
+    # buffer ratio (basis_dual writes nothing of the loop's), so it moves
+    # no step's bits.
     #
     # The same product h dev decides whether the update moves x at all. At
     # or below NO_MOVE_HDEV it is the identity in floating point
@@ -356,7 +384,12 @@ def solve(
     # The gap stop's state; ratio holds a_i . p / c_i.
     ratio, maxr, c_int = np.empty(n), np.maximum.reduce, lp.c_int.tolist()
     one_eps, exact_one_eps = 1.0 + config.eps, 1 + Fraction(config.eps)
-    lower_bound = None
+    lower_bound = bound_source = None
+    # The kept basis candidate: its dual, its float bound and, once formed,
+    # its exact bound, which then also replaces the float one. A bound that
+    # is None or <= 0 proves nothing (c . x > 0) and becomes -inf; so no
+    # Fraction past the float range is converted.
+    basis_dual, basis_y, basis_lb, basis_exact = linalg.basis_dual, None, -math.inf, None
     while True:
         mul(x, inv_c, w)
         p = laplacian(w, b)
@@ -381,11 +414,23 @@ def solve(
         if fp_res <= FIXED_POINT_TOL * (1.0 + x_max):
             stop = "FixedPoint"
             break
+        if not k % BASIS_EVERY:
+            found = basis_dual(lp, x)
+            if found is not None and found[1] > basis_lb:
+                (basis_y, basis_lb), basis_exact = found, None
+        cost = float(c.dot(x))
+        if cost <= one_eps * basis_lb:
+            if basis_exact is None:
+                basis_exact = dual_lower_bound(lp, basis_y)
+                basis_lb = float(basis_exact) if basis_exact is not None and basis_exact > 0 else -math.inf
+            if basis_exact is not None and _exact_cost(c_int, x) <= exact_one_eps * basis_exact:
+                lower_bound, bound_source, stop = basis_exact, "basis", "Certified"
+                break
         r = float(maxr(mul(edge, inv_c, ratio)))
-        if r > 0.0 and float(c.dot(x)) <= one_eps * (float(b.dot(p)) / r):
+        if r > 0.0 and cost <= one_eps * (float(b.dot(p)) / r):
             lb = dual_lower_bound(lp, p)
-            if lb is not None and sum(map(operator.mul, c_int, map(Fraction, x.tolist()))) <= exact_one_eps * lb:
-                lower_bound, stop = lb, "Certified"
+            if lb is not None and _exact_cost(c_int, x) <= exact_one_eps * lb:
+                lower_bound, bound_source, stop = lb, "potentials", "Certified"
                 break
         if k >= cap:
             stop = cap_stop
@@ -435,6 +480,7 @@ def solve(
     sol = Solution(
         x=x.copy(), cost=float(c @ x), iterations=k, stop_reason=stop, h=h, eps=config.eps,
         residual_inf=resid, fixed_point_residual=fp_res, dev_max=dev_max, lower_bound=lower_bound,
+        bound_source=bound_source,
     )
     # np.vecdot makes one ddot call per row, the call c.dot(x) and b.dot(p)
     # make, so each entry is that row's dot product bit for bit; a

@@ -28,7 +28,8 @@ Importing scipy.linalg would cost about 0.2 s of CPU more per process
 in numpy and so imports numpy's lazy f2py and testing modules; a
 `physarum verify` process loads 278 modules instead of 557. The commands
 that never solve a Laplacian (`params`, `oracle`) import no SciPy at all.
-kernel_basis uses numpy's QR and loads no SciPy either.
+kernel_basis uses numpy's QR and basis_dual numpy's LU solve; neither
+loads SciPy.
 
 At m <= 3 call overhead, not arithmetic, sets the cost of a solve. The
 LAPACK routines take positional arguments (a keyword lower=True adds about
@@ -43,6 +44,7 @@ Laplacian it forms reaches LAPACK without a conversion.
 
 from __future__ import annotations
 
+import math
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
@@ -144,6 +146,32 @@ def laplacian_solver(lp: ValidatedLP):
 def laplacian_solve(lp: ValidatedLP, w, rhs: np.ndarray) -> np.ndarray:
     """Solve (A diag(w) A^T) p = rhs once: laplacian_solver(lp)(w, rhs)."""
     return laplacian_solver(lp)(w, rhs)
+
+
+def basis_dual(lp: ValidatedLP, x: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """The dual y of the basis B that x's m largest coordinates name, with its float bound.
+
+    Solves A_B^T y = c_B and returns y with b . y / r, r = max_i a_i . y / c_i:
+    y / r satisfies every dual constraint, so by weak duality the bound is
+    at most opt (up to rounding in floats; model.dual_lower_bound forms it
+    exactly) for any B, optimal or not. Ties among x's coordinates are
+    broken as np.argpartition breaks them, and B is sorted. None when A_B
+    is singular, y or the bound is not finite, or r <= 0: a guess that
+    cannot bound anything raises and warns nothing.
+    """
+    B = np.sort(np.argpartition(x, -lp.m)[-lp.m:])
+    try:
+        y = np.linalg.solve(lp.At[B], lp.c[B])
+    except np.linalg.LinAlgError:
+        return None
+    # A near-singular A_B gives a y whose products overflow; that is no bound.
+    with np.errstate(all="ignore"):
+        r = float(np.maximum.reduce(lp.At.dot(y) / lp.c))
+        dot = float(lp.b.dot(y))
+    if not (r > 0.0 and math.isfinite(r) and math.isfinite(dot)):
+        return None
+    bound = dot / r
+    return (y, bound) if math.isfinite(bound) else None
 
 
 def kernel_basis(A: np.ndarray) -> np.ndarray:

@@ -313,6 +313,8 @@ def test_verify_command(capsys):
     assert data["bound_ok"] is True and Fraction(data["lower_bound_exact"]) <= 1
     assert data["lower_bound"] == float(Fraction(data["lower_bound_exact"]))
     assert data["cost"] <= 1.1 * data["lower_bound"]
+    # The basis that simple2's optimal vertex names proves the stop.
+    assert data["bound_source"] == "basis"
     # The bound speaks of an x that meets A x = b only to rounding.
     assert 0.0 <= data["residual_inf"] <= 1e-12
 
@@ -322,6 +324,11 @@ def test_solve_prints_the_dual_bound_of_its_certified_stop(capsys):
     assert rc == 0
     assert (data["stop_reason"], data["iterations"]) == ("Certified", 3654)
     assert data["lower_bound_exact"] == "1" and data["lower_bound"] == 1.0
+    assert data["bound_source"] == "basis"
+    # identity2 starts at rest: no bound is formed, and none is named.
+    rc, data = run_json(capsys, ["solve", IDENTITY2])
+    assert rc == 0 and data["stop_reason"] == "FixedPoint"
+    assert data["lower_bound"] is data["lower_bound_exact"] is data["bound_source"] is None
 
 
 def test_verify_above_the_certified_step_stops_where_solve_does(capsys):

@@ -29,11 +29,12 @@ from physarum import (
     integrate,
     interior_point,
     iteration_bound,
+    linalg,
     solve,
     validate,
 )
 from physarum import oracle as oracle_mod
-from physarum.discrete_solver import FIXED_POINT_TOL, ITERATION_HARD_CAP, PILOT_T_END, trace_dtype
+from physarum.discrete_solver import BASIS_EVERY, FIXED_POINT_TOL, ITERATION_HARD_CAP, PILOT_T_END, trace_dtype
 from physarum.errors import (
     BadEpsError,
     BadStepError,
@@ -51,7 +52,7 @@ from physarum.errors import (
     TooLargeError,
     ValidationError,
 )
-from physarum.linalg import laplacian_solve
+from physarum.linalg import basis_dual, laplacian_solve
 from physarum.model import check_point, default_params, dual_lower_bound
 from tests.conftest import (
     CORPUS_EPS,
@@ -622,19 +623,27 @@ def test_certify_reports_the_largest_cost_rise(simple2):
     assert certify_trace(simple2, one, 1.0, 0.1, sol.h, np.array([1.0, 0.0])).max_cost_rise == 0.0
 
 
-def test_the_one_stop_rule_certifies_held_out_draws():
-    # 30 draws outside the corpus (seed 101), at eps = 0.1 with the searched step.
-    stops = []
+def test_the_one_stop_rule_certifies_held_out_draws(monkeypatch):
+    # 30 draws outside the corpus (seed 101), at eps = 0.1 with the searched
+    # step. Each run is the loop cut short, and stops no later than the same
+    # loop with the potentials' bound alone, which is solve with no basis
+    # candidate.
+    runs = []
     for lp, res in random_instances(seed=101, count=30, require_interior=True, skip_zero_b=True):
         params = compute_params(lp)
         h, _ = certified_step_search(lp, 0.1, params=params, oracle_result=res)
-        sol, trace = solve(lp, DiscreteConfig(eps=0.1, h=h), params=params, oracle_result=res)
-        stops.append(sol.stop_reason)
+        config = DiscreteConfig(eps=0.1, h=h)
+        sol, trace = solve(lp, config, params=params, oracle_result=res)
+        runs.append((lp, res, params, config, sol))
         assert sol.cost <= 1.1 * res.opt
-        assert sol.lower_bound is None or sol.lower_bound <= res.opt_exact
-        rep = certify_trace(lp, trace, res.opt, 0.1, h, res.optimal_vertices[0])
-        assert rep.violations == 0 and rep.max_cost_rise == 0.0
-    assert set(stops) <= {"Certified", "FixedPoint"} and len(stops) == 30
+        assert_run_is_the_loop_cut_short(lp, config, params, res, sol, trace)
+    assert {sol.stop_reason for *_, sol in runs} <= {"Certified", "FixedPoint"} and len(runs) == 30
+    monkeypatch.setattr(linalg, "basis_dual", lambda lp, x: None)
+    for lp, res, params, config, sol in runs:
+        alone, _ = solve(lp, config, params=params, oracle_result=res)
+        assert alone.bound_source in (None, "potentials")
+        assert sol.iterations <= alone.iterations
+        assert sol.stop_reason == alone.stop_reason
 
 
 def test_certify_rejects_gapped_entries(simple2):
@@ -655,9 +664,13 @@ def solve_by_loop(lp, config, params=None, oracle_result=None, gap=True):
     of its own on fresh arrays: fp_res, dev and max(x) before the stop test,
     the weak-duality bound b . p / max_i (a_i . p / c_i) and, once c . x is
     within (1 + eps) of it in floats, the exact test, an exact min(x) after
-    every update, and a trace row assigned as a tuple. With gap=False the
-    loop runs without the gap test, on to a fixed point or the cap. The log
-    line about a stalled step is left out.
+    every update, and a trace row assigned as a tuple. Every BASIS_EVERY
+    steps it reads a basis candidate off x: B from a full argsort, y from
+    np.linalg.solve on A[:, B].T, and the bound b . y / max_i (a_i . y / c_i).
+    The best one is kept, tested before the potentials, and its float bound
+    becomes its exact one once that is formed. With gap=False the loop runs
+    without either test, on to a fixed point or the cap. The log line about
+    a stalled step is left out.
     """
     if params is None:
         params = default_params(lp)
@@ -683,8 +696,9 @@ def solve_by_loop(lp, config, params=None, oracle_result=None, gap=True):
     rows = 0
     dev_max = 0.0
     k = 0
-    stop = lower_bound = None
+    stop = lower_bound = bound_source = None
     fp_res = math.inf
+    basis_y, basis_lb, basis_exact, basis_formed = None, -math.inf, None, False  # the kept candidate
 
     while True:
         w = x * inv_c
@@ -708,12 +722,31 @@ def solve_by_loop(lp, config, params=None, oracle_result=None, gap=True):
             stop = "FixedPoint"
             break
         if gap:
+            if k % BASIS_EVERY == 0:
+                B = np.sort(np.argsort(x, kind="stable")[-lp.m:])
+                try:
+                    y = np.linalg.solve(A[:, B].T, c[B])
+                except np.linalg.LinAlgError:
+                    y = None
+                if y is not None:
+                    with np.errstate(all="ignore"):
+                        y_r, y_dot = float(((At @ y) / c).max()), float(b @ y)
+                    if 0.0 < y_r < math.inf and math.isfinite(y_dot) and math.isfinite(y_dot / y_r):
+                        if y_dot / y_r > basis_lb:
+                            basis_y, basis_lb, basis_exact, basis_formed = y, y_dot / y_r, None, False
+            exact_cost = lambda: sum(Fraction(int(ci)) * Fraction(v) for ci, v in zip(lp.c_int, x.tolist()))
+            if float(c @ x) <= (1.0 + config.eps) * basis_lb:
+                if not basis_formed:
+                    basis_exact, basis_formed = dual_lower_bound(lp, basis_y), True
+                    basis_lb = float(basis_exact) if basis_exact is not None and basis_exact > 0 else -math.inf
+                if basis_exact is not None and exact_cost() <= (1 + Fraction(config.eps)) * basis_exact:
+                    stop, lower_bound, bound_source = "Certified", basis_exact, "basis"
+                    break
             r = float((edge / c).max())
             if r > 0.0 and float(c @ x) <= (1.0 + config.eps) * (float(b @ p) / r):
                 lb = dual_lower_bound(lp, p)
-                exact_cost = sum(Fraction(int(ci)) * Fraction(v) for ci, v in zip(lp.c_int, x.tolist()))
-                if lb is not None and exact_cost <= (1 + Fraction(config.eps)) * lb:
-                    stop, lower_bound = "Certified", lb
+                if lb is not None and exact_cost() <= (1 + Fraction(config.eps)) * lb:
+                    stop, lower_bound, bound_source = "Certified", lb, "potentials"
                     break
         if k >= cap:
             stop = "UserCap" if cap == config.max_iters and config.max_iters < certified_cap else "IterationBound"
@@ -731,6 +764,7 @@ def solve_by_loop(lp, config, params=None, oracle_result=None, gap=True):
     sol = Solution(
         x=x, cost=float(c @ x), iterations=k, stop_reason=stop, h=h, eps=config.eps,
         residual_inf=resid, fixed_point_residual=fp_res, dev_max=dev_max, lower_bound=lower_bound,
+        bound_source=bound_source,
     )
     entries = buf[:rows].copy().view(np.recarray)
     return sol, Trace(entries=entries, h=h, eps=config.eps, trace_every=config.trace_every)
@@ -950,17 +984,48 @@ def test_the_certified_stop_cuts_the_verify_runs_short_and_moves_no_step(shipped
     }
 
 
+def test_a_basis_candidate_that_overstates_its_bound_never_certifies_above_opt(shipped, monkeypatch):
+    # A doctored candidate: the optimal basis dual times 1.5, so a_i . y > c_i
+    # on the basis columns, paired with b . y as if it met every constraint:
+    # a float bound of 1.5 opt. At the start 1.1 opt < c . x <= 1.65 opt, so
+    # its float test holds while the exact one, scaled by r = 1.5, refutes.
+    lp, params, res = shipped["triangle"]
+    y, _ = linalg.basis_dual(lp, res.optimal_vertices[0])
+    y = 1.5 * y
+    assert (lp.At @ y / lp.c).max() == 1.5 and float(lp.b @ y) == 1.5 * res.opt
+    x0 = oracle_mod.start_point(lp, None, res)
+    assert 1.1 * res.opt < lp.c @ x0 <= 1.65 * res.opt
+    candidates, formed = [], []
+    monkeypatch.setattr(linalg, "basis_dual", lambda lp, x: candidates.append(x) or (y, float(lp.b @ y)))
+    monkeypatch.setattr(discrete_solver, "dual_lower_bound",
+                        lambda lp, v: formed.append(v is y) or dual_lower_bound(lp, v))
+    config = DiscreteConfig(eps=0.1)
+    sol, trace = solve(lp, config, params=params, oracle_result=res)
+    assert (sol.stop_reason, sol.bound_source) == ("Certified", "basis")
+    assert sol.lower_bound == dual_lower_bound(lp, y) <= res.opt_exact
+    # Each candidate's exact bound is formed at most once.
+    assert 1 <= formed.count(True) <= len(candidates) == sol.iterations // BASIS_EVERY + 1
+    assert_run_is_the_loop_cut_short(lp, config, params, res, sol, trace)
+
+
 def test_dual_bounds_along_the_corpus_traces_stay_below_the_optimum(solve_runs):
-    # The potentials at every 32nd recorded x of criterion 1's traces.
-    # b . p = p^T A W A^T p > 0 and b . p = sum_i x_i a_i . p, so some
-    # a_i . p is positive and every point forms a bound.
-    # About 2,571 points are checked; if that falls under the guard,
-    # shorten the stride rather than lower the guard.
-    checked = 0
+    # The potentials and the basis candidate at every 16th recorded x of
+    # criterion 1's traces. b . p = p^T A W A^T p > 0 and
+    # b . p = sum_i x_i a_i . p, so some a_i . p is positive and every
+    # point forms a bound; a basis candidate forms one whenever basis_dual
+    # returns it. About 2,845 points are checked, 2,796 of them with a basis
+    # candidate; if either falls under the guard, shorten the stride rather
+    # than lower the guard.
+    checked = from_basis = 0
     for run in solve_runs["runs"]:
         lp, opt = run["lp"], run["res"].opt_exact
-        for x in run["trace"].entries.x[::32]:
+        for x in run["trace"].entries.x[::16]:
             lb = dual_lower_bound(lp, laplacian_solve(lp, x / lp.c, lp.b))
             assert lb is not None and lb <= opt, (run["name"], lb, opt)
+            found = basis_dual(lp, x)
+            if found is not None:
+                lb = dual_lower_bound(lp, found[0])
+                assert lb is not None and lb <= opt, (run["name"], lb, opt)
+                from_basis += 1
             checked += 1
-    assert checked > 2000
+    assert checked > 2000 and from_basis > 2000

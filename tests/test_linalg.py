@@ -1,6 +1,7 @@
 """Cholesky factorization, the Laplacian solve and kernel bases."""
 
 import os
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -349,6 +350,66 @@ def test_kernel_basis_loads_no_scipy():
     proc = run_child(["-c", script], os.environ)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["8", "5", "False"]
+
+
+def test_basis_dual_at_an_optimal_vertex_bounds_by_the_optimum(simple2, triangle):
+    # The m largest coordinates of the optimal vertex name the optimal basis,
+    # whose dual meets every constraint, so r = 1 and the bound is opt.
+    for lp, vertex, opt, y_opt in ((simple2, [1.0, 0.0], 1.0, [1.0]), (triangle, [1.0, 1.0, 0.0], 2.0, [2.0, 1.0])):
+        y, bound = linalg.basis_dual(lp, np.array(vertex))
+        assert y.tolist() == y_opt and bound == opt
+
+
+def _overflowing_basis(m=17, K=2**62):
+    """An LP whose first m columns form a basis with a dual near K**(m - 1), and one column more.
+
+    Column j has 1 in row j and -K in row j - 1, so A_B^T y = 1 gives
+    y_j = 1 + K y_{j-1}; the last column holds K in the last row, where
+    a . y is K**m, past the float range from m = 17 at K = 2**62.
+    """
+    A = np.zeros((m, m + 1), dtype=np.int64)
+    A[np.arange(m), np.arange(m)] = 1
+    A[np.arange(m - 1), np.arange(1, m)] = -K
+    A[m - 1, m] = K
+    return validate(LinearProgram.from_lists(A.tolist(), [1] * m, [1] * (m + 1)))
+
+
+@pytest.mark.parametrize("case", ["singular", "overflow", "r <= 0"])
+def test_a_basis_guess_that_cannot_bound_returns_none_silently(case, monkeypatch):
+    if case == "singular":
+        # Columns 0 and 1 are equal and are x's two largest coordinates.
+        lp = validate(LinearProgram.from_lists([[1, 1, 0], [2, 2, 1]], [3, 7], [1, 1, 1]))
+        x = np.array([5.0, 4.0, 1.0])
+    elif case == "overflow":
+        lp = _overflowing_basis()
+        x = np.r_[np.full(lp.m, 2.0), 1.0]
+        y = np.linalg.solve(lp.At[:lp.m], lp.c[:lp.m])
+        assert np.all(np.isfinite(y)) and y.max() > 1e297
+    else:
+        # The basis columns meet A_B^T y = c_B > 0, so in exact arithmetic
+        # r >= 1; only a solve spoiled by rounding can give r <= 0, and a
+        # stand-in solve returns such a y.
+        lp = validate(LinearProgram.from_lists([[1, 2]], [1], [1, 1]))
+        x = np.array([0.5, 0.25])
+        monkeypatch.setattr(np.linalg, "solve", lambda M, v: -np.ones(len(v)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert linalg.basis_dual(lp, x) is None
+
+
+def test_basis_dual_loads_no_scipy(triangle):
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from physarum import LinearProgram, linalg, validate\n"
+        f"lp = validate(LinearProgram.from_lists({triangle.A_int.tolist()}, {triangle.b_int.tolist()}, "
+        f"{triangle.c_int.tolist()}))\n"
+        "y, bound = linalg.basis_dual(lp, np.array([1.0, 1.0, 0.5]))\n"
+        "print(bound, 'scipy' in sys.modules)\n"
+    )
+    proc = run_child(["-c", script], os.environ)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2.0", "False"]
 
 
 def test_scipy_linalg_imported_first_serves_the_same_routines():

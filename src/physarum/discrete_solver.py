@@ -51,9 +51,9 @@ The trace is one numpy record array with a row per recorded step and the
 fields k, x (shape (n,)), cost, energy and edge_potential_inf, so the
 certificate is checked column-wise rather than step by step. A recorded
 step keeps only what it already holds: x, the potentials p and the
-largest |a_i . p|. The record array is built once after the loop, fill
-rows included: k from the row index, and cost = c . x and energy = b . p
-with one ddot per row.
+largest |a_i . p|. The record array is built once after the loop: k
+from the row index, and cost = c . x and energy = b . p with one ddot
+per row.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ from .errors import (
     NumericalError,
     PositivityLostError,
     StepSizeUnderflowError,
-    TooLargeError,
     ValidationError,
 )
 from . import linalg
@@ -245,19 +244,16 @@ def solve(
     moves no step, so the trace is the first rows of the same loop's
     without the test, bit for bit. Failing both, it stops at
     IterationBound when the certified worst-case count is exhausted, or at
-    UserCap when max_iters is hit first.
+    UserCap when max_iters is hit first. Failing all of these, it stops at
+    Stalled after a step that cannot move x (h dev <= 2**-55, see
+    _cannot_move): that step is taken and leaves x bit for bit as it was,
+    so every later step would repeat it. iterations counts the steps
+    taken, and the trace holds the rows recorded up to the stop.
 
     The start must be strictly positive and satisfy A x = b, else
     check_point raises: the progress certificate and the positivity cap
     1/(2P) both rest on it. Params that understate P can still drive a
     coordinate to zero, which raises PositivityLostError.
-
-    A step that cannot move x (h dev <= 2**-55, see _cannot_move) ends the
-    loop at once: every later step would recompute it bit for bit, so solve
-    stops at the cap with the result and trace that running there gives.
-    The skipped steps are logged at INFO. The trace's record array is built
-    once after the loop, the rows owed up to the cap included; rows that
-    cannot be allocated raise TooLargeError.
 
     A zero demand vector is a special case: x = 0 is optimal and the
     dynamics are never entered. A step so small that the iterates never
@@ -334,7 +330,7 @@ def solve(
     # allocated less at their peak.
     n = lp.n
     rec = np.empty((0, n + lp.m + 1))
-    rows = fill = 0
+    rows = 0
     dev_max = 0.0
     k = 0
 
@@ -370,11 +366,9 @@ def solve(
     #
     # The same product h dev decides whether the update moves x at all. At
     # or below NO_MOVE_HDEV it is the identity in floating point
-    # (_cannot_move), so every step up to the cap would recompute this one
-    # bit for bit. The loop then counts the fill rows, one per recorded k'
-    # in (k, cap], which repeat this step's values, and stops at the cap as
-    # running there would. The test comes after the stop tests, so a start
-    # at rest still stops at FixedPoint.
+    # (_cannot_move), so every later step would repeat this one bit for
+    # bit: the loop stops at Stalled at the next step, after its other
+    # stop tests.
     w = np.empty_like(x0)
     R, R_abs = np.empty((4, n)), np.empty((4, n))
     diff, rel_diff, edge, x = R
@@ -390,6 +384,7 @@ def solve(
     # is None or <= 0 proves nothing (c . x > 0) and becomes -inf; so no
     # Fraction past the float range is converted.
     basis_dual, basis_y, basis_lb, basis_exact = linalg.basis_dual, None, -math.inf, None
+    stalled = False
     while True:
         mul(x, inv_c, w)
         p = laplacian(w, b)
@@ -435,36 +430,17 @@ def solve(
         if k >= cap:
             stop = cap_stop
             break
+        if stalled:
+            stop = "Stalled"
+            break
 
         h_dev = h * dev
-        if h_dev <= NO_MOVE_HDEV:
-            if trace_every:
-                fill = cap // trace_every - k // trace_every
-            logger.info(
-                "step %d cannot move x (h dev = %.3e <= 2**-55); stopping at the cap %d "
-                "without recomputing the %d identical steps up to it",
-                k, h_dev, cap, cap - k,
-            )
-            k, stop = cap, cap_stop
-            break
+        stalled = h_dev <= NO_MOVE_HDEV
         mul(diff, h_arr, diff)
         add(x, diff, x)
         if not h_dev < 0.5 and minr(x) <= 0.0:
             raise PositivityLostError(f"coordinate became nonpositive at iteration {k + 1}")
         k += 1
-
-    # The fill's row count comes from the cap and can pass what numpy can
-    # allocate: that raises TooLargeError, not ValueError or MemoryError, and
-    # before the stall warning, so that the error is all a caller sees.
-    try:
-        if (rows + fill) * trace_dtype(n).itemsize > np.iinfo(np.intp).max:
-            raise MemoryError
-        entries = np.recarray(rows + fill, dtype=trace_dtype(n))
-    except MemoryError:
-        raise TooLargeError(
-            f"the trace would hold {rows + fill} rows of {n} variables, more than can be allocated; "
-            "lower max_iters or raise trace_every"
-        ) from None
 
     if k > 0 and np.array_equal(x, x0):
         logger.warning(
@@ -484,19 +460,14 @@ def solve(
     )
     # np.vecdot makes one ddot call per row, the call c.dot(x) and b.dot(p)
     # make, so each entry is that row's dot product bit for bit; a
-    # matrix-vector product (xs @ c) need not be. The fill rows repeat the
-    # last step's values, as a run to the cap would record them.
-    np.multiply(np.arange(rows + fill), trace_every, entries.k)
-    head, tail = entries[:rows], entries[rows:]
+    # matrix-vector product (xs @ c) need not be.
+    entries = np.recarray(rows, dtype=trace_dtype(n))
+    np.multiply(np.arange(rows), trace_every, entries.k)
     xs, ps = rec[:rows, :n], rec[:rows, n:-1]
-    head.x = xs
-    head.cost = np.vecdot(xs, c)
-    head.energy = np.vecdot(ps, b)
-    head.edge_potential_inf = rec[:rows, -1]
-    tail.x = x
-    tail.cost = c.dot(x)
-    tail.energy = b.dot(p)
-    tail.edge_potential_inf = edge_inf
+    entries.x = xs
+    entries.cost = np.vecdot(xs, c)
+    entries.energy = np.vecdot(ps, b)
+    entries.edge_potential_inf = rec[:rows, -1]
     return sol, Trace(entries=entries, h=h, eps=config.eps, trace_every=config.trace_every)
 
 

@@ -38,6 +38,7 @@ from .errors import (
     DimensionMismatchError,
     DualOverflowError,
     NewtonStalledError,
+    NumericalError,
     ValidationError,
 )
 # spd_factor is not called here, but bench/spans.py records spans by
@@ -206,7 +207,8 @@ def follow_path(lp: ValidatedLP, s, mus) -> list[PathPoint]:
     The prediction is the tangent after one solved point and the Lagrange
     extrapolation through the last three (or two) of distinct mu after
     that. A repeated mu starts from, and so reproduces, the point before
-    it. A prediction whose dual overflows is retried from the previous y.
+    it. A prediction from which Newton fails with a NumericalError is
+    retried from the previous y.
     """
     return list(_sweep(lp, mus, lambda mu, y0: solve_point(lp, s, mu, y0=y0)))
 
@@ -256,7 +258,7 @@ def _sweep(lp: ValidatedLP, mus, solve) -> Iterator[PathPoint]:
                 y0 = y0 + weight * j.y
         try:
             point = solve(mu, y0)
-        except DualOverflowError:
+        except NumericalError:
             point = solve(mu, last.y)
         yield point
         if mu > last.mu:

@@ -341,7 +341,7 @@ def ref_sweep(lp, mus, solve):
                 y0 = y0 + weight * j.y
         try:
             point = solve(mu, y0)
-        except DualOverflowError:
+        except NumericalError:
             point = solve(mu, last.y)
         points.append(point)
         if mu > last.mu:

@@ -49,7 +49,6 @@ from physarum.errors import (
     PhysarumError,
     PositivityLostError,
     StepSizeUnderflowError,
-    TooLargeError,
     ValidationError,
 )
 from physarum.linalg import basis_dual, laplacian_solve
@@ -188,12 +187,13 @@ def test_solve_warns_when_the_step_cannot_move_x(simple2, caplog):
     x0 = np.array([0.5, 0.5])
     with caplog.at_level("WARNING", logger="physarum.discrete_solver"):
         sol, _ = solve(simple2, DiscreteConfig(eps=0.1, h=1e-30, start=x0, max_iters=50))
-    assert sol.stop_reason == "UserCap" and sol.iterations == 50
+    assert sol.stop_reason == "Stalled" and sol.iterations == 1
     assert np.array_equal(sol.x, x0) and not np.shares_memory(sol.x, x0)
     assert np.array_equal(x0, [0.5, 0.5])
     stalled = [rec for rec in caplog.records if "bit-identical" in rec.message]
     assert len(stalled) == 1
-    assert "1.000e-30" in stalled[0].message and "certified_step_search" in stalled[0].message
+    assert "1.000e-30" in stalled[0].message and "after 1 iterations" in stalled[0].message
+    assert "certified_step_search" in stalled[0].message
 
     caplog.clear()
     with caplog.at_level("WARNING", logger="physarum.discrete_solver"):
@@ -214,19 +214,21 @@ def test_a_step_that_cannot_move_x_still_stops_in_order(simple2, identity2, capl
     assert (sol.stop_reason, sol.iterations, len(trace.entries)) == ("UserCap", 0, 1)
     assert not caplog.records
 
-    # Otherwise solve says once, at INFO, where it stopped recomputing.
+    # The step is taken; the cap, tested first, stops the next one at 1.
+    sol, trace = solve(simple2, DiscreteConfig(h=1e-30, start=x0, max_iters=1))
+    assert (sol.stop_reason, sol.iterations, len(trace.entries)) == ("UserCap", 1, 2)
+
+    # Otherwise the next step stops at Stalled, with no line but the warning.
+    caplog.clear()
     with caplog.at_level("INFO", logger="physarum.discrete_solver"):
         sol, trace = solve(simple2, DiscreteConfig(h=1e-30, start=x0, max_iters=50, trace_every=7))
-    assert (sol.stop_reason, sol.iterations, len(trace.entries)) == ("UserCap", 50, 8)
-    assert list(trace.entries.k) == list(range(0, 50, 7))
-    skipped = [rec for rec in caplog.records if rec.levelname == "INFO"]
-    assert len(skipped) == 1
-    assert "step 0 " in skipped[0].message and "the 50 identical steps" in skipped[0].message
-    assert f"h dev = {1e-30 * sol.dev_max:.3e}" in skipped[0].message
+    assert (sol.stop_reason, sol.iterations, len(trace.entries)) == ("Stalled", 1, 1)
+    assert list(trace.entries.k) == [0]
+    assert [rec.levelname for rec in caplog.records] == ["WARNING"]
 
-    # Past the certified count the cap is the iteration bound, reached at once.
+    # Past the certified count too: the stall, not the iteration bound, ends the run.
     sol, trace = solve(simple2, DiscreteConfig(h=1e-30, start=x0, max_iters=ITERATION_HARD_CAP + 1, trace_every=0))
-    assert (sol.stop_reason, sol.iterations, len(trace.entries)) == ("IterationBound", ITERATION_HARD_CAP, 0)
+    assert (sol.stop_reason, sol.iterations, len(trace.entries)) == ("Stalled", 1, 0)
     assert sol.x.tobytes() == x0.tobytes()
 
 
@@ -245,10 +247,12 @@ def test_a_step_that_cannot_move_x_is_solved_once(simple2, monkeypatch):
     dposv = linalg.dposv
     monkeypatch.setattr(linalg, "dposv", counting_dposv)
 
+    # The step that cannot move x is solved once; the next step's solve finds
+    # the same x, and the loop stops there.
     planted, x0 = planted_12x48()
     sol, _ = solve(planted, DiscreteConfig(start=x0, trace_every=0, max_iters=3000))
-    assert sol.iterations == 3000 and np.array_equal(sol.x, x0)
-    assert len(calls) == 1
+    assert (sol.stop_reason, sol.iterations) == ("Stalled", 1) and np.array_equal(sol.x, x0)
+    assert len(calls) == 2
 
     calls.clear()
     sol, _ = solve(simple2, DiscreteConfig(start=np.array([0.5, 0.5])))
@@ -256,51 +260,51 @@ def test_a_step_that_cannot_move_x_is_solved_once(simple2, monkeypatch):
     assert len(calls) == sol.iterations + 1
 
 
-def test_rows_after_a_late_exit_sit_where_a_run_to_the_cap_puts_them(simple2, monkeypatch, caplog):
+def test_rows_after_a_late_exit_sit_where_a_run_to_the_cap_puts_them(simple2, monkeypatch):
     # No step of a moving run passes the real threshold, so this one is
     # raised: dev falls from 0.98 along this run, and h dev first drops to
-    # 0.009 or below at step 176, one past a recorded step. 203 // 7 - 176 // 7 rows
-    # follow, one more than (203 - 176) // 7.
+    # 0.009 or below at step 176. That step is taken, and the run stops at
+    # 177, two past a recorded step at trace_every=7: its rows are those of
+    # the run to the cap up to there, and no row follows them.
     from physarum import discrete_solver
 
     config = DiscreteConfig(h=0.01, start=np.array([0.01, 0.99]), max_iters=203)
     _, every_step = solve(simple2, config)
     monkeypatch.setattr(discrete_solver, "NO_MOVE_HDEV", 0.009)
-    with caplog.at_level("INFO", logger="physarum.discrete_solver"):
-        sol, trace = solve(simple2, dataclasses.replace(config, trace_every=7))
-    assert any("step 176 " in rec.message for rec in caplog.records)
-    assert (sol.stop_reason, sol.iterations) == ("UserCap", 203)
-    e = trace.entries
-    assert list(e.k) == list(range(0, 204, 7))
-    assert e[:26].tobytes() == every_step.entries[0:176:7].tobytes()
-    frozen = every_step.entries[176]
-    for name in ("x", "cost", "energy", "edge_potential_inf"):
-        assert e[name][26:].tobytes() == np.repeat(frozen[name][None], len(e) - 26, axis=0).tobytes()
-    assert sol.x.tobytes() == frozen.x.tobytes()
+    for every in (1, 7):
+        sol, trace = solve(simple2, dataclasses.replace(config, trace_every=every))
+        assert (sol.stop_reason, sol.iterations) == ("Stalled", 177)
+        assert list(trace.entries.k) == list(range(0, 178, every))
+        assert trace.entries.tobytes() == every_step.entries[0:178:every].tobytes()
+        assert sol.x.tobytes() == every_step.entries[177].x.tobytes()
 
 
-def test_a_fill_past_numpys_size_limit_raises_too_large(simple2):
-    # h = 1e-30 cannot move the start, so the trace is filled to the cap of
-    # ITERATION_HARD_CAP steps: past numpy's size limit, so nothing is
-    # allocated.
-    config = DiscreteConfig(h=1e-30, start=np.array([0.5, 0.5]), max_iters=10**30)
-    with pytest.raises(TooLargeError, match=f"hold {ITERATION_HARD_CAP + 1} rows"):
-        solve(simple2, config)
+def test_a_cap_past_numpys_size_limit_stalls_after_one_step(simple2):
+    # h = 1e-30 cannot move the start: the run stops after its first step,
+    # whatever the cap, with the two rows it recorded.
+    x0 = np.array([0.5, 0.5])
+    sol, trace = solve(simple2, DiscreteConfig(h=1e-30, start=x0, max_iters=10**30))
+    assert (sol.stop_reason, sol.iterations, len(trace.entries)) == ("Stalled", 1, 2)
+    assert list(trace.entries.k) == [0, 1]
+    assert trace.entries.x.tobytes() == np.stack([x0, x0]).tobytes()
 
 
-def test_a_filled_trace_peaks_near_its_own_size():
-    # The fill is written straight into the record array: no second buffer
-    # of the same rows lives beside it.
+def test_a_stalled_trace_holds_only_the_rows_it_recorded():
+    # The certified step, about 8e-31 here, cannot move x: the trace holds
+    # the two steps taken, not a row per step up to the cap. The run peaks
+    # near 1 MB, mostly the 1024-row record buffer, where the 20,001 rows
+    # to the cap would take 8.3 MB.
     planted, x0 = planted_12x48()
     solve(planted, DiscreteConfig(start=x0, trace_every=0, max_iters=0))  # binds SciPy first
     tracemalloc.start()
     try:
-        _, trace = solve(planted, DiscreteConfig(start=x0, trace_every=1, max_iters=20_000))
+        sol, trace = solve(planted, DiscreteConfig(start=x0, trace_every=1, max_iters=20_000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(trace.entries) == 20_001
-    assert peak <= 1.25 * trace.entries.nbytes
+    assert (sol.stop_reason, sol.iterations, len(trace.entries)) == ("Stalled", 1, 2)
+    assert trace.entries.x.tobytes() == np.stack([x0, x0]).tobytes()
+    assert peak <= 20_001 * trace_dtype(planted.n).itemsize / 4
 
 
 def test_solve_start_validation(simple2):
@@ -669,8 +673,10 @@ def solve_by_loop(lp, config, params=None, oracle_result=None, gap=True):
     np.linalg.solve on A[:, B].T, and the bound b . y / max_i (a_i . y / c_i).
     The best one is kept, tested before the potentials, and its float bound
     becomes its exact one once that is formed. With gap=False the loop runs
-    without either test, on to a fixed point or the cap. The log line about
-    a stalled step is left out.
+    without either test, on to a fixed point, the cap or a stall. A step
+    with h dev <= 2**-55 is taken like any other, and the next step stops
+    at Stalled after its other tests. The warning that x never left the
+    start is left out.
     """
     if params is None:
         params = default_params(lp)
@@ -699,6 +705,7 @@ def solve_by_loop(lp, config, params=None, oracle_result=None, gap=True):
     stop = lower_bound = bound_source = None
     fp_res = math.inf
     basis_y, basis_lb, basis_exact, basis_formed = None, -math.inf, None, False  # the kept candidate
+    stalled = False
 
     while True:
         w = x * inv_c
@@ -751,7 +758,11 @@ def solve_by_loop(lp, config, params=None, oracle_result=None, gap=True):
         if k >= cap:
             stop = "UserCap" if cap == config.max_iters and config.max_iters < certified_cap else "IterationBound"
             break
+        if stalled:
+            stop = "Stalled"
+            break
 
+        stalled = h * dev <= 2.0**-55
         x = x + h * diff
         if x.min() <= 0.0:
             raise PositivityLostError(f"coordinate became nonpositive at iteration {k + 1}")
@@ -795,10 +806,10 @@ def test_solve_matches_step_by_step_reference(simple2, triangle, identity2):
     # Traced, its cost and energy columns are compared with c @ x at n = 48,
     # where ddot takes its blocked path, and with b @ p over m = 12 terms.
     cases.append((planted, DiscreteConfig(h=h, start=x0, max_iters=3000), params, None))
-    # The certified step, about 1e-30 here, cannot move x: solve stops at the
-    # first step and fills in the rows up to the cap, which the reference
-    # computes one step at a time. 3001 is not a multiple of 7.
-    for every, cap in ((0, 3000), (1, 3000), (7, 3001), (1, 0)):
+    # The certified step, about 8e-31 here, cannot move x: the first step is
+    # taken and the second stops at Stalled, unless a cap of 0 or 1 stops
+    # the run first.
+    for every, cap in ((0, 3000), (1, 3000), (7, 3001), (1, 0), (1, 1)):
         cases.append((planted, DiscreteConfig(start=x0, trace_every=every, max_iters=cap), params, None))
 
     # Params that understate P admit a step past the true positivity cap.

@@ -10,22 +10,14 @@ grid, and an entropy-regularized path solved point-wise by Newton's
 method; by the paper's theorem the flow is such a path, so its samples
 are Newton solves too. An exact rational vertex enumerator serves as the
 ground-truth oracle for all of them.
+
+Importing the package loads the problem model and the errors only. Each
+engine, the dynamics evaluation and the oracle load on first access to
+one of their names here, or on an import of their module.
 """
 
-from .continuous_flow import FlowConfig, FlowTrace, integrate, rhs_log
-from .discrete_solver import (
-    CertReport,
-    DiscreteConfig,
-    Solution,
-    Trace,
-    certified_step_search,
-    certify_trace,
-    default_step,
-    iteration_bound,
-    solve,
-)
-from .dynamics import BoundReport, DynamicsEval, check_bounds, evaluate, gradient_identity_residual
-from .entropy_path import PathPoint, follow_path, solve_point
+import importlib
+
 from .errors import (
     LimitError,
     NumericalError,
@@ -33,8 +25,38 @@ from .errors import (
     ProblemFileError,
     ValidationError,
 )
-from .model import LinearProgram, Params, ValidatedLP, compute_params, default_params, max_subdeterminant, validate
-from .oracle import OracleResult, enumerate_polyhedron, interior_point, sample_feasible
+from .model import (
+    LinearProgram,
+    Params,
+    ValidatedLP,
+    compute_params,
+    default_params,
+    default_step,
+    max_subdeterminant,
+    validate,
+)
+
+# The engines load on first access to one of their names (PEP 562), so a
+# process that never runs an engine never compiles or imports it.
+_LAZY = {
+    **dict.fromkeys(("FlowConfig", "FlowTrace", "integrate", "rhs_log"), "continuous_flow"),
+    **dict.fromkeys(("CertReport", "DiscreteConfig", "Solution", "Trace", "certified_step_search",
+                     "certify_trace", "iteration_bound", "solve"), "discrete_solver"),
+    **dict.fromkeys(("BoundReport", "DynamicsEval", "check_bounds", "evaluate", "gradient_identity_residual"),
+                    "dynamics"),
+    **dict.fromkeys(("PathPoint", "follow_path", "solve_point"), "entropy_path"),
+    **dict.fromkeys(("OracleResult", "enumerate_polyhedron", "interior_point", "sample_feasible"), "oracle"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -26,8 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import continuous_flow, discrete_solver, entropy_path
-from . import oracle as oracle_mod
+# Each command imports the engine it runs, so params and oracle never load
+# the solver, the flow or the path. bench/spans.py rebinds cli_io.evaluate,
+# so dynamics, and linalg with it, still load with this module.
 from .dynamics import check_bounds, evaluate, gradient_identity_residual
 from .errors import (
     DimensionMismatchError,
@@ -39,16 +39,16 @@ from .errors import (
 )
 from .linalg import kernel_basis, laplacian_solver
 from .model import (
+    ENUMERATION_CAP,
     EXACT_SUBDET_CAP,
     LinearProgram,
     ValidatedLP,
     _holds_non_number,
     compute_params,
     default_params,
+    default_step,
     validate,
 )
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -165,6 +165,8 @@ def _bound_fields(sol) -> dict:
 
 
 def cmd_solve(args) -> int:
+    from . import discrete_solver
+
     lp, start = load_problem(args.problem, args.start)
     # Without --trace no row is written, so none is recorded.
     config = discrete_solver.DiscreteConfig(
@@ -190,6 +192,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    from . import continuous_flow
+    from . import oracle as oracle_mod
+
     lp, start = load_problem(args.problem, args.start)
     # The grid is checked before start_point runs the exponential enumeration.
     config = continuous_flow.FlowConfig(x0=start, t_end=args.t_end, sample_dt=args.sample_dt)
@@ -212,6 +217,9 @@ def cmd_flow(args) -> int:
 
 
 def cmd_path(args) -> int:
+    from . import entropy_path
+    from . import oracle as oracle_mod
+
     lp, start = load_problem(args.problem, args.start)
     if not (math.isfinite(args.mu_max) and args.mu_max >= 0.0):
         raise ValidationError(f"--mu-max must be finite and nonnegative, got {args.mu_max}")
@@ -242,6 +250,8 @@ def cmd_path(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle as oracle_mod
+
     lp, _ = load_problem(args.problem)
     result = oracle_mod.enumerate_polyhedron(lp, cap=args.cap)
     doc = {
@@ -266,7 +276,7 @@ def cmd_params(args) -> int:
     _emit({
         "command": "params", "name": lp.name, "m": lp.m, "n": lp.n, **asdict(params),
         "positivity_step_cap": params.positivity_step_cap,
-        "certified_step": discrete_solver.default_step(params, args.eps),
+        "certified_step": default_step(params, args.eps),
         "eps": args.eps,
     })
     return EXIT_OK
@@ -292,6 +302,9 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
     and potential bounds, and the first-variation identity against random
     constraint-kernel directions.
     """
+    from . import discrete_solver
+    from . import oracle as oracle_mod
+
     # eps and h are checked before the exact parameters and the enumeration.
     config = discrete_solver.DiscreteConfig(eps=eps, h=h, trace_every=1, max_iters=max_iters)
     if not np.any(lp.b_int):
@@ -447,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_length_at_least(2), default=41)
 
     p = command("oracle", cmd_oracle, "enumerate vertices and rays exactly")
-    p.add_argument("--cap", type=_int_at_least(1), default=oracle_mod.ENUMERATION_CAP)
+    p.add_argument("--cap", type=_int_at_least(1), default=ENUMERATION_CAP)
 
     p = command("params", cmd_params, "print certified instance constants")
     p.add_argument("--mode", choices=("exact", "bound"), default=None,
@@ -467,6 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     level = os.environ.get("PHYSARUM_LOG")
     if level:
+        import logging
+
         logging.basicConfig(
             stream=sys.stderr,
             level=getattr(logging, level.upper(), logging.INFO),

@@ -110,7 +110,9 @@ def integrate(lp: ValidatedLP, config: FlowConfig, params: Params | None = None)
     # products ndarray.dot: ndarray.max(), np.all and @ reach the same
     # calls, bit for bit, with more Python-level overhead. The buffer's
     # rows are made absolute in place before their one reduction, so the
-    # energy squares |edge|, which is edge^2 bit for bit. The record array
+    # energy reads |edge|, whose products are edge's bit for bit. It weights
+    # edge before the dot, as (x / c * edge).dot(edge): from a start near
+    # 1e-160, edge * edge overflows where the energy is finite. The record array
     # is built once from the rows, which costs about half of assigning them
     # one at a time. The three maxima go in as numpy scalars: as Python
     # floats (.tolist()), at the same speed, the corpus benchmark's peak RSS
@@ -133,7 +135,7 @@ def integrate(lp: ValidatedLP, config: FlowConfig, params: Params | None = None)
         resid = maxr(absolute(A.dot(x - decay * x0) - (1.0 - decay) * b))
         edge_inf, direction_inf, deviation_inf = maxr(inf_norms, 1)
         rows.append((
-            t, x, c.dot(x), (x / c).dot(edge * edge), resid, edge_inf, direction_inf, deviation_inf,
+            t, x, c.dot(x), (x / c * edge).dot(edge), resid, edge_inf, direction_inf, deviation_inf,
             np.logical_and.reduce(x <= cap),
         ))
     entries = np.array(rows, dtype=[

@@ -67,7 +67,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import continuous_flow, entropy_path
 from . import oracle as oracle_mod
 from .errors import (
     BadEpsError,
@@ -82,7 +81,7 @@ from .errors import (
 )
 from . import linalg
 from .dynamics import evaluate
-from .model import Params, ValidatedLP, check_point, default_params, dual_lower_bound
+from .model import Params, ValidatedLP, check_point, default_params, default_step, dual_lower_bound
 
 logger = logging.getLogger(__name__)
 
@@ -178,16 +177,6 @@ def _cannot_move(h: float, dev: float) -> bool:
 def _exact_cost(c_int: list, x: np.ndarray) -> Fraction:
     """c . x exactly, each float of x read as the dyadic rational it is."""
     return sum(map(operator.mul, c_int, map(Fraction, x.tolist())))
-
-
-def default_step(params: Params, eps: float) -> float:
-    """The certified step size eps / (6 P^2); 0.0 when P^2 exceeds the float range."""
-    if not (0.0 < eps < 0.5):
-        raise BadEpsError(f"eps must lie in (0, 1/2), got {eps}")
-    try:
-        return eps / (6.0 * params.potential_ratio_bound**2)
-    except OverflowError:
-        return 0.0
 
 
 def iteration_bound(cost_ratio: float, spread: float, eps: float, h: float) -> int:
@@ -575,6 +564,10 @@ def certified_step_search(
     dev. A step of 0 (P beyond the float range), or one too small to move
     the start, raises StepSizeUnderflowError.
     """
+    # The pilot is this module's only use of the flow and the path, so a
+    # process that only solves never loads them.
+    from . import continuous_flow, entropy_path
+
     if params is None:
         params = default_params(lp)
     if oracle_result is None:

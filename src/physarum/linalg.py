@@ -26,7 +26,7 @@ registered in sys.modules under its own name: a later
 Importing scipy.linalg would cost about 0.2 s of CPU more per process
 (2-vCPU Xeon), mostly in SciPy's array-API shim, which probes every name
 in numpy and so imports numpy's lazy f2py and testing modules; a
-`physarum verify` process loads 278 modules instead of 557. The commands
+`physarum verify` process loads 276 modules instead of 555. The commands
 that never solve a Laplacian (`params`, `oracle`) import no SciPy at all.
 kernel_basis uses numpy's QR and basis_dual numpy's LU solve; neither
 loads SciPy.

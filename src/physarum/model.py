@@ -23,6 +23,7 @@ import numpy as np
 
 from . import _exact
 from .errors import (
+    BadEpsError,
     DimensionMismatchError,
     InfeasibleStartError,
     NonPositiveCostError,
@@ -35,6 +36,9 @@ from .errors import (
 # Exact subdeterminant enumeration is exponential; beyond this column count
 # callers must settle for the closed-form bound.
 EXACT_SUBDET_CAP = 14
+
+# The default column cap of the exact vertex enumeration (oracle --cap).
+ENUMERATION_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -137,6 +141,16 @@ class Params:
     def positivity_step_cap(self) -> float:
         """The largest step 1/(2P) that keeps every iterate positive."""
         return 0.5 / self.potential_ratio_bound
+
+
+def default_step(params: Params, eps: float) -> float:
+    """The certified step size eps / (6 P^2); 0.0 when P^2 exceeds the float range."""
+    if not (0.0 < eps < 0.5):
+        raise BadEpsError(f"eps must lie in (0, 1/2), got {eps}")
+    try:
+        return eps / (6.0 * params.potential_ratio_bound**2)
+    except OverflowError:
+        return 0.0
 
 
 def validate(lp: LinearProgram) -> ValidatedLP:

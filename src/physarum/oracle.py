@@ -31,9 +31,7 @@ from . import _exact
 from .errors import NoInteriorPointError, TooLargeError
 # max_subdeterminant is not called here, but bench/spans.py records spans by
 # rebinding oracle.max_subdeterminant, so the name stays bound.
-from .model import ValidatedLP, max_subdeterminant  # noqa: F401
-
-ENUMERATION_CAP = 16
+from .model import ENUMERATION_CAP, ValidatedLP, max_subdeterminant  # noqa: F401
 
 # sample_feasible draws vertex weights from [SAMPLE_MIN_WEIGHT, 1) and ray
 # coefficients from [0, SAMPLE_RAY_SCALE).

@@ -385,7 +385,7 @@ def ref_integrate(lp, config, params=None):
         decay = np.exp(-t)
         resid = np.abs(A.dot(x - decay * x0) - (1.0 - decay) * b).max()
         rows.append((
-            t, x, c.dot(x), (x / c).dot(edge * edge), resid, np.abs(edge).max(),
+            t, x, c.dot(x), (x / c * edge).dot(edge), resid, np.abs(edge).max(),
             np.abs(x * r).max(), np.abs(r).max(), np.all(x <= cap),
         ))
     entries = np.array(rows, dtype=[

@@ -483,6 +483,51 @@ def test_import_loads_no_scipy(module):
     assert proc.stdout.strip() == "[]"
 
 
+LOADED = (
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'physarum'), 'logging' in sys.modules,"
+    " any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+)
+IMPORT_ONLY = ["physarum", "physarum._exact", "physarum.errors", "physarum.model"]
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    # The engines load on first use, so params and oracle never compile the
+    # solver, the flow or the path, nor load logging or SciPy; verify loads
+    # the solver (which logs and solves Laplacians) and still no flow or path.
+    script = (
+        "import sys, physarum\n"
+        f"{LOADED}\n"
+        "for name in set(physarum.__all__) - {'__version__'}:\n"
+        "    obj = getattr(physarum, name)\n"
+        "    assert getattr(sys.modules[obj.__module__], name) is obj is vars(physarum)[name], name\n"
+        "try:\n"
+        "    physarum.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = run_child(["-c", script], os.environ)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"{IMPORT_ONLY} False False", "module 'physarum' has no attribute 'no_such_name'"]
+    cli = sorted([*IMPORT_ONLY, "physarum.cli_io", "physarum.dynamics", "physarum.linalg"])
+    expected = {
+        "params": f"{cli} False False",
+        "oracle": f"{sorted([*cli, 'physarum.oracle'])} False False",
+        "verify": f"{sorted([*cli, 'physarum.oracle', 'physarum.discrete_solver'])} True True",
+    }
+    for cmd, loaded in expected.items():
+        script = (
+            "import contextlib, io, sys\n"
+            "from physarum.cli_io import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = main([{cmd!r}, {SIMPLE2!r}])\n"
+            f"print(rc); {LOADED}\n"
+        )
+        proc = run_child(["-c", script], os.environ)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["0", loaded], cmd
+
+
 @pytest.mark.parametrize("args", [
     ["params", SIMPLE2],
     ["params", SIMPLE2, "--mode", "exact"],
@@ -601,6 +646,8 @@ def test_console_entry_point():
     pytest.param(["flow", TRIANGLE, "--start", "1e-50,1e-50,1e-50"], id="flow tiny start"),
     # The extrapolated start at t = 0.5 overshoots; Newton retries from t = 0.25's point.
     pytest.param(["flow", TRIANGLE, "--start", "1e-90,1e-90,1e-90"], id="flow start at 1e-90"),
+    # The t = 0 row's energy is near 1e200, where edge * edge would overflow.
+    pytest.param(["flow", TRIANGLE, "--start", "1e-200,1e-200,1e-200"], id="flow start at 1e-200"),
 ])
 def test_extreme_starts_run_cleanly_in_a_child(args):
     # The child turns RuntimeWarnings into errors, so a stray numpy warning fails here.
@@ -784,7 +831,8 @@ def test_every_library_option_has_a_caller():
 
 def test_every_package_definition_has_a_reader():
     # A module-level function or class that nothing in the package outside
-    # its own body, and nothing in bench/, names is read only by tests.
+    # its own body, and nothing in bench/, names is read only by tests. A
+    # module-level __getattr__ is exempt: the import machinery calls it.
     package = Path(physarum.__file__).resolve().parent
     bench = Path(__file__).resolve().parent.parent / "bench"
 
@@ -796,7 +844,7 @@ def test_every_package_definition_has_a_reader():
     tops = [(f, node, names(node)) for f in sorted(package.glob("*.py")) for node in ast.parse(f.read_text()).body]
     unread = [
         f"{f.stem}.{node.name}" for f, node, _ in tops
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read | {"__getattr__"}
         and not any(node.name in used for _, other, used in tops if other is not node)
     ]
     assert unread == []

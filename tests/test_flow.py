@@ -95,14 +95,15 @@ def test_a_start_far_off_the_constraints_flows(name, scale, request):
     assert np.allclose(trace.entries.x, rk45_flow(lp, x0, trace.entries.t), rtol=1e-5, atol=0.0)
 
 
-@pytest.mark.parametrize("scale", [1e-25, 1e-50, 1e-90, 1e-150])
+@pytest.mark.parametrize("scale", [1e-25, 1e-50, 1e-90, 1e-150, 1e-160, 1e-200, 1e-300])
 @pytest.mark.parametrize("name, opt", [("simple2", 1.0), ("triangle", 2.0)])
 def test_a_tiny_start_flows_to_the_optimum(name, opt, scale, request):
     # Newton's first direction at mu = 0.25 is near 1e49 from 1e-50: 60
     # halvings of the full step cannot shrink it enough, the capped trial
     # after it moves each exponent by at most 30. From 1e-90 the
     # extrapolation through y(0) and y(0.25) predicts y(0.5) about twice
-    # too far, where Newton stalls; the retry from y(0.25) converges.
+    # too far, where Newton stalls; the retry from y(0.25) converges. From
+    # 1e-160 the t = 0 row's edge * edge overflows, its energy does not.
     lp = request.getfixturevalue(name)
     config = FlowConfig(x0=np.full(lp.n, scale), t_end=40.0)
     trace = integrate(lp, config)
@@ -127,7 +128,7 @@ def _entries_row_by_row(lp, x0, ts, dtype):
         decay = np.exp(-t)
         resid = np.abs(lp.A @ (x - decay * x0) - (1.0 - decay) * lp.b).max()
         entries[row] = (
-            t, x, lp.c.dot(x), (x / lp.c).dot(edge * edge), resid, np.abs(edge).max(),
+            t, x, lp.c.dot(x), (x / lp.c * edge).dot(edge), resid, np.abs(edge).max(),
             np.abs(x * r).max(), np.abs(r).max(), np.all(x <= cap),
         )
     return entries

@@ -36,8 +36,8 @@ from .model import (
     validate,
 )
 
-# The engines load on first access to one of their names (PEP 562), so a
-# process that never runs an engine never compiles or imports it.
+# The defining module of each name that __getattr__ (PEP 562) resolves on
+# first access; a process that never runs an engine never imports it.
 _LAZY = {
     **dict.fromkeys(("FlowConfig", "FlowTrace", "integrate", "rhs_log"), "continuous_flow"),
     **dict.fromkeys(("CertReport", "DiscreteConfig", "Solution", "Trace", "certified_step_search",

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotInKernelError
+from .errors import DimensionMismatchError, NotInKernelError, ValidationError
 # spd_factor is not called here, but bench/spans.py records spans by
 # rebinding dynamics.spd_factor, so the name stays bound.
 from .linalg import laplacian_solve, spd_factor  # noqa: F401
@@ -97,11 +97,15 @@ def gradient_identity_residual(lp: ValidatedLP, ev: DynamicsEval, h) -> float:
         c . h  =  h . H(x) (x - q)
 
     holds exactly. Returns the absolute difference between the two sides.
-    Raises NotInKernelError when h is not (numerically) in the kernel of A.
+    Raises ValidationError when h has an entry that is not finite (the
+    kernel test below cannot see a NaN), and NotInKernelError when h is
+    not (numerically) in the kernel of A.
     """
     h = np.asarray(h, dtype=float)
     if h.shape != (lp.n,):
         raise DimensionMismatchError(f"direction has shape {h.shape}, expected ({lp.n},)")
+    if not np.isfinite(h).all():
+        raise ValidationError(f"direction must be finite, got {h.tolist()!r}")
     a_norm = float(np.abs(lp.A).sum(axis=1).max())
     h_norm = float(np.abs(h).max())
     if float(np.abs(lp.A @ h).max()) > 1e-10 * a_norm * h_norm:

@@ -148,18 +148,21 @@ def laplacian_solve(lp: ValidatedLP, w, rhs: np.ndarray) -> np.ndarray:
     return laplacian_solver(lp)(w, rhs)
 
 
-def basis_dual(lp: ValidatedLP, x: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """The dual y of the basis B that x's m largest coordinates name, with its float bound.
+def basis_dual(lp: ValidatedLP, key: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """The dual y of the basis B of the m columns with the largest key entries, with its float bound.
 
-    Solves A_B^T y = c_B and returns y with b . y / r, r = max_i a_i . y / c_i:
+    discrete_solver.solve passes the ratios a_i . p / c_i of the step's
+    potentials as the key: the coordinates the step grows fastest, and at
+    the limit the support that complementary slackness points to. Solves
+    A_B^T y = c_B and returns y with b . y / r, r = max_i a_i . y / c_i:
     y / r satisfies every dual constraint, so by weak duality the bound is
     at most opt (up to rounding in floats; model.dual_lower_bound forms it
-    exactly) for any B, optimal or not. Ties among x's coordinates are
+    exactly) for any B, optimal or not. Ties among the key's entries are
     broken as np.argpartition breaks them, and B is sorted. None when A_B
     is singular, y or the bound is not finite, or r <= 0: a guess that
     cannot bound anything raises and warns nothing.
     """
-    B = np.sort(np.argpartition(x, -lp.m)[-lp.m:])
+    B = np.sort(np.argpartition(key, -lp.m)[-lp.m:])
     try:
         y = np.linalg.solve(lp.At[B], lp.c[B])
     except np.linalg.LinAlgError:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import physarum
 from physarum import (
@@ -44,6 +45,11 @@ from physarum.errors import (
 from physarum.linalg import laplacian_solve, laplacian_solver
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
+
+# Every property test draws the same examples on every run and writes no
+# example database; a test's own @settings sets only its max_examples.
+settings.register_profile("physarum", deadline=None, derandomize=True, database=None)
+settings.load_profile("physarum")
 
 
 def load_instance(name):

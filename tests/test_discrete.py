@@ -642,7 +642,7 @@ def test_the_one_stop_rule_certifies_held_out_draws(monkeypatch):
         assert sol.cost <= 1.1 * res.opt
         assert_run_is_the_loop_cut_short(lp, config, params, res, sol, trace)
     assert {sol.stop_reason for *_, sol in runs} <= {"Certified", "FixedPoint"} and len(runs) == 30
-    monkeypatch.setattr(linalg, "basis_dual", lambda lp, x: None)
+    monkeypatch.setattr(linalg, "basis_dual", lambda lp, key: None)
     for lp, res, params, config, sol in runs:
         alone, _ = solve(lp, config, params=params, oracle_result=res)
         assert alone.bound_source in (None, "potentials")
@@ -668,9 +668,10 @@ def solve_by_loop(lp, config, params=None, oracle_result=None, gap=True):
     of its own on fresh arrays: fp_res, dev and max(x) before the stop test,
     the weak-duality bound b . p / max_i (a_i . p / c_i) and, once c . x is
     within (1 + eps) of it in floats, the exact test, an exact min(x) after
-    every update, and a trace row assigned as a tuple. Every BASIS_EVERY
-    steps it reads a basis candidate off x: B from a full argsort, y from
-    np.linalg.solve on A[:, B].T, and the bound b . y / max_i (a_i . y / c_i).
+    every update, and a trace row assigned as a tuple. The potentials' float
+    test runs on every step, with no gate. Every BASIS_EVERY steps it reads
+    a basis candidate off the ratios a_i . p / c_i: B from a full argsort, y
+    from np.linalg.solve on A[:, B].T, and the bound b . y / max_i (a_i . y / c_i).
     The best one is kept, tested before the potentials, and its float bound
     becomes its exact one once that is formed. With gap=False the loop runs
     without either test, on to a fixed point, the cap or a stall. A step
@@ -730,7 +731,7 @@ def solve_by_loop(lp, config, params=None, oracle_result=None, gap=True):
             break
         if gap:
             if k % BASIS_EVERY == 0:
-                B = np.sort(np.argsort(x, kind="stable")[-lp.m:])
+                B = np.sort(np.argsort(edge / c, kind="stable")[-lp.m:])
                 try:
                     y = np.linalg.solve(A[:, B].T, c[B])
                 except np.linalg.LinAlgError:
@@ -789,6 +790,10 @@ def test_solve_matches_step_by_step_reference(simple2, triangle, identity2):
         (identity2, enumerate_polyhedron(identity2)),
         *(pair for i, pair in enumerate(random_instances(
             seed=20240801, count=13, require_interior=True, skip_zero_b=True)) if i in (2, 3, 4, 6, 8, 10)),
+        # random7 of the corpus, A = [[-3, -2, -3, -2], [-2, 3, 1, 0], [-2, -3, 3, 0]],
+        # b = [-3, 3, -3], c = [2, 3, 1, 3]: its basis candidate read off the ratios
+        # proves the gap at step 670, the first within (1 + eps) opt.
+        random_instances(seed=20240801, count=8, require_interior=True, skip_zero_b=True)[7],
     ]:
         params = compute_params(lp)
         h, _ = certified_step_search(lp, 0.1, params=params, oracle_result=res)
@@ -871,7 +876,7 @@ _steps = st.floats(min_value=1e-12, max_value=1.0, exclude_max=True)
 _positive = st.floats(min_value=0.0, max_value=1e200, exclude_min=True)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(
     st.lists(st.tuples(_positive, st.floats(min_value=-1.0, max_value=1.0)), min_size=1, max_size=8),
     st.floats(min_value=0.0, max_value=0.5), _steps,
@@ -902,6 +907,59 @@ def test_positivity_verdict_with_nan_diff_matches_the_exact_check():
     exact = bool(new.min() <= 0.0)
     shortcut = (not h * dev < 0.5) and bool(np.minimum.reduce(new) <= 0.0)
     assert math.isnan(dev) and shortcut == exact
+
+
+_any_float = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, 1.0, -1.0]),
+)
+
+
+@st.composite
+def _gate_cases(draw):
+    """edge, c, bp, cost, j and eps for the potentials' gate, cost often on the test's own threshold.
+
+    cost is drawn freely, or set to one_eps (bp / r_j) or one_eps (bp / r),
+    the thresholds of the gate and of the test, or one ulp to either side.
+    """
+    n = draw(st.integers(1, 6))
+    edge = draw(st.lists(_any_float, min_size=n, max_size=n))
+    c = draw(st.lists(st.one_of(_any_float, st.floats(0.25, 4.0)), min_size=n, max_size=n))
+    bp = draw(_any_float)
+    j = draw(st.integers(0, n - 1))
+    eps = draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+    with np.errstate(all="ignore"):
+        ratio = np.multiply(edge, 1.0 / np.array(c))
+    threshold = draw(st.sampled_from([None, ratio.item(j), float(np.maximum.reduce(ratio))]))
+    if threshold is None:
+        cost = draw(_any_float)
+    else:
+        cost = (1.0 + eps) * (bp / threshold) if threshold else math.nan
+        cost = math.nextafter(cost, draw(st.sampled_from([-math.inf, cost, math.inf])))
+    return np.array(edge), np.array(c), bp, cost, j, eps
+
+
+@settings(max_examples=1000)
+@given(_gate_cases())
+# r_j < 0 < r: the gate must not read a negative r_j as a bound.
+@example((np.array([-1.0, 1.0]), np.array([1.0, 1.0]), 1.0, 1.0, 0, 0.1))
+# bp < 0 and r_j < r: bp / r_j lies below bp / r.
+@example((np.array([0.5, 2.0]), np.array([1.0, 1.0]), -1.0, -1.0, 0, 0.1))
+# cost exactly on the threshold with r_j = r: the test holds with equality.
+@example((np.array([2.0, 1.0]), np.array([1.0, 1.0]), 4.0, 1.5 * (4.0 / 2.0), 0, 0.5 - 2.0**-53))
+def test_the_potentials_gate_rejects_only_steps_whose_float_test_fails(case):
+    # solve skips the potentials' float test when _potentials_cannot_close
+    # holds for the ratio at a stale argmax j, r_j = edge_j * (1 / c_j); the
+    # test r > 0 and cost <= (1 + eps) (bp / r), r = max_i ratio_i, must then
+    # fail, for every float input, NaN, inf, -0 and subnormals included.
+    edge, c, bp, cost, j, eps = case
+    one_eps = 1.0 + eps
+    with np.errstate(all="ignore"):
+        inv_c = 1.0 / c
+        r = float(np.maximum.reduce(np.multiply(edge, inv_c)))
+    r_j = edge.item(j) * inv_c.tolist()[j]
+    if discrete_solver._potentials_cannot_close(r_j, bp, cost, one_eps):
+        assert not (r > 0.0 and cost <= one_eps * (bp / r))
 
 
 def test_the_steps_reduceat_gives_four_row_maxima_bit_for_bit():
@@ -1007,7 +1065,7 @@ def test_a_basis_candidate_that_overstates_its_bound_never_certifies_above_opt(s
     x0 = oracle_mod.start_point(lp, None, res)
     assert 1.1 * res.opt < lp.c @ x0 <= 1.65 * res.opt
     candidates, formed = [], []
-    monkeypatch.setattr(linalg, "basis_dual", lambda lp, x: candidates.append(x) or (y, float(lp.b @ y)))
+    monkeypatch.setattr(linalg, "basis_dual", lambda lp, key: candidates.append(key) or (y, float(lp.b @ y)))
     monkeypatch.setattr(discrete_solver, "dual_lower_bound",
                         lambda lp, v: formed.append(v is y) or dual_lower_bound(lp, v))
     config = DiscreteConfig(eps=0.1)
@@ -1019,21 +1077,37 @@ def test_a_basis_candidate_that_overstates_its_bound_never_certifies_above_opt(s
     assert_run_is_the_loop_cut_short(lp, config, params, res, sol, trace)
 
 
+def test_every_certified_corpus_run_stops_at_its_first_row_within_the_gap(solve_runs):
+    # The potentials' test runs on every step its float form could pass, and
+    # the basis candidate read off a . p / c proves the rest: each Certified
+    # run of criterion 1, traced at every step, stops at the first row whose
+    # cost is within (1 + eps) opt.
+    stops = {}
+    for run in solve_runs["runs"]:
+        sol, cost = run["sol"], run["trace"].entries.cost
+        if sol.stop_reason == "Certified":
+            first = int(np.flatnonzero(cost <= (1.0 + sol.eps) * run["res"].opt)[0])
+            stops[run["name"]] = (first, sol.iterations)
+    assert len(stops) == 27
+    assert {name: pair for name, pair in stops.items() if pair[0] != pair[1]} == {}
+
+
 def test_dual_bounds_along_the_corpus_traces_stay_below_the_optimum(solve_runs):
-    # The potentials and the basis candidate at every 16th recorded x of
-    # criterion 1's traces. b . p = p^T A W A^T p > 0 and
-    # b . p = sum_i x_i a_i . p, so some a_i . p is positive and every
-    # point forms a bound; a basis candidate forms one whenever basis_dual
-    # returns it. About 2,845 points are checked, 2,796 of them with a basis
-    # candidate; if either falls under the guard, shorten the stride rather
-    # than lower the guard.
+    # The potentials and the basis candidate keyed by a . p / c, as solve
+    # keys it, at every 16th recorded x of criterion 1's traces.
+    # b . p = p^T A W A^T p > 0 and b . p = sum_i x_i a_i . p, so some
+    # a_i . p is positive and every point forms a bound; a basis candidate
+    # forms one whenever basis_dual returns it. About 2,742 points are
+    # checked, 2,672 of them with a basis candidate; if either falls under
+    # the guard, shorten the stride rather than lower the guard.
     checked = from_basis = 0
     for run in solve_runs["runs"]:
         lp, opt = run["lp"], run["res"].opt_exact
         for x in run["trace"].entries.x[::16]:
-            lb = dual_lower_bound(lp, laplacian_solve(lp, x / lp.c, lp.b))
+            p = laplacian_solve(lp, x / lp.c, lp.b)
+            lb = dual_lower_bound(lp, p)
             assert lb is not None and lb <= opt, (run["name"], lb, opt)
-            found = basis_dual(lp, x)
+            found = basis_dual(lp, lp.At.dot(p) / lp.c)
             if found is not None:
                 lb = dual_lower_bound(lp, found[0])
                 assert lb is not None and lb <= opt, (run["name"], lb, opt)

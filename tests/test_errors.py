@@ -7,7 +7,17 @@ import numpy as np
 import pytest
 
 import physarum
-from physarum import DiscreteConfig, FlowConfig, check_bounds, compute_params, evaluate, integrate, solve, solve_point
+from physarum import (
+    DiscreteConfig,
+    FlowConfig,
+    check_bounds,
+    compute_params,
+    evaluate,
+    gradient_identity_residual,
+    integrate,
+    solve,
+    solve_point,
+)
 from physarum.errors import (
     DimensionMismatchError,
     InfeasibleStartError,
@@ -50,6 +60,16 @@ def test_one_error_per_bad_point(simple2, entry, point, error):
     with pytest.raises(ValidationError) as excinfo:
         ENTRY_POINTS[entry](simple2, np.array(point))
     assert excinfo.type is error
+
+
+@pytest.mark.parametrize("direction", [[np.nan, np.nan], [np.inf, -np.inf]], ids=["nan", "inf"])
+def test_a_non_finite_direction_is_rejected_before_the_kernel_test(simple2, direction):
+    # A NaN in A h compares False against the kernel tolerance, so the
+    # kernel test alone would let the direction through to a NaN residual.
+    ev = evaluate(simple2, np.array([0.5, 0.5]))
+    with pytest.raises(ValidationError) as excinfo:
+        gradient_identity_residual(simple2, ev, np.array(direction))
+    assert excinfo.type is ValidationError
 
 
 def test_validation_errors_are_value_errors():

@@ -210,13 +210,13 @@ def systems(draw):
     return mat, rhs
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(int_matrices())
 def test_rank_matches_rational_elimination(mat):
     assert rank_int(mat) == ref_rank(mat)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(st.integers(1, 6).flatmap(lambda k: int_matrices(rows=st.just(k), cols=st.just(k))))
 def test_det_matches_rational_elimination(mat):
     # The subdeterminant reference is only as good as its determinant.
@@ -235,7 +235,7 @@ def subdet_matrices(draw):
     return mat
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(subdet_matrices())
 def test_max_subdeterminant_matches_one_elimination_per_submatrix(mat):
     assert max_abs_subdeterminant(mat) == ref_max_abs_subdeterminant(mat)
@@ -277,7 +277,7 @@ def test_max_subdeterminant_on_planted(m, n):
         assert max_abs_subdeterminant(mat) == ref_max_abs_subdeterminant(mat)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=400)
 @given(systems())
 def test_solve_unique_matches_rational_gauss_jordan(system):
     mat, rhs = system
@@ -334,7 +334,7 @@ def modular_matrices(draw):
     return mat
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(modular_matrices())
 def test_rank_on_the_modular_route_matches_rational_elimination(mat):
     assert rank_int(mat) == ref_rank(mat)
@@ -402,7 +402,7 @@ def screened_systems(draw):
     return mat, rhs
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=400)
 @given(screened_systems())
 def test_basis_screen_matches_one_rational_solve_per_basis(system):
     mat, rhs = system

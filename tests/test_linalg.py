@@ -272,7 +272,7 @@ def test_one_pivot_policy_for_every_laplacian_solve():
         solve(lp, DiscreteConfig(start=x))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(st.integers(0, 10_000), st.integers(1, 6))
 def test_factor_solve_roundtrip(seed, m):
     rng = np.random.default_rng(seed)
@@ -353,8 +353,8 @@ def test_kernel_basis_loads_no_scipy():
 
 
 def test_basis_dual_at_an_optimal_vertex_bounds_by_the_optimum(simple2, triangle):
-    # The m largest coordinates of the optimal vertex name the optimal basis,
-    # whose dual meets every constraint, so r = 1 and the bound is opt.
+    # Keyed by the optimal vertex, the m largest entries name the optimal
+    # basis, whose dual meets every constraint, so r = 1 and the bound is opt.
     for lp, vertex, opt, y_opt in ((simple2, [1.0, 0.0], 1.0, [1.0]), (triangle, [1.0, 1.0, 0.0], 2.0, [2.0, 1.0])):
         y, bound = linalg.basis_dual(lp, np.array(vertex))
         assert y.tolist() == y_opt and bound == opt
@@ -377,7 +377,7 @@ def _overflowing_basis(m=17, K=2**62):
 @pytest.mark.parametrize("case", ["singular", "overflow", "r <= 0"])
 def test_a_basis_guess_that_cannot_bound_returns_none_silently(case, monkeypatch):
     if case == "singular":
-        # Columns 0 and 1 are equal and are x's two largest coordinates.
+        # Columns 0 and 1 are equal and hold the key's two largest entries.
         lp = validate(LinearProgram.from_lists([[1, 1, 0], [2, 2, 1]], [3, 7], [1, 1, 1]))
         x = np.array([5.0, 4.0, 1.0])
     elif case == "overflow":

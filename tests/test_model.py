@@ -244,7 +244,7 @@ def test_exact_mode_refuses_wide_instances():
     assert p.subdet_max >= 1.0
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(
     st.integers(1, 3).flatmap(
         lambda m: st.lists(

@@ -11,9 +11,11 @@ method; by the paper's theorem the flow is such a path, so its samples
 are Newton solves too. An exact rational vertex enumerator serves as the
 ground-truth oracle for all of them.
 
-Importing the package loads the problem model and the errors only. Each
-engine, the dynamics evaluation and the oracle load on first access to
-one of their names here, or on an import of their module.
+Importing the package loads the problem model, the exact kernels and
+the errors only, and not numpy: the model and the exact layer run on
+Python ints. Each engine, the dynamics evaluation and the oracle load on
+first access to one of their names here, or on an import of their
+module; the oracle still runs without numpy.
 """
 
 import importlib

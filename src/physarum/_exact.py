@@ -1,33 +1,37 @@
 """Exact integer kernels for small systems.
 
 Everything here answers exactly, at any entry size. The kernels work on
-plain Python ints, which have no word-size limit (held in numpy object
-arrays where a whole level of minors is computed at once), so the
-brute-force oracle and the structural checks run without rounding.
-Elimination is fraction-free: each division by the previous pivot is
-exact (Sylvester's identity), so no Fraction is built inside a loop.
+plain Python ints in lists, which have no word-size limit, so the
+brute-force oracle and the structural checks run without rounding, and
+without numpy. Elimination is fraction-free: each division by the
+previous pivot is exact (Sylvester's identity), so no Fraction is built
+inside a loop.
 
 Neither the largest subdeterminant nor the oracle's basis screen runs an
 elimination per submatrix. Every k-minor comes from (k-1)-minors by
 Laplace expansion along the newest row, over column subsets indexed by
 colex rank, with each "drop one column" index found by arithmetic
-(``_colex_level``, ``_expand``). The subdeterminant walks row subsets
-depth first. The screen adds the rows of [mat | rhs] once, holding two
-levels of minors at a time, so its memory is two binomial levels and not
-a table per level; Cramer's rule on the signs of those minors picks the
-bases with a nonnegative solution, and only those reach an elimination.
+(``_colex_level``). A level of minors is one list; ``_expand`` builds it
+one column place at a time, picking that place's row entries and drop
+minors for every subset at once with ``operator.itemgetter``. The
+subdeterminant walks row subsets depth first. The screen adds the rows
+of [mat | rhs] once, holding two levels of minors at a time, so its
+memory is two binomial levels and not a table per level; Cramer's rule
+on the signs of those minors picks the bases with a nonnegative
+solution, and only those reach an elimination.
 
 The one kernel that meets larger matrices is the rank check, at a few
 hundred rows: it first eliminates modulo a prime in numpy int64
 arithmetic, which proves full rank when it finds it, and runs the
-Python-int elimination only when that cannot decide.
+Python-int elimination only when that cannot decide. It is also the
+only one that imports numpy, and only when it runs.
 """
 
 from __future__ import annotations
 
+from itertools import chain, compress, repeat
 from math import comb
-
-import numpy as np
+from operator import add, gt, itemgetter, mul, neg, sub
 
 # A prime below 2**31. Residues stay below it, so a product of two fits
 # in 62 bits and an int64 elimination step cannot overflow.
@@ -39,48 +43,61 @@ PRIME = 2147483629
 MODULAR_MIN_DIM = 12
 
 
-def _colex_level(cols: np.ndarray, drops: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The next level of column subsets of range(width), in colex order.
+def _picker(indices):
+    """itemgetter over ``indices`` that returns a tuple for one index too (itemgetter returns the item)."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
 
-    ``cols`` lists the k-subsets, one ascending row each, and ``drops[i, j]``
-    is the colex rank among (k-1)-subsets of subset i without its j-th
-    column. The (k+1)-subsets with largest column c are the k-subsets T
-    of range(c), the first comb(c, k) in colex order, each with c appended:
-    dropping c leaves T, and dropping T's j-th column leaves a k-subset
-    with largest column c, of rank comb(c, k) plus that of T's j-th drop.
+
+def _colex_level(cols: list[list[int]], drops: list[list[int]], width: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The next level of column subsets of range(width), in colex order, stored column-wise.
+
+    ``cols[j]`` lists the j-th smallest column of every k-subset, and
+    ``drops[j]`` the colex rank among (k-1)-subsets of each subset without
+    its j-th column. The (k+1)-subsets with largest column c are the
+    k-subsets T of range(c), the first comb(c, k) in colex order, each with
+    c appended: dropping c leaves T, and dropping T's j-th column leaves a
+    k-subset with largest column c, of rank comb(c, k) plus that of T's
+    j-th drop.
     """
-    k = cols.shape[1]
-    total = comb(width, k + 1)
-    # The smallest index type that holds the largest level's size.
-    index = np.min_scalar_type(comb(width, width // 2))
-    next_cols = np.empty((total, k + 1), dtype=index)
-    next_drops = np.empty((total, k + 1), dtype=index)
-    start = 0
-    for c in range(k, width):
-        block = comb(c, k)
-        stop = start + block
-        next_cols[start:stop, :k] = cols[:block]
-        next_cols[start:stop, k] = c
-        next_drops[start:stop, :k] = drops[:block] + block
-        next_drops[start:stop, k] = np.arange(block)
-        start = stop
+    k = len(cols)
+    tops = range(k, width)
+    blocks = [comb(c, k) for c in tops]
+    next_cols = [list(chain.from_iterable(col[:block] for block in blocks)) for col in cols]
+    next_cols.append(list(chain.from_iterable(map(repeat, tops, blocks))))
+    next_drops = [[d + block for block in blocks for d in drop[:block]] for drop in drops]
+    next_drops.append(list(chain.from_iterable(map(range, blocks))))
     return next_cols, next_drops
 
 
-def _expand(minors: np.ndarray, entries: np.ndarray, cols: np.ndarray, drops: np.ndarray) -> np.ndarray:
+def _expanders(cols: list[list[int]], drops: list[list[int]]) -> list[tuple]:
+    """One (entry picker, minor picker, sign) per column place of a level, for ``_expand``.
+
+    Expanding along the last of k rows, place j carries the cofactor sign
+    (-1)**(k - 1 + j).
+    """
+    k = len(cols)
+    return [(_picker(c), _picker(d), (k - 1 + j) % 2) for j, (c, d) in enumerate(zip(cols, drops))]
+
+
+def _expand(minors: list[int], row: list[int], expanders: list[tuple]) -> list[int]:
     """The k-minors of one more row, each expanded along that row.
 
     ``minors`` are the (k-1)-minors of the rows before it, indexed by colex
-    rank, ``entries`` the new row as an object array of Python ints, and
-    ``cols``, ``drops`` the k-subsets from ``_colex_level``. Each product
-    is a Python int, so no minor is rounded or wraps.
+    rank, ``row`` the new row as Python ints, and ``expanders`` the level's
+    pickers from ``_expanders``. Each place j adds, for every k-subset at
+    once, its j-th column's entry times the minor of its j-th drop. Every
+    product is a Python int, so no minor is rounded or wraps.
     """
-    k = cols.shape[1]
-    child = np.zeros(len(cols), dtype=object)
-    for j in range(k):
-        term = entries[cols[:, j]] * minors[drops[:, j]]
-        # Cofactor sign (-1)**(k - 1 + j) along the last of k rows.
-        child = child - term if (k - 1 + j) % 2 else child + term
+    child = None
+    for entry, minor, negative in expanders:
+        term = map(mul, entry(row), minor(minors))
+        if child is None:
+            child = list(map(neg, term)) if negative else list(term)
+        else:
+            child = list(map(sub if negative else add, child, term))
     return child
 
 
@@ -93,32 +110,34 @@ def max_abs_subdeterminant(A: list[list[int]]) -> int:
     k-subset of columns are each a k-term expansion along the newest row
     over the (k-1)-minors its parent prefix holds (``_expand``). One walk
     path holds at most one minor per column subset (2**n), and the index
-    arrays of every level n * 2**(n-1) small ints. A prefix whose minors
+    lists of every level n * 2**(n-1) small ints. A prefix whose minors
     are all zero has dependent rows, and so has every prefix below it,
     which the walk skips. Exponential in the smaller dimension; callers
     cap the instance size.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    rows = [np.array([int(v) for v in r], dtype=object) for r in A]
+    rows = [list(map(int, r)) for r in A]
     depth = min(m, n)
-    levels = [(np.empty((1, 0), dtype=np.intp),) * 2]
+    level = ([], [])
+    levels = [None]  # levels[k]: the expanders of the k-subsets; level 0 expands nothing
     for _ in range(depth):
-        levels.append(_colex_level(*levels[-1], n))
+        level = _colex_level(*level, n)
+        levels.append(_expanders(*level))
     best = 0
 
-    def descend(minors: np.ndarray, k: int, start: int) -> None:
+    def descend(minors: list[int], k: int, start: int) -> None:
         nonlocal best
         for r in range(start, m):
-            child = _expand(minors, rows[r], *levels[k + 1])
-            hi, lo = child.max(), child.min()
+            child = _expand(minors, rows[r], levels[k + 1])
+            hi, lo = max(child), min(child)
             if hi or lo:
                 best = max(best, hi, -lo)
                 if k + 1 < depth:
                     descend(child, k + 1, r + 1)
 
     if depth:
-        descend(np.ones(1, dtype=object), 0, 0)
+        descend([1], 0, 0)
     return best
 
 
@@ -146,6 +165,8 @@ def rank_mod_prime(rows: list[list[int]]) -> int:
     the cast, so any integer size is accepted. A step updates only the
     columns right of its pivot: the pivot column is not read after it.
     """
+    import numpy as np
+
     p = PRIME
     a = np.array([[int(v) % p for v in r] for r in rows], dtype=np.int64)
     n_rows, n_cols = a.shape
@@ -209,35 +230,38 @@ def feasible_bases(mat, rhs) -> list[tuple[int, ...]]:
     an expansion along the newest row over the level below. A row whose
     minors over mat's columns all vanish depends on the kept rows and is
     skipped, unless a minor through rhs does not vanish, which makes the
-    system inconsistent. Only two levels of minors (numpy object arrays
-    of Python ints) and their index arrays are alive at a time. The
-    subsets through rhs, the last column, come after those of mat in colex
-    order, so the numerator of B's j-th column sits at comb(n, r) plus
-    the rank of B without it: the same index its determinant expands over.
+    system inconsistent. Only two levels of minors (lists of Python ints)
+    and their index lists are alive at a time. The subsets through rhs,
+    the last column, come after those of mat in colex order, so the
+    numerator of B's j-th column sits at comb(n, r) plus the rank of B
+    without it: the same index its determinant expands over.
     """
     n = len(mat[0]) if mat else 0
-    minors = np.ones(1, dtype=object)
-    cols = drops = np.empty((1, 0), dtype=np.intp)
+    minors = [1]
+    level = ([], [])
     ahead = None  # the next level's subsets, kept while rows turn out dependent
     for row, b in zip(mat, rhs):
         if ahead is None:
-            ahead = _colex_level(cols, drops, n + 1)
-        child = _expand(minors, np.array([int(v) for v in row] + [int(b)], dtype=object), *ahead)
-        if np.count_nonzero(child[:comb(n, cols.shape[1] + 1)]):
-            minors, (cols, drops), ahead = child, ahead, None
-        elif np.count_nonzero(child):
+            ahead = _colex_level(*level, n + 1)
+            expanders = _expanders(*ahead)
+        child = _expand(minors, [*map(int, row), int(b)], expanders)
+        if any(child[:comb(n, len(level[0]) + 1)]):
+            minors, level, ahead = child, ahead, None
+        elif any(child):
             return []
-    r = cols.shape[1]
+    cols, drops = level
+    r = len(cols)
     n_bases = comb(n, r)
+    # rhs moves from the last of r places to the j-th: r - 1 - j swaps,
+    # each of which flips the numerator's sign.
     det = minors[:n_bases]
-    pos, neg = det > 0, det < 0
-    keep = pos | neg
-    for j in range(r):
-        num = minors[n_bases + drops[:n_bases, j]]
-        # rhs moves from the last of r places to the j-th: r - 1 - j swaps.
-        num_pos, num_neg = (num < 0, num > 0) if (r - 1 - j) % 2 else (num > 0, num < 0)
-        keep &= ~((num_pos & neg) | (num_neg & pos))
-    return [tuple(int(c) for c in cols[i]) for i in np.flatnonzero(keep)]
+    keep = list(map(bool, det))
+    for j, drop in enumerate(drops):
+        num = _picker([n_bases + d for d in drop[:n_bases]])(minors)
+        # A numerator of the wrong sign has num * det < 0 (> 0 when flipped).
+        wrong = map((0).__lt__ if (r - 1 - j) % 2 else (0).__gt__, map(mul, num, det))
+        keep = list(map(gt, keep, wrong))  # keep and not wrong
+    return list(zip(*(compress(col, keep) for col in cols))) if r else [()]
 
 
 def solve_unique(mat, rhs) -> tuple[list[int], int] | None:

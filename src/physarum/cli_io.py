@@ -16,19 +16,15 @@ that underflows to 0, size limit, no interior point) or memory exhaustion,
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-# Each command imports the engine it runs, so params and oracle never load
-# the solver, the flow or the path. bench/spans.py rebinds cli_io.evaluate,
-# so dynamics, and linalg with it, still load with this module.
-from .dynamics import check_bounds, evaluate, gradient_identity_residual
 from .errors import (
     DimensionMismatchError,
     MalformedProblemError,
@@ -37,18 +33,47 @@ from .errors import (
     ProblemIOError,
     ValidationError,
 )
-from .linalg import kernel_basis, laplacian_solver
 from .model import (
     ENUMERATION_CAP,
     EXACT_SUBDET_CAP,
     LinearProgram,
     ValidatedLP,
     _holds_non_number,
+    _plain,
+    _read,
     compute_params,
     default_params,
     default_step,
     validate,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# Each command imports the engine it runs, and only the commands that
+# solve load numpy: params and oracle run on Python ints. The dynamics and
+# linalg names below resolve on first access (PEP 562), and the commands
+# look them up through this module, so that a rebinding of one (as
+# bench/spans.py rebinds cli_io.evaluate) is the object they call.
+_LAZY = {
+    **dict.fromkeys(("check_bounds", "evaluate", "gradient_identity_residual"), "dynamics"),
+    **dict.fromkeys(("kernel_basis", "laplacian_solver"), "linalg"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _resolve(name: str):
+    """This module's binding of a lazy name, loading it on first use."""
+    return globals().get(name) or __getattr__(name)
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,15 +86,16 @@ EXIT_VERIFY = 5
 @dataclass(frozen=True)
 class ProblemFile:
     lp: LinearProgram
-    start: np.ndarray | None
+    start: list | None
 
 
 def parse_problem(path) -> ProblemFile:
     """Read a problem JSON file without validating the mathematics.
 
-    JSON booleans and strings in A, b, c or start raise
-    DimensionMismatchError: numpy would read ``true`` as 1 inside a list of
-    numbers, and ``"0.5"`` as 0.5 in a float conversion.
+    A, b, c and start stay the lists the file holds. JSON booleans and
+    strings in them raise DimensionMismatchError: numpy would read
+    ``true`` as 1 inside a list of numbers, and ``"0.5"`` as 0.5 in a
+    float conversion.
     """
     path = Path(path)
     try:
@@ -90,26 +116,32 @@ def parse_problem(path) -> ProblemFile:
     name = doc.get("name", path.stem)
     if not isinstance(name, str):
         raise MalformedProblemError(f"{path}: 'name' must be a string")
+    # A boolean or a string raises DimensionMismatchError here; after that
+    # only a ragged nesting makes _read raise it, and that file is malformed.
+    lp = LinearProgram.from_lists(doc["A"], doc["b"], doc["c"], name=name)
     try:
-        lp = LinearProgram.from_lists(doc["A"], doc["b"], doc["c"], name=name)
-    except DimensionMismatchError:
-        raise
-    except (ValueError, TypeError) as exc:
+        for value in (lp.A, lp.b, lp.c):
+            _read(value)
+    except DimensionMismatchError as exc:
         raise MalformedProblemError(f"{path}: ragged or non-numeric arrays: {exc}") from exc
-    start = None
+    start = doc.get("start")
     if "start" in doc:
-        if not isinstance(doc["start"], list):
+        if not isinstance(start, list):
             raise MalformedProblemError(f"{path}: 'start' must be a list")
-        if _holds_non_number(doc["start"]):
+        if _holds_non_number(start):
             raise DimensionMismatchError("start must contain numbers")
         try:
-            start = np.asarray(doc["start"], dtype=float)
-        except (ValueError, TypeError) as exc:
+            # What np.asarray(start, dtype=float) rejects: a ragged nesting
+            # or an entry float() refuses. It reads null as NaN.
+            for v in _read(start)[1]:
+                if v is not None:
+                    float(v)
+        except (DimensionMismatchError, TypeError) as exc:
             raise MalformedProblemError(f"{path}: bad 'start' vector: {exc}") from exc
     return ProblemFile(lp=lp, start=start)
 
 
-def load_problem(path, start: np.ndarray | None = None) -> tuple[ValidatedLP, np.ndarray | None]:
+def load_problem(path, start=None) -> tuple[ValidatedLP, list | np.ndarray | None]:
     """The validated problem in ``path`` and its start: ``start`` if given, else the file's."""
     pf = parse_problem(path)
     return validate(pf.lp), pf.start if start is None else start
@@ -117,8 +149,7 @@ def load_problem(path, start: np.ndarray | None = None) -> tuple[ValidatedLP, np
 
 def _json_ready(obj):
     """Plain Python values for json: numpy values via tolist, non-finite floats as strings."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        obj = obj.tolist()
+    obj = _plain(obj)
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     if isinstance(obj, dict):
@@ -133,21 +164,18 @@ def _emit(doc: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
 def _write_trace_csv(path, index: str, n: int, rows) -> None:
     """One CSV row per state: ``index``, x_0..x_{n-1}, cost, energy, feas_residual, edge_potential_inf."""
+    import numpy as np
+
+    floats = (float, np.floating)
     header = [index, *(f"x_{i}" for i in range(n)), "cost", "energy", "feas_residual", "edge_potential_inf"]
     path = Path(path)
     try:
         with path.open("w") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+                fh.write(",".join(format(float(v), ".17g") if isinstance(v, floats) else str(v) for v in row) + "\n")
     except OSError as exc:
         raise ProblemIOError(f"cannot write {path}: {exc}") from exc
 
@@ -165,6 +193,8 @@ def _bound_fields(sol) -> dict:
 
 
 def cmd_solve(args) -> int:
+    import numpy as np
+
     from . import discrete_solver
 
     lp, start = load_problem(args.problem, args.start)
@@ -217,6 +247,8 @@ def cmd_flow(args) -> int:
 
 
 def cmd_path(args) -> int:
+    import numpy as np
+
     from . import entropy_path
     from . import oracle as oracle_mod
 
@@ -229,7 +261,7 @@ def cmd_path(args) -> int:
     if args.trace:
         # The Laplacian potentials at each path point, as solve and flow write them;
         # not evaluate, which rejects a coordinate that underflowed to zero.
-        laplacian = laplacian_solver(lp)
+        laplacian = _resolve("laplacian_solver")(lp)
         pots = (laplacian(p.x / lp.c, lp.b) for p in points)
         rows = (
             [p.mu, *p.x, float(lp.c.dot(p.x)), float(lp.b.dot(pot)),
@@ -257,7 +289,7 @@ def cmd_oracle(args) -> int:
     doc = {
         "command": "oracle", "name": lp.name, "m": lp.m, "n": lp.n,
         "status": result.status,
-        "vertices": result.vertices, "rays": result.rays,
+        "vertices": oracle_mod.float_rows(result.vertices_exact), "rays": oracle_mod.float_rows(result.rays_exact),
     }
     if result.status == "optimal":
         doc.update({
@@ -302,12 +334,16 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
     and potential bounds, and the first-variation identity against random
     constraint-kernel directions.
     """
+    import numpy as np
+
     from . import discrete_solver
     from . import oracle as oracle_mod
 
+    evaluate, check_bounds, gradient_identity_residual, kernel_basis = map(
+        _resolve, ("evaluate", "check_bounds", "gradient_identity_residual", "kernel_basis"))
     # eps and h are checked before the exact parameters and the enumeration.
     config = discrete_solver.DiscreteConfig(eps=eps, h=h, trace_every=1, max_iters=max_iters)
-    if not np.any(lp.b_int):
+    if not any(lp.b_exact):
         return {"ok": True, "note": "zero demand vector; x = 0 is optimal", "certificate": None}
 
     params = default_params(lp)
@@ -402,6 +438,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _vector(text: str) -> np.ndarray:
     """A comma-separated float vector; argparse turns a ValueError into a usage error."""
+    import numpy as np
+
     return np.asarray([float(v) for v in text.split(",")], dtype=float)
 
 
@@ -420,9 +458,10 @@ def _length_at_least(low: int):
     integer = _int_at_least(low)
     def length(text: str) -> int:
         value = integer(text)
-        if value > np.iinfo(np.intp).max:
+        # sys.maxsize is np.iinfo(np.intp).max: numpy's intp is C's ssize_t.
+        if value > sys.maxsize:
             raise argparse.ArgumentTypeError(
-                f"expected at most {np.iinfo(np.intp).max} (numpy's array size limit), got {text}")
+                f"expected at most {sys.maxsize} (numpy's array size limit), got {text}")
         return value
     return length
 

@@ -204,7 +204,7 @@ def _potentials_cannot_close(r_j: float, bp: float, cost: float, one_eps: float)
     return r_j > 0.0 and bp >= 0.0 and cost > one_eps * (bp / r_j)
 
 
-def _exact_cost(c_int: list, x: np.ndarray) -> Fraction:
+def _exact_cost(c_int: tuple[int, ...], x: np.ndarray) -> Fraction:
     """c . x exactly, each float of x read as the dyadic rational it is."""
     return sum(map(operator.mul, c_int, map(Fraction, x.tolist())))
 
@@ -282,7 +282,7 @@ def solve(
     dynamics are never entered. A step so small that the iterates never
     leave the start is logged as a warning once the loop ends.
     """
-    if not np.any(lp.b_int):
+    if not any(lp.b_exact):
         if config.start is not None:
             check_point(lp, config.start, "start", feasible=True)
         x = np.zeros(lp.n)
@@ -332,7 +332,7 @@ def solve(
             )
 
     v0 = float(lp.c @ x0)
-    opt_floor = float(lp.c_int.min()) / params.subdet_max
+    opt_floor = float(min(lp.c_exact)) / params.subdet_max
     cost_ratio = max(v0 / opt_floor, 1.0)
     spread = max(float(x0.max()), 1.0 / float(x0.min()), 1.0)
     certified_cap = iteration_bound(cost_ratio, spread, config.eps, h)
@@ -407,7 +407,7 @@ def solve(
     h_arr = np.array(h)  # a 0-d array multiplies faster than a Python float
     # The gap stop's state: ratio holds a_i . p / c_i as last formed, j its
     # argmax, and inv_c_list the r_j factor that the gate reads by index.
-    ratio, inv_c_list, c_int = np.empty(n), inv_c.tolist(), lp.c_int.tolist()
+    ratio, inv_c_list, c_int = np.empty(n), inv_c.tolist(), lp.c_exact
     one_eps, exact_one_eps = 1.0 + config.eps, 1 + Fraction(config.eps)
     lower_bound = bound_source = None
     # The kept basis candidate: its dual, its float bound and, once formed,

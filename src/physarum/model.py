@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
+from itertools import chain
+from typing import TYPE_CHECKING
 
 from . import _exact
 from .errors import (
@@ -33,6 +34,9 @@ from .errors import (
     ValidationError,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # Exact subdeterminant enumeration is exponential; beyond this column count
 # callers must settle for the closed-form bound.
 EXACT_SUBDET_CAP = 14
@@ -40,21 +44,28 @@ EXACT_SUBDET_CAP = 14
 # The default column cap of the exact vertex enumeration (oracle --cap).
 ENUMERATION_CAP = 16
 
+# Integer data must lie in the int64 range, the dtype of the integer
+# array views.
+INT64_MIN, INT64_END = -(2**63), 2**63
+
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Raw instance data, as parsed: integer A (m x n), b (m), c (n)."""
+    """Raw instance data, as given: integer A (m x n), b (m), c (n) as nested lists or arrays."""
 
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    A: object
+    b: object
+    c: object
     name: str = ""
 
     @classmethod
     def from_lists(cls, A, b, c, name: str = "") -> "LinearProgram":
-        """Build an instance from nested lists; a boolean or string entry raises DimensionMismatchError."""
+        """Build an instance from nested lists, kept as given.
+
+        A boolean or string entry raises DimensionMismatchError.
+        """
         _reject_non_numbers(A, b, c)
-        return cls(np.asarray(A), np.asarray(b), np.asarray(c), name)
+        return cls(A, b, c, name)
 
 
 def _holds_non_number(value) -> bool:
@@ -63,13 +74,21 @@ def _holds_non_number(value) -> bool:
     np.asarray reads True as 1 and, with dtype=float, parses "0.5" as 0.5,
     so these entries are caught before any conversion.
     """
-    if isinstance(value, np.ndarray):
-        return value.dtype.kind in "bSU" or (
-            value.dtype == object and any(map(_holds_non_number, value.flat))
-        )
-    return isinstance(value, (bool, np.bool_, str, bytes)) or (
-        isinstance(value, (list, tuple)) and any(map(_holds_non_number, value))
-    )
+    np = sys.modules.get("numpy")  # an array or a numpy scalar exists only once numpy is loaded
+    non_numbers = (bool, str, bytes) if np is None else (bool, np.bool_, str, bytes)
+    pending = [value]
+    while pending:
+        v = pending.pop()
+        if np is not None and isinstance(v, np.ndarray):
+            if v.dtype.kind in "bSU":
+                return True
+            if v.dtype == object:
+                pending.extend(v.flat)
+        elif isinstance(v, non_numbers):
+            return True
+        elif isinstance(v, (list, tuple)):
+            pending.extend(v)
+    return False
 
 
 def _reject_non_numbers(A, b, c) -> None:
@@ -78,33 +97,99 @@ def _reject_non_numbers(A, b, c) -> None:
             raise DimensionMismatchError(f"{name} must contain integers")
 
 
+def _plain(value):
+    """value.tolist() for an array or a numpy scalar, else value itself."""
+    tolist = getattr(value, "tolist", None)
+    return value if tolist is None else tolist()
+
+
+def _read(value) -> tuple[tuple[int, ...], list | None]:
+    """The shape np.asarray gives value, and its entries in row-major order as Python values.
+
+    An array gives its own shape, and its entries only when its dtype is
+    an integer or a float one (None otherwise, as numpy holds no number
+    there). Lists and tuples nest, arrays and numpy scalars in them read
+    as their tolist(), and anything else is one entry. A nesting whose
+    lengths or depths differ raises DimensionMismatchError, a ValueError,
+    with the message of the ValueError np.asarray raises.
+    """
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.ndarray):
+        return value.shape, value.ravel().tolist() if value.dtype.kind in "iuf" else None
+    shape, level = [], [_plain(value)]
+    while True:
+        nested = [isinstance(v, (list, tuple)) for v in level]
+        if not any(nested):
+            return tuple(shape), level
+        lengths = set(map(len, level)) if all(nested) else ()
+        if len(lengths) != 1:
+            raise DimensionMismatchError(
+                "setting an array element with a sequence. The requested array has an inhomogeneous "
+                f"shape after {len(shape)} dimensions. The detected shape was {tuple(shape)} + inhomogeneous part.")
+        shape.append(lengths.pop())
+        level = [_plain(v) for v in chain.from_iterable(level)]
+
+
+def _integers(name: str, entries: list | None) -> list[int]:
+    """entries as Python ints; DimensionMismatchError unless each is an integer or integral float in the int64 range."""
+    if entries is not None:
+        out = []
+        for v in entries:
+            if isinstance(v, float) and v.is_integer():
+                v = int(v)
+            elif not isinstance(v, int):
+                break
+            if not INT64_MIN <= v < INT64_END:
+                break
+            out.append(v)
+        else:
+            return out
+    raise DimensionMismatchError(f"{name} must contain integers")
+
+
 @dataclass(frozen=True)
 class ValidatedLP:
     """An instance that passed :func:`validate`. Downstream code expects this.
 
-    Integer arrays are canonical; float views are cached for numerics.
+    ``A_exact`` (rows), ``b_exact`` and ``c_exact`` hold the data as
+    tuples of Python ints, which no sum or product overflows; the exact
+    layer reads only these. The int64 arrays ``A_int``, ``b_int``,
+    ``c_int`` and the float views ``A``, ``At``, ``b``, ``c`` for the
+    numerics are built on first access.
     """
 
-    A_int: np.ndarray
-    b_int: np.ndarray
-    c_int: np.ndarray
+    A_exact: tuple[tuple[int, ...], ...]
+    b_exact: tuple[int, ...]
+    c_exact: tuple[int, ...]
     name: str = ""
 
     @property
     def m(self) -> int:
-        return self.A_int.shape[0]
+        return len(self.A_exact)
 
     @property
     def n(self) -> int:
-        return self.A_int.shape[1]
+        return len(self.A_exact[0])
+
+    @cached_property
+    def A_int(self) -> np.ndarray:
+        return _int64_array(self.A_exact)
+
+    @cached_property
+    def b_int(self) -> np.ndarray:
+        return _int64_array(self.b_exact)
+
+    @cached_property
+    def c_int(self) -> np.ndarray:
+        return _int64_array(self.c_exact)
 
     @cached_property
     def A(self) -> np.ndarray:
-        return np.ascontiguousarray(self.A_int, dtype=float)
+        return self.A_int.astype(float)
 
     @cached_property
     def At(self) -> np.ndarray:
-        return np.ascontiguousarray(self.A.T)
+        return self.A.T.copy()
 
     @cached_property
     def b(self) -> np.ndarray:
@@ -113,6 +198,12 @@ class ValidatedLP:
     @cached_property
     def c(self) -> np.ndarray:
         return self.c_int.astype(float)
+
+
+def _int64_array(data) -> np.ndarray:
+    import numpy as np
+
+    return np.array(data, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -156,45 +247,35 @@ def default_step(params: Params, eps: float) -> float:
 def validate(lp: LinearProgram) -> ValidatedLP:
     """Check shapes, integrality, positivity of costs, and full row rank.
 
-    Entries must be integers or integral floats in the int64 range. The
-    rank is proved exactly by ``_exact.rank_int``: an elimination modulo a
-    prime in numpy int64 arithmetic accepts a full-rank A from
+    A, b and c may be nested lists or arrays. Entries must be integers or
+    integral floats in the int64 range; booleans and strings are not
+    integers here. The checks, their order and their messages are those
+    of reading each through np.asarray, without numpy. The rank is proved
+    exactly by ``_exact.rank_int``: an elimination modulo a prime in
+    numpy int64 arithmetic accepts a full-rank A from
     ``_exact.MODULAR_MIN_DIM`` rows on, and Bareiss on Python ints decides
-    small or rank-deficient matrices. Booleans and strings are not integers here.
+    small or rank-deficient matrices.
     """
     _reject_non_numbers(lp.A, lp.b, lp.c)
-    A = np.asarray(lp.A)
-    b = np.asarray(lp.b)
-    c = np.asarray(lp.c)
-    if A.ndim != 2:
-        raise DimensionMismatchError(f"A must be a 2-d array, got ndim={A.ndim}")
-    m, n = A.shape
+    (a_shape, A), (b_shape, b), (c_shape, c) = map(_read, (lp.A, lp.b, lp.c))
+    if len(a_shape) != 2:
+        raise DimensionMismatchError(f"A must be a 2-d array, got ndim={len(a_shape)}")
+    m, n = a_shape
     if m == 0 or n == 0:
         raise DimensionMismatchError("A must have at least one row and one column")
-    if b.shape != (m,):
-        raise DimensionMismatchError(f"b has shape {b.shape}, expected ({m},)")
-    if c.shape != (n,):
-        raise DimensionMismatchError(f"c has shape {c.shape}, expected ({n},)")
+    if b_shape != (m,):
+        raise DimensionMismatchError(f"b has shape {b_shape}, expected ({m},)")
+    if c_shape != (n,):
+        raise DimensionMismatchError(f"c has shape {c_shape}, expected ({n},)")
     if m > n:
         raise RankDeficientError(f"more rows than columns ({m} > {n}); rows cannot be independent")
-    for name, arr in (("A", A), ("b", b), ("c", c)):
-        if np.issubdtype(arr.dtype, np.integer):
-            # Unsigned values from 2**63 up would wrap in the int64 cast.
-            ok = arr.dtype.kind == "i" or int(arr.max()) < 2**63
-        else:
-            # The range test also rules out NaN and inf, and keeps the int64 cast exact.
-            ok = (np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.floor(arr))
-                  and np.all((arr >= -(2.0**63)) & (arr < 2.0**63)))
-        if not ok:
-            raise DimensionMismatchError(f"{name} must contain integers")
-    A_int = A.astype(np.int64)
-    b_int = b.astype(np.int64)
-    c_int = c.astype(np.int64)
-    if np.any(c_int < 1):
-        raise NonPositiveCostError(f"all costs must be >= 1, got min {c_int.min()}")
-    if _exact.rank_int(A_int.tolist()) != m:
+    A, b, c = _integers("A", A), _integers("b", b), _integers("c", c)
+    if min(c) < 1:
+        raise NonPositiveCostError(f"all costs must be >= 1, got min {min(c)}")
+    rows = tuple(tuple(A[i:i + n]) for i in range(0, m * n, n))
+    if _exact.rank_int(rows) != m:
         raise RankDeficientError("A does not have full row rank")
-    return ValidatedLP(A_int=A_int, b_int=b_int, c_int=c_int, name=lp.name)
+    return ValidatedLP(A_exact=rows, b_exact=tuple(b), c_exact=tuple(c), name=lp.name)
 
 
 def check_point(lp: ValidatedLP, x, what: str, feasible: bool = False) -> np.ndarray:
@@ -210,6 +291,8 @@ def check_point(lp: ValidatedLP, x, what: str, feasible: bool = False) -> np.nda
     # read them as 1.0, 0.0 or the number they spell.
     if _holds_non_number(x):
         raise DimensionMismatchError(f"{what} must contain numbers")
+    import numpy as np
+
     try:
         x = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -238,72 +321,76 @@ def dual_lower_bound(lp: ValidatedLP, y) -> Fraction | None:
     any feasible x >= 0, b . (y / r) = sum_i x_i a_i . (y / r) <= c . x.
     Each float of y is read as the dyadic rational it is, scaled to
     integers over one power of two that cancels between b . y and r, and
-    every sum and comparison is made in Python ints over A_int, b_int and
-    c_int: no rounding enters the bound or the test r <= 0, and no int64
-    product can overflow. y must hold m finite numbers, else
-    DimensionMismatchError or ValidationError.
+    every sum and comparison is made in Python ints over A_exact, b_exact
+    and c_exact: no rounding enters the bound or the test r <= 0. y must
+    hold m finite numbers, else DimensionMismatchError or ValidationError.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (lp.m,):
-        raise DimensionMismatchError(f"y has shape {y.shape}, expected ({lp.m},)")
-    if not np.all(np.isfinite(y)):
-        raise ValidationError(f"y must be finite, got {y.tolist()!r}")
-    ratios = [v.as_integer_ratio() for v in y.tolist()]
+    shape, ys = _read(y)
+    if shape != (lp.m,):
+        raise DimensionMismatchError(f"y has shape {shape}, expected ({lp.m},)")
+    ys = [float(v) for v in ys]
+    if not all(map(math.isfinite, ys)):
+        raise ValidationError(f"y must be finite, got {ys!r}")
+    ratios = [v.as_integer_ratio() for v in ys]
     den = max(d for _, d in ratios)  # every denominator is a power of two
     Y = [num * (den // d) for num, d in ratios]
     # a_i . Y / c_i for every column i, compared as exact rationals.
-    r = max(Fraction(sum(map(operator.mul, col, Y)), ci)
-            for col, ci in zip(lp.A_int.T.tolist(), lp.c_int.tolist()))
+    r = max(Fraction(sum(map(operator.mul, col, Y)), ci) for col, ci in zip(zip(*lp.A_exact), lp.c_exact))
     if r <= 0:
         return None
-    return sum(map(operator.mul, lp.b_int.tolist(), Y)) / r
+    return sum(map(operator.mul, lp.b_exact, Y)) / r
 
 
-def subdet_upper_bound(A_int: np.ndarray) -> float:
-    """Closed-form bound on the subdeterminant maximum.
+def subdet_upper_bound(A) -> float:
+    """Closed-form bound on the subdeterminant maximum of an integer matrix (nested lists or an array).
 
     For a k x k submatrix every row has 2-norm at most sqrt(k) * max|A_ij|,
     so the determinant is at most (sqrt(k) * max|A_ij|)**k. An integer
     max|A_ij| is at least 1, so the bound grows with k and k = min(m, n)
     bounds every size. Always at least the exact value and cheap at any
-    size; math.inf when it exceeds the float range.
+    size; math.inf when it exceeds the float range. max|A_ij| is a Python
+    int, so -2**63 counts as 2**63.
     """
-    a = int(np.abs(A_int).max())
+    rows = _plain(A)
+    a = max(map(abs, chain.from_iterable(rows)))
     if a == 0:
         return 0.0
-    k = min(A_int.shape)
+    k = min(len(rows), len(rows[0]))
     try:
         return (math.sqrt(k) * a) ** k
     except OverflowError:
         return math.inf
 
 
-def max_subdeterminant(A_int: np.ndarray, mode: str = "exact") -> float:
-    """Maximum absolute subdeterminant of an integer matrix, exact or bounded.
+def max_subdeterminant(A, mode: str = "exact") -> float:
+    """Maximum absolute subdeterminant of an integer matrix (nested lists or an array), exact or bounded.
 
     ``mode="exact"`` enumerates all square submatrices (only permitted for
     n <= EXACT_SUBDET_CAP); ``mode="bound"`` uses the closed form.
     """
-    A_int = np.asarray(A_int)
     if mode == "bound":
-        return subdet_upper_bound(A_int)
+        return subdet_upper_bound(A)
     if mode != "exact":
         raise ValidationError(f"mode must be 'exact' or 'bound', got {mode!r}")
-    if A_int.shape[1] > EXACT_SUBDET_CAP:
-        raise TooLargeError(f"exact enumeration capped at n <= {EXACT_SUBDET_CAP}, got n={A_int.shape[1]}")
-    return float(_exact.max_abs_subdeterminant(A_int.tolist()))
+    rows = _plain(A)
+    if len(rows[0]) > EXACT_SUBDET_CAP:
+        raise TooLargeError(f"exact enumeration capped at n <= {EXACT_SUBDET_CAP}, got n={len(rows[0])}")
+    return float(_exact.max_abs_subdeterminant(rows))
 
 
 def compute_params(lp: ValidatedLP, mode: str = "exact") -> Params:
-    """Derive the worst-case parameters, with exact or bounded subdeterminants (see max_subdeterminant)."""
-    d = float(max_subdeterminant(lp.A_int, mode))
-    cost_sum = int(lp.c_int.sum())
+    """Derive the worst-case parameters, with exact or bounded subdeterminants (see max_subdeterminant).
+
+    The sums are Python ints, so no cost or demand sum wraps.
+    """
+    d = float(max_subdeterminant(lp.A_exact, mode))
+    cost_sum = sum(lp.c_exact)
     return Params(
         cost_sum=cost_sum,
         subdet_max=d,
         subdet_exact=mode == "exact",
         potential_ratio_bound=cost_sum * d + 1.0,
-        flux_bound=d * d * lp.n * float(np.abs(lp.b_int).sum()),
+        flux_bound=d * d * lp.n * float(sum(map(abs, lp.b_exact))),
     )
 
 

@@ -22,16 +22,20 @@ exact, not approximate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from . import _exact
 from .errors import NoInteriorPointError, TooLargeError
 # max_subdeterminant is not called here, but bench/spans.py records spans by
 # rebinding oracle.max_subdeterminant, so the name stays bound.
 from .model import ENUMERATION_CAP, ValidatedLP, max_subdeterminant  # noqa: F401
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # sample_feasible draws vertex weights from [SAMPLE_MIN_WEIGHT, 1) and ray
 # coefficients from [0, SAMPLE_RAY_SCALE).
@@ -43,15 +47,14 @@ SAMPLE_RAY_SCALE = 1.0
 class OracleResult:
     """Complete description of a small feasible region.
 
-    ``vertices`` and ``rays`` are float arrays (possibly empty) in a
-    deterministic sorted order; the same data is kept exactly as tuples of
-    Fractions. ``J`` is the union of optimal supports, ``N`` its
-    complement; indices are 0-based.
+    The vertices and rays are kept exactly, as tuples of Fractions in a
+    deterministic sorted order; ``vertices`` and ``rays`` are the same
+    data as float arrays (possibly empty), built on first access. ``J``
+    is the union of optimal supports, ``N`` its complement; indices are
+    0-based.
     """
 
     status: str
-    vertices: np.ndarray
-    rays: np.ndarray
     opt: float | None
     optimal_indices: tuple[int, ...]
     J: tuple[int, ...]
@@ -60,12 +63,31 @@ class OracleResult:
     rays_exact: tuple[tuple[Fraction, ...], ...]
     opt_exact: Fraction | None
 
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        return self._floats(self.vertices_exact)
+
+    @cached_property
+    def rays(self) -> np.ndarray:
+        return self._floats(self.rays_exact)
+
+    def _floats(self, points) -> np.ndarray:
+        import numpy as np
+
+        # J and N split the columns, so they count them even with no point.
+        return np.array(float_rows(points)).reshape(len(points), len(self.J) + len(self.N))
+
     @property
     def optimal_vertices(self) -> np.ndarray:
         return self.vertices[list(self.optimal_indices)] if len(self.optimal_indices) else self.vertices[:0]
 
 
-def _basic_solutions_exact(mat: list[list[int]], rhs: list[int]) -> list[tuple[Fraction, ...]]:
+def float_rows(points) -> list[list[float]]:
+    """Exact points as lists of floats, each the nearest float to its Fraction."""
+    return [[float(v) for v in point] for point in points]
+
+
+def _basic_solutions_exact(mat, rhs) -> list[tuple[Fraction, ...]]:
     n_cols = len(mat[0])
     found: dict[tuple[Fraction, ...], None] = {}
     for cols in _exact.feasible_bases(mat, rhs):
@@ -85,19 +107,14 @@ def enumerate_polyhedron(lp: ValidatedLP, cap: int = ENUMERATION_CAP) -> OracleR
     """
     if lp.n > cap:
         raise TooLargeError(f"enumeration capped at n <= {cap}, got n={lp.n}")
-    ray_mat = lp.A_int.tolist() + [[1] * lp.n]
-    ray_rhs = [0] * lp.m + [1]
-    verts_exact = _basic_solutions_exact(lp.A_int.tolist(), lp.b_int.tolist())
-    rays_exact = _basic_solutions_exact(ray_mat, ray_rhs)
-    vertices = np.array([[float(v) for v in vert] for vert in verts_exact]).reshape(len(verts_exact), lp.n)
-    rays = np.array([[float(v) for v in ray] for ray in rays_exact]).reshape(len(rays_exact), lp.n)
-    c_frac = [Fraction(int(v)) for v in lp.c_int]
-    costs = [sum(ci * vi for ci, vi in zip(c_frac, vert)) for vert in verts_exact]
+    verts_exact = _basic_solutions_exact(lp.A_exact, lp.b_exact)
+    rays_exact = _basic_solutions_exact([*lp.A_exact, [1] * lp.n], [0] * lp.m + [1])
+    costs = [sum(map(operator.mul, lp.c_exact, vert)) for vert in verts_exact]
     opt_exact = min(costs, default=None)
     optimal = tuple(i for i, cost in enumerate(costs) if cost == opt_exact)
     support = {j for i in optimal for j, v in enumerate(verts_exact[i]) if v != 0}
     return OracleResult(
-        status="optimal" if verts_exact else "infeasible", vertices=vertices, rays=rays,
+        status="optimal" if verts_exact else "infeasible",
         opt=None if opt_exact is None else float(opt_exact), optimal_indices=optimal,
         J=tuple(sorted(support)), N=tuple(sorted(set(range(lp.n)) - support)),
         vertices_exact=tuple(verts_exact), rays_exact=tuple(rays_exact), opt_exact=opt_exact,
@@ -118,7 +135,7 @@ def interior_point(result: OracleResult) -> np.ndarray:
         positive = result.vertices[result.vertices > 0]
         shift = 0.1 * float(positive.min()) if positive.size else 1.0
         s = s + shift * result.rays.sum(axis=0)
-    if np.all(s > 0.0):
+    if (s > 0.0).all():
         return s
     raise NoInteriorPointError("no strictly positive feasible point found from vertices and rays")
 

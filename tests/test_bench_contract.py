@@ -9,6 +9,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,9 @@ from physarum import (
     integrate,
     solve,
 )
+from physarum import cli_io
 from physarum.cli_io import run_verification
-from tests.conftest import planted_instance
+from tests.conftest import INSTANCE_DIR, planted_instance
 from tests.test_exact import ref_feasible_bases
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
@@ -78,6 +80,23 @@ def test_every_traced_attribute_resolves():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_verify_calls_each_traced_layer_through_its_binding(capsys):
+    """cli_io resolves the dynamics names on first access, and verify calls the binding the benchmark installs.
+
+    Were cli_io.evaluate bypassed, the 200 sample evaluations would count
+    as run_verification's own time (cli_io.run_verification_self_s).
+    """
+    with load_spans().Recorder() as rec:
+        rc = cli_io.main(["verify", str(INSTANCE_DIR / "triangle.json")])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0 and report["ok"]
+    names = [name for name, *_ in rec.spans]
+    root = names.index("cli_io.run_verification")
+    samples = [span for span in rec.spans if span[0] == "dynamics.evaluate" and span[3] == root]
+    assert len(samples) == report["samples"]["checked"] == 200
+    assert {"model.validate", "model.default_params", "oracle.enumerate_polyhedron"} <= set(names)
 
 
 def test_every_imported_name_is_used():

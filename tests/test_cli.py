@@ -34,8 +34,9 @@ def run_json(capsys, args):
 def test_parse_problem_roundtrip():
     pf = parse_problem(SIMPLE2)
     assert pf.lp.name == "simple2"
-    assert pf.lp.A.tolist() == [[1, 1]]
-    assert pf.start.tolist() == [0.5, 0.5]
+    # The file's lists are kept as they are; validate reads them.
+    assert pf.lp.A == [[1, 1]]
+    assert pf.start == [0.5, 0.5]
 
 
 def test_parse_problem_default_name(tmp_path):
@@ -473,11 +474,12 @@ def test_import_leaves_the_ode_solver_unloaded():
     assert importers == []
 
 
-SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))"
 
 
 @pytest.mark.parametrize("module", ["physarum", "physarum.cli_io"])
 def test_import_loads_no_scipy(module):
+    # Nor numpy: the problem model and the exact layer run on Python ints.
     proc = run_child(["-c", f"import sys, {module}; {SCIPY_LOADED}"], os.environ)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -485,15 +487,16 @@ def test_import_loads_no_scipy(module):
 
 LOADED = (
     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'physarum'), 'logging' in sys.modules,"
-    " any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    " any(m.split('.')[0] == 'scipy' for m in sys.modules), 'numpy' in sys.modules)"
 )
 IMPORT_ONLY = ["physarum", "physarum._exact", "physarum.errors", "physarum.model"]
 
 
 def test_each_command_loads_only_the_modules_it_runs():
     # The engines load on first use, so params and oracle never compile the
-    # solver, the flow or the path, nor load logging or SciPy; verify loads
-    # the solver (which logs and solves Laplacians) and still no flow or path.
+    # solver, the flow or the path, nor load logging, SciPy or numpy (they
+    # run on Python ints); verify loads the solver (which logs and solves
+    # Laplacians), the dynamics and linalg, and still no flow or path.
     script = (
         "import sys, physarum\n"
         f"{LOADED}\n"
@@ -508,12 +511,13 @@ def test_each_command_loads_only_the_modules_it_runs():
     proc = run_child(["-c", script], os.environ)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        f"{IMPORT_ONLY} False False", "module 'physarum' has no attribute 'no_such_name'"]
-    cli = sorted([*IMPORT_ONLY, "physarum.cli_io", "physarum.dynamics", "physarum.linalg"])
+        f"{IMPORT_ONLY} False False False", "module 'physarum' has no attribute 'no_such_name'"]
+    cli = sorted([*IMPORT_ONLY, "physarum.cli_io"])
+    engines = ["physarum.oracle", "physarum.discrete_solver", "physarum.dynamics", "physarum.linalg"]
     expected = {
-        "params": f"{cli} False False",
-        "oracle": f"{sorted([*cli, 'physarum.oracle'])} False False",
-        "verify": f"{sorted([*cli, 'physarum.oracle', 'physarum.discrete_solver'])} True True",
+        "params": f"{cli} False False False",
+        "oracle": f"{sorted([*cli, 'physarum.oracle'])} False False False",
+        "verify": f"{sorted([*cli, *engines])} True True True",
     }
     for cmd, loaded in expected.items():
         script = (

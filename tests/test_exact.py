@@ -3,13 +3,15 @@
 The references below are kept as they were: rational row reduction for
 the rank, rational Gauss-Jordan for a unique solution, the oracle's basis
 loop built on the two (one solve per column basis, which the basis
-screen replaced), and one fraction-free determinant per square
-submatrix for the largest subdeterminant. Every kernel answer must equal
-the reference's exactly.
+screen replaced), one fraction-free determinant per square submatrix
+for the largest subdeterminant, and the numpy object-array kernels that
+the list kernels replaced. Every kernel answer must equal the
+reference's exactly.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from physarum import LinearProgram, enumerate_polyhedron, oracle, validate
 from physarum._exact import (
     MODULAR_MIN_DIM,
     PRIME,
+    _colex_level,
     feasible_bases,
     max_abs_subdeterminant,
     rank_int,
@@ -161,6 +164,95 @@ def ref_max_abs_subdeterminant(A):
     return best
 
 
+# The kernels this module ran before it moved to lists of Python ints,
+# kept as they were: numpy object arrays of minors over index arrays. The
+# list kernels must give their answers exactly, in the same order.
+
+
+def np_colex_level(cols: np.ndarray, drops: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The object-array kernel: the next colex level of column subsets, one subset per row."""
+    k = cols.shape[1]
+    total = comb(width, k + 1)
+    # The smallest index type that holds the largest level's size.
+    index = np.min_scalar_type(comb(width, width // 2))
+    next_cols = np.empty((total, k + 1), dtype=index)
+    next_drops = np.empty((total, k + 1), dtype=index)
+    start = 0
+    for c in range(k, width):
+        block = comb(c, k)
+        stop = start + block
+        next_cols[start:stop, :k] = cols[:block]
+        next_cols[start:stop, k] = c
+        next_drops[start:stop, :k] = drops[:block] + block
+        next_drops[start:stop, k] = np.arange(block)
+        start = stop
+    return next_cols, next_drops
+
+
+def np_expand(minors: np.ndarray, entries: np.ndarray, cols: np.ndarray, drops: np.ndarray) -> np.ndarray:
+    """The object-array kernel: one more row's k-minors, as a numpy object array."""
+    k = cols.shape[1]
+    child = np.zeros(len(cols), dtype=object)
+    for j in range(k):
+        term = entries[cols[:, j]] * minors[drops[:, j]]
+        # Cofactor sign (-1)**(k - 1 + j) along the last of k rows.
+        child = child - term if (k - 1 + j) % 2 else child + term
+    return child
+
+
+def np_max_abs_subdeterminant(A: list[list[int]]) -> int:
+    """The object-array kernel: the depth-first walk over numpy object arrays of minors."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    rows = [np.array([int(v) for v in r], dtype=object) for r in A]
+    depth = min(m, n)
+    levels = [(np.empty((1, 0), dtype=np.intp),) * 2]
+    for _ in range(depth):
+        levels.append(np_colex_level(*levels[-1], n))
+    best = 0
+
+    def descend(minors: np.ndarray, k: int, start: int) -> None:
+        nonlocal best
+        for r in range(start, m):
+            child = np_expand(minors, rows[r], *levels[k + 1])
+            hi, lo = child.max(), child.min()
+            if hi or lo:
+                best = max(best, hi, -lo)
+                if k + 1 < depth:
+                    descend(child, k + 1, r + 1)
+
+    if depth:
+        descend(np.ones(1, dtype=object), 0, 0)
+    return best
+
+
+def np_feasible_bases(mat, rhs) -> list[tuple[int, ...]]:
+    """The object-array kernel: the basis screen over numpy object arrays of minors."""
+    n = len(mat[0]) if mat else 0
+    minors = np.ones(1, dtype=object)
+    cols = drops = np.empty((1, 0), dtype=np.intp)
+    ahead = None  # the next level's subsets, kept while rows turn out dependent
+    for row, b in zip(mat, rhs):
+        if ahead is None:
+            ahead = np_colex_level(cols, drops, n + 1)
+        child = np_expand(minors, np.array([int(v) for v in row] + [int(b)], dtype=object), *ahead)
+        if np.count_nonzero(child[:comb(n, cols.shape[1] + 1)]):
+            minors, (cols, drops), ahead = child, ahead, None
+        elif np.count_nonzero(child):
+            return []
+    r = cols.shape[1]
+    n_bases = comb(n, r)
+    det = minors[:n_bases]
+    pos, neg = det > 0, det < 0
+    keep = pos | neg
+    for j in range(r):
+        num = minors[n_bases + drops[:n_bases, j]]
+        # rhs moves from the last of r places to the j-th: r - 1 - j swaps.
+        num_pos, num_neg = (num < 0, num > 0) if (r - 1 - j) % 2 else (num > 0, num < 0)
+        keep &= ~((num_pos & neg) | (num_neg & pos))
+    return [tuple(int(c) for c in cols[i]) for i in np.flatnonzero(keep)]
+
+
 def as_fractions(sol):
     if sol is None:
         return None
@@ -275,6 +367,60 @@ def test_max_subdeterminant_on_planted(m, n):
     A = planted_instance(np.random.default_rng(m), m, n).A_int.tolist()
     for mat in (A, with_ones(A)):
         assert max_abs_subdeterminant(mat) == ref_max_abs_subdeterminant(mat)
+
+
+@pytest.mark.parametrize("width", range(1, 12))
+def test_colex_levels_match_the_object_array_kernel(width):
+    cols, drops = [], []
+    np_cols = np_drops = np.empty((1, 0), dtype=np.intp)
+    for k in range(1, width + 1):
+        cols, drops = _colex_level(cols, drops, width)
+        np_cols, np_drops = np_colex_level(np_cols, np_drops, width)
+        assert len(cols) == k and len(cols[0]) == comb(width, k)
+        assert cols == np_cols.T.tolist() and drops == np_drops.T.tolist()
+
+
+@st.composite
+def shaped_systems(draw):
+    """(mat, rhs) tall, square or wide, entries up to 2**40 in size or in [-2, 2].
+
+    Sometimes a row or a column of mat is zero. The right-hand side is
+    free, or mat @ z for a nonnegative z with zeros, so that some bases
+    have a nonnegative solution.
+    """
+    n_rows, n_cols = draw(st.integers(1, 7)), draw(st.integers(1, 9))
+    entry = st.integers(-BIG, BIG) if draw(st.booleans()) else st.integers(-2, 2)
+    mat = draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
+    if draw(st.booleans()):
+        mat[draw(st.integers(0, n_rows - 1))] = [0] * n_cols
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n_cols - 1))
+        for row in mat:
+            row[j] = 0
+    if draw(st.booleans()):
+        rhs = draw(st.lists(entry, min_size=n_rows, max_size=n_rows))
+    else:
+        z = draw(st.lists(st.sampled_from([0, 0, 1, 2]), min_size=n_cols, max_size=n_cols))
+        rhs = [sum(a * v for a, v in zip(row, z)) for row in mat]
+    return mat, rhs
+
+
+@settings(max_examples=300)
+@given(shaped_systems())
+def test_list_kernels_match_the_object_array_kernels(system):
+    mat, rhs = system
+    assert max_abs_subdeterminant(mat) == np_max_abs_subdeterminant(mat)
+    assert feasible_bases(mat, rhs) == np_feasible_bases(mat, rhs)
+
+
+def test_list_kernels_match_the_object_array_kernels_on_fuzz_and_planted():
+    instances = [lp for lp, _ in random_instances(seed=20240801, count=200, require_feasible=False)]
+    instances += [planted_instance(np.random.default_rng(m), m, n) for m, n in [(4, 10), (5, 12), (6, 14)]]
+    for lp in instances:
+        A, b = lp.A_int.tolist(), lp.b_int.tolist()
+        for mat, rhs in ((A, b), (with_ones(A), [0] * lp.m + [1])):
+            assert max_abs_subdeterminant(mat) == np_max_abs_subdeterminant(mat), mat
+            assert feasible_bases(mat, rhs) == np_feasible_bases(mat, rhs), (mat, rhs)
 
 
 @settings(max_examples=400)
@@ -418,7 +564,7 @@ def reference_result(monkeypatch, lp):
 
 
 def assert_same_result(got, want):
-    for name in got.__dataclass_fields__:
+    for name in [*got.__dataclass_fields__, "vertices", "rays"]:
         a, b = getattr(got, name), getattr(want, name)
         if isinstance(a, np.ndarray):
             assert a.shape == b.shape and np.array_equal(a, b), name

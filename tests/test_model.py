@@ -15,6 +15,7 @@ from physarum import (
     _exact,
     compute_params,
     default_params,
+    default_step,
     evaluate,
     integrate,
     solve,
@@ -30,7 +31,7 @@ from physarum.errors import (
     TooLargeError,
     ValidationError,
 )
-from physarum.model import check_point, dual_lower_bound, subdet_upper_bound
+from physarum.model import check_point, dual_lower_bound, max_subdeterminant, subdet_upper_bound
 from tests.conftest import planted_instance
 
 
@@ -199,6 +200,76 @@ def test_validate_rejects_shape_mismatch():
         validate(LinearProgram.from_lists([[1, 1]], [1], [1, 1, 1]))
 
 
+RAGGED = ("setting an array element with a sequence. The requested array has an inhomogeneous shape after 1 "
+          "dimensions. The detected shape was (2,) + inhomogeneous part.")
+INTEGERS = "{} must contain integers"
+
+
+def object_array(value):
+    return np.array(value, dtype=object)
+
+
+# One malformed input per row, with the error and the message validate
+# gives for it, once with A, b and c as lists and once as arrays. The
+# array form is np.array of the list unless the row names another; its
+# error is the list form's unless the row gives one.
+MALFORMED = [
+    ("ragged A", {"A": [[1, 1], [1]], "b": [1, 1]}, ValueError, RAGGED,
+     {"A": object_array([[1, 1], [1]]), "error": (DimensionMismatchError, "A must be a 2-d array, got ndim=1")}),
+    ("1-d A", {"A": [1, 1]}, DimensionMismatchError, "A must be a 2-d array, got ndim=1", {}),
+    ("3-d A", {"A": [[[1, 1]]]}, DimensionMismatchError, "A must be a 2-d array, got ndim=3", {}),
+    ("b too long", {"b": [1, 2]}, DimensionMismatchError, "b has shape (2,), expected (1,)", {}),
+    ("2-d b", {"b": [[1]]}, DimensionMismatchError, "b has shape (1, 1), expected (1,)", {}),
+    ("c too long", {"c": [1, 1, 1]}, DimensionMismatchError, "c has shape (3,), expected (2,)", {}),
+    ("A is None", {"A": None}, DimensionMismatchError, "A must be a 2-d array, got ndim=0", {}),
+    ("None entry", {"A": [[None, 1]]}, DimensionMismatchError, INTEGERS.format("A"), {}),
+    ("NaN", {"A": [[float("nan"), 1]]}, DimensionMismatchError, INTEGERS.format("A"), {}),
+    ("inf", {"b": [float("inf")]}, DimensionMismatchError, INTEGERS.format("b"), {}),
+    ("1.5", {"c": [1.5, 1]}, DimensionMismatchError, INTEGERS.format("c"), {}),
+    ("1e20", {"A": [[1e20, 1]]}, DimensionMismatchError, INTEGERS.format("A"), {}),
+    ("int 2**63", {"A": [[2**63, 1]]}, DimensionMismatchError, INTEGERS.format("A"), {}),
+    ("int below -2**63", {"A": [[-(2**63) - 1, 1]]}, DimensionMismatchError, INTEGERS.format("A"), {}),
+    ("uint64 2**63", {"c": [np.uint64(2**63), np.uint64(1)]}, DimensionMismatchError, INTEGERS.format("c"),
+     {"c": np.array([2**63, 1], dtype=np.uint64)}),
+    ("uint64 2**64 - 1", {"b": [np.uint64(2**64 - 1)]}, DimensionMismatchError, INTEGERS.format("b"),
+     {"b": np.array([2**64 - 1], dtype=np.uint64)}),
+    ("bool", {"A": [[True, 1]]}, DimensionMismatchError, INTEGERS.format("A"), {"A": np.array([[True, False]])}),
+    ("numeric string", {"b": ["1"]}, DimensionMismatchError, INTEGERS.format("b"), {}),
+    ("object entries", {"c": [1, 1]}, None, None,
+     {"c": object_array([1, 1]), "error": (DimensionMismatchError, INTEGERS.format("c"))}),
+    ("empty A", {"A": []}, DimensionMismatchError, "A must be a 2-d array, got ndim=1", {}),
+    ("empty row", {"A": [[]]}, DimensionMismatchError, "A must have at least one row and one column", {}),
+    ("zero cost", {"c": [0, 1]}, NonPositiveCostError, "all costs must be >= 1, got min 0", {}),
+]
+
+
+@pytest.mark.parametrize("form", ["lists", "arrays"])
+@pytest.mark.parametrize("data, error, message, arrays", [pytest.param(*row[1:], id=row[0]) for row in MALFORMED])
+def test_validate_gives_one_error_per_malformed_input(form, data, error, message, arrays):
+    data = {"A": [[1, 1]], "b": [1], "c": [1, 1], **data}
+    if form == "arrays":
+        arrays = dict(arrays)
+        error, message = arrays.pop("error", (error, message))
+        data = {k: arrays[k] if k in arrays else np.array(v) for k, v in data.items()}
+    if error is None:
+        validate(LinearProgram(**data))
+        return
+    with pytest.raises(error) as info:
+        validate(LinearProgram(**data))
+    assert str(info.value) == message
+    # numpy raised the ragged list's bare ValueError; its subclass
+    # DimensionMismatchError carries the same message now.
+    assert type(info.value) is error or (error is ValueError and type(info.value) is DimensionMismatchError)
+
+
+def test_validate_keeps_large_integers_exact():
+    # Python ints from the int64 range stay the ints they are, -2**63 too.
+    lp = validate(LinearProgram.from_lists([[-(2**63), 2**63 - 1]], [2**62 + 1], [2**63 - 1, 1]))
+    assert lp.A_exact == ((-(2**63), 2**63 - 1),) and lp.b_exact == (2**62 + 1,)
+    assert lp.A_int.dtype == np.int64 and lp.A_int.tolist() == [[-(2**63), 2**63 - 1]]
+    assert all(type(v) is int for v in (*lp.A_exact[0], *lp.b_exact, *lp.c_exact))
+
+
 def test_params_simple2(simple2):
     p = compute_params(simple2)
     assert p.cost_sum == 3
@@ -258,6 +329,34 @@ def test_subdet_bound_dominates_exact(rows):
     mat = np.array(rows)
     exact = float(max_abs_subdeterminant(mat.tolist()))
     assert subdet_upper_bound(mat) >= exact - 1e-9
+
+
+def test_flux_bound_sums_b_without_wrapping():
+    # |b|_1 = 2**63 + 2 wrapped to a negative int64 sum.
+    lp = validate(LinearProgram.from_lists([[1, 0], [0, 1]], [2**62 + 1, 2**62 + 1], [1, 1]))
+    p = compute_params(lp)
+    assert p.flux_bound == 2 * float(2**63 + 2) > 0
+
+
+def test_cost_sum_does_not_wrap():
+    # sum(c) = 2**63 wrapped to -2**63, which made P negative, the
+    # positivity cap negative and the certified step wrong.
+    lp = validate(LinearProgram.from_lists([[1, 1]], [1], [2**62, 2**62]))
+    p = compute_params(lp)
+    assert p.cost_sum == 2**63
+    assert p.potential_ratio_bound == 2.0**63 + 1.0
+    assert p.positivity_step_cap == 0.5 / 2.0**63 > 0
+    assert default_step(p, 0.1) == 0.1 / (6.0 * p.potential_ratio_bound**2) > 0
+
+
+def test_subdet_bound_reads_the_int64_minimum_as_its_absolute_value():
+    # |-2**63| wrapped to -2**63 in int64, so the "bound" came out as 1.0,
+    # below the exact maximum 2**63.
+    lp = validate(LinearProgram.from_lists([[-(2**63), 1]], [1], [1, 1]))
+    assert max_abs_subdeterminant(lp.A_int.tolist()) == 2**63
+    for A in (lp.A_int, lp.A_int.tolist()):
+        assert subdet_upper_bound(A) == max_subdeterminant(A, "bound") == 2.0**63
+    assert compute_params(lp, mode="bound").subdet_max == 2.0**63
 
 
 def reference_dual_bound(lp, y):

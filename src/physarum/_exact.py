@@ -14,11 +14,15 @@ colex rank, with each "drop one column" index found by arithmetic
 (``_colex_level``). A level of minors is one list; ``_expand`` builds it
 one column place at a time, picking that place's row entries and drop
 minors for every subset at once with ``operator.itemgetter``. The
-subdeterminant walks row subsets depth first. The screen adds the rows
-of [mat | rhs] once, holding two levels of minors at a time, so its
-memory is two binomial levels and not a table per level; Cramer's rule
-on the signs of those minors picks the bases with a nonnegative
-solution, and only those reach an elimination.
+subdeterminant walks row subsets depth first. The oracle's screen
+(``vertex_and_ray_bases``) adds the rows of [A | b] once, holding two
+levels of minors at a time, so its memory is two binomial levels and not
+a table per level; Cramer's rule on the signs of those minors picks the
+bases with a nonnegative solution, and only those reach an elimination.
+The same pass also screens the bases of the ray system
+[A; 1^T] z = (0, ..., 0, 1): A has full row rank, so its maximal minors
+and their Cramer numerators are signed sums of the m-minors of A the
+pass ends at.
 
 The one kernel that meets larger matrices is the rank check, at a few
 hundred rows: it first eliminates modulo a prime in numpy int64
@@ -44,7 +48,12 @@ MODULAR_MIN_DIM = 12
 
 
 def _picker(indices):
-    """itemgetter over ``indices`` that returns a tuple for one index too (itemgetter returns the item)."""
+    """itemgetter over ``indices`` that returns a tuple for one index or none too.
+
+    itemgetter returns the item itself for one index and refuses none.
+    """
+    if not indices:
+        return lambda seq: ()
     if len(indices) == 1:
         (i,) = indices
         return lambda seq: (seq[i],)
@@ -215,53 +224,67 @@ def rank_bareiss(rows: list[list[int]]) -> int:
     return rank
 
 
-def feasible_bases(mat, rhs) -> list[tuple[int, ...]]:
-    """The column bases of ``mat @ z = rhs`` whose basic solution is nonnegative.
+def vertex_and_ray_bases(A, b) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The bases with a nonnegative basic solution of A z = b and of [A; 1^T] z = (0, ..., 0, 1), from one pass.
 
-    ``mat`` is any integer matrix and r its rank. A basis is a set B of r
-    columns with det(B) != 0 on r independent rows, and its solution is
-    z_B = (Cramer numerators) / det(B); it is kept when every numerator
-    is zero or has det(B)'s sign. Bases come as ascending column tuples
-    in colex order; an inconsistent system has none.
+    A (m x n, rows of Python ints) must have full row rank. A basis of a
+    system of rank r is a set B of r columns with det(B) != 0, and its
+    solution is z_B = (Cramer numerators) / det(B); it is kept when every
+    numerator is zero or has det(B)'s sign. Bases come as ascending column
+    tuples in colex order.
 
-    Every r-minor of [mat | rhs] comes from one Laplace-expansion pass,
-    rows added one at a time: the k-minors of the first k kept rows over
-    all k-subsets of the n + 1 columns, indexed by colex rank, are each
-    an expansion along the newest row over the level below. A row whose
-    minors over mat's columns all vanish depends on the kept rows and is
-    skipped, unless a minor through rhs does not vanish, which makes the
-    system inconsistent. Only two levels of minors (lists of Python ints)
-    and their index lists are alive at a time. The subsets through rhs,
-    the last column, come after those of mat in colex order, so the
-    numerator of B's j-th column sits at comb(n, r) plus the rank of B
+    One Laplace-expansion pass, rows added one at a time, forms the
+    k-minors of the first k rows of [A | b] over all k-subsets of its
+    n + 1 columns, indexed by colex rank, each an expansion along the
+    newest row over the level below; only two levels of minors (lists of
+    Python ints) and their index lists are alive at a time. The subsets
+    through b, the last column, come after those of A in colex order, so
+    the numerator of B's j-th column sits at comb(n, m) plus the rank of B
     without it: the same index its determinant expands over.
+
+    The m-minors of A the pass ends at also give every (m+1)-minor of
+    [A; 1^T] and its Cramer numerators: expanding along the row of ones,
+    the minor over columns S = (s_0 < ... < s_m) is D = sum_j t_j, and
+    replacing column s_j by the right-hand side leaves the numerator t_j,
+    where t_j = (-1)**(m + j) det A_{S without s_j}. So the ray screen is
+    one expansion over minors already formed. The rank of [A; 1^T] is
+    m + 1 unless 1^T lies in A's row space, where every D vanishes and the
+    ray system, inconsistent, keeps no basis, as with n = m, where there
+    is no S.
     """
-    n = len(mat[0]) if mat else 0
-    minors = [1]
-    level = ([], [])
-    ahead = None  # the next level's subsets, kept while rows turn out dependent
-    for row, b in zip(mat, rhs):
-        if ahead is None:
-            ahead = _colex_level(*level, n + 1)
-            expanders = _expanders(*ahead)
-        child = _expand(minors, [*map(int, row), int(b)], expanders)
-        if any(child[:comb(n, len(level[0]) + 1)]):
-            minors, level, ahead = child, ahead, None
-        elif any(child):
-            return []
+    n = len(A[0])
+    minors, level = [1], ([], [])
+    for row, rhs in zip(A, b):
+        level = _colex_level(*level, n + 1)
+        minors = _expand(minors, [*row, rhs], _expanders(*level))
     cols, drops = level
-    r = len(cols)
-    n_bases = comb(n, r)
-    # rhs moves from the last of r places to the j-th: r - 1 - j swaps,
+    m = len(cols)
+    n_bases = comb(n, m)
+    # b moves from the last of m places to the j-th: m - 1 - j swaps,
     # each of which flips the numerator's sign.
-    det = minors[:n_bases]
+    nums = [(_picker([n_bases + d for d in drop[:n_bases]])(minors), (m - 1 - j) % 2)
+            for j, drop in enumerate(drops)]
+    vertices = _screened(cols, minors[:n_bases], nums)
+    cols, drops = _colex_level(cols, drops, n)  # the (m+1)-subsets of A's columns
+    nums = [(_picker(drop)(minors), (m + j) % 2) for j, drop in enumerate(drops)]
+    det = [0] * len(cols[0])
+    for num, negative in nums:
+        det = list(map(sub if negative else add, det, num))
+    return vertices, _screened(cols, det, nums)
+
+
+def _screened(cols: list[list[int]], det: list[int], nums: list[tuple]) -> list[tuple[int, ...]]:
+    """The subsets of a level (``cols``) with det != 0 and every Cramer numerator zero or of det's sign.
+
+    ``nums`` holds, per column place, the numerator of every subset in the
+    level's order and whether it stands negated.
+    """
     keep = list(map(bool, det))
-    for j, drop in enumerate(drops):
-        num = _picker([n_bases + d for d in drop[:n_bases]])(minors)
-        # A numerator of the wrong sign has num * det < 0 (> 0 when flipped).
-        wrong = map((0).__lt__ if (r - 1 - j) % 2 else (0).__gt__, map(mul, num, det))
+    for num, negative in nums:
+        # A numerator of the wrong sign has num * det < 0 (> 0 when negated).
+        wrong = map((0).__lt__ if negative else (0).__gt__, map(mul, num, det))
         keep = list(map(gt, keep, wrong))  # keep and not wrong
-    return list(zip(*(compress(col, keep) for col in cols))) if r else [()]
+    return list(zip(*(compress(col, keep) for col in cols)))
 
 
 def solve_unique(mat, rhs) -> tuple[list[int], int] | None:

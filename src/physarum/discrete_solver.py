@@ -73,7 +73,6 @@ per row.
 
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 import operator
@@ -98,7 +97,13 @@ from . import linalg
 from .dynamics import evaluate
 from .model import Params, ValidatedLP, check_point, default_params, default_step, dual_lower_bound
 
-logger = logging.getLogger(__name__)
+
+def _warn(msg: str, *args) -> None:
+    """Log a warning on this module's logger; logging loads only here, as most runs never warn."""
+    import logging
+
+    logging.getLogger(__name__).warning(msg, *args, stacklevel=2)
+
 
 ITERATION_HARD_CAP = 10**18
 
@@ -326,7 +331,7 @@ def solve(
                 f"h={h:.3e} exceeds the positivity-safe cap 1/(2 P) = {pos_cap:.3e}"
             )
         if h > certified:
-            logger.warning(
+            _warn(
                 "step %.3e exceeds the certified %.3e; the a-priori progress bound no longer applies",
                 h, certified,
             )
@@ -480,7 +485,7 @@ def solve(
         k += 1
 
     if k > 0 and np.array_equal(x, x0):
-        logger.warning(
+        _warn(
             "step h=%.3e left x bit-identical to the start after %d iterations (h (q - x) is below "
             "an ulp of x); certified_step_search can supply a larger step",
             h, k,
@@ -638,7 +643,7 @@ def certified_step_search(
                 break
             within = lp.c.dot(point.x) <= gap_cost
     except NumericalError as exc:
-        logger.warning("pilot integration failed (%s); falling back to the worst-case step", exc)
+        _warn("pilot integration failed (%s); falling back to the worst-case step", exc)
         h, dev, at_rest = h_auto, math.inf, False
     else:
         # fmax skips a NaN sample, as a running max() over the samples would.

@@ -13,23 +13,28 @@ spd_factor(M) returns the lower Cholesky factor of M, by the same dposv
 with no right-hand side and the same pivot rule. Nothing in the package
 calls it; it stays only as the benchmark's timing hook for the factor.
 
-SciPy is not imported with this module, and the scipy.linalg package is
-not imported at all. dposv, the one LAPACK routine the package calls,
-starts out as a stub; its first call runs `import scipy` (about 0.01 s;
-it sets up the wheel's bundled OpenBLAS), loads SciPy's LAPACK extension
-scipy.linalg._flapack, from which scipy.linalg.lapack takes the same
-routine, and rebinds the module global dposv to that module's routine
-object. So every later call, a bound solver's included, reaches LAPACK
-through one global lookup, as an eager import would. The extension is
-registered in sys.modules under its own name: a later
-`import scipy.linalg` reuses it, and one loaded earlier is used as it is.
-Importing scipy.linalg would cost about 0.2 s of CPU more per process
+SciPy is not imported with this module, and neither the scipy package's
+__init__ nor scipy.linalg runs at all. The two LAPACK routines the
+package calls, dposv (Cholesky factor and solve) and dgesv (LU solve),
+start out as stubs; the first call of either finds SciPy's directory
+(importlib.util.find_spec("scipy"), which runs no SciPy code), loads its
+LAPACK extension scipy.linalg._flapack from the file in scipy/linalg,
+from which scipy.linalg.lapack takes the same routines, and rebinds the
+module globals dposv and dgesv to that module's routine objects. So
+every later call, a bound solver's included, reaches LAPACK through one
+global lookup, as an eager import would. The extension needs only
+numpy's C API and the OpenBLAS bundled with the wheel, which the
+dynamic linker finds through the extension's own RPATH; a load that
+raises ImportError all the same (a build whose library path scipy's
+__init__ sets up) is retried once after `import scipy`. The extension
+is registered in sys.modules under its own name: a later
+`import scipy.linalg` reuses it, and one loaded earlier is used as it
+is. Importing scipy.linalg would cost about 0.2 s of CPU more per process
 (2-vCPU Xeon), mostly in SciPy's array-API shim, which probes every name
 in numpy and so imports numpy's lazy f2py and testing modules; a
-`physarum verify` process loads 276 modules instead of 555. The commands
-that never solve a Laplacian (`params`, `oracle`) import no SciPy at all.
-kernel_basis uses numpy's QR and basis_dual numpy's LU solve; neither
-loads SciPy.
+`physarum verify` process loads 253 modules instead of 555. The commands
+that never solve a Laplacian (`params`, `oracle`) load no SciPy at all.
+kernel_basis uses numpy's QR, which loads no SciPy.
 
 At m <= 3 call overhead, not arithmetic, sets the cost of a solve. The
 LAPACK routines take positional arguments (a keyword lower=True adds about
@@ -47,7 +52,7 @@ from __future__ import annotations
 import math
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
@@ -60,24 +65,44 @@ PIVOT_RTOL = 1e-12
 
 
 def _bind_scipy() -> None:
-    """Replace the dposv stub below with the routine of SciPy's LAPACK extension, once."""
-    global dposv
-    import scipy
+    """Replace the dposv and dgesv stubs below with the routines of SciPy's LAPACK extension, once."""
+    global dposv, dgesv
+    try:
+        flapack = _flapack()
+    except ImportError:
+        import scipy  # noqa: F401  (its __init__ may set up what the extension links against)
 
+        flapack = _flapack()
+    dposv, dgesv = flapack.dposv, flapack.dgesv
+
+
+def _flapack():
+    """scipy.linalg._flapack, loaded from its file without running the __init__ of scipy or scipy.linalg."""
     name = "scipy.linalg._flapack"
     flapack = sys.modules.get(name)
     if flapack is None:
-        finder = FileFinder(scipy.__path__[0] + "/linalg", (ExtensionFileLoader, EXTENSION_SUFFIXES))
-        spec = finder.find_spec(name)
-        flapack = sys.modules[name] = module_from_spec(spec)
+        scipy = find_spec("scipy")
+        spec = None if scipy is None else FileFinder(
+            scipy.submodule_search_locations[0] + "/linalg", (ExtensionFileLoader, EXTENSION_SUFFIXES)
+        ).find_spec(name)
+        if spec is None:
+            raise ImportError(f"no extension module {name}", name=name)
+        flapack = module_from_spec(spec)
         spec.loader.exec_module(flapack)
-    dposv = flapack.dposv
+        sys.modules[name] = flapack
+    return flapack
 
 
 def dposv(*args):
     """A stub: its first call binds SciPy's dposv to this name, then makes the call."""
     _bind_scipy()
     return dposv(*args)
+
+
+def dgesv(*args):
+    """A stub: its first call binds SciPy's dgesv to this name, then makes the call."""
+    _bind_scipy()
+    return dgesv(*args)
 
 
 _FLOAT = np.dtype(float)
@@ -160,13 +185,15 @@ def basis_dual(lp: ValidatedLP, key: np.ndarray) -> tuple[np.ndarray, float] | N
     exactly) for any B, optimal or not. Ties among the key's entries are
     broken as np.argpartition breaks them, and B is sorted. None when A_B
     is singular, y or the bound is not finite, or r <= 0: a guess that
-    cannot bound anything raises and warns nothing.
+    cannot bound anything raises and warns nothing. The solve is dgesv
+    from SciPy's LAPACK, the routine np.linalg.solve calls in numpy's, with
+    no gufunc wrapper around it; the two OpenBLAS builds can round apart
+    from m = 6 on.
     """
     B = np.sort(np.argpartition(key, -lp.m)[-lp.m:])
-    try:
-        y = np.linalg.solve(lp.At[B], lp.c[B])
-    except np.linalg.LinAlgError:
-        return None
+    _, _, y, info = dgesv(lp.At[B], lp.c[B])
+    if info:
+        return None  # an exactly zero pivot: A_B is singular
     # A near-singular A_B gives a y whose products overflow; that is no bound.
     with np.errstate(all="ignore"):
         r = float(np.maximum.reduce(lp.At.dot(y) / lp.c))

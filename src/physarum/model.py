@@ -17,7 +17,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -35,6 +34,8 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 # Exact subdeterminant enumeration is exponential; beyond this column count
@@ -130,8 +131,16 @@ def _read(value) -> tuple[tuple[int, ...], list | None]:
         level = [_plain(v) for v in chain.from_iterable(level)]
 
 
-def _integers(name: str, entries: list | None) -> list[int]:
-    """entries as Python ints; DimensionMismatchError unless each is an integer or integral float in the int64 range."""
+def _integers(name: str, value, entries: list | None) -> list[int]:
+    """value's entries (from _read) as Python ints.
+
+    DimensionMismatchError unless each is an integer or integral float in
+    the int64 range. An array of a signed integer dtype holds nothing
+    else, so its entries are returned unchecked.
+    """
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.ndarray) and value.dtype.kind == "i":
+        return entries
     if entries is not None:
         out = []
         for v in entries:
@@ -269,7 +278,7 @@ def validate(lp: LinearProgram) -> ValidatedLP:
         raise DimensionMismatchError(f"c has shape {c_shape}, expected ({n},)")
     if m > n:
         raise RankDeficientError(f"more rows than columns ({m} > {n}); rows cannot be independent")
-    A, b, c = _integers("A", A), _integers("b", b), _integers("c", c)
+    A, b, c = _integers("A", lp.A, A), _integers("b", lp.b, b), _integers("c", lp.c, c)
     if min(c) < 1:
         raise NonPositiveCostError(f"all costs must be >= 1, got min {min(c)}")
     rows = tuple(tuple(A[i:i + n]) for i in range(0, m * n, n))
@@ -324,7 +333,10 @@ def dual_lower_bound(lp: ValidatedLP, y) -> Fraction | None:
     every sum and comparison is made in Python ints over A_exact, b_exact
     and c_exact: no rounding enters the bound or the test r <= 0. y must
     hold m finite numbers, else DimensionMismatchError or ValidationError.
+    fractions loads here, not with the module: `params` builds no Fraction.
     """
+    from fractions import Fraction
+
     shape, ys = _read(y)
     if shape != (lp.m,):
         raise DimensionMismatchError(f"y has shape {shape}, expected ({lp.m},)")

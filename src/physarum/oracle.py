@@ -10,18 +10,25 @@ solutions of small square systems and can be enumerated outright:
   same way on the matrix A with a row of ones appended.
 
 No block is eliminated just to be rejected. One exact screen
-(_exact.feasible_bases) computes every minor of the augmented system once,
-shared between the bases that contain it, and keeps a basis only when its
-determinant is nonzero and every Cramer numerator is zero or has the
-determinant's sign. Only the kept blocks are solved by exact integer
-elimination on Python ints (_exact.solve_unique), and Fractions are built
-only for their points. That is what makes this usable as a test oracle at
-any entry size: optimal value, optimal supports, and entry bounds come out
+(_exact.vertex_and_ray_bases) computes every maximal minor of [A | b]
+once, shared between the bases that contain it, and keeps a basis only
+when its determinant is nonzero and every Cramer numerator is zero or has
+the determinant's sign. The ray system needs no pass of its own: A has
+full row rank, so each maximal minor of [A; 1^T] and each of its Cramer
+numerators is a signed sum of m-minors of A that the vertex pass already
+holds. Only the kept blocks are solved, by exact integer elimination on
+Python ints (_exact.solve_unique). The points are assembled, deduplicated
+and sorted as tuples of integers over one common denominator, the lcm of
+their determinants, whose order is the order of the rational points; the
+costs are integer dot products, and Fractions are built once, for the
+points returned. That is what makes this usable as a test oracle at any
+entry size: optimal value, optimal supports, and entry bounds come out
 exact, not approximate.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,16 +94,31 @@ def float_rows(points) -> list[list[float]]:
     return [[float(v) for v in point] for point in points]
 
 
-def _basic_solutions_exact(mat, rhs) -> list[tuple[Fraction, ...]]:
+def _basic_solutions(mat, rhs, bases) -> tuple[list[tuple[int, ...]], int]:
+    """The distinct basic solutions of ``bases``, sorted, as integer tuples over one denominator.
+
+    Each kept block is solved by ``_exact.solve_unique`` (read through the
+    module, one call per basis) into numerators over its determinant, and
+    every point is scaled to the lcm of the determinants: the integer
+    tuples then compare, and sort, as the rational points do.
+    """
     n_cols = len(mat[0])
-    found: dict[tuple[Fraction, ...], None] = {}
-    for cols in _exact.feasible_bases(mat, rhs):
-        num, det = _exact.solve_unique([[row[j] for j in cols] for row in mat], rhs)
-        point = [Fraction(0)] * n_cols
+    solved = [(cols, *_exact.solve_unique([[row[j] for j in cols] for row in mat], rhs)) for cols in bases]
+    den = math.lcm(*(det for _, _, det in solved))
+    found = set()
+    for cols, num, det in solved:
+        scale = den // det
+        point = [0] * n_cols
         for j, v in zip(cols, num):
-            point[j] = Fraction(v, det)
-        found.setdefault(tuple(point))
-    return sorted(found)
+            point[j] = v * scale
+        found.add(tuple(point))
+    return sorted(found), den
+
+
+def _fractions(points: list[tuple[int, ...]], den: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The points as tuples of Fractions; every zero entry is one shared Fraction(0)."""
+    zero = Fraction(0)
+    return tuple(tuple(Fraction(v, den) if v else zero for v in point) for point in points)
 
 
 def enumerate_polyhedron(lp: ValidatedLP, cap: int = ENUMERATION_CAP) -> OracleResult:
@@ -107,17 +129,19 @@ def enumerate_polyhedron(lp: ValidatedLP, cap: int = ENUMERATION_CAP) -> OracleR
     """
     if lp.n > cap:
         raise TooLargeError(f"enumeration capped at n <= {cap}, got n={lp.n}")
-    verts_exact = _basic_solutions_exact(lp.A_exact, lp.b_exact)
-    rays_exact = _basic_solutions_exact([*lp.A_exact, [1] * lp.n], [0] * lp.m + [1])
-    costs = [sum(map(operator.mul, lp.c_exact, vert)) for vert in verts_exact]
-    opt_exact = min(costs, default=None)
-    optimal = tuple(i for i, cost in enumerate(costs) if cost == opt_exact)
-    support = {j for i in optimal for j, v in enumerate(verts_exact[i]) if v != 0}
+    vertex_bases, ray_bases = _exact.vertex_and_ray_bases(lp.A_exact, lp.b_exact)
+    verts, den = _basic_solutions(lp.A_exact, lp.b_exact, vertex_bases)
+    rays, ray_den = _basic_solutions([*lp.A_exact, [1] * lp.n], [0] * lp.m + [1], ray_bases)
+    costs = [sum(map(operator.mul, lp.c_exact, vert)) for vert in verts]
+    low = min(costs, default=None)
+    opt_exact = None if low is None else Fraction(low, den)
+    optimal = tuple(i for i, cost in enumerate(costs) if cost == low)
+    support = {j for i in optimal for j, v in enumerate(verts[i]) if v}
     return OracleResult(
-        status="optimal" if verts_exact else "infeasible",
+        status="optimal" if verts else "infeasible",
         opt=None if opt_exact is None else float(opt_exact), optimal_indices=optimal,
         J=tuple(sorted(support)), N=tuple(sorted(set(range(lp.n)) - support)),
-        vertices_exact=tuple(verts_exact), rays_exact=tuple(rays_exact), opt_exact=opt_exact,
+        vertices_exact=_fractions(verts, den), rays_exact=_fractions(rays, ray_den), opt_exact=opt_exact,
     )
 
 

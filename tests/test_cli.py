@@ -487,7 +487,8 @@ def test_import_loads_no_scipy(module):
 
 LOADED = (
     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'physarum'), 'logging' in sys.modules,"
-    " any(m.split('.')[0] == 'scipy' for m in sys.modules), 'numpy' in sys.modules)"
+    " any(m.split('.')[0] == 'scipy' for m in sys.modules), 'numpy' in sys.modules,"
+    " any(m in sys.modules for m in ('fractions', 'decimal')))"
 )
 IMPORT_ONLY = ["physarum", "physarum._exact", "physarum.errors", "physarum.model"]
 
@@ -495,8 +496,11 @@ IMPORT_ONLY = ["physarum", "physarum._exact", "physarum.errors", "physarum.model
 def test_each_command_loads_only_the_modules_it_runs():
     # The engines load on first use, so params and oracle never compile the
     # solver, the flow or the path, nor load logging, SciPy or numpy (they
-    # run on Python ints); verify loads the solver (which logs and solves
-    # Laplacians), the dynamics and linalg, and still no flow or path.
+    # run on Python ints); verify loads the solver (which solves
+    # Laplacians), the dynamics and linalg, and still no flow or path, nor
+    # logging, which the solver loads only to warn. Only the oracle and the
+    # solver's exact bounds build Fractions, so neither import physarum
+    # nor params loads fractions (or the decimal module it imports).
     script = (
         "import sys, physarum\n"
         f"{LOADED}\n"
@@ -511,13 +515,13 @@ def test_each_command_loads_only_the_modules_it_runs():
     proc = run_child(["-c", script], os.environ)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        f"{IMPORT_ONLY} False False False", "module 'physarum' has no attribute 'no_such_name'"]
+        f"{IMPORT_ONLY} False False False False", "module 'physarum' has no attribute 'no_such_name'"]
     cli = sorted([*IMPORT_ONLY, "physarum.cli_io"])
     engines = ["physarum.oracle", "physarum.discrete_solver", "physarum.dynamics", "physarum.linalg"]
     expected = {
-        "params": f"{cli} False False False",
-        "oracle": f"{sorted([*cli, 'physarum.oracle'])} False False False",
-        "verify": f"{sorted([*cli, *engines])} True True True",
+        "params": f"{cli} False False False False",
+        "oracle": f"{sorted([*cli, 'physarum.oracle'])} False False False True",
+        "verify": f"{sorted([*cli, *engines])} False True True True",
     }
     for cmd, loaded in expected.items():
         script = (
@@ -554,18 +558,20 @@ def test_commands_without_a_laplacian_load_no_scipy(args):
 @pytest.mark.parametrize("cmd", ["verify", "solve", "flow", "path"])
 def test_commands_that_solve_load_scipys_lapack_extension_alone(cmd):
     # The scipy.linalg package, and with it SciPy's array-API shim, costs
-    # about 0.2 s of CPU per process; linalg loads the one extension
-    # module its LAPACK routines live in.
+    # about 0.2 s of CPU per process, and the scipy package's own __init__
+    # about 0.01 s; linalg loads the one extension module its LAPACK
+    # routines live in, and runs neither. Nor does a run that does not
+    # warn load logging.
     script = (
         "import contextlib, io, sys\n"
         "from physarum.cli_io import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    rc = main([{cmd!r}, {SIMPLE2!r}])\n"
-        "print(rc, *(m in sys.modules for m in ('scipy.linalg', 'scipy._lib._array_api', 'scipy.linalg._flapack')))\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), 'logging' in sys.modules)\n"
     )
     proc = run_child(["-c", script], os.environ)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False", "False", "True"]
+    assert proc.stdout.strip() == "0 ['scipy.linalg._flapack'] False"
 
 
 # Each script makes the package's first LAPACK call in a fresh interpreter,

@@ -6,7 +6,11 @@ loop built on the two (one solve per column basis, which the basis
 screen replaced), one fraction-free determinant per square submatrix
 for the largest subdeterminant, and the numpy object-array kernels that
 the list kernels replaced. Every kernel answer must equal the
-reference's exactly.
+reference's exactly. The general basis screen ``feasible_bases`` (any
+rank, any right-hand side), which the oracle ran once per system before
+its one-pass screen, is kept in tests/test_oracle.py; it runs on the
+package's expansion kernels, and the tests here hold it to the rational
+and object-array screens.
 """
 
 from fractions import Fraction
@@ -23,13 +27,13 @@ from physarum._exact import (
     MODULAR_MIN_DIM,
     PRIME,
     _colex_level,
-    feasible_bases,
     max_abs_subdeterminant,
     rank_int,
     rank_mod_prime,
     solve_unique,
 )
 from tests.conftest import load_instance, planted_instance, random_instances
+from tests.test_oracle import assert_same_result, feasible_bases, two_pass_enumerate
 
 BIG = 2**40
 
@@ -552,44 +556,36 @@ def screened_systems(draw):
 @given(screened_systems())
 def test_basis_screen_matches_one_rational_solve_per_basis(system):
     mat, rhs = system
-    assert sorted(feasible_bases(mat, rhs)) == ref_feasible_bases(mat, rhs)
-    assert oracle._basic_solutions_exact(mat, rhs) == ref_basic_solutions(mat, rhs)
+    bases = feasible_bases(mat, rhs)
+    assert sorted(bases) == ref_feasible_bases(mat, rhs)
+    # The oracle's assembly: one solve per basis, points over one denominator.
+    points, den = oracle._basic_solutions(mat, rhs, bases)
+    assert [tuple(Fraction(v, den) for v in point) for point in points] == ref_basic_solutions(mat, rhs)
 
 
-def reference_result(monkeypatch, lp):
-    """enumerate_polyhedron with the rational basis loop swapped in."""
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_basic_solutions_exact", ref_basic_solutions)
-        return enumerate_polyhedron(lp)
+def reference_result(lp):
+    """enumerate_polyhedron as the rational basis loop gives it."""
+    return two_pass_enumerate(lp, ref_basic_solutions)
 
 
-def assert_same_result(got, want):
-    for name in [*got.__dataclass_fields__, "vertices", "rays"]:
-        a, b = getattr(got, name), getattr(want, name)
-        if isinstance(a, np.ndarray):
-            assert a.shape == b.shape and np.array_equal(a, b), name
-        else:
-            assert a == b, name
-
-
-def test_enumeration_matches_reference_on_fuzz_corpus(monkeypatch):
+def test_enumeration_matches_reference_on_fuzz_corpus():
     corpus = random_instances(seed=20240801, count=200, require_feasible=False)
     for lp, res in corpus:
-        assert_same_result(res, reference_result(monkeypatch, lp))
+        assert_same_result(res, reference_result(lp))
 
 
 @pytest.mark.parametrize("m, n", [(4, 10), (5, 12)])
-def test_enumeration_matches_reference_on_planted(monkeypatch, m, n):
+def test_enumeration_matches_reference_on_planted(m, n):
     lp = planted_instance(np.random.default_rng(m), m, n)
     res = enumerate_polyhedron(lp)
     assert res.status == "optimal" and len(res.vertices) > 0
-    assert_same_result(res, reference_result(monkeypatch, lp))
+    assert_same_result(res, reference_result(lp))
 
 
-def test_enumeration_with_ones_in_the_row_space(monkeypatch):
+def test_enumeration_with_ones_in_the_row_space():
     """1^T = sum of A's rows, so the ray system is overdetermined and has no solution."""
     lp = validate(LinearProgram.from_lists([[1, 1, 0, 0], [0, 0, 1, 1]], [2, 3], [1, 2, 3, 1]))
     res = enumerate_polyhedron(lp)
     assert res.rays.shape == (0, 4)
     assert res.opt_exact == 5
-    assert_same_result(res, reference_result(monkeypatch, lp))
+    assert_same_result(res, reference_result(lp))

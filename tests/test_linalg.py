@@ -388,16 +388,18 @@ def test_a_basis_guess_that_cannot_bound_returns_none_silently(case, monkeypatch
     else:
         # The basis columns meet A_B^T y = c_B > 0, so in exact arithmetic
         # r >= 1; only a solve spoiled by rounding can give r <= 0, and a
-        # stand-in solve returns such a y.
+        # stand-in dgesv returns such a y.
         lp = validate(LinearProgram.from_lists([[1, 2]], [1], [1, 1]))
         x = np.array([0.5, 0.25])
-        monkeypatch.setattr(np.linalg, "solve", lambda M, v: -np.ones(len(v)))
+        monkeypatch.setattr(linalg, "dgesv", lambda M, v: (M, None, -np.ones(len(v)), 0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert linalg.basis_dual(lp, x) is None
 
 
 def test_basis_dual_loads_no_scipy(triangle):
+    # basis_dual solves through the dgesv of SciPy's LAPACK extension,
+    # which loads without the scipy package or any other part of SciPy.
     script = (
         "import sys\n"
         "import numpy as np\n"
@@ -405,11 +407,11 @@ def test_basis_dual_loads_no_scipy(triangle):
         f"lp = validate(LinearProgram.from_lists({triangle.A_int.tolist()}, {triangle.b_int.tolist()}, "
         f"{triangle.c_int.tolist()}))\n"
         "y, bound = linalg.basis_dual(lp, np.array([1.0, 1.0, 0.5]))\n"
-        "print(bound, 'scipy' in sys.modules)\n"
+        "print(bound, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = run_child(["-c", script], os.environ)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["2.0", "False"]
+    assert proc.stdout.strip() == "2.0 ['scipy.linalg._flapack']"
 
 
 def test_scipy_linalg_imported_first_serves_the_same_routines():
@@ -426,3 +428,33 @@ def test_scipy_linalg_imported_first_serves_the_same_routines():
     proc = run_child(["-c", script], os.environ)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "False", "False"]
+
+
+def test_a_failed_direct_load_falls_back_to_import_scipy():
+    # linalg loads SciPy's LAPACK extension without running scipy/__init__.
+    # When that load fails (here: the first lookup of SciPy's directory
+    # finds nothing), it imports scipy and retries once, and binds the same
+    # routines scipy.linalg.lapack serves.
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from physarum import linalg\n"
+        "real, misses = linalg.find_spec, []\n"
+        "def find_spec(name):\n"
+        "    if not misses:\n"
+        "        misses.append(name)\n"
+        "        return None\n"
+        "    return real(name)\n"
+        "linalg.find_spec = find_spec\n"
+        "M = np.array([[4.0, 2.0], [2.0, 3.0]])\n"
+        "got = linalg.spd_factor(M)\n"
+        "loaded = 'scipy' in sys.modules\n"
+        "import scipy.linalg\n"
+        "from scipy.linalg import lapack\n"
+        "want = lapack.dpotrf(M, lower=True)[0]\n"
+        "print(misses, loaded, linalg.dposv is lapack.dposv, linalg.dgesv is lapack.dgesv,"
+        " got.tobytes() == want.tobytes())\n"
+    )
+    proc = run_child(["-c", script], os.environ)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['scipy'] True True True True"

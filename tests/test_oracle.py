@@ -1,14 +1,167 @@
-"""Exact enumeration oracle: vertices, rays, optima, and the size bounds."""
+"""Exact enumeration oracle: vertices, rays, optima, and the size bounds.
 
+The oracle's earlier form is kept below as the reference: a general basis
+screen (``feasible_bases``, any rank and any right-hand side) run once on
+the vertex system and once on the ray system, one ``_exact.solve_unique``
+per kept basis, and the points deduplicated and sorted as Fractions. The
+one-pass screen and the integer assembly must give its result exactly,
+order included.
+"""
+
+import operator
 from fractions import Fraction
+from itertools import compress
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from physarum import LinearProgram, enumerate_polyhedron, interior_point, max_subdeterminant, sample_feasible, validate
-from physarum._exact import max_abs_subdeterminant
+from physarum import _exact
+from physarum._exact import _colex_level, _expand, _expanders, _picker, max_abs_subdeterminant, vertex_and_ray_bases
 from physarum.errors import NoInteriorPointError, TooLargeError
-from tests.conftest import random_instances
+from physarum.oracle import OracleResult
+from tests.conftest import planted_instance, random_instances
+
+
+def feasible_bases(mat, rhs) -> list[tuple[int, ...]]:
+    """The column bases of ``mat @ z = rhs`` whose basic solution is nonnegative.
+
+    ``mat`` is any integer matrix and r its rank. A basis is a set B of r
+    columns with det(B) != 0 on r independent rows, and its solution is
+    z_B = (Cramer numerators) / det(B); it is kept when every numerator
+    is zero or has det(B)'s sign. Bases come as ascending column tuples
+    in colex order; an inconsistent system has none.
+
+    Every r-minor of [mat | rhs] comes from one Laplace-expansion pass,
+    rows added one at a time; a row whose minors over mat's columns all
+    vanish depends on the kept rows and is skipped, unless a minor through
+    rhs does not vanish, which makes the system inconsistent.
+    """
+    n = len(mat[0]) if mat else 0
+    minors = [1]
+    level = ([], [])
+    ahead = None  # the next level's subsets, kept while rows turn out dependent
+    for row, b in zip(mat, rhs):
+        if ahead is None:
+            ahead = _colex_level(*level, n + 1)
+            expanders = _expanders(*ahead)
+        child = _expand(minors, [*map(int, row), int(b)], expanders)
+        if any(child[:comb(n, len(level[0]) + 1)]):
+            minors, level, ahead = child, ahead, None
+        elif any(child):
+            return []
+    cols, drops = level
+    r = len(cols)
+    n_bases = comb(n, r)
+    # rhs moves from the last of r places to the j-th: r - 1 - j swaps,
+    # each of which flips the numerator's sign.
+    det = minors[:n_bases]
+    keep = list(map(bool, det))
+    for j, drop in enumerate(drops):
+        num = _picker([n_bases + d for d in drop[:n_bases]])(minors)
+        wrong = map((0).__lt__ if (r - 1 - j) % 2 else (0).__gt__, map(operator.mul, num, det))
+        keep = list(map(operator.gt, keep, wrong))
+    return list(zip(*(compress(col, keep) for col in cols))) if r else [()]
+
+
+def two_pass_basic_solutions(mat, rhs) -> list[tuple[Fraction, ...]]:
+    n_cols = len(mat[0])
+    found: dict[tuple[Fraction, ...], None] = {}
+    for cols in feasible_bases(mat, rhs):
+        num, det = _exact.solve_unique([[row[j] for j in cols] for row in mat], rhs)
+        point = [Fraction(0)] * n_cols
+        for j, v in zip(cols, num):
+            point[j] = Fraction(v, det)
+        found.setdefault(tuple(point))
+    return sorted(found)
+
+
+def two_pass_enumerate(lp, basic_solutions=two_pass_basic_solutions) -> OracleResult:
+    """enumerate_polyhedron as two screens and Fraction points, with ``basic_solutions`` for both systems."""
+    verts_exact = basic_solutions(lp.A_exact, lp.b_exact)
+    rays_exact = basic_solutions([*lp.A_exact, [1] * lp.n], [0] * lp.m + [1])
+    costs = [sum(map(operator.mul, lp.c_exact, vert)) for vert in verts_exact]
+    opt_exact = min(costs, default=None)
+    optimal = tuple(i for i, cost in enumerate(costs) if cost == opt_exact)
+    support = {j for i in optimal for j, v in enumerate(verts_exact[i]) if v != 0}
+    return OracleResult(
+        status="optimal" if verts_exact else "infeasible",
+        opt=None if opt_exact is None else float(opt_exact), optimal_indices=optimal,
+        J=tuple(sorted(support)), N=tuple(sorted(set(range(lp.n)) - support)),
+        vertices_exact=tuple(verts_exact), rays_exact=tuple(rays_exact), opt_exact=opt_exact,
+    )
+
+
+def assert_same_result(got, want):
+    for name in [*got.__dataclass_fields__, "vertices", "rays"]:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(a, np.ndarray):
+            assert a.shape == b.shape and np.array_equal(a, b), name
+        else:
+            assert a == b, name
+
+
+def assert_one_pass_matches_two(lp):
+    A, b = [list(row) for row in lp.A_exact], list(lp.b_exact)
+    ones = [*A, [1] * lp.n], [0] * lp.m + [1]
+    assert vertex_and_ray_bases(A, b) == (feasible_bases(A, b), feasible_bases(*ones))
+    assert_same_result(enumerate_polyhedron(lp), two_pass_enumerate(lp))
+
+
+def test_one_pass_matches_two_passes_on_fuzz_corpus():
+    for lp, _ in random_instances(seed=20240801, count=200, require_feasible=False):
+        assert_one_pass_matches_two(lp)
+
+
+@pytest.mark.parametrize("m, n", [(4, 10), (5, 12), (6, 14)])
+def test_one_pass_matches_two_passes_on_planted(m, n):
+    for seed in range(3):
+        assert_one_pass_matches_two(planted_instance(np.random.default_rng(seed), m, n))
+
+
+def test_one_pass_matches_two_passes_on_shipped(shipped):
+    for lp, _, _ in shipped.values():
+        assert_one_pass_matches_two(lp)
+
+
+@st.composite
+def full_rank_systems(draw):
+    """A validated LP whose A has full row rank, drawn to reach the screen's edge cases.
+
+    ``ones`` makes the last row 1^T minus the sum of the others, so 1^T
+    lies in A's row space and there is no ray; ``square`` sets n = m.
+    b = A z for a nonnegative z with zeros is a degenerate vertex shared by
+    several bases, or b is free (often infeasible). Costs are drawn from
+    {1, 2}, so optimal vertices often tie.
+    """
+    m = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["free", "ones", "square"]))
+    n = m if shape == "square" else draw(st.integers(m, 7))
+    A = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=m, max_size=m))
+    if shape == "ones" and m > 1:
+        A[-1] = [1 - sum(col[:-1]) for col in zip(*A)]
+    elif shape == "ones":
+        A[0] = [1] * n
+    assume(_exact.rank_int(A) == m)
+    if draw(st.booleans()):
+        z = draw(st.lists(st.sampled_from([0, 0, 1, 2]), min_size=n, max_size=n))
+        b = [sum(a * v for a, v in zip(row, z)) for row in A]
+    else:
+        b = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    c = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    return validate(LinearProgram.from_lists(A, b, c)), shape
+
+
+@settings(max_examples=300)
+@given(full_rank_systems())
+def test_one_pass_matches_two_passes_on_edge_systems(drawn):
+    lp, shape = drawn
+    assert_one_pass_matches_two(lp)
+    if shape != "free":
+        assert vertex_and_ray_bases(lp.A_exact, lp.b_exact)[1] == []
 
 
 def test_simple2_enumeration(simple2):

@@ -44,11 +44,11 @@ support that complementary slackness points to, an optimal basis, and
 lb(y) = opt, where the potentials' bound can still sit a few percent
 below it. Dividing by r makes the bound sound for any B, optimal or
 not; the best basis candidate so far is kept. The test is made in
-floats first and, once it holds, again exactly: the bound by
-model.dual_lower_bound over the integer data and c . x over the dyadic
-rationals of the float x. The stop changes no step, so the trajectory
-and trace are those of the same loop without the test, cut short; as
-the cost never rises, every later step would stay within (1 + eps) opt.
+floats first and, once it holds, again exactly, by model.dual_lower_bound
+and model.exact_cost over the integer data and the dyadic floats. The
+stop changes no step, so the trajectory and trace are those of the same
+loop without the test, cut short; as the cost never rises, every later
+step would stay within (1 + eps) opt.
 
 The potentials' float test, r > 0 and c . x <= (1 + eps) (b . p / r),
 needs r = max_i ratio_i, a product and a reduction over n entries, yet
@@ -64,18 +64,16 @@ made on every step.
 
 The trace is one numpy record array with a row per recorded step and the
 fields k, x (shape (n,)), cost, energy and edge_potential_inf, so the
-certificate is checked column-wise rather than step by step. A recorded
-step keeps only what it already holds: x, the potentials p and the
-largest |a_i . p|. The record array is built once after the loop: k
-from the row index, and cost = c . x and energy = b . p with one ddot
-per row.
+certificate is checked column-wise rather than step by step. Every step
+computes V(k) = c . x and E(k) = b . p once, for its gap tests; a
+recorded step writes them into its row with x and max |a_i . p|, and k
+is filled in from the row index after the loop.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,7 +93,7 @@ from .errors import (
 )
 from . import linalg
 from .dynamics import evaluate
-from .model import Params, ValidatedLP, check_point, default_params, default_step, dual_lower_bound
+from .model import Params, ValidatedLP, check_point, default_params, default_step, dual_lower_bound, exact_cost
 
 
 def _warn(msg: str, *args) -> None:
@@ -209,11 +207,6 @@ def _potentials_cannot_close(r_j: float, bp: float, cost: float, one_eps: float)
     return r_j > 0.0 and bp >= 0.0 and cost > one_eps * (bp / r_j)
 
 
-def _exact_cost(c_int: tuple[int, ...], x: np.ndarray) -> Fraction:
-    """c . x exactly, each float of x read as the dyadic rational it is."""
-    return sum(map(operator.mul, c_int, map(Fraction, x.tolist())))
-
-
 def iteration_bound(cost_ratio: float, spread: float, eps: float, h: float) -> int:
     """Worst-case step count until the cost is within (1 + eps) of optimal.
 
@@ -257,7 +250,7 @@ def solve(
     lower_bound and names its dual in bound_source, "basis" or
     "potentials" (both None for every other stop). Each test is made in
     floats first, and only when it holds is it made exactly
-    (model.dual_lower_bound and c . x in rationals): the exact check
+    (model.dual_lower_bound and model.exact_cost): the exact check
     builds Python ints and Fractions over all of A and costs more than a
     whole step, while the float test costs a few numpy calls and decides
     nothing on its own. A float test that the exact one refutes just lets
@@ -350,14 +343,14 @@ def solve(
     mul, sub, add, div, absolute = np.multiply, np.subtract, np.add, np.divide, np.absolute
     laplacian = linalg.laplacian_solver(lp)
     trace_every = config.trace_every
-    # A recorded step stores x, p and edge_inf side by side in one row of
-    # rec, grown by doubling from 1024 rows; the trace's record array is
-    # built from rec after the loop. One buffer rather than one per value:
-    # three buffers doubled apart raised the peak RSS of the benchmark's
-    # corpus by about 4 MB through allocator fragmentation, although they
-    # allocated less at their peak.
+    # A recorded step writes x, cost, bp and edge_inf, as its tests read
+    # them, into its row of rec, a record array of trace_dtype(n) grown by
+    # doubling from 1024 rows; the trace is an exact-size copy with k filled
+    # in. One buffer, not one per field: three buffers doubled apart raised
+    # the peak RSS of the benchmark's corpus by about 4 MB through allocator
+    # fragmentation, although they allocated less at their peak.
     n = lp.n
-    rec = np.empty((0, n + lp.m + 1))
+    rec = np.empty(0, dtype=trace_dtype(n))
     rows = 0
     dev_max = 0.0
     k = 0
@@ -412,7 +405,7 @@ def solve(
     h_arr = np.array(h)  # a 0-d array multiplies faster than a Python float
     # The gap stop's state: ratio holds a_i . p / c_i as last formed, j its
     # argmax, and inv_c_list the r_j factor that the gate reads by index.
-    ratio, inv_c_list, c_int = np.empty(n), inv_c.tolist(), lp.c_exact
+    ratio, inv_c_list = np.empty(n), inv_c.tolist()
     one_eps, exact_one_eps = 1.0 + config.eps, 1 + Fraction(config.eps)
     lower_bound = bound_source = None
     # The kept basis candidate: its dual, its float bound and, once formed,
@@ -432,13 +425,16 @@ def solve(
         fp_res, dev, edge_inf, x_max = maxr_at(R_flat, row_starts).tolist()
         if dev > dev_max:
             dev_max = dev
+        cost = float(c.dot(x))
+        bp = float(b.dot(p))
 
         if trace_every and k % trace_every == 0:
             if rows == len(rec):
-                rec = np.concatenate((rec, np.empty((max(rows, 1024), rec.shape[1]))))
-                xs, ps, edges = rec[:, :n], rec[:, n:-1], rec[:, -1]
+                rec = np.concatenate((rec, np.empty(max(rows, 1024), dtype=rec.dtype)))
+                xs, costs, energies, edges = rec["x"], rec["cost"], rec["energy"], rec["edge_potential_inf"]
             xs[rows] = x
-            ps[rows] = p
+            costs[rows] = cost
+            energies[rows] = bp
             edges[rows] = edge_inf
             rows += 1
 
@@ -451,22 +447,20 @@ def solve(
             found = basis_dual(lp, ratio)
             if found is not None and found[1] > basis_lb:
                 (basis_y, basis_lb), basis_exact = found, None
-        cost = float(c.dot(x))
         if cost <= one_eps * basis_lb:
             if basis_exact is None:
                 basis_exact = dual_lower_bound(lp, basis_y)
                 basis_lb = float(basis_exact) if basis_exact is not None and basis_exact > 0 else -math.inf
-            if basis_exact is not None and _exact_cost(c_int, x) <= exact_one_eps * basis_exact:
+            if basis_exact is not None and exact_cost(lp, x) <= exact_one_eps * basis_exact:
                 lower_bound, bound_source, stop = basis_exact, "basis", "Certified"
                 break
-        bp = float(b.dot(p))
         if not _potentials_cannot_close(edge.item(j) * inv_c_list[j], bp, cost, one_eps):
             mul(edge, inv_c, ratio)
             j = ratio.argmax().item()
             r = ratio.item(j)
             if r > 0.0 and cost <= one_eps * (bp / r):
                 lb = dual_lower_bound(lp, p)
-                if lb is not None and _exact_cost(c_int, x) <= exact_one_eps * lb:
+                if lb is not None and exact_cost(lp, x) <= exact_one_eps * lb:
                     lower_bound, bound_source, stop = lb, "potentials", "Certified"
                     break
         if k >= cap:
@@ -496,20 +490,12 @@ def solve(
         raise FeasibilityLostError(f"feasibility drifted to {resid:.3e}")
 
     sol = Solution(
-        x=x.copy(), cost=float(c @ x), iterations=k, stop_reason=stop, h=h, eps=config.eps,
+        x=x.copy(), cost=cost, iterations=k, stop_reason=stop, h=h, eps=config.eps,
         residual_inf=resid, fixed_point_residual=fp_res, dev_max=dev_max, lower_bound=lower_bound,
         bound_source=bound_source,
     )
-    # np.vecdot makes one ddot call per row, the call c.dot(x) and b.dot(p)
-    # make, so each entry is that row's dot product bit for bit; a
-    # matrix-vector product (xs @ c) need not be.
-    entries = np.recarray(rows, dtype=trace_dtype(n))
+    entries = rec[:rows].copy().view(np.recarray)
     np.multiply(np.arange(rows), trace_every, entries.k)
-    xs, ps = rec[:rows, :n], rec[:rows, n:-1]
-    entries.x = xs
-    entries.cost = np.vecdot(xs, c)
-    entries.energy = np.vecdot(ps, b)
-    entries.edge_potential_inf = rec[:rows, -1]
     return sol, Trace(entries=entries, h=h, eps=config.eps, trace_every=config.trace_every)
 
 

@@ -323,6 +323,21 @@ def check_point(lp: ValidatedLP, x, what: str, feasible: bool = False) -> np.nda
     return x
 
 
+def _dyadic(values: list[float]) -> tuple[list[int], int]:
+    """Finite floats as integers over one power of two: values[i] == nums[i] / den exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)  # every denominator is a power of two
+    return [num * (den // d) for num, d in ratios], den
+
+
+def exact_cost(lp: ValidatedLP, x) -> Fraction:
+    """c . x exactly: x's n finite floats read as integers over one power of two, as dual_lower_bound reads y."""
+    from fractions import Fraction
+
+    X, den = _dyadic(_plain(x))
+    return Fraction(sum(map(operator.mul, lp.c_exact, X)), den)
+
+
 def dual_lower_bound(lp: ValidatedLP, y) -> Fraction | None:
     """The exact weak-duality bound b . y / r <= opt, r = max_i a_i . y / c_i; None when r <= 0.
 
@@ -343,9 +358,7 @@ def dual_lower_bound(lp: ValidatedLP, y) -> Fraction | None:
     ys = [float(v) for v in ys]
     if not all(map(math.isfinite, ys)):
         raise ValidationError(f"y must be finite, got {ys!r}")
-    ratios = [v.as_integer_ratio() for v in ys]
-    den = max(d for _, d in ratios)  # every denominator is a power of two
-    Y = [num * (den // d) for num, d in ratios]
+    Y, _ = _dyadic(ys)  # the common denominator cancels between b . Y and r
     # a_i . Y / c_i for every column i, compared as exact rationals.
     r = max(Fraction(sum(map(operator.mul, col, Y)), ci) for col, ci in zip(zip(*lp.A_exact), lp.c_exact))
     if r <= 0:

@@ -671,7 +671,8 @@ def solve_by_loop(lp, config, params=None, oracle_result=None, gap=True):
     every update, and a trace row assigned as a tuple. The potentials' float
     test runs on every step, with no gate. Every BASIS_EVERY steps it reads
     a basis candidate off the ratios a_i . p / c_i: B from a full argsort, y
-    from np.linalg.solve on A[:, B].T, and the bound b . y / max_i (a_i . y / c_i).
+    from LAPACK's dgesv on A[:, B].T (the routine of basis_dual, so y is the
+    same bits at any m), and the bound b . y / max_i (a_i . y / c_i).
     The best one is kept, tested before the potentials, and its float bound
     becomes its exact one once that is formed. With gap=False the loop runs
     without either test, on to a fixed point, the cap or a stall. A step
@@ -732,11 +733,8 @@ def solve_by_loop(lp, config, params=None, oracle_result=None, gap=True):
         if gap:
             if k % BASIS_EVERY == 0:
                 B = np.sort(np.argsort(edge / c, kind="stable")[-lp.m:])
-                try:
-                    y = np.linalg.solve(A[:, B].T, c[B])
-                except np.linalg.LinAlgError:
-                    y = None
-                if y is not None:
+                _, _, y, info = linalg.dgesv(A[:, B].T, c[B])
+                if info == 0:
                     with np.errstate(all="ignore"):
                         y_r, y_dot = float(((At @ y) / c).max()), float(b @ y)
                     if 0.0 < y_r < math.inf and math.isfinite(y_dot) and math.isfinite(y_dot / y_r):
@@ -1000,6 +998,20 @@ def test_the_step_and_newton_loops_pass_out_positionally_and_call_no_max_method(
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "max":
                 found.append((where, node.lineno, ".max()"))
     assert found == []
+
+
+def test_the_step_loop_computes_cost_and_energy_once_and_the_solver_calls_no_vecdot():
+    # A trace row holds the c . x and b . p that the step's gap tests read.
+    # A second computation of either, in the loop or over the trace after
+    # it, is a second place that must round the same way.
+    tree = ast.parse(inspect.getsource(discrete_solver))
+    solve_fn = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "solve")
+    (loop,) = [node for node in ast.walk(solve_fn) if isinstance(node, ast.While)]
+    calls = [ast.unparse(node) for node in ast.walk(loop) if isinstance(node, ast.Call)]
+    assert calls.count("c.dot(x)") == 1 and calls.count("b.dot(p)") == 1
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "vecdot" not in names
 
 
 def assert_run_is_the_loop_cut_short(lp, config, params, res, sol, trace):

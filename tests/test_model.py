@@ -31,7 +31,7 @@ from physarum.errors import (
     TooLargeError,
     ValidationError,
 )
-from physarum.model import check_point, dual_lower_bound, max_subdeterminant, subdet_upper_bound
+from physarum.model import check_point, dual_lower_bound, exact_cost, max_subdeterminant, subdet_upper_bound
 from tests.conftest import planted_instance
 
 
@@ -420,3 +420,25 @@ def test_dual_bound_rejects_a_bad_y(simple2):
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValidationError, match="finite"):
             dual_lower_bound(simple2, [bad])
+
+
+# Nonnegative finite floats from every range the dyadic reading meets:
+# zero, subnormals, 1.0 and the top of the range.
+EXTREME_FLOATS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.0**-1074 * 3, 2.0**-1022 - 2.0**-1074, 1.0, 1e308, 1.7976931348623157e308]),
+    st.floats(min_value=0.0, max_value=2.0**-1022, allow_subnormal=True),
+    st.floats(min_value=1e307, max_value=1.7976931348623157e308),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 2**63 - 1), min_size=n, max_size=n),
+    st.lists(EXTREME_FLOATS, min_size=n, max_size=n),
+)))
+def test_exact_cost_is_the_sum_of_exact_products(data):
+    c, xs = data
+    lp = validate(LinearProgram.from_lists([[1] * len(c)], [1], c))
+    x = np.array(xs)
+    assert exact_cost(lp, x) == sum(Fraction(ci) * Fraction(v) for ci, v in zip(c, x.tolist()))

@@ -11,10 +11,13 @@ method; by the paper's theorem the flow is such a path, so its samples
 are Newton solves too. An exact rational vertex enumerator serves as the
 ground-truth oracle for all of them.
 
-Importing the package loads the problem model, the exact kernels and
-the errors only, and not numpy: the model and the exact layer run on
-Python ints. Each engine, the dynamics evaluation and the oracle load on
-first access to one of their names here, or on an import of their
+Importing the package loads the problem model, the exact kernels, the
+errors and the frozen-record helper only, and neither numpy nor
+dataclasses: the model and the exact layer run on Python ints, and the
+result and config classes are ``_record`` records, with a frozen
+dataclass's fields, repr, equality and hash (``_record.replace`` builds a
+changed copy). Each engine, the dynamics evaluation and the oracle load
+on first access to one of their names here, or on an import of their
 module; the oracle still runs without numpy.
 """
 

@@ -21,10 +21,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from ._record import asdict, record, replace
 from .errors import (
     DimensionMismatchError,
     MalformedProblemError,
@@ -83,7 +83,7 @@ EXIT_NUMERICAL = 4
 EXIT_VERIFY = 5
 
 
-@dataclass(frozen=True)
+@record
 class ProblemFile:
     lp: LinearProgram
     start: list | None
@@ -99,9 +99,11 @@ def parse_problem(path) -> ProblemFile:
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")  # JSON is UTF-8 (RFC 8259), whatever the locale
     except OSError as exc:
         raise ProblemIOError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedProblemError(f"{path} is not UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -172,7 +174,7 @@ def _write_trace_csv(path, index: str, n: int, rows) -> None:
     header = [index, *(f"x_{i}" for i in range(n)), "cost", "energy", "feas_residual", "edge_potential_inf"]
     path = Path(path)
     try:
-        with path.open("w") as fh:
+        with path.open("w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(format(float(v), ".17g") if isinstance(v, floats) else str(v) for v in row) + "\n")

@@ -34,11 +34,11 @@ record array is built from the rows at the end. No stacked
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import entropy_path
+from ._record import record
 # evaluate is not called here, but bench/spans.py records spans by
 # rebinding continuous_flow.evaluate, so the name stays bound.
 from .dynamics import evaluate  # noqa: F401
@@ -57,7 +57,7 @@ def rhs_log(lp: ValidatedLP, u) -> np.ndarray:
     return lp.At.dot(p) / lp.c - 1.0
 
 
-@dataclass(frozen=True)
+@record
 class FlowConfig:
     x0: np.ndarray
     t_end: float
@@ -75,7 +75,7 @@ class FlowConfig:
             )
 
 
-@dataclass(frozen=True)
+@record
 class FlowTrace:
     entries: np.recarray  # one row per sample time, fields as in the module docstring
 

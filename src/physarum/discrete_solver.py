@@ -74,12 +74,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import oracle as oracle_mod
+from ._record import record
 from .errors import (
     BadEpsError,
     BadStepError,
@@ -125,7 +125,7 @@ STEP_SAFETY = 1.3
 COST_RISE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class DiscreteConfig:
     """Solver knobs. ``h=None`` selects the certified step automatically."""
 
@@ -159,7 +159,7 @@ def trace_dtype(n: int) -> np.dtype:
     ])
 
 
-@dataclass(frozen=True)
+@record
 class Trace:
     entries: np.recarray  # one row per recorded step, fields as in trace_dtype
     h: float
@@ -167,7 +167,7 @@ class Trace:
     trace_every: int
 
 
-@dataclass(frozen=True)
+@record
 class Solution:
     x: np.ndarray
     cost: float
@@ -499,7 +499,7 @@ def solve(
     return sol, Trace(entries=entries, h=h, eps=config.eps, trace_every=config.trace_every)
 
 
-@dataclass(frozen=True)
+@record
 class CertReport:
     """Outcome of the a-posteriori progress check on a trace."""
 

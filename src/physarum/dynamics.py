@@ -17,11 +17,11 @@ solve and checks the worst-case bounds that the derived parameters promise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ._record import record
 from .errors import DimensionMismatchError, NotInKernelError, ValidationError
 # spd_factor is not called here, but bench/spans.py records spans by
 # rebinding dynamics.spd_factor, so the name stays bound.
@@ -31,7 +31,7 @@ from .model import Params, ValidatedLP, check_point
 BOUND_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
+@record
 class DynamicsEval:
     """Everything the dynamics know at one state.
 
@@ -114,7 +114,7 @@ def gradient_identity_residual(lp: ValidatedLP, ev: DynamicsEval, h) -> float:
     return float(abs(lp.c @ h - h @ metric_grad))
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     """Measured values versus the worst-case bounds from the parameters."""
 

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .errors import (
     DimensionMismatchError,
     DualOverflowError,
@@ -55,7 +55,7 @@ MAX_NEWTON_ITERS = 200
 EXPONENT_STEP_CAP = 30.0
 
 
-@dataclass(frozen=True)
+@record
 class PathPoint:
     mu: float
     y: np.ndarray

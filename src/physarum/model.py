@@ -16,12 +16,12 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING
 
 from . import _exact
+from ._record import record
 from .errors import (
     BadEpsError,
     DimensionMismatchError,
@@ -50,7 +50,7 @@ ENUMERATION_CAP = 16
 INT64_MIN, INT64_END = -(2**63), 2**63
 
 
-@dataclass(frozen=True)
+@record
 class LinearProgram:
     """Raw instance data, as given: integer A (m x n), b (m), c (n) as nested lists or arrays."""
 
@@ -156,7 +156,7 @@ def _integers(name: str, value, entries: list | None) -> list[int]:
     raise DimensionMismatchError(f"{name} must contain integers")
 
 
-@dataclass(frozen=True)
+@record
 class ValidatedLP:
     """An instance that passed :func:`validate`. Downstream code expects this.
 
@@ -215,7 +215,7 @@ def _int64_array(data) -> np.ndarray:
     return np.array(data, dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@record
 class Params:
     """Worst-case parameters derived from the instance data.
 

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import _exact
+from ._record import record
 from .errors import NoInteriorPointError, TooLargeError
 # max_subdeterminant is not called here, but bench/spans.py records spans by
 # rebinding oracle.max_subdeterminant, so the name stays bound.
@@ -50,7 +50,7 @@ SAMPLE_MIN_WEIGHT = 0.05
 SAMPLE_RAY_SCALE = 1.0
 
 
-@dataclass(frozen=True)
+@record
 class OracleResult:
     """Complete description of a small feasible region.
 

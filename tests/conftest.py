@@ -244,11 +244,12 @@ def run_child(args, env):
 
     This process may find the package only through pytest's ``pythonpath``
     setting or an install, neither of which a child inherits. The child
-    turns RuntimeWarnings into errors, as pyproject.toml's filter does here.
+    turns RuntimeWarnings into errors, as pyproject.toml's filter does here,
+    and (-B) writes no bytecode into the source tree, whatever ``env`` holds.
     """
     package_root = str(Path(physarum.__file__).resolve().parents[1])
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", *args],
+        [sys.executable, "-B", "-W", "error::RuntimeWarning", *args],
         capture_output=True,
         text=True,
         env={**env, "PYTHONPATH": package_root},

@@ -2,7 +2,6 @@
 
 import argparse
 import ast
-import dataclasses
 import inspect
 import json
 import os
@@ -15,7 +14,7 @@ import numpy as np
 import pytest
 
 import physarum
-from physarum import FlowConfig, LinearProgram, discrete_solver, evaluate, follow_path, integrate, validate
+from physarum import FlowConfig, LinearProgram, _record, discrete_solver, evaluate, follow_path, integrate, validate
 from physarum.cli_io import _json_ready, build_parser, main, parse_problem, run_verification
 from physarum.errors import MalformedProblemError, NoInteriorPointError, ProblemIOError
 from tests.conftest import INSTANCE_DIR, overflowing_instance, planted_instance, run_child
@@ -362,7 +361,7 @@ def test_verify_fails_when_the_cost_rises(capsys, monkeypatch):
     # The cost never rises in exact arithmetic; a rise past rounding fails the run.
     real = discrete_solver.certify_trace
     monkeypatch.setattr(discrete_solver, "certify_trace",
-                        lambda *args: dataclasses.replace(real(*args), max_cost_rise=1e-9))
+                        lambda *args: _record.replace(real(*args), max_cost_rise=1e-9))
     rc = main(["verify", SIMPLE2, "--samples", "10"])
     data = json.loads(capsys.readouterr().out)
     assert rc == 5 and data["ok"] is False
@@ -463,15 +462,26 @@ def test_import_leaves_the_ode_solver_unloaded():
     proc = run_child(["-c", script], os.environ)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+    assert package_importers_of("scipy.integrate") == []
+
+
+def package_importers_of(module):
+    """The package's files with an import of ``module`` or of one of its submodules or names."""
     importers = []
     for path in sorted(Path(physarum.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
             if isinstance(node, ast.ImportFrom) and node.module:
                 names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
-            if any(n == "scipy.integrate" or n.startswith("scipy.integrate.") for n in names):
+            if any(n == module or n.startswith(f"{module}.") for n in names):
                 importers.append(path.name)
-    assert importers == []
+    return importers
+
+
+def test_no_package_module_imports_dataclasses():
+    # A command that loads numpy loads inspect anyway, so only this check
+    # would see an engine import dataclasses again.
+    assert package_importers_of("dataclasses") == []
 
 
 SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))"
@@ -488,9 +498,10 @@ def test_import_loads_no_scipy(module):
 LOADED = (
     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'physarum'), 'logging' in sys.modules,"
     " any(m.split('.')[0] == 'scipy' for m in sys.modules), 'numpy' in sys.modules,"
-    " any(m in sys.modules for m in ('fractions', 'decimal')))"
+    " any(m in sys.modules for m in ('fractions', 'decimal')), 'dataclasses' in sys.modules,"
+    " any(m in sys.modules for m in ('inspect', 'ast', 'dis', 'tokenize')))"
 )
-IMPORT_ONLY = ["physarum", "physarum._exact", "physarum.errors", "physarum.model"]
+IMPORT_ONLY = ["physarum", "physarum._exact", "physarum._record", "physarum.errors", "physarum.model"]
 
 
 def test_each_command_loads_only_the_modules_it_runs():
@@ -500,7 +511,9 @@ def test_each_command_loads_only_the_modules_it_runs():
     # Laplacians), the dynamics and linalg, and still no flow or path, nor
     # logging, which the solver loads only to warn. Only the oracle and the
     # solver's exact bounds build Fractions, so neither import physarum
-    # nor params loads fractions (or the decimal module it imports).
+    # nor params loads fractions (or the decimal module it imports). The
+    # records are not dataclasses, so no command loads dataclasses, nor
+    # (before numpy does) the inspect, ast, dis and tokenize it imports.
     script = (
         "import sys, physarum\n"
         f"{LOADED}\n"
@@ -515,13 +528,13 @@ def test_each_command_loads_only_the_modules_it_runs():
     proc = run_child(["-c", script], os.environ)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        f"{IMPORT_ONLY} False False False False", "module 'physarum' has no attribute 'no_such_name'"]
+        f"{IMPORT_ONLY} False False False False False False", "module 'physarum' has no attribute 'no_such_name'"]
     cli = sorted([*IMPORT_ONLY, "physarum.cli_io"])
     engines = ["physarum.oracle", "physarum.discrete_solver", "physarum.dynamics", "physarum.linalg"]
     expected = {
-        "params": f"{cli} False False False False",
-        "oracle": f"{sorted([*cli, 'physarum.oracle'])} False False False True",
-        "verify": f"{sorted([*cli, *engines])} False True True True",
+        "params": f"{cli} False False False False False False",
+        "oracle": f"{sorted([*cli, 'physarum.oracle'])} False False False True False False",
+        "verify": f"{sorted([*cli, *engines])} False True True True False True",
     }
     for cmd, loaded in expected.items():
         script = (
@@ -809,7 +822,7 @@ def test_every_option_has_a_reader():
 def test_every_library_option_has_a_caller():
     # An option that only tests set is code kept alive by its own unit test:
     # a defaulted parameter of an exported function, or of an exported
-    # dataclass's __init__, that no call in the package or bench/ passes.
+    # record's __init__, that no call in the package or bench/ passes.
     # bench/workloads.py calls through _timed(gauge, kind, label, fn, *args,
     # cpu_clock=..., **kwargs), so there fn is the callee and the rest its
     # arguments.
@@ -831,9 +844,11 @@ def test_every_library_option_has_a_caller():
     uncalled = []
     for name in physarum.__all__:
         fn = getattr(physarum, name)
-        if not (inspect.isfunction(fn) or dataclasses.is_dataclass(fn)):
+        if not (inspect.isfunction(fn) or hasattr(fn, "__record_fields__")):
             continue
         params = list(inspect.signature(fn).parameters.values())
+        # A record's signature is its fields, so its defaults are read here.
+        assert inspect.isfunction(fn) or [p.name for p in params] == list(_record.fields(fn)), name
         uncalled += [f"{name}({p.name})" for i, p in enumerate(params)
                      if p.default is not p.empty and not {i, p.name} & passed.get(name, set())]
     assert uncalled == []
@@ -870,6 +885,29 @@ def test_entries_beyond_int64_are_not_integers(tmp_path, entry):
     assert "must contain integers" in proc.stderr
     assert "Warning" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_a_problem_file_that_is_not_utf8_exits_2(tmp_path):
+    # JSON is UTF-8 (RFC 8259); a Latin-1 "é" is malformed input, not a traceback.
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"A": [[1, 1]], "b": [1], "c": [1, 2], "name": "caf\xe9"}')
+    proc = run_cli_child(["params", str(path)], os.environ)
+    assert proc.returncode == 2, proc.stderr
+    assert "is not UTF-8" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_a_utf8_problem_file_reads_alike_in_any_locale(tmp_path):
+    # Under the POSIX locale, with its coercion and UTF-8 mode off, Python's
+    # default text encoding is ASCII; the file is read as UTF-8 all the same.
+    path = tmp_path / "utf8.json"
+    path.write_text('{"A": [[1, 1]], "b": [1], "c": [1, 2], "name": "café"}', encoding="utf-8")
+    trace = tmp_path / "trace.csv"
+    env = {**os.environ, "LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    proc = run_cli_child(["solve", str(path), "--trace", str(trace)], env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["name"] == "café"
+    assert trace.read_text(encoding="utf-8").startswith("k,x_0,x_1,cost,")
 
 
 def test_readme_examples_run(tmp_path, monkeypatch):

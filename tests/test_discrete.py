@@ -1,7 +1,6 @@
 """Damped iteration: stepping, stopping, and the progress certificate."""
 
 import ast
-import dataclasses
 import inspect
 import math
 import tracemalloc
@@ -33,6 +32,7 @@ from physarum import (
     solve,
     validate,
 )
+from physarum import _record
 from physarum import oracle as oracle_mod
 from physarum.discrete_solver import BASIS_EVERY, FIXED_POINT_TOL, ITERATION_HARD_CAP, PILOT_T_END, trace_dtype
 from physarum.errors import (
@@ -272,7 +272,7 @@ def test_rows_after_a_late_exit_sit_where_a_run_to_the_cap_puts_them(simple2, mo
     _, every_step = solve(simple2, config)
     monkeypatch.setattr(discrete_solver, "NO_MOVE_HDEV", 0.009)
     for every in (1, 7):
-        sol, trace = solve(simple2, dataclasses.replace(config, trace_every=every))
+        sol, trace = solve(simple2, _record.replace(config, trace_every=every))
         assert (sol.stop_reason, sol.iterations) == ("Stalled", 177)
         assert list(trace.entries.k) == list(range(0, 178, every))
         assert trace.entries.tobytes() == every_step.entries[0:178:every].tobytes()
@@ -619,11 +619,11 @@ def test_certify_reports_the_largest_cost_rise(simple2):
     assert certify_trace(simple2, trace, 1.0, 0.1, sol.h, np.array([1.0, 0.0])).max_cost_rise == 0.0
     entries = trace.entries.copy()
     entries.cost[10] = entries.cost[9] * (1.0 + 1e-9)
-    doctored = dataclasses.replace(trace, entries=entries)
+    doctored = _record.replace(trace, entries=entries)
     rep = certify_trace(simple2, doctored, 1.0, 0.1, sol.h, np.array([1.0, 0.0]))
     assert rep.max_cost_rise == pytest.approx(1e-9, rel=1e-6)
     # A one-row trace has no pair to compare.
-    one = dataclasses.replace(trace, entries=trace.entries[:1])
+    one = _record.replace(trace, entries=trace.entries[:1])
     assert certify_trace(simple2, one, 1.0, 0.1, sol.h, np.array([1.0, 0.0])).max_cost_rise == 0.0
 
 
@@ -797,7 +797,7 @@ def test_solve_matches_step_by_step_reference(simple2, triangle, identity2):
         h, _ = certified_step_search(lp, 0.1, params=params, oracle_result=res)
         cases.append((lp, DiscreteConfig(eps=0.1, h=h), params, res))
     lp, config, params, res = cases[6]
-    cases.append((lp, dataclasses.replace(config, trace_every=7), params, res))
+    cases.append((lp, _record.replace(config, trace_every=7), params, res))
     # triangle at its certified step proves the gap after 7,968 steps, 1,139 rows at trace_every=7.
     lp, _, params, res = cases[1]
     cases.append((lp, DiscreteConfig(eps=0.1, trace_every=7), params, res))
@@ -819,7 +819,7 @@ def test_solve_matches_step_by_step_reference(simple2, triangle, identity2):
     # Near the vertex (0, 1), q / x - 1 is large at the small coordinate: h dev
     # starts at 0.554, so the first ten steps take the exact positivity check
     # and the rest the h dev < 0.5 shortcut.
-    params = dataclasses.replace(compute_params(simple2), potential_ratio_bound=0.9)
+    params = _record.replace(compute_params(simple2), potential_ratio_bound=0.9)
     h = 0.999 * 0.5 / params.potential_ratio_bound
     start = np.array([1e-3, 1 - 1e-3])
     cases.append((simple2, DiscreteConfig(h=h, start=start, max_iters=200), params, None))
@@ -827,7 +827,7 @@ def test_solve_matches_step_by_step_reference(simple2, triangle, identity2):
     rows = []
     for lp, config, params, res in cases:
         start = oracle_mod.start_point(lp, config.start, res)
-        config = dataclasses.replace(config, start=start)
+        config = _record.replace(config, start=start)
         before = start.copy()
         sol, trace = solve(lp, config, params=params, oracle_result=res)
         # solve steps on buffers of its own: the start is left as it was and
@@ -838,12 +838,12 @@ def test_solve_matches_step_by_step_reference(simple2, triangle, identity2):
         rows.append((config.trace_every, len(trace.entries)))
         ref, ref_trace = solve_by_loop(lp, config, params=params, oracle_result=res)
         assert repr(sol) == repr(ref)
-        for field in dataclasses.fields(Solution):
-            got, want = getattr(sol, field.name), getattr(ref, field.name)
-            if field.name == "lower_bound":  # an exact Fraction or None
+        for name in _record.fields(Solution):
+            got, want = getattr(sol, name), getattr(ref, name)
+            if name == "lower_bound":  # an exact Fraction or None
                 assert got == want
             else:
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
         assert (trace.h, trace.eps, trace.trace_every) == (ref_trace.h, ref_trace.eps, ref_trace.trace_every)
         assert trace.entries.dtype == ref_trace.entries.dtype
         assert trace.entries.tobytes() == ref_trace.entries.tobytes()
@@ -858,7 +858,7 @@ def test_solve_and_reference_lose_positivity_at_the_same_iteration():
     # A = [1, -1] makes a_2 . p negative, so q_2 < 0. With P understated,
     # the largest step under the claimed cap 1/(2P) drives x_2 below zero.
     lp = validate(LinearProgram.from_lists([[1, -1]], [1], [1, 1]))
-    params = dataclasses.replace(compute_params(lp), potential_ratio_bound=0.9)
+    params = _record.replace(compute_params(lp), potential_ratio_bound=0.9)
     h = 0.999 * 0.5 / params.potential_ratio_bound
     # At eps = 0.1 the gap closes at the first step, before x_2 goes negative.
     config = DiscreteConfig(eps=0.01, h=h, start=np.array([1.2, 0.2]), max_iters=200)
@@ -1025,7 +1025,7 @@ def assert_run_is_the_loop_cut_short(lp, config, params, res, sol, trace):
     """
     k = sol.iterations
     ref, ref_trace = solve_by_loop(
-        lp, dataclasses.replace(config, max_iters=k), params=params, oracle_result=res, gap=False)
+        lp, _record.replace(config, max_iters=k), params=params, oracle_result=res, gap=False)
     assert ref.iterations == k
     assert trace.entries.tobytes() == ref_trace.entries.tobytes()
     assert sol.x.tobytes() == ref.x.tobytes()

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from physarum import LinearProgram, enumerate_polyhedron, interior_point, max_subdeterminant, sample_feasible, validate
-from physarum import _exact
+from physarum import _exact, _record
 from physarum._exact import _colex_level, _expand, _expanders, _picker, max_abs_subdeterminant, vertex_and_ray_bases
 from physarum.errors import NoInteriorPointError, TooLargeError
 from physarum.oracle import OracleResult
@@ -96,7 +96,7 @@ def two_pass_enumerate(lp, basic_solutions=two_pass_basic_solutions) -> OracleRe
 
 
 def assert_same_result(got, want):
-    for name in [*got.__dataclass_fields__, "vertices", "rays"]:
+    for name in [*_record.fields(got), "vertices", "rays"]:
         a, b = getattr(got, name), getattr(want, name)
         if isinstance(a, np.ndarray):
             assert a.shape == b.shape and np.array_equal(a, b), name

@@ -334,8 +334,10 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
     stop as "bound_source" ("potentials", "basis" or None). The spot checks
     draw random feasible points and verify the energy identity, the flux
     and potential bounds, and the first-variation identity against random
-    constraint-kernel directions.
+    constraint-kernel directions, all drawn from one random.Random(seed).
     """
+    import random
+
     import numpy as np
 
     from . import discrete_solver
@@ -354,7 +356,7 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
     opt = result.opt
     cert = discrete_solver.certify_trace(lp, trace, opt, eps, sol.h, result.optimal_vertices[0])
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     kernel = kernel_basis(lp.A)
     pts = oracle_mod.sample_feasible(result, rng, samples)
     checked = skipped = 0
@@ -375,8 +377,7 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
         if not (rep.flux_ok and rep.edge_potential_ok):
             bound_bad += 1
         if kernel.shape[1]:
-            coeffs = rng.standard_normal(kernel.shape[1])
-            hvec = kernel @ coeffs
+            hvec = kernel @ np.array([rng.gauss(0.0, 1.0) for _ in range(kernel.shape[1])])
             res = gradient_identity_residual(lp, ev, hvec)
             rel = res / (float(np.abs(lp.c @ np.abs(hvec))) + 1.0)
             worst_identity = max(worst_identity, rel)

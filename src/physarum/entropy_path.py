@@ -13,9 +13,12 @@ the gradient b - A x(y) vanishing is exactly feasibility. The Hessian is
 against, and the path coincides with the flow trajectory through s when
 mu is read as time. From any positive start, feasible or not, the flow is
 such a path for the moving right-hand side b + e^{-mu}(A s - b), which
-``flow_points`` solves for. ``solve_point`` solves against that Laplacian
-once per Newton step, at the iterate it steps from; line-search trial
-points need only the value and the gradient.
+``flow_points`` solves for. The Newton loop solves against that Laplacian
+once per step, at the iterate it steps from; line-search trial points need
+only the value and the gradient. A sweep (``follow_path`` or
+``flow_points``) takes its anchor's log and binds its Laplacian solver
+once, and runs the loop at each point from there; ``follow_path`` and
+``solve_point``, the one-point solve, check the anchor first.
 
 Differentiating A x(mu) = b along the path gives (A W A^T) y'(mu) = b:
 the dual point moves with the Physarum potentials, y'(mu) = p(x(mu)).
@@ -35,7 +38,6 @@ import numpy as np
 
 from ._record import record
 from .errors import (
-    DimensionMismatchError,
     DualOverflowError,
     NewtonStalledError,
     NumericalError,
@@ -68,7 +70,7 @@ def dual_value_and_derivatives(lp: ValidatedLP, log_s, mu: float, y):
     """Evaluate g, its gradient and the primal point x(y) at a dual point y.
 
     ``log_s`` is ln s of the anchor, taken once by the caller for all its
-    evaluations. The Hessian -A W A^T is not formed here: ``solve_point``
+    evaluations. The Hessian -A W A^T is not formed here: the Newton loop
     solves against A W A^T at each iterate it steps from.
     """
     y = np.asarray(y, dtype=float)
@@ -94,23 +96,24 @@ def exponent(lp: ValidatedLP, log_s, mu: float, y) -> np.ndarray:
     return log_s + lp.At.dot(y) / lp.c - mu
 
 
-def solve_point(lp: ValidatedLP, s, mu: float, y0=None) -> PathPoint:
-    """Find x(mu) by damped Newton ascent on the dual.
+def solve_point(lp: ValidatedLP, s, mu: float) -> PathPoint:
+    """Find the one point x(mu) by damped Newton ascent on the dual, from y = 0.
 
     The Newton direction solves (A W A^T) d = grad, i.e. the same kind of
     weighted Laplacian system as everywhere else; a quarter-slope
     backtracking line search guards global convergence. Sixty rejected
     halvings in one line search, or two hundred outer iterations, raise
-    NewtonStalledError.
+    NewtonStalledError. ``follow_path`` runs the same Newton loop at each
+    point of a grid, with the anchor checked once for the whole grid.
     """
     if not 0.0 <= mu < math.inf:
         raise ValidationError(f"mu must be nonnegative and finite, got {mu}")
     s = check_point(lp, s, "anchor", feasible=True)
-    return _newton(lp, np.log(s), mu, y0, None, laplacian_solver(lp))
+    return _newton(lp, np.log(s), mu, None, None, laplacian_solver(lp))
 
 
 def _newton(lp: ValidatedLP, log_s, mu: float, y0, shift, laplacian) -> PathPoint:
-    """``solve_point``'s Newton loop for the right-hand side b + shift, from the anchor's log.
+    """The Newton loop for the right-hand side b + shift, from the anchor's log and y0 (zeros when None).
 
     The shift moves the constraint to A x = b + shift, which adds
     y . shift to g and shift to its gradient; the Laplacian and the line
@@ -118,9 +121,9 @@ def _newton(lp: ValidatedLP, log_s, mu: float, y0, shift, laplacian) -> PathPoin
     stays within 1000 (|b| + 1). A shift of
     None is the unshifted problem A x = b: the dual evaluations are used
     as they come, with no y . 0 or + 0 arithmetic, which is what
-    ``solve_point`` and a feasible start of ``flow_points`` solve.
-    laplacian is a bound ``laplacian_solver(lp)``; ``flow_points`` shares
-    one across its samples.
+    ``solve_point``, ``follow_path`` and a feasible start of
+    ``flow_points`` solve. laplacian is a bound ``laplacian_solver(lp)``;
+    a sweep shares one across its points.
 
     At m <= 3 numpy's call overhead sets the cost of each iteration, so
     here and in the dual evaluation the maxima are np.maximum.reduce calls
@@ -138,9 +141,7 @@ def _newton(lp: ValidatedLP, log_s, mu: float, y0, shift, laplacian) -> PathPoin
     halving from there; an accepted full step costs nothing extra.
     """
     maxr, absolute = np.maximum.reduce, np.absolute
-    y = np.zeros(lp.m) if y0 is None else np.asarray(y0, dtype=float).copy()
-    if y.shape != (lp.m,):
-        raise DimensionMismatchError(f"y0 has shape {y.shape}, expected ({lp.m},)")
+    y = np.zeros(lp.m) if y0 is None else y0.copy()
 
     b, c = lp.b, lp.c
 
@@ -209,8 +210,16 @@ def follow_path(lp: ValidatedLP, s, mus) -> list[PathPoint]:
     that. A repeated mu starts from, and so reproduces, the point before
     it. A prediction from which Newton fails with a NumericalError is
     retried from the previous y.
+
+    The sweep is prepared once: the anchor is checked, its log taken and
+    one Laplacian solver bound before the first point, so every point runs
+    ``solve_point``'s Newton loop on the same inputs. The anchor is checked
+    before the grid, so a bad anchor raises even with an empty grid.
     """
-    return list(_sweep(lp, mus, lambda mu, y0: solve_point(lp, s, mu, y0=y0)))
+    s = check_point(lp, s, "anchor", feasible=True)
+    log_s = np.log(s)
+    laplacian = laplacian_solver(lp)
+    return list(_sweep(lp, mus, lambda mu, y0: _newton(lp, log_s, mu, y0, None, laplacian)))
 
 
 def flow_points(lp: ValidatedLP, x0, ts) -> Iterator[PathPoint]:

@@ -176,19 +176,34 @@ def start_point(lp: ValidatedLP, start=None, result: OracleResult | None = None)
     return interior_point(result)
 
 
-def sample_feasible(result: OracleResult, rng: np.random.Generator, count: int) -> np.ndarray:
+def sample_feasible(result: OracleResult, rng, count: int) -> np.ndarray:
     """Random feasible points: convex vertex combinations plus ray offsets.
 
     Weights are bounded away from zero so samples stay strictly positive
-    whenever the interior is nonempty.
+    whenever the interior is nonempty. ``rng`` is read through
+    ``rng.random()`` alone, so a ``random.Random`` serves (and loads no
+    ``numpy.random``), and so does a numpy Generator, which then gives the
+    points its ``uniform`` gave bit for bit: the draws go row-major, all
+    the vertex weights before all the ray coefficients, each as
+    low + (high - low) u, numpy's formula.
     """
     if result.status != "optimal":
         raise NoInteriorPointError("cannot sample from an empty region")
-    n_v = len(result.vertices)
-    weights = rng.uniform(SAMPLE_MIN_WEIGHT, 1.0, size=(count, n_v))
+    weights = _uniform(rng, SAMPLE_MIN_WEIGHT, 1.0, count, len(result.vertices))
     weights /= weights.sum(axis=1, keepdims=True)
     pts = weights @ result.vertices
     if len(result.rays):
-        coeff = rng.uniform(0.0, SAMPLE_RAY_SCALE, size=(count, len(result.rays)))
-        pts = pts + coeff @ result.rays
+        pts = pts + _uniform(rng, 0.0, SAMPLE_RAY_SCALE, count, len(result.rays)) @ result.rays
     return pts
+
+
+def _uniform(rng, low: float, high: float, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols float array of low + (high - low) rng.random(), filled row-major.
+
+    The array is allocated before the first draw, so a size past memory
+    raises MemoryError at once.
+    """
+    import numpy as np
+
+    span, draw = high - low, rng.random
+    return np.fromiter((low + span * draw() for _ in range(rows * cols)), float, rows * cols).reshape(rows, cols)

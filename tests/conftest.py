@@ -9,6 +9,10 @@ import sys
 import time
 from pathlib import Path
 
+# No test run writes bytecode under src/: a tree the suite has run in then
+# imports the package from source, as a fresh checkout does.
+sys.dont_write_bytecode = True
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -43,6 +47,7 @@ from physarum.errors import (
     ValidationError,
 )
 from physarum.linalg import laplacian_solve, laplacian_solver
+from physarum.oracle import SAMPLE_MIN_WEIGHT, SAMPLE_RAY_SCALE
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
@@ -368,6 +373,16 @@ def ref_flow_points(lp, x0, ts):
     log_x0 = np.log(x0)
     laplacian = laplacian_solver(lp)
     return ref_sweep(lp, ts, lambda t, y0: ref_newton(lp, log_x0, t, y0, math.exp(-t) * offset, laplacian))
+
+
+def ref_sample_feasible(result, rng, count):
+    """sample_feasible drawn the vectorised way, by a numpy Generator's uniform: all weights, then all ray coefficients."""
+    weights = rng.uniform(SAMPLE_MIN_WEIGHT, 1.0, size=(count, len(result.vertices)))
+    weights /= weights.sum(axis=1, keepdims=True)
+    pts = weights @ result.vertices
+    if len(result.rays):
+        pts = pts + rng.uniform(0.0, SAMPLE_RAY_SCALE, size=(count, len(result.rays))) @ result.rays
+    return pts
 
 
 def ref_integrate(lp, config, params=None):

@@ -499,7 +499,7 @@ LOADED = (
     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'physarum'), 'logging' in sys.modules,"
     " any(m.split('.')[0] == 'scipy' for m in sys.modules), 'numpy' in sys.modules,"
     " any(m in sys.modules for m in ('fractions', 'decimal')), 'dataclasses' in sys.modules,"
-    " any(m in sys.modules for m in ('inspect', 'ast', 'dis', 'tokenize')))"
+    " any(m in sys.modules for m in ('inspect', 'ast', 'dis', 'tokenize')), 'numpy.random' in sys.modules)"
 )
 IMPORT_ONLY = ["physarum", "physarum._exact", "physarum._record", "physarum.errors", "physarum.model"]
 
@@ -514,6 +514,8 @@ def test_each_command_loads_only_the_modules_it_runs():
     # nor params loads fractions (or the decimal module it imports). The
     # records are not dataclasses, so no command loads dataclasses, nor
     # (before numpy does) the inspect, ast, dis and tokenize it imports.
+    # verify draws its spot checks from random.Random, so no command loads
+    # numpy.random.
     script = (
         "import sys, physarum\n"
         f"{LOADED}\n"
@@ -528,13 +530,14 @@ def test_each_command_loads_only_the_modules_it_runs():
     proc = run_child(["-c", script], os.environ)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        f"{IMPORT_ONLY} False False False False False False", "module 'physarum' has no attribute 'no_such_name'"]
+        f"{IMPORT_ONLY} False False False False False False False",
+        "module 'physarum' has no attribute 'no_such_name'"]
     cli = sorted([*IMPORT_ONLY, "physarum.cli_io"])
     engines = ["physarum.oracle", "physarum.discrete_solver", "physarum.dynamics", "physarum.linalg"]
     expected = {
-        "params": f"{cli} False False False False False False",
-        "oracle": f"{sorted([*cli, 'physarum.oracle'])} False False False True False False",
-        "verify": f"{sorted([*cli, *engines])} False True True True False True",
+        "params": f"{cli} False False False False False False False",
+        "oracle": f"{sorted([*cli, 'physarum.oracle'])} False False False True False False False",
+        "verify": f"{sorted([*cli, *engines])} False True True True False True False",
     }
     for cmd, loaded in expected.items():
         script = (
@@ -858,6 +861,8 @@ def test_every_package_definition_has_a_reader():
     # A module-level function or class that nothing in the package outside
     # its own body, and nothing in bench/, names is read only by tests. A
     # module-level __getattr__ is exempt: the import machinery calls it.
+    # The attributes bench/spans.py rebinds, named as strings in its
+    # TRACED, count as bench reads.
     package = Path(physarum.__file__).resolve().parent
     bench = Path(__file__).resolve().parent.parent / "bench"
 
@@ -866,6 +871,9 @@ def test_every_package_definition_has_a_reader():
                 for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
     read = set().union(*(names(ast.parse(f.read_text())) for f in bench.glob("*.py")))
+    (traced,) = [ast.literal_eval(node.value) for node in ast.parse((bench / "spans.py").read_text()).body
+                 if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]]
+    read |= {name for _, name in traced}
     tops = [(f, node, names(node)) for f in sorted(package.glob("*.py")) for node in ast.parse(f.read_text()).body]
     unread = [
         f"{f.stem}.{node.name}" for f, node, _ in tops

@@ -16,7 +16,7 @@ from physarum import (
     solve_point,
     validate,
 )
-from physarum.entropy_path import dual_value_and_derivatives, flow_points
+from physarum.entropy_path import _newton, dual_value_and_derivatives, flow_points
 from physarum.errors import (
     DualOverflowError,
     InfeasibleStartError,
@@ -24,6 +24,7 @@ from physarum.errors import (
     NumericalError,
     ValidationError,
 )
+from physarum.linalg import laplacian_solver
 from tests.conftest import (
     planted_12x48,
     planted_with_start,
@@ -116,7 +117,7 @@ def test_mu_must_be_finite(simple2):
 
 def test_dual_overflow_guard(simple2):
     with pytest.raises(DualOverflowError):
-        solve_point(simple2, np.array([0.5, 0.5]), 0.0, y0=np.array([1000.0]))
+        _newton(simple2, np.log([0.5, 0.5]), 0.0, np.array([1000.0]), None, laplacian_solver(simple2))
 
 
 def test_grid_validation(simple2):
@@ -209,7 +210,7 @@ def test_overflowing_prediction_falls_back_to_the_previous_y(simple2, monkeypatc
     monkeypatch.undo()
     assert len(raised) == 1
     assert not np.array_equal(raised[0], pts[1].y)  # the overflow hit the predicted start
-    want = solve_point(simple2, s, 2.0, y0=pts[1].y)
+    want = _newton(simple2, np.log(s), 2.0, pts[1].y, None, laplacian_solver(simple2))
     assert np.array_equal(pts[2].y, want.y) and np.array_equal(pts[2].x, want.x)
     assert pts[2].newton_iters == want.newton_iters
 

@@ -13,6 +13,7 @@ from physarum import (
     check_bounds,
     compute_params,
     evaluate,
+    follow_path,
     gradient_identity_residual,
     integrate,
     solve,
@@ -34,9 +35,10 @@ ENTRY_POINTS = {
     "solve_start": lambda lp, x: solve(lp, DiscreteConfig(start=x)),
     "integrate_x0": lambda lp, x: integrate(lp, FlowConfig(x0=x, t_end=1.0)),
     "solve_point_anchor": lambda lp, x: solve_point(lp, x, 1.0),
+    "follow_path_anchor": lambda lp, x: follow_path(lp, x, [0.0, 1.0]),
     "check_bounds_feasible": lambda lp, x: check_bounds(lp, evaluate(lp, x), compute_params(lp)),
 }
-NEEDS_FEASIBLE = ("solve_start", "solve_point_anchor", "check_bounds_feasible")
+NEEDS_FEASIBLE = ("solve_start", "solve_point_anchor", "follow_path_anchor", "check_bounds_feasible")
 
 BAD_POINTS = {
     "wrong_shape": ([0.5, 0.25, 0.25], DimensionMismatchError),

@@ -148,8 +148,8 @@ def test_integrate_fills_each_column_with_the_per_row_values(case, simple2):
 
 
 def test_a_flow_sweep_binds_one_laplacian_solver(simple2, monkeypatch):
-    # flow_points shares one bound solver across its samples; solve_point,
-    # and so follow_path, binds one per point.
+    # flow_points shares one bound solver across its samples, and so does
+    # follow_path across its points.
     real, binds = entropy_path.laplacian_solver, []
 
     def counting(lp):
@@ -162,7 +162,21 @@ def test_a_flow_sweep_binds_one_laplacian_solver(simple2, monkeypatch):
     assert len(binds) == 1 and len(trace.entries) == 41
     binds.clear()
     points = follow_path(simple2, np.array([0.5, 0.5]), np.arange(0.0, 10.25, 0.25))
-    assert len(binds) == len(points) == 41
+    assert len(binds) == 1 and len(points) == 41
+
+
+def test_a_path_sweep_checks_its_anchor_once(simple2, monkeypatch):
+    # The anchor is fixed for the whole grid, so it is checked once, not at
+    # each point.
+    real, checks = entropy_path.check_point, []
+
+    def counting(lp, x, what, feasible=False):
+        checks.append(what)
+        return real(lp, x, what, feasible)
+
+    monkeypatch.setattr(entropy_path, "check_point", counting)
+    points = follow_path(simple2, np.array([0.5, 0.5]), np.arange(0.0, 4.25, 0.25))
+    assert len(points) == 17 and checks == ["anchor"]
 
 
 def _tail(trace, res):

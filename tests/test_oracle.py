@@ -9,6 +9,7 @@ order included.
 """
 
 import operator
+import random
 from fractions import Fraction
 from itertools import compress
 from math import comb
@@ -23,7 +24,7 @@ from physarum import _exact, _record
 from physarum._exact import _colex_level, _expand, _expanders, _picker, max_abs_subdeterminant, vertex_and_ray_bases
 from physarum.errors import NoInteriorPointError, TooLargeError
 from physarum.oracle import OracleResult
-from tests.conftest import planted_instance, random_instances
+from tests.conftest import planted_instance, random_instances, ref_sample_feasible
 
 
 def feasible_bases(mat, rhs) -> list[tuple[int, ...]]:
@@ -270,6 +271,26 @@ def test_sample_feasible_points_along_rays():
     assert pts.shape == (40, 2)
     assert np.all(pts > 0.0)
     assert np.abs(pts @ lp.A.T - lp.b).max() <= 1e-12
+
+
+def test_sample_feasible_draws_as_numpy_uniform_did(shipped):
+    # Read through rng.random() one draw at a time, a numpy Generator gives
+    # the points its vectorised uniform gave, bit for bit.
+    with_rays = [res for _, res in random_instances(45, 60, n_range=(2, 7)) if len(res.rays)]
+    assert len(with_rays) >= 10
+    for k, res in enumerate([res for _, _, res in shipped.values()] + with_rays):
+        got = sample_feasible(res, np.random.default_rng(k), 50)
+        want = ref_sample_feasible(res, np.random.default_rng(k), 50)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_sample_feasible_repeats_under_one_seed(shipped):
+    for _, _, res in shipped.values():
+        first = sample_feasible(res, random.Random(3), 20)
+        assert first.shape == (20, len(res.J) + len(res.N))
+        assert first.tobytes() == sample_feasible(res, random.Random(3), 20).tobytes()
+        if len(res.vertices) + len(res.rays) > 1:  # identity2's region is one point
+            assert first.tobytes() != sample_feasible(res, random.Random(4), 20).tobytes()
 
 
 def test_ray_lower_bound_has_counterexamples():

@@ -26,9 +26,11 @@ pass ends at.
 
 The one kernel that meets larger matrices is the rank check, at a few
 hundred rows: it first eliminates modulo a prime in numpy int64
-arithmetic, which proves full rank when it finds it, and runs the
-Python-int elimination only when that cannot decide. It is also the
-only one that imports numpy, and only when it runs.
+arithmetic, on a window of the first m + 8 columns and then, only if
+that falls short of full rank, on all of them. Full rank mod p proves
+full rank, and the Python-int elimination runs only when neither can
+decide. It is also the only one that imports numpy, and only when it
+runs.
 """
 
 from __future__ import annotations
@@ -45,6 +47,14 @@ PRIME = 2147483629
 # Bareiss: below it the numpy calls per pivot cost more than Bareiss's
 # Python arithmetic (measured; see CHANGES.md).
 MODULAR_MIN_DIM = 12
+
+# Columns beyond the row count in the rank check's first elimination. A
+# full-rank integer matrix almost always has full rank in its first m + 8
+# columns already, even with entries in [-3, 3]: that needs only one of
+# C(m + 8, m) minors to be nonzero mod p. Eliminating on that window costs
+# O(m**3), not the O(m**2 n) of all n columns; a window that falls short
+# costs one more elimination, on all columns.
+RANK_WINDOW_EXTRA = 8
 
 
 def _picker(indices):
@@ -154,10 +164,11 @@ def rank_int(rows: list[list[int]]) -> int:
     """Exact rank of an integer matrix.
 
     From MODULAR_MIN_DIM rows and columns on, the rank modulo PRIME comes
-    first. A rank mod p of min(rows, columns) is the exact rank: a minor
-    that is nonzero mod p is a nonzero integer. Anything less may be
-    p dividing every maximal minor, so Bareiss decides; no verdict is
-    ever probabilistic.
+    first, on the window of the first rows + RANK_WINDOW_EXTRA columns
+    and, if that is short of full rank, on all columns. A rank mod p of
+    min(rows, columns) is the exact rank: a minor that is nonzero mod p
+    is a nonzero integer. Anything less may be p dividing every maximal
+    minor, so Bareiss decides; no verdict is ever probabilistic.
     """
     n_rows = len(rows)
     n_cols = len(rows[0]) if n_rows else 0
@@ -170,22 +181,54 @@ def rank_int(rows: list[list[int]]) -> int:
 def rank_mod_prime(rows: list[list[int]]) -> int:
     """Rank over the integers modulo PRIME (Gaussian elimination in int64).
 
-    ``rows`` has at least one row. Entries are reduced in Python before
-    the cast, so any integer size is accepted. A step updates only the
+    ``rows`` has at least one row of integers, of any size. The first
+    len(rows) + RANK_WINDOW_EXTRA columns are eliminated first: full row
+    rank there is full row rank of the whole matrix. Otherwise all
+    columns are eliminated, and that rank is returned.
+    """
+    n_rows, n_cols = len(rows), len(rows[0])
+    width = min(n_cols, n_rows + RANK_WINDOW_EXTRA)
+    rank = _eliminate_mod_prime(_residues(rows, width))
+    if rank == n_rows or width == n_cols:
+        return rank
+    return _eliminate_mod_prime(_residues(rows, n_cols))
+
+
+def _residues(rows: list[list[int]], width: int):
+    """The first ``width`` columns of ``rows`` modulo PRIME, as an int64 array.
+
+    numpy reads the entries in one pass. Only when one lies outside int64
+    is each reduced as a Python int first.
+    """
+    import numpy as np
+
+    window = [r[:width] for r in rows]
+    size = len(rows) * width
+    try:
+        a = np.fromiter(chain.from_iterable(window), np.int64, size)
+    except OverflowError:
+        a = np.fromiter((int(v) % PRIME for v in chain.from_iterable(window)), np.int64, size)
+    return a.reshape(len(rows), width) % PRIME
+
+
+def _eliminate_mod_prime(a) -> int:
+    """Rank modulo PRIME of the int64 residue matrix ``a``, which it overwrites.
+
+    The pivot is the first nonzero entry at or below the current row, read
+    as one scalar when it is that row's own. A step updates only the
     columns right of its pivot: the pivot column is not read after it.
     """
     import numpy as np
 
     p = PRIME
-    a = np.array([[int(v) % p for v in r] for r in rows], dtype=np.int64)
     n_rows, n_cols = a.shape
     rank = 0
     for col in range(n_cols):
-        nonzero = np.flatnonzero(a[rank:, col])
-        if not nonzero.size:
-            continue
-        piv = rank + int(nonzero[0])
-        if piv != rank:
+        if not a[rank, col]:
+            nonzero = np.flatnonzero(a[rank:, col])
+            if not nonzero.size:
+                continue
+            piv = rank + int(nonzero[0])
             a[[rank, piv]] = a[[piv, rank]]
         pivot_row = a[rank, col + 1:] * pow(int(a[rank, col]), -1, p) % p
         below = a[rank + 1:, col + 1:]

@@ -255,6 +255,7 @@ def cmd_path(args) -> int:
     from . import oracle as oracle_mod
 
     lp, start = load_problem(args.problem, args.start)
+    _check_rows("--points", args.points, 1)  # the grid of mu values
     if not (math.isfinite(args.mu_max) and args.mu_max >= 0.0):
         raise ValidationError(f"--mu-max must be finite and nonnegative, got {args.mu_max}")
     anchor = oracle_mod.start_point(lp, start)
@@ -335,6 +336,8 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
     draw random feasible points and verify the energy identity, the flux
     and potential bounds, and the first-variation identity against random
     constraint-kernel directions, all drawn from one random.Random(seed).
+    A ``samples`` count whose sample arrays would pass numpy's size limit
+    is a usage error, raised after the enumeration and before the solve.
     """
     import random
 
@@ -352,6 +355,8 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
 
     params = default_params(lp)
     result = oracle_mod.enumerate_polyhedron(lp)
+    # sample_feasible's widest array: a row of vertex weights, ray coefficients or x per sample.
+    _check_rows("--samples", samples, max(lp.n, len(result.vertices), len(result.rays)))
     sol, trace = discrete_solver.solve(lp, config, params=params, oracle_result=result)
     opt = result.opt
     cert = discrete_solver.certify_trace(lp, trace, opt, eps, sol.h, result.optimal_vertices[0])
@@ -434,6 +439,18 @@ class _UsageError(Exception):
     pass
 
 
+def _check_rows(option: str, rows: int, row_len: int) -> None:
+    """Refuse ``rows`` for ``option`` when an array of rows x row_len floats passes numpy's size limit.
+
+    numpy refuses an array of more than sys.maxsize bytes (its intp is
+    C's ssize_t) with a ValueError, or an OverflowError past sys.maxsize
+    items, before it allocates anything.
+    """
+    if rows * row_len * 8 > sys.maxsize:
+        raise _UsageError(f"{option} {rows}: {rows} x {row_len} floats pass numpy's array size limit "
+                          f"of {sys.maxsize} bytes")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -454,19 +471,6 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text}")
         return value
     return integer
-
-
-def _length_at_least(low: int):
-    """An argparse type for array lengths: integers of at least ``low`` within numpy's size limit."""
-    integer = _int_at_least(low)
-    def length(text: str) -> int:
-        value = integer(text)
-        # sys.maxsize is np.iinfo(np.intp).max: numpy's intp is C's ssize_t.
-        if value > sys.maxsize:
-            raise argparse.ArgumentTypeError(
-                f"expected at most {sys.maxsize} (numpy's array size limit), got {text}")
-        return value
-    return length
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = engine("path", cmd_path, "follow the entropy-regularized path")
     p.add_argument("--mu-max", type=float, default=20.0)
-    p.add_argument("--points", type=_length_at_least(2), default=41)
+    p.add_argument("--points", type=_int_at_least(2), default=41)
 
     p = command("oracle", cmd_oracle, "enumerate vertices and rays exactly")
     p.add_argument("--cap", type=_int_at_least(1), default=ENUMERATION_CAP)
@@ -512,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify", cmd_verify, "solve and check every invariant")
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--h", type=float, default=None)
-    p.add_argument("--samples", type=_length_at_least(0), default=200)
+    p.add_argument("--samples", type=_int_at_least(0), default=200)
     p.add_argument("--seed", type=_int_at_least(0), default=20240801)
     p.add_argument("--max-iters", type=_int_at_least(0), default=1_000_000)
 

@@ -32,7 +32,7 @@ is registered in sys.modules under its own name: a later
 is. Importing scipy.linalg would cost about 0.2 s of CPU more per process
 (2-vCPU Xeon), mostly in SciPy's array-API shim, which probes every name
 in numpy and so imports numpy's lazy f2py and testing modules; a
-`physarum verify` process loads 253 modules instead of 555. The commands
+`physarum verify` process loads 233 modules instead of 556. The commands
 that never solve a Laplacian (`params`, `oracle`) load no SciPy at all.
 kernel_basis uses numpy's QR, which loads no SciPy.
 

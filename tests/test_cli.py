@@ -7,6 +7,7 @@ import json
 import os
 import re
 import shlex
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -722,6 +723,11 @@ def test_log_env_var_routes_to_stderr():
     ("flow --t-end 1 --sample-dt 1e-300", 3),
     ("path --points 1000000000000000000000000000000", 1),
     ("verify --samples 1000000000000000000000000000000", 1),
+    # Past it in bytes (8 per float), though not in rows.
+    ("path --points 2305843009213693952", 1),
+    ("path --points 4611686018427387904", 1),
+    ("verify --samples 2305843009213693952", 1),
+    ("verify --samples 4611686018427387904", 1),
     # Within that limit but past any memory: arrays over 2**57 bytes, which
     # the allocator refuses without touching memory.
     ("flow --t-end 1e17", 4),
@@ -735,9 +741,24 @@ def test_bad_arguments_exit_with_a_code_not_a_traceback(args, code):
     cmd, *options = args.split()
     proc = run_cli_child([cmd, SIMPLE2, *options], os.environ)
     assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("usage error:") or code != 1
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_sample_count_is_bounded_by_the_widest_sample_array(tmp_path, capsys):
+    # Six vertices in five coordinates: the vertex weights, not the points,
+    # are the widest array, and the count is refused before the solve.
+    problem = tmp_path / "six_vertices.json"
+    problem.write_text(json.dumps({"A": [[-1, -3, -3, -3, -3], [1, 0, 1, -2, 1]], "b": [-33, 2], "c": [3, 2, 3, 3, 2]}))
+    assert len(physarum.enumerate_polyhedron(validate(parse_problem(problem).lp)).vertices) == 6
+    samples = sys.maxsize // (8 * 5)
+    assert main(["verify", str(problem), "--samples", str(samples)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"usage error: --samples {samples}: {samples} x 6 floats pass numpy's array size limit "
+                            f"of {sys.maxsize} bytes\n")
 
 
 def test_a_stalled_solve_reports_its_one_step_and_one_warning(tmp_path):

@@ -22,10 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physarum import LinearProgram, enumerate_polyhedron, oracle, validate
+from physarum import LinearProgram, _exact, enumerate_polyhedron, oracle, validate
 from physarum._exact import (
     MODULAR_MIN_DIM,
     PRIME,
+    RANK_WINDOW_EXTRA,
     _colex_level,
     max_abs_subdeterminant,
     rank_int,
@@ -461,14 +462,26 @@ def modular_matrices(draw):
     """Matrices with at least MODULAR_MIN_DIM rows and columns, so rank_int tries
     the rank modulo PRIME first.
 
-    Entries are in [-3, 3], with a few replaced by values at and beyond the
-    int64 range or by multiples of PRIME. Then a row is left alone, zeroed,
-    duplicated, or made a combination of two others.
+    Up to four times as many columns as rows, so the window of the first
+    rows + RANK_WINDOW_EXTRA columns is often narrower than the matrix.
+    Entries are in [-3, 3]. Where the matrix is wide enough, the leading
+    columns may be zeroed or made copies of the first, too many for the
+    window to keep full rank while the columns after them can. Then a few
+    entries are replaced by values at and beyond the int64 range or by
+    multiples of PRIME, and a row is left alone, zeroed, duplicated, or
+    made a combination of two others.
     """
     n_rows = draw(st.integers(MODULAR_MIN_DIM, MODULAR_MIN_DIM + 3))
-    n_cols = draw(st.integers(MODULAR_MIN_DIM, MODULAR_MIN_DIM + 6))
+    n_cols = draw(st.integers(MODULAR_MIN_DIM, 4 * n_rows))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mat = rng.integers(-3, 4, size=(n_rows, n_cols)).tolist()
+    # Leaves the window at most rows - 1 independent columns.
+    short = RANK_WINDOW_EXTRA + 2
+    leading = draw(st.sampled_from(["free", "zero", "repeat"]))
+    if leading != "free" and n_cols - n_rows >= short:
+        k = draw(st.integers(short, n_cols - n_rows))
+        for row in mat:
+            row[:k] = [0 if leading == "zero" else row[0]] * k
     for _ in range(draw(st.integers(0, 6))):
         i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1))
         mat[i][j] = draw(st.sampled_from(EXTREMES))
@@ -488,6 +501,20 @@ def modular_matrices(draw):
 @given(modular_matrices())
 def test_rank_on_the_modular_route_matches_rational_elimination(mat):
     assert rank_int(mat) == ref_rank(mat)
+
+
+@pytest.mark.parametrize("zero_leading, widths", [(0, [20]), (9, [20, 48])])
+def test_rank_mod_prime_widens_a_short_window_to_every_column(monkeypatch, zero_leading, widths):
+    # With 9 zero leading columns the first 20 hold at most 11 independent ones.
+    m, n = MODULAR_MIN_DIM, 4 * MODULAR_MIN_DIM
+    mat = planted_instance(np.random.default_rng(7), m, n).A_int.tolist()
+    for row in mat:
+        row[:zero_leading] = [0] * zero_leading
+    seen = []
+    eliminate = _exact._eliminate_mod_prime
+    monkeypatch.setattr(_exact, "_eliminate_mod_prime", lambda a: seen.append(a.shape[1]) or eliminate(a))
+    assert rank_mod_prime(mat) == m == ref_rank(mat)
+    assert seen == widths
 
 
 def test_rank_falls_back_when_prime_divides_every_maximal_minor():

@@ -228,8 +228,10 @@ def cmd_flow(args) -> int:
     from . import oracle as oracle_mod
 
     lp, start = load_problem(args.problem, args.start)
-    # The grid is checked before start_point runs the exponential enumeration.
+    # The grid is checked before start_point runs the exponential enumeration;
+    # a trace row holds t, x and seven more fields.
     config = continuous_flow.FlowConfig(x0=start, t_end=args.t_end, sample_dt=args.sample_dt)
+    _check_rows(f"--t-end {args.t_end!r}", int(args.t_end / args.sample_dt) + 2, lp.n + 8)
     trace = continuous_flow.integrate(lp, replace(config, x0=oracle_mod.start_point(lp, start)))
     e = trace.entries
     if args.trace:
@@ -255,7 +257,7 @@ def cmd_path(args) -> int:
     from . import oracle as oracle_mod
 
     lp, start = load_problem(args.problem, args.start)
-    _check_rows("--points", args.points, 1)  # the grid of mu values
+    _check_rows(f"--points {args.points}", args.points, 1)  # the grid of mu values
     if not (math.isfinite(args.mu_max) and args.mu_max >= 0.0):
         raise ValidationError(f"--mu-max must be finite and nonnegative, got {args.mu_max}")
     anchor = oracle_mod.start_point(lp, start)
@@ -356,7 +358,7 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
     params = default_params(lp)
     result = oracle_mod.enumerate_polyhedron(lp)
     # sample_feasible's widest array: a row of vertex weights, ray coefficients or x per sample.
-    _check_rows("--samples", samples, max(lp.n, len(result.vertices), len(result.rays)))
+    _check_rows(f"--samples {samples}", samples, max(lp.n, len(result.vertices), len(result.rays)))
     sol, trace = discrete_solver.solve(lp, config, params=params, oracle_result=result)
     opt = result.opt
     cert = discrete_solver.certify_trace(lp, trace, opt, eps, sol.h, result.optimal_vertices[0])
@@ -440,14 +442,14 @@ class _UsageError(Exception):
 
 
 def _check_rows(option: str, rows: int, row_len: int) -> None:
-    """Refuse ``rows`` for ``option`` when an array of rows x row_len floats passes numpy's size limit.
+    """Refuse ``option`` (its flag and value) when an array of rows x row_len floats passes numpy's size limit.
 
     numpy refuses an array of more than sys.maxsize bytes (its intp is
     C's ssize_t) with a ValueError, or an OverflowError past sys.maxsize
     items, before it allocates anything.
     """
     if rows * row_len * 8 > sys.maxsize:
-        raise _UsageError(f"{option} {rows}: {rows} x {row_len} floats pass numpy's array size limit "
+        raise _UsageError(f"{option}: {rows} x {row_len} floats pass numpy's array size limit "
                           f"of {sys.maxsize} bytes")
 
 

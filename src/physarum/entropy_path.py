@@ -15,16 +15,17 @@ mu is read as time. From any positive start, feasible or not, the flow is
 such a path for the moving right-hand side b + e^{-mu}(A s - b), which
 ``flow_points`` solves for. The Newton loop solves against that Laplacian
 once per step, at the iterate it steps from; line-search trial points need
-only the value and the gradient. A sweep (``follow_path`` or
-``flow_points``) takes its anchor's log and binds its Laplacian solver
-once, and runs the loop at each point from there; ``follow_path`` and
-``solve_point``, the one-point solve, check the anchor first.
+only the value and the gradient. One sweep serves ``follow_path``, its
+one-point grid ``solve_point`` and ``flow_points``: it takes the anchor's
+log and binds one Laplacian solver, and runs the loop at each point from
+there; ``follow_path`` checks the anchor first.
 
 Differentiating A x(mu) = b along the path gives (A W A^T) y'(mu) = b:
 the dual point moves with the Physarum potentials, y'(mu) = p(x(mu)).
-``follow_path`` uses this as a predictor. After one solved point it
-starts Newton from the tangent y + dmu p(x); afterwards from the
-Lagrange extrapolation through the last three solved points. Newton with
+The sweep uses this as a predictor. After one solved point it starts
+Newton from the tangent y + dmu p(x), solved with the sweep's own
+Laplacian solver; afterwards from the Lagrange extrapolation through
+the last three solved points. Newton with
 its line search stays the corrector, so each point meets the same
 tolerance as a cold solve.
 """
@@ -45,7 +46,7 @@ from .errors import (
 )
 # spd_factor is not called here, but bench/spans.py records spans by
 # rebinding entropy_path.spd_factor, so the name stays bound.
-from .linalg import laplacian_solve, laplacian_solver, spd_factor  # noqa: F401
+from .linalg import laplacian_solver, spd_factor  # noqa: F401
 from .model import ValidatedLP, check_point
 
 EXP_CAP = 700.0
@@ -103,13 +104,10 @@ def solve_point(lp: ValidatedLP, s, mu: float) -> PathPoint:
     weighted Laplacian system as everywhere else; a quarter-slope
     backtracking line search guards global convergence. Sixty rejected
     halvings in one line search, or two hundred outer iterations, raise
-    NewtonStalledError. ``follow_path`` runs the same Newton loop at each
-    point of a grid, with the anchor checked once for the whole grid.
+    NewtonStalledError. This is ``follow_path`` on the one-point grid
+    [mu], so a bad anchor or mu raises as it does there.
     """
-    if not 0.0 <= mu < math.inf:
-        raise ValidationError(f"mu must be nonnegative and finite, got {mu}")
-    s = check_point(lp, s, "anchor", feasible=True)
-    return _newton(lp, np.log(s), mu, None, None, laplacian_solver(lp))
+    return follow_path(lp, s, [mu])[0]
 
 
 def _newton(lp: ValidatedLP, log_s, mu: float, y0, shift, laplacian) -> PathPoint:
@@ -121,9 +119,10 @@ def _newton(lp: ValidatedLP, log_s, mu: float, y0, shift, laplacian) -> PathPoin
     stays within 1000 (|b| + 1). A shift of
     None is the unshifted problem A x = b: the dual evaluations are used
     as they come, with no y . 0 or + 0 arithmetic, which is what
-    ``solve_point``, ``follow_path`` and a feasible start of
-    ``flow_points`` solve. laplacian is a bound ``laplacian_solver(lp)``;
-    a sweep shares one across its points.
+    ``follow_path`` and a feasible start of ``flow_points`` solve (a zero
+    shift added every time would cost each evaluation two numpy calls).
+    laplacian is a bound ``laplacian_solver(lp)``; a sweep shares one
+    across its points.
 
     At m <= 3 numpy's call overhead sets the cost of each iteration, so
     here and in the dual evaluation the maxima are np.maximum.reduce calls
@@ -211,15 +210,10 @@ def follow_path(lp: ValidatedLP, s, mus) -> list[PathPoint]:
     it. A prediction from which Newton fails with a NumericalError is
     retried from the previous y.
 
-    The sweep is prepared once: the anchor is checked, its log taken and
-    one Laplacian solver bound before the first point, so every point runs
-    ``solve_point``'s Newton loop on the same inputs. The anchor is checked
-    before the grid, so a bad anchor raises even with an empty grid.
+    The anchor is checked once, before the grid, so a bad anchor raises
+    even with an empty grid.
     """
-    s = check_point(lp, s, "anchor", feasible=True)
-    log_s = np.log(s)
-    laplacian = laplacian_solver(lp)
-    return list(_sweep(lp, mus, lambda mu, y0: _newton(lp, log_s, mu, y0, None, laplacian)))
+    return list(_sweep(lp, check_point(lp, s, "anchor", feasible=True), mus))
 
 
 def flow_points(lp: ValidatedLP, x0, ts) -> Iterator[PathPoint]:
@@ -234,20 +228,26 @@ def flow_points(lp: ValidatedLP, x0, ts) -> Iterator[PathPoint]:
     is solved, and the grid checked, only when the iterator reaches it.
     """
     offset = lp.A.dot(x0) - lp.b
-    log_x0 = np.log(x0)
-    laplacian = laplacian_solver(lp)
-    if not offset.any():
-        return _sweep(lp, ts, lambda t, y0: _newton(lp, log_x0, t, y0, None, laplacian))
-    return _sweep(lp, ts, lambda t, y0: _newton(lp, log_x0, t, y0, math.exp(-t) * offset, laplacian))
+    return _sweep(lp, x0, ts, offset if offset.any() else None)
 
 
-def _sweep(lp: ValidatedLP, mus, solve) -> Iterator[PathPoint]:
-    """Yield solve(mu, y0) along the grid, one point at a time, from follow_path's predicted starts."""
+def _sweep(lp: ValidatedLP, x0, mus, offset=None) -> Iterator[PathPoint]:
+    """Yield the points from the checked anchor x0 along the grid, from follow_path's predicted starts.
+
+    Each point solves A x = b + e^{-mu} offset (A x = b when offset is None).
+    """
     mus = [float(m) for m in mus]
     if not mus:
         return
     if not (mus[0] >= 0.0 and mus[-1] < math.inf and all(a <= b for a, b in zip(mus, mus[1:]))):
         raise ValidationError("the mu grid must be finite, nonnegative and nondecreasing")
+    log_x0 = np.log(x0)
+    laplacian = laplacian_solver(lp)
+
+    def solve(mu, y0):
+        shift = None if offset is None else math.exp(-mu) * offset
+        return _newton(lp, log_x0, mu, y0, shift, laplacian)
+
     nodes = [solve(mus[0], None)]  # the solved points of distinct mu, in order
     yield nodes[0]
     for mu in mus[1:]:
@@ -256,7 +256,7 @@ def _sweep(lp: ValidatedLP, mus, solve) -> Iterator[PathPoint]:
             y0 = last.y
         elif len(nodes) == 1:
             # y'(mu) = p(x(mu)), the Physarum potentials at the path point.
-            y0 = last.y + (mu - last.mu) * laplacian_solve(lp, last.x / lp.c, lp.b)
+            y0 = last.y + (mu - last.mu) * laplacian(last.x / lp.c, lp.b)
         else:
             y0 = 0.0
             for j in nodes[-3:]:

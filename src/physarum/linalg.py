@@ -13,27 +13,25 @@ spd_factor(M) returns the lower Cholesky factor of M, by the same dposv
 with no right-hand side and the same pivot rule. Nothing in the package
 calls it; it stays only as the benchmark's timing hook for the factor.
 
-SciPy is not imported with this module, and neither the scipy package's
-__init__ nor scipy.linalg runs at all. The two LAPACK routines the
-package calls, dposv (Cholesky factor and solve) and dgesv (LU solve),
-start out as stubs; the first call of either finds SciPy's directory
-(importlib.util.find_spec("scipy"), which runs no SciPy code), loads its
-LAPACK extension scipy.linalg._flapack from the file in scipy/linalg,
-from which scipy.linalg.lapack takes the same routines, and rebinds the
-module globals dposv and dgesv to that module's routine objects. So
-every later call, a bound solver's included, reaches LAPACK through one
-global lookup, as an eager import would. The extension needs only
-numpy's C API and the OpenBLAS bundled with the wheel, which the
-dynamic linker finds through the extension's own RPATH; a load that
-raises ImportError all the same (a build whose library path scipy's
-__init__ sets up) is retried once after `import scipy`. The extension
-is registered in sys.modules under its own name: a later
-`import scipy.linalg` reuses it, and one loaded earlier is used as it
-is. Importing scipy.linalg would cost about 0.2 s of CPU more per process
-(2-vCPU Xeon), mostly in SciPy's array-API shim, which probes every name
-in numpy and so imports numpy's lazy f2py and testing modules; a
-`physarum verify` process loads 233 modules instead of 556. The commands
-that never solve a Laplacian (`params`, `oracle`) load no SciPy at all.
+The module binds the two LAPACK routines the package calls, dposv
+(Cholesky factor and solve) and dgesv (LU solve), when it is imported.
+It loads SciPy's LAPACK extension scipy.linalg._flapack, from which
+scipy.linalg.lapack takes the same routine objects, straight from its
+file in the directory importlib.util.find_spec("scipy") names (which
+runs no SciPy code), so neither the scipy package's __init__ nor
+scipy.linalg runs. The extension needs only numpy's C API and the
+OpenBLAS bundled with the wheel, which the dynamic linker finds through
+the extension's own RPATH; a load that raises ImportError all the same
+(a build whose library path scipy's __init__ sets up) is retried once
+after `import scipy`. The extension is registered in sys.modules under
+its own name: a later `import scipy.linalg` reuses it, and one loaded
+earlier is used as it is. Importing scipy.linalg would cost about 0.2 s
+of CPU more per process (2-vCPU Xeon), mostly in SciPy's array-API shim,
+which probes every name in numpy and so imports numpy's lazy f2py and
+testing modules; a `physarum verify` process loads 233 modules instead
+of 556. Every command that imports this module solves a Laplacian; the
+commands that never solve one (`params`, `oracle`) never import it and
+load no SciPy at all.
 kernel_basis uses numpy's QR, which loads no SciPy.
 
 At m <= 3 call overhead, not arithmetic, sets the cost of a solve. The
@@ -64,18 +62,6 @@ from .model import ValidatedLP
 PIVOT_RTOL = 1e-12
 
 
-def _bind_scipy() -> None:
-    """Replace the dposv and dgesv stubs below with the routines of SciPy's LAPACK extension, once."""
-    global dposv, dgesv
-    try:
-        flapack = _flapack()
-    except ImportError:
-        import scipy  # noqa: F401  (its __init__ may set up what the extension links against)
-
-        flapack = _flapack()
-    dposv, dgesv = flapack.dposv, flapack.dgesv
-
-
 def _flapack():
     """scipy.linalg._flapack, loaded from its file without running the __init__ of scipy or scipy.linalg."""
     name = "scipy.linalg._flapack"
@@ -93,19 +79,13 @@ def _flapack():
     return flapack
 
 
-def dposv(*args):
-    """A stub: its first call binds SciPy's dposv to this name, then makes the call."""
-    _bind_scipy()
-    return dposv(*args)
+try:
+    _lapack = _flapack()
+except ImportError:
+    import scipy  # noqa: F401  (its __init__ may set up what the extension links against)
 
-
-def dgesv(*args):
-    """A stub: its first call binds SciPy's dgesv to this name, then makes the call."""
-    _bind_scipy()
-    return dgesv(*args)
-
-
-_FLOAT = np.dtype(float)
+    _lapack = _flapack()
+dposv, dgesv = _lapack.dposv, _lapack.dgesv
 
 
 def _check_pivots(m_diag: np.ndarray, low: np.ndarray, info: int) -> None:
@@ -135,9 +115,9 @@ def spd_factor(mat: np.ndarray) -> np.ndarray:
 
     L's strict upper triangle is zero, so L @ L.T rebuilds M. Raises
     NotPositiveDefiniteError when a pivot L_jj^2 falls at or below
-    ``PIVOT_RTOL * trace / m``. A square float64 ndarray is used as is.
+    ``PIVOT_RTOL * trace / m``.
     """
-    M = mat if type(mat) is np.ndarray and mat.dtype is _FLOAT else np.asarray(mat, dtype=float)
+    M = np.asarray(mat, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {M.shape}")
     # With no right-hand side dposv only factors; it leaves M's strict upper

@@ -45,8 +45,7 @@ EXACT_SUBDET_CAP = 14
 # The default column cap of the exact vertex enumeration (oracle --cap).
 ENUMERATION_CAP = 16
 
-# Integer data must lie in the int64 range, the dtype of the integer
-# array views.
+# Integer data must lie in the int64 range, numpy's default integer dtype.
 INT64_MIN, INT64_END = -(2**63), 2**63
 
 
@@ -162,9 +161,9 @@ class ValidatedLP:
 
     ``A_exact`` (rows), ``b_exact`` and ``c_exact`` hold the data as
     tuples of Python ints, which no sum or product overflows; the exact
-    layer reads only these. The int64 arrays ``A_int``, ``b_int``,
-    ``c_int`` and the float views ``A``, ``At``, ``b``, ``c`` for the
-    numerics are built on first access.
+    layer reads only these. The float arrays ``A``, ``At``, ``b``, ``c``
+    for the numerics are built from them on first access; each int rounds
+    to the nearest float, as an int64 array's conversion would round it.
     """
 
     A_exact: tuple[tuple[int, ...], ...]
@@ -181,20 +180,8 @@ class ValidatedLP:
         return len(self.A_exact[0])
 
     @cached_property
-    def A_int(self) -> np.ndarray:
-        return _int64_array(self.A_exact)
-
-    @cached_property
-    def b_int(self) -> np.ndarray:
-        return _int64_array(self.b_exact)
-
-    @cached_property
-    def c_int(self) -> np.ndarray:
-        return _int64_array(self.c_exact)
-
-    @cached_property
     def A(self) -> np.ndarray:
-        return self.A_int.astype(float)
+        return _float_array(self.A_exact)
 
     @cached_property
     def At(self) -> np.ndarray:
@@ -202,17 +189,17 @@ class ValidatedLP:
 
     @cached_property
     def b(self) -> np.ndarray:
-        return self.b_int.astype(float)
+        return _float_array(self.b_exact)
 
     @cached_property
     def c(self) -> np.ndarray:
-        return self.c_int.astype(float)
+        return _float_array(self.c_exact)
 
 
-def _int64_array(data) -> np.ndarray:
+def _float_array(data) -> np.ndarray:
     import numpy as np
 
-    return np.array(data, dtype=np.int64)
+    return np.array(data, dtype=float)
 
 
 @record
@@ -308,9 +295,10 @@ def check_point(lp: ValidatedLP, x, what: str, feasible: bool = False) -> np.nda
         raise DimensionMismatchError(f"{what} must contain numbers") from exc
     if x.shape != (lp.n,):
         raise DimensionMismatchError(f"{what} has shape {x.shape}, expected ({lp.n},)")
-    # Every path point re-checks its anchor, so positivity and finiteness
-    # take one reduction each way: np.minimum and np.maximum propagate a
-    # NaN, which then fails both comparisons (fmin and fmax would skip it).
+    # `verify` checks every sample state twice (evaluate, check_bounds),
+    # so positivity and finiteness take one reduction each way:
+    # np.minimum and np.maximum propagate a NaN, which then fails both
+    # comparisons (fmin and fmax would skip it).
     # ndarray.dot and the ufunc reductions give the bits of @ and
     # ndarray.max() with less call overhead.
     if not (np.minimum.reduce(x) > 0.0 and np.maximum.reduce(x) < math.inf):

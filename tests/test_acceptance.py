@@ -231,19 +231,18 @@ def test_criterion_10_structural_bounds_exact(capsys):
         if res.status != "optimal":
             continue
         feasible += 1
-        d = Fraction(int(max_subdeterminant(lp.A_int, "exact")))
-        b_l1 = Fraction(int(np.abs(lp.b_int).sum()))
+        d = Fraction(int(max_subdeterminant(lp.A_exact, "exact")))
+        b_l1 = sum(map(abs, lp.b_exact))
         costs = set()
         for vx in res.vertices_exact:
             for e in vx:
                 if e > 0 and not (1 / d <= e <= d * b_l1):
                     vertex_violations += 1
-            costs.add(sum(Fraction(int(ci)) * e for ci, e in zip(lp.c_int, vx)))
+            costs.add(sum(ci * e for ci, e in zip(lp.c_exact, vx)))
         for lo, hi in zip(*(lambda cs: (cs, cs[1:]))(sorted(costs))):
             if hi - lo < 1 / (d * d):
                 gap_violations += 1
-        aug = np.vstack([lp.A_int, np.ones(lp.n, dtype=int)])
-        d_aug = Fraction(int(max_abs_subdeterminant(aug.tolist())))
+        d_aug = Fraction(int(max_abs_subdeterminant([*lp.A_exact, (1,) * lp.n])))
         naive_before = naive_entries
         for rx in res.rays_exact or []:
             for e in rx:

@@ -205,9 +205,9 @@ def test_oracle_solves_one_block_per_feasible_basis(monkeypatch):
     monkeypatch.setattr(_exact, "solve_unique", counting)
     lp = planted_instance(np.random.default_rng(4), 4, 10)
     enumerate_polyhedron(lp)
-    A = lp.A_int.tolist()
+    A = [list(row) for row in lp.A_exact]
     # m-column bases for the vertices, (m+1)-column bases for the rays.
-    want = len(ref_feasible_bases(A, lp.b_int.tolist())) + len(ref_feasible_bases(A + [[1] * lp.n], [0] * lp.m + [1]))
+    want = len(ref_feasible_bases(A, list(lp.b_exact))) + len(ref_feasible_bases(A + [[1] * lp.n], [0] * lp.m + [1]))
     assert 0 < calls == want
 
 

@@ -79,7 +79,7 @@ def test_params_command(capsys):
 
 def test_params_at_scale(capsys, tmp_path):
     lp = planted_instance(np.random.default_rng(64), 64, 256)
-    doc = {"A": lp.A_int.tolist(), "b": lp.b_int.tolist(), "c": lp.c_int.tolist()}
+    doc = {"A": [list(row) for row in lp.A_exact], "b": lp.b_exact, "c": lp.c_exact}
     path = tmp_path / "planted.json"
     path.write_text(json.dumps(doc))
     # Exact subdeterminants stop at n = 14, so the bound is the only mode here.
@@ -127,7 +127,7 @@ def test_params_default_mode_bounds_wide_instances(capsys, tmp_path):
     # Exact subdeterminants stop at n = 14; without --mode, n = 16 gets the bound.
     lp = planted_instance(np.random.default_rng(16), 4, 16)
     path = tmp_path / "planted.json"
-    path.write_text(json.dumps({"A": lp.A_int.tolist(), "b": lp.b_int.tolist(), "c": lp.c_int.tolist()}))
+    path.write_text(json.dumps({"A": lp.A_exact, "b": lp.b_exact, "c": lp.c_exact}))
     rc, data = run_json(capsys, ["params", str(path)])
     assert rc == 0
     assert data["n"] == 16 and data["subdet_exact"] is False
@@ -728,9 +728,13 @@ def test_log_env_var_routes_to_stderr():
     ("path --points 4611686018427387904", 1),
     ("verify --samples 2305843009213693952", 1),
     ("verify --samples 4611686018427387904", 1),
+    # Trace rows of t, x and seven fields: 4e17 of them at n = 2 pass the
+    # limit, though the grid alone would not.
+    ("flow --t-end 1e17", 1),
+    ("flow --t-end 1e18", 1),
     # Within that limit but past any memory: arrays over 2**57 bytes, which
     # the allocator refuses without touching memory.
-    ("flow --t-end 1e17", 4),
+    ("flow --t-end 1e16", 4),
     ("path --points 100000000000000000", 4),
     ("verify --samples 100000000000000000", 4),
     # A step that cannot move x stops the run after one step, whatever the
@@ -785,7 +789,7 @@ def test_bad_numbers_are_rejected_before_the_enumeration(tmp_path, args):
     # oracle raise TooLargeError (exit 4); the bad number is reported first.
     lp = planted_instance(np.random.default_rng(1), 5, 18)
     path = tmp_path / "planted5x18.json"
-    path.write_text(json.dumps({"A": lp.A_int.tolist(), "b": lp.b_int.tolist(), "c": lp.c_int.tolist()}))
+    path.write_text(json.dumps({"A": lp.A_exact, "b": lp.b_exact, "c": lp.c_exact}))
     cmd, *options = args.split()
     proc = run_cli_child([cmd, str(path), *options], os.environ)
     assert proc.returncode == 3, proc.stderr

@@ -235,15 +235,12 @@ def test_a_step_that_cannot_move_x_still_stops_in_order(simple2, identity2, capl
 def test_a_step_that_cannot_move_x_is_solved_once(simple2, monkeypatch):
     from physarum import linalg
 
-    linalg._bind_scipy()
     calls = []
 
     def counting_dposv(*args):
         calls.append(1)
         return dposv(*args)
 
-    # SciPy is bound first: the stub rebinds linalg.dposv on its first call,
-    # which would drop the patch.
     dposv = linalg.dposv
     monkeypatch.setattr(linalg, "dposv", counting_dposv)
 
@@ -403,6 +400,64 @@ def test_certify_matches_step_by_step_reference(simple2, triangle):
         assert got == counts
         # log and dot products may round differently per element; phi is O(1)
         assert rep.worst_margin == pytest.approx(worst, rel=0.0, abs=1e-12)
+
+
+def test_certify_weighs_the_potential_by_c_times_x_star(solve_runs):
+    # An optimal vertex with entries other than 0 and 1 tells c * x_star from
+    # c / x_star in the potential's weights; 21 of the corpus runs have one.
+    runs = [run for run in solve_runs["runs"] if set(run["res"].optimal_vertices[0].tolist()) - {0.0, 1.0}]
+    assert len(runs) == 21
+    for run in runs:
+        lp, trace, res = run["lp"], run["trace"], run["res"]
+        case = (lp, trace, res.opt, CORPUS_EPS, run["h"], res.optimal_vertices[0])
+        rep = certify_trace(*case)
+        *counts, worst = certify_by_loop(*case)
+        got = [rep.steps_checked, rep.violations, rep.first_violation, rep.big_gap_steps, rep.small_gap_steps]
+        assert got == counts, run["name"]
+        assert rep.worst_margin == pytest.approx(worst, rel=0.0, abs=1e-12), run["name"]
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param(([[1, 0, 1], [-1, 1, 0]], [1, 0], [1, 1, 3]), id="triangle, opt 2"),
+    pytest.param(([[2, 3]], [1], [1, 1]), id="opt 1/3"),
+])
+def test_certify_checks_only_the_steps_above_the_gap(rows):
+    # The loop without its gap test runs on past the first row within
+    # (1 + eps) opt, so rows below the gap, which certify_trace must not
+    # check, follow the live ones; at an opt other than 1, (1 + eps) * opt
+    # differs from (1 + eps) / opt. Both runs label some live steps by the
+    # energy, not by the gap E / V.
+    lp = validate(LinearProgram.from_lists(*rows))
+    res = enumerate_polyhedron(lp)
+    params = compute_params(lp)
+    h, _ = certified_step_search(lp, CORPUS_EPS, params=params, oracle_result=res)
+    sol, _ = solve(lp, DiscreteConfig(eps=CORPUS_EPS, h=h), params=params, oracle_result=res)
+    config = DiscreteConfig(eps=CORPUS_EPS, h=h, max_iters=2 * sol.iterations + 50)
+    _, trace = solve_by_loop(lp, config, params=params, oracle_result=res, gap=False)
+    below = trace.entries.cost[:-1] <= (1.0 + CORPUS_EPS) * res.opt
+    assert sol.stop_reason == "Certified" and below.sum() > sol.iterations // 2
+    case = (lp, trace, res.opt, CORPUS_EPS, h, res.optimal_vertices[0])
+    rep = certify_trace(*case)
+    checked, violations, _, big, small, _ = certify_by_loop(*case)
+    assert rep.steps_checked == checked == int((~below).sum()) == sol.iterations
+    assert (rep.big_gap_steps, rep.small_gap_steps) == (big, small)
+    assert big > 0 and small > 0 and rep.violations == violations == 0
+
+
+def test_certify_allows_a_drop_short_of_the_threshold_by_at_most_1e_10(simple2):
+    # Rows at one x, so only 4 ln V moves phi: the drops sit at the threshold
+    # -(h eps)^2 / 6 minus 5e-11, plus 5e-11 and plus 1.5e-10. Only the last
+    # is short of it by more than the 1e-10 allowance.
+    h, eps = 0.1, 0.1
+    threshold = -(h * h * eps * eps) / 6.0
+    costs = [6.0]
+    for drop in (threshold - 5e-11, threshold + 5e-11, threshold + 1.5e-10):
+        costs.append(costs[-1] * math.exp(drop / 4.0))
+    entries = np.rec.array([(k, [2.0, 2.0], v, v, 1.0) for k, v in enumerate(costs)], dtype=trace_dtype(2))
+    assert np.allclose(np.diff(4.0 * np.log(entries.cost)) - threshold, [-5e-11, 5e-11, 1.5e-10], rtol=0.0, atol=1e-14)
+    trace = Trace(entries=entries, h=h, eps=eps, trace_every=1)
+    rep = certify_trace(simple2, trace, 1.0, eps, h, np.array([1.0, 0.0]))
+    assert (rep.steps_checked, rep.violations, rep.first_violation) == (3, 1, 2)
 
 
 def test_certify_searched_step(simple2):
@@ -692,7 +747,7 @@ def solve_by_loop(lp, config, params=None, oracle_result=None, gap=True):
             raise BadStepError("step above the positivity-safe cap")
 
     v0 = float(lp.c @ x)
-    opt_floor = float(lp.c_int.min()) / params.subdet_max
+    opt_floor = float(min(lp.c_exact)) / params.subdet_max
     cost_ratio = max(v0 / opt_floor, 1.0)
     spread = max(float(x.max()), 1.0 / float(x.min()), 1.0)
     certified_cap = iteration_bound(cost_ratio, spread, config.eps, h)
@@ -740,7 +795,7 @@ def solve_by_loop(lp, config, params=None, oracle_result=None, gap=True):
                     if 0.0 < y_r < math.inf and math.isfinite(y_dot) and math.isfinite(y_dot / y_r):
                         if y_dot / y_r > basis_lb:
                             basis_y, basis_lb, basis_exact, basis_formed = y, y_dot / y_r, None, False
-            exact_cost = lambda: sum(Fraction(int(ci)) * Fraction(v) for ci, v in zip(lp.c_int, x.tolist()))
+            exact_cost = lambda: sum(ci * Fraction(v) for ci, v in zip(lp.c_exact, x.tolist()))
             if float(c @ x) <= (1.0 + config.eps) * basis_lb:
                 if not basis_formed:
                     basis_exact, basis_formed = dual_lower_bound(lp, basis_y), True
@@ -1032,7 +1087,7 @@ def assert_run_is_the_loop_cut_short(lp, config, params, res, sol, trace):
     rep = certify_trace(lp, trace, res.opt, config.eps, sol.h, res.optimal_vertices[0])
     assert rep.violations == 0 and rep.max_cost_rise == 0.0
     if sol.stop_reason == "Certified":
-        exact_cost = sum(Fraction(int(ci)) * Fraction(v) for ci, v in zip(lp.c_int, sol.x.tolist()))
+        exact_cost = sum(ci * Fraction(v) for ci, v in zip(lp.c_exact, sol.x.tolist()))
         assert sol.lower_bound <= res.opt_exact
         assert exact_cost <= (1 + Fraction(config.eps)) * sol.lower_bound
     else:

@@ -362,14 +362,14 @@ def test_max_subdeterminant_on_fuzz_and_acceptance_corpora():
     instances += [lp for lp, _ in random_instances(seed=20240801, count=25, require_interior=True, skip_zero_b=True)]
     instances += [load_instance(name)[0] for name in ("simple2", "identity2", "triangle")]
     for lp in instances:
-        A = lp.A_int.tolist()
+        A = [list(row) for row in lp.A_exact]
         for mat in (A, with_ones(A)):
             assert max_abs_subdeterminant(mat) == ref_max_abs_subdeterminant(mat), mat
 
 
 @pytest.mark.parametrize("m, n", [(4, 10), (5, 12), (6, 14)])
 def test_max_subdeterminant_on_planted(m, n):
-    A = planted_instance(np.random.default_rng(m), m, n).A_int.tolist()
+    A = [list(row) for row in planted_instance(np.random.default_rng(m), m, n).A_exact]
     for mat in (A, with_ones(A)):
         assert max_abs_subdeterminant(mat) == ref_max_abs_subdeterminant(mat)
 
@@ -422,7 +422,7 @@ def test_list_kernels_match_the_object_array_kernels_on_fuzz_and_planted():
     instances = [lp for lp, _ in random_instances(seed=20240801, count=200, require_feasible=False)]
     instances += [planted_instance(np.random.default_rng(m), m, n) for m, n in [(4, 10), (5, 12), (6, 14)]]
     for lp in instances:
-        A, b = lp.A_int.tolist(), lp.b_int.tolist()
+        A, b = [list(row) for row in lp.A_exact], list(lp.b_exact)
         for mat, rhs in ((A, b), (with_ones(A), [0] * lp.m + [1])):
             assert max_abs_subdeterminant(mat) == np_max_abs_subdeterminant(mat), mat
             assert feasible_bases(mat, rhs) == np_feasible_bases(mat, rhs), (mat, rhs)
@@ -507,7 +507,7 @@ def test_rank_on_the_modular_route_matches_rational_elimination(mat):
 def test_rank_mod_prime_widens_a_short_window_to_every_column(monkeypatch, zero_leading, widths):
     # With 9 zero leading columns the first 20 hold at most 11 independent ones.
     m, n = MODULAR_MIN_DIM, 4 * MODULAR_MIN_DIM
-    mat = planted_instance(np.random.default_rng(7), m, n).A_int.tolist()
+    mat = [list(row) for row in planted_instance(np.random.default_rng(7), m, n).A_exact]
     for row in mat:
         row[:zero_leading] = [0] * zero_leading
     seen = []
@@ -520,7 +520,7 @@ def test_rank_mod_prime_widens_a_short_window_to_every_column(monkeypatch, zero_
 def test_rank_falls_back_when_prime_divides_every_maximal_minor():
     # A row of multiples of PRIME vanishes mod PRIME, so only Bareiss can return m.
     m, n = MODULAR_MIN_DIM, 4 * MODULAR_MIN_DIM
-    mat = planted_instance(np.random.default_rng(7), m, n).A_int.tolist()
+    mat = [list(row) for row in planted_instance(np.random.default_rng(7), m, n).A_exact]
     mat[0] = [PRIME * v for v in mat[0]]
     assert rank_mod_prime(mat) == m - 1
     assert rank_int(mat) == m == ref_rank(mat)

@@ -128,7 +128,6 @@ def test_factor_rejects_nan_pivots(mat, monkeypatch):
     M, rhs = np.array(mat), np.ones(len(mat))
     with pytest.raises(NotPositiveDefiniteError, match="nan"):
         _factor_then_solve(M, rhs)
-    linalg._bind_scipy()
     dposv = linalg.dposv
     monkeypatch.setattr(linalg, "dposv", lambda L, b, lower: dposv(M, b, lower))
     with pytest.raises(NotPositiveDefiniteError, match="nan"):
@@ -164,7 +163,6 @@ def test_both_entry_points_give_the_reference_verdict_and_message(monkeypatch):
     # refuses (info > 0).
     from scipy.linalg import lapack
 
-    linalg._bind_scipy()
     floor = PIVOT_RTOL * 2 / 3
     cases = [
         (np.diag([1.0, 1.0, floor * (1 + 1e-9)]), None),
@@ -360,6 +358,15 @@ def test_basis_dual_at_an_optimal_vertex_bounds_by_the_optimum(simple2, triangle
         assert y.tolist() == y_opt and bound == opt
 
 
+def test_basis_dual_scales_its_bound_by_the_largest_ratio():
+    # min x1 + x2 on x1 + 2 x2 = 3. Keyed to column 0, B = {0} gives y = 1,
+    # which column 1 violates by a factor r = 2: the bound is b . y / r = 3 / 2,
+    # here opt, not b . y or b . y * r.
+    lp = validate(LinearProgram.from_lists([[1, 2]], [3], [1, 1]))
+    y, bound = linalg.basis_dual(lp, np.array([1.0, 0.0]))
+    assert y.tolist() == [1.0] and bound == 1.5
+
+
 def _overflowing_basis(m=17, K=2**62):
     """An LP whose first m columns form a basis with a dual near K**(m - 1), and one column more.
 
@@ -404,8 +411,7 @@ def test_basis_dual_loads_no_scipy(triangle):
         "import sys\n"
         "import numpy as np\n"
         "from physarum import LinearProgram, linalg, validate\n"
-        f"lp = validate(LinearProgram.from_lists({triangle.A_int.tolist()}, {triangle.b_int.tolist()}, "
-        f"{triangle.c_int.tolist()}))\n"
+        f"lp = validate(LinearProgram.from_lists({triangle.A_exact}, {triangle.b_exact}, {triangle.c_exact}))\n"
         "y, bound = linalg.basis_dual(lp, np.array([1.0, 1.0, 0.5]))\n"
         "print(bound, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
@@ -434,21 +440,23 @@ def test_a_failed_direct_load_falls_back_to_import_scipy():
     # linalg loads SciPy's LAPACK extension without running scipy/__init__.
     # When that load fails (here: the first lookup of SciPy's directory
     # finds nothing), it imports scipy and retries once, and binds the same
-    # routines scipy.linalg.lapack serves.
+    # routines scipy.linalg.lapack serves. The lookup is patched before the
+    # import, as the load runs when linalg is imported.
     script = (
-        "import sys\n"
+        "import importlib.util, sys\n"
         "import numpy as np\n"
-        "from physarum import linalg\n"
-        "real, misses = linalg.find_spec, []\n"
-        "def find_spec(name):\n"
+        "real, misses = importlib.util.find_spec, []\n"
+        "def find_spec(name, *args):\n"
         "    if not misses:\n"
         "        misses.append(name)\n"
         "        return None\n"
-        "    return real(name)\n"
-        "linalg.find_spec = find_spec\n"
+        "    return real(name, *args)\n"
+        "importlib.util.find_spec = find_spec\n"
+        "from physarum import linalg\n"
+        "importlib.util.find_spec = real\n"
+        "loaded = 'scipy' in sys.modules\n"
         "M = np.array([[4.0, 2.0], [2.0, 3.0]])\n"
         "got = linalg.spd_factor(M)\n"
-        "loaded = 'scipy' in sys.modules\n"
         "import scipy.linalg\n"
         "from scipy.linalg import lapack\n"
         "want = lapack.dpotrf(M, lower=True)[0]\n"
@@ -458,3 +466,18 @@ def test_a_failed_direct_load_falls_back_to_import_scipy():
     proc = run_child(["-c", script], os.environ)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['scipy'] True True True True"
+
+
+def test_importing_linalg_binds_the_extensions_routines():
+    # The routines are bound when linalg is imported, before any call, to
+    # the objects of the one SciPy module loaded: the LAPACK extension.
+    script = (
+        "import sys\n"
+        "import physarum.linalg as linalg\n"
+        "flapack = sys.modules['scipy.linalg._flapack']\n"
+        "print(linalg.dposv is flapack.dposv, linalg.dgesv is flapack.dgesv,"
+        " sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = run_child(["-c", script], os.environ)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True True ['scipy.linalg._flapack']"

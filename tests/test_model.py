@@ -37,7 +37,7 @@ from tests.conftest import planted_instance
 
 def test_validate_simple2(simple2):
     assert simple2.m == 1 and simple2.n == 2
-    assert simple2.A_int.dtype == np.int64
+    assert simple2.A_exact == ((1, 1),) and simple2.b_exact == (1,) and simple2.c_exact == (1, 2)
     assert np.array_equal(simple2.A, [[1.0, 1.0]])
     assert np.array_equal(simple2.At, [[1.0], [1.0]])
     assert np.array_equal(simple2.b, [1.0])
@@ -46,8 +46,7 @@ def test_validate_simple2(simple2):
 
 def test_validate_accepts_integral_floats():
     lp = validate(LinearProgram(A=np.array([[1.0, 2.0]]), b=np.array([3.0]), c=np.array([1.0, 1.0])))
-    assert lp.A_int.dtype == np.int64
-    assert np.array_equal(lp.A_int, [[1, 2]])
+    assert lp.A_exact == ((1, 2),) and all(type(v) is int for v in lp.A_exact[0])
 
 
 def test_validate_rejects_fractional_entries():
@@ -72,9 +71,8 @@ def test_validate_accepts_uint64_below_2_63():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lp = validate(LinearProgram(A=A, b=np.array([1], dtype=np.uint64), c=np.array([1, 2], dtype=np.uint64)))
-    assert lp.A_int.dtype == np.int64
-    assert lp.A_int.tolist() == [[2**63 - 1, 1]]
-    assert lp.b_int.tolist() == [1] and lp.c_int.tolist() == [1, 2]
+    assert lp.A_exact == ((2**63 - 1, 1),) and lp.b_exact == (1,) and lp.c_exact == (1, 2)
+    assert all(type(v) is int for v in (*lp.A_exact[0], *lp.b_exact, *lp.c_exact))
 
 
 def test_validate_proves_full_rank_without_bareiss(monkeypatch):
@@ -84,18 +82,18 @@ def test_validate_proves_full_rank_without_bareiss(monkeypatch):
         raise AssertionError("the rank modulo a prime should have decided")
 
     monkeypatch.setattr(_exact, "rank_bareiss", refuse)
-    assert validate(LinearProgram(A=lp.A_int, b=lp.b_int, c=lp.c_int)).m == 64
+    assert validate(LinearProgram(A=np.array(lp.A_exact), b=np.array(lp.b_exact), c=np.array(lp.c_exact))).m == 64
 
 
 def test_validate_finds_a_duplicated_row_through_bareiss(monkeypatch):
     lp = planted_instance(np.random.default_rng(48), 48, 192)
-    A = lp.A_int.copy()
+    A = np.array(lp.A_exact)
     A[-1] = A[0]
     calls = []
     bareiss = _exact.rank_bareiss
     monkeypatch.setattr(_exact, "rank_bareiss", lambda rows: calls.append(len(rows)) or bareiss(rows))
     with pytest.raises(RankDeficientError):
-        validate(LinearProgram(A=A, b=lp.b_int, c=lp.c_int))
+        validate(LinearProgram(A=A, b=np.array(lp.b_exact), c=np.array(lp.c_exact)))
     assert calls == [48]
 
 
@@ -266,7 +264,8 @@ def test_validate_keeps_large_integers_exact():
     # Python ints from the int64 range stay the ints they are, -2**63 too.
     lp = validate(LinearProgram.from_lists([[-(2**63), 2**63 - 1]], [2**62 + 1], [2**63 - 1, 1]))
     assert lp.A_exact == ((-(2**63), 2**63 - 1),) and lp.b_exact == (2**62 + 1,)
-    assert lp.A_int.dtype == np.int64 and lp.A_int.tolist() == [[-(2**63), 2**63 - 1]]
+    # The float view rounds each int to nearest: 2**63 - 1 becomes 2.0**63.
+    assert lp.A.tolist() == [[-(2.0**63), 2.0**63]]
     assert all(type(v) is int for v in (*lp.A_exact[0], *lp.b_exact, *lp.c_exact))
 
 
@@ -353,8 +352,9 @@ def test_subdet_bound_reads_the_int64_minimum_as_its_absolute_value():
     # |-2**63| wrapped to -2**63 in int64, so the "bound" came out as 1.0,
     # below the exact maximum 2**63.
     lp = validate(LinearProgram.from_lists([[-(2**63), 1]], [1], [1, 1]))
-    assert max_abs_subdeterminant(lp.A_int.tolist()) == 2**63
-    for A in (lp.A_int, lp.A_int.tolist()):
+    assert max_abs_subdeterminant(lp.A_exact) == 2**63
+    A64 = np.array(lp.A_exact, dtype=np.int64)
+    for A in (A64, A64.tolist()):
         assert subdet_upper_bound(A) == max_subdeterminant(A, "bound") == 2.0**63
     assert compute_params(lp, mode="bound").subdet_max == 2.0**63
 
@@ -362,8 +362,8 @@ def test_subdet_bound_reads_the_int64_minimum_as_its_absolute_value():
 def reference_dual_bound(lp, y):
     """b . y / max_i (a_i . y / c_i) in Fractions made straight from the floats; None when the max is <= 0."""
     ys = [Fraction(v) for v in y]
-    r = max(sum(Fraction(int(a)) * v for a, v in zip(col, ys)) / int(ci) for col, ci in zip(lp.A_int.T, lp.c_int))
-    return None if r <= 0 else sum(Fraction(int(bi)) * v for bi, v in zip(lp.b_int, ys)) / r
+    r = max(sum(a * v for a, v in zip(col, ys)) / ci for col, ci in zip(zip(*lp.A_exact), lp.c_exact))
+    return None if r <= 0 else sum(bi * v for bi, v in zip(lp.b_exact, ys)) / r
 
 
 def two_rows(b, c):

@@ -307,10 +307,9 @@ def test_ray_lower_bound_has_counterexamples():
         n = len(rows[0])
         lp = validate(LinearProgram.from_lists(rows, [1] + [0] * (len(rows) - 1), [1] * n))
         res = enumerate_polyhedron(lp)
-        d = max_subdeterminant(lp.A_int, "exact")
+        d = max_subdeterminant(lp.A_exact, "exact")
         assert d == want_d
-        aug = np.vstack([lp.A_int, np.ones(n, dtype=int)])
-        d_aug = max_abs_subdeterminant(aug.tolist())
+        d_aug = max_abs_subdeterminant([*lp.A_exact, (1,) * n])
         assert d_aug == want_aug
         smallest = min(float(min(e for e in r if e > 0)) for r in res.rays)
         assert smallest < 1.0 / d  # the naive bound fails
@@ -325,26 +324,25 @@ def test_vertex_and_ray_size_bounds_fuzz():
         if res.status != "optimal":
             continue
         feasible += 1
-        d = Fraction(int(max_subdeterminant(lp.A_int, "exact")))
-        b_l1 = Fraction(int(np.abs(lp.b_int).sum()))
+        d = Fraction(int(max_subdeterminant(lp.A_exact, "exact")))
+        b_l1 = sum(map(abs, lp.b_exact))
         costs = set()
         for vx in res.vertices_exact:
-            for a_row, b_i in zip(lp.A_int, lp.b_int):
-                assert sum(Fraction(int(a)) * e for a, e in zip(a_row, vx)) == b_i
+            for a_row, b_i in zip(lp.A_exact, lp.b_exact):
+                assert sum(a * e for a, e in zip(a_row, vx)) == b_i
             for e in vx:
                 assert e >= 0
                 if e > 0:
                     assert Fraction(1, 1) / d <= e <= d * b_l1
-            costs.add(sum(Fraction(int(ci)) * e for ci, e in zip(lp.c_int, vx)))
+            costs.add(sum(ci * e for ci, e in zip(lp.c_exact, vx)))
         costs = sorted(costs)
         for lo, hi in zip(costs, costs[1:]):
             assert hi - lo >= 1 / (d * d)
-        aug = np.vstack([lp.A_int, np.ones(lp.n, dtype=int)])
-        d_aug = Fraction(int(max_abs_subdeterminant(aug.tolist())))
+        d_aug = Fraction(int(max_abs_subdeterminant([*lp.A_exact, (1,) * lp.n])))
         for rx in res.rays_exact or []:
             assert sum(rx) == 1
-            for a_row in lp.A_int:
-                assert sum(Fraction(int(a)) * e for a, e in zip(a_row, rx)) == 0
+            for a_row in lp.A_exact:
+                assert sum(a * e for a, e in zip(a_row, rx)) == 0
             positives = [e for e in rx if e > 0]
             assert all(e <= d for e in positives)
             assert all(e >= 1 / d_aug for e in positives)

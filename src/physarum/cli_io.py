@@ -16,7 +16,6 @@ that underflows to 0, size limit, no interior point) or memory exhaustion,
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import math
 import os
@@ -50,29 +49,18 @@ from .model import (
 if TYPE_CHECKING:
     import numpy as np
 
+
 # Each command imports the engine it runs, and only the commands that
-# solve load numpy: params and oracle run on Python ints. The dynamics and
-# linalg names below resolve on first access (PEP 562), and the commands
-# look them up through this module, so that a rebinding of one (as
-# bench/spans.py rebinds cli_io.evaluate) is the object they call.
-_LAZY = {
-    **dict.fromkeys(("check_bounds", "evaluate", "gradient_identity_residual"), "dynamics"),
-    **dict.fromkeys(("kernel_basis", "laplacian_solver"), "linalg"),
-}
-
-
+# solve load numpy: params and oracle run on Python ints. evaluate alone
+# resolves on first access (PEP 562), so that verify calls whatever binds
+# cli_io.evaluate, as bench/spans.py's span wrapper does.
 def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
+    if name != "evaluate":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __package__), name)
-    globals()[name] = value
-    return value
+    from .dynamics import evaluate
 
-
-def _resolve(name: str):
-    """This module's binding of a lazy name, loading it on first use."""
-    return globals().get(name) or __getattr__(name)
+    globals()[name] = evaluate
+    return evaluate
 
 
 EXIT_OK = 0
@@ -266,7 +254,9 @@ def cmd_path(args) -> int:
     if args.trace:
         # The Laplacian potentials at each path point, as solve and flow write them;
         # not evaluate, which rejects a coordinate that underflowed to zero.
-        laplacian = _resolve("laplacian_solver")(lp)
+        from .linalg import laplacian_solver
+
+        laplacian = laplacian_solver(lp)
         pots = (laplacian(p.x / lp.c, lp.b) for p in points)
         rows = (
             [p.mu, *p.x, float(lp.c.dot(p.x)), float(lp.b.dot(pot)),
@@ -347,9 +337,10 @@ def run_verification(lp: ValidatedLP, eps: float, h: float | None,
 
     from . import discrete_solver
     from . import oracle as oracle_mod
+    from .dynamics import check_bounds, gradient_identity_residual
+    from .linalg import kernel_basis
 
-    evaluate, check_bounds, gradient_identity_residual, kernel_basis = map(
-        _resolve, ("evaluate", "check_bounds", "gradient_identity_residual", "kernel_basis"))
+    evaluate = globals().get("evaluate") or __getattr__("evaluate")
     # eps and h are checked before the exact parameters and the enumeration.
     config = discrete_solver.DiscreteConfig(eps=eps, h=h, trace_every=1, max_iters=max_iters)
     if not any(lp.b_exact):

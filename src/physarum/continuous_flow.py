@@ -43,7 +43,7 @@ from ._record import record
 # rebinding continuous_flow.evaluate, so the name stays bound.
 from .dynamics import evaluate  # noqa: F401
 from .errors import ValidationError
-from .linalg import laplacian_solve
+from .linalg import laplacian_solver
 from .model import Params, ValidatedLP, check_point, default_params
 
 
@@ -53,7 +53,7 @@ def rhs_log(lp: ValidatedLP, u) -> np.ndarray:
     Equals (A^T p)/c - 1 with p the potentials at x; zero exactly at the
     fixed points of the dynamics.
     """
-    p = laplacian_solve(lp, np.exp(np.asarray(u, dtype=float)) / lp.c, lp.b)
+    p = laplacian_solver(lp)(np.exp(np.asarray(u, dtype=float)) / lp.c, lp.b)
     return lp.At.dot(p) / lp.c - 1.0
 
 

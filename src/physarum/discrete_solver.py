@@ -507,7 +507,6 @@ class CertReport:
     violations: int
     first_violation: int | None
     big_gap_steps: int
-    small_gap_steps: int
     worst_margin: float
     drop_threshold: float
     max_cost_rise: float  # largest (V(k+1) - V(k)) / V(k) over the trace, 0.0 when the cost never rises
@@ -518,11 +517,13 @@ def certify_trace(lp: ValidatedLP, trace: Trace, opt: float, eps: float, h: floa
 
     For every consecutive pair with V(k) > (1 + eps) opt the drop in
     phi must be at least h^2 eps^2 / 6 (minus a 1e-10 float allowance).
-    Also labels which sufficient condition held at the earlier point: a
-    large energy/cost gap (E/V < 1 - eps/3) or energy still well above
-    optimal (E > (1 + eps/3) opt); one of the two always must. Over every
-    consecutive pair it reports the largest relative rise of the cost,
-    which the monotone-cost lemma puts at 0 up to rounding (COST_RISE_TOL).
+    Also counts the steps whose earlier point had a large energy/cost gap
+    (E/V < 1 - eps/3), the first of the drop's two sufficient conditions.
+    The second, E > (1 + eps/3) opt, needs no count: every other checked
+    step has E >= (1 - eps/3) V > (1 - eps/3)(1 + eps) opt > (1 + eps/3) opt
+    for 0 < eps < 1. Over every consecutive pair it reports the largest
+    relative rise of the cost, which the monotone-cost lemma puts at 0 up
+    to rounding (COST_RISE_TOL).
     Requires a trace recorded at every step, and eps and h equal to the
     trace's own: the drop the certificate demands is the one those values
     promise for the run that produced the trace. opt must be finite and
@@ -553,7 +554,6 @@ def certify_trace(lp: ValidatedLP, trace: Trace, opt: float, eps: float, h: floa
     live = e.cost[:-1] > (1.0 + eps) * opt
     cost, energy = e.cost[:-1][live], e.energy[:-1][live]
     big = energy / cost < 1.0 - eps / 3.0
-    small = ~big & (energy > (1.0 + eps / 3.0) * opt)
     drop = np.diff(phi)[live]
     bad = np.flatnonzero(drop > threshold + allowance)
     checked = int(live.sum())
@@ -563,7 +563,6 @@ def certify_trace(lp: ValidatedLP, trace: Trace, opt: float, eps: float, h: floa
         violations=len(bad),
         first_violation=int(e.k[:-1][live][bad[0]]) if len(bad) else None,
         big_gap_steps=int(big.sum()),
-        small_gap_steps=int(small.sum()),
         worst_margin=float((drop - threshold).max()) if checked else 0.0,
         drop_threshold=threshold,
         max_cost_rise=float(np.max(np.diff(e.cost) / e.cost[:-1], initial=0.0)),

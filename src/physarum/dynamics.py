@@ -25,7 +25,7 @@ from ._record import record
 from .errors import DimensionMismatchError, NotInKernelError, ValidationError
 # spd_factor is not called here, but bench/spans.py records spans by
 # rebinding dynamics.spd_factor, so the name stays bound.
-from .linalg import laplacian_solve, spd_factor  # noqa: F401
+from .linalg import laplacian_solver, spd_factor  # noqa: F401
 from .model import Params, ValidatedLP, check_point
 
 BOUND_RTOL = 1e-8
@@ -73,7 +73,7 @@ def evaluate(lp: ValidatedLP, x) -> DynamicsEval:
     """
     x = check_point(lp, x, "state").copy()
     w = x / lp.c
-    p = laplacian_solve(lp, w, lp.b)
+    p = laplacian_solver(lp)(w, lp.b)
     edge = lp.At.dot(p)
     q = w * edge
     return DynamicsEval(

@@ -7,9 +7,10 @@ numerical failures and size limits. A ValidationError is bad problem
 data, a bad argument, a bad caller-supplied point, or a trace that
 certify_trace cannot check (MissingVerifyDataError). ValidationError is
 also a ValueError, so callers that catch ValueError for a bad argument
-keep working. Every caller-supplied point is checked by model.check_point,
-which raises DimensionMismatchError, NonPositiveStateError or
-InfeasibleStartError whichever engine receives it.
+keep working. model.check_point checks a caller's state, start or anchor
+(DimensionMismatchError, NonPositiveStateError, InfeasibleStartError),
+model._finite_floats exact_cost's x and dual_lower_bound's y, and
+gradient_identity_residual and certify_trace their own h and x_star.
 """
 
 from __future__ import annotations

@@ -2,11 +2,11 @@
 
 laplacian_solver(lp) holds the package's one body for the weighted
 Laplacian system (A diag(w) A^T) p = rhs. Its solve(w, rhs), bound once
-per LP by a loop and per call by laplacian_solve, forms the matrix in
-buffers it owns, so no caller builds the Laplacian or knows its format,
-solves in one LAPACK Cholesky call (dposv) and applies one failure
-policy, _check_pivots: a pivot floor relative to the mean diagonal. LAPACK
-alone refuses only pivots that are not positive, which lets a Laplacian
+per LP by a loop or once per call, forms the matrix in buffers it owns,
+so no caller builds the Laplacian or knows its format, solves in one
+LAPACK Cholesky call (dposv) and applies one failure policy,
+_check_pivots: a pivot floor relative to the mean diagonal. LAPACK alone
+refuses only pivots that are not positive, which lets a Laplacian
 collapsed onto a boundary face through to a solve of rounding noise.
 
 spd_factor(M) returns the lower Cholesky factor of M, by the same dposv
@@ -146,11 +146,6 @@ def laplacian_solver(lp: ValidatedLP):
         return sol
 
     return solve
-
-
-def laplacian_solve(lp: ValidatedLP, w, rhs: np.ndarray) -> np.ndarray:
-    """Solve (A diag(w) A^T) p = rhs once: laplacian_solver(lp)(w, rhs)."""
-    return laplacian_solver(lp)(w, rhs)
 
 
 def basis_dual(lp: ValidatedLP, key: np.ndarray) -> tuple[np.ndarray, float] | None:

@@ -311,6 +311,19 @@ def check_point(lp: ValidatedLP, x, what: str, feasible: bool = False) -> np.nda
     return x
 
 
+def _finite_floats(value, what: str, length: int) -> list[float]:
+    """value's `length` entries as finite floats, read without numpy, else DimensionMismatchError or ValidationError."""
+    if _holds_non_number(value):
+        raise DimensionMismatchError(f"{what} must contain numbers")
+    shape, entries = _read(_plain(value))
+    if shape != (length,):
+        raise DimensionMismatchError(f"{what} has shape {shape}, expected ({length},)")
+    floats = [float(v) for v in entries]
+    if not all(map(math.isfinite, floats)):
+        raise ValidationError(f"{what} must be finite, got {floats!r}")
+    return floats
+
+
 def _dyadic(values: list[float]) -> tuple[list[int], int]:
     """Finite floats as integers over one power of two: values[i] == nums[i] / den exactly."""
     ratios = [v.as_integer_ratio() for v in values]
@@ -322,7 +335,7 @@ def exact_cost(lp: ValidatedLP, x) -> Fraction:
     """c . x exactly: x's n finite floats read as integers over one power of two, as dual_lower_bound reads y."""
     from fractions import Fraction
 
-    X, den = _dyadic(_plain(x))
+    X, den = _dyadic(_finite_floats(x, "x", lp.n))
     return Fraction(sum(map(operator.mul, lp.c_exact, X)), den)
 
 
@@ -340,13 +353,7 @@ def dual_lower_bound(lp: ValidatedLP, y) -> Fraction | None:
     """
     from fractions import Fraction
 
-    shape, ys = _read(y)
-    if shape != (lp.m,):
-        raise DimensionMismatchError(f"y has shape {shape}, expected ({lp.m},)")
-    ys = [float(v) for v in ys]
-    if not all(map(math.isfinite, ys)):
-        raise ValidationError(f"y must be finite, got {ys!r}")
-    Y, _ = _dyadic(ys)  # the common denominator cancels between b . Y and r
+    Y, _ = _dyadic(_finite_floats(y, "y", lp.m))  # the common denominator cancels between b . Y and r
     # a_i . Y / c_i for every column i, compared as exact rationals.
     r = max(Fraction(sum(map(operator.mul, col, Y)), ci) for col, ci in zip(zip(*lp.A_exact), lp.c_exact))
     if r <= 0:

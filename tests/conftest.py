@@ -46,7 +46,7 @@ from physarum.errors import (
     StepSizeUnderflowError,
     ValidationError,
 )
-from physarum.linalg import laplacian_solve, laplacian_solver
+from physarum.linalg import laplacian_solver
 from physarum.oracle import SAMPLE_MIN_WEIGHT, SAMPLE_RAY_SCALE
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
@@ -342,7 +342,7 @@ def ref_sweep(lp, mus, solve):
         if mu == last.mu:
             y0 = last.y
         elif len(nodes) == 1:
-            y0 = last.y + (mu - last.mu) * laplacian_solve(lp, last.x / lp.c, lp.b)
+            y0 = last.y + (mu - last.mu) * laplacian_solver(lp)(last.x / lp.c, lp.b)
         else:
             y0 = 0.0
             for j in nodes[-3:]:
@@ -402,7 +402,7 @@ def ref_integrate(lp, config, params=None):
     for t, point in zip(ts, points):
         x = point.x
         u = log_x0 + lp.At.dot(point.y) / c - point.mu
-        r = lp.At.dot(laplacian_solve(lp, np.exp(u) / c, b)) / c - 1.0
+        r = lp.At.dot(laplacian_solver(lp)(np.exp(u) / c, b)) / c - 1.0
         edge = c * (r + 1.0)
         decay = np.exp(-t)
         resid = np.abs(A.dot(x - decay * x0) - (1.0 - decay) * b).max()

@@ -31,7 +31,7 @@ from physarum import (
     solve,
 )
 from physarum._exact import max_abs_subdeterminant
-from physarum.linalg import kernel_basis, laplacian_solve
+from physarum.linalg import kernel_basis, laplacian_solver
 from tests.conftest import (
     CORPUS_EPS as EPS,
     CORPUS_SEED as SEED,
@@ -127,7 +127,7 @@ def test_criterion_05_bound_lemmas(shipped, capsys):
         for _ in range(1000):
             w = rand_positive(rng, lp.n)
             # ||A^T L^-1 a_i||_inf <= D / w_i for every column i, L = A diag(w) A^T
-            if np.any(np.abs(lp.At @ laplacian_solve(lp, w, lp.A)).max(axis=0) > (d / w) * (1.0 + 1e-8)):
+            if np.any(np.abs(lp.At @ laplacian_solver(lp)(w, lp.A)).max(axis=0) > (d / w) * (1.0 + 1e-8)):
                 failures.append((name, "column potential", w))
         pot_cap = d * params.cost_sum * (1.0 + 1e-8)
         for x in sample_feasible(res, rng, 1000):

@@ -148,9 +148,9 @@ def test_no_module_imports_scipy_linalg():
 def test_only_linalg_touches_the_laplacian():
     """Forming A diag(w) A^T, calling LAPACK's Cholesky routines and the pivot rule are linalg's.
 
-    Every other module solves through linalg.laplacian_solve or a bound
-    linalg.laplacian_solver, names no _check_pivots, and none imports the
-    retired spd_solve.
+    Every other module solves through linalg.laplacian_solver, bound once
+    per loop or once per call, names no _check_pivots, and none imports
+    the retired spd_solve.
     """
     def name_of(node):
         return getattr(node, "attr", getattr(node, "id", None))

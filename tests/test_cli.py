@@ -598,7 +598,7 @@ def test_commands_that_solve_load_scipys_lapack_extension_alone(cmd):
 # loaded the one extension module that scipy.linalg then reuses.
 FIRST_CALLS = {
     "laplacian_solve": (
-        "got = linalg.laplacian_solve(SimpleNamespace(A=A, At=A.T), w, b)\n",
+        "got = linalg.laplacian_solver(SimpleNamespace(A=A, At=A.T))(w, b)\n",
         "want = lapack.dposv((A * w).dot(A.T), b, lower=True)[1]\n",
     ),
     "spd_factor": (
@@ -632,7 +632,7 @@ def test_first_lapack_call_matches_scipy(entry):
 
 
 @pytest.mark.parametrize("entry", [
-    pytest.param("linalg.laplacian_solve(lp, x / lp.c, lp.b)", id="laplacian_solve(lp, w, b)"),
+    pytest.param("linalg.laplacian_solver(lp)(x / lp.c, lp.b)", id="laplacian_solve(lp, w, b)"),
     pytest.param("linalg.spd_factor(M)", id="spd_factor(M)"),
     # solve's step loop solves through a bound linalg.laplacian_solver. On
     # the collapsed face of test_one_pivot_policy_for_every_laplacian_solve

@@ -51,7 +51,7 @@ from physarum.errors import (
     StepSizeUnderflowError,
     ValidationError,
 )
-from physarum.linalg import basis_dual, laplacian_solve
+from physarum.linalg import basis_dual, laplacian_solver
 from physarum.model import check_point, default_params, dual_lower_bound
 from tests.conftest import (
     CORPUS_EPS,
@@ -337,7 +337,6 @@ def test_certify_clean_run(simple2):
     assert rep.violations == 0
     assert rep.first_violation is None
     assert rep.steps_checked > 1000
-    assert rep.big_gap_steps + rep.small_gap_steps == rep.steps_checked
     assert rep.worst_margin < 0.0
     # the combined potential phi(k) = 4 ln V(k) - (eps h / opt) B(k), with opt = 1
     supp = x_star > 0.0
@@ -356,14 +355,14 @@ def stalled_entries(ks):
 
 
 def certify_by_loop(lp, trace, opt, eps, h, x_star):
-    """Step-by-step reference for certify_trace: (checked, violations, first, big, small, worst)."""
+    """Step-by-step reference for certify_trace: (checked, violations, first, big, worst)."""
     supp = x_star > 0.0
     weights = lp.c[supp] * x_star[supp]
 
     def phi(e):
         return 4.0 * math.log(e.cost) - (eps * h / opt) * float(weights @ np.log(e.x[supp]))
 
-    checked = violations = big = small = 0
+    checked = violations = big = 0
     first, worst = None, -math.inf
     threshold = -(h * h * eps * eps) / 6.0
     for prev, nxt in zip(trace.entries, trace.entries[1:]):
@@ -372,14 +371,12 @@ def certify_by_loop(lp, trace, opt, eps, h, x_star):
         checked += 1
         if prev.energy / prev.cost < 1.0 - eps / 3.0:
             big += 1
-        elif prev.energy > (1.0 + eps / 3.0) * opt:
-            small += 1
         drop = phi(nxt) - phi(prev)
         worst = max(worst, drop - threshold)
         if drop > threshold + 1e-10:
             violations += 1
             first = prev.k if first is None else first
-    return checked, violations, first, big, small, worst if checked else 0.0
+    return checked, violations, first, big, worst if checked else 0.0
 
 
 def test_certify_matches_step_by_step_reference(simple2, triangle):
@@ -396,7 +393,7 @@ def test_certify_matches_step_by_step_reference(simple2, triangle):
     for case in cases:
         rep = certify_trace(*case)
         *counts, worst = certify_by_loop(*case)
-        got = [rep.steps_checked, rep.violations, rep.first_violation, rep.big_gap_steps, rep.small_gap_steps]
+        got = [rep.steps_checked, rep.violations, rep.first_violation, rep.big_gap_steps]
         assert got == counts
         # log and dot products may round differently per element; phi is O(1)
         assert rep.worst_margin == pytest.approx(worst, rel=0.0, abs=1e-12)
@@ -412,7 +409,7 @@ def test_certify_weighs_the_potential_by_c_times_x_star(solve_runs):
         case = (lp, trace, res.opt, CORPUS_EPS, run["h"], res.optimal_vertices[0])
         rep = certify_trace(*case)
         *counts, worst = certify_by_loop(*case)
-        got = [rep.steps_checked, rep.violations, rep.first_violation, rep.big_gap_steps, rep.small_gap_steps]
+        got = [rep.steps_checked, rep.violations, rep.first_violation, rep.big_gap_steps]
         assert got == counts, run["name"]
         assert rep.worst_margin == pytest.approx(worst, rel=0.0, abs=1e-12), run["name"]
 
@@ -425,8 +422,8 @@ def test_certify_checks_only_the_steps_above_the_gap(rows):
     # The loop without its gap test runs on past the first row within
     # (1 + eps) opt, so rows below the gap, which certify_trace must not
     # check, follow the live ones; at an opt other than 1, (1 + eps) * opt
-    # differs from (1 + eps) / opt. Both runs label some live steps by the
-    # energy, not by the gap E / V.
+    # differs from (1 + eps) / opt. Both runs have live steps with a large
+    # gap E / V and live steps without one.
     lp = validate(LinearProgram.from_lists(*rows))
     res = enumerate_polyhedron(lp)
     params = compute_params(lp)
@@ -438,10 +435,10 @@ def test_certify_checks_only_the_steps_above_the_gap(rows):
     assert sol.stop_reason == "Certified" and below.sum() > sol.iterations // 2
     case = (lp, trace, res.opt, CORPUS_EPS, h, res.optimal_vertices[0])
     rep = certify_trace(*case)
-    checked, violations, _, big, small, _ = certify_by_loop(*case)
+    checked, violations, _, big, _ = certify_by_loop(*case)
     assert rep.steps_checked == checked == int((~below).sum()) == sol.iterations
-    assert (rep.big_gap_steps, rep.small_gap_steps) == (big, small)
-    assert big > 0 and small > 0 and rep.violations == violations == 0
+    assert rep.big_gap_steps == big
+    assert 0 < big < checked and rep.violations == violations == 0
 
 
 def test_certify_allows_a_drop_short_of_the_threshold_by_at_most_1e_10(simple2):
@@ -458,6 +455,21 @@ def test_certify_allows_a_drop_short_of_the_threshold_by_at_most_1e_10(simple2):
     trace = Trace(entries=entries, h=h, eps=eps, trace_every=1)
     rep = certify_trace(simple2, trace, 1.0, eps, h, np.array([1.0, 0.0]))
     assert (rep.steps_checked, rep.violations, rep.first_violation) == (3, 1, 2)
+
+
+def test_certify_holds_each_strict_inequality_at_equality(simple2):
+    # A step is checked only while V(k) > (1 + eps) opt, is a big gap only
+    # while E/V < 1 - eps/3, and is a violation only when its drop exceeds
+    # threshold + 1e-10. This h makes threshold + 1e-10 exactly 0.0, the drop
+    # between two rows at one x and one cost. Step 0 starts on the gap (and
+    # climbs), step 1 sits on the big-gap bound, and step 2 just below it.
+    h, eps = 9.797958971132712e-05, 0.25
+    assert -(h * h * eps * eps) / 6.0 + 1e-10 == 0.0
+    big = 1.0 - eps / 3.0
+    rows = [(1.0 + eps, 0.5), (4.0, 4.0 * big), (4.0, 4.0 * math.nextafter(big, 0.0)), (4.0, 4.0)]
+    entries = np.rec.array([(k, [2.0, 2.0], v, e, 1.0) for k, (v, e) in enumerate(rows)], dtype=trace_dtype(2))
+    rep = certify_trace(simple2, Trace(entries=entries, h=h, eps=eps, trace_every=1), 1.0, eps, h, np.array([1.0, 0.0]))
+    assert (rep.steps_checked, rep.big_gap_steps, rep.violations, rep.worst_margin) == (2, 1, 0, 1e-10)
 
 
 def test_certify_searched_step(simple2):
@@ -1015,6 +1027,28 @@ def test_the_potentials_gate_rejects_only_steps_whose_float_test_fails(case):
         assert not (r > 0.0 and cost <= one_eps * (bp / r))
 
 
+@pytest.mark.parametrize("r_j, bp, cost, want", [
+    (1.0, 0.0, 1.0, True),  # bp = 0: the float test would need cost <= 0
+    (1.0, 1.0, 1.1, False),  # cost on one_eps bp / r_j: the test may hold
+    (1.0, 1.0, math.nextafter(1.1, 2.0), True),
+    (0.0, 1.0, 1.0, False),  # r_j = 0 bounds nothing, and bp / r_j is not formed
+])
+def test_the_potentials_gate_at_its_boundaries(r_j, bp, cost, want):
+    # The property test above checks that the gate is sound; these pin that
+    # it skips the float test wherever its three conditions hold, edges included.
+    assert discrete_solver._potentials_cannot_close(r_j, bp, cost, 1.1) is want
+
+
+def test_a_step_of_h_dev_at_2_to_the_minus_55_cannot_move():
+    # _cannot_move's bound is inclusive: at h dev = 2**-55 each |h (q_i - x_i)|
+    # <= 2**-55 x_i is under half an ulp of x_i, so x + h (q - x) is x.
+    assert discrete_solver._cannot_move(2.0**-55, 1.0) and discrete_solver._cannot_move(2.0**-56, 2.0)
+    assert not discrete_solver._cannot_move(2.0**-55, math.nextafter(1.0, 2.0))
+    rng = np.random.default_rng(55)
+    x = rng.uniform(1.0, 2.0, 1000) * 2.0 ** rng.integers(-1000, 1000, 1000)
+    assert np.array_equal(x + 2.0**-55 * x, x) and np.array_equal(x - 2.0**-55 * x, x)
+
+
 def test_the_steps_reduceat_gives_four_row_maxima_bit_for_bit():
     # solve reads fp_res, dev, edge_potential_inf and max(x) with one
     # maximum.reduceat over the flat |R|, starts 0, n, 2n, 3n. Each must be
@@ -1171,7 +1205,7 @@ def test_dual_bounds_along_the_corpus_traces_stay_below_the_optimum(solve_runs):
     for run in solve_runs["runs"]:
         lp, opt = run["lp"], run["res"].opt_exact
         for x in run["trace"].entries.x[::16]:
-            p = laplacian_solve(lp, x / lp.c, lp.b)
+            p = laplacian_solver(lp)(x / lp.c, lp.b)
             lb = dual_lower_bound(lp, p)
             assert lb is not None and lb <= opt, (run["name"], lb, opt)
             found = basis_dual(lp, lp.At.dot(p) / lp.c)

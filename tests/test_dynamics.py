@@ -5,7 +5,7 @@ import pytest
 
 from physarum import check_bounds, compute_params, evaluate, gradient_identity_residual, rhs_log, sample_feasible
 from physarum import dynamics
-from physarum.linalg import laplacian_solve
+from physarum.linalg import laplacian_solver
 from physarum.errors import DimensionMismatchError, NonPositiveStateError, NotInKernelError
 from tests.conftest import planted_instance, rand_positive, ref_cholesky_solve
 
@@ -31,11 +31,16 @@ def test_evaluate_simple2_off_feasible_point(simple2):
 def test_evaluate_solves_once_unless_the_split_is_read(simple2, monkeypatch):
     solves = []
 
-    def counting(lp, w, rhs):
-        solves.append(rhs)
-        return laplacian_solve(lp, w, rhs)
+    def counting(lp):
+        solve = laplacian_solver(lp)
 
-    monkeypatch.setattr(dynamics, "laplacian_solve", counting)
+        def counted(w, rhs):
+            solves.append(rhs)
+            return solve(w, rhs)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "laplacian_solver", counting)
     ev = evaluate(simple2, [1.0, 1.0])
     assert ev.energy_flux == pytest.approx(ev.energy) and ev.edge_potential_inf > 0.0
     assert len(solves) == 1

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from physarum import DiscreteConfig, LinearProgram, evaluate, linalg, rhs_log, solve, validate
 from physarum._exact import rank_int
 from physarum.errors import NotPositiveDefiniteError, RankDeficientError
-from physarum.linalg import PIVOT_RTOL, kernel_basis, laplacian_solve, laplacian_solver, spd_factor
+from physarum.linalg import PIVOT_RTOL, kernel_basis, laplacian_solver, spd_factor
 from tests.conftest import planted_instance, rand_positive, ref_cholesky_solve, run_child
 
 
@@ -49,11 +49,11 @@ def _forming(M):
 
 def _laplacian_solve(M, rhs):
     A, w = _forming(M)
-    return laplacian_solve(SimpleNamespace(A=A, At=A.T), w, rhs)
+    return laplacian_solver(SimpleNamespace(A=A, At=A.T))(w, rhs)
 
 
 # The two entry points share one pivot rule, so every rejection test runs
-# through both. laplacian_solve forms each matrix from an A and w.
+# through both. laplacian_solver forms each matrix from an A and w.
 SPD_SOLVES = (_factor_then_solve, _laplacian_solve)
 
 
@@ -123,7 +123,7 @@ def test_factor_pivot_floor_is_the_mean_diagonal(m):
 def test_factor_rejects_nan_pivots(mat, monkeypatch):
     # dposv returns these factors with info 0; the first has a
     # finite diagonal, so only the NaN pivot can reject it. No real A and w
-    # form these matrices, so laplacian_solve, on the identity, gets LAPACK's
+    # form these matrices, so laplacian_solver, on the identity, gets LAPACK's
     # own factor of each through a patched dposv.
     M, rhs = np.array(mat), np.ones(len(mat))
     with pytest.raises(NotPositiveDefiniteError, match="nan"):
@@ -193,7 +193,7 @@ def test_both_entry_points_give_the_reference_verdict_and_message(monkeypatch):
 
 
 def test_factor_rejects_non_square():
-    # laplacian_solve forms its own matrix, which is always square.
+    # laplacian_solver forms its own matrix, which is always square.
     with pytest.raises(ValueError):
         spd_factor(np.ones((2, 3)))
 
@@ -206,7 +206,7 @@ def test_laplacian_solve_is_bitwise_factor_then_solve(m):
         w = rand_positive(rng, lp.n)
         L = (lp.A * w).dot(lp.At)
         for rhs in (rng.standard_normal(m), rng.standard_normal((m, 3)), lp.A):
-            assert laplacian_solve(lp, w, rhs).tobytes() == ref_cholesky_solve(L, rhs).tobytes()
+            assert laplacian_solver(lp)(w, rhs).tobytes() == ref_cholesky_solve(L, rhs).tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 3, 12, 48])
@@ -221,7 +221,7 @@ def test_a_bound_solver_gives_the_bytes_of_fresh_solves(m):
         w = rand_positive(rng, lp.n)
         for rhs in (rng.standard_normal(m), rng.standard_normal((m, lp.n))):
             got = bound(w, rhs)
-            assert got.tobytes() == laplacian_solve(lp, w, rhs).tobytes()
+            assert got.tobytes() == laplacian_solver(lp)(w, rhs).tobytes()
             kept.append((got, got.tobytes()))
     assert all(got.tobytes() == raw for got, raw in kept)
 
@@ -232,7 +232,7 @@ def test_a_bound_solver_rejects_a_collapsed_laplacian_and_solves_on():
     lp = validate(LinearProgram.from_lists([[1, 0, 1], [0, 1, 1]], [1, 1], [1, 1, 1]))
     bound = laplacian_solver(lp)
     good = np.array([0.5, 0.5, 0.5])
-    want = laplacian_solve(lp, good, lp.b).tobytes()
+    want = laplacian_solver(lp)(good, lp.b).tobytes()
     assert bound(good, lp.b).tobytes() == want
     with pytest.raises(NotPositiveDefiniteError):
         bound(np.array([1e-14, 1e-14, 1.0]), lp.b)
@@ -261,7 +261,7 @@ def test_one_pivot_policy_for_every_laplacian_solve():
     lp = validate(LinearProgram.from_lists([[1, 0, 1], [0, 1, 1]], [1, 1], [1, 1, 1]))
     x = np.array([1e-14, 1e-14, 1.0])
     with pytest.raises(NotPositiveDefiniteError):
-        laplacian_solve(lp, x / lp.c, lp.b)
+        laplacian_solver(lp)(x / lp.c, lp.b)
     with pytest.raises(NotPositiveDefiniteError):
         evaluate(lp, x)
     with pytest.raises(NotPositiveDefiniteError):
@@ -381,7 +381,7 @@ def _overflowing_basis(m=17, K=2**62):
     return validate(LinearProgram.from_lists(A.tolist(), [1] * m, [1] * (m + 1)))
 
 
-@pytest.mark.parametrize("case", ["singular", "overflow", "r <= 0"])
+@pytest.mark.parametrize("case", ["singular", "overflow", "r <= 0", "r == 0"])
 def test_a_basis_guess_that_cannot_bound_returns_none_silently(case, monkeypatch):
     if case == "singular":
         # Columns 0 and 1 are equal and hold the key's two largest entries.
@@ -395,10 +395,12 @@ def test_a_basis_guess_that_cannot_bound_returns_none_silently(case, monkeypatch
     else:
         # The basis columns meet A_B^T y = c_B > 0, so in exact arithmetic
         # r >= 1; only a solve spoiled by rounding can give r <= 0, and a
-        # stand-in dgesv returns such a y.
+        # stand-in dgesv returns such a y. At y = 0, r is 0 exactly and
+        # b . y / r would divide by zero.
         lp = validate(LinearProgram.from_lists([[1, 2]], [1], [1, 1]))
         x = np.array([0.5, 0.25])
-        monkeypatch.setattr(linalg, "dgesv", lambda M, v: (M, None, -np.ones(len(v)), 0))
+        y = np.full(lp.m, -1.0 if case == "r <= 0" else 0.0)
+        monkeypatch.setattr(linalg, "dgesv", lambda M, v: (M, None, y, 0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert linalg.basis_dual(lp, x) is None

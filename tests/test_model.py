@@ -422,6 +422,33 @@ def test_dual_bound_rejects_a_bad_y(simple2):
             dual_lower_bound(simple2, [bad])
 
 
+@pytest.mark.parametrize("x", [[1.0], [0.5, 0.5, 7.0], [[0.5, 0.5]], 0.5, np.ones((2, 1))],
+                         ids=["short", "long", "row", "scalar", "column"])
+def test_exact_cost_rejects_a_vector_of_the_wrong_shape(simple2, x):
+    # zip would truncate to the shorter of c and x.
+    with pytest.raises(DimensionMismatchError, match=r"x has shape .*, expected \(2,\)"):
+        exact_cost(simple2, x)
+
+
+@pytest.mark.parametrize("read, name, length", [(exact_cost, "x", 2), (dual_lower_bound, "y", 1)],
+                         ids=["exact_cost", "dual_lower_bound"])
+@pytest.mark.parametrize("bad, error, match", [
+    (np.nan, ValidationError, "must be finite"),
+    (np.inf, ValidationError, "must be finite"),
+    (-np.inf, ValidationError, "must be finite"),
+    ("0.5", DimensionMismatchError, "must contain numbers"),
+    (True, DimensionMismatchError, "must contain numbers"),
+    (np.bool_(False), DimensionMismatchError, "must contain numbers"),
+], ids=["nan", "inf", "-inf", "str", "bool", "np.bool_"])
+def test_the_exact_layer_reads_only_finite_numbers(simple2, read, name, length, bad, error, match):
+    vec = [0.5] * length
+    vec[-1] = bad
+    for value in (vec, np.array(vec, dtype=object)):
+        with pytest.raises(error, match=f"{name} {match}") as info:
+            read(simple2, value)
+        assert type(info.value) is error
+
+
 # Nonnegative finite floats from every range the dyadic reading meets:
 # zero, subnormals, 1.0 and the top of the range.
 EXTREME_FLOATS = st.one_of(

@@ -9,7 +9,7 @@ certify_trace cannot check (MissingVerifyDataError). ValidationError is
 also a ValueError, so callers that catch ValueError for a bad argument
 keep working. model.check_point checks a caller's state, start or anchor
 (DimensionMismatchError, NonPositiveStateError, InfeasibleStartError),
-model._finite_floats exact_cost's x and dual_lower_bound's y, and
+model._finite_numbers exact_cost's x and dual_lower_bound's y, and
 gradient_identity_residual and certify_trace their own h and x_star.
 """
 

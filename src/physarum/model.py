@@ -311,31 +311,31 @@ def check_point(lp: ValidatedLP, x, what: str, feasible: bool = False) -> np.nda
     return x
 
 
-def _finite_floats(value, what: str, length: int) -> list[float]:
-    """value's `length` entries as finite floats, read without numpy, else DimensionMismatchError or ValidationError."""
+def _finite_numbers(value, what: str, length: int) -> list[int | float]:
+    """value's `length` entries as ints and finite floats, read without numpy, else DimensionMismatchError or ValidationError."""
     if _holds_non_number(value):
         raise DimensionMismatchError(f"{what} must contain numbers")
     shape, entries = _read(_plain(value))
     if shape != (length,):
         raise DimensionMismatchError(f"{what} has shape {shape}, expected ({length},)")
-    floats = [float(v) for v in entries]
-    if not all(map(math.isfinite, floats)):
-        raise ValidationError(f"{what} must be finite, got {floats!r}")
-    return floats
+    nums = [v if isinstance(v, int) else float(v) for v in entries]  # float() rounds an int above 2**53
+    if not all(isinstance(v, int) or math.isfinite(v) for v in nums):
+        raise ValidationError(f"{what} must be finite, got {nums!r}")
+    return nums
 
 
-def _dyadic(values: list[float]) -> tuple[list[int], int]:
-    """Finite floats as integers over one power of two: values[i] == nums[i] / den exactly."""
+def _dyadic(values: list[int | float]) -> tuple[list[int], int]:
+    """Ints and finite floats as integers over one power of two: values[i] == nums[i] / den exactly."""
     ratios = [v.as_integer_ratio() for v in values]
     den = max(d for _, d in ratios)  # every denominator is a power of two
     return [num * (den // d) for num, d in ratios], den
 
 
 def exact_cost(lp: ValidatedLP, x) -> Fraction:
-    """c . x exactly: x's n finite floats read as integers over one power of two, as dual_lower_bound reads y."""
+    """c . x exactly: x's n ints and finite floats read as integers over one power of two, as dual_lower_bound reads y."""
     from fractions import Fraction
 
-    X, den = _dyadic(_finite_floats(x, "x", lp.n))
+    X, den = _dyadic(_finite_numbers(x, "x", lp.n))
     return Fraction(sum(map(operator.mul, lp.c_exact, X)), den)
 
 
@@ -353,7 +353,7 @@ def dual_lower_bound(lp: ValidatedLP, y) -> Fraction | None:
     """
     from fractions import Fraction
 
-    Y, _ = _dyadic(_finite_floats(y, "y", lp.m))  # the common denominator cancels between b . Y and r
+    Y, _ = _dyadic(_finite_numbers(y, "y", lp.m))  # the common denominator cancels between b . Y and r
     # a_i . Y / c_i for every column i, compared as exact rationals.
     r = max(Fraction(sum(map(operator.mul, col, Y)), ci) for col, ci in zip(zip(*lp.A_exact), lp.c_exact))
     if r <= 0:

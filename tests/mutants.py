@@ -12,8 +12,7 @@ Any other survivor asks for a test; a check is never weakened to kill it.
 Run from the repository root with the standard library and the test
 dependencies (pytest, hypothesis):
 
-    python3 tests/mutants.py          # every mutant, then a table
-    python3 tests/mutants.py --list   # the mutants, without running tests
+    python3 tests/mutants.py   # every mutant, then a table
 
 src/, tests/ and what the tests read (instances/, bench/, README.md,
 pyproject.toml) are copied to a temporary directory, and only that copy is
@@ -24,7 +23,6 @@ when the unmutated copy fails its tests. pytest's file name pattern
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import shutil
@@ -39,7 +37,7 @@ COPIED = ("src", "tests", "instances", "bench", "README.md", "pyproject.toml")
 TEST_FILES = ("tests/test_model.py", "tests/test_linalg.py", "tests/test_discrete.py",
               "tests/test_acceptance.py", "tests/test_cli.py")
 TARGETS = {
-    "src/physarum/model.py": ("_finite_floats", "_dyadic", "exact_cost", "dual_lower_bound"),
+    "src/physarum/model.py": ("_finite_numbers", "_dyadic", "exact_cost", "dual_lower_bound"),
     "src/physarum/linalg.py": ("basis_dual",),
     "src/physarum/discrete_solver.py": ("_cannot_move", "_potentials_cannot_close", "certify_trace"),
 }
@@ -136,18 +134,9 @@ def run_tests(copy: Path) -> tuple[bool, str]:
     return proc.returncode == 0, tail
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
-    args = parser.parse_args(argv)
-
+def main() -> int:
+    """Run every mutant, print one line per mutant and then the table; 1 if a survivor is not listed."""
     found = all_mutants()
-    if args.list:
-        for path, func, line, swap, _ in found:
-            print(f"{Path(path).stem}.{func}: {swap} in `{line}`")
-        print(f"{len(found)} mutants")
-        return 0
-
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp)
         for name in COPIED:

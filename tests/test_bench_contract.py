@@ -83,7 +83,7 @@ def test_every_traced_attribute_resolves():
 
 
 def test_verify_calls_each_traced_layer_through_its_binding(capsys):
-    """cli_io resolves the dynamics names on first access, and verify calls the binding the benchmark installs.
+    """cli_io resolves evaluate alone on first access, and verify calls the binding the benchmark installs.
 
     Were cli_io.evaluate bypassed, the 200 sample evaluations would count
     as run_verification's own time (cli_io.run_verification_self_s).

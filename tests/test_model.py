@@ -449,6 +449,13 @@ def test_the_exact_layer_reads_only_finite_numbers(simple2, read, name, length, 
         assert type(info.value) is error
 
 
+@pytest.mark.parametrize("x", [[2**53 + 1, 0], np.array([2**53 + 1, 0]), [10**400, 0]],
+                         ids=["list", "int64", "beyond-float"])
+def test_exact_cost_reads_ints_exactly(simple2, x):
+    # float() would round 2**53 + 1 to 2**53 and overflow on 10**400; c = (1, 2).
+    assert exact_cost(simple2, x) == int(x[0])
+
+
 # Nonnegative finite floats from every range the dyadic reading meets:
 # zero, subnormals, 1.0 and the top of the range.
 EXTREME_FLOATS = st.one_of(

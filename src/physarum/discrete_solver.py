@@ -83,7 +83,6 @@ from ._record import record
 from .errors import (
     BadEpsError,
     BadStepError,
-    DimensionMismatchError,
     FeasibilityLostError,
     MissingVerifyDataError,
     NumericalError,
@@ -93,7 +92,7 @@ from .errors import (
 )
 from . import linalg
 from .dynamics import evaluate
-from .model import Params, ValidatedLP, check_point, default_params, default_step, dual_lower_bound, exact_cost
+from .model import Params, ValidatedLP, _float_vector, check_point, default_params, default_step, dual_lower_bound, exact_cost
 
 
 def _warn(msg: str, *args) -> None:
@@ -535,9 +534,7 @@ def certify_trace(lp: ValidatedLP, trace: Trace, opt: float, eps: float, h: floa
         raise ValidationError(f"eps={eps!r}, h={h!r} differ from the trace's eps={trace.eps!r}, h={trace.h!r}")
     if not (0.0 < opt < math.inf):
         raise ValidationError(f"the optimal value must be finite and positive to form the potential, got {opt!r}")
-    x_star = np.asarray(x_star, dtype=float)
-    if x_star.shape != (lp.n,):
-        raise DimensionMismatchError(f"x_star has shape {x_star.shape}, expected ({lp.n},)")
+    x_star = _float_vector(x_star, "x_star", lp.n)
     if not np.all((0.0 <= x_star) & (x_star < math.inf)):
         raise ValidationError(f"x_star must be finite and nonnegative, got {x_star.tolist()!r}")
     supp = x_star > 0.0

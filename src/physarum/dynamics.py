@@ -22,11 +22,11 @@ from functools import cached_property
 import numpy as np
 
 from ._record import record
-from .errors import DimensionMismatchError, NotInKernelError, ValidationError
+from .errors import NotInKernelError, ValidationError
 # spd_factor is not called here, but bench/spans.py records spans by
 # rebinding dynamics.spd_factor, so the name stays bound.
 from .linalg import laplacian_solver, spd_factor  # noqa: F401
-from .model import Params, ValidatedLP, check_point
+from .model import Params, ValidatedLP, _float_vector, check_point
 
 BOUND_RTOL = 1e-8
 
@@ -101,9 +101,7 @@ def gradient_identity_residual(lp: ValidatedLP, ev: DynamicsEval, h) -> float:
     kernel test below cannot see a NaN), and NotInKernelError when h is
     not (numerically) in the kernel of A.
     """
-    h = np.asarray(h, dtype=float)
-    if h.shape != (lp.n,):
-        raise DimensionMismatchError(f"direction has shape {h.shape}, expected ({lp.n},)")
+    h = _float_vector(h, "direction", lp.n)
     if not np.isfinite(h).all():
         raise ValidationError(f"direction must be finite, got {h.tolist()!r}")
     a_norm = float(np.abs(lp.A).sum(axis=1).max())

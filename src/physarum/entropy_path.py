@@ -67,12 +67,14 @@ class PathPoint:
     newton_iters: int
 
 
-def dual_value_and_derivatives(lp: ValidatedLP, log_s, mu: float, y):
-    """Evaluate g, its gradient and the primal point x(y) at a dual point y.
+def dual_value_and_derivatives(lp: ValidatedLP, log_s, mu: float, y, rhs):
+    """Evaluate g, its gradient and the primal point x(y) at a dual point y, for A x = rhs.
 
-    ``log_s`` is ln s of the anchor, taken once by the caller for all its
-    evaluations. The Hessian -A W A^T is not formed here: the Newton loop
-    solves against A W A^T at each iterate it steps from.
+    g is the dual of A x = rhs: y . rhs - c . x(y), with gradient
+    rhs - A x(y). ``log_s`` is ln s of the anchor, taken once by the
+    caller for all its evaluations. The Hessian -A W A^T is not formed
+    here: the Newton loop solves against A W A^T at each iterate it steps
+    from.
     """
     y = np.asarray(y, dtype=float)
     expo = exponent(lp, log_s, mu, y)
@@ -83,8 +85,8 @@ def dual_value_and_derivatives(lp: ValidatedLP, log_s, mu: float, y):
             "or the Newton iterate wandered off"
         )
     x = np.exp(expo)
-    value = float(y.dot(lp.b) - lp.c.dot(x))
-    grad = lp.b - lp.A.dot(x)
+    value = float(y.dot(rhs) - lp.c.dot(x))
+    grad = rhs - lp.A.dot(x)
     return value, grad, x
 
 
@@ -111,18 +113,13 @@ def solve_point(lp: ValidatedLP, s, mu: float) -> PathPoint:
 
 
 def _newton(lp: ValidatedLP, log_s, mu: float, y0, shift, laplacian) -> PathPoint:
-    """The Newton loop for the right-hand side b + shift, from the anchor's log and y0 (zeros when None).
+    """The Newton loop for A x = b + shift, from the anchor's log and y0 (zeros when None).
 
-    The shift moves the constraint to A x = b + shift, which adds
-    y . shift to g and shift to its gradient; the Laplacian and the line
-    search do not depend on it, and the tolerance is b's while |shift|
-    stays within 1000 (|b| + 1). A shift of
-    None is the unshifted problem A x = b: the dual evaluations are used
-    as they come, with no y . 0 or + 0 arithmetic, which is what
-    ``follow_path`` and a feasible start of ``flow_points`` solve (a zero
-    shift added every time would cost each evaluation two numpy calls).
-    laplacian is a bound ``laplacian_solver(lp)``; a sweep shares one
-    across its points.
+    Every dual evaluation reads the right-hand side rhs = b + shift,
+    formed once per call (b itself when shift is None). The Laplacian and
+    the line search do not depend on it, and the tolerance is b's while
+    |shift| stays within 1000 (|b| + 1). laplacian is a bound
+    ``laplacian_solver(lp)``; a sweep shares one across its points.
 
     At m <= 3 numpy's call overhead sets the cost of each iteration, so
     here and in the dual evaluation the maxima are np.maximum.reduce calls
@@ -143,36 +140,30 @@ def _newton(lp: ValidatedLP, log_s, mu: float, y0, shift, laplacian) -> PathPoin
     y = np.zeros(lp.m) if y0 is None else y0.copy()
 
     b, c = lp.b, lp.c
-
-    def evaluate_dual(y):
-        value, grad, x = dual_value_and_derivatives(lp, log_s, mu, y)
-        if shift is None:
-            return value, grad, x
-        return value + float(y.dot(shift)), grad + shift, x
-
+    rhs = b if shift is None else b + shift
     # Rounding in the shifted gradient grows like 1e-16 |shift|, so a shift
     # far past b raises the floor; from a start far off A x = b, b's own
     # tolerance is out of reach and Newton stalls at t = 0.
     tol = 1e-10 * (float(maxr(absolute(b))) + 1.0)
     if shift is not None:
         tol = max(tol, 1e-13 * float(maxr(absolute(shift))))
-    value, grad, x = evaluate_dual(y)
+    value, grad, x = dual_value_and_derivatives(lp, log_s, mu, y, rhs)
     for it in range(MAX_NEWTON_ITERS):
         if float(maxr(absolute(grad))) <= tol:
             return PathPoint(mu=float(mu), y=y, x=x, dual_value=value, newton_iters=it)
         d = laplacian(x / c, grad)
         slope = float(grad.dot(d))
-        # g is computed as y.b - c.x, so its increments are only trustworthy
+        # g is computed as y.rhs - c.x, so its increments are only trustworthy
         # above the cancellation noise of those two dot products; without
         # this allowance the endgame rejects exact Newton steps forever.
-        noise = 1e-13 * (abs(float(y.dot(b))) + abs(float(c.dot(x))) + 1.0)
+        noise = 1e-13 * (abs(float(y.dot(rhs))) + abs(float(c.dot(x))) + 1.0)
         # The accepted trial point becomes the iterate as it is; y + d is
         # y + 1.0 * d bit for bit, so the full step needs no product.
         t = 1.0
         for _ in range(MAX_BACKTRACKS):
             trial = y + d if t == 1.0 else y + t * d
             try:
-                cand = evaluate_dual(trial)
+                cand = dual_value_and_derivatives(lp, log_s, mu, trial, rhs)
             except DualOverflowError:
                 t = _next_trial(lp, d, t)
                 continue

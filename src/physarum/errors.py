@@ -8,9 +8,10 @@ data, a bad argument, a bad caller-supplied point, or a trace that
 certify_trace cannot check (MissingVerifyDataError). ValidationError is
 also a ValueError, so callers that catch ValueError for a bad argument
 keep working. model.check_point checks a caller's state, start or anchor
-(DimensionMismatchError, NonPositiveStateError, InfeasibleStartError),
-model._finite_numbers exact_cost's x and dual_lower_bound's y, and
-gradient_identity_residual and certify_trace their own h and x_star.
+(DimensionMismatchError, NonPositiveStateError, InfeasibleStartError);
+its reader, model._float_vector, also reads gradient_identity_residual's
+h and certify_trace's x_star, which then check their own finiteness and
+sign. model._finite_numbers reads exact_cost's x and dual_lower_bound's y.
 """
 
 from __future__ import annotations

@@ -274,15 +274,8 @@ def validate(lp: LinearProgram) -> ValidatedLP:
     return ValidatedLP(A_exact=rows, b_exact=tuple(b), c_exact=tuple(c), name=lp.name)
 
 
-def check_point(lp: ValidatedLP, x, what: str, feasible: bool = False) -> np.ndarray:
-    """Return a caller-supplied point as a float vector, or raise its one error.
-
-    DimensionMismatchError when an entry is a boolean, a string or not a
-    number or the shape is not (n,), NonPositiveStateError when an entry is not
-    strictly positive and finite, and, only when ``feasible`` is set,
-    InfeasibleStartError when |A x - b|_inf exceeds 1e-8 (|b|_inf + 1).
-    ``what`` names the point in the message.
-    """
+def _float_vector(x, what: str, length: int) -> np.ndarray:
+    """x as a float vector of `length` entries, else DimensionMismatchError naming it ``what``."""
     # Booleans and numeric strings are caught before the conversion would
     # read them as 1.0, 0.0 or the number they spell.
     if _holds_non_number(x):
@@ -293,8 +286,23 @@ def check_point(lp: ValidatedLP, x, what: str, feasible: bool = False) -> np.nda
         x = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatchError(f"{what} must contain numbers") from exc
-    if x.shape != (lp.n,):
-        raise DimensionMismatchError(f"{what} has shape {x.shape}, expected ({lp.n},)")
+    if x.shape != (length,):
+        raise DimensionMismatchError(f"{what} has shape {x.shape}, expected ({length},)")
+    return x
+
+
+def check_point(lp: ValidatedLP, x, what: str, feasible: bool = False) -> np.ndarray:
+    """Return a caller-supplied point as a float vector, or raise its one error.
+
+    DimensionMismatchError when an entry is a boolean, a string or not a
+    number or the shape is not (n,), NonPositiveStateError when an entry is not
+    strictly positive and finite, and, only when ``feasible`` is set,
+    InfeasibleStartError when |A x - b|_inf exceeds 1e-8 (|b|_inf + 1).
+    ``what`` names the point in the message.
+    """
+    import numpy as np
+
+    x = _float_vector(x, what, lp.n)
     # `verify` checks every sample state twice (evaluate, check_bounds),
     # so positivity and finiteness take one reduction each way:
     # np.minimum and np.maximum propagate a NaN, which then fails both
@@ -318,7 +326,10 @@ def _finite_numbers(value, what: str, length: int) -> list[int | float]:
     shape, entries = _read(_plain(value))
     if shape != (length,):
         raise DimensionMismatchError(f"{what} has shape {shape}, expected ({length},)")
-    nums = [v if isinstance(v, int) else float(v) for v in entries]  # float() rounds an int above 2**53
+    try:
+        nums = [v if isinstance(v, int) else float(v) for v in entries]  # float() rounds an int above 2**53
+    except (TypeError, ValueError) as exc:  # None, a complex number or any object float() cannot read
+        raise DimensionMismatchError(f"{what} must contain numbers") from exc
     if not all(isinstance(v, int) or math.isfinite(v) for v in nums):
         raise ValidationError(f"{what} must be finite, got {nums!r}")
     return nums

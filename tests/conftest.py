@@ -278,7 +278,7 @@ def ref_cholesky_solve(M, rhs):
 
 # The entropy-path engine written the plain way, as a reference that
 # integrate, flow_points and follow_path must match bit for bit: every dual
-# evaluation adds its shift (zeros for A x = b itself), the line search
+# evaluation reads rhs = b + shift (zeros for A x = b itself), the line search
 # recomputes y + t d after accepting t, and each flow row takes its
 # statistics one numpy call each. The exponent ln s + A^T y / c - mu and
 # the vector field are spelled out here rather than imported, so a change
@@ -288,14 +288,14 @@ def ref_cholesky_solve(M, rhs):
 def ref_newton(lp, log_s, mu, y0, shift, laplacian):
     """Damped Newton ascent on the dual for A x = b + shift, from y0 (zeros when None)."""
     y = np.zeros(lp.m) if y0 is None else np.asarray(y0, dtype=float).copy()
+    rhs = lp.b + shift
 
     def evaluate_dual(y):
         expo = log_s + lp.At.dot(y) / lp.c - mu
         if expo.max() > EXP_CAP:
             raise DualOverflowError("reference dual exponent past the cap")
         x = np.exp(expo)
-        value = float(y.dot(lp.b) - lp.c.dot(x))
-        return value + float(y.dot(shift)), lp.b - lp.A.dot(x) + shift, x
+        return float(y.dot(rhs) - lp.c.dot(x)), rhs - lp.A.dot(x), x
 
     # A shift far past b raises the floor to 1e-13 |shift|, its gradient's rounding.
     tol = max(1e-10 * (float(np.abs(lp.b).max()) + 1.0), 1e-13 * float(np.abs(shift).max()))
@@ -305,7 +305,7 @@ def ref_newton(lp, log_s, mu, y0, shift, laplacian):
             return PathPoint(mu=float(mu), y=y, x=x, dual_value=value, newton_iters=it)
         d = laplacian(x / lp.c, grad)
         slope = float(grad.dot(d))
-        noise = 1e-13 * (abs(float(y.dot(lp.b))) + abs(float(lp.c.dot(x))) + 1.0)
+        noise = 1e-13 * (abs(float(y.dot(rhs))) + abs(float(lp.c.dot(x))) + 1.0)
         # After the full step, the next trial moves no exponent a_i . y / c_i by more than EXPONENT_STEP_CAP.
         reach = float(np.abs(lp.At.dot(d) / lp.c).max())
         capped = min(0.5, EXPONENT_STEP_CAP / reach) if 0.0 < reach < np.inf else 0.5

@@ -37,7 +37,7 @@ COPIED = ("src", "tests", "instances", "bench", "README.md", "pyproject.toml")
 TEST_FILES = ("tests/test_model.py", "tests/test_linalg.py", "tests/test_discrete.py",
               "tests/test_acceptance.py", "tests/test_cli.py")
 TARGETS = {
-    "src/physarum/model.py": ("_finite_numbers", "_dyadic", "exact_cost", "dual_lower_bound"),
+    "src/physarum/model.py": ("_float_vector", "_finite_numbers", "_dyadic", "exact_cost", "dual_lower_bound"),
     "src/physarum/linalg.py": ("basis_dual",),
     "src/physarum/discrete_solver.py": ("_cannot_move", "_potentials_cannot_close", "certify_trace"),
 }

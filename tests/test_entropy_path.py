@@ -59,7 +59,7 @@ def test_path_approaches_the_optimal_vertex(simple2):
 def test_derivative_structure(simple2):
     s = np.array([0.5, 0.5])
     y = np.array([0.3])
-    value, grad, x = dual_value_and_derivatives(simple2, np.log(s), 1.5, y)
+    value, grad, x = dual_value_and_derivatives(simple2, np.log(s), 1.5, y, simple2.b)
     assert value == pytest.approx(float(y @ simple2.b - simple2.c @ x))
     assert np.allclose(grad, simple2.b - simple2.A @ x, atol=1e-14)
 
@@ -199,11 +199,11 @@ def test_overflowing_prediction_falls_back_to_the_previous_y(simple2, monkeypatc
     real = entropy_path.dual_value_and_derivatives
     raised = []
 
-    def overflow_once_at_mu_2(lp, log_s, mu, y):
+    def overflow_once_at_mu_2(lp, log_s, mu, y, rhs):
         if mu == 2.0 and not raised:
             raised.append(np.array(y, dtype=float))
             raise DualOverflowError("injected")
-        return real(lp, log_s, mu, y)
+        return real(lp, log_s, mu, y, rhs)
 
     monkeypatch.setattr(entropy_path, "dual_value_and_derivatives", overflow_once_at_mu_2)
     pts = follow_path(simple2, s, [0.0, 1.0, 2.0])

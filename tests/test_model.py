@@ -22,6 +22,8 @@ from physarum import (
     validate,
 )
 from physarum._exact import max_abs_subdeterminant
+from physarum.discrete_solver import certify_trace
+from physarum.dynamics import gradient_identity_residual
 from physarum.errors import (
     DimensionMismatchError,
     InfeasibleStartError,
@@ -110,6 +112,7 @@ def test_booleans_from_library_callers_are_not_integers(which, value):
 
 @pytest.mark.parametrize("point", [
     [True, 0.5], (0.5, np.True_), np.array([True, True]), np.True_, ["a", 1], [1 + 1j, 1.0], [[1.0], [1.0, 2.0]],
+    [True, False], [[1, 2], [3]],
 ])
 def test_points_from_library_callers_must_hold_numbers(simple2, point):
     # A boolean would read as 1.0 or 0.0 and a string as a bare ValueError.
@@ -121,18 +124,29 @@ def test_points_from_library_callers_must_hold_numbers(simple2, point):
         solve(simple2, DiscreteConfig(start=point))
     with pytest.raises(DimensionMismatchError, match="anchor must contain numbers"):
         check_point(simple2, point, "anchor")
+    with pytest.raises(DimensionMismatchError, match="direction must contain numbers"):
+        gradient_identity_residual(simple2, evaluate(simple2, [0.5, 0.5]), point)
+    _, trace = solve(simple2, DiscreteConfig(start=[0.5, 0.5], max_iters=5))
+    with pytest.raises(DimensionMismatchError, match="x_star must contain numbers"):
+        certify_trace(simple2, trace, 1.0, trace.eps, trace.h, point)
 
 
 def test_numeric_strings_are_not_numbers(simple2):
     # np.asarray(..., dtype=float) parses "0.5" as 0.5, so these used to pass.
+    ev = evaluate(simple2, [0.5, 0.5])
+    _, trace = solve(simple2, DiscreteConfig(start=[0.5, 0.5], max_iters=5))
     for point in (
         ["0.5", "0.5"], ("0.5", 0.5), [0.5, b"0.5"], np.array(["0.5", "0.5"]), np.array([b"0.5", b"0.5"]),
-        np.array(["0.5", 0.5], dtype=object), [np.str_("0.5"), 0.5], "0.5",
+        np.array(["0.5", 0.5], dtype=object), [np.str_("0.5"), 0.5], "0.5", ["1", "-1"], "ab",
     ):
         with pytest.raises(DimensionMismatchError, match="state must contain numbers"):
             evaluate(simple2, point)
         with pytest.raises(DimensionMismatchError, match="anchor must contain numbers"):
             check_point(simple2, point, "anchor")
+        with pytest.raises(DimensionMismatchError, match="direction must contain numbers"):
+            gradient_identity_residual(simple2, ev, point)
+        with pytest.raises(DimensionMismatchError, match="x_star must contain numbers"):
+            certify_trace(simple2, trace, 1.0, trace.eps, trace.h, point)
     for point in (
         [1, 0.5], (np.float32(0.5), np.int64(1)), np.array([1, 2], dtype=np.int8),
         np.array([0.5, 0.5], dtype=object),
@@ -439,7 +453,10 @@ def test_exact_cost_rejects_a_vector_of_the_wrong_shape(simple2, x):
     ("0.5", DimensionMismatchError, "must contain numbers"),
     (True, DimensionMismatchError, "must contain numbers"),
     (np.bool_(False), DimensionMismatchError, "must contain numbers"),
-], ids=["nan", "inf", "-inf", "str", "bool", "np.bool_"])
+    (None, DimensionMismatchError, "must contain numbers"),
+    (1j, DimensionMismatchError, "must contain numbers"),
+    (object(), DimensionMismatchError, "must contain numbers"),
+], ids=["nan", "inf", "-inf", "str", "bool", "np.bool_", "None", "complex", "object"])
 def test_the_exact_layer_reads_only_finite_numbers(simple2, read, name, length, bad, error, match):
     vec = [0.5] * length
     vec[-1] = bad

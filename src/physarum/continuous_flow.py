@@ -22,7 +22,8 @@ The trace is one numpy record array with a row per sample time and the
 fields t, x (shape (n,)), cost, energy, feas_residual, edge_potential_inf,
 direction_inf, deviation_inf (max |q_i / x_i - 1|) and x_bound_ok. Each
 row reads the vector field once: r = rhs_log(u) at the Newton's own
-exponent u, and every column but cost and the residual follows from it
+exponent u, through one Laplacian solver bound for all the rows, and
+every column but cost and the residual follows from it
 (q = x (r + 1), A^T p = c (r + 1), energy b . p = sum (x/c) (A^T p)^2).
 Rows are built one at a time, each with its own numpy calls: the three
 max-norms |A^T p|, |x r| and |r| are written into the rows of one
@@ -44,16 +45,21 @@ from ._record import record
 from .dynamics import evaluate  # noqa: F401
 from .errors import ValidationError
 from .linalg import laplacian_solver
-from .model import Params, ValidatedLP, check_point, default_params
+from .model import Params, ValidatedLP, _float_vector, check_point, default_params
 
 
-def rhs_log(lp: ValidatedLP, u) -> np.ndarray:
+def rhs_log(lp: ValidatedLP, u, laplacian=None) -> np.ndarray:
     """Time derivative of u = ln x along the flow, evaluated at x = exp(u).
 
     Equals (A^T p)/c - 1 with p the potentials at x; zero exactly at the
-    fixed points of the dynamics.
+    fixed points of the dynamics. u must hold n numbers, else
+    DimensionMismatchError. ``laplacian`` is a bound
+    ``laplacian_solver(lp)``, bound here when None; a caller that reads
+    the field at many points binds one and passes it to each call.
     """
-    p = laplacian_solver(lp)(np.exp(np.asarray(u, dtype=float)) / lp.c, lp.b)
+    if laplacian is None:
+        laplacian = laplacian_solver(lp)
+    p = laplacian(np.exp(_float_vector(u, "u", lp.n)) / lp.c, lp.b)
     return lp.At.dot(p) / lp.c - 1.0
 
 
@@ -122,10 +128,11 @@ def integrate(lp: ValidatedLP, config: FlowConfig, params: Params | None = None)
     inf_norms = np.empty((3, lp.n))
     edge, direction, deviation = inf_norms
     signed = inf_norms[:2]
+    laplacian = laplacian_solver(lp)  # one for every row's rhs_log
     rows = []
     for t, point in zip(ts, points):
         x = point.x
-        r = rhs_log(lp, entropy_path.exponent(lp, log_x0, point.mu, point.y))
+        r = rhs_log(lp, entropy_path.exponent(lp, log_x0, point.mu, point.y), laplacian)
         np.add(r, 1.0, edge)
         multiply(c, edge, edge)
         multiply(x, r, direction)

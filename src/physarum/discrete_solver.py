@@ -612,10 +612,11 @@ def certified_step_search(
     start = oracle_mod.interior_point(oracle_result)
     gap_cost = (1.0 + eps) * oracle_result.opt
     log_start = np.log(start)
+    laplacian = linalg.laplacian_solver(lp)  # one for every sample's rhs_log
     devs, within = [], False  # each read sample's deviation; whether the last read lies within the gap
     try:
         for point in entropy_path.flow_points(lp, start, np.arange(0.0, PILOT_T_END + 0.125, 0.25)):
-            r = continuous_flow.rhs_log(lp, entropy_path.exponent(lp, log_start, point.mu, point.y))
+            r = continuous_flow.rhs_log(lp, entropy_path.exponent(lp, log_start, point.mu, point.y), laplacian)
             if not devs:
                 # solve stops at k = 0, whatever h is, at a start that passes its FixedPoint test.
                 at_rest = np.abs(point.x * r).max() <= FIXED_POINT_TOL * (1.0 + point.x.max())

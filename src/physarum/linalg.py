@@ -43,6 +43,18 @@ Laplacian's through a view of the L buffer that the solver binds once.
 ndarray.dot reaches the same BLAS routine as @ and np.dot without
 matmul's or the numpy function's dispatch, and the square float64
 Laplacian it forms reaches LAPACK without a conversion.
+
+Where arithmetic does set the cost (m = 48 and 64 in the benchmark's
+scale workload), so does the place of an array. numpy's allocator aligns its data only to 16 bytes, and
+its AVX-512 loops run slower on an array that does not start on a
+64-byte cache line: on a 2-vCPU Xeon, np.multiply(A, w, Aw) at 48 x 192
+takes 5.3-5.8 us with Aw on a 64-byte line and 7.2-8.4 us at each of the
+other three offsets numpy may give. Which offset a run got depended on
+every earlier allocation, so an unrelated np.empty moved follow_path and
+integrate at 48 x 192 by 10-20%. The solver's buffers A w and L, like
+ValidatedLP's A, At, b and c, are therefore made by
+model._aligned_empty, which starts them on a 64-byte boundary. The
+results do not depend on the alignment, only the time does.
 """
 
 from __future__ import annotations
@@ -55,7 +67,7 @@ from importlib.util import find_spec, module_from_spec
 import numpy as np
 
 from .errors import NotPositiveDefiniteError, RankDeficientError, ValidationError
-from .model import ValidatedLP
+from .model import ValidatedLP, _aligned_empty
 
 # A pivot this small relative to the mean diagonal means the matrix has
 # effectively collapsed onto a boundary face.
@@ -132,9 +144,10 @@ def laplacian_solver(lp: ValidatedLP):
 
     Each solution is a fresh array (dposv copies its inputs). A rejected
     Laplacian raises NotPositiveDefiniteError. Weights are not checked.
+    The buffers A w and L start on 64-byte boundaries, as lp's arrays do.
     """
     A, At = lp.A, lp.At
-    Aw, L = np.empty_like(A), np.empty((len(A), len(A)))
+    Aw, L = _aligned_empty(A.shape), _aligned_empty((len(A), len(A)))
     L_diag = L.diagonal()  # a view: it reads each new Laplacian in L
     mul = np.multiply
 

@@ -164,6 +164,8 @@ class ValidatedLP:
     layer reads only these. The float arrays ``A``, ``At``, ``b``, ``c``
     for the numerics are built from them on first access; each int rounds
     to the nearest float, as an int64 array's conversion would round it.
+    Each starts on a 64-byte boundary (see ``_aligned_empty``), and ``At``
+    holds the bytes of ``A.T.copy()``.
     """
 
     A_exact: tuple[tuple[int, ...], ...]
@@ -185,7 +187,7 @@ class ValidatedLP:
 
     @cached_property
     def At(self) -> np.ndarray:
-        return self.A.T.copy()
+        return _float_array(self.A.T)
 
     @cached_property
     def b(self) -> np.ndarray:
@@ -196,10 +198,30 @@ class ValidatedLP:
         return _float_array(self.c_exact)
 
 
-def _float_array(data) -> np.ndarray:
+def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised C-contiguous float array of `shape` whose data starts on a 64-byte boundary.
+
+    numpy's allocator aligns only to 16 bytes, and its AVX-512 loops run
+    slower on an array that starts inside a 64-byte cache line (see the
+    linalg module docstring). The array is a view into one with 8 floats
+    to spare, sliced at its first 64-byte boundary.
+    """
     import numpy as np
 
-    return np.array(data, dtype=float)
+    size = math.prod(shape)
+    raw = np.empty(size + 8)
+    start = -raw.__array_interface__["data"][0] % 64 // 8
+    return raw[start:start + size].reshape(shape)
+
+
+def _float_array(data) -> np.ndarray:
+    """np.array(data, dtype=float), bit for bit, in a buffer from _aligned_empty."""
+    import numpy as np
+
+    values = np.array(data, dtype=float)
+    out = _aligned_empty(values.shape)
+    out[...] = values
+    return out
 
 
 @record

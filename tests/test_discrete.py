@@ -621,6 +621,23 @@ def test_step_search_solves_each_sample_it_reads_and_no_other(corpus, monkeypatc
     assert sum(got) == 292
 
 
+def test_step_search_binds_one_solver_for_its_pilot(corpus, monkeypatch):
+    # The pilot binds one solver through discrete_solver's linalg and passes
+    # it to every sample's rhs_log (292 over the corpus, see above), which
+    # then binds none of its own.
+    binds = {"linalg": 0, "continuous_flow": 0}
+    for module, name in ((linalg, "linalg"), (continuous_flow, "continuous_flow")):
+        def counting(lp, real=module.laplacian_solver, name=name):
+            binds[name] += 1
+            return real(lp)
+
+        monkeypatch.setattr(module, "laplacian_solver", counting)
+    for _, lp, res in corpus:
+        binds.update(linalg=0, continuous_flow=0)
+        certified_step_search(lp, CORPUS_EPS, oracle_result=res)
+        assert binds == {"linalg": 1, "continuous_flow": 0}
+
+
 def test_certify_rejects_eps_or_h_other_than_the_traces(triangle):
     h, _ = certified_step_search(triangle, 0.05)
     _, trace = solve(triangle, DiscreteConfig(eps=0.05, h=h))

@@ -5,6 +5,7 @@ import pytest
 
 from physarum import (
     FlowConfig,
+    continuous_flow,
     entropy_path,
     enumerate_polyhedron,
     evaluate,
@@ -25,6 +26,14 @@ def test_rhs_log_values(simple2, identity2):
     du = rhs_log(simple2, np.log([0.5, 0.5]))
     assert np.allclose(du, [1.0 / 3.0, -1.0 / 3.0])
     assert np.allclose(rhs_log(identity2, np.log([2.0, 3.0])), 0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("u", [[0.0], [0.0, 0.0, 0.0], [True, 0.0], ["0", "0"]],
+                         ids=["length 1", "length n+1", "boolean", "string"])
+def test_rhs_log_reads_n_numbers(simple2, u):
+    # numpy broadcast [0.0] to u = (0, 0) and read True as 1.0.
+    with pytest.raises(DimensionMismatchError):
+        rhs_log(simple2, u)
 
 
 def test_config_validation():
@@ -149,17 +158,23 @@ def test_integrate_fills_each_column_with_the_per_row_values(case, simple2):
 
 def test_a_flow_sweep_binds_one_laplacian_solver(simple2, monkeypatch):
     # flow_points shares one bound solver across its samples, and so does
-    # follow_path across its points.
-    real, binds = entropy_path.laplacian_solver, []
+    # follow_path across its points; integrate binds one more for its rows'
+    # rhs_log calls.
+    real, binds, row_binds = entropy_path.laplacian_solver, [], []
 
     def counting(lp):
         binds.append(lp)
         return real(lp)
 
+    def counting_rows(lp):
+        row_binds.append(lp)
+        return real(lp)
+
     monkeypatch.setattr(entropy_path, "laplacian_solver", counting)
+    monkeypatch.setattr(continuous_flow, "laplacian_solver", counting_rows)
     x0 = np.array([2.0, 0.3])
     trace = integrate(simple2, FlowConfig(x0=x0, t_end=10.0))
-    assert len(binds) == 1 and len(trace.entries) == 41
+    assert len(binds) == len(row_binds) == 1 and len(trace.entries) == 41
     binds.clear()
     points = follow_path(simple2, np.array([0.5, 0.5]), np.arange(0.0, 10.25, 0.25))
     assert len(binds) == 1 and len(points) == 41

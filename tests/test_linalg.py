@@ -9,11 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physarum import DiscreteConfig, LinearProgram, evaluate, linalg, rhs_log, solve, validate
+from physarum import (
+    DiscreteConfig,
+    FlowConfig,
+    LinearProgram,
+    certified_step_search,
+    evaluate,
+    follow_path,
+    integrate,
+    linalg,
+    rhs_log,
+    solve,
+    validate,
+)
 from physarum._exact import rank_int
 from physarum.errors import NotPositiveDefiniteError, RankDeficientError
 from physarum.linalg import PIVOT_RTOL, kernel_basis, laplacian_solver, spd_factor
-from tests.conftest import planted_instance, rand_positive, ref_cholesky_solve, run_child
+from physarum.model import ValidatedLP
+from tests.conftest import planted_instance, planted_with_start, rand_positive, ref_cholesky_solve, run_child
 
 
 def _random_spd(rng, m):
@@ -483,3 +496,76 @@ def test_importing_linalg_binds_the_extensions_routines():
     proc = run_child(["-c", script], os.environ)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "True True ['scipy.linalg._flapack']"
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def _solver_buffers(solve):
+    """The A w and L buffers a bound laplacian_solver closes over."""
+    cells = dict(zip(solve.__code__.co_freevars, (cell.cell_contents for cell in solve.__closure__)))
+    return cells["Aw"], cells["L"]
+
+
+def test_the_float_arrays_and_the_solver_buffers_start_on_64_byte_lines(corpus):
+    # numpy's allocator aligns only to 16 bytes; the Laplacian's products
+    # run slower on an array that starts inside a cache line.
+    data = [(lp.A_exact, lp.b_exact, lp.c_exact) for _, lp, _ in corpus]
+    rng = np.random.default_rng(11)
+    A = rng.integers(-3, 4, size=(48, 192))
+    data.append((A, A @ rng.integers(1, 4, size=192), rng.integers(1, 4, size=192)))
+    data.append(([[-(2**63), 2**63 - 1]], [2**63 - 1], [2**63 - 1, 1]))
+    for A, b, c in data:
+        lp = validate(LinearProgram(A=A, b=b, c=c))
+        Aw, L = _solver_buffers(laplacian_solver(lp))
+        for array in (lp.A, lp.At, lp.b, lp.c, Aw, L):
+            assert _address(array) % 64 == 0
+            assert array.dtype == np.float64 and array.flags.c_contiguous
+        want_A = np.array(A, dtype=float)
+        assert lp.A.tobytes() == want_A.tobytes() and lp.A.shape == want_A.shape
+        assert lp.At.tobytes() == want_A.T.copy().tobytes() and lp.At.shape == want_A.T.shape
+        assert lp.b.tobytes() == np.array(b, dtype=float).tobytes() and lp.b.shape == (lp.m,)
+        assert lp.c.tobytes() == np.array(c, dtype=float).tobytes() and lp.c.shape == (lp.n,)
+        assert Aw.shape == (lp.m, lp.n) and L.shape == (lp.m, lp.m)
+
+
+def _misaligned(a, offset):
+    """A copy of a whose data starts `offset` bytes past a 64-byte boundary."""
+    raw = np.empty(a.size + 8)
+    start = (offset - _address(raw)) % 64 // 8
+    out = raw[start:start + a.size].reshape(a.shape)
+    out[...] = a
+    assert _address(out) % 64 == offset
+    return out
+
+
+def _with_misaligned_arrays(lp, offset):
+    """A fresh LP of lp's data whose A, At, b and c are misaligned copies of lp's."""
+    moved = ValidatedLP(A_exact=lp.A_exact, b_exact=lp.b_exact, c_exact=lp.c_exact, name=lp.name)
+    for name in ("A", "At", "b", "c"):
+        moved.__dict__[name] = _misaligned(getattr(lp, name), offset)  # where cached_property keeps them
+    return moved
+
+
+@pytest.mark.parametrize("offset", [8, 16, 32, 48])
+def test_results_do_not_depend_on_where_the_arrays_start(corpus, offset):
+    # The package-vs-reference tests read the same arrays on both sides, so
+    # only a copy that starts elsewhere can show an alignment-dependent bit.
+    lp, x0 = planted_with_start(np.random.default_rng(7), 48, 192)
+    moved = _with_misaligned_arrays(lp, offset)
+    mus = np.arange(0.0, 10.25, 0.25)
+    for start in (x0, 1.5 * x0 + 0.25):  # A x0 = b exactly, and a shifted flow
+        config = FlowConfig(x0=start, t_end=10.0)
+        assert integrate(moved, config).entries.tobytes() == integrate(lp, config).entries.tobytes()
+    for got, want in zip(follow_path(moved, x0, mus), follow_path(lp, x0, mus), strict=True):
+        assert (got.y.tobytes(), got.x.tobytes(), got.dual_value) == (want.y.tobytes(), want.x.tobytes(), want.dual_value)
+    for _, lp, res in corpus[::9]:
+        moved = _with_misaligned_arrays(lp, offset)
+        h = certified_step_search(lp, 0.1, oracle_result=res)
+        assert certified_step_search(moved, 0.1, oracle_result=res) == h
+        sol, trace = solve(lp, DiscreteConfig(eps=0.1, h=h[0]), oracle_result=res)
+        got_sol, got_trace = solve(moved, DiscreteConfig(eps=0.1, h=h[0]), oracle_result=res)
+        assert got_trace.entries.tobytes() == trace.entries.tobytes()
+        assert (got_sol.x.tobytes(), got_sol.iterations, got_sol.lower_bound) == (
+            sol.x.tobytes(), sol.iterations, sol.lower_bound)
